@@ -1,7 +1,7 @@
 GO ?= go
 BENCH_LABEL ?= dev
 
-.PHONY: build test race race-obs race-rpc vet lint check bench bench-cluster bench-go
+.PHONY: build test race race-obs race-rpc vet lint check bench-test bench bench-cluster bench-go
 
 build:
 	$(GO) build ./...
@@ -36,8 +36,12 @@ lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/d2vet ./...
 
+# bench/ is a module of its own, so ./... above never reaches it.
+bench-test:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
 # The full gate: what ci.sh runs.
-check: build lint race-obs race-rpc race
+check: build lint race-obs race-rpc race bench-test
 
 # Run the replay-tier benchmark suite and append a labelled entry to the
 # tracked trajectory BENCH_replay.json (set BENCH_LABEL to tag the run).

@@ -29,6 +29,10 @@ go test -race -count=1 ./internal/wire/ ./internal/server/ ./internal/client/ ./
 
 go test -race ./...
 
+# bench/ is a module of its own, so the ./... patterns above do not descend
+# into it: vet and test the benchmark harness too.
+(cd bench && go vet ./... && go test ./...)
+
 # Benchmark smoke runs: prove the tracked replay-tier and live-cluster
 # suites execute and emit well-formed JSON without paying for calibrated
 # timing or full-scale load. The clusterbench smoke covers the client

@@ -171,27 +171,6 @@ func TestAdjusterImprovesBalance(t *testing.T) {
 	}
 }
 
-func TestAdjusterMaxMovesCap(t *testing.T) {
-	tr := buildWorkloadTree(t, 2000, 6)
-	d, err := New(tr, 4, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range d.Subtrees() {
-		if err := d.MoveSubtree(i, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	adj := NewAdjuster(AdjusterConfig{Slack: 0.01, MaxMovesPerRound: 2})
-	moved, err := adj.Rebalance(d, d.Assignment().SelfLoads(tr))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if moved > 2 {
-		t.Errorf("moved = %d, cap is 2", moved)
-	}
-}
-
 func TestAdjusterZeroLoad(t *testing.T) {
 	tr := buildWorkloadTree(t, 500, 7)
 	d, err := New(tr, 3, DefaultConfig())

@@ -17,6 +17,8 @@ type PendingEntry struct {
 	Subtree Subtree
 	// From is the overloaded server releasing it.
 	From partition.ServerID
+	// Load is the share of From's load the subtree is expected to take along.
+	Load float64
 }
 
 // PendingPool is the Monitor-side queue of migratable subtrees. Lightly

@@ -2,7 +2,9 @@
 // MDS registrations and periodic heartbeats, maintains the authoritative
 // global layer (serialising updates through the lock service), owns the
 // local index mapping subtree roots to servers, runs the pending-pool
-// dynamic adjustment, and detects MDS failure and arrival.
+// dynamic adjustment, and detects MDS failure and arrival. Which subtrees
+// move where is decided by internal/core, as in the simulator; the Monitor
+// supplies loads, capacities and exclusions.
 //
 // The Monitor holds the authoritative namespace tree it was bootstrapped
 // with, which lets it (re)materialise subtree entries for joining or
@@ -14,6 +16,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"sort"
 	"strconv"
@@ -24,6 +27,7 @@ import (
 	"d2tree/internal/locksvc"
 	"d2tree/internal/namespace"
 	"d2tree/internal/obs"
+	"d2tree/internal/partition"
 	"d2tree/internal/wal"
 	"d2tree/internal/wire"
 )
@@ -40,11 +44,9 @@ type Config struct {
 	GLProportion float64
 	// HeartbeatTimeout marks a server dead after this silence (default 3s).
 	HeartbeatTimeout time.Duration
-	// Slack is the dynamic-adjustment overload tolerance (default 0.10).
-	Slack float64
 	// AdjustInterval is the minimum time between pending-pool adjustment
-	// rounds (default 2s). Heartbeat loads are deltas, so planning on every
-	// beat would thrash subtrees around transient spikes.
+	// rounds (default 2s), and the time constant the members' load averages
+	// decay with: a round weighs about one round's worth of traffic.
 	AdjustInterval time.Duration
 	// WALPath, when non-empty, journals global-layer updates and subtree
 	// ownership changes to a write-ahead log; a Monitor restarted with the
@@ -59,9 +61,6 @@ func (c *Config) applyDefaults() {
 	if c.HeartbeatTimeout == 0 {
 		c.HeartbeatTimeout = 3 * time.Second
 	}
-	if c.Slack == 0 {
-		c.Slack = 0.10
-	}
 	if c.AdjustInterval == 0 {
 		c.AdjustInterval = 2 * time.Second
 	}
@@ -71,13 +70,48 @@ func (c *Config) applyDefaults() {
 // servers try to join.
 var ErrClusterFull = errors.New("monitor: cluster already has all expected servers")
 
+const (
+	// pinRounds is how many adjustment rounds a root sits out after its move
+	// commits, and how long a destination that NACKed it stays barred.
+	pinRounds = 5
+	// minPlanLoad is the mean load (ops/s per live member) below which no
+	// round runs: a near-idle cluster shows noise, not imbalance.
+	minPlanLoad = 100.0
+	// loadUnit is what the planner's loads are counted in, in ops/s. The
+	// planner caps a subtree's load at its popularity count, which only
+	// means something when both share a unit (as in the simulator); counted
+	// in Mops/s no load reaches that cap, and the plan depends on nothing
+	// else about the loads' scale.
+	loadUnit = 1e6
+)
+
 type member struct {
 	id       int
 	addr     string
 	lastSeen time.Time
-	load     float64
+	load     float64 // ops/s, decayed with time constant AdjustInterval
 	ops      int64
 	alive    bool
+}
+
+// flight is a subtree move awaiting its commit.
+type flight struct {
+	dest int
+	// load is the ops/s the planner expects the subtree to take along; zero
+	// for manual transfers and recovery pushes.
+	load float64
+	// issued stamps the hand-off of the transfer command to its source over
+	// a heartbeat (zero until then, and for recovery pushes). A command not
+	// acknowledged by TransferDone or TransferFailed within the heartbeat
+	// timeout is abandoned and the subtree returned to the planner.
+	issued time.Time
+}
+
+// pin bars a root from moving to dest (core.AnyServer: anywhere) while the
+// round counter is below until.
+type pin struct {
+	dest  partition.ServerID
+	until int64
 }
 
 // Monitor is the cluster coordinator. Construct with New, start with
@@ -100,15 +134,12 @@ type Monitor struct {
 	index        map[string]string // subtree root path → MDS addr
 	subtreeOwner map[string]int    // subtree root path → server id
 	transfers    map[int][]wire.TransferCommand
-	inFlight     map[string]int // subtree root → destination server id
-	// issuedAt stamps when a transfer command for a subtree was handed to
-	// its source over a heartbeat; commands unacknowledged (no TransferDone
-	// or TransferFailed) past the heartbeat timeout are abandoned and the
-	// subtree returned to the planner.
-	issuedAt map[string]time.Time
-	// lastFailedDest remembers the destination a subtree's last transfer
-	// NACKed against, so the next plan picks a different server.
-	lastFailedDest map[string]int
+	inFlight     map[string]flight // subtree root → its uncommitted move
+	// pinned holds the planner exclusions that outlive a move: roots that
+	// just moved, and the destination a root's last transfer NACKed against.
+	pinned map[string]pin
+	// round counts adjustment rounds; pins expire by it.
+	round int64
 	// migIDs maps a subtree root to its migration's trace identifier. Minted
 	// when a move is first planned and kept across NACK → re-issue cycles, so
 	// the whole history of one subtree's migration shares one ReqID; cleared
@@ -160,23 +191,22 @@ func New(t *namespace.Tree, cfg Config) (*Monitor, error) {
 		return nil, fmt.Errorf("monitor: initial partition: %w", err)
 	}
 	m := &Monitor{
-		cfg:            cfg,
-		tree:           t,
-		d2:             d2,
-		locks:          locksvc.New(),
-		glEntries:      make(map[string]*wire.Entry),
-		index:          make(map[string]string),
-		subtreeOwner:   make(map[string]int),
-		transfers:      make(map[int][]wire.TransferCommand),
-		inFlight:       make(map[string]int),
-		issuedAt:       make(map[string]time.Time),
-		lastFailedDest: make(map[string]int),
-		migIDs:         make(map[string]string),
-		rec:            obs.NewRecorder("monitor", 0),
-		ids:            obs.NewIDGen("m", 0),
-		now:            time.Now,
-		conns:          make(map[net.Conn]struct{}),
-		stop:           make(chan struct{}),
+		cfg:          cfg,
+		tree:         t,
+		d2:           d2,
+		locks:        locksvc.New(),
+		glEntries:    make(map[string]*wire.Entry),
+		index:        make(map[string]string),
+		subtreeOwner: make(map[string]int),
+		transfers:    make(map[int][]wire.TransferCommand),
+		inFlight:     make(map[string]flight),
+		pinned:       make(map[string]pin),
+		migIDs:       make(map[string]string),
+		rec:          obs.NewRecorder("monitor", 0),
+		ids:          obs.NewIDGen("m", 0),
+		now:          time.Now,
+		conns:        make(map[net.Conn]struct{}),
+		stop:         make(chan struct{}),
 	}
 	m.glVersion = 1
 	m.indexVer = 1
@@ -549,6 +579,7 @@ func (m *Monitor) handleJoin(req *wire.JoinRequest) (*wire.JoinResponse, error) 
 	mem.lastSeen = m.now()
 	mem.alive = true
 	mem.load = 0
+	m.lastAdjust = mem.lastSeen // its average starts empty: give it a full interval
 	m.rec.Record(obs.Event{
 		Kind:   obs.KindCluster,
 		Op:     "member_join",
@@ -670,8 +701,14 @@ func (m *Monitor) handleHeartbeat(req *wire.HeartbeatRequest) (*wire.HeartbeatRe
 		return nil, fmt.Errorf("monitor: heartbeat from unknown server %d (%s; slot registered to %s)",
 			req.ServerID, req.Addr, mem.addr)
 	}
-	mem.lastSeen = m.now()
-	mem.load = req.Load
+	// The paper's decaying access counter as a rate: req.Load, the ops since
+	// the previous beat, enters an average that forgets with time constant
+	// AdjustInterval however the beats are spaced.
+	now := m.now()
+	if dt := now.Sub(mem.lastSeen).Seconds(); dt > 0 {
+		mem.load -= math.Expm1(-dt/m.cfg.AdjustInterval.Seconds()) * (req.Load/dt - mem.load)
+	}
+	mem.lastSeen = now
 	mem.ops = req.Ops
 	mem.alive = true
 	if req.Addr != "" {
@@ -723,9 +760,11 @@ func (m *Monitor) handleHeartbeat(req *wire.HeartbeatRequest) (*wire.HeartbeatRe
 		delete(m.transfers, req.ServerID)
 		// Stamp the hand-off: a command neither Done nor Failed within the
 		// heartbeat timeout is presumed lost and returned to the planner.
-		now := m.now()
 		for _, cmd := range cmds {
-			m.issuedAt[cmd.RootPath] = now
+			if f, ok := m.inFlight[cmd.RootPath]; ok {
+				f.issued = now
+				m.inFlight[cmd.RootPath] = f
+			}
 			m.rec.Record(obs.Event{
 				Kind:   obs.KindMigration,
 				Op:     "issue",
@@ -757,7 +796,6 @@ func (m *Monitor) checkFailuresLocked() {
 			// recovery and rebalancing are not wedged behind them.
 			for _, cmd := range m.transfers[mem.id] {
 				delete(m.inFlight, cmd.RootPath)
-				delete(m.issuedAt, cmd.RootPath)
 			}
 			delete(m.transfers, mem.id)
 		}
@@ -773,11 +811,7 @@ func (m *Monitor) checkFailuresLocked() {
 	// grace from Start — after a Monitor restart the owner map can reference
 	// slots whose servers are still rejoining (with recovery claims) — and
 	// are then recovered like any dead owner's.
-	type orphan struct {
-		root string
-		pop  int64
-	}
-	var orphans []orphan
+	var orphans []string
 	for root, owner := range m.subtreeOwner {
 		if owner >= 0 && owner < len(m.members) && m.members[owner].alive {
 			continue
@@ -788,45 +822,35 @@ func (m *Monitor) checkFailuresLocked() {
 		if _, moving := m.inFlight[root]; moving {
 			continue // recovery already underway
 		}
-		pop := int64(0)
-		if n, err := m.tree.Lookup(root); err == nil {
-			pop = n.TotalPopularity()
-		}
-		orphans = append(orphans, orphan{root: root, pop: pop})
+		orphans = append(orphans, root)
 	}
 	if len(orphans) == 0 {
 		return
 	}
 	// Pending-pool distribution: the orphans are the dead server's share of
-	// the namespace, and mirror division hands them out heaviest-first, each
-	// to the survivor carrying the least recovered popularity so far (live
-	// load breaks ties). One server never absorbs a dead peer's whole load.
+	// the namespace, and core.GreedyLPT hands them out heaviest-first, each
+	// to the survivor carrying the least recovered popularity so far, so one
+	// server never absorbs a dead peer's whole load. Every root weighs at
+	// least 1, which spreads cold subtrees too.
 	// Entries are pushed from the authoritative copy first; ownership and
 	// the index commit only after the install succeeds, so clients are never
 	// routed to a server that does not hold the data yet. A failed push
 	// clears the in-flight marker and is retried on a later heartbeat.
-	sort.Slice(orphans, func(i, j int) bool {
-		if orphans[i].pop != orphans[j].pop {
-			return orphans[i].pop > orphans[j].pop
+	sort.Strings(orphans)
+	subtrees := make([]core.Subtree, len(orphans))
+	for i, root := range orphans {
+		subtrees[i].Popularity = 1
+		if n, err := m.tree.Lookup(root); err == nil {
+			subtrees[i].Root, subtrees[i].Popularity = n.ID(), n.TotalPopularity()+1
 		}
-		return orphans[i].root < orphans[j].root
-	})
-	assigned := make(map[int]int64, len(live))
-	for _, o := range orphans {
-		best := live[0]
-		for _, mem := range live[1:] {
-			switch {
-			case assigned[mem.id] < assigned[best.id]:
-				best = mem
-			case assigned[mem.id] == assigned[best.id] && mem.load < best.load:
-				best = mem
-			}
-		}
-		// Weight each root as at least 1 so cold subtrees still spread
-		// round-robin instead of piling onto one survivor.
-		assigned[best.id] += o.pop + 1
-		m.inFlight[o.root] = best.id
-		m.recoverSubtreeLocked(o.root, best.id, best.addr)
+	}
+	alloc, err := core.GreedyLPT(subtrees, partition.Capacities(len(live), 1))
+	if err != nil {
+		return // unreachable: orphans and live are non-empty, capacities are 1
+	}
+	for i, root := range orphans {
+		dst := live[alloc[i]]
+		m.recoverSubtreeLocked(root, dst.id, dst.addr)
 	}
 }
 
@@ -835,11 +859,10 @@ func (m *Monitor) checkFailuresLocked() {
 // mid-transfer, NACK lost): the in-flight marker is cleared so the next
 // adjustment round can re-schedule the subtree. Callers hold m.mu.
 func (m *Monitor) reissueStaleLocked(now time.Time) {
-	for root, issued := range m.issuedAt {
-		if now.Sub(issued) <= m.cfg.HeartbeatTimeout {
+	for root, f := range m.inFlight {
+		if f.issued.IsZero() || now.Sub(f.issued) <= m.cfg.HeartbeatTimeout {
 			continue
 		}
-		delete(m.issuedAt, root)
 		delete(m.inFlight, root)
 		m.nTransfersReissued++
 		m.rec.Record(obs.Event{
@@ -852,9 +875,11 @@ func (m *Monitor) reissueStaleLocked(now time.Time) {
 	}
 }
 
-// recoverSubtreeLocked pushes a subtree to its recovery destination and, on
-// success, commits ownership and publishes the new index. Callers hold m.mu.
+// recoverSubtreeLocked reserves a subtree for its recovery destination,
+// pushes it there and, on success, commits ownership and publishes the new
+// index. Callers hold m.mu.
 func (m *Monitor) recoverSubtreeLocked(rootPath string, destID int, destAddr string) {
+	m.inFlight[rootPath] = flight{dest: destID}
 	entries := m.subtreeEntriesLocked(rootPath)
 	reqID := m.migIDForLocked(rootPath)
 	m.rec.Record(obs.Event{
@@ -870,7 +895,7 @@ func (m *Monitor) recoverSubtreeLocked(rootPath string, destID int, destAddr str
 		err := installEntries(destAddr, rootPath, entries)
 		m.mu.Lock()
 		defer m.mu.Unlock()
-		if dst, moving := m.inFlight[rootPath]; !moving || dst != destID {
+		if f, moving := m.inFlight[rootPath]; !moving || f.dest != destID {
 			return // superseded by a newer plan
 		}
 		delete(m.inFlight, rootPath)
@@ -899,7 +924,6 @@ func (m *Monitor) recoverSubtreeLocked(rootPath string, destID int, destAddr str
 			// later failure check retries.
 			if owner, ok := m.subtreeOwner[rootPath]; ok &&
 				owner >= 0 && owner < len(m.members) && m.members[owner].alive {
-				m.inFlight[rootPath] = owner
 				m.recoverSubtreeLocked(rootPath, owner, m.members[owner].addr)
 			}
 			return
@@ -967,127 +991,97 @@ func uninstallSubtree(destAddr, rootPath string) error {
 	return conn.Call(wire.TypeUninstall, &wire.UninstallRequest{RootPath: rootPath}, nil)
 }
 
-// planAdjustmentLocked runs one pending-pool round over the freshest
-// heartbeat loads: overloaded servers are told to ship their smallest
-// subtrees to the lightest servers. Callers hold m.mu.
+// planAdjustmentLocked runs one Dynamic-Adjustment round. core.Adjuster
+// plans it from the members' decayed loads (dead and unjoined slots at
+// capacity 0) and one exclusion set: roots in flight, roots that moved
+// within pinRounds, and the destination a root's last transfer NACKed
+// against. The plan is issued only if it lowers the predicted Eq. 2
+// variance — otherwise even the smallest subtree overshoots the imbalance it
+// answers, and the next round would send it back. Callers hold m.mu.
 func (m *Monitor) planAdjustmentLocked() {
-	now := m.now()
-	if now.Sub(m.lastAdjust) < m.cfg.AdjustInterval {
-		return
-	}
-	var live []*member
+	now, n := m.now(), m.cfg.Servers
+	in := core.PlanInput{Loads: make([]float64, n), Caps: make([]float64, n), Exclude: make(map[int]partition.ServerID)}
+	var live int
 	var total float64
 	for _, mem := range m.members {
 		if mem.alive {
-			live = append(live, mem)
+			in.Loads[mem.id], in.Caps[mem.id] = mem.load, 1
+			live++
 			total += mem.load
 		}
 	}
-	// Require a meaningful recent load before migrating anything: deltas of
-	// a few ops per heartbeat are noise, not imbalance.
-	if len(live) < 2 || total < float64(16*len(live)) {
+	if live < 2 || total < minPlanLoad*float64(live) {
+		// Idle (or alone) restarts the clock, so when load arrives the
+		// averages get a full interval to fill before the first round.
+		m.lastAdjust = now
+		return
+	}
+	if now.Sub(m.lastAdjust) < m.cfg.AdjustInterval {
 		return
 	}
 	m.lastAdjust = now
-	mean := total / float64(len(live))
-	limit := (1 + m.cfg.Slack) * mean
-
-	// Subtrees per live owner, smallest first (by authoritative popularity).
-	type cand struct {
-		root string
-		pop  int64
-	}
-	byOwner := make(map[int][]cand)
+	m.round++
+	var roots []string // roots[i] names in.Subtrees[i]
 	for root, owner := range m.subtreeOwner {
-		if owner >= len(m.members) || !m.members[owner].alive {
-			continue
-		}
-		if _, moving := m.inFlight[root]; moving {
-			continue // already scheduled; commit happens at TransferDone
-		}
-		n, err := m.tree.Lookup(root)
+		node, err := m.tree.Lookup(root)
 		if err != nil {
 			continue
 		}
-		byOwner[owner] = append(byOwner[owner], cand{root: root, pop: n.TotalPopularity()})
-	}
-	for _, cs := range byOwner {
-		sort.Slice(cs, func(i, j int) bool {
-			if cs[i].pop != cs[j].pop {
-				return cs[i].pop < cs[j].pop
-			}
-			return cs[i].root < cs[j].root
-		})
-	}
-	loads := make(map[int]float64, len(live))
-	for _, mem := range live {
-		loads[mem.id] = mem.load
-	}
-	for _, src := range live {
-		if loads[src.id] <= limit {
-			continue
+		if _, moving := m.inFlight[root]; moving {
+			in.Exclude[len(roots)] = core.AnyServer
+		} else if p, ok := m.pinned[root]; ok && p.until > m.round {
+			in.Exclude[len(roots)] = p.dest
+		} else if ok {
+			delete(m.pinned, root)
 		}
-		m.rec.Record(obs.Event{
-			Kind:   obs.KindMigration,
-			Op:     "overload",
-			Detail: fmt.Sprintf("mds-%d load %.0f over limit %.0f (mean %.0f)", src.id, loads[src.id], limit, mean),
-		})
-		scale := 0.0
-		var ownPop int64
-		for _, c := range byOwner[src.id] {
-			ownPop += c.pop
-		}
-		if ownPop > 0 {
-			scale = loads[src.id] / float64(ownPop)
-			if scale > 1 {
-				scale = 1
-			}
-		}
-		for _, c := range byOwner[src.id] {
-			if loads[src.id] <= limit {
-				break
-			}
-			// Lightest destination, avoiding the server the subtree's last
-			// transfer NACKed against (likely unreachable even if its
-			// heartbeat has not timed out yet).
-			avoid, hasAvoid := m.lastFailedDest[c.root]
-			var dst *member
-			for _, mem := range live {
-				if hasAvoid && mem.id == avoid && len(live) > 2 {
-					continue
-				}
-				if dst == nil || loads[mem.id] < loads[dst.id] {
-					dst = mem
-				}
-			}
-			if dst == nil || dst.id == src.id {
-				break
-			}
-			shed := float64(c.pop) * scale
-			if loads[dst.id]+shed > limit {
-				continue
-			}
-			reqID := m.migIDForLocked(c.root)
-			m.transfers[src.id] = append(m.transfers[src.id], wire.TransferCommand{
-				RootPath: c.root, DestAddr: dst.addr, ReqID: reqID,
-			})
-			// Ownership commits only on TransferDone — committing now would
-			// open a window where the destination is advertised as owner
-			// before the entries arrive.
-			m.inFlight[c.root] = dst.id
-			m.nTransfersPlanned++
-			m.rec.Record(obs.Event{
-				Kind:   obs.KindMigration,
-				Op:     "plan",
-				ReqID:  reqID,
-				Path:   c.root,
-				Detail: "src mds-" + strconv.Itoa(src.id) + ", dest mds-" + strconv.Itoa(dst.id) + " at " + dst.addr,
-			})
-			loads[src.id] -= shed
-			loads[dst.id] += shed
-		}
-		byOwner[src.id] = nil
+		roots = append(roots, root)
+		in.Subtrees = append(in.Subtrees, core.Subtree{Root: node.ID(), Popularity: node.TotalPopularity()})
+		in.Owners = append(in.Owners, partition.ServerID(owner))
 	}
+	detail := fmt.Sprintf("loads=%.0f ops/s", in.Loads)
+	for k := range in.Loads {
+		in.Loads[k] /= loadUnit
+	}
+	moves, err := core.NewAdjuster(core.AdjusterConfig{}).Plan(in)
+	before, after := in.Variance(nil)*loadUnit*loadUnit, in.Variance(moves)*loadUnit*loadUnit
+	gain := len(moves) == 0 || after < before
+	verdict := "planned"
+	if !gain {
+		verdict = "discarded=no-gain"
+	}
+	m.rec.Record(obs.Event{
+		Kind: obs.KindMigration,
+		Op:   "round",
+		Detail: fmt.Sprintf("%s variance=%.4g->%.4g moves=%d %s in-flight=%d pinned=%d",
+			detail, before, after, len(moves), verdict, len(m.inFlight), len(m.pinned)),
+		Err: obs.ErrString(err),
+	})
+	if !gain {
+		return
+	}
+	for _, mv := range moves {
+		m.queueTransferLocked(roots[mv.Subtree], int(mv.From), m.members[mv.To], mv.Load*loadUnit, "")
+	}
+}
+
+// queueTransferLocked enqueues one transfer command for the source's next
+// heartbeat and reserves the root. Ownership commits only on TransferDone —
+// committing now would open a window where the destination is advertised as
+// owner before the entries arrive. Callers hold m.mu.
+func (m *Monitor) queueTransferLocked(root string, src int, dst *member, load float64, note string) {
+	reqID := m.migIDForLocked(root)
+	m.transfers[src] = append(m.transfers[src], wire.TransferCommand{
+		RootPath: root, DestAddr: dst.addr, ReqID: reqID,
+	})
+	m.inFlight[root] = flight{dest: dst.id, load: load}
+	m.nTransfersPlanned++
+	m.rec.Record(obs.Event{
+		Kind:   obs.KindMigration,
+		Op:     "plan",
+		ReqID:  reqID,
+		Path:   root,
+		Detail: note + "src mds-" + strconv.Itoa(src) + ", dest mds-" + strconv.Itoa(dst.id) + " at " + dst.addr,
+	})
 }
 
 func (m *Monitor) handleGLUpdate(req *wire.GLUpdateRequest) (*wire.GLUpdateResponse, error) {
@@ -1154,13 +1148,21 @@ func (m *Monitor) handleTransferDone(req *wire.TransferDoneRequest) (*wire.LockR
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	// The destination now has the entries: commit ownership and publish it.
-	if dst, ok := m.inFlight[req.RootPath]; ok {
-		m.subtreeOwner[req.RootPath] = dst
+	if f, ok := m.inFlight[req.RootPath]; ok {
+		if f.load > 0 {
+			// The paper keeps the decaying counter per subtree, so it moves
+			// with the subtree. Shifting the planned share now keeps the next
+			// round from shedding the same load again while the averages
+			// catch up with the move.
+			src := m.members[m.subtreeOwner[req.RootPath]]
+			src.load = max(0, src.load-f.load)
+			m.members[f.dest].load += f.load
+		}
+		m.subtreeOwner[req.RootPath] = f.dest
 		delete(m.inFlight, req.RootPath)
-		m.journalLocked("owner", &walOwner{Root: req.RootPath, Server: dst})
+		m.journalLocked("owner", &walOwner{Root: req.RootPath, Server: f.dest})
 	}
-	delete(m.issuedAt, req.RootPath)
-	delete(m.lastFailedDest, req.RootPath)
+	m.pinned[req.RootPath] = pin{dest: core.AnyServer, until: m.round + pinRounds}
 	m.nTransfersDone++
 	m.index[req.RootPath] = req.DestAddr
 	m.indexVer++
@@ -1180,17 +1182,16 @@ func (m *Monitor) handleTransferDone(req *wire.TransferDoneRequest) (*wire.LockR
 }
 
 // handleTransferFailed releases a NACKed transfer's in-flight marker so the
-// subtree can be re-scheduled — to a different destination, which the next
-// planning round avoids picking again.
+// subtree can be re-scheduled — to a different destination: the failed one
+// goes into the planner's exclusion set for pinRounds.
 func (m *Monitor) handleTransferFailed(req *wire.TransferFailedRequest) (*wire.LockResponse, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.nTransfersFailed++
-	if dst, ok := m.inFlight[req.RootPath]; ok {
-		m.lastFailedDest[req.RootPath] = dst
+	if f, ok := m.inFlight[req.RootPath]; ok {
+		m.pinned[req.RootPath] = pin{dest: partition.ServerID(f.dest), until: m.round + pinRounds}
 		delete(m.inFlight, req.RootPath)
 	}
-	delete(m.issuedAt, req.RootPath)
 	reqID := req.ReqID
 	if reqID == "" {
 		reqID = m.migIDs[req.RootPath]
@@ -1265,22 +1266,13 @@ func (m *Monitor) ReevaluateGlobalLayer() error {
 	m.subtreeOwner = make(map[string]int)
 	m.index = make(map[string]string)
 	m.transfers = make(map[int][]wire.TransferCommand)
-	m.inFlight = make(map[string]int)
-	m.issuedAt = make(map[string]time.Time)
-	m.lastFailedDest = make(map[string]int)
-	var live []*member
-	for _, mem := range m.members {
-		if mem.alive {
-			live = append(live, mem)
-		}
-	}
+	m.inFlight = make(map[string]flight)
+	m.pinned = make(map[string]pin)
+	m.migIDs = make(map[string]string)
 	for i, st := range m.d2.Subtrees() {
 		owner, _ := m.d2.SubtreeOwner(i)
 		id := int(owner)
 		root := m.tree.Path(m.tree.Node(st.Root))
-		if id < len(m.members) && !m.members[id].alive && len(live) > 0 {
-			id = live[i%len(live)].id
-		}
 		m.subtreeOwner[root] = id
 		m.journalLocked("owner", &walOwner{Root: root, Server: id})
 		if id < len(m.members) && m.members[id].alive {
@@ -1290,6 +1282,9 @@ func (m *Monitor) ReevaluateGlobalLayer() error {
 	}
 	m.glVersion++
 	m.indexVer++
+	// Subtrees the fresh allocation gave to a dead server are orphans like
+	// any other: the failover path re-homes them.
+	m.checkFailuresLocked()
 	return nil
 }
 
@@ -1318,20 +1313,7 @@ func (m *Monitor) ScheduleTransfer(root string, destID int) error {
 	if _, moving := m.inFlight[root]; moving {
 		return fmt.Errorf("monitor: subtree %s already has a transfer in flight", root)
 	}
-	dst := m.members[destID]
-	reqID := m.migIDForLocked(root)
-	m.transfers[owner] = append(m.transfers[owner], wire.TransferCommand{
-		RootPath: root, DestAddr: dst.addr, ReqID: reqID,
-	})
-	m.inFlight[root] = destID
-	m.nTransfersPlanned++
-	m.rec.Record(obs.Event{
-		Kind:   obs.KindMigration,
-		Op:     "plan",
-		ReqID:  reqID,
-		Path:   root,
-		Detail: "manual, src mds-" + strconv.Itoa(owner) + ", dest mds-" + strconv.Itoa(destID) + " at " + dst.addr,
-	})
+	m.queueTransferLocked(root, owner, m.members[destID], 0, "manual, ")
 	return nil
 }
 

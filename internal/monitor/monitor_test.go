@@ -150,9 +150,9 @@ func TestHeartbeatDetectsFailure(t *testing.T) {
 		if owner != 0 {
 			continue
 		}
-		if dst, moving := m.inFlight[root]; !moving || dst != 1 {
+		if f, moving := m.inFlight[root]; !moving || f.dest != 1 {
 			t.Errorf("subtree %s of dead server not in recovery: dst=%d moving=%v",
-				root, dst, moving)
+				root, f.dest, moving)
 		}
 	}
 }
@@ -203,24 +203,30 @@ func TestHeartbeatUnknownServer(t *testing.T) {
 
 func TestPlanAdjustmentCreatesTransfers(t *testing.T) {
 	w := testTree(t)
-	m, err := New(w.Tree, Config{Servers: 2, Slack: 0.05})
+	m, err := New(w.Tree, Config{Servers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
+	now := time.Unix(100, 0)
+	m.SetClock(func() time.Time { return now })
 	if _, err := m.handleJoin(&wire.JoinRequest{Addr: "a:1"}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := m.handleJoin(&wire.JoinRequest{Addr: "b:2"}); err != nil {
 		t.Fatal(err)
 	}
-	// Prime both servers' load reports, then heartbeat the overloaded one:
-	// planning and delivery happen within that same heartbeat exchange.
-	if _, err := m.handleHeartbeat(&wire.HeartbeatRequest{ServerID: 1, Addr: "b:2", Load: 1}); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := m.handleHeartbeat(&wire.HeartbeatRequest{ServerID: 0, Addr: "a:1", Load: 1000})
-	if err != nil {
-		t.Fatal(err)
+	// Heartbeat a light and an overloaded server until the load has lasted
+	// an adjustment interval: planning and delivery then happen within one
+	// heartbeat exchange of the overloaded server.
+	var resp *wire.HeartbeatResponse
+	for i := 0; i < 30 && (resp == nil || len(resp.Transfers) == 0); i++ {
+		now = now.Add(100 * time.Millisecond)
+		if _, err := m.handleHeartbeat(&wire.HeartbeatRequest{ServerID: 1, Addr: "b:2", Load: 1}); err != nil {
+			t.Fatal(err)
+		}
+		if resp, err = m.handleHeartbeat(&wire.HeartbeatRequest{ServerID: 0, Addr: "a:1", Load: 1000}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if len(resp.Transfers) == 0 {
 		t.Fatal("no transfers planned/delivered for overloaded server")
@@ -233,13 +239,13 @@ func TestPlanAdjustmentCreatesTransfers(t *testing.T) {
 		// tracked in-flight so it is not re-planned.
 		m.mu.Lock()
 		owner := m.subtreeOwner[cmd.RootPath]
-		dst, moving := m.inFlight[cmd.RootPath]
+		f, moving := m.inFlight[cmd.RootPath]
 		m.mu.Unlock()
 		if owner != 0 {
 			t.Errorf("subtree %s owner = %d before TransferDone, want 0", cmd.RootPath, owner)
 		}
-		if !moving || dst != 1 {
-			t.Errorf("subtree %s in-flight = %d,%v, want 1,true", cmd.RootPath, dst, moving)
+		if !moving || f.dest != 1 {
+			t.Errorf("subtree %s in-flight = %d,%v, want 1,true", cmd.RootPath, f.dest, moving)
 		}
 		// Completing the transfer commits ownership.
 		if _, err := m.handleTransferDone(&wire.TransferDoneRequest{
@@ -333,7 +339,7 @@ func TestWALRecovery(t *testing.T) {
 	}
 	m1.mu.Unlock()
 	m1.mu.Lock()
-	m1.inFlight[someRoot] = 1
+	m1.inFlight[someRoot] = flight{dest: 1}
 	m1.mu.Unlock()
 	if _, err := m1.handleTransferDone(&wire.TransferDoneRequest{
 		ServerID: 0, RootPath: someRoot, DestAddr: "b:2",
@@ -530,5 +536,49 @@ func TestJoinAdoptsRecoveredSubtrees(t *testing.T) {
 	m.mu.Unlock()
 	if owner != 0 {
 		t.Errorf("owner of %s = %d, want 0", claim, owner)
+	}
+}
+
+// TestReevaluateDropsMigrationIDs pins "one m- ID per subtree move": a move
+// dropped by a resplit must not leak its trace ID into the next, unrelated
+// migration of the same root.
+func TestReevaluateDropsMigrationIDs(t *testing.T) {
+	r := newRig(t, Config{Servers: 2})
+	m := r.m
+	var root string
+	var owner int
+	m.mu.Lock()
+	for root, owner = range m.subtreeOwner {
+		break
+	}
+	m.mu.Unlock()
+	if err := m.ScheduleTransfer(root, 1-owner); err != nil {
+		t.Fatal(err)
+	}
+	m.mu.Lock()
+	dropped := m.migIDs[root]
+	m.mu.Unlock()
+	if dropped == "" {
+		t.Fatal("scheduled transfer minted no migration ID")
+	}
+	if err := m.ReevaluateGlobalLayer(); err != nil {
+		t.Fatal(err)
+	}
+	m.mu.Lock()
+	owner, still := m.subtreeOwner[root]
+	if id := m.migIDs[root]; id != "" {
+		t.Errorf("resplit kept migration ID %s of a dropped move", id)
+	}
+	m.mu.Unlock()
+	if !still {
+		t.Fatalf("%s is no longer a subtree root after an unchanged resplit", root)
+	}
+	if err := m.ScheduleTransfer(root, 1-owner); err != nil {
+		t.Fatal(err)
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if next := m.migIDs[root]; next == dropped {
+		t.Errorf("new migration of %s reuses the dropped move's ID %s", root, dropped)
 	}
 }
