@@ -36,9 +36,11 @@ lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/d2vet ./...
 
-# bench/ is a module of its own, so ./... above never reaches it.
+# bench/ is a module of its own, so ./... above never reaches it. The smoke
+# run lists directories on real daemons and checks the child counts.
 bench-test:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
+	bash bench/run.sh -smoke --workload lmbe_ls --trace 0 > /dev/null
 
 # The full gate: what ci.sh runs.
 check: build lint race-obs race-rpc race bench-test

@@ -33,6 +33,11 @@ go test -race ./...
 # into it: vet and test the benchmark harness too.
 (cd bench && go vet ./... && go test ./...)
 
+# A 3 s listing run against real daemons. Its validity gate compares every
+# listed directory's child count with the generating tree; the crash
+# scenario below never lists.
+bash bench/run.sh -smoke --workload lmbe_ls --trace 0 > /dev/null
+
 # Benchmark smoke runs: prove the tracked replay-tier and live-cluster
 # suites execute and emit well-formed JSON without paying for calibrated
 # timing or full-scale load. The clusterbench smoke covers the client

@@ -2,8 +2,6 @@ package server
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 
 	"d2tree/internal/wal"
 	"d2tree/internal/wire"
@@ -21,7 +19,7 @@ import (
 // sub-op never poisons the rest of the frame. Consecutive sub-ops owned by
 // this server run under a single s.mu acquisition; a sub-op that must go
 // through the Monitor's lock service (global-layer mutation) breaks the run
-// and executes through the single-op handler outside the lock. Durability
+// and executes through batchGlobal outside the lock. Durability
 // waits collapse to the end of the frame: every local mutation's WAL ticket
 // is collected and awaited once, so N journaled sub-ops share one
 // group-commit flush window instead of paying N fsync waits.
@@ -49,8 +47,12 @@ func (s *Server) handleBatch(env *wire.Envelope, req *wire.BatchRequest) (*wire.
 	i := 0
 	for i < len(req.Ops) {
 		s.mu.Lock()
-		for i < len(req.Ops) && !s.batchNeedsGlobalLocked(&req.Ops[i]) {
-			if t := s.batchLocalLocked(&req.Ops[i], &results[i]); t != nil {
+		for i < len(req.Ops) {
+			t, global := s.batchLocalLocked(&req.Ops[i], &results[i])
+			if global {
+				break
+			}
+			if t != nil {
 				tickets = append(tickets, t)
 			}
 			i++
@@ -67,290 +69,139 @@ func (s *Server) handleBatch(env *wire.Envelope, req *wire.BatchRequest) (*wire.
 	return &wire.BatchResponse{Results: results}, nil
 }
 
-// batchNeedsGlobalLocked reports whether the sub-op must be serialised through
-// the Monitor (global-layer mutation) and therefore cannot run under the held
-// store lock. Invalid and redirecting sub-ops return false — they resolve
-// locally to an error or redirect result. Caller holds s.mu.
-func (s *Server) batchNeedsGlobalLocked(op *wire.BatchOp) bool {
-	switch op.Op {
-	case wire.BatchCreate, wire.BatchCreateAttrs:
-		if op.Path == "" || op.Path[0] != '/' || op.Path == "/" {
-			return false
-		}
-		if _, exists := s.store[op.Path]; exists {
-			return false
-		}
-		_, global := s.ownerLocked(op.Path)
-		return global
-	case wire.BatchSetAttr:
-		return s.glPaths[op.Path]
-	}
-	return false
-}
-
 // batchLocalLocked executes one sub-op against local state, mirroring the
 // single-op handlers' semantics exactly (same counters, same lease stamps,
 // same redirect and error shapes). Caller holds s.mu for writing; the
 // returned WAL ticket, if any, must be awaited after the lock is released.
-func (s *Server) batchLocalLocked(op *wire.BatchOp, res *wire.BatchResult) *wal.Ticket {
+// global reports, with nothing changed, that the sub-op is a global-layer
+// mutation: the caller releases the lock and runs it through batchGlobal.
+func (s *Server) batchLocalLocked(op *wire.BatchOp, res *wire.BatchResult) (t *wal.Ticket, global bool) {
 	switch op.Op {
 	case wire.BatchLookup:
 		s.lookups.Add(1)
-		if e, ok := s.store[op.Path]; ok {
+		if e, _ := s.store.get(op.Path); e != nil {
 			cp := *e
 			res.Entry = &cp
 			res.LeaseMS, res.IndexVer = s.leaseLocked()
 			s.leases.Add(1)
-			return nil
+			return nil, false
 		}
-		if addr, global := s.ownerLocked(op.Path); !global && addr != s.Addr() {
-			s.redirects.Add(1)
-			res.Redirect = addr
-			return nil
-		}
-		res.Err = fmt.Sprintf("%v: %s", ErrNotFound, op.Path)
-		return nil
+		s.batchMissLocked(op.Path, res)
 
 	case wire.BatchRevalidate:
-		if e, ok := s.store[op.Path]; ok {
+		if e, _ := s.store.get(op.Path); e != nil {
 			res.LeaseMS, res.IndexVer = s.leaseLocked()
 			s.leases.Add(1)
 			if e.Version == op.Version {
 				s.revalidateHits.Add(1)
 				res.Match = true
-				return nil
+				return nil, false
 			}
 			s.revalidateMisses.Add(1)
 			cp := *e
 			res.Entry = &cp
-			return nil
+			return nil, false
 		}
-		if addr, global := s.ownerLocked(op.Path); !global && addr != s.Addr() {
-			s.redirects.Add(1)
-			res.Redirect = addr
-			return nil
-		}
-		res.Err = fmt.Sprintf("%v: %s", ErrNotFound, op.Path)
-		return nil
+		s.batchMissLocked(op.Path, res)
 
 	case wire.BatchCreate, wire.BatchCreateAttrs:
-		s.creates.Add(1)
-		if op.Path == "" || op.Path[0] != '/' || op.Path == "/" {
-			res.Err = fmt.Sprintf("server: invalid path %q", op.Path)
-			return nil
+		var err error
+		if *res, t, global, err = s.createLocked(batchCreateEntry(op)); err != nil {
+			res.Err = err.Error()
 		}
-		if _, exists := s.store[op.Path]; exists {
-			res.Err = fmt.Sprintf("%v: %s", ErrExists, op.Path)
-			return nil
-		}
-		addr, global := s.ownerLocked(op.Path)
-		if global {
-			// Filtered by batchNeedsGlobalLocked; unreachable, but fail the
-			// sub-op rather than mutate GL state without the Monitor's lock.
-			res.Err = "server: global-layer create reached local path"
-			return nil
-		}
-		if addr != s.Addr() {
-			s.redirects.Add(1)
-			res.Redirect = addr
-			return nil
-		}
-		e := &wire.Entry{Path: op.Path, Kind: op.Kind, Version: 1}
-		if op.Op == wire.BatchCreateAttrs {
-			e.Size = op.Size
-			e.Mode = op.Mode
-		}
-		s.store[op.Path] = e
-		s.newPaths = append(s.newPaths, *e)
-		t := s.journalLocked("create", &walEntryRec{Entry: *e})
-		cp := *e
-		res.Entry = &cp
-		res.LeaseMS, res.IndexVer = s.leaseLocked()
-		s.leases.Add(1)
-		return t
+		return t, global
 
 	case wire.BatchSetAttr:
+		e, gl := s.store.get(op.Path)
+		if gl {
+			return nil, true
+		}
 		s.setattrs.Add(1)
-		e, ok := s.store[op.Path]
-		if !ok {
-			if addr, global := s.ownerLocked(op.Path); !global && addr != s.Addr() {
-				s.redirects.Add(1)
-				res.Redirect = addr
-				return nil
-			}
-			res.Err = fmt.Sprintf("%v: %s", ErrNotFound, op.Path)
-			return nil
+		if e == nil {
+			s.batchMissLocked(op.Path, res)
+			return nil, false
 		}
 		e.Size = op.Size
 		e.Mode = op.Mode
 		e.Version++
-		t := s.journalLocked("setattr", &walEntryRec{Entry: *e})
+		t = s.journalLocked("setattr", &walEntryRec{Entry: *e})
 		cp := *e
 		res.Entry = &cp
 		res.LeaseMS, res.IndexVer = s.leaseLocked()
 		s.leases.Add(1)
-		return t
 
 	default:
 		res.Err = fmt.Sprintf("server: unknown batch op %q", op.Op)
-		return nil
 	}
+	return t, false
 }
 
-// batchGlobal delegates one global-layer sub-op to its single-op handler,
-// which serialises through the Monitor and performs its own durability wait.
-// The pre-folded popularity count is compensated first — the delegate
-// re-counts the access itself.
-func (s *Server) batchGlobal(env *wire.Envelope, op *wire.BatchOp, res *wire.BatchResult) {
-	if op.Path != "" {
-		s.hot.Add(op.Path, -1)
+// batchMissLocked fills the result for a sub-op whose path the store does
+// not hold: the owner to redirect to, or not-found when that is this server.
+func (s *Server) batchMissLocked(path string, res *wire.BatchResult) {
+	if addr, global := s.ownerLocked(path); !global && addr != s.Addr() {
+		s.redirects.Add(1)
+		res.Redirect = addr
+		return
 	}
-	switch op.Op {
-	case wire.BatchCreate:
-		r, err := s.handleCreate(env, &wire.CreateRequest{Path: op.Path, Kind: op.Kind})
-		if err != nil {
-			res.Err = err.Error()
-			return
-		}
-		res.Entry, res.Redirect = r.Entry, r.Redirect
-		res.LeaseMS, res.IndexVer = r.LeaseMS, r.IndexVer
-	case wire.BatchCreateAttrs:
-		r, err := s.handleCreateWithAttrs(env, &wire.CreateWithAttrsRequest{
-			Path: op.Path, Kind: op.Kind, Size: op.Size, Mode: op.Mode,
-		})
-		if err != nil {
-			res.Err = err.Error()
-			return
-		}
-		res.Entry, res.Redirect = r.Entry, r.Redirect
-		res.LeaseMS, res.IndexVer = r.LeaseMS, r.IndexVer
-	case wire.BatchSetAttr:
-		r, err := s.handleSetAttr(env, &wire.SetAttrRequest{Path: op.Path, Size: op.Size, Mode: op.Mode})
-		if err != nil {
-			res.Err = err.Error()
-			return
-		}
-		res.Entry, res.Redirect = r.Entry, r.Redirect
-		res.LeaseMS, res.IndexVer = r.LeaseMS, r.IndexVer
-	default:
-		res.Err = fmt.Sprintf("server: unknown batch op %q", op.Op)
+	res.Err = fmt.Sprintf("%v: %s", ErrNotFound, path)
+}
+
+// batchCreateEntry is the entry a create sub-op asks for; only create_attrs
+// carries attributes.
+func batchCreateEntry(op *wire.BatchOp) wire.Entry {
+	e := wire.Entry{Path: op.Path, Kind: op.Kind}
+	if op.Op == wire.BatchCreateAttrs {
+		e.Size, e.Mode = op.Size, op.Mode
+	}
+	return e
+}
+
+// batchGlobal runs one global-layer sub-op through the Monitor, outside the
+// store lock.
+func (s *Server) batchGlobal(env *wire.Envelope, op *wire.BatchOp, res *wire.BatchResult) {
+	var err error
+	if op.Op == wire.BatchSetAttr {
+		s.setattrs.Add(1)
+		*res, err = s.glUpdate(env, "setattr", wire.Entry{Path: op.Path, Size: op.Size, Mode: op.Mode})
+	} else {
+		*res, err = s.glUpdate(env, "create", batchCreateEntry(op))
+	}
+	if err != nil {
+		res.Err = err.Error()
 	}
 }
 
 // handleCreateWithAttrs fuses the create+setattr pair every real client
 // issues into one committed mutation: one WAL record, one lease grant, one
-// version. Semantics otherwise mirror handleCreate, including the
-// global-layer delegation through the Monitor (which preserves Size/Mode on
-// its "create" op).
+// version. It is handleCreate with attributes, including the global-layer
+// path through the Monitor (which preserves Size/Mode on its "create" op).
 func (s *Server) handleCreateWithAttrs(env *wire.Envelope, req *wire.CreateWithAttrsRequest) (*wire.CreateWithAttrsResponse, error) {
-	s.creates.Add(1)
-	if req.Path == "" || req.Path[0] != '/' || req.Path == "/" {
-		return nil, fmt.Errorf("server: invalid path %q", req.Path)
-	}
-	s.hot.Add(req.Path, 1)
-	s.mu.Lock()
-	if _, exists := s.store[req.Path]; exists {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("%w: %s", ErrExists, req.Path)
-	}
-	addr, global := s.ownerLocked(req.Path)
-	if !global {
-		if addr != s.Addr() {
-			s.mu.Unlock()
-			s.redirects.Add(1)
-			return &wire.CreateWithAttrsResponse{Redirect: addr}, nil
-		}
-		e := &wire.Entry{Path: req.Path, Kind: req.Kind, Size: req.Size, Mode: req.Mode, Version: 1}
-		s.store[req.Path] = e
-		s.newPaths = append(s.newPaths, *e)
-		t := s.journalLocked("create", &walEntryRec{Entry: *e})
-		cp := *e
-		leaseMS, ver := s.leaseLocked()
-		s.mu.Unlock()
-		s.waitDurable(t)
-		s.leases.Add(1)
-		return &wire.CreateWithAttrsResponse{Entry: &cp, LeaseMS: leaseMS, IndexVer: ver}, nil
-	}
-	mon := s.mon
-	id := s.id
-	s.mu.Unlock()
-
-	var resp wire.GLUpdateResponse
-	err := mon.CallTraced(wire.TypeGLUpdate, env.ReqID, s.rec.Node(), &wire.GLUpdateRequest{
-		ServerID: id,
-		Op:       "create",
-		Entry:    wire.Entry{Path: req.Path, Kind: req.Kind, Size: req.Size, Mode: req.Mode},
-	}, &resp)
+	r, err := s.create(env, wire.Entry{Path: req.Path, Kind: req.Kind, Size: req.Size, Mode: req.Mode})
 	if err != nil {
 		return nil, err
 	}
-	s.mu.Lock()
-	e := resp.Entry
-	s.store[e.Path] = &e
-	s.glPaths[e.Path] = true
-	if resp.GLVersion > s.glVersion {
-		s.glVersion = resp.GLVersion
-	}
-	leaseMS, ver := s.leaseLocked()
-	s.mu.Unlock()
-	s.leases.Add(1)
-	cp := e
-	return &wire.CreateWithAttrsResponse{Entry: &cp, LeaseMS: leaseMS, IndexVer: ver}, nil
+	return &wire.CreateWithAttrsResponse{Entry: r.Entry, Redirect: r.Redirect, LeaseMS: r.LeaseMS, IndexVer: r.IndexVer}, nil
 }
 
 // handleReaddirPlus lists a directory's children as full entries so one RPC
 // replaces the readdir + N lookups an `ls -l` costs today. Children hosted on
-// other servers (subtree roots visible through the local index) appear as
-// placeholders with Version 0: name and kind are authoritative, the body is
-// not, and clients must not cache them.
+// other servers come back as the Version-0 placeholders listLocked describes.
 func (s *Server) handleReaddirPlus(req *wire.ReaddirPlusRequest) (*wire.ReaddirPlusResponse, error) {
 	s.readdirplus.Add(1)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	dir, ok := s.store[req.Path]
-	if !ok {
-		addr, global := s.ownerLocked(req.Path)
-		if !global && addr != s.Addr() {
-			s.redirects.Add(1)
-			return &wire.ReaddirPlusResponse{Redirect: addr}, nil
-		}
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, req.Path)
+	dir, children, redirect, err := s.listLocked(req.Path)
+	if err != nil {
+		return nil, err
 	}
-	if dir.Kind != wire.EntryDir {
-		return nil, fmt.Errorf("server: %s is not a directory", req.Path)
+	if redirect != "" {
+		return &wire.ReaddirPlusResponse{Redirect: redirect}, nil
 	}
-	prefix := req.Path + "/"
-	if req.Path == "/" {
-		prefix = "/"
-	}
-	seen := make(map[string]bool)
-	entries := []wire.Entry{}
-	for p, e := range s.store {
-		if !strings.HasPrefix(p, prefix) || p == req.Path {
-			continue
-		}
-		rest := p[len(prefix):]
-		if rest == "" || strings.ContainsRune(rest, '/') {
-			continue
-		}
-		seen[p] = true
-		entries = append(entries, *e)
-	}
-	for root := range s.index {
-		if !strings.HasPrefix(root, prefix) || root == req.Path || seen[root] {
-			continue
-		}
-		rest := root[len(prefix):]
-		if rest == "" || strings.ContainsRune(rest, '/') {
-			continue
-		}
-		entries = append(entries, wire.Entry{Path: root, Kind: wire.EntryDir})
-	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].Path < entries[j].Path })
 	leaseMS, ver := s.leaseLocked()
 	s.leases.Add(1)
 	return &wire.ReaddirPlusResponse{
-		Entries:    entries,
+		Entries:    children,
 		DirVersion: dir.Version,
 		LeaseMS:    leaseMS,
 		IndexVer:   ver,

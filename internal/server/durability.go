@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"time"
 
 	"d2tree/internal/obs"
@@ -97,8 +96,7 @@ func (s *Server) recoverFromDisk() error {
 			s.subtrees[root] = true
 		}
 		for _, e := range snap.Entries {
-			e := e
-			s.store[e.Path] = &e
+			s.store.put(e, false)
 		}
 		s.mu.Unlock()
 		s.hot.Merge(snap.OpCounts)
@@ -120,7 +118,7 @@ func (s *Server) recoverFromDisk() error {
 		return err
 	}
 	s.mu.RLock()
-	entries, roots := len(s.store), len(s.subtrees)
+	entries, roots := s.store.len(), len(s.subtrees)
 	s.mu.RUnlock()
 	if recovered > 0 || roots > 0 {
 		s.rec.Record(obs.Event{
@@ -146,24 +144,19 @@ func (s *Server) applyWALRecord(rec wal.Record) error {
 		if err := json.Unmarshal(rec.Data, &p); err != nil {
 			return fmt.Errorf("server: wal record %d: %w", rec.Seq, err)
 		}
-		e := p.Entry
-		s.store[e.Path] = &e
+		s.store.put(p.Entry, false)
 	case "rename":
 		var p walRenameRec
 		if err := json.Unmarshal(rec.Data, &p); err != nil {
 			return fmt.Errorf("server: wal record %d: %w", rec.Seq, err)
 		}
-		s.renameSubtreeLocked(p.Path, p.NewName)
+		s.store.rename(p.Path, p.NewName)
 	case "install":
 		var p walSubtreeRec
 		if err := json.Unmarshal(rec.Data, &p); err != nil {
 			return fmt.Errorf("server: wal record %d: %w", rec.Seq, err)
 		}
-		s.subtrees[p.Root] = true
-		for _, e := range p.Entries {
-			e := e
-			s.store[e.Path] = &e
-		}
+		s.installLocked(p.Root, p.Entries)
 	case "remove":
 		var p walSubtreeRec
 		if err := json.Unmarshal(rec.Data, &p); err != nil {
@@ -175,49 +168,6 @@ func (s *Server) applyWALRecord(rec wal.Record) error {
 		// newer log degrades instead of failing the whole recovery.
 	}
 	return nil
-}
-
-// renameSubtreeLocked rewrites a node and every descendant key — the shared
-// commit step of handleRename and WAL replay. Replaying onto an
-// already-renamed store (the source path is gone) is a no-op.
-func (s *Server) renameSubtreeLocked(path, newName string) {
-	if _, ok := s.store[path]; !ok {
-		return
-	}
-	slash := strings.LastIndexByte(path, '/')
-	newPath := path[:slash+1] + newName
-	if newPath == path {
-		return
-	}
-	oldPrefix := path + "/"
-	newPrefix := newPath + "/"
-	moved := []string{path}
-	for p := range s.store {
-		if strings.HasPrefix(p, oldPrefix) {
-			moved = append(moved, p)
-		}
-	}
-	for _, p := range moved {
-		entry := s.store[p]
-		delete(s.store, p)
-		if p == path {
-			entry.Path = newPath
-		} else {
-			entry.Path = newPrefix + p[len(oldPrefix):]
-		}
-		entry.Version++
-		s.store[entry.Path] = entry
-	}
-}
-
-// dropSubtreeLocked forgets an owned subtree and its non-GL entries.
-func (s *Server) dropSubtreeLocked(root string) {
-	delete(s.subtrees, root)
-	for _, e := range s.collectSubtreeLocked(root) {
-		if !s.glPaths[e.Path] {
-			delete(s.store, e.Path)
-		}
-	}
 }
 
 // journalLocked enqueues one mutation record into the group-commit window.
@@ -269,6 +219,28 @@ func (s *Server) noteWalDegraded(err error) {
 	}
 }
 
+// snapshotEntriesLocked copies out the local-layer entries of every owned
+// subtree. An owned root lying inside another owned subtree (a re-evaluation
+// moved the cut above it) is covered by the outer walk and skipped.
+func (s *Server) snapshotEntriesLocked() []wire.Entry {
+	entries := make([]wire.Entry, 0, s.store.len())
+	for root := range s.subtrees {
+		nested := false
+		for up := parentPath(root); up != "" && !nested; up = parentPath(up) {
+			nested = s.subtrees[up]
+		}
+		if nested {
+			continue
+		}
+		s.store.walk(root, func(e *wire.Entry, gl bool) {
+			if !gl {
+				entries = append(entries, *e)
+			}
+		})
+	}
+	return entries
+}
+
 // snapshotLoop periodically captures the namespace image and truncates the
 // log behind it.
 func (s *Server) snapshotLoop() {
@@ -291,27 +263,22 @@ func (s *Server) snapshotLoop() {
 // horizon, writes it atomically (tmp + rename + dir sync), and truncates
 // the WAL below it. Records still in the batcher's window get seqs past the
 // horizon and survive truncation; replaying them onto the snapshot is
-// idempotent.
+// idempotent. The image is a walk of the owned subtrees, so the global-layer
+// replica costs it nothing.
 func (s *Server) writeSnapshot() error {
 	s.mu.RLock()
 	snap := snapshotState{
 		WALSeq:    s.wlog.Seq(),
 		GLVersion: s.glVersion,
 		Subtrees:  make([]string, 0, len(s.subtrees)),
-		Entries:   make([]wire.Entry, 0, len(s.store)),
+		Entries:   s.snapshotEntriesLocked(),
 	}
 	for root := range s.subtrees {
 		snap.Subtrees = append(snap.Subtrees, root)
 	}
-	for p, e := range s.store {
-		if s.glPaths[p] {
-			continue
-		}
-		snap.Entries = append(snap.Entries, *e)
-	}
 	s.mu.RUnlock()
 	sort.Strings(snap.Subtrees)
-	sort.Slice(snap.Entries, func(i, j int) bool { return snap.Entries[i].Path < snap.Entries[j].Path })
+	sortByPath(snap.Entries)
 	// The access counters have no non-destructive read: take them and put
 	// them straight back. Increments landing in between stay live.
 	counts := s.hot.Drain()

@@ -168,7 +168,7 @@ func (s *Server) handleLookup(req *wire.LookupRequest) (*wire.LookupResponse, er
 	s.hot.Add(req.Path, 1)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if e, ok := s.store[req.Path]; ok {
+	if e, _ := s.store.get(req.Path); e != nil {
 		cp := *e
 		leaseMS, ver := s.leaseLocked()
 		s.leases.Add(1)
@@ -191,7 +191,7 @@ func (s *Server) handleRevalidate(req *wire.RevalidateRequest) (*wire.Revalidate
 	s.hot.Add(req.Path, 1)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if e, ok := s.store[req.Path]; ok {
+	if e, _ := s.store.get(req.Path); e != nil {
 		leaseMS, ver := s.leaseLocked()
 		s.leases.Add(1)
 		if e.Version == req.Version {
@@ -211,75 +211,101 @@ func (s *Server) handleRevalidate(req *wire.RevalidateRequest) (*wire.Revalidate
 }
 
 func (s *Server) handleCreate(env *wire.Envelope, req *wire.CreateRequest) (*wire.CreateResponse, error) {
-	s.creates.Add(1)
-	if req.Path == "" || req.Path[0] != '/' || req.Path == "/" {
-		return nil, fmt.Errorf("server: invalid path %q", req.Path)
-	}
-	s.hot.Add(req.Path, 1)
-	s.mu.Lock()
-	if _, exists := s.store[req.Path]; exists {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("%w: %s", ErrExists, req.Path)
-	}
-	addr, global := s.ownerLocked(req.Path)
-	if !global {
-		if addr != s.Addr() {
-			s.mu.Unlock()
-			s.redirects.Add(1)
-			return &wire.CreateResponse{Redirect: addr}, nil
-		}
-		// Local-layer create: no cluster coordination needed. The committed
-		// entry carries a lease so the creator can serve its own create from
-		// cache (§8b). The mutation journals inside the same critical
-		// section (WAL order = commit order); the durability wait happens
-		// after unlock so the fsync never extends the lock hold.
-		e := &wire.Entry{Path: req.Path, Kind: req.Kind, Version: 1}
-		s.store[req.Path] = e
-		s.newPaths = append(s.newPaths, *e)
-		t := s.journalLocked("create", &walEntryRec{Entry: *e})
-		cp := *e
-		leaseMS, ver := s.leaseLocked()
-		s.mu.Unlock()
-		s.waitDurable(t)
-		s.leases.Add(1)
-		return &wire.CreateResponse{Entry: &cp, LeaseMS: leaseMS, IndexVer: ver}, nil
-	}
-	mon := s.mon
-	id := s.id
-	s.mu.Unlock()
-
-	// Global-layer create: serialised through the Monitor's lock service. The
-	// forwarded call keeps the client's request identifier so the Monitor's
-	// trace event joins the same ReqID chain.
-	var resp wire.GLUpdateResponse
-	err := mon.CallTraced(wire.TypeGLUpdate, env.ReqID, s.rec.Node(), &wire.GLUpdateRequest{
-		ServerID: id,
-		Op:       "create",
-		Entry:    wire.Entry{Path: req.Path, Kind: req.Kind},
-	}, &resp)
+	r, err := s.create(env, wire.Entry{Path: req.Path, Kind: req.Kind})
 	if err != nil {
 		return nil, err
 	}
+	return &wire.CreateResponse{Entry: r.Entry, Redirect: r.Redirect, LeaseMS: r.LeaseMS, IndexVer: r.IndexVer}, nil
+}
+
+// create serves one create outside a batch frame; e carries the requested
+// path, kind and attributes (a plain create is one with zero attributes).
+func (s *Server) create(env *wire.Envelope, e wire.Entry) (wire.BatchResult, error) {
+	if validPath(e.Path) {
+		s.hot.Add(e.Path, 1)
+	}
 	s.mu.Lock()
-	e := resp.Entry
-	s.store[e.Path] = &e
-	s.glPaths[e.Path] = true
+	res, t, global, err := s.createLocked(e)
+	s.mu.Unlock()
+	if global {
+		return s.glUpdate(env, "create", e)
+	}
+	s.waitDurable(t)
+	return res, err
+}
+
+// validPath reports whether path names something below the root.
+func validPath(path string) bool {
+	return len(path) > 1 && path[0] == '/'
+}
+
+// createLocked is the one create body under s.mu, shared by the single-op
+// handlers and the batch arms: validation, the exists check, ownership, and
+// for a path this server owns the local-layer commit itself. That commit
+// needs no cluster coordination. The entry carries a lease so the creator
+// can serve its own create from cache (§8b), and the mutation journals
+// inside the critical section (WAL order = commit order) while the caller
+// waits on the ticket after unlocking, so the fsync never extends the lock
+// hold. global reports, with nothing changed, that the path belongs to the
+// global layer: the caller goes through glUpdate once the lock is released.
+func (s *Server) createLocked(e wire.Entry) (res wire.BatchResult, t *wal.Ticket, global bool, err error) {
+	s.creates.Add(1)
+	if !validPath(e.Path) {
+		return res, nil, false, fmt.Errorf("server: invalid path %q", e.Path)
+	}
+	if held, _ := s.store.get(e.Path); held != nil {
+		return res, nil, false, fmt.Errorf("%w: %s", ErrExists, e.Path)
+	}
+	addr, global := s.ownerLocked(e.Path)
+	if global {
+		return res, nil, true, nil
+	}
+	if addr != s.Addr() {
+		s.redirects.Add(1)
+		res.Redirect = addr
+		return res, nil, false, nil
+	}
+	e.Version = 1
+	s.store.put(e, false)
+	s.newPaths = append(s.newPaths, e)
+	t = s.journalLocked("create", &walEntryRec{Entry: e})
+	res.Entry = &e
+	res.LeaseMS, res.IndexVer = s.leaseLocked()
+	s.leases.Add(1)
+	return res, t, false, nil
+}
+
+// glUpdate is the one global-layer mutation body, op "create" or "setattr":
+// serialised through the Monitor's lock service, then installed in the local
+// replica. The forwarded call keeps the client's request identifier so the
+// Monitor's trace event joins the same ReqID chain.
+func (s *Server) glUpdate(env *wire.Envelope, op string, e wire.Entry) (res wire.BatchResult, err error) {
+	s.mu.RLock()
+	mon, id := s.mon, s.id
+	s.mu.RUnlock()
+	var resp wire.GLUpdateResponse
+	err = mon.CallTraced(wire.TypeGLUpdate, env.ReqID, s.rec.Node(), &wire.GLUpdateRequest{ServerID: id, Op: op, Entry: e}, &resp)
+	if err != nil {
+		return res, err
+	}
+	s.mu.Lock()
+	s.store.put(resp.Entry, true)
 	if resp.GLVersion > s.glVersion {
 		s.glVersion = resp.GLVersion
 	}
-	leaseMS, ver := s.leaseLocked()
+	res.LeaseMS, res.IndexVer = s.leaseLocked()
 	s.mu.Unlock()
 	s.leases.Add(1)
-	cp := e
-	return &wire.CreateResponse{Entry: &cp, LeaseMS: leaseMS, IndexVer: ver}, nil
+	res.Entry = &resp.Entry
+	return res, nil
 }
 
 func (s *Server) handleSetAttr(env *wire.Envelope, req *wire.SetAttrRequest) (*wire.SetAttrResponse, error) {
 	s.setattrs.Add(1)
 	s.hot.Add(req.Path, 1)
 	s.mu.Lock()
-	e, ok := s.store[req.Path]
-	if !ok {
+	e, gl := s.store.get(req.Path)
+	if e == nil {
 		addr, global := s.ownerLocked(req.Path)
 		s.mu.Unlock()
 		if !global && addr != s.Addr() {
@@ -288,7 +314,7 @@ func (s *Server) handleSetAttr(env *wire.Envelope, req *wire.SetAttrRequest) (*w
 		}
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, req.Path)
 	}
-	if !s.glPaths[req.Path] {
+	if !gl {
 		// Local-layer update, journaled like the local create.
 		e.Size = req.Size
 		e.Mode = req.Mode
@@ -301,85 +327,67 @@ func (s *Server) handleSetAttr(env *wire.Envelope, req *wire.SetAttrRequest) (*w
 		s.leases.Add(1)
 		return &wire.SetAttrResponse{Entry: &cp, LeaseMS: leaseMS, IndexVer: ver}, nil
 	}
-	mon := s.mon
-	id := s.id
 	s.mu.Unlock()
-
-	var resp wire.GLUpdateResponse
-	err := mon.CallTraced(wire.TypeGLUpdate, env.ReqID, s.rec.Node(), &wire.GLUpdateRequest{
-		ServerID: id,
-		Op:       "setattr",
-		Entry:    wire.Entry{Path: req.Path, Size: req.Size, Mode: req.Mode},
-	}, &resp)
+	r, err := s.glUpdate(env, "setattr", wire.Entry{Path: req.Path, Size: req.Size, Mode: req.Mode})
 	if err != nil {
 		return nil, err
 	}
-	s.mu.Lock()
-	ne := resp.Entry
-	s.store[ne.Path] = &ne
-	if resp.GLVersion > s.glVersion {
-		s.glVersion = resp.GLVersion
-	}
-	leaseMS, ver := s.leaseLocked()
-	s.mu.Unlock()
-	s.leases.Add(1)
-	cp := ne
-	return &wire.SetAttrResponse{Entry: &cp, LeaseMS: leaseMS, IndexVer: ver}, nil
+	return &wire.SetAttrResponse{Entry: r.Entry, LeaseMS: r.LeaseMS, IndexVer: r.IndexVer}, nil
 }
 
 func (s *Server) handleReaddir(req *wire.ReaddirRequest) (*wire.ReaddirResponse, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	dir, ok := s.store[req.Path]
-	if !ok {
-		addr, global := s.ownerLocked(req.Path)
-		if !global && addr != s.Addr() {
-			s.redirects.Add(1)
-			return &wire.ReaddirResponse{Redirect: addr}, nil
-		}
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, req.Path)
+	dir, children, redirect, err := s.listLocked(req.Path)
+	if err != nil {
+		return nil, err
 	}
-	if dir.Kind != wire.EntryDir {
-		return nil, fmt.Errorf("server: %s is not a directory", req.Path)
+	if redirect != "" {
+		return &wire.ReaddirResponse{Redirect: redirect}, nil
 	}
-	prefix := req.Path + "/"
-	if req.Path == "/" {
-		prefix = "/"
+	names := make([]string, len(children))
+	for i := range children {
+		names[i] = children[i].Path[strings.LastIndexByte(children[i].Path, '/')+1:]
 	}
-	seen := make(map[string]bool)
-	for p := range s.store {
-		if !strings.HasPrefix(p, prefix) || p == req.Path {
-			continue
-		}
-		rest := p[len(prefix):]
-		if rest == "" || strings.ContainsRune(rest, '/') {
-			continue
-		}
-		seen[rest] = true
-	}
-	// A directory's children can span the GL/LL cut: subtree roots hosted
-	// on other servers are visible through the local index, so the listing
-	// is complete without contacting them.
-	for root := range s.index {
-		if !strings.HasPrefix(root, prefix) || root == req.Path {
-			continue
-		}
-		rest := root[len(prefix):]
-		if rest == "" || strings.ContainsRune(rest, '/') {
-			continue
-		}
-		seen[rest] = true
-	}
-	names := make([]string, 0, len(seen))
-	for name := range seen {
-		names = append(names, name)
-	}
-	sort.Strings(names)
 	// Stamp the directory's own version and a lease so the client can at
 	// least renew the parent entry it almost certainly holds cached.
 	leaseMS, ver := s.leaseLocked()
 	s.leases.Add(1)
 	return &wire.ReaddirResponse{Names: names, DirVersion: dir.Version, LeaseMS: leaseMS, IndexVer: ver}, nil
+}
+
+// listLocked is the one listing body behind Readdir and ReaddirPlus: the
+// directory's entry and its children sorted by path, or the owner to
+// redirect to when this server does not hold the directory. A directory's
+// children can span the GL/LL cut: subtree roots hosted on other servers are
+// visible through the local index, so the listing is complete without
+// contacting them. They appear as placeholders with Version 0: name and
+// kind are authoritative, the body is not, and clients must not cache them.
+// Callers hold s.mu (either side).
+func (s *Server) listLocked(path string) (dir *wire.Entry, children []wire.Entry, redirect string, err error) {
+	dir, _ = s.store.get(path)
+	if dir == nil {
+		if addr, global := s.ownerLocked(path); !global && addr != s.Addr() {
+			s.redirects.Add(1)
+			return nil, nil, addr, nil
+		}
+		return nil, nil, "", fmt.Errorf("%w: %s", ErrNotFound, path)
+	}
+	if dir.Kind != wire.EntryDir {
+		return nil, nil, "", fmt.Errorf("server: %s is not a directory", path)
+	}
+	children = []wire.Entry{}
+	s.store.children(path, func(e *wire.Entry) { children = append(children, *e) })
+	for root := range s.index {
+		if parentPath(root) != path {
+			continue
+		}
+		if held, _ := s.store.get(root); held == nil {
+			children = append(children, wire.Entry{Path: root, Kind: wire.EntryDir})
+		}
+	}
+	sortByPath(children)
+	return dir, children, "", nil
 }
 
 // handleRename renames a local-layer node and its whole subtree in place —
@@ -388,7 +396,7 @@ func (s *Server) handleReaddir(req *wire.ReaddirRequest) (*wire.ReaddirResponse,
 // Renaming a global-layer path or a subtree root changes the partition
 // itself and is deferred to maintenance (Monitor re-evaluation).
 func (s *Server) handleRename(req *wire.RenameRequest) (*wire.RenameResponse, error) {
-	if req.Path == "" || req.Path[0] != '/' || req.Path == "/" {
+	if !validPath(req.Path) {
 		return nil, fmt.Errorf("server: invalid path %q", req.Path)
 	}
 	if req.NewName == "" || strings.ContainsRune(req.NewName, '/') {
@@ -405,14 +413,14 @@ func (s *Server) handleRename(req *wire.RenameRequest) (*wire.RenameResponse, er
 func (s *Server) renameAndJournal(req *wire.RenameRequest) (*wire.RenameResponse, *wal.Ticket, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.glPaths[req.Path] {
+	e, gl := s.store.get(req.Path)
+	if gl {
 		return nil, nil, fmt.Errorf("server: %s is in the global layer; rename requires re-evaluation", req.Path)
 	}
 	if s.subtrees[req.Path] {
 		return nil, nil, fmt.Errorf("server: %s is a subtree root; rename requires re-evaluation", req.Path)
 	}
-	e, ok := s.store[req.Path]
-	if !ok {
+	if e == nil {
 		addr, global := s.ownerLocked(req.Path)
 		if !global && addr != s.Addr() {
 			s.redirects.Add(1)
@@ -428,14 +436,13 @@ func (s *Server) renameAndJournal(req *wire.RenameRequest) (*wire.RenameResponse
 		s.leases.Add(1)
 		return &wire.RenameResponse{Entry: &cp, LeaseMS: leaseMS, IndexVer: ver}, nil, nil
 	}
-	if _, exists := s.store[newPath]; exists {
+	if held, _ := s.store.get(newPath); held != nil {
 		return nil, nil, fmt.Errorf("%w: %s", ErrExists, newPath)
 	}
-	// Rewrite the node and every descendant key — the same commit step WAL
-	// replay re-runs, so journaling just the (path, newName) pair suffices.
-	s.renameSubtreeLocked(req.Path, req.NewName)
+	// Rekey the node and every descendant — the same commit step WAL replay
+	// re-runs, so journaling just the (path, newName) pair suffices.
+	cp := *s.store.rename(req.Path, req.NewName)
 	t := s.journalLocked("rename", &walRenameRec{Path: req.Path, NewName: req.NewName})
-	cp := *s.store[newPath]
 	leaseMS, ver := s.leaseLocked()
 	s.leases.Add(1)
 	return &wire.RenameResponse{Entry: &cp, LeaseMS: leaseMS, IndexVer: ver}, t, nil
@@ -453,15 +460,7 @@ func (s *Server) handleInstall(env *wire.Envelope, req *wire.InstallRequest) (*w
 		Detail: strconv.Itoa(len(req.Entries)) + " entries",
 	})
 	s.mu.Lock()
-	s.subtrees[req.RootPath] = true
-	for _, e := range req.Entries {
-		e := e
-		s.store[e.Path] = &e
-		// An installed path belongs to the local layer from now on; clear
-		// any global-layer marking left from before a re-evaluation demoted
-		// it, or the next GL refresh would wrongly delete it.
-		delete(s.glPaths, e.Path)
-	}
+	s.installLocked(req.RootPath, req.Entries)
 	s.index[req.RootPath] = s.Addr()
 	// Pin our claim until the Monitor's index confirms it, so a stale
 	// refresh between the install and its commit cannot make us drop the
@@ -526,7 +525,7 @@ func (s *Server) handleStats() (*wire.StatsResponse, error) {
 		Creates:    s.creates.Load(),
 		SetAttrs:   s.setattrs.Load(),
 		Redirects:  s.redirects.Load(),
-		Entries:    len(s.store),
+		Entries:    s.store.len(),
 		GLVersion:  s.glVersion,
 		IndexSize:  len(s.index),
 		SubtreeCnt: len(s.subtrees),

@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -106,8 +107,7 @@ type Server struct {
 	// state swaps, transfers) take the write side.
 	mu        sync.RWMutex
 	id        int
-	store     map[string]*wire.Entry
-	glPaths   map[string]bool
+	store     *store            // the namespace: GL replica + owned subtrees
 	subtrees  map[string]bool   // owned subtree root paths
 	index     map[string]string // subtree root path → MDS addr
 	indexVer  int64
@@ -175,8 +175,7 @@ func New(cfg Config) *Server {
 	cfg.applyDefaults()
 	return &Server{
 		cfg:       cfg,
-		store:     make(map[string]*wire.Entry),
-		glPaths:   make(map[string]bool),
+		store:     newStore(),
 		subtrees:  make(map[string]bool),
 		index:     make(map[string]string),
 		overrides: make(map[string]*indexOverride),
@@ -285,24 +284,12 @@ func (s *Server) applyJoinLocked(join *wire.JoinResponse) {
 			_ = s.journalLocked("remove", &walSubtreeRec{Root: root})
 		}
 	}
-	for p := range s.glPaths {
-		delete(s.store, p)
-		delete(s.glPaths, p)
-	}
-	for _, e := range join.GlobalLayer {
-		e := e
-		s.store[e.Path] = &e
-		s.glPaths[e.Path] = true
-	}
+	s.store.replaceGL(join.GlobalLayer)
 	for _, st := range join.Subtrees {
 		if len(st) == 0 {
 			continue
 		}
-		s.subtrees[st[0].Path] = true
-		for _, e := range st {
-			e := e
-			s.store[e.Path] = &e
-		}
+		s.installLocked(st[0].Path, st)
 		_ = s.journalInstallLocked(st[0].Path, st)
 	}
 	s.index = make(map[string]string, len(join.Index))
@@ -428,7 +415,7 @@ func (s *Server) heartbeatOnce() {
 		Addr:         s.Addr(),
 		Load:         float64(recent),
 		Ops:          ops,
-		Entries:      len(s.store),
+		Entries:      s.store.len(),
 		GLVersion:    s.glVersion,
 		IndexVer:     s.indexVer,
 		HotPaths:     topPaths(hot, 128),
@@ -501,16 +488,7 @@ func (s *Server) applyHeartbeat(resp *wire.HeartbeatResponse) {
 	var tickets []*wal.Ticket
 	s.mu.Lock()
 	if len(resp.GlobalLayer) > 0 {
-		// Full GL refresh: drop stale GL entries, install the new set.
-		for p := range s.glPaths {
-			delete(s.store, p)
-			delete(s.glPaths, p)
-		}
-		for _, e := range resp.GlobalLayer {
-			e := e
-			s.store[e.Path] = &e
-			s.glPaths[e.Path] = true
-		}
+		s.store.replaceGL(resp.GlobalLayer)
 	}
 	s.glVersion = resp.GLVersion
 	if resp.Index != nil {
@@ -592,12 +570,15 @@ func (s *Server) executeTransfer(cmd wire.TransferCommand) {
 	}
 	// Remove locally only after the destination has the data. The local
 	// index (plus an override against stale refreshes) keeps this server
-	// redirecting instead of claiming the data it just shipped away.
+	// redirecting instead of claiming the data it just shipped away. The
+	// whole subtree goes, not just what was shipped: handlers serve what the
+	// store holds before they check ownership, so an entry left under a root
+	// that was given away would be served from here forever. A mutation that
+	// landed under the root while the lock was released is therefore lost at
+	// this point (DESIGN.md §10); it is counted so the loss is visible.
 	s.mu.Lock()
-	delete(s.subtrees, cmd.RootPath)
-	for _, e := range entries {
-		delete(s.store, e.Path)
-	}
+	raced := s.unshippedLocked(cmd.RootPath, entries)
+	s.dropSubtreeLocked(cmd.RootPath)
 	s.index[cmd.RootPath] = cmd.DestAddr
 	s.overrides[cmd.RootPath] = &indexOverride{addr: cmd.DestAddr, ttl: 50}
 	removeTicket := s.journalLocked("remove", &walSubtreeRec{Root: cmd.RootPath})
@@ -608,6 +589,15 @@ func (s *Server) executeTransfer(cmd wire.TransferCommand) {
 	// the destination: a source that crashes past this point replays the
 	// remove and cannot re-claim the subtree it shipped away.
 	s.waitDurable(removeTicket)
+	if raced > 0 {
+		s.rec.Record(obs.Event{
+			Kind:   obs.KindMigration,
+			Op:     "transfer_raced",
+			ReqID:  cmd.ReqID,
+			Path:   cmd.RootPath,
+			Detail: strconv.Itoa(raced) + " mutations after collect, not shipped",
+		})
+	}
 	s.transferOK.Add(1)
 	s.rec.Record(obs.Event{
 		Kind:   obs.KindMigration,
@@ -676,14 +666,48 @@ func topPaths(counts map[string]int64, k int) map[string]int64 {
 	return out
 }
 
+// collectSubtreeLocked copies out the subtree at rootPath, sorted by path.
 func (s *Server) collectSubtreeLocked(rootPath string) []wire.Entry {
-	prefix := rootPath + "/"
 	var out []wire.Entry
-	for p, e := range s.store {
-		if p == rootPath || strings.HasPrefix(p, prefix) {
-			out = append(out, *e)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
+	s.store.walk(rootPath, func(e *wire.Entry, _ bool) { out = append(out, *e) })
+	sortByPath(out)
 	return out
+}
+
+func sortByPath(entries []wire.Entry) {
+	slices.SortFunc(entries, func(a, b wire.Entry) int { return strings.Compare(a.Path, b.Path) })
+}
+
+// unshippedLocked counts how the subtree at root differs from shipped, the
+// copy executeTransfer collected before it released the lock: entries
+// created, changed (any version differs) or gone since.
+func (s *Server) unshippedLocked(root string, shipped []wire.Entry) int {
+	versions := make(map[string]int64, len(shipped))
+	for i := range shipped {
+		versions[shipped[i].Path] = shipped[i].Version
+	}
+	n := 0
+	s.store.walk(root, func(e *wire.Entry, _ bool) {
+		if v, ok := versions[e.Path]; !ok || v != e.Version {
+			n++
+		}
+		delete(versions, e.Path)
+	})
+	return n + len(versions)
+}
+
+// installLocked takes ownership of the subtree at root and stores its
+// entries. An installed path belongs to the local layer from now on, even
+// one the global-layer replica held before a re-evaluation demoted it.
+func (s *Server) installLocked(root string, entries []wire.Entry) {
+	s.subtrees[root] = true
+	for _, e := range entries {
+		s.store.put(e, false)
+	}
+}
+
+// dropSubtreeLocked forgets an owned subtree and its local-layer entries.
+func (s *Server) dropSubtreeLocked(root string) {
+	delete(s.subtrees, root)
+	s.store.dropSubtree(root)
 }
