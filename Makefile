@@ -1,7 +1,7 @@
 GO ?= go
 BENCH_LABEL ?= dev
 
-.PHONY: build test race race-obs race-rpc vet lint check bench-test bench bench-cluster bench-go
+.PHONY: build test race race-obs race-rpc vet lint check bench-test bench-index bench bench-cluster bench-go
 
 build:
 	$(GO) build ./...
@@ -42,8 +42,14 @@ bench-test:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 	bash bench/run.sh -smoke --workload lmbe_ls --trace 0 > /dev/null
 
+# One iteration of the listing benchmarks, so they cannot rot: the MDS
+# handler against store size and against index size, and the client's merge
+# against index size. All three must be flat; `make bench-go` gives numbers.
+bench-index:
+	$(GO) test -run '^$$' -bench 'ReaddirPlus(Store|Index)Size|ClientReaddirPlus' -benchtime 1x ./internal/server/ ./internal/client/
+
 # The full gate: what ci.sh runs.
-check: build lint race-obs race-rpc race bench-test
+check: build lint race-obs race-rpc race bench-test bench-index
 
 # Run the replay-tier benchmark suite and append a labelled entry to the
 # tracked trajectory BENCH_replay.json (set BENCH_LABEL to tag the run).

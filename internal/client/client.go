@@ -9,13 +9,14 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"time"
 
 	"d2tree/internal/cache"
 	"d2tree/internal/obs"
+	"d2tree/internal/rootindex"
 	"d2tree/internal/wire"
 )
 
@@ -91,7 +92,7 @@ type Client struct {
 
 	mu       sync.Mutex
 	servers  []string
-	index    map[string]string
+	index    *rootindex.Index // subtree root path → MDS addr, by inter node
 	indexVer int64
 	mon      *wire.RetryingConn // self-healing: survives Monitor restarts
 	entries  *cache.Cache       // nil when disabled
@@ -119,7 +120,7 @@ func Connect(cfg Config) (*Client, error) {
 		rng:   rand.New(rand.NewSource(seed)),
 		ids:   obs.NewIDGen("r", seed),
 		rec:   obs.NewRecorder(cfg.Name, 0),
-		index: make(map[string]string),
+		index: rootindex.New(nil),
 		tr:    cfg.Transport,
 	}
 	if c.tr == nil {
@@ -190,10 +191,7 @@ func (c *Client) refreshClusterInfo() error {
 	advanced := info.IndexVer > c.indexVer
 	c.servers = info.Servers
 	c.indexVer = info.IndexVer
-	c.index = make(map[string]string, len(info.Index))
-	for k, v := range info.Index {
-		c.index[k] = v
-	}
+	c.index = rootindex.New(info.Index)
 	c.mu.Unlock()
 	if advanced && c.entries != nil {
 		c.entries.InvalidateOlderGen(info.IndexVer)
@@ -216,21 +214,13 @@ func (c *Client) route(path string, skip map[string]bool) (string, error) {
 	if len(c.servers) == 0 {
 		return "", ErrNoServers
 	}
-	cur := path
-	for {
-		if a, ok := c.index[cur]; ok {
-			if skip[a] {
-				// The subtree's one owner is unreachable; no other server
-				// can serve the path.
-				return "", errNoCandidates
-			}
-			return a, nil
+	if a, ok := c.index.Owner(path); ok {
+		if skip[a] {
+			// The subtree's one owner is unreachable; no other server can
+			// serve the path.
+			return "", errNoCandidates
 		}
-		i := strings.LastIndexByte(cur, '/')
-		if i <= 0 {
-			break
-		}
-		cur = cur[:i]
+		return a, nil
 	}
 	if len(skip) == 0 {
 		return c.servers[c.rng.Intn(len(c.servers))], nil
@@ -611,28 +601,16 @@ func (c *Client) Readdir(path string) ([]string, error) {
 		// renew its cached entry's lease under the server's grant.
 		c.entries.RenewFor(path, dirVersion, c.leaseOf(leaseMS))
 	}
-	seen := make(map[string]bool, len(names))
-	for _, n := range names {
-		seen[n] = true
-	}
-	prefix := path + "/"
-	if path == "/" {
-		prefix = "/"
-	}
+	// The same in-place merge as mergeChildRoots, on names: both sides
+	// arrive sorted, since siblings order by name as they do by path.
 	c.mu.Lock()
-	for root := range c.index {
-		if !strings.HasPrefix(root, prefix) || root == path {
-			continue
+	for _, root := range c.index.ChildRoots(path) {
+		name := root[strings.LastIndexByte(root, '/')+1:]
+		if at, found := slices.BinarySearch(names, name); !found {
+			names = slices.Insert(names, at, name)
 		}
-		rest := root[len(prefix):]
-		if rest == "" || strings.ContainsRune(rest, '/') || seen[rest] {
-			continue
-		}
-		seen[rest] = true
-		names = append(names, rest)
 	}
 	c.mu.Unlock()
-	sort.Strings(names)
 	return names, nil
 }
 
@@ -715,11 +693,7 @@ func (c *Client) CacheCounters() cache.Counters {
 func (c *Client) Index() map[string]string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make(map[string]string, len(c.index))
-	for k, v := range c.index {
-		out[k] = v
-	}
-	return out
+	return c.index.Map()
 }
 
 // Servers returns the cached MDS address list.

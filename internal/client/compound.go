@@ -6,7 +6,7 @@ package client
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -294,32 +294,7 @@ func (c *Client) ReaddirPlus(path string) ([]wire.Entry, error) {
 	if err != nil {
 		return nil, err
 	}
-	entries := resp.Entries
-	// Merge subtree roots from the client's cached index, exactly as Readdir
-	// does, so children hosted elsewhere appear even while the serving MDS's
-	// index snapshot is still catching up.
-	seen := make(map[string]bool, len(entries))
-	for i := range entries {
-		seen[entries[i].Path] = true
-	}
-	prefix := path + "/"
-	if path == "/" {
-		prefix = "/"
-	}
-	c.mu.Lock()
-	for root := range c.index {
-		if !strings.HasPrefix(root, prefix) || root == path || seen[root] {
-			continue
-		}
-		rest := root[len(prefix):]
-		if rest == "" || strings.ContainsRune(rest, '/') {
-			continue
-		}
-		seen[root] = true
-		entries = append(entries, wire.Entry{Path: root, Kind: wire.EntryDir})
-	}
-	c.mu.Unlock()
-	sort.Slice(entries, func(i, j int) bool { return entries[i].Path < entries[j].Path })
+	entries := c.mergeChildRoots(path, resp.Entries)
 	if c.entries != nil {
 		lease := c.leaseOf(resp.LeaseMS)
 		for i := range entries {
@@ -338,4 +313,24 @@ func (c *Client) ReaddirPlus(path string) ([]wire.Entry, error) {
 		}
 	}
 	return entries, nil
+}
+
+// mergeChildRoots completes a server's listing of dir with the subtree roots
+// the client's cached index holds directly under it, as Version-0
+// placeholders, so children hosted elsewhere appear even while the serving
+// MDS's index is still catching up. The listing arrives sorted by path and
+// so do the child roots: each root the listing lacks is inserted in place,
+// and a directory with no child roots (the usual case) costs one map probe.
+func (c *Client) mergeChildRoots(dir string, entries []wire.Entry) []wire.Entry {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, root := range c.index.ChildRoots(dir) {
+		at, found := slices.BinarySearchFunc(entries, root, func(e wire.Entry, p string) int {
+			return strings.Compare(e.Path, p)
+		})
+		if !found {
+			entries = slices.Insert(entries, at, wire.Entry{Path: root, Kind: wire.EntryDir})
+		}
+	}
+	return entries
 }

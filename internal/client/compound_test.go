@@ -311,3 +311,210 @@ func TestCreateWithAttrs(t *testing.T) {
 		t.Fatalf("GL fused create dropped attrs: %+v", ge)
 	}
 }
+
+// listFrom asks one MDS directly for a directory's children, bypassing the
+// client's routing and its merge.
+func listFrom(t *testing.T, addr, dir string) ([]wire.Entry, []string) {
+	t.Helper()
+	conn, err := wire.DialCall(addr, time.Second, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = conn.Close() }()
+	var plus wire.ReaddirPlusResponse
+	if err := conn.Call(wire.TypeReaddirPlus, &wire.ReaddirPlusRequest{Path: dir}, &plus); err != nil {
+		t.Fatalf("readdirplus %s from %s: %v", dir, addr, err)
+	}
+	var plain wire.ReaddirResponse
+	if err := conn.Call(wire.TypeReaddir, &wire.ReaddirRequest{Path: dir}, &plain); err != nil {
+		t.Fatalf("readdir %s from %s: %v", dir, addr, err)
+	}
+	return plus.Entries, plain.Names
+}
+
+// listed returns the entries at path in a listing and how often the plain
+// listing names it.
+func listed(entries []wire.Entry, names []string, path string) (found []wire.Entry, named int) {
+	for _, e := range entries {
+		if e.Path == path {
+			found = append(found, e)
+		}
+	}
+	for _, n := range names {
+		if n == path[strings.LastIndexByte(path, '/')+1:] {
+			named++
+		}
+	}
+	return found, named
+}
+
+// TestListingAcrossTheCutWhileIndexChanges: a directory above the cut lists
+// each subtree root under it exactly once while index entries appear and
+// move under it — from the MDS whose index has the root (holding it or
+// not), from the MDS whose index lacks it, and through the client's merge
+// whether or not the response already carried the root.
+func TestListingAcrossTheCutWhileIndexChanges(t *testing.T) {
+	mon, servers, _ := startCluster(t, 2)
+	c, err := client.Connect(client.Config{MonitorAddr: mon.Addr(), Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = c.Close() }()
+
+	// A subtree root, the GL directory above it, its owner and the other MDS.
+	var root string
+	for r := range c.Index() {
+		if root == "" || r < root {
+			root = r
+		}
+	}
+	if root == "" {
+		t.Skip("no subtree in index")
+	}
+	dir := "/"
+	if i := strings.LastIndexByte(root, '/'); i > 0 {
+		dir = root[:i]
+	}
+	owner := c.Index()[root]
+	other, otherID := "", -1
+	for _, mem := range mon.Members() {
+		if mem.Alive && mem.Addr != owner {
+			other, otherID = mem.Addr, mem.ID
+		}
+	}
+	if other == "" {
+		t.Skip("no second server")
+	}
+	once := func(what string, entries []wire.Entry, names []string, path string, placeholder bool) {
+		t.Helper()
+		found, named := listed(entries, names, path)
+		if len(found) != 1 || named != 1 {
+			t.Fatalf("%s: %s listed %d times by readdirplus, %d by readdir; want once each\n%+v\n%v",
+				what, path, len(found), named, entries, names)
+		}
+		if (found[0].Version == 0) != placeholder {
+			t.Fatalf("%s: %s listed as %+v, placeholder=%v wanted", what, path, found[0], placeholder)
+		}
+	}
+	throughClient := func(what string, paths ...string) {
+		t.Helper()
+		before := [2]int64{}
+		for i, srv := range servers {
+			st, err := c.Stats(srv.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			before[i] = st.ReaddirPlus
+		}
+		for i := 0; i < 16; i++ {
+			entries, err := c.ReaddirPlus(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			names, err := c.Readdir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range paths {
+				if found, named := listed(entries, names, p); len(found) != 1 || named != 1 {
+					t.Fatalf("%s: client lists %s %d times by readdirplus, %d by readdir; want once each\n%+v\n%v",
+						what, p, len(found), named, entries, names)
+				}
+			}
+		}
+		// dir is replicated, so the client picks a server at random: both
+		// must have answered, or one of the two cases went unexercised.
+		for i, srv := range servers {
+			st, err := c.Stats(srv.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.ReaddirPlus == before[i] {
+				t.Fatalf("%s: %s served none of the 16 listings", what, srv.Addr())
+			}
+		}
+	}
+
+	entries, names := listFrom(t, owner, dir)
+	once("before, owner", entries, names, root, false)
+	entries, names = listFrom(t, other, dir)
+	once("before, other", entries, names, root, true)
+	throughClient("before", root)
+
+	// A new subtree root appears under dir on the other MDS. Only that
+	// server's index knows it: it lists the root it holds once, not once as
+	// a child and once more as an indexed root.
+	fresh := dir + "/zz-new-root"
+	if dir == "/" {
+		fresh = "/zz-new-root"
+	}
+	conn, err := wire.DialCall(other, time.Second, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = conn.Close() }()
+	var ack wire.LockResponse
+	if err := conn.Call(wire.TypeInstall, &wire.InstallRequest{RootPath: fresh, Entries: []wire.Entry{
+		{Path: fresh, Kind: wire.EntryDir, Version: 1},
+		{Path: fresh + "/f", Kind: wire.EntryFile, Version: 1},
+	}}, &ack); err != nil {
+		t.Fatal(err)
+	}
+	entries, names = listFrom(t, other, dir)
+	once("installed, other", entries, names, fresh, false)
+	once("installed, other", entries, names, root, true)
+	entries, names = listFrom(t, owner, dir)
+	if found, named := listed(entries, names, fresh); len(found) != 0 || named != 0 {
+		t.Fatalf("the owner's index cannot know %s yet, but it lists it: %+v %v", fresh, entries, names)
+	}
+
+	// The client learns of the new root before the first MDS does. Served by
+	// that MDS, the merge adds the root; served by the other, the response
+	// carries it and the merge must not add it again.
+	c.SetIndexEntry(fresh, other)
+	throughClient("client ahead", root, fresh)
+
+	// The first root moves to the other MDS: an existing index entry changes
+	// owner on the source, and the destination's next index refresh is
+	// re-pinned with the root it was handed directly.
+	if err := mon.ScheduleTransfer(root, otherID); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for c.Index()[root] != other {
+		if time.Now().After(deadline) {
+			t.Fatalf("transfer of %s to %s never committed", root, other)
+		}
+		time.Sleep(20 * time.Millisecond)
+		if err := c.Refresh(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The destination must have taken the Monitor's post-transfer index
+	// first, so that it is checked on a replaced index with its pinned entry
+	// re-applied, not on the one it patched in place.
+	ms, err := c.MonitorStats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for {
+		var resp wire.LookupResponse
+		if err := conn.Call(wire.TypeLookup, &wire.LookupRequest{Path: "/"}, &resp); err != nil {
+			t.Fatal(err)
+		}
+		if resp.IndexVer >= ms.IndexVer {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%s never took index version %d", other, ms.IndexVer)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	entries, names = listFrom(t, owner, dir)
+	once("moved, old owner", entries, names, root, true)
+	entries, names = listFrom(t, other, dir)
+	once("moved, new owner", entries, names, root, false)
+	once("moved, new owner", entries, names, fresh, false)
+	c.SetIndexEntry(fresh, other) // the refresh replaced the client's index
+	throughClient("moved", root, fresh)
+}

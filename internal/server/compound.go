@@ -139,7 +139,7 @@ func (s *Server) batchLocalLocked(op *wire.BatchOp, res *wire.BatchResult) (t *w
 // batchMissLocked fills the result for a sub-op whose path the store does
 // not hold: the owner to redirect to, or not-found when that is this server.
 func (s *Server) batchMissLocked(path string, res *wire.BatchResult) {
-	if addr, global := s.ownerLocked(path); !global && addr != s.Addr() {
+	if addr, ok := s.index.Owner(path); ok && addr != s.Addr() {
 		s.redirects.Add(1)
 		res.Redirect = addr
 		return

@@ -135,23 +135,6 @@ func (s *Server) dispatch(env *wire.Envelope) (interface{}, string, error) {
 	}
 }
 
-// owner resolves the MDS address responsible for path via the local index:
-// the longest indexed subtree-root prefix wins; no prefix means the path is
-// (or would be) in the global layer. Callers hold s.mu (either side).
-func (s *Server) ownerLocked(path string) (addr string, global bool) {
-	cur := path
-	for {
-		if a, ok := s.index[cur]; ok {
-			return a, false
-		}
-		i := strings.LastIndexByte(cur, '/')
-		if i <= 0 {
-			return "", true
-		}
-		cur = cur[:i]
-	}
-}
-
 // leaseLocked returns the cache lease to stamp on an entry-carrying
 // response and the index version it is keyed to. Callers hold s.mu (either
 // side); counting the grant is left to the caller so redirects and errors
@@ -174,8 +157,7 @@ func (s *Server) handleLookup(req *wire.LookupRequest) (*wire.LookupResponse, er
 		s.leases.Add(1)
 		return &wire.LookupResponse{Entry: &cp, LeaseMS: leaseMS, IndexVer: ver}, nil
 	}
-	addr, global := s.ownerLocked(req.Path)
-	if !global && addr != s.Addr() {
+	if addr, ok := s.index.Owner(req.Path); ok && addr != s.Addr() {
 		s.redirects.Add(1)
 		return &wire.LookupResponse{Redirect: addr}, nil
 	}
@@ -202,8 +184,7 @@ func (s *Server) handleRevalidate(req *wire.RevalidateRequest) (*wire.Revalidate
 		cp := *e
 		return &wire.RevalidateResponse{Entry: &cp, LeaseMS: leaseMS, IndexVer: ver}, nil
 	}
-	addr, global := s.ownerLocked(req.Path)
-	if !global && addr != s.Addr() {
+	if addr, ok := s.index.Owner(req.Path); ok && addr != s.Addr() {
 		s.redirects.Add(1)
 		return &wire.RevalidateResponse{Redirect: addr}, nil
 	}
@@ -256,8 +237,8 @@ func (s *Server) createLocked(e wire.Entry) (res wire.BatchResult, t *wal.Ticket
 	if held, _ := s.store.get(e.Path); held != nil {
 		return res, nil, false, fmt.Errorf("%w: %s", ErrExists, e.Path)
 	}
-	addr, global := s.ownerLocked(e.Path)
-	if global {
+	addr, ok := s.index.Owner(e.Path)
+	if !ok {
 		return res, nil, true, nil
 	}
 	if addr != s.Addr() {
@@ -306,9 +287,9 @@ func (s *Server) handleSetAttr(env *wire.Envelope, req *wire.SetAttrRequest) (*w
 	s.mu.Lock()
 	e, gl := s.store.get(req.Path)
 	if e == nil {
-		addr, global := s.ownerLocked(req.Path)
+		addr, ok := s.index.Owner(req.Path)
 		s.mu.Unlock()
-		if !global && addr != s.Addr() {
+		if ok && addr != s.Addr() {
 			s.redirects.Add(1)
 			return &wire.SetAttrResponse{Redirect: addr}, nil
 		}
@@ -363,11 +344,13 @@ func (s *Server) handleReaddir(req *wire.ReaddirRequest) (*wire.ReaddirResponse,
 // visible through the local index, so the listing is complete without
 // contacting them. They appear as placeholders with Version 0: name and
 // kind are authoritative, the body is not, and clients must not cache them.
-// Callers hold s.mu (either side).
+// The cost is O(children + subtree roots directly under path): the index is
+// keyed by the directory above the cut, so a listing never visits the roots
+// under other directories. Callers hold s.mu (either side).
 func (s *Server) listLocked(path string) (dir *wire.Entry, children []wire.Entry, redirect string, err error) {
 	dir, _ = s.store.get(path)
 	if dir == nil {
-		if addr, global := s.ownerLocked(path); !global && addr != s.Addr() {
+		if addr, ok := s.index.Owner(path); ok && addr != s.Addr() {
 			s.redirects.Add(1)
 			return nil, nil, addr, nil
 		}
@@ -378,10 +361,7 @@ func (s *Server) listLocked(path string) (dir *wire.Entry, children []wire.Entry
 	}
 	children = []wire.Entry{}
 	s.store.children(path, func(e *wire.Entry) { children = append(children, *e) })
-	for root := range s.index {
-		if parentPath(root) != path {
-			continue
-		}
+	for _, root := range s.index.ChildRoots(path) {
 		if held, _ := s.store.get(root); held == nil {
 			children = append(children, wire.Entry{Path: root, Kind: wire.EntryDir})
 		}
@@ -421,8 +401,7 @@ func (s *Server) renameAndJournal(req *wire.RenameRequest) (*wire.RenameResponse
 		return nil, nil, fmt.Errorf("server: %s is a subtree root; rename requires re-evaluation", req.Path)
 	}
 	if e == nil {
-		addr, global := s.ownerLocked(req.Path)
-		if !global && addr != s.Addr() {
+		if addr, ok := s.index.Owner(req.Path); ok && addr != s.Addr() {
 			s.redirects.Add(1)
 			return &wire.RenameResponse{Redirect: addr}, nil, nil
 		}
@@ -461,7 +440,7 @@ func (s *Server) handleInstall(env *wire.Envelope, req *wire.InstallRequest) (*w
 	})
 	s.mu.Lock()
 	s.installLocked(req.RootPath, req.Entries)
-	s.index[req.RootPath] = s.Addr()
+	s.index.Set(req.RootPath, s.Addr())
 	// Pin our claim until the Monitor's index confirms it, so a stale
 	// refresh between the install and its commit cannot make us drop the
 	// data we just received.
@@ -527,7 +506,7 @@ func (s *Server) handleStats() (*wire.StatsResponse, error) {
 		Redirects:  s.redirects.Load(),
 		Entries:    s.store.len(),
 		GLVersion:  s.glVersion,
-		IndexSize:  len(s.index),
+		IndexSize:  s.index.Len(),
 		SubtreeCnt: len(s.subtrees),
 		MonRPC:     s.monMetrics.Snapshot(),
 		HeartbeatRTT: wire.LatencySummary{

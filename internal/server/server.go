@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"d2tree/internal/obs"
+	"d2tree/internal/rootindex"
 	"d2tree/internal/stats"
 	"d2tree/internal/wal"
 	"d2tree/internal/wire"
@@ -107,9 +108,9 @@ type Server struct {
 	// state swaps, transfers) take the write side.
 	mu        sync.RWMutex
 	id        int
-	store     *store            // the namespace: GL replica + owned subtrees
-	subtrees  map[string]bool   // owned subtree root paths
-	index     map[string]string // subtree root path → MDS addr
+	store     *store           // the namespace: GL replica + owned subtrees
+	subtrees  map[string]bool  // owned subtree root paths
+	index     *rootindex.Index // subtree root path → MDS addr, by inter node
 	indexVer  int64
 	glVersion int64
 	// overrides pins index entries the server knows better than a possibly
@@ -177,7 +178,7 @@ func New(cfg Config) *Server {
 		cfg:       cfg,
 		store:     newStore(),
 		subtrees:  make(map[string]bool),
-		index:     make(map[string]string),
+		index:     rootindex.New(nil),
 		overrides: make(map[string]*indexOverride),
 		conns:     make(map[net.Conn]struct{}),
 		stop:      make(chan struct{}),
@@ -292,10 +293,7 @@ func (s *Server) applyJoinLocked(join *wire.JoinResponse) {
 		s.installLocked(st[0].Path, st)
 		_ = s.journalInstallLocked(st[0].Path, st)
 	}
-	s.index = make(map[string]string, len(join.Index))
-	for k, v := range join.Index {
-		s.index[k] = v
-	}
+	s.index = rootindex.New(join.Index)
 }
 
 // Addr returns the bound listen address.
@@ -492,14 +490,11 @@ func (s *Server) applyHeartbeat(resp *wire.HeartbeatResponse) {
 	}
 	s.glVersion = resp.GLVersion
 	if resp.Index != nil {
-		s.index = make(map[string]string, len(resp.Index))
-		for k, v := range resp.Index {
-			s.index[k] = v
-		}
+		s.index = rootindex.New(resp.Index)
 		// Re-apply overrides the refresh hasn't caught up with; once the
 		// refresh agrees (or the TTL runs out), the override is done.
 		for root, ov := range s.overrides {
-			if s.index[root] == ov.addr {
+			if addr, _ := s.index.Get(root); addr == ov.addr {
 				delete(s.overrides, root)
 				continue
 			}
@@ -508,7 +503,7 @@ func (s *Server) applyHeartbeat(resp *wire.HeartbeatResponse) {
 				delete(s.overrides, root)
 				continue
 			}
-			s.index[root] = ov.addr
+			s.index.Set(root, ov.addr)
 		}
 		// Reconcile ownership with the fresh index: subtrees the Monitor
 		// reassigned elsewhere (e.g. after a global-layer re-evaluation)
@@ -517,7 +512,7 @@ func (s *Server) applyHeartbeat(resp *wire.HeartbeatResponse) {
 		// owners receive Installs from the Monitor.
 		self := s.Addr()
 		for root := range s.subtrees {
-			if owner, ok := s.index[root]; ok && owner != self {
+			if owner, ok := s.index.Get(root); ok && owner != self {
 				s.dropSubtreeLocked(root)
 				tickets = append(tickets, s.journalLocked("remove", &walSubtreeRec{Root: root}))
 			}
@@ -579,7 +574,7 @@ func (s *Server) executeTransfer(cmd wire.TransferCommand) {
 	s.mu.Lock()
 	raced := s.unshippedLocked(cmd.RootPath, entries)
 	s.dropSubtreeLocked(cmd.RootPath)
-	s.index[cmd.RootPath] = cmd.DestAddr
+	s.index.Set(cmd.RootPath, cmd.DestAddr)
 	s.overrides[cmd.RootPath] = &indexOverride{addr: cmd.DestAddr, ttl: 50}
 	removeTicket := s.journalLocked("remove", &walSubtreeRec{Root: cmd.RootPath})
 	mon := s.mon

@@ -15,31 +15,6 @@ func newBareServer(t *testing.T) *Server {
 	return s
 }
 
-func TestOwnerLockedLongestPrefixWins(t *testing.T) {
-	s := newBareServer(t)
-	s.index["/a"] = "srvA"
-	s.index["/a/b/c"] = "srvC"
-	tests := []struct {
-		path   string
-		addr   string
-		global bool
-	}{
-		{"/a/b/c/d/file", "srvC", false},
-		{"/a/b/c", "srvC", false},
-		{"/a/b", "srvA", false},
-		{"/a", "srvA", false},
-		{"/other/path", "", true},
-		{"/", "", true},
-	}
-	for _, tt := range tests {
-		addr, global := s.ownerLocked(tt.path)
-		if addr != tt.addr || global != tt.global {
-			t.Errorf("ownerLocked(%q) = %q,%v want %q,%v",
-				tt.path, addr, global, tt.addr, tt.global)
-		}
-	}
-}
-
 func TestCollectSubtreeLocked(t *testing.T) {
 	s := newBareServer(t)
 	for _, p := range []string{"/x", "/x/y", "/x/y/z", "/xx", "/x2/file"} {
@@ -76,7 +51,7 @@ func TestHandleLookupLocalStore(t *testing.T) {
 
 func TestHandleLookupRedirect(t *testing.T) {
 	s := newBareServer(t)
-	s.index["/far"] = "other:1"
+	s.index.Set("/far", "other:1")
 	resp, err := s.handleLookup(&wire.LookupRequest{Path: "/far/away"})
 	if err != nil {
 		t.Fatal(err)
@@ -178,7 +153,7 @@ func TestApplyHeartbeatRefreshesGL(t *testing.T) {
 	if e, gl := s.store.get("/mine"); e == nil || gl {
 		t.Error("local-layer entry dropped by GL refresh")
 	}
-	if s.glVersion != 5 || s.indexVer != 2 || s.index["/mine"] != "me" {
+	if mine, _ := s.index.Get("/mine"); s.glVersion != 5 || s.indexVer != 2 || mine != "me" {
 		t.Error("versions/index not applied")
 	}
 }

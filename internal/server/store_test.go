@@ -527,9 +527,9 @@ func TestListingAcrossTheCut(t *testing.T) {
 		{Path: "/g/local", Kind: wire.EntryDir, Mode: 0o755, Version: 3},
 		{Path: "/g/local/deep", Kind: wire.EntryFile, Version: 1},
 	})
-	s.index["/g/local"] = s.Addr()
-	s.index["/g/remote"] = "other:1"
-	s.index["/elsewhere/root"] = "other:1"
+	s.index.Set("/g/local", s.Addr())
+	s.index.Set("/g/remote", "other:1")
+	s.index.Set("/elsewhere/root", "other:1")
 
 	plus, err := s.handleReaddirPlus(&wire.ReaddirPlusRequest{Path: "/g"})
 	if err != nil {
@@ -569,7 +569,7 @@ func TestRenameDirTouchesOnlyDescendants(t *testing.T) {
 	build := func() *Server {
 		s := newBareServer(t)
 		s.installLocked(root, entries)
-		s.index[root] = s.Addr()
+		s.index.Set(root, s.Addr())
 		return s
 	}
 	// The victim: a directory with descendants, but a small share of the store.
@@ -645,37 +645,55 @@ func newFlatRefOf(entries []wire.Entry) *flatRef {
 
 var benchSink *wire.ReaddirPlusResponse
 
+// benchListing times handleReaddirPlus on one 8-child directory of a server
+// holding entries entries and indexing roots subtree roots, none of them
+// under the listed directory.
+func benchListing(b *testing.B, entries, roots int) {
+	s := New(Config{Addr: "127.0.0.1:0", MonitorAddr: "unused"})
+	put := func(e wire.Entry) { s.store.put(e, false) }
+	s.subtrees["/r"] = true
+	s.index.Set("/r", "")
+	for i := 1; i < roots; i++ {
+		s.index.Set(fmt.Sprintf("/g%d/r%d", i%40, i), "other:1")
+	}
+	put(wire.Entry{Path: "/r", Kind: wire.EntryDir, Version: 1})
+	put(wire.Entry{Path: "/r/target", Kind: wire.EntryDir, Version: 1})
+	for i := 0; i < 8; i++ {
+		put(wire.Entry{Path: fmt.Sprintf("/r/target/f%d", i), Kind: wire.EntryFile, Version: 1})
+	}
+	for i := 0; s.store.len() < entries; i++ {
+		if i%9 == 0 {
+			put(wire.Entry{Path: fmt.Sprintf("/r/d%d", i/9), Kind: wire.EntryDir, Version: 1})
+			continue
+		}
+		put(wire.Entry{Path: fmt.Sprintf("/r/d%d/f%d", i/9, i%9), Kind: wire.EntryFile, Version: 1})
+	}
+	req := &wire.ReaddirPlusRequest{Path: "/r/target"}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		resp, err := s.handleReaddirPlus(req)
+		if err != nil || len(resp.Entries) != 8 {
+			b.Fatalf("resp = %+v, err = %v", resp, err)
+		}
+		benchSink = resp
+	}
+}
+
 // BenchmarkReaddirPlusStoreSize lists one 8-child directory while the store
 // around it grows: the cost must not depend on the number of entries held.
+// The index holds the 1 322 roots the benchmark's 20 000-node namespace cuts
+// into: a one-root index hides any cost a listing pays per root.
 func BenchmarkReaddirPlusStoreSize(b *testing.B) {
-	for _, size := range []int{1000, 10000, 100000} {
-		b.Run(fmt.Sprintf("entries=%d", size), func(b *testing.B) {
-			s := New(Config{Addr: "127.0.0.1:0", MonitorAddr: "unused"})
-			put := func(e wire.Entry) { s.store.put(e, false) }
-			s.subtrees["/r"] = true
-			s.index["/r"] = ""
-			put(wire.Entry{Path: "/r", Kind: wire.EntryDir, Version: 1})
-			put(wire.Entry{Path: "/r/target", Kind: wire.EntryDir, Version: 1})
-			for i := 0; i < 8; i++ {
-				put(wire.Entry{Path: fmt.Sprintf("/r/target/f%d", i), Kind: wire.EntryFile, Version: 1})
-			}
-			for i := 0; s.store.len() < size; i++ {
-				if i%9 == 0 {
-					put(wire.Entry{Path: fmt.Sprintf("/r/d%d", i/9), Kind: wire.EntryDir, Version: 1})
-					continue
-				}
-				put(wire.Entry{Path: fmt.Sprintf("/r/d%d/f%d", i/9, i%9), Kind: wire.EntryFile, Version: 1})
-			}
-			req := &wire.ReaddirPlusRequest{Path: "/r/target"}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				resp, err := s.handleReaddirPlus(req)
-				if err != nil || len(resp.Entries) != 8 {
-					b.Fatalf("resp = %+v, err = %v", resp, err)
-				}
-				benchSink = resp
-			}
-		})
+	for _, entries := range []int{1000, 10000, 100000} {
+		b.Run(fmt.Sprintf("entries=%d", entries), func(b *testing.B) { benchListing(b, entries, 1322) })
+	}
+}
+
+// BenchmarkReaddirPlusIndexSize is the other axis: the same listing while
+// the subtree-root index grows. It must be flat too.
+func BenchmarkReaddirPlusIndexSize(b *testing.B) {
+	for _, roots := range []int{1, 1322, 10000} {
+		b.Run(fmt.Sprintf("roots=%d", roots), func(b *testing.B) { benchListing(b, 10000, roots) })
 	}
 }
