@@ -42,11 +42,13 @@ bench-test:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 	bash bench/run.sh -smoke --workload lmbe_ls --trace 0 > /dev/null
 
-# One iteration of the listing benchmarks, so they cannot rot: the MDS
-# handler against store size and against index size, and the client's merge
-# against index size. All three must be flat; `make bench-go` gives numbers.
+# One iteration of the listing benchmarks and of the client's cache-hit
+# benchmark, so they cannot rot: the MDS handler against store size and
+# against index size, the client's merge against index size (all three must
+# be flat), and a leased hit through Client.Lookup (hits/op must read 1).
+# `make bench-go` gives numbers.
 bench-index:
-	$(GO) test -run '^$$' -bench 'ReaddirPlus(Store|Index)Size|ClientReaddirPlus' -benchtime 1x ./internal/server/ ./internal/client/
+	$(GO) test -run '^$$' -bench 'ReaddirPlus(Store|Index)Size|ClientReaddirPlus|LookupHit' -benchtime 1x ./internal/server/ ./internal/client/
 
 # The full gate: what ci.sh runs.
 check: build lint race-obs race-rpc race bench-test bench-index

@@ -29,10 +29,11 @@ go test -race -count=1 ./internal/wire/ ./internal/server/ ./internal/client/ ./
 
 go test -race ./...
 
-# One iteration of the listing benchmarks, so they cannot rot: the MDS
-# handler against store size and against index size, and the client's merge
-# against index size (`make bench-index`).
-go test -run '^$' -bench 'ReaddirPlus(Store|Index)Size|ClientReaddirPlus' -benchtime 1x ./internal/server/ ./internal/client/
+# One iteration of the listing benchmarks and of the client's cache-hit
+# benchmark, so they cannot rot: the MDS handler against store size and
+# against index size, the client's merge against index size, and a leased
+# hit through Client.Lookup (`make bench-index`).
+go test -run '^$' -bench 'ReaddirPlus(Store|Index)Size|ClientReaddirPlus|LookupHit' -benchtime 1x ./internal/server/ ./internal/client/
 
 # bench/ is a module of its own, so the ./... patterns above do not descend
 # into it: vet and test the benchmark harness too.

@@ -54,11 +54,13 @@ var mutatingOps = map[string]bool{
 	"TypeBatch":           true, // may carry create/setattr sub-ops
 }
 
-// cacheCalls are the client entry-cache reconciliation methods.
+// cacheCalls are the client entry-cache reconciliation methods; cachePut is
+// the client's own copy-then-PutLeased helper.
 var cacheCalls = map[string]bool{
 	"Invalidate":       true,
 	"InvalidatePrefix": true,
 	"PutLeased":        true,
+	"cachePut":         true,
 }
 
 // Run implements Analyzer.

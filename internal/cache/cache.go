@@ -1,12 +1,15 @@
 // Package cache implements the version/timeout/lease entry cache of
-// Sec. IV-A2: clients (and MDS hot caches) keep recently fetched metadata
-// entries under a lease; within the lease an entry may be served locally,
-// after it the entry must be revalidated against its origin. Version
-// numbers detect staleness on revalidation, and an LRU bound caps memory.
+// Sec. IV-A2: clients keep recently fetched metadata entries under a lease;
+// within the lease an entry may be served locally, after it the entry must
+// be revalidated against its origin. Version numbers detect staleness on
+// revalidation, and an exact-LRU bound caps memory.
+//
+// The LRU list is intrusive: entries live in one slab and link to their
+// neighbours by slot number, so a hit is one map probe and a few stores
+// into one slab element (DESIGN.md §8b).
 package cache
 
 import (
-	"container/list"
 	"errors"
 	"strings"
 	"sync"
@@ -21,7 +24,8 @@ var (
 
 // Entry is the cached value: an opaque payload plus its origin version.
 type Entry struct {
-	// Value is the cached payload.
+	// Value is the cached payload. A pointer stored here is stored as is,
+	// with no boxing allocation; the holder must not write through it.
 	Value interface{}
 	// Version is the origin's version number at fetch time.
 	Version int64
@@ -43,11 +47,20 @@ type Counters struct {
 	Invalidations uint64 `json:"invalidations"`
 }
 
+// none is the absent slot: either end of the LRU list, the end of the free
+// chain.
+const none int32 = -1
+
+// item is one slab slot: a resident entry linked into the LRU list, or a
+// free slot (zeroed, chained through next).
 type item struct {
 	key     string
 	entry   Entry
-	expires time.Time
-	elem    *list.Element
+	expires int64 // lease end, in ns on the cache's clock
+	// served counts the lease-live serves (Get/Peek hits) since the last
+	// TakeServed: accesses the origin never saw.
+	served     int64
+	prev, next int32 // towards the most / least recently used neighbour
 }
 
 // Cache is a leased LRU cache keyed by path. Safe for concurrent use.
@@ -55,14 +68,20 @@ type Cache struct {
 	mu       sync.Mutex
 	capacity int
 	lease    time.Duration
-	items    map[string]*item
-	lru      *list.List // front = most recent
-	now      func() time.Time
+	index    map[string]int32 // key → slab slot
+	slab     []item           // grows to capacity, never past it
+	head     int32            // most recently used
+	tail     int32            // least recently used: the next victim
+	free     int32            // first free slot
+	clock    func() int64     // ns since an arbitrary fixed instant
 
 	// epoch advances on every Invalidate* call; PutLeased rejects inserts
 	// whose fetch began before the last invalidation, so an in-flight fetch
 	// can never resurrect an entry over a newer invalidation.
 	epoch uint64
+
+	// unshipped is the number of resident items with served > 0.
+	unshipped int
 
 	hits, misses, expired, renewed, invalidations uint64
 }
@@ -76,20 +95,26 @@ func New(capacity int, lease time.Duration) (*Cache, error) {
 	if lease <= 0 {
 		return nil, ErrBadLease
 	}
+	// time.Since of an instant that carries a monotonic reading is a single
+	// monotonic clock read, and immune to wall-clock steps.
+	base := time.Now()
 	return &Cache{
 		capacity: capacity,
 		lease:    lease,
-		items:    make(map[string]*item, capacity),
-		lru:      list.New(),
-		now:      time.Now,
+		index:    make(map[string]int32, capacity),
+		head:     none,
+		tail:     none,
+		free:     none,
+		clock:    func() int64 { return int64(time.Since(base)) },
 	}, nil
 }
 
 // SetClock overrides the time source (tests).
 func (c *Cache) SetClock(now func() time.Time) {
+	base := now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.now = now
+	c.clock = func() int64 { return int64(now().Sub(base)) }
 }
 
 // Put stores an entry under a fresh default lease, evicting the least
@@ -97,7 +122,8 @@ func (c *Cache) SetClock(now func() time.Time) {
 func (c *Cache) Put(key string, e Entry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.putLocked(key, e, c.lease)
+	i, resident := c.index[key]
+	c.storeLocked(i, resident, key, e, c.lease)
 }
 
 // Epoch observes the current invalidation epoch. A fetcher reads it before
@@ -121,38 +147,41 @@ func (c *Cache) PutLeased(key string, e Entry, lease time.Duration, epoch uint64
 	if epoch != c.epoch {
 		return false
 	}
-	if it, ok := c.items[key]; ok && it.entry.Version > e.Version {
+	i, resident := c.index[key]
+	if resident && c.slab[i].entry.Version > e.Version {
 		return false
 	}
 	if lease <= 0 {
 		lease = c.lease
 	}
-	c.putLocked(key, e, lease)
+	c.storeLocked(i, resident, key, e, lease)
 	return true
 }
 
-func (c *Cache) putLocked(key string, e Entry, lease time.Duration) {
-	if it, ok := c.items[key]; ok {
-		it.entry = e
-		it.expires = c.now().Add(lease)
-		c.lru.MoveToFront(it.elem)
+// storeLocked writes e under key at the front of the LRU list: in place when
+// the caller's probe found the key resident in slot i, else in a free slot,
+// a fresh one, or — at capacity — the least recently used entry's.
+func (c *Cache) storeLocked(i int32, resident bool, key string, e Entry, lease time.Duration) {
+	expires := c.clock() + int64(lease)
+	if resident {
+		c.slab[i].entry = e
+		c.slab[i].expires = expires
+		c.touchLocked(i)
 		return
 	}
-	for len(c.items) >= c.capacity {
-		oldest := c.lru.Back()
-		if oldest == nil {
-			break
-		}
-		victim, ok := oldest.Value.(*item)
-		if !ok {
-			break
-		}
-		c.lru.Remove(oldest)
-		delete(c.items, victim.key)
+	if len(c.index) >= c.capacity {
+		c.removeLocked(c.tail)
 	}
-	it := &item{key: key, entry: e, expires: c.now().Add(lease)}
-	it.elem = c.lru.PushFront(it)
-	c.items[key] = it
+	if c.free != none {
+		i = c.free
+		c.free = c.slab[i].next
+	} else {
+		i = int32(len(c.slab))
+		c.slab = append(c.slab, item{})
+	}
+	c.slab[i] = item{key: key, entry: e, expires: expires, prev: none, next: none}
+	c.pushFrontLocked(i)
+	c.index[key] = i
 }
 
 // Get returns a live cached entry. Expired entries are removed and count as
@@ -160,20 +189,19 @@ func (c *Cache) putLocked(key string, e Entry, lease time.Duration) {
 func (c *Cache) Get(key string) (Entry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	it, ok := c.items[key]
+	i, ok := c.index[key]
 	if !ok {
 		c.misses++
 		return Entry{}, false
 	}
-	if !it.expires.After(c.now()) {
-		c.removeLocked(it)
+	if c.slab[i].expires <= c.clock() {
+		c.removeLocked(i)
 		c.expired++
 		c.misses++
 		return Entry{}, false
 	}
-	c.lru.MoveToFront(it.elem)
-	c.hits++
-	return it.entry, true
+	c.touchLocked(i)
+	return c.serveLocked(i), true
 }
 
 // Peek returns the entry even if the lease expired, along with whether the
@@ -187,18 +215,28 @@ func (c *Cache) Get(key string) (Entry, bool) {
 func (c *Cache) Peek(key string) (e Entry, live bool, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	it, found := c.items[key]
+	i, found := c.index[key]
 	if !found {
 		c.misses++
 		return Entry{}, false, false
 	}
-	c.lru.MoveToFront(it.elem)
-	if !it.expires.After(c.now()) {
+	c.touchLocked(i)
+	if c.slab[i].expires <= c.clock() {
 		c.expired++
-		return it.entry, false, true
+		return c.slab[i].entry, false, true
 	}
+	return c.serveLocked(i), true, true
+}
+
+// serveLocked accounts one lease-live serve of slot i and returns its entry.
+func (c *Cache) serveLocked(i int32) Entry {
+	it := &c.slab[i]
 	c.hits++
-	return it.entry, true, true
+	if it.served == 0 {
+		c.unshipped++
+	}
+	it.served++
+	return it.entry
 }
 
 // Renew extends the lease of a cached entry whose version the origin just
@@ -211,23 +249,67 @@ func (c *Cache) Renew(key string, version int64) bool {
 // just confirmed, by an explicit lease (0 = the default). It reports
 // whether the key was present with that version. A successful renewal is a
 // hit (the cached body was served without a refetch) and counts as renewed;
-// a version mismatch or absent key is a miss.
+// a version mismatch or absent key is a miss. It is not a serve in
+// TakeServed's sense: the origin saw the probe that confirmed the version.
 func (c *Cache) RenewFor(key string, version int64, lease time.Duration) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	it, ok := c.items[key]
-	if !ok || it.entry.Version != version {
+	i, ok := c.index[key]
+	if !ok || c.slab[i].entry.Version != version {
 		c.misses++
 		return false
 	}
 	if lease <= 0 {
 		lease = c.lease
 	}
-	it.expires = c.now().Add(lease)
-	c.lru.MoveToFront(it.elem)
+	c.slab[i].expires = c.clock() + int64(lease)
+	c.touchLocked(i)
 	c.hits++
 	c.renewed++
 	return true
+}
+
+// TakeServed claims the per-key counts of lease-live serves since the last
+// call (nil when there were none) and zeroes them. The counts live in the
+// resident items, so an entry evicted or invalidated in between takes its
+// count with it: memory stays bounded by the capacity, and what is lost is
+// the tail of the distribution (the LRU victim is the coldest entry).
+func (c *Cache) TakeServed() map[string]int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.unshipped == 0 {
+		return nil
+	}
+	// Every serve moved its item to the front, so the items served since the
+	// last call sit among the most recently used; only counts put back by
+	// RestoreServed can lie deeper.
+	served := make(map[string]int64, c.unshipped)
+	for i := c.head; c.unshipped > 0; i = c.slab[i].next {
+		if it := &c.slab[i]; it.served > 0 {
+			served[it.key] = it.served
+			it.served = 0
+			c.unshipped--
+		}
+	}
+	return served
+}
+
+// RestoreServed adds the counts a TakeServed claimed back after a failed
+// ship, to the keys still resident; the rest are dropped, as eviction would
+// have dropped them.
+func (c *Cache) RestoreServed(served map[string]int64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for key, n := range served {
+		i, ok := c.index[key]
+		if !ok {
+			continue
+		}
+		if c.slab[i].served == 0 {
+			c.unshipped++
+		}
+		c.slab[i].served += n
+	}
 }
 
 // Invalidate removes one key (e.g. after a local update). The invalidation
@@ -237,8 +319,8 @@ func (c *Cache) Invalidate(key string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.epoch++
-	if it, ok := c.items[key]; ok {
-		c.removeLocked(it)
+	if i, ok := c.index[key]; ok {
+		c.removeLocked(i)
 		c.invalidations++
 	}
 }
@@ -254,9 +336,9 @@ func (c *Cache) InvalidatePrefix(path string) {
 	if path == "/" {
 		prefix = "/"
 	}
-	for key, it := range c.items {
+	for key, i := range c.index {
 		if key == path || strings.HasPrefix(key, prefix) {
-			c.removeLocked(it)
+			c.removeLocked(i)
 			c.invalidations++
 		}
 	}
@@ -270,9 +352,9 @@ func (c *Cache) InvalidateOlderGen(gen int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.epoch++
-	for _, it := range c.items {
-		if it.entry.Gen < gen {
-			c.removeLocked(it)
+	for _, i := range c.index {
+		if c.slab[i].entry.Gen < gen {
+			c.removeLocked(i)
 			c.invalidations++
 		}
 	}
@@ -283,9 +365,12 @@ func (c *Cache) InvalidateAll() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.epoch++
-	c.invalidations += uint64(len(c.items))
-	c.items = make(map[string]*item, c.capacity)
-	c.lru.Init()
+	c.invalidations += uint64(len(c.index))
+	clear(c.index)
+	clear(c.slab) // drop the keys and payloads the slots still reference
+	c.slab = c.slab[:0]
+	c.head, c.tail, c.free = none, none, none
+	c.unshipped = 0
 }
 
 // Len returns the number of resident entries (including expired ones not
@@ -293,7 +378,7 @@ func (c *Cache) InvalidateAll() {
 func (c *Cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.items)
+	return len(c.index)
 }
 
 // Stats reports hit/miss/expiry counters.
@@ -316,7 +401,47 @@ func (c *Cache) Counters() Counters {
 	}
 }
 
-func (c *Cache) removeLocked(it *item) {
-	c.lru.Remove(it.elem)
-	delete(c.items, it.key)
+// touchLocked moves slot i to the front of the LRU list.
+func (c *Cache) touchLocked(i int32) {
+	if c.head == i {
+		return
+	}
+	c.unlinkLocked(i)
+	c.pushFrontLocked(i)
+}
+
+func (c *Cache) pushFrontLocked(i int32) {
+	c.slab[i].prev, c.slab[i].next = none, c.head
+	if c.head != none {
+		c.slab[c.head].prev = i
+	} else {
+		c.tail = i
+	}
+	c.head = i
+}
+
+func (c *Cache) unlinkLocked(i int32) {
+	prev, next := c.slab[i].prev, c.slab[i].next
+	if prev != none {
+		c.slab[prev].next = next
+	} else {
+		c.head = next
+	}
+	if next != none {
+		c.slab[next].prev = prev
+	} else {
+		c.tail = prev
+	}
+}
+
+// removeLocked drops slot i's entry — its unshipped serve count with it —
+// and chains the zeroed slot onto the free list.
+func (c *Cache) removeLocked(i int32) {
+	c.unlinkLocked(i)
+	delete(c.index, c.slab[i].key)
+	if c.slab[i].served > 0 {
+		c.unshipped--
+	}
+	c.slab[i] = item{next: c.free}
+	c.free = i
 }

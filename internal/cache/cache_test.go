@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -161,6 +162,7 @@ func TestConcurrentAccess(t *testing.T) {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
+	var claimed atomic.Int64 // serves TakeServed handed out and kept
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
@@ -172,12 +174,29 @@ func TestConcurrentAccess(t *testing.T) {
 				if i%50 == 0 {
 					c.Invalidate(key)
 				}
+				if i%25 == g {
+					served := c.TakeServed()
+					if i%2 == 0 {
+						c.RestoreServed(served) // a ship that failed
+						continue
+					}
+					for _, n := range served {
+						claimed.Add(n)
+					}
+				}
 			}
 		}(g)
 	}
 	wg.Wait()
 	if c.Len() > 64 {
 		t.Errorf("Len = %d exceeds capacity", c.Len())
+	}
+	// Serves are claimed at most once: evictions lose some, nothing mints any.
+	for _, n := range c.TakeServed() {
+		claimed.Add(n)
+	}
+	if hits := c.Counters().Hits; claimed.Load() > int64(hits) || claimed.Load() == 0 {
+		t.Errorf("claimed %d serves of %d hits", claimed.Load(), hits)
 	}
 }
 

@@ -84,8 +84,8 @@ var (
 type Client struct {
 	cfg Config
 	rng *rand.Rand
-	ids *obs.IDGen    // request-identifier mint, one ID per public op
-	rec *obs.Recorder // client-side op events
+	ids *obs.IDGen    // request-identifier mint, one ID per op that goes to the wire
+	rec *obs.Recorder // events of the ops that left the process
 
 	tr    *Transport // MDS connection pool (shared or private)
 	ownTr bool       // Close tears tr down only when the pool is private
@@ -100,12 +100,6 @@ type Client struct {
 
 	// CacheMisses counts redirects observed (stale index), for tests.
 	cacheMisses int64
-
-	// hotMu guards hotDeltas: per-path cache-hit serves the cluster never
-	// saw, accumulated locally and shipped coalesced on the next Batch frame
-	// so GL re-evaluation still sees the true access distribution.
-	hotMu     sync.Mutex
-	hotDeltas map[string]int64
 }
 
 // Connect bootstraps a client from the Monitor.
@@ -357,25 +351,33 @@ func (c *Client) leaseOf(ms int64) time.Duration {
 // enabled, a lease-live cached copy is returned without touching the
 // cluster; an expired copy is revalidated with a body-less version check
 // (the body is resent only when the version moved); staleness is bounded by
-// the server-granted lease. Every call mints a request identifier that
-// rides the wire envelope to the serving MDS (and any hop it forwards to),
-// so the whole operation shares one trace.
+// the server-granted lease.
+//
+// A live hit never leaves the process, so it pays for nothing that exists
+// to follow an op across processes: no request identifier, no event in the
+// ring, one clock read (the lease check). It is counted — in CacheCounters
+// and, per path, in the cache's serve counts that the next Batch ships. A
+// call that does go to the wire mints a request identifier that rides the
+// envelope to the serving MDS (and any hop it forwards to), so the whole
+// operation shares one trace.
 func (c *Client) Lookup(path string) (*wire.Entry, error) {
-	reqID := c.ids.Next()
-	start := time.Now()
+	var expired *wire.Entry
 	if c.entries != nil {
 		if cached, live, ok := c.entries.Peek(path); ok {
-			if e, isEntry := cached.Value.(wire.Entry); isEntry {
+			if e, isEntry := cached.Value.(*wire.Entry); isEntry {
 				if live {
-					cp := e
-					c.noteHot(path)
-					c.record(wire.TypeLookup, reqID, path, "cache", start, nil)
+					cp := *e
 					return &cp, nil
 				}
-				if entry, done, err := c.revalidate(path, reqID, start, e); done {
-					return entry, err
-				}
+				expired = e
 			}
+		}
+	}
+	reqID := c.ids.Next()
+	start := time.Now()
+	if expired != nil {
+		if entry, done, err := c.revalidate(path, reqID, start, expired); done {
+			return entry, err
 		}
 	}
 	var entry *wire.Entry
@@ -402,12 +404,22 @@ func (c *Client) Lookup(path string) (*wire.Entry, error) {
 		}
 		return nil, err
 	}
-	if c.entries != nil && entry != nil {
-		c.entries.PutLeased(path,
-			cache.Entry{Value: *entry, Version: entry.Version, Gen: grantVer},
-			c.leaseOf(leaseMS), epoch)
-	}
+	c.cachePut(path, entry, grantVer, leaseMS, epoch)
 	return entry, nil
+}
+
+// cachePut stores a private copy of a served entry (if the response carried
+// one) under its granted lease. The cache holds a pointer, so the caller's
+// copy and the cached one must not alias: callers own what the client
+// returns and may write to it.
+func (c *Client) cachePut(path string, e *wire.Entry, grantVer, leaseMS int64, epoch uint64) {
+	if c.entries == nil || e == nil {
+		return
+	}
+	cp := *e
+	c.entries.PutLeased(path,
+		cache.Entry{Value: &cp, Version: cp.Version, Gen: grantVer},
+		c.leaseOf(leaseMS), epoch)
 }
 
 // revalidate settles an expired cached entry with one body-less version
@@ -415,7 +427,7 @@ func (c *Client) Lookup(path string) (*wire.Entry, error) {
 // answered here (served, refreshed, or rejected by the origin); done=false
 // sends the caller down the regular full-fetch path (transport trouble, or
 // the cached entry changed under us mid-flight).
-func (c *Client) revalidate(path, reqID string, start time.Time, cached wire.Entry) (*wire.Entry, bool, error) {
+func (c *Client) revalidate(path, reqID string, start time.Time, cached *wire.Entry) (*wire.Entry, bool, error) {
 	epoch := c.entries.Epoch()
 	var resp wire.RevalidateResponse
 	err := c.call(path, wire.TypeRevalidate, func(conn *wire.Conn) (string, error) {
@@ -436,9 +448,9 @@ func (c *Client) revalidate(path, reqID string, start time.Time, cached wire.Ent
 	}
 	if resp.Match {
 		if c.entries.RenewFor(path, cached.Version, c.leaseOf(resp.LeaseMS)) {
-			// No noteHot: the revalidate probe itself counted this access on
-			// the serving MDS.
-			cp := cached
+			// Not a serve in the cache's count: the revalidate probe itself
+			// counted this access on the serving MDS.
+			cp := *cached
 			c.record(wire.TypeRevalidate, reqID, path, "renewed", start, nil)
 			return &cp, true, nil
 		}
@@ -449,9 +461,7 @@ func (c *Client) revalidate(path, reqID string, start time.Time, cached wire.Ent
 	if resp.Entry == nil {
 		return nil, false, nil
 	}
-	c.entries.PutLeased(path,
-		cache.Entry{Value: *resp.Entry, Version: resp.Entry.Version, Gen: resp.IndexVer},
-		c.leaseOf(resp.LeaseMS), epoch)
+	c.cachePut(path, resp.Entry, resp.IndexVer, resp.LeaseMS, epoch)
 	cp := *resp.Entry
 	c.record(wire.TypeRevalidate, reqID, path, "refreshed", start, nil)
 	return &cp, true, nil
@@ -487,11 +497,7 @@ func (c *Client) Create(path string, kind wire.EntryKind) (*wire.Entry, error) {
 	if err != nil {
 		return nil, err
 	}
-	if c.entries != nil && entry != nil {
-		c.entries.PutLeased(path,
-			cache.Entry{Value: *entry, Version: entry.Version, Gen: grantVer},
-			c.leaseOf(leaseMS), epoch)
-	}
+	c.cachePut(path, entry, grantVer, leaseMS, epoch)
 	return entry, nil
 }
 
@@ -526,11 +532,7 @@ func (c *Client) SetAttr(path string, size int64, mode uint32) (*wire.Entry, err
 	if err != nil {
 		return nil, err
 	}
-	if c.entries != nil && entry != nil {
-		c.entries.PutLeased(path,
-			cache.Entry{Value: *entry, Version: entry.Version, Gen: grantVer},
-			c.leaseOf(leaseMS), epoch)
-	}
+	c.cachePut(path, entry, grantVer, leaseMS, epoch)
 	return entry, nil
 }
 
@@ -567,10 +569,7 @@ func (c *Client) Rename(path, newName string) (*wire.Entry, error) {
 		// the committed entry under its new path.
 		c.entries.InvalidatePrefix(path)
 		c.entries.InvalidatePrefix(entry.Path)
-		epoch := c.entries.Epoch()
-		c.entries.PutLeased(entry.Path,
-			cache.Entry{Value: *entry, Version: entry.Version, Gen: grantVer},
-			c.leaseOf(leaseMS), epoch)
+		c.cachePut(entry.Path, entry, grantVer, leaseMS, c.entries.Epoch())
 	}
 	return entry, nil
 }

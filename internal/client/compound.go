@@ -10,48 +10,8 @@ import (
 	"strings"
 	"time"
 
-	"d2tree/internal/cache"
 	"d2tree/internal/wire"
 )
-
-// noteHot records one cache-hit serve of path. The server never saw the
-// access, so its popularity counters — the input to GL re-evaluation — would
-// undercount hot cached paths; the accumulated deltas ship coalesced on the
-// next Batch frame instead of costing a wire op each.
-func (c *Client) noteHot(path string) {
-	c.hotMu.Lock()
-	if c.hotDeltas == nil {
-		c.hotDeltas = make(map[string]int64)
-	}
-	c.hotDeltas[path]++
-	c.hotMu.Unlock()
-}
-
-// takeHotDeltas claims the accumulated popularity deltas for shipping.
-func (c *Client) takeHotDeltas() map[string]int64 {
-	c.hotMu.Lock()
-	d := c.hotDeltas
-	c.hotDeltas = nil
-	c.hotMu.Unlock()
-	return d
-}
-
-// restoreHotDeltas merges claimed deltas back after a failed ship, so the
-// counts ride the next frame instead of vanishing.
-func (c *Client) restoreHotDeltas(d map[string]int64) {
-	if len(d) == 0 {
-		return
-	}
-	c.hotMu.Lock()
-	if c.hotDeltas == nil {
-		c.hotDeltas = d
-	} else {
-		for p, n := range d {
-			c.hotDeltas[p] += n
-		}
-	}
-	c.hotMu.Unlock()
-}
 
 // Batch executes N independent sub-ops in as few frames as routing allows:
 // sub-ops are grouped per owning MDS (longest indexed prefix, like any single
@@ -87,7 +47,12 @@ func (c *Client) Batch(ops []wire.BatchOp) ([]wire.BatchResult, error) {
 		}
 		epoch = c.entries.Epoch()
 	}
-	deltas := c.takeHotDeltas()
+	// Cache-hit serves the cluster never saw, per path: claimed from the
+	// cache here, shipped on the first frame that lands, put back if none does.
+	var deltas map[string]int64
+	if c.entries != nil {
+		deltas = c.entries.TakeServed()
+	}
 	deltasSent := false
 
 	results := make([]wire.BatchResult, len(ops))
@@ -205,8 +170,8 @@ func (c *Client) Batch(ops []wire.BatchOp) ([]wire.BatchResult, error) {
 			_ = c.refreshClusterInfo()
 		}
 	}
-	if !deltasSent {
-		c.restoreHotDeltas(deltas)
+	if !deltasSent && len(deltas) > 0 {
+		c.entries.RestoreServed(deltas)
 	}
 
 	// Reconcile the entry cache with every settled sub-result, under the same
@@ -217,9 +182,7 @@ func (c *Client) Batch(ops []wire.BatchOp) ([]wire.BatchResult, error) {
 			op := &ops[i]
 			switch {
 			case res.Entry != nil:
-				c.entries.PutLeased(op.Path,
-					cache.Entry{Value: *res.Entry, Version: res.Entry.Version, Gen: res.IndexVer},
-					c.leaseOf(res.LeaseMS), epoch)
+				c.cachePut(op.Path, res.Entry, res.IndexVer, res.LeaseMS, epoch)
 			case res.Match:
 				c.entries.RenewFor(op.Path, op.Version, c.leaseOf(res.LeaseMS))
 			case res.Err != "" || res.Redirect != "":
@@ -262,11 +225,7 @@ func (c *Client) CreateWithAttrs(path string, kind wire.EntryKind, size int64, m
 	if err != nil {
 		return nil, err
 	}
-	if c.entries != nil && entry != nil {
-		c.entries.PutLeased(path,
-			cache.Entry{Value: *entry, Version: entry.Version, Gen: grantVer},
-			c.leaseOf(leaseMS), epoch)
-	}
+	c.cachePut(path, entry, grantVer, leaseMS, epoch)
 	return entry, nil
 }
 
@@ -298,13 +257,11 @@ func (c *Client) ReaddirPlus(path string) ([]wire.Entry, error) {
 	if c.entries != nil {
 		lease := c.leaseOf(resp.LeaseMS)
 		for i := range entries {
-			e := entries[i]
+			e := &entries[i]
 			if e.Version <= 0 {
 				continue // placeholder: body not authoritative, do not cache
 			}
-			c.entries.PutLeased(e.Path,
-				cache.Entry{Value: e, Version: e.Version, Gen: resp.IndexVer},
-				lease, epoch)
+			c.cachePut(e.Path, e, resp.IndexVer, resp.LeaseMS, epoch)
 		}
 		if resp.DirVersion > 0 {
 			// Renew the parent directory's own cached entry — the listing

@@ -228,18 +228,20 @@ func NewIDGen(prefix string, seed int64) *IDGen {
 	return &IDGen{prefix: prefix, rng: rand.New(rand.NewSource(seed))}
 }
 
-// Next returns a fresh identifier.
+// Next returns a fresh identifier. Prefix, dash and digits are assembled in
+// one stack buffer, so the returned string is the only allocation.
 func (g *IDGen) Next() string {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	v := g.rng.Uint64()
 	const hex = "0123456789abcdef"
-	var buf [16]byte
-	for i := len(buf) - 1; i >= 0; i-- {
-		buf[i] = hex[v&0xf]
-		v >>= 4
+	var buf [32]byte // longer prefixes spill to the heap
+	b := append(buf[:0], g.prefix...)
+	b = append(b, '-')
+	for shift := 60; shift >= 0; shift -= 4 {
+		b = append(b, hex[v>>shift&0xf])
 	}
-	return g.prefix + "-" + string(buf[:])
+	return string(b)
 }
 
 // Flusher drains a Recorder to an io.Writer as JSONL in the background —

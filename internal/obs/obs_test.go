@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -210,6 +212,24 @@ func TestIDGenDeterministicAndUnique(t *testing.T) {
 			t.Fatalf("duplicate id %q", id)
 		}
 		seen[id] = true
+	}
+}
+
+// The identifier is prefix, dash and the 64-bit draw as 16 zero-padded hex
+// digits, whatever the prefix length, and costs the one string it returns.
+func TestIDGenFormatAndAllocs(t *testing.T) {
+	for _, prefix := range []string{"r", "m", "", "a-prefix-longer-than-the-stack-buffer"} {
+		g := NewIDGen(prefix, 7)
+		rng := rand.New(rand.NewSource(7))
+		for i := 0; i < 50; i++ {
+			if got, want := g.Next(), fmt.Sprintf("%s-%016x", prefix, rng.Uint64()); got != want {
+				t.Fatalf("prefix %q id %d = %q, want %q", prefix, i, got, want)
+			}
+		}
+	}
+	g := NewIDGen("r", 7)
+	if allocs := testing.AllocsPerRun(1000, func() { _ = g.Next() }); allocs != 1 {
+		t.Fatalf("IDGen.Next allocates %v times per call, want 1", allocs)
 	}
 }
 
