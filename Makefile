@@ -1,7 +1,7 @@
 GO ?= go
 BENCH_LABEL ?= dev
 
-.PHONY: build test race race-obs race-rpc vet lint check bench-test bench-index bench bench-cluster bench-go
+.PHONY: build test race race-obs race-rpc vet lint check bench-test bench-index bench-wire bench bench-cluster bench-go
 
 build:
 	$(GO) build ./...
@@ -20,7 +20,7 @@ race-obs:
 	$(GO) test -race -count=1 ./internal/obs/ ./internal/stats/ ./internal/cache/
 
 # Targeted race pass over the concurrent RPC serving path: the multiplexed
-# client conn, the worker-pool server dispatch, the loadgen pipeline, and
+# client conn, the run-to-completion serving loop, the loadgen pipeline, and
 # the WAL group-commit batcher + crash-consistency property test.
 race-rpc:
 	$(GO) test -race -count=1 ./internal/wire/ ./internal/server/ ./internal/client/ ./internal/loadgen/ ./internal/wal/
@@ -29,7 +29,7 @@ vet:
 	$(GO) vet ./...
 
 # go vet plus the project-specific analyzers (lockheld, determinism,
-# wirecheck, statcheck, codeccheck, leasecheck, goroutinecheck). See
+# wirecheck, statcheck, codeccheck, leasecheck, goroutinecheck, inlinecheck). See
 # DESIGN.md "Invariants as lint rules". Use `d2vet -rule <name>` to run one
 # rule and `-json` for machine-readable findings (what ci.sh parses).
 lint:
@@ -50,8 +50,15 @@ bench-test:
 bench-index:
 	$(GO) test -run '^$$' -bench 'ReaddirPlus(Store|Index)Size|ClientReaddirPlus|LookupHit' -benchtime 1x ./internal/server/ ./internal/client/
 
+# One iteration of the wire benchmarks, so they cannot rot: the two-step
+# frame round trip, and a lookup over loopback through Conn.Call and the
+# serving loop at 1 and 16 callers, handler inline and on its own goroutine
+# (allocs/op for the whole round trip, frames per write on both sides).
+bench-wire:
+	$(GO) test -run '^$$' -bench 'FrameRoundTrip|EchoInproc' -benchtime 1x ./internal/wire/
+
 # The full gate: what ci.sh runs.
-check: build lint race-obs race-rpc race bench-test bench-index
+check: build lint race-obs race-rpc race bench-test bench-index bench-wire
 
 # Run the replay-tier benchmark suite and append a labelled entry to the
 # tracked trajectory BENCH_replay.json (set BENCH_LABEL to tag the run).

@@ -23,7 +23,7 @@ rm -f "$d2vet_out"
 go test -race -count=1 ./internal/obs/ ./internal/stats/ ./internal/cache/
 
 # Race pass over the concurrent RPC serving path: multiplexed client conn,
-# worker-pool server dispatch, pipelined loadgen clients, and the client
+# run-to-completion serving loop, pipelined loadgen clients, and the client
 # cache coherence protocol (TestConcurrentCacheCoherence).
 go test -race -count=1 ./internal/wire/ ./internal/server/ ./internal/client/ ./internal/loadgen/ ./internal/wal/
 
@@ -34,6 +34,10 @@ go test -race ./...
 # against index size, the client's merge against index size, and a leased
 # hit through Client.Lookup (`make bench-index`).
 go test -run '^$' -bench 'ReaddirPlus(Store|Index)Size|ClientReaddirPlus|LookupHit' -benchtime 1x ./internal/server/ ./internal/client/
+
+# And of the wire benchmarks (`make bench-wire`): the frame round trip and a
+# lookup over loopback through Conn.Call and the serving loop.
+go test -run '^$' -bench 'FrameRoundTrip|EchoInproc' -benchtime 1x ./internal/wire/
 
 # bench/ is a module of its own, so the ./... patterns above do not descend
 # into it: vet and test the benchmark harness too.

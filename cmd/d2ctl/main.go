@@ -134,6 +134,7 @@ func run(args []string, w io.Writer) error {
 		fmt.Fprintf(w, "monitor heartbeats=%d transfers planned=%d done=%d failed=%d reissued=%d glv=%d indexv=%d journal=%s\n",
 			ms.Heartbeats, ms.TransfersPlanned, ms.TransfersDone,
 			ms.TransfersFailed, ms.TransfersReissued, ms.GLVersion, ms.IndexVer, journal)
+		printWireIO(w, ms.ServeIO, ms.ConnIO)
 		for _, mem := range ms.Members {
 			state := "alive"
 			if !mem.Alive {
@@ -271,9 +272,30 @@ func printServerStats(w io.Writer, st *wire.StatsResponse) {
 	}
 	fmt.Fprintf(w, "  wal appends=%d flushes=%d snapshots=%d state=%s\n",
 		st.WalAppends, st.WalFlushes, st.Snapshots, wal)
+	printWireIO(w, st.ServeIO, st.ConnIO)
 	for _, root := range st.Subtrees {
 		fmt.Fprintf(w, "  subtree %s\n", root)
 	}
+}
+
+// printWireIO prints one process's wire traffic as frames per syscall: the
+// requests it served and the calls it made.
+func printWireIO(w io.Writer, serve, conn wire.IOSnapshot) {
+	for _, side := range []struct {
+		name string
+		io   wire.IOSnapshot
+	}{{"serve", serve}, {"conn", conn}} {
+		fmt.Fprintf(w, "  wire %-5s frames in=%d reads=%d (%.2f/read) out=%d writes=%d (%.2f/write)\n",
+			side.name, side.io.FramesIn, side.io.Reads, perSyscall(side.io.FramesIn, side.io.Reads),
+			side.io.FramesOut, side.io.Writes, perSyscall(side.io.FramesOut, side.io.Writes))
+	}
+}
+
+func perSyscall(frames, syscalls int64) float64 {
+	if syscalls == 0 {
+		return 0
+	}
+	return float64(frames) / float64(syscalls)
 }
 
 func printEntry(w io.Writer, e *wire.Entry) {

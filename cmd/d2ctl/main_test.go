@@ -95,6 +95,14 @@ func TestCtlLookupCreateReaddirStats(t *testing.T) {
 	if strings.Count(buf.String(), "mds-") != 2 {
 		t.Errorf("stats output = %q", buf.String())
 	}
+	// Frames per read and per write, both sides of the wire, for the Monitor
+	// and each MDS; the in-process cluster has served this test's own calls.
+	if n := strings.Count(buf.String(), "wire serve frames in="); n != 3 {
+		t.Errorf("stats prints %d wire serve lines, want 3:\n%s", n, buf.String())
+	}
+	if strings.Contains(buf.String(), "wire serve frames in=0 ") {
+		t.Errorf("a serving loop counted no frames:\n%s", buf.String())
+	}
 }
 
 func TestCtlOpsAndEvents(t *testing.T) {

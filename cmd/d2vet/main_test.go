@@ -59,7 +59,7 @@ func TestListRules(t *testing.T) {
 	}
 	for _, name := range []string{
 		"lockheld", "determinism", "wirecheck", "statcheck",
-		"codeccheck", "leasecheck", "goroutinecheck",
+		"codeccheck", "leasecheck", "goroutinecheck", "inlinecheck",
 	} {
 		if !strings.Contains(out, name) {
 			t.Errorf("-list output missing %s:\n%s", name, out)

@@ -20,7 +20,9 @@
 //     the §8b lease fields, and mutating client calls reconcile the entry
 //     cache;
 //   - goroutinecheck: goroutines in the concurrent serving path have a
-//     reachable termination path, and RPC connections are deadline-armed.
+//     reachable termination path, and RPC connections are deadline-armed;
+//   - inlinecheck: the ops a wire.ServeInline call site has the connection's
+//     reader run itself reach no blocking call.
 //
 // The suite is purely syntactic (go/ast + go/parser + go/token): it needs no
 // type information, no build, and no dependencies outside the standard
@@ -162,6 +164,7 @@ func Default() []Analyzer {
 		&CodecCheck{WirePackage: "internal/wire", CodecFile: "payload_fast.go", MessagesFile: "messages.go"},
 		&LeaseCheck{WirePackage: "internal/wire", ServerPackage: "internal/server", ClientPackage: "internal/client"},
 		&GoroutineCheck{Packages: ConcurrentPackages},
+		&InlineCheck{Packages: ConcurrentPackages},
 	}
 }
 

@@ -33,6 +33,7 @@ func TestGolden(t *testing.T) {
 		{name: "codeccheck", analyzers: []Analyzer{&CodecCheck{WirePackage: "wire", CodecFile: "payload_fast.go", MessagesFile: "messages.go"}}},
 		{name: "leasecheck", analyzers: []Analyzer{&LeaseCheck{WirePackage: "wire", ServerPackage: "server", ClientPackage: "client"}}, withIgnores: true},
 		{name: "goroutinecheck", analyzers: []Analyzer{&GoroutineCheck{Packages: []string{"wire", "server"}}}},
+		{name: "inlinecheck", analyzers: []Analyzer{&InlineCheck{Packages: []string{"server"}}}},
 		{name: "ignore", analyzers: []Analyzer{&LockHeld{}}, withIgnores: true},
 	}
 	for _, tc := range cases {
@@ -95,8 +96,8 @@ func relDiag(root string, d Diagnostic) string {
 
 func TestDefaultAnalyzers(t *testing.T) {
 	all := Default()
-	if len(all) != 7 {
-		t.Fatalf("Default() returned %d analyzers, want 7", len(all))
+	if len(all) != 8 {
+		t.Fatalf("Default() returned %d analyzers, want 8", len(all))
 	}
 	seen := map[string]bool{}
 	for _, a := range all {

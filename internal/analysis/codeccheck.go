@@ -22,7 +22,8 @@ import (
 // fastUnmarshalPayload type switches, the rule computes the set of JSON
 // keys the codec can emit (string fragments like `"leaseMs":` in any
 // function transitively reachable from the type's case body) and the set it
-// can accept (case labels and comparisons against the "key" variable in
+// can accept (case labels and comparisons against the "key" variable — as
+// a string, or as the in-place []byte matched through string(key) — in
 // reachable decode helpers), then checks both against the struct's json
 // tags — including the tags of nested message structs such as Entry:
 //
@@ -236,11 +237,11 @@ func (a *CodecCheck) coveredTypes(m *Module, w *codecWalker, funcName string) ma
 	if baseName(m.FileName(w.fileOf[fd])) != a.CodecFile {
 		return out
 	}
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		sw, ok := n.(*ast.TypeSwitchStmt)
-		if !ok {
-			return true
-		}
+	// fastMarshalPayload is a thin entry over the append-style switch the
+	// in-place encoders share: the roster is the first type switch reachable
+	// from the named function.
+	sw := w.typeSwitch(fd, map[*ast.FuncDecl]bool{})
+	if sw != nil {
 		for _, cl := range sw.Body.List {
 			cc, ok := cl.(*ast.CaseClause)
 			if !ok || len(cc.List) == 0 {
@@ -256,9 +257,38 @@ func (a *CodecCheck) coveredTypes(m *Module, w *codecWalker, funcName string) ma
 				out[name] = cov
 			}
 		}
-		return false
-	})
+	}
 	return out
+}
+
+// typeSwitch returns the first type switch in fd's body, or failing that in
+// a package-local function it calls.
+func (w *codecWalker) typeSwitch(fd *ast.FuncDecl, visited map[*ast.FuncDecl]bool) *ast.TypeSwitchStmt {
+	if fd == nil || fd.Body == nil || visited[fd] {
+		return nil
+	}
+	visited[fd] = true
+	var found *ast.TypeSwitchStmt
+	var callees []*ast.FuncDecl
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		switch v := n.(type) {
+		case *ast.TypeSwitchStmt:
+			if found == nil {
+				found = v
+			}
+			return false
+		case *ast.CallExpr:
+			callees = append(callees, w.resolve(v.Fun))
+		}
+		return found == nil
+	})
+	for _, callee := range callees {
+		if found != nil {
+			break
+		}
+		found = w.typeSwitch(callee, visited)
+	}
+	return found
 }
 
 // codecWalker resolves calls to package-local functions and methods so key
@@ -308,7 +338,7 @@ func (w *codecWalker) collect(body []ast.Stmt, cov *codecCoverage) {
 		ast.Inspect(n, func(nd ast.Node) bool {
 			switch v := nd.(type) {
 			case *ast.SwitchStmt:
-				if tag, ok := v.Tag.(*ast.Ident); ok && tag.Name == "key" {
+				if isKeyExpr(v.Tag) {
 					for _, cl := range v.Body.List {
 						cc, ok := cl.(*ast.CaseClause)
 						if !ok {
@@ -361,13 +391,27 @@ func (w *codecWalker) collect(body []ast.Stmt, cov *codecCoverage) {
 // markKeyCompare marks lit as a decode key when the other operand is the
 // "key" variable (the object-walk callback parameter).
 func markKeyCompare(keySide, litSide ast.Expr, keyLits map[*ast.BasicLit]bool) {
-	id, ok := keySide.(*ast.Ident)
-	if !ok || id.Name != "key" {
+	if !isKeyExpr(keySide) {
 		return
 	}
 	if lit, ok := litSide.(*ast.BasicLit); ok && lit.Kind == token.STRING {
 		keyLits[lit] = true
 	}
+}
+
+// isKeyExpr reports whether e reads the object-walk callback's "key"
+// parameter: the identifier itself, or string(key) over the in-place []byte
+// form (a conversion the compiler does not allocate for in a switch tag or a
+// comparison).
+func isKeyExpr(e ast.Expr) bool {
+	if call, ok := e.(*ast.CallExpr); ok && len(call.Args) == 1 {
+		if fun, ok := call.Fun.(*ast.Ident); !ok || fun.Name != "string" {
+			return false
+		}
+		e = call.Args[0]
+	}
+	id, ok := e.(*ast.Ident)
+	return ok && id.Name == "key"
 }
 
 // resolve maps a call expression to a package-local function or method

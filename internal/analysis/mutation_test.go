@@ -152,6 +152,25 @@ func TestGoroutineCheckMutation(t *testing.T) {
 	})
 }
 
+// TestInlineCheckMutation moves an op that waits onto the MDS reader: a
+// SetAttr parks on its WAL ticket, or on the Monitor for a global-layer path.
+func TestInlineCheckMutation(t *testing.T) {
+	check := func() Analyzer {
+		return &InlineCheck{Packages: []string{"internal/server", "internal/monitor"}}
+	}
+	root := mutationRoot(t, "internal/monitor/monitor.go",
+		"internal/server/server.go", "internal/server/handlers.go",
+		"internal/server/durability.go", "internal/server/compound.go", "internal/server/store.go")
+	requireClean(t, runOn(t, root, check()))
+
+	mutate(t, root, "internal/server/server.go",
+		"wire.TypeLookup, wire.TypeRevalidate,", "wire.TypeLookup, wire.TypeSetAttr, wire.TypeRevalidate,")
+	diags := runOn(t, root, check())
+	requireDiag(t, diags, "inline op TypeSetAttr")
+	requireDiag(t, diags, "wait via .Wait via handle → dispatch → handleSetAttr → waitDurable")
+	requireDiag(t, diags, "RPC call via .CallTraced via handle → dispatch → handleSetAttr → glUpdate")
+}
+
 // TestCodecCheckUncovered keeps the exempt roster visible: structs with no
 // fast codec must be a deliberate, enumerable set.
 func TestCodecCheckUncovered(t *testing.T) {

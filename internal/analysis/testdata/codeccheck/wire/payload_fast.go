@@ -50,20 +50,20 @@ func fastUnmarshalPayload(data []byte, out interface{}) bool {
 	return false
 }
 
-func decodePath(data []byte, path *string) bool {
-	key := string(data)
-	if key != "path" {
+// decodePath and decodePut match the key in place, as the live codecs do:
+// string(key) in a comparison or a switch tag is still a read of key.
+func decodePath(key []byte, path *string) bool {
+	if string(key) != "path" {
 		return false
 	}
-	*path = key
+	*path = string(key)
 	return true
 }
 
-func decodePut(data []byte, req *PutRequest) bool {
-	key := string(data)
-	switch key {
+func decodePut(key []byte, req *PutRequest) bool {
+	switch string(key) {
 	case "path":
-		req.Path = key
+		req.Path = string(key)
 	case "version":
 		req.Version = 1
 	default:

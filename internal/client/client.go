@@ -326,13 +326,14 @@ func (c *Client) call(path, msgType string,
 
 // record logs one client-side op event under the request's identifier.
 func (c *Client) record(op, reqID, path, detail string, start time.Time, err error) {
-	c.rec.Record(obs.Event{
+	end := time.Now()
+	c.rec.RecordAt(end, obs.Event{
 		Kind:   obs.KindOp,
 		Op:     op,
 		ReqID:  reqID,
 		Path:   path,
 		Detail: detail,
-		DurUS:  time.Since(start).Microseconds(),
+		DurUS:  end.Sub(start).Microseconds(),
 		Err:    obs.ErrString(err),
 	})
 }

@@ -440,7 +440,11 @@ func (m *Monitor) acceptLoop() {
 				delete(m.conns, nc)
 				m.mu.Unlock()
 			}()
-			wire.Serve(nc, m.handle)
+			// The two reads a client makes are answered by the connection's
+			// reader; joins, heartbeats, GL updates and the lock service may
+			// wait on the journal.
+			wire.ServeInline(nc, m.handle, wire.DefaultServeWorkers,
+				wire.TypeClusterInfo, wire.TypeMonitorStats)
 		}()
 	}
 }
@@ -451,9 +455,10 @@ func (m *Monitor) acceptLoop() {
 func (m *Monitor) handle(env *wire.Envelope) (interface{}, error) {
 	start := time.Now()
 	resp, path, err := m.dispatch(env)
-	d := time.Since(start)
+	end := time.Now()
+	d := end.Sub(start)
 	m.opStats.Observe(env.Type, d)
-	m.rec.Record(obs.Event{
+	m.rec.RecordAt(end, obs.Event{
 		Kind:  obs.KindOp,
 		Op:    env.Type,
 		ReqID: env.ReqID,
@@ -1224,6 +1229,8 @@ func (m *Monitor) handleMonitorStats() (*wire.MonitorStatsResponse, error) {
 		GLVersion:         m.glVersion,
 		IndexVer:          m.indexVer,
 		JournalDegraded:   m.journalDegraded,
+		ServeIO:           wire.ServeIO.Snapshot(),
+		ConnIO:            wire.ConnIO.Snapshot(),
 	}
 	for _, mem := range m.members {
 		resp.Members = append(resp.Members, wire.MemberInfo{

@@ -89,8 +89,14 @@ func (r *Recorder) Seq() uint64 {
 // recorder's node name, and copies it into the ring. It never allocates:
 // callers pass fully-formed string fields and the struct is copied into a
 // pre-allocated slot.
-func (r *Recorder) Record(ev Event) {
-	ts := time.Now().UnixNano()
+func (r *Recorder) Record(ev Event) { r.RecordAt(time.Now(), ev) }
+
+// RecordAt is Record for a caller that has already read the clock at the
+// moment the event ended (an op that timed itself): the event carries that
+// reading, so its timestamp and its duration come from the same two clock
+// reads the latency histogram saw.
+func (r *Recorder) RecordAt(end time.Time, ev Event) {
+	ts := end.UnixNano()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.seq++

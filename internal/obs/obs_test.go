@@ -42,6 +42,19 @@ func TestRecorderSequencesAndStamps(t *testing.T) {
 	}
 }
 
+// TestRecordAtCarriesTheCallersClockRead: an op that timed itself hands the
+// recorder the clock read its duration ended on, and the event is stamped
+// with exactly that, so timestamp and duration agree with the histogram.
+func TestRecordAtCarriesTheCallersClockRead(t *testing.T) {
+	rec := NewRecorder("mds-0", 8)
+	end := time.Unix(1700000000, 123456789)
+	rec.RecordAt(end, Event{Kind: KindOp, Op: "lookup", DurUS: 17})
+	events := rec.Snapshot()
+	if len(events) != 1 || events[0].TS != end.UnixNano() || events[0].Seq != 1 || events[0].DurUS != 17 {
+		t.Fatalf("RecordAt recorded %+v, want one event stamped %d", events, end.UnixNano())
+	}
+}
+
 func TestRecorderRingOverwriteReportsDropped(t *testing.T) {
 	rec := NewRecorder("n", 4)
 	for i := 0; i < 10; i++ {

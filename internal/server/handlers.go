@@ -21,9 +21,10 @@ func (s *Server) handle(env *wire.Envelope) (interface{}, error) {
 	s.ops.Add(1)
 	start := time.Now()
 	resp, path, err := s.dispatch(env)
-	d := time.Since(start)
+	end := time.Now()
+	d := end.Sub(start)
 	s.opStats.Observe(env.Type, d)
-	s.rec.Record(obs.Event{
+	s.rec.RecordAt(end, obs.Event{
 		Kind:  obs.KindOp,
 		Op:    env.Type,
 		ReqID: env.ReqID,
@@ -531,6 +532,8 @@ func (s *Server) handleStats() (*wire.StatsResponse, error) {
 		Snapshots:        s.snapshots.Load(),
 		WalDegraded:      s.walDegraded.Load(),
 		Subtrees:         roots,
+		ServeIO:          wire.ServeIO.Snapshot(),
+		ConnIO:           wire.ConnIO.Snapshot(),
 	}, nil
 }
 

@@ -103,9 +103,9 @@ type Server struct {
 
 	// mu is a read/write lock over the entry store and cluster-state maps:
 	// the read-mostly handlers (Lookup, Readdir, Stats) take the read side
-	// and run concurrently with each other across the per-connection worker
-	// pools; mutations (Create, SetAttr, Rename, Install, join/heartbeat
-	// state swaps, transfers) take the write side.
+	// and run concurrently with each other across connections, each on its
+	// connection's reader; mutations (Create, SetAttr, Rename, Install,
+	// join/heartbeat state swaps, transfers) take the write side.
 	mu        sync.RWMutex
 	id        int
 	store     *store           // the namespace: GL replica + owned subtrees
@@ -367,7 +367,12 @@ func (s *Server) acceptLoop() {
 				delete(s.conns, nc)
 				s.mu.Unlock()
 			}()
-			wire.Serve(nc, s.handle)
+			// The reader of a connection runs these itself: none of their
+			// handlers can block (d2vet's inlinecheck). Everything else may
+			// wait on a WAL ticket, the Monitor or another MDS.
+			wire.ServeInline(nc, s.handle, wire.DefaultServeWorkers,
+				wire.TypeLookup, wire.TypeRevalidate, wire.TypeReaddir,
+				wire.TypeReaddirPlus, wire.TypeStats, wire.TypeObsDump)
 		}()
 	}
 }

@@ -46,9 +46,49 @@ func IsTimeout(err error) bool {
 	return errors.As(err, &ne) && ne.Timeout()
 }
 
-// connBufSize sizes the buffered reader/writer each side of a connection
-// uses: big enough to batch dozens of typical frames per syscall.
+// connBufSize sizes the buffered reader and the write buffer each side of a
+// connection uses: big enough to batch dozens of typical frames per syscall.
 const connBufSize = 32 << 10
+
+// IOCounters counts the frames one side of the wire moved and the syscalls
+// that moved them, so frames per read and per write can be read off a
+// running process. They are bumped once per batch, not per frame.
+type IOCounters struct {
+	FramesIn, Reads, FramesOut, Writes atomic.Int64
+}
+
+// IOSnapshot is a point-in-time copy of IOCounters.
+type IOSnapshot struct {
+	FramesIn  int64 `json:"framesIn"`
+	Reads     int64 `json:"reads"`
+	FramesOut int64 `json:"framesOut"`
+	Writes    int64 `json:"writes"`
+}
+
+// Snapshot reads the counters.
+func (c *IOCounters) Snapshot() IOSnapshot {
+	return IOSnapshot{
+		FramesIn:  c.FramesIn.Load(),
+		Reads:     c.Reads.Load(),
+		FramesOut: c.FramesOut.Load(),
+		Writes:    c.Writes.Load(),
+	}
+}
+
+// ConnIO and ServeIO are this process's wire traffic: every Conn's calls,
+// and every serving loop's requests.
+var ConnIO, ServeIO IOCounters
+
+// countedReader counts the reads a connection's buffered reader issues.
+type countedReader struct {
+	r     net.Conn
+	reads *atomic.Int64
+}
+
+func (r countedReader) Read(p []byte) (int, error) {
+	r.reads.Add(1)
+	return r.r.Read(p)
+}
 
 // brokenError is the failure delivered to every call that was in flight
 // when its connection was poisoned: it carries the transport cause (so
@@ -62,10 +102,11 @@ func (e *brokenError) Error() string {
 func (e *brokenError) Unwrap() []error { return []error{e.cause, ErrConnBroken} }
 
 // callResult is what the demultiplexer (or the poisoner) delivers to a
-// waiting call.
+// waiting call: the response body, still encoded, in a buffer the call now
+// owns; or the failure.
 type callResult struct {
-	env *Envelope
-	err error
+	body *[]byte
+	err  error
 }
 
 // resultChPool recycles the per-call result channels. A channel is only
@@ -75,30 +116,21 @@ var resultChPool = sync.Pool{
 	New: func() interface{} { return make(chan callResult, 1) },
 }
 
-// timerPool recycles per-call timeout timers. Requires the Go 1.23+ timer
-// semantics (see go.mod): Stop guarantees no late send, so a stopped timer
-// can be Reset and reused without draining.
-var timerPool = sync.Pool{}
-
-func getTimer(d time.Duration) *time.Timer {
-	if t, _ := timerPool.Get().(*time.Timer); t != nil {
-		t.Reset(d)
-		return t
-	}
-	return time.NewTimer(d)
-}
-
-func putTimer(t *time.Timer) {
-	t.Stop()
-	timerPool.Put(t)
+// pendingCall is a registered call awaiting its response.
+type pendingCall struct {
+	ch       chan callResult
+	msgType  string
+	deadline time.Duration // on the connection's clock; 0 = wait forever
 }
 
 // Conn is a pipelined, multiplexed request/response client over one TCP
 // connection: any number of goroutines may have calls in flight at once.
-// Each call stamps a fresh frame ID and parks on a per-call channel; a
-// writer goroutine batches queued request frames into single writes, and a
-// single demultiplexing reader goroutine matches response frames back to
-// pending calls by ID. Responses may arrive in any order.
+// Each call stamps a fresh frame ID, encodes its frame straight into the
+// connection's write buffer and parks on a per-call channel; a flusher
+// goroutine gathers the frames of a pipelined burst into single writes, and
+// a single demultiplexing reader goroutine hands each response body to the
+// pending call its ID names, which decodes it. Responses may arrive in any
+// order.
 //
 // Any transport failure — a deadline expiry, a write/read error, or a
 // response ID the demultiplexer cannot match — poisons the connection:
@@ -106,23 +138,31 @@ func putTimer(t *time.Timer) {
 // later call fails fast the same way. Application errors from the peer
 // (RemoteError) leave the connection usable.
 type Conn struct {
-	nc net.Conn
+	nc   net.Conn
+	born time.Time // origin of the connection's clock (see now)
 
 	mu      sync.Mutex
 	nextID  uint64
 	timeout time.Duration // per-call deadline; 0 = wait forever
-	pending map[uint64]chan callResult
+	pending map[uint64]pendingCall
 	broken  bool
 	cause   error // first transport error; set once with broken
 	started bool
+	wbuf    []byte // encoded request frames the flusher has not taken yet
+	wframes int32  // frames in wbuf
+	// sweeper is the connection's one deadline timer, counting down to
+	// sweepAt, the deadline of the oldest pending call when it was last set
+	// (0 = idle: no pending call has a deadline).
+	sweeper *time.Timer
+	sweepAt time.Duration
 
-	writeCh chan *Envelope
-	done    chan struct{} // closed when the conn is poisoned
+	wake chan struct{} // 1-buffered: wbuf went from empty to non-empty
+	done chan struct{} // closed when the conn is poisoned
 
-	// inflight counts registered calls not yet completed. The write loop
-	// uses it as a batching hint: when more calls are in flight than the
-	// current burst, it yields once before flushing so imminent enqueues
-	// share the syscall. Purely advisory — correctness never depends on it.
+	// inflight counts registered calls not yet completed. The flusher uses
+	// it as a batching hint: while more calls are in flight than it has
+	// frames, it yields before writing so imminent calls share the syscall.
+	// Purely advisory — correctness never depends on it.
 	inflight atomic.Int32
 }
 
@@ -149,13 +189,18 @@ func DialCall(addr string, dialTimeout, callTimeout time.Duration) (*Conn, error
 func NewConn(nc net.Conn) *Conn {
 	return &Conn{
 		nc:      nc,
-		pending: make(map[uint64]chan callResult),
-		writeCh: make(chan *Envelope, 64),
+		born:    time.Now(),
+		pending: make(map[uint64]pendingCall),
+		wake:    make(chan struct{}, 1),
 		done:    make(chan struct{}),
 	}
 }
 
+// now reads the connection's clock: monotonic time since it was made.
+func (c *Conn) now() time.Duration { return time.Since(c.born) }
+
 // SetCallTimeout arms every subsequent Call with a deadline (0 disarms).
+// Calls already in flight keep the deadline they were issued under.
 func (c *Conn) SetCallTimeout(d time.Duration) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -181,163 +226,230 @@ func (c *Conn) Call(msgType string, payload, out interface{}) error {
 // identifier stamped on the envelope and span names the calling hop. Both
 // may be empty (untraced traffic).
 func (c *Conn) CallTraced(msgType, reqID, span string, payload, out interface{}) error {
-	env, err := NewEnvelope(0, msgType, payload)
-	if err != nil {
-		return err
-	}
-	env.ReqID = reqID
-	env.Span = span
-
 	c.mu.Lock()
 	if c.broken {
 		c.mu.Unlock()
 		return fmt.Errorf("wire: call %s: %w", msgType, ErrConnBroken)
 	}
+	start := len(c.wbuf)
+	buf, err := appendMessage(beginFrame(c.wbuf), c.nextID+1, msgType, reqID, span, payload)
+	if err != nil {
+		c.wbuf = buf[:start]
+		c.mu.Unlock()
+		return err
+	}
+	if err := endFrame(buf, start); err != nil {
+		// The old writer failed the connection on a frame it could not
+		// write; nothing of this one reaches the stream, but the caller
+		// sees the same poisoned connection.
+		c.wbuf = buf[:start]
+		c.mu.Unlock()
+		return c.fail(msgType, err)
+	}
+	c.wbuf = buf
+	c.wframes++
+	c.nextID++
+	id := c.nextID
 	if !c.started {
 		c.started = true
 		go c.writeLoop()
 		go c.readLoop()
 	}
-	c.nextID++
-	env.ID = c.nextID
 	// Exactly one result is ever sent per registered call (the demultiplexer
 	// deletes the pending entry before sending; the poisoner takes the whole
 	// map once), so a channel that has delivered its result is empty and
 	// safe to recycle.
 	ch := resultChPool.Get().(chan callResult)
-	c.pending[env.ID] = ch
-	timeout := c.timeout
+	call := pendingCall{ch: ch, msgType: msgType}
+	if c.timeout > 0 {
+		call.deadline = c.now() + c.timeout
+		if c.sweepAt == 0 || call.deadline < c.sweepAt {
+			c.armSweeperLocked(call.deadline, c.timeout)
+		}
+	}
+	c.pending[id] = call
 	c.inflight.Add(1)
 	c.mu.Unlock()
-	defer c.inflight.Add(-1)
-
-	select {
-	case c.writeCh <- env:
-	case <-c.done:
-		// Poisoned while enqueueing; the poisoner already failed our pending
-		// entry, so the result is waiting.
-		res := <-ch
-		resultChPool.Put(ch)
-		return fmt.Errorf("wire: call %s: %w", msgType, res.err)
-	}
-
-	var expired <-chan time.Time
-	var timer *time.Timer
-	if timeout > 0 {
-		timer = getTimer(timeout)
-		expired = timer.C
-	}
-	select {
-	case res := <-ch:
-		resultChPool.Put(ch)
-		if timer != nil {
-			putTimer(timer)
-		}
-		return c.finish(msgType, res, out)
-	case <-expired:
-		putTimer(timer)
-		// The response may have raced the timer; prefer it if it is already
-		// here, otherwise the deadline has genuinely expired and the stream
-		// may still carry the stale response later — poison. The channel is
-		// NOT recycled on the timeout path: the poison fan-out owns it.
+	if start == 0 {
+		// Empty → non-empty: the one edge the flusher sleeps through.
 		select {
-		case res := <-ch:
-			resultChPool.Put(ch)
-			return c.finish(msgType, res, out)
+		case c.wake <- struct{}{}:
 		default:
 		}
-		c.poison(fmt.Errorf("call %s: %w", msgType, os.ErrDeadlineExceeded))
-		return fmt.Errorf("wire: call %s: %w", msgType, os.ErrDeadlineExceeded)
 	}
+
+	res := <-ch
+	c.inflight.Add(-1)
+	resultChPool.Put(ch)
+	return c.finish(msgType, id, res, out)
 }
 
 // finish interprets one delivered call result.
-func (c *Conn) finish(msgType string, res callResult, out interface{}) error {
+func (c *Conn) finish(msgType string, id uint64, res callResult, out interface{}) error {
 	if res.err != nil {
 		return fmt.Errorf("wire: call %s: %w", msgType, res.err)
 	}
-	resp := res.env
-	if resp.Error != "" {
-		return &RemoteError{MsgType: msgType, Msg: resp.Error}
+	got, err := decodeResponse(*res.body, msgType, out)
+	putFrameBuf(res.body)
+	switch {
+	case err != nil && errors.Is(err, ErrBadFrame):
+		return c.fail(msgType, err)
+	case got != id:
+		// The ID read off the front of the body is not the one the whole
+		// envelope decodes to (a repeated key): the stream cannot be trusted.
+		return c.fail(msgType, fmt.Errorf("response id %d matches no pending call", got))
 	}
-	if out != nil {
-		return resp.Decode(out)
-	}
-	return nil
+	return err
 }
 
-// writeLoop serialises request frames onto the socket, draining whatever is
-// queued behind the first frame so a pipelined burst costs one syscall.
-// When more calls are in flight than the current burst covers, it yields the
-// processor once and re-drains before flushing: callers that were about to
-// enqueue get to run first and coalesce into the same write. Serial traffic
-// (one call in flight) never pays the yield.
+// fail poisons the connection from inside a call and returns that call's
+// error: what the call would have been delivered had another goroutine
+// poisoned the connection under it.
+func (c *Conn) fail(msgType string, cause error) error {
+	c.poison(cause)
+	return fmt.Errorf("wire: call %s: %w", msgType, &brokenError{cause: cause})
+}
+
+// writeLoop is the flusher: it takes whatever frames the callers have
+// encoded into the write buffer and issues them as one write. While more
+// calls are in flight than it has frames for, it first yields the processor
+// — again for as long as each yield brings more frames — so callers that
+// were about to encode get to run and share the syscall. Serial traffic
+// (one call in flight) never pays the yield. A caller writing its own frame
+// instead would find no write to join at GOMAXPROCS=1, where a write returns
+// before any other goroutine runs: every frame would get its own syscall.
 func (c *Conn) writeLoop() {
-	bw := bufio.NewWriterSize(c.nc, connBufSize)
+	var spare []byte
 	for {
 		select {
-		case env := <-c.writeCh:
-			if err := WriteFrame(bw, env); err != nil {
-				c.poison(err)
-				return
-			}
-			n := int32(1)
-			yielded := false
-		batch:
-			for {
-				select {
-				case env := <-c.writeCh:
-					if err := WriteFrame(bw, env); err != nil {
-						c.poison(err)
-						return
-					}
-					n++
-					yielded = false
-				default:
-					if yielded || c.inflight.Load() <= n || bw.Buffered() > connBufSize/2 {
-						break batch
-					}
-					runtime.Gosched()
-					yielded = true
-				}
-			}
-			if err := bw.Flush(); err != nil {
-				c.poison(err)
-				return
-			}
+		case <-c.wake:
 		case <-c.done:
 			return
+		}
+		for seen := int32(-1); ; runtime.Gosched() {
+			c.mu.Lock()
+			n, size := c.wframes, len(c.wbuf)
+			c.mu.Unlock()
+			if n == seen || c.inflight.Load() <= n || size > connBufSize/2 {
+				break
+			}
+			seen = n
+		}
+		c.mu.Lock()
+		buf, n := c.wbuf, c.wframes
+		c.wbuf, c.wframes = spare[:0], 0
+		// The spare is now the buffer being filled: were it kept, a write
+		// whose buffer is too big to keep would leave it to be taken twice,
+		// and callers would append over the bytes on the wire.
+		spare = nil
+		c.mu.Unlock()
+		if len(buf) == 0 {
+			continue
+		}
+		_, err := c.nc.Write(buf)
+		ConnIO.Writes.Add(1)
+		ConnIO.FramesOut.Add(int64(n))
+		if err != nil {
+			c.poison(fmt.Errorf("wire: write frame: %w", err))
+			return
+		}
+		if cap(buf) <= readBodyChunk {
+			spare = buf
 		}
 	}
 }
 
-// readLoop is the demultiplexer: the only reader of the socket. It matches
-// each response frame to its pending call by ID; a frame it cannot match
-// means the stream is desynchronised, which poisons the connection.
+// readLoop is the demultiplexer: the only reader of the socket. It reads
+// each response's ID (frameID) and hands the body, still encoded, to the
+// pending call of that ID, which decodes it; a frame it cannot match means
+// the stream is desynchronised, which poisons the connection.
 func (c *Conn) readLoop() {
-	br := bufio.NewReaderSize(c.nc, connBufSize)
+	br := bufio.NewReaderSize(countedReader{c.nc, &ConnIO.Reads}, connBufSize)
+	frames := int64(0)
+	defer func() { ConnIO.FramesIn.Add(frames) }()
 	for {
-		env, err := ReadFrame(br)
+		if br.Buffered() == 0 {
+			ConnIO.FramesIn.Add(frames)
+			frames = 0
+		}
+		bp, err := readFrameBody(br)
 		if err != nil {
 			c.poison(err)
 			return
 		}
+		frames++
+		id, err := frameID(*bp)
+		if err != nil {
+			putFrameBuf(bp)
+			c.poison(err)
+			return
+		}
 		c.mu.Lock()
-		ch, ok := c.pending[env.ID]
+		call, ok := c.pending[id]
 		if ok {
-			delete(c.pending, env.ID)
+			delete(c.pending, id)
 		}
 		c.mu.Unlock()
 		if !ok {
-			c.poison(fmt.Errorf("response id %d matches no pending call", env.ID))
+			putFrameBuf(bp)
+			c.poison(fmt.Errorf("response id %d matches no pending call", id))
 			return
 		}
-		ch <- callResult{env: env}
+		call.ch <- callResult{body: bp}
 	}
 }
 
+// armSweeperLocked sets the connection's deadline timer to go off at
+// deadline, which is in from now. Callers hold c.mu.
+func (c *Conn) armSweeperLocked(deadline, in time.Duration) {
+	c.sweepAt = deadline
+	if c.sweeper == nil {
+		c.sweeper = time.AfterFunc(in, c.sweep)
+	} else {
+		c.sweeper.Reset(in)
+	}
+}
+
+// sweep runs when the deadline timer goes off. The timer was set for what
+// was then the oldest pending call; that call has usually been answered
+// since, so sweep finds the call that is oldest now and re-arms for it, or
+// goes idle when no pending call has a deadline. One timer per connection,
+// reset once per timeout of steady traffic, replaces a timer per call. If
+// the oldest call's deadline has passed, the stream may still carry its
+// stale response later: the connection is poisoned.
+func (c *Conn) sweep() {
+	c.mu.Lock()
+	if c.broken {
+		c.mu.Unlock()
+		return
+	}
+	var oldestID uint64
+	var oldest pendingCall
+	for id, call := range c.pending {
+		if call.deadline != 0 && (oldest.deadline == 0 || call.deadline < oldest.deadline) {
+			oldestID, oldest = id, call
+		}
+	}
+	now := c.now()
+	if oldest.deadline == 0 || oldest.deadline > now {
+		c.sweepAt = 0
+		if oldest.deadline != 0 {
+			c.armSweeperLocked(oldest.deadline, oldest.deadline-now)
+		}
+		c.mu.Unlock()
+		return
+	}
+	// The call whose deadline expired fails with the bare timeout, every
+	// other pending call with the broken-connection error that carries it.
+	delete(c.pending, oldestID)
+	pending := c.breakLocked(fmt.Errorf("call %s: %w", oldest.msgType, os.ErrDeadlineExceeded))
+	c.mu.Unlock()
+	oldest.ch <- callResult{err: os.ErrDeadlineExceeded}
+	c.failAll(pending)
+}
+
 // poison marks the connection broken, closes the socket (waking the reader
-// and writer), and fails every pending call with an error that matches
+// and the flusher), and fails every pending call with an error that matches
 // ErrConnBroken while preserving cause for classification (IsTimeout).
 // Only the first cause wins; later calls are no-ops.
 func (c *Conn) poison(cause error) {
@@ -346,16 +458,30 @@ func (c *Conn) poison(cause error) {
 		c.mu.Unlock()
 		return
 	}
+	pending := c.breakLocked(cause)
+	c.mu.Unlock()
+	c.failAll(pending)
+}
+
+// breakLocked marks the connection broken under c.mu and returns the calls
+// that were pending, for failAll once the lock is released.
+func (c *Conn) breakLocked(cause error) map[uint64]pendingCall {
 	c.broken = true
 	c.cause = cause
 	pending := c.pending
 	c.pending = nil
+	if c.sweeper != nil {
+		c.sweeper.Stop()
+	}
 	close(c.done)
-	c.mu.Unlock()
+	return pending
+}
+
+func (c *Conn) failAll(pending map[uint64]pendingCall) {
 	_ = c.nc.Close()
-	res := callResult{err: &brokenError{cause: cause}}
-	for _, ch := range pending {
-		ch <- res // buffered; each pending call receives exactly one result
+	res := callResult{err: &brokenError{cause: c.cause}}
+	for _, call := range pending {
+		call.ch <- res // buffered; each pending call receives exactly one result
 	}
 }
 
@@ -363,141 +489,6 @@ func (c *Conn) poison(cause error) {
 func (c *Conn) SetDeadline(t time.Time) error { return c.nc.SetDeadline(t) }
 
 // Close closes the underlying connection. In-flight calls fail as the
-// reader and writer observe the closed socket and poison the connection.
+// reader and the flusher observe the closed socket and poison the
+// connection.
 func (c *Conn) Close() error { return c.nc.Close() }
-
-// Handler processes one request envelope and returns the response payload
-// or an error.
-type Handler func(env *Envelope) (interface{}, error)
-
-// DefaultServeWorkers bounds concurrent handler executions per connection:
-// enough that a slow Readdir does not head-of-line-block a Lookup behind it
-// on the same connection, small enough that one connection cannot flood the
-// process with goroutines.
-const DefaultServeWorkers = 8
-
-// Serve runs a per-connection serving loop with DefaultServeWorkers
-// concurrent handlers. It returns when the peer disconnects or a transport
-// error occurs.
-func Serve(nc net.Conn, h Handler) {
-	ServeWorkers(nc, h, DefaultServeWorkers)
-}
-
-// ServeWorkers runs a per-connection serving loop dispatching up to workers
-// requests concurrently: a read loop feeds a bounded worker pool, and a
-// response-writer goroutine serialises replies — batching bursts into
-// single writes. Responses may be written in any order; the multiplexed
-// client matches them by frame ID. A single worker preserves the old
-// strictly-serial dispatch order.
-func ServeWorkers(nc net.Conn, h Handler, workers int) {
-	if workers < 1 {
-		workers = 1
-	}
-	work := make(chan *Envelope, workers)
-	out := make(chan *Envelope, workers)
-	writerDone := make(chan struct{})
-	// queued counts requests read off the socket whose responses have not
-	// been written yet; the response writer uses it as a batching hint.
-	var queued atomic.Int64
-	go func() {
-		defer close(writerDone)
-		writeResponses(nc, out, &queued)
-	}()
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for env := range work {
-				out <- respond(h, env)
-			}
-		}()
-	}
-	br := bufio.NewReaderSize(nc, connBufSize)
-	for {
-		env, err := ReadFrame(br)
-		if err != nil {
-			break
-		}
-		queued.Add(1)
-		work <- env
-	}
-	close(work)
-	wg.Wait()
-	close(out)
-	<-writerDone
-}
-
-// respond runs the handler for one request and builds its response frame.
-// The response echoes both trace identifiers — ReqID ties it to the
-// end-to-end operation, Span names the hop that sent the request — so
-// single-connection packet captures correlate fully.
-func respond(h Handler, env *Envelope) *Envelope {
-	payload, herr := h(env)
-	var resp *Envelope
-	if herr != nil {
-		resp = ErrorEnvelope(env.ID, herr)
-	} else {
-		var err error
-		resp, err = NewEnvelope(env.ID, TypeOK, payload)
-		if err != nil {
-			resp = ErrorEnvelope(env.ID, err)
-		}
-	}
-	resp.ReqID = env.ReqID
-	resp.Span = env.Span
-	return resp
-}
-
-// writeResponses drains the response channel onto the socket, flushing once
-// per burst. While requests are still in the handler pipeline (queued > 0)
-// it yields the processor once and re-drains before flushing, so workers
-// finishing around the same time share a single write; a serial peer (one
-// request at a time) never pays the yield. On a write error it closes the
-// connection (unblocking the read loop) and keeps draining so no worker is
-// left blocked on the channel.
-func writeResponses(nc net.Conn, out <-chan *Envelope, queued *atomic.Int64) {
-	bw := bufio.NewWriterSize(nc, connBufSize)
-	for resp := range out {
-		if err := WriteFrame(bw, resp); err != nil {
-			drainResponses(nc, out)
-			return
-		}
-		queued.Add(-1)
-		yielded := false
-	batch:
-		for {
-			select {
-			case more, ok := <-out:
-				if !ok {
-					break batch
-				}
-				if err := WriteFrame(bw, more); err != nil {
-					drainResponses(nc, out)
-					return
-				}
-				queued.Add(-1)
-				yielded = false
-			default:
-				if yielded || queued.Load() == 0 || bw.Buffered() > connBufSize/2 {
-					break batch
-				}
-				runtime.Gosched()
-				yielded = true
-			}
-		}
-		if err := bw.Flush(); err != nil {
-			drainResponses(nc, out)
-			return
-		}
-	}
-	_ = bw.Flush()
-}
-
-// drainResponses force-closes the connection and consumes the rest of the
-// response stream after a write failure.
-func drainResponses(nc net.Conn, out <-chan *Envelope) {
-	_ = nc.Close()
-	for range out {
-	}
-}

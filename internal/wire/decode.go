@@ -2,6 +2,7 @@ package wire
 
 import (
 	"encoding/json"
+	"fmt"
 	"unicode/utf16"
 	"unicode/utf8"
 )
@@ -29,74 +30,154 @@ func decodeEnvelope(body []byte, env *Envelope) error {
 // with env in an undefined state — whenever the input strays from the
 // canonical envelope form; the caller then re-parses with encoding/json.
 func fastDecodeEnvelope(body []byte, env *Envelope) bool {
-	*env = Envelope{}
-	c := cursor{b: body}
-	c.ws()
-	if !c.eat('{') {
+	var f envelopeFields
+	if !f.parse(body) {
 		return false
 	}
-	c.ws()
-	if c.eat('}') {
-		return c.end()
+	*env = Envelope{
+		ID:    f.id,
+		Type:  string(f.typ),
+		ReqID: string(f.reqID),
+		Span:  string(f.span),
+		Error: string(f.errMsg),
 	}
-	for {
-		c.ws()
-		key, ok := c.str()
-		if !ok {
-			return false
-		}
-		c.ws()
-		if !c.eat(':') {
-			return false
-		}
-		c.ws()
-		switch key {
+	if f.payload != nil {
+		// Copy: the frame body may live in a pooled buffer.
+		env.Payload = append(make([]byte, 0, len(f.payload)), f.payload...)
+	}
+	return true
+}
+
+// envelopeFields is one frame envelope parsed with nothing copied: every
+// byte-slice field is a sub-slice of the frame body (or, for a string that
+// carried escapes, a fresh build-out), so it is valid only while the body
+// is. A duplicate key keeps its last value, as encoding/json does.
+type envelopeFields struct {
+	id                       uint64
+	typ, reqID, span, errMsg []byte
+	payload                  []byte // raw extent of the payload value; nil when absent
+}
+
+// parse fills f from one frame body. It reports false — with f in an
+// undefined state — for anything but the canonical envelope form, and has
+// validated the whole body, payload structure included, when it reports
+// true.
+func (f *envelopeFields) parse(body []byte) bool {
+	*f = envelopeFields{}
+	c := cursor{b: body}
+	ok := c.object(func(key []byte) bool {
+		var ok bool
+		switch string(key) {
 		case "id":
-			n, ok := c.uint()
-			if !ok {
-				return false
-			}
-			env.ID = n
+			f.id, ok = c.uint()
 		case "type":
-			s, ok := c.str()
-			if !ok {
-				return false
-			}
-			env.Type = s
+			f.typ, ok = c.strBytes()
 		case "reqId":
-			s, ok := c.str()
-			if !ok {
-				return false
-			}
-			env.ReqID = s
+			f.reqID, ok = c.strBytes()
 		case "span":
-			s, ok := c.str()
-			if !ok {
-				return false
-			}
-			env.Span = s
+			f.span, ok = c.strBytes()
 		case "error":
-			s, ok := c.str()
-			if !ok {
-				return false
-			}
-			env.Error = s
+			f.errMsg, ok = c.strBytes()
 		case "payload":
-			raw, ok := c.value()
-			if !ok {
-				return false
-			}
-			// Copy: the frame body may live in a pooled buffer.
-			env.Payload = append(make([]byte, 0, len(raw)), raw...)
-		default:
-			return false
+			f.payload, ok = c.value()
 		}
-		c.ws()
-		if c.eat(',') {
-			continue
-		}
-		return c.eat('}') && c.end()
+		return ok
+	})
+	return ok && c.end()
+}
+
+// decodeRequest is the serving loop's decode: env is filled from body in
+// place. Payload aliases body, so env is good only until the buffer behind
+// body is reused; Type is taken from intern when it names one of those ops,
+// which leaves ReqID and Span as the only allocations of a canonical frame.
+func decodeRequest(body []byte, env *Envelope, intern []string) error {
+	var f envelopeFields
+	if !f.parse(body) {
+		*env = Envelope{}
+		return json.Unmarshal(body, env)
 	}
+	*env = Envelope{
+		ID:      f.id,
+		Type:    internType(f.typ, intern),
+		ReqID:   string(f.reqID),
+		Span:    string(f.span),
+		Error:   string(f.errMsg),
+		Payload: f.payload,
+	}
+	return nil
+}
+
+func internType(typ []byte, intern []string) string {
+	for _, t := range intern {
+		if string(typ) == t {
+			return t
+		}
+	}
+	return string(typ)
+}
+
+// decodeResponse is the calling side's decode of the response body to its
+// call of msgType: the envelope is parsed in place and the payload decoded
+// from the body straight into out (which may be nil), so nothing the caller
+// does not keep is allocated — no Envelope, no copy of the payload, none of
+// the echoed type, reqId and span. It returns the frame's ID and what
+// ReadFrame, the RemoteError check and Envelope.Decode would have returned
+// for the same body: an error matching ErrBadFrame for a body that is not an
+// envelope, a *RemoteError for a failure the peer reported, a payload decode
+// error, or nil.
+func decodeResponse(body []byte, msgType string, out interface{}) (uint64, error) {
+	var f envelopeFields
+	if !f.parse(body) {
+		// Not the canonical form: encoding/json has the authoritative answer.
+		var env Envelope
+		if err := json.Unmarshal(body, &env); err != nil {
+			return 0, fmt.Errorf("%w: %v", ErrBadFrame, err)
+		}
+		f = envelopeFields{id: env.ID, typ: []byte(env.Type), errMsg: []byte(env.Error), payload: env.Payload}
+	}
+	if len(f.errMsg) > 0 {
+		return f.id, &RemoteError{MsgType: msgType, Msg: string(f.errMsg)}
+	}
+	if out == nil || len(f.payload) == 0 || fastUnmarshalPayload(f.payload, out) {
+		return f.id, nil
+	}
+	if err := json.Unmarshal(f.payload, out); err != nil {
+		return f.id, fmt.Errorf("wire: decode %s payload: %w", f.typ, err)
+	}
+	return f.id, nil
+}
+
+// frameID is the demultiplexer's read of a response body: only its ID, off
+// the front of the body when it opens the way appendEnvelope writes one, by
+// parsing the whole envelope otherwise. Either way the body goes to the
+// waiting call undecoded, and decodeResponse is the one decode it gets. The
+// error matches ErrBadFrame: the body is not an envelope.
+func frameID(body []byte) (uint64, error) {
+	if id, ok := peekFrameID(body); ok {
+		return id, nil
+	}
+	var f envelopeFields
+	if f.parse(body) {
+		return f.id, nil
+	}
+	var env Envelope
+	if err := json.Unmarshal(body, &env); err != nil {
+		return 0, fmt.Errorf("%w: %v", ErrBadFrame, err)
+	}
+	return env.ID, nil
+}
+
+// peekFrameID reads the frame ID off the front of a body written the way
+// appendEnvelope writes one, `{"id":N,`, without parsing the rest. It
+// reports false for any other opening.
+func peekFrameID(body []byte) (uint64, bool) {
+	const open = `{"id":`
+	if len(body) < len(open) || string(body[:len(open)]) != open {
+		return 0, false
+	}
+	c := cursor{b: body, i: len(open)}
+	id, ok := c.uint()
+	return id, ok && c.i < len(body) && (body[c.i] == ',' || body[c.i] == '}')
 }
 
 // cursor is a zero-allocation scanner over one frame body.
@@ -156,33 +237,45 @@ func (c *cursor) uint() (uint64, bool) {
 	return n, true
 }
 
-// str parses a JSON string literal into a Go string. The fast scan covers
-// the common escape-free case with one copy; escapes take the build-out
-// path below it.
+// str parses a JSON string literal into a Go string.
 func (c *cursor) str() (string, bool) {
+	b, ok := c.strBytes()
+	return string(b), ok
+}
+
+// strBytes parses a JSON string literal into its decoded bytes. The common
+// escape-free literal is returned in place, as a sub-slice of the frame
+// body that is valid only while the body is, and costs no allocation: how
+// object keys are matched, and how a caller that may not need a string at
+// all reads one. A literal with escapes takes the build-out path below the
+// fast scan.
+func (c *cursor) strBytes() ([]byte, bool) {
 	if !c.eat('"') {
-		return "", false
+		return nil, false
 	}
 	start := c.i
+	ascii := true
 	for c.i < len(c.b) {
 		ch := c.b[c.i]
 		if ch == '"' {
-			if !utf8.Valid(c.b[start:c.i]) {
+			if !ascii && !utf8.Valid(c.b[start:c.i]) {
 				// encoding/json coerces invalid UTF-8 to U+FFFD; decline so
 				// the fallback performs that rewrite with authority.
-				return "", false
+				return nil, false
 			}
-			s := string(c.b[start:c.i])
 			c.i++
-			return s, true
+			return c.b[start : c.i-1 : c.i-1], true
 		}
 		if ch == '\\' || ch < 0x20 {
 			break
 		}
+		if ch >= utf8.RuneSelf {
+			ascii = false
+		}
 		c.i++
 	}
 	if c.i >= len(c.b) || c.b[c.i] < 0x20 {
-		return "", false
+		return nil, false
 	}
 	sb := append(make([]byte, 0, len(c.b)-start), c.b[start:c.i]...)
 	for c.i < len(c.b) {
@@ -190,16 +283,16 @@ func (c *cursor) str() (string, bool) {
 		switch {
 		case ch == '"':
 			if !utf8.Valid(sb) {
-				return "", false // invalid raw UTF-8: fall back (see above)
+				return nil, false // invalid raw UTF-8: fall back (see above)
 			}
 			c.i++
-			return string(sb), true
+			return sb, true
 		case ch < 0x20:
-			return "", false
+			return nil, false
 		case ch == '\\':
 			c.i++
 			if c.i >= len(c.b) {
-				return "", false
+				return nil, false
 			}
 			e := c.b[c.i]
 			c.i++
@@ -219,7 +312,7 @@ func (c *cursor) str() (string, bool) {
 			case 'u':
 				r, ok := c.hex4()
 				if !ok {
-					return "", false
+					return nil, false
 				}
 				if utf16.IsSurrogate(rune(r)) {
 					// A high/low pair decodes to one rune; anything
@@ -229,7 +322,7 @@ func (c *cursor) str() (string, bool) {
 						c.i += 2
 						r2, ok := c.hex4()
 						if !ok {
-							return "", false
+							return nil, false
 						}
 						if dec := utf16.DecodeRune(rune(r), rune(r2)); dec != utf8.RuneError {
 							sb = utf8.AppendRune(sb, dec)
@@ -242,14 +335,14 @@ func (c *cursor) str() (string, bool) {
 				}
 				sb = utf8.AppendRune(sb, rune(r))
 			default:
-				return "", false
+				return nil, false
 			}
 		default:
 			sb = append(sb, ch)
 			c.i++
 		}
 	}
-	return "", false
+	return nil, false
 }
 
 // hex4 parses four hex digits of a \u escape.

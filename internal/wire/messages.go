@@ -277,6 +277,14 @@ type StatsResponse struct {
 	// Subtrees lists the subtree roots this server currently owns, so an
 	// offline checker (d2fsck) can prove no root is double-owned.
 	Subtrees []string `json:"subtrees,omitempty"`
+
+	// ServeIO counts the request frames this process's serving loops read
+	// and the response frames they wrote, beside the read and write syscalls
+	// that carried them: frames per syscall is how well pipelined bursts are
+	// gathered. ConnIO is the same for the calls the process itself makes
+	// (heartbeats, GL updates, transfers).
+	ServeIO IOSnapshot `json:"serveIo"`
+	ConnIO  IOSnapshot `json:"connIo"`
 }
 
 // MonitorStatsResponse reports coordinator-side counters and membership.
@@ -299,6 +307,10 @@ type MonitorStatsResponse struct {
 	// the cluster keeps running but a Monitor restart would lose journaled
 	// state since the failure.
 	JournalDegraded bool `json:"journalDegraded,omitempty"`
+	// ServeIO and ConnIO are the Monitor process's wire traffic, as in
+	// StatsResponse.
+	ServeIO IOSnapshot `json:"serveIo"`
+	ConnIO  IOSnapshot `json:"connIo"`
 }
 
 // MemberInfo is one row of the Monitor's member table.

@@ -15,80 +15,88 @@ import (
 // type — and any input these parsers do not recognise — takes the
 // encoding/json path, so observable behaviour is unchanged.
 
-// fastMarshalPayload encodes the hot request/response types. It reports
-// false for types it does not cover; NewEnvelope then falls back to
-// json.Marshal.
+// fastMarshalPayload encodes the hot request/response types into a buffer
+// of its own. It reports false for types it does not cover; NewEnvelope then
+// falls back to json.Marshal.
 func fastMarshalPayload(payload interface{}) ([]byte, bool) {
+	return appendPayload(make([]byte, 0, 128), payload)
+}
+
+// appendPayload appends the encoding of a hot request/response type to b:
+// how the calling and the serving side write a payload straight into a
+// connection's write buffer. For a type it does not cover it reports false
+// with b untouched.
+func appendPayload(b []byte, payload interface{}) ([]byte, bool) {
 	switch p := payload.(type) {
 	case *LookupRequest:
-		return appendPathObject(p.Path), true
+		return appendPathObject(b, p.Path), true
 	case *ReaddirRequest:
-		return appendPathObject(p.Path), true
+		return appendPathObject(b, p.Path), true
 	case *CreateRequest:
-		b := append(make([]byte, 0, len(p.Path)+32), `{"path":`...)
+		b = append(b, `{"path":`...)
 		b = appendJSONString(b, p.Path)
 		b = append(b, `,"kind":`...)
 		b = strconv.AppendInt(b, int64(p.Kind), 10)
 		return append(b, '}'), true
 	case *LookupResponse:
-		return appendLeasedEntry(p.Entry, p.Redirect, p.LeaseMS, p.IndexVer), true
+		return appendLeasedEntry(b, p.Entry, p.Redirect, p.LeaseMS, p.IndexVer), true
 	case *CreateResponse:
-		return appendLeasedEntry(p.Entry, p.Redirect, p.LeaseMS, p.IndexVer), true
+		return appendLeasedEntry(b, p.Entry, p.Redirect, p.LeaseMS, p.IndexVer), true
 	case *RevalidateRequest:
-		b := append(make([]byte, 0, len(p.Path)+40), `{"path":`...)
+		b = append(b, `{"path":`...)
 		b = appendJSONString(b, p.Path)
 		b = append(b, `,"version":`...)
 		b = strconv.AppendInt(b, p.Version, 10)
 		return append(b, '}'), true
 	case *RevalidateResponse:
-		return appendRevalidateResponse(p), true
+		return appendRevalidateResponse(b, p), true
 	case *ReaddirPlusRequest:
-		return appendPathObject(p.Path), true
+		return appendPathObject(b, p.Path), true
 	case *ReaddirPlusResponse:
-		return appendReaddirPlusResponse(p), true
+		return appendReaddirPlusResponse(b, p), true
 	case *CreateWithAttrsRequest:
-		return appendCreateWithAttrsRequest(p), true
+		return appendCreateWithAttrsRequest(b, p), true
 	case *CreateWithAttrsResponse:
-		return appendLeasedEntry(p.Entry, p.Redirect, p.LeaseMS, p.IndexVer), true
+		return appendLeasedEntry(b, p.Entry, p.Redirect, p.LeaseMS, p.IndexVer), true
 	case *BatchRequest:
-		return appendBatchRequest(p), true
+		return appendBatchRequest(b, p), true
 	case *BatchResponse:
-		return appendBatchResponse(p), true
+		return appendBatchResponse(b, p), true
 	}
-	return nil, false
+	return b, false
 }
 
-func appendPathObject(path string) []byte {
-	b := append(make([]byte, 0, len(path)+16), `{"path":`...)
+func appendPathObject(b []byte, path string) []byte {
+	b = append(b, `{"path":`...)
 	b = appendJSONString(b, path)
 	return append(b, '}')
 }
 
 // appendLeasedEntry encodes the lease-granting response shape
 // {entry?, redirect?, leaseMs?, indexVer?} with omitempty behaviour.
-func appendLeasedEntry(entry *Entry, redirect string, leaseMS, indexVer int64) []byte {
-	b := make([]byte, 0, 128)
+func appendLeasedEntry(b []byte, entry *Entry, redirect string, leaseMS, indexVer int64) []byte {
+	start := len(b)
 	b = append(b, '{')
 	if entry != nil {
 		b = append(b, `"entry":`...)
 		b = appendEntry(b, entry)
 	}
 	if redirect != "" {
-		if len(b) > 1 {
+		if len(b) > start+1 {
 			b = append(b, ',')
 		}
 		b = append(b, `"redirect":`...)
 		b = appendJSONString(b, redirect)
 	}
 	if leaseMS != 0 {
-		if len(b) > 1 {
+		if len(b) > start+1 {
 			b = append(b, ',')
 		}
 		b = append(b, `"leaseMs":`...)
 		b = strconv.AppendInt(b, leaseMS, 10)
 	}
 	if indexVer != 0 {
-		if len(b) > 1 {
+		if len(b) > start+1 {
 			b = append(b, ',')
 		}
 		b = append(b, `"indexVer":`...)
@@ -99,35 +107,35 @@ func appendLeasedEntry(entry *Entry, redirect string, leaseMS, indexVer int64) [
 
 // appendRevalidateResponse encodes {match?, entry?, leaseMs?, indexVer?,
 // redirect?} in struct tag order with omitempty behaviour.
-func appendRevalidateResponse(p *RevalidateResponse) []byte {
-	b := make([]byte, 0, 128)
+func appendRevalidateResponse(b []byte, p *RevalidateResponse) []byte {
+	start := len(b)
 	b = append(b, '{')
 	if p.Match {
 		b = append(b, `"match":true`...)
 	}
 	if p.Entry != nil {
-		if len(b) > 1 {
+		if len(b) > start+1 {
 			b = append(b, ',')
 		}
 		b = append(b, `"entry":`...)
 		b = appendEntry(b, p.Entry)
 	}
 	if p.LeaseMS != 0 {
-		if len(b) > 1 {
+		if len(b) > start+1 {
 			b = append(b, ',')
 		}
 		b = append(b, `"leaseMs":`...)
 		b = strconv.AppendInt(b, p.LeaseMS, 10)
 	}
 	if p.IndexVer != 0 {
-		if len(b) > 1 {
+		if len(b) > start+1 {
 			b = append(b, ',')
 		}
 		b = append(b, `"indexVer":`...)
 		b = strconv.AppendInt(b, p.IndexVer, 10)
 	}
 	if p.Redirect != "" {
-		if len(b) > 1 {
+		if len(b) > start+1 {
 			b = append(b, ',')
 		}
 		b = append(b, `"redirect":`...)
@@ -138,8 +146,8 @@ func appendRevalidateResponse(p *RevalidateResponse) []byte {
 
 // appendReaddirPlusResponse encodes {entries?, redirect?, dirVersion?,
 // leaseMs?, indexVer?} in struct tag order with omitempty behaviour.
-func appendReaddirPlusResponse(p *ReaddirPlusResponse) []byte {
-	b := make([]byte, 0, 64+len(p.Entries)*64)
+func appendReaddirPlusResponse(b []byte, p *ReaddirPlusResponse) []byte {
+	start := len(b)
 	b = append(b, '{')
 	if len(p.Entries) > 0 {
 		b = append(b, `"entries":[`...)
@@ -152,28 +160,28 @@ func appendReaddirPlusResponse(p *ReaddirPlusResponse) []byte {
 		b = append(b, ']')
 	}
 	if p.Redirect != "" {
-		if len(b) > 1 {
+		if len(b) > start+1 {
 			b = append(b, ',')
 		}
 		b = append(b, `"redirect":`...)
 		b = appendJSONString(b, p.Redirect)
 	}
 	if p.DirVersion != 0 {
-		if len(b) > 1 {
+		if len(b) > start+1 {
 			b = append(b, ',')
 		}
 		b = append(b, `"dirVersion":`...)
 		b = strconv.AppendInt(b, p.DirVersion, 10)
 	}
 	if p.LeaseMS != 0 {
-		if len(b) > 1 {
+		if len(b) > start+1 {
 			b = append(b, ',')
 		}
 		b = append(b, `"leaseMs":`...)
 		b = strconv.AppendInt(b, p.LeaseMS, 10)
 	}
 	if p.IndexVer != 0 {
-		if len(b) > 1 {
+		if len(b) > start+1 {
 			b = append(b, ',')
 		}
 		b = append(b, `"indexVer":`...)
@@ -183,8 +191,8 @@ func appendReaddirPlusResponse(p *ReaddirPlusResponse) []byte {
 }
 
 // appendCreateWithAttrsRequest encodes {path, kind, size?, mode?}.
-func appendCreateWithAttrsRequest(p *CreateWithAttrsRequest) []byte {
-	b := append(make([]byte, 0, len(p.Path)+48), `{"path":`...)
+func appendCreateWithAttrsRequest(b []byte, p *CreateWithAttrsRequest) []byte {
+	b = append(b, `{"path":`...)
 	b = appendJSONString(b, p.Path)
 	b = append(b, `,"kind":`...)
 	b = strconv.AppendInt(b, int64(p.Kind), 10)
@@ -201,8 +209,8 @@ func appendCreateWithAttrsRequest(p *CreateWithAttrsRequest) []byte {
 
 // appendBatchRequest encodes {ops, hotPaths?}. Ops has no omitempty: a nil
 // slice encodes as null, matching encoding/json.
-func appendBatchRequest(p *BatchRequest) []byte {
-	b := append(make([]byte, 0, 32+len(p.Ops)*64), `{"ops":`...)
+func appendBatchRequest(b []byte, p *BatchRequest) []byte {
+	b = append(b, `{"ops":`...)
 	if p.Ops == nil {
 		b = append(b, "null"...)
 	} else {
@@ -269,8 +277,8 @@ func appendBatchOp(b []byte, op *BatchOp) []byte {
 
 // appendBatchResponse encodes {results}. Like ops, no omitempty: nil
 // encodes as null.
-func appendBatchResponse(p *BatchResponse) []byte {
-	b := append(make([]byte, 0, 32+len(p.Results)*96), `{"results":`...)
+func appendBatchResponse(b []byte, p *BatchResponse) []byte {
+	b = append(b, `{"results":`...)
 	if p.Results == nil {
 		b = append(b, "null"...)
 	} else {
@@ -389,8 +397,8 @@ func fastUnmarshalPayload(data []byte, out interface{}) bool {
 func decodeReaddirPlusResponse(data []byte, resp *ReaddirPlusResponse) bool {
 	c := cursor{b: data}
 	seenEntries := false
-	return c.object(func(c *cursor, key string) bool {
-		switch key {
+	return c.object(func(key []byte) bool {
+		switch string(key) {
 		case "entries":
 			// A repeated slice key would make encoding/json merge new
 			// elements into the old ones field-by-field; decline rather
@@ -411,7 +419,7 @@ func decodeReaddirPlusResponse(data []byte, resp *ReaddirPlusResponse) bool {
 			if entries == nil {
 				entries = []Entry{}
 			}
-			ok := c.list(func(c *cursor) bool {
+			ok := c.list(func() bool {
 				var e Entry
 				if !c.entry(&e) {
 					return false
@@ -456,8 +464,8 @@ func decodeReaddirPlusResponse(data []byte, resp *ReaddirPlusResponse) bool {
 
 func decodeCreateWithAttrsRequest(data []byte, req *CreateWithAttrsRequest) bool {
 	c := cursor{b: data}
-	return c.object(func(c *cursor, key string) bool {
-		switch key {
+	return c.object(func(key []byte) bool {
+		switch string(key) {
 		case "path":
 			s, ok := c.str()
 			if !ok {
@@ -492,8 +500,8 @@ func decodeCreateWithAttrsRequest(data []byte, req *CreateWithAttrsRequest) bool
 func decodeBatchRequest(data []byte, req *BatchRequest) bool {
 	c := cursor{b: data}
 	seenOps := false
-	return c.object(func(c *cursor, key string) bool {
-		switch key {
+	return c.object(func(key []byte) bool {
+		switch string(key) {
 		case "ops":
 			if seenOps {
 				return false // repeated slice key: decline (see entries)
@@ -510,7 +518,7 @@ func decodeBatchRequest(data []byte, req *BatchRequest) bool {
 			if ops == nil {
 				ops = []BatchOp{}
 			}
-			ok := c.list(func(c *cursor) bool {
+			ok := c.list(func() bool {
 				var op BatchOp
 				if !c.batchOp(&op) {
 					return false
@@ -533,12 +541,12 @@ func decodeBatchRequest(data []byte, req *BatchRequest) bool {
 			if req.HotPaths == nil {
 				req.HotPaths = make(map[string]int64)
 			}
-			return c.object(func(c *cursor, key string) bool {
+			return c.object(func(key []byte) bool {
 				n, ok := c.int()
 				if !ok {
 					return false
 				}
-				req.HotPaths[key] = n
+				req.HotPaths[string(key)] = n
 				return true
 			})
 		default:
@@ -549,8 +557,8 @@ func decodeBatchRequest(data []byte, req *BatchRequest) bool {
 }
 
 func (c *cursor) batchOp(op *BatchOp) bool {
-	return c.object(func(c *cursor, key string) bool {
-		switch key {
+	return c.object(func(key []byte) bool {
+		switch string(key) {
 		case "op":
 			s, ok := c.str()
 			if !ok {
@@ -597,8 +605,8 @@ func (c *cursor) batchOp(op *BatchOp) bool {
 func decodeBatchResponse(data []byte, resp *BatchResponse) bool {
 	c := cursor{b: data}
 	seenResults := false
-	return c.object(func(c *cursor, key string) bool {
-		if key != "results" {
+	return c.object(func(key []byte) bool {
+		if string(key) != "results" {
 			return false
 		}
 		if seenResults {
@@ -616,7 +624,7 @@ func decodeBatchResponse(data []byte, resp *BatchResponse) bool {
 		if results == nil {
 			results = []BatchResult{}
 		}
-		ok := c.list(func(c *cursor) bool {
+		ok := c.list(func() bool {
 			var res BatchResult
 			if !c.batchResult(&res) {
 				return false
@@ -633,8 +641,8 @@ func decodeBatchResponse(data []byte, resp *BatchResponse) bool {
 }
 
 func (c *cursor) batchResult(res *BatchResult) bool {
-	return c.object(func(c *cursor, key string) bool {
-		switch key {
+	return c.object(func(key []byte) bool {
+		switch string(key) {
 		case "entry":
 			if c.i < len(c.b) && c.b[c.i] == 'n' {
 				if !c.lit("null") {
@@ -686,8 +694,8 @@ func (c *cursor) batchResult(res *BatchResult) bool {
 
 func decodePathObject(data []byte, path *string) bool {
 	c := cursor{b: data}
-	return c.object(func(c *cursor, key string) bool {
-		if key != "path" {
+	return c.object(func(key []byte) bool {
+		if string(key) != "path" {
 			return false
 		}
 		s, ok := c.str()
@@ -701,8 +709,8 @@ func decodePathObject(data []byte, path *string) bool {
 
 func decodeCreateRequest(data []byte, req *CreateRequest) bool {
 	c := cursor{b: data}
-	return c.object(func(c *cursor, key string) bool {
-		switch key {
+	return c.object(func(key []byte) bool {
+		switch string(key) {
 		case "path":
 			s, ok := c.str()
 			if !ok {
@@ -729,8 +737,8 @@ func decodeCreateRequest(data []byte, req *CreateRequest) bool {
 // ignoring them — with authority).
 func decodeLeasedEntry(data []byte, entry **Entry, redirect *string, leaseMS, indexVer *int64) bool {
 	c := cursor{b: data}
-	return c.object(func(c *cursor, key string) bool {
-		switch key {
+	return c.object(func(key []byte) bool {
+		switch string(key) {
 		case "entry":
 			if c.i < len(c.b) && c.b[c.i] == 'n' {
 				if !c.lit("null") {
@@ -777,8 +785,8 @@ func decodeLeasedEntry(data []byte, entry **Entry, redirect *string, leaseMS, in
 
 func decodeRevalidateRequest(data []byte, req *RevalidateRequest) bool {
 	c := cursor{b: data}
-	return c.object(func(c *cursor, key string) bool {
-		switch key {
+	return c.object(func(key []byte) bool {
+		switch string(key) {
 		case "path":
 			s, ok := c.str()
 			if !ok {
@@ -800,8 +808,8 @@ func decodeRevalidateRequest(data []byte, req *RevalidateRequest) bool {
 
 func decodeRevalidateResponse(data []byte, resp *RevalidateResponse) bool {
 	c := cursor{b: data}
-	return c.object(func(c *cursor, key string) bool {
-		switch key {
+	return c.object(func(key []byte) bool {
+		switch string(key) {
 		case "match":
 			v, ok := c.boolVal()
 			if !ok {
@@ -859,8 +867,8 @@ func (c *cursor) boolVal() (bool, bool) {
 }
 
 func (c *cursor) entry(e *Entry) bool {
-	return c.object(func(c *cursor, key string) bool {
-		switch key {
+	return c.object(func(key []byte) bool {
+		switch string(key) {
 		case "path":
 			s, ok := c.str()
 			if !ok {
@@ -899,11 +907,15 @@ func (c *cursor) entry(e *Entry) bool {
 }
 
 // object walks one JSON object, invoking field for each key with the cursor
-// positioned at the value. field returns false to bail to the fallback
-// (unknown key, wrong value type). After the value, the cursor must sit on
+// positioned at the value. The key is matched in place (`switch string(key)`
+// does not allocate): it is a sub-slice of the body unless it carried an
+// escape, and must not be kept. field returns false to bail to the fallback
+// (unknown key, wrong value type). It reads the value through the cursor it
+// closes over: a callback handed the cursor as an argument would force every
+// cursor onto the heap. After the value, the cursor must sit on
 // ',' or '}' — a value field only partially consumed (e.g. the integer part
 // of a float) fails that check and falls back, exactly as intended.
-func (c *cursor) object(field func(*cursor, string) bool) bool {
+func (c *cursor) object(field func(key []byte) bool) bool {
 	c.ws()
 	if !c.eat('{') {
 		return false
@@ -914,7 +926,7 @@ func (c *cursor) object(field func(*cursor, string) bool) bool {
 	}
 	for {
 		c.ws()
-		key, ok := c.str()
+		key, ok := c.strBytes()
 		if !ok {
 			return false
 		}
@@ -923,7 +935,7 @@ func (c *cursor) object(field func(*cursor, string) bool) bool {
 			return false
 		}
 		c.ws()
-		if !field(c, key) {
+		if !field(key) {
 			return false
 		}
 		c.ws()
@@ -936,7 +948,7 @@ func (c *cursor) object(field func(*cursor, string) bool) bool {
 
 // list walks one JSON array, invoking elem with the cursor positioned at each
 // element. elem must consume exactly one value.
-func (c *cursor) list(elem func(*cursor) bool) bool {
+func (c *cursor) list(elem func() bool) bool {
 	c.ws()
 	if !c.eat('[') {
 		return false
@@ -947,7 +959,7 @@ func (c *cursor) list(elem func(*cursor) bool) bool {
 	}
 	for {
 		c.ws()
-		if !elem(c) {
+		if !elem() {
 			return false
 		}
 		c.ws()

@@ -181,6 +181,7 @@ var framePool = sync.Pool{
 
 func putFrameBuf(bp *[]byte) {
 	if cap(*bp) <= readBodyChunk {
+		*bp = (*bp)[:0]
 		framePool.Put(bp)
 	}
 }
@@ -193,23 +194,31 @@ func putFrameBuf(bp *[]byte) {
 // already-encoded Payload a second time.
 func WriteFrame(w io.Writer, env *Envelope) error {
 	bp := framePool.Get().(*[]byte)
-	buf := append((*bp)[:0], 0, 0, 0, 0) // room for the length prefix
-	buf, err := appendEnvelope(buf, env)
-	if err == nil && len(buf)-4 > MaxFrameSize {
-		err = fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, len(buf)-4)
+	buf, err := appendEnvelope(beginFrame((*bp)[:0]), env)
+	if err == nil {
+		err = endFrame(buf, 0)
 	}
-	if err != nil {
-		*bp = buf[:0]
-		putFrameBuf(bp)
-		return err
+	if err == nil {
+		_, err = w.Write(buf)
+		if err != nil {
+			err = fmt.Errorf("wire: write frame: %w", err)
+		}
 	}
-	binary.BigEndian.PutUint32(buf[:4], uint32(len(buf)-4))
-	_, werr := w.Write(buf)
-	*bp = buf[:0]
+	*bp = buf // keep the buffer if encoding grew it
 	putFrameBuf(bp)
-	if werr != nil {
-		return fmt.Errorf("wire: write frame: %w", werr)
+	return err
+}
+
+// beginFrame appends the room for a frame's length prefix; the body follows,
+// and endFrame, given the offset the frame began at, fills the prefix in.
+func beginFrame(buf []byte) []byte { return append(buf, 0, 0, 0, 0) }
+
+func endFrame(buf []byte, start int) error {
+	size := len(buf) - start - 4
+	if size > MaxFrameSize {
+		return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, size)
 	}
+	binary.BigEndian.PutUint32(buf[start:], uint32(size))
 	return nil
 }
 
@@ -219,18 +228,7 @@ func WriteFrame(w io.Writer, env *Envelope) error {
 // Payload is appended verbatim after a validity check instead of being
 // round-tripped through a second marshal.
 func appendEnvelope(buf []byte, env *Envelope) ([]byte, error) {
-	buf = append(buf, `{"id":`...)
-	buf = strconv.AppendUint(buf, env.ID, 10)
-	buf = append(buf, `,"type":`...)
-	buf = appendJSONString(buf, env.Type)
-	if env.ReqID != "" {
-		buf = append(buf, `,"reqId":`...)
-		buf = appendJSONString(buf, env.ReqID)
-	}
-	if env.Span != "" {
-		buf = append(buf, `,"span":`...)
-		buf = appendJSONString(buf, env.Span)
-	}
+	buf = appendEnvelopeHead(buf, env.ID, env.Type, env.ReqID, env.Span)
 	if env.Error != "" {
 		buf = append(buf, `,"error":`...)
 		buf = appendJSONString(buf, env.Error)
@@ -243,6 +241,54 @@ func appendEnvelope(buf []byte, env *Envelope) ([]byte, error) {
 		buf = append(buf, env.Payload...)
 	}
 	return append(buf, '}'), nil
+}
+
+// appendEnvelopeHead encodes an envelope up to and including its span: what
+// every way of writing one shares.
+func appendEnvelopeHead(buf []byte, id uint64, msgType, reqID, span string) []byte {
+	buf = append(buf, `{"id":`...)
+	buf = strconv.AppendUint(buf, id, 10)
+	buf = append(buf, `,"type":`...)
+	buf = appendJSONString(buf, msgType)
+	if reqID != "" {
+		buf = append(buf, `,"reqId":`...)
+		buf = appendJSONString(buf, reqID)
+	}
+	if span != "" {
+		buf = append(buf, `,"span":`...)
+		buf = appendJSONString(buf, span)
+	}
+	return buf
+}
+
+// appendMessage encodes a whole envelope around payload (nil for none)
+// straight onto buf, byte for byte what NewEnvelope followed by
+// appendEnvelope writes, with no Envelope and no payload buffer in between.
+// A payload type with a hand codec allocates nothing.
+func appendMessage(buf []byte, id uint64, msgType, reqID, span string, payload interface{}) ([]byte, error) {
+	buf = appendEnvelopeHead(buf, id, msgType, reqID, span)
+	if payload != nil {
+		buf = append(buf, `,"payload":`...)
+		var ok bool
+		if buf, ok = appendPayload(buf, payload); !ok {
+			raw, err := json.Marshal(payload)
+			if err != nil {
+				return buf, fmt.Errorf("wire: marshal %s payload: %w", msgType, err)
+			}
+			buf = append(buf, raw...)
+		}
+	}
+	return append(buf, '}'), nil
+}
+
+// appendErrorMessage encodes the error response ErrorEnvelope builds.
+func appendErrorMessage(buf []byte, id uint64, reqID, span string, err error) []byte {
+	buf = appendEnvelopeHead(buf, id, TypeError, reqID, span)
+	if msg := err.Error(); msg != "" {
+		buf = append(buf, `,"error":`...)
+		buf = appendJSONString(buf, msg)
+	}
+	return append(buf, '}')
 }
 
 const hexDigits = "0123456789abcdef"
@@ -281,55 +327,63 @@ func appendJSONString(buf []byte, s string) []byte {
 
 // ReadFrame reads one envelope from r.
 func ReadFrame(r io.Reader) (*Envelope, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	bp, err := readFrameBody(r)
+	if err != nil {
+		return nil, err
+	}
+	// decodeEnvelope copies what it keeps out of the body (json.RawMessage
+	// appends into its own backing array), so the buffer can be recycled as
+	// soon as decoding finishes.
+	var env Envelope
+	err = decodeEnvelope(*bp, &env)
+	putFrameBuf(bp)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadFrame, err)
+	}
+	return &env, nil
+}
+
+// readFrameBody reads one frame off r and returns its body in a buffer the
+// caller owns and hands back with putFrameBuf. Common-size bodies land in a
+// pooled buffer, the length prefix included, so reading a frame allocates
+// nothing.
+func readFrameBody(r io.Reader) (*[]byte, error) {
+	bp := framePool.Get().(*[]byte)
+	hdr := (*bp)[:4]
+	if _, err := io.ReadFull(r, hdr); err != nil {
+		putFrameBuf(bp)
 		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
 			return nil, io.EOF
 		}
 		return nil, fmt.Errorf("wire: read frame header: %w", err)
 	}
-	size := binary.BigEndian.Uint32(hdr[:])
+	size := binary.BigEndian.Uint32(hdr)
 	if size > MaxFrameSize {
+		putFrameBuf(bp)
 		return nil, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, size)
 	}
-	// Common-size bodies land in a pooled buffer: json.Unmarshal copies the
-	// Payload bytes out of it (json.RawMessage appends into its own backing
-	// array), so the buffer can be recycled as soon as decoding finishes.
-	var body []byte
-	var bp *[]byte
 	if int(size) <= readBodyChunk {
-		bp = framePool.Get().(*[]byte)
 		if cap(*bp) < int(size) {
 			*bp = make([]byte, 0, int(size))
 		}
-		body = (*bp)[:size]
-		if _, err := io.ReadFull(r, body); err != nil {
-			*bp = body[:0]
+		*bp = (*bp)[:size]
+		if _, err := io.ReadFull(r, *bp); err != nil {
 			putFrameBuf(bp)
 			return nil, fmt.Errorf("wire: read frame body: %w", bodyEOF(err))
 		}
-	} else {
-		// The length prefix is peer-controlled: past the pooled-chunk size,
-		// grow the buffer as bytes actually arrive instead of trusting the
-		// header with an up-front allocation, so a corrupt or hostile 4-byte
-		// prefix cannot pin MaxFrameSize of memory on a connection that then
-		// stalls or closes.
-		var err error
-		body, err = readBody(r, int(size))
-		if err != nil {
-			return nil, fmt.Errorf("wire: read frame body: %w", err)
-		}
+		return bp, nil
 	}
-	var env Envelope
-	err := decodeEnvelope(body, &env)
-	if bp != nil {
-		*bp = body[:0]
-		putFrameBuf(bp)
-	}
+	// The length prefix is peer-controlled: past the pooled-chunk size,
+	// grow the buffer as bytes actually arrive instead of trusting the
+	// header with an up-front allocation, so a corrupt or hostile 4-byte
+	// prefix cannot pin MaxFrameSize of memory on a connection that then
+	// stalls or closes.
+	putFrameBuf(bp)
+	body, err := readBody(r, int(size))
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadFrame, err)
+		return nil, fmt.Errorf("wire: read frame body: %w", err)
 	}
-	return &env, nil
+	return &body, nil
 }
 
 // readBodyChunk caps each allocation step while reading a frame body.
