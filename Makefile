@@ -51,11 +51,14 @@ bench-index:
 	$(GO) test -run '^$$' -bench 'ReaddirPlus(Store|Index)Size|ClientReaddirPlus|LookupHit' -benchtime 1x ./internal/server/ ./internal/client/
 
 # One iteration of the wire benchmarks, so they cannot rot: the two-step
-# frame round trip, and a lookup over loopback through Conn.Call and the
+# frame round trip, a lookup over loopback through Conn.Call and the
 # serving loop at 1 and 16 callers, handler inline and on its own goroutine
-# (allocs/op for the whole round trip, frames per write on both sides).
+# (allocs/op for the whole round trip, frames per write on both sides), and
+# a setattr through a client, an in-process MDS with a WAL and the Monitor,
+# local layer and global (allocs/op for all three, encoding/json fallbacks
+# per op, which must read 0). For numbers: -cpu 1 -benchtime 2000x.
 bench-wire:
-	$(GO) test -run '^$$' -bench 'FrameRoundTrip|EchoInproc' -benchtime 1x ./internal/wire/
+	$(GO) test -run '^$$' -bench 'FrameRoundTrip|EchoInproc|SetAttrInproc' -benchtime 1x ./internal/wire/ ./internal/server/
 
 # The full gate: what ci.sh runs.
 check: build lint race-obs race-rpc race bench-test bench-index bench-wire

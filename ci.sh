@@ -35,9 +35,10 @@ go test -race ./...
 # hit through Client.Lookup (`make bench-index`).
 go test -run '^$' -bench 'ReaddirPlus(Store|Index)Size|ClientReaddirPlus|LookupHit' -benchtime 1x ./internal/server/ ./internal/client/
 
-# And of the wire benchmarks (`make bench-wire`): the frame round trip and a
-# lookup over loopback through Conn.Call and the serving loop.
-go test -run '^$' -bench 'FrameRoundTrip|EchoInproc' -benchtime 1x ./internal/wire/
+# And of the wire benchmarks (`make bench-wire`): the frame round trip, a
+# lookup over loopback through Conn.Call and the serving loop, and a setattr
+# through a client, an in-process MDS and the Monitor.
+go test -run '^$' -bench 'FrameRoundTrip|EchoInproc|SetAttrInproc' -benchtime 1x ./internal/wire/ ./internal/server/
 
 # bench/ is a module of its own, so the ./... patterns above do not descend
 # into it: vet and test the benchmark harness too.

@@ -1,8 +1,7 @@
 // Cluster: boot a real TCP D2-Tree cluster on loopback — one Monitor and
 // three metadata servers — then drive it with the client library: path
 // lookups routed by the cached local index, a local-layer create, a
-// global-layer update serialised through the lock service, and per-server
-// statistics.
+// global-layer update ordered by the Monitor, and per-server statistics.
 //
 //	go run ./examples/cluster
 package main
@@ -99,8 +98,8 @@ func run() error {
 	}
 	fmt.Printf("\ncreated local-layer file %s (version %d)\n", created.Path, created.Version)
 
-	// A global-layer update serialises through the Monitor's lock service
-	// and propagates to every replica via heartbeats.
+	// A global-layer update is forwarded to the Monitor, which orders it
+	// against every other, and propagates to the replicas via heartbeats.
 	updated, err := c.SetAttr("/", 0, 0o755)
 	if err != nil {
 		return err

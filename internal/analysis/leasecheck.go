@@ -127,6 +127,12 @@ func (a *LeaseCheck) checkWireStructs(r *reporter, pkg *Package) map[string]bool
 			return true
 		})
 	}
+	// A lease-carrying response is one under every name it goes by.
+	for alias, target := range typeAliases(pkg) {
+		if leased[target] {
+			leased[alias] = true
+		}
+	}
 	return leased
 }
 

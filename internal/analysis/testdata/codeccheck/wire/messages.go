@@ -31,6 +31,16 @@ type StatRequest struct {
 	Path string `json:"path"`
 }
 
+// TouchRequest's codec forgets the mode field, and both switches name it
+// through its alias: the drift is found under the name the codec uses.
+type TouchRequest struct {
+	Path string `json:"path"`
+	Mode int64  `json:"mode"`
+}
+
+// ChmodRequest is TouchRequest as the codec switches know it.
+type ChmodRequest = TouchRequest
+
 // SlowRequest has no fast codec at all: exempt, rides encoding/json.
 type SlowRequest struct {
 	Path string `json:"path"`

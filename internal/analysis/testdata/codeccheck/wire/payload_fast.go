@@ -20,6 +20,9 @@ func fastMarshalPayload(payload interface{}) ([]byte, bool) {
 		// Drift: "extra" is not a field of StatRequest.
 		b = append(b[:len(b)-1], `,"extra":1}`...)
 		return b, true
+	case *ChmodRequest:
+		// Drift behind an alias: TouchRequest also declares "mode".
+		return appendPath(p.Path), true
 	}
 	return nil, false
 }
@@ -46,6 +49,8 @@ func fastUnmarshalPayload(data []byte, out interface{}) bool {
 		return decodePut(data, o)
 	case *GetResponse:
 		return decodeGetResponse(data, o)
+	case *ChmodRequest:
+		return decodePath(data, &o.Path)
 	}
 	return false
 }

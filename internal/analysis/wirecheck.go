@@ -63,10 +63,13 @@ type namedStruct struct {
 	file string // basename of the declaring file
 }
 
+// collectStructs maps every struct type declared in pkg by name, and every
+// alias of one (`type LookupResponse = EntryResponse`) to the struct it
+// stands for: the rules key on names, and a message may be named through
+// either.
 func collectStructs(pkg *Package) map[string]*namedStruct {
 	out := make(map[string]*namedStruct)
-	for i, f := range pkg.Files {
-		_ = i
+	for _, f := range pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			ts, ok := n.(*ast.TypeSpec)
 			if !ok {
@@ -80,6 +83,28 @@ func collectStructs(pkg *Package) map[string]*namedStruct {
 			return true
 		})
 	}
+	for alias, target := range typeAliases(pkg) {
+		if ns := out[target]; ns != nil {
+			out[alias] = ns
+		}
+	}
+	return out
+}
+
+// typeAliases maps each alias pkg declares for one of its own types
+// (`type A = B`) to B.
+func typeAliases(pkg *Package) map[string]string {
+	out := make(map[string]string)
+	for _, f := range pkg.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			if ts, ok := n.(*ast.TypeSpec); ok && ts.Assign.IsValid() {
+				if target, ok := ts.Type.(*ast.Ident); ok {
+					out[ts.Name.Name] = target.Name
+				}
+			}
+			return true
+		})
+	}
 	return out
 }
 
@@ -90,8 +115,8 @@ func (a *WireCheck) checkJSONTags(r *reporter, m *Module, pkg *Package, structs 
 	var work []string
 	seen := make(map[string]bool)
 	for name, ns := range structs {
-		if !ast.IsExported(name) {
-			continue
+		if !ast.IsExported(name) || name != ns.name {
+			continue // unexported, or an alias: the struct is checked under its own name
 		}
 		file := filepath.Base(m.Fset.Position(ns.st.Pos()).Filename)
 		if file == a.MessagesFile {

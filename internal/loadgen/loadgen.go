@@ -2,8 +2,7 @@
 // the in-repo counterpart of the paper's 200-client EC2 experiment. A fixed
 // population of closed-loop clients replays metadata operations through the
 // client library (cached-index routing, redirects, GL updates through the
-// lock service) while per-operation latencies and error counts are
-// recorded.
+// Monitor) while per-operation latencies and error counts are recorded.
 package loadgen
 
 import (

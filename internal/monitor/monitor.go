@@ -1,6 +1,6 @@
 // Package monitor implements the cluster Monitor of Sec. IV-A3: it accepts
 // MDS registrations and periodic heartbeats, maintains the authoritative
-// global layer (serialising updates through the lock service), owns the
+// global layer (serialising updates under its own mutex), owns the
 // local index mapping subtree roots to servers, runs the pending-pool
 // dynamic adjustment, and detects MDS failure and arrival. Which subtrees
 // move where is decided by internal/core, as in the simulator; the Monitor
@@ -24,7 +24,6 @@ import (
 	"time"
 
 	"d2tree/internal/core"
-	"d2tree/internal/locksvc"
 	"d2tree/internal/namespace"
 	"d2tree/internal/obs"
 	"d2tree/internal/partition"
@@ -117,10 +116,9 @@ type pin struct {
 // Monitor is the cluster coordinator. Construct with New, start with
 // Start, stop with Close.
 type Monitor struct {
-	cfg   Config
-	tree  *namespace.Tree
-	d2    *core.D2Tree
-	locks *locksvc.Service
+	cfg  Config
+	tree *namespace.Tree
+	d2   *core.D2Tree
 	// ln is set once in Start before any goroutine can observe it and is
 	// read-only thereafter (Close's ln.Close is safe concurrently with
 	// Accept), so it lives outside mu's guard.
@@ -194,7 +192,6 @@ func New(t *namespace.Tree, cfg Config) (*Monitor, error) {
 		cfg:          cfg,
 		tree:         t,
 		d2:           d2,
-		locks:        locksvc.New(),
 		glEntries:    make(map[string]*wire.Entry),
 		index:        make(map[string]string),
 		subtreeOwner: make(map[string]int),
@@ -441,8 +438,8 @@ func (m *Monitor) acceptLoop() {
 				m.mu.Unlock()
 			}()
 			// The two reads a client makes are answered by the connection's
-			// reader; joins, heartbeats, GL updates and the lock service may
-			// wait on the journal.
+			// reader; joins, heartbeats and GL updates may wait on the
+			// journal.
 			wire.ServeInline(nc, m.handle, wire.DefaultServeWorkers,
 				wire.TypeClusterInfo, wire.TypeMonitorStats)
 		}()
@@ -522,25 +519,6 @@ func (m *Monitor) dispatch(env *wire.Envelope) (interface{}, string, error) {
 		}
 		resp, err := m.handleObsDump(&req)
 		return resp, "", err
-	case wire.TypeLockAcquire:
-		var req wire.LockRequest
-		if err := env.Decode(&req); err != nil {
-			return nil, "", err
-		}
-		ok, err := m.locks.Acquire(req.Name, req.Owner, time.Duration(req.LeaseMS)*time.Millisecond)
-		if err != nil {
-			return nil, "", err
-		}
-		return &wire.LockResponse{Granted: ok}, req.Name, nil
-	case wire.TypeLockRelease:
-		var req wire.LockRequest
-		if err := env.Decode(&req); err != nil {
-			return nil, "", err
-		}
-		if err := m.locks.Release(req.Name, req.Owner); err != nil {
-			return nil, "", err
-		}
-		return &wire.LockResponse{Granted: true}, req.Name, nil
 	default:
 		return nil, "", fmt.Errorf("monitor: unknown message type %q", env.Type)
 	}
@@ -926,8 +904,10 @@ func (m *Monitor) recoverSubtreeLocked(rootPath string, destID int, destAddr str
 			// the joiner was denied both its recovery claim and the join
 			// materialisation (the push held the root) — it owns a subtree it
 			// does not hold. Re-home the entries to the owner; otherwise a
-			// later failure check retries.
-			if owner, ok := m.subtreeOwner[rootPath]; ok &&
+			// later failure check retries. Not once the Monitor is closing:
+			// nothing marks the owner dead any more, so against an owner that
+			// has gone away the retry would never end and Close never return.
+			if owner, ok := m.subtreeOwner[rootPath]; ok && !m.closed &&
 				owner >= 0 && owner < len(m.members) && m.members[owner].alive {
 				m.recoverSubtreeLocked(rootPath, owner, m.members[owner].addr)
 			}
@@ -1089,49 +1069,41 @@ func (m *Monitor) queueTransferLocked(root string, src int, dst *member, load fl
 	})
 }
 
+// handleGLUpdate commits one global-layer write. m.mu is what orders GL
+// writes: each takes the next GL version and, on its path, the next entry
+// version, under the one lock every other reader and writer of the GL holds.
 func (m *Monitor) handleGLUpdate(req *wire.GLUpdateRequest) (*wire.GLUpdateResponse, error) {
-	owner := "mds-" + strconv.Itoa(req.ServerID)
-	var resp *wire.GLUpdateResponse
-	err := m.locks.WithLock(req.Entry.Path, owner, time.Second, func() error {
-		m.mu.Lock()
-		defer m.mu.Unlock()
-		switch req.Op {
-		case "create":
-			if _, exists := m.glEntries[req.Entry.Path]; exists {
-				return fmt.Errorf("monitor: %s already exists in GL", req.Entry.Path)
-			}
-			e := req.Entry
-			e.Version = 1
-			m.glEntries[e.Path] = &e
-			// Mirror into the authoritative tree so future joins see it.
-			if e.Kind == wire.EntryDir {
-				_, _ = m.tree.MkdirAll(e.Path)
-			} else {
-				_, _ = m.tree.AddFile(e.Path)
-			}
-		case "setattr":
-			e, ok := m.glEntries[req.Entry.Path]
-			if !ok {
-				return fmt.Errorf("monitor: %s not in GL", req.Entry.Path)
-			}
-			e.Size = req.Entry.Size
-			e.Mode = req.Entry.Mode
-			e.Version++
-		default:
-			return fmt.Errorf("monitor: unknown GL op %q", req.Op)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	e, ok := m.glEntries[req.Entry.Path]
+	switch req.Op {
+	case "create":
+		if ok {
+			return nil, fmt.Errorf("monitor: %s already exists in GL", req.Entry.Path)
 		}
-		m.glVersion++
-		e := *m.glEntries[req.Entry.Path]
-		m.journalLocked("gl_update", &walGLUpdate{
-			Op: req.Op, Entry: e, GLVersion: m.glVersion,
-		})
-		resp = &wire.GLUpdateResponse{Entry: e, GLVersion: m.glVersion}
-		return nil
-	})
-	if err != nil {
-		return nil, err
+		created := req.Entry
+		created.Version = 1
+		e = &created
+		m.glEntries[e.Path] = e
+		// Mirror into the authoritative tree so future joins see it.
+		if e.Kind == wire.EntryDir {
+			_, _ = m.tree.MkdirAll(e.Path)
+		} else {
+			_, _ = m.tree.AddFile(e.Path)
+		}
+	case "setattr":
+		if !ok {
+			return nil, fmt.Errorf("monitor: %s not in GL", req.Entry.Path)
+		}
+		e.Size = req.Entry.Size
+		e.Mode = req.Entry.Mode
+		e.Version++
+	default:
+		return nil, fmt.Errorf("monitor: unknown GL op %q", req.Op)
 	}
-	return resp, nil
+	m.glVersion++
+	m.journalLocked("gl_update", &walGLUpdate{Op: req.Op, Entry: *e, GLVersion: m.glVersion})
+	return &wire.GLUpdateResponse{Entry: *e, GLVersion: m.glVersion}, nil
 }
 
 func (m *Monitor) handleClusterInfo() (*wire.ClusterInfoResponse, error) {
@@ -1231,6 +1203,7 @@ func (m *Monitor) handleMonitorStats() (*wire.MonitorStatsResponse, error) {
 		JournalDegraded:   m.journalDegraded,
 		ServeIO:           wire.ServeIO.Snapshot(),
 		ConnIO:            wire.ConnIO.Snapshot(),
+		CodecFallbacks:    wire.CodecFallbacks.Snapshot(),
 	}
 	for _, mem := range m.members {
 		resp.Members = append(resp.Members, wire.MemberInfo{

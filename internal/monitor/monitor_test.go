@@ -2,6 +2,9 @@ package monitor
 
 import (
 	"errors"
+	"fmt"
+	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -112,6 +115,93 @@ func TestGLUpdateSerialisesAndVersions(t *testing.T) {
 		ServerID: 0, Op: "chmod", Entry: wire.Entry{Path: "/"},
 	}); err == nil {
 		t.Error("unknown GL op accepted")
+	}
+}
+
+// TestGLUpdatesAreOrderedByTheMonitorMutex is the test the lock service's
+// deletion rests on: writers × rounds gl_updates straight into handleGLUpdate,
+// creates and setattrs, on one shared path and on a path per writer. m.mu
+// alone must order them: every response carries a GL version of its own, the
+// GL versions are dense, and so are each path's entry versions.
+func TestGLUpdatesAreOrderedByTheMonitorMutex(t *testing.T) {
+	const writers, rounds = 8, 50
+	w := testTree(t)
+	m, err := New(w.Tree, Config{Servers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v0 := m.GLVersion()
+	resps := make([][]*wire.GLUpdateResponse, writers)
+	var wg sync.WaitGroup
+	for g := 0; g < writers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			own := fmt.Sprintf("/gl-writer-%d", g)
+			update := func(op, path string, size int64) {
+				resp, err := m.handleGLUpdate(&wire.GLUpdateRequest{
+					ServerID: g, Op: op,
+					Entry: wire.Entry{Path: path, Kind: wire.EntryFile, Size: size},
+				})
+				if err != nil {
+					t.Errorf("writer %d: %s %s: %v", g, op, path, err)
+					return
+				}
+				if resp.Entry.Path != path || (op == "setattr" && resp.Entry.Size != size) {
+					t.Errorf("writer %d: %s %s size %d answered with %+v", g, op, path, size, resp.Entry)
+				}
+				resps[g] = append(resps[g], resp)
+			}
+			update("create", own, 0)
+			for i := 1; i < rounds; i++ {
+				if i%2 == 0 {
+					update("setattr", own, int64(i))
+				} else {
+					update("setattr", "/", int64(g*rounds+i))
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	glSeen := map[int64]bool{}
+	entrySeen := map[string]map[int64]bool{}
+	for _, rs := range resps {
+		for _, r := range rs {
+			if glSeen[r.GLVersion] {
+				t.Fatalf("GL version %d answered twice", r.GLVersion)
+			}
+			glSeen[r.GLVersion] = true
+			if entrySeen[r.Entry.Path] == nil {
+				entrySeen[r.Entry.Path] = map[int64]bool{}
+			}
+			if entrySeen[r.Entry.Path][r.Entry.Version] {
+				t.Fatalf("%s version %d answered twice", r.Entry.Path, r.Entry.Version)
+			}
+			entrySeen[r.Entry.Path][r.Entry.Version] = true
+		}
+	}
+	for v := v0 + 1; v <= v0+writers*rounds; v++ {
+		if !glSeen[v] {
+			t.Fatalf("GL version %d never answered: versions are not dense", v)
+		}
+	}
+	if got := m.GLVersion(); got != v0+writers*rounds {
+		t.Errorf("GL version ends at %d, want %d", got, v0+writers*rounds)
+	}
+	for path, seen := range entrySeen {
+		// A created path starts at 1; "/" was at 1 and its first setattr is 2.
+		first := int64(1)
+		if path == "/" {
+			first = 2
+		}
+		for v := first; v < first+int64(len(seen)); v++ {
+			if !seen[v] {
+				t.Fatalf("%s version %d never answered: versions are not dense", path, v)
+			}
+		}
 	}
 }
 
@@ -289,6 +379,46 @@ func TestClusterInfo(t *testing.T) {
 	}
 	if len(info.Index) == 0 {
 		t.Error("empty index")
+	}
+}
+
+// TestCloseEndsRecoveryRetries: a recovery push to an owner slot that is
+// still marked alive but refuses connections re-homes the subtree to that
+// same owner, again and again. Close has stopped the failure detector that
+// would end that by marking the owner dead, so Close must end it itself.
+func TestCloseEndsRecoveryRetries(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gone := ln.Addr().String()
+	_ = ln.Close()
+	w := testTree(t)
+	m, err := New(w.Tree, Config{Addr: "127.0.0.1:0", Servers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.handleJoin(&wire.JoinRequest{Addr: gone}); err != nil {
+		t.Fatal(err)
+	}
+	m.mu.Lock()
+	for root := range m.subtreeOwner {
+		m.recoverSubtreeLocked(root, 0, gone)
+		break
+	}
+	m.mu.Unlock()
+	closed := make(chan error, 1)
+	go func() { closed <- m.Close() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("Close did not return: a recovery push is still retrying against an owner that is gone")
 	}
 }
 

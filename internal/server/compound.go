@@ -18,8 +18,8 @@ import (
 // each result carries its own entry/lease, redirect, or error, and one failed
 // sub-op never poisons the rest of the frame. Consecutive sub-ops owned by
 // this server run under a single s.mu acquisition; a sub-op that must go
-// through the Monitor's lock service (global-layer mutation) breaks the run
-// and executes through batchGlobal outside the lock. Durability
+// through the Monitor (global-layer mutation) breaks the run and executes
+// through batchGlobal outside the lock. Durability
 // waits collapse to the end of the frame: every local mutation's WAL ticket
 // is collected and awaited once, so N journaled sub-ops share one
 // group-commit flush window instead of paying N fsync waits.

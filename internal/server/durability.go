@@ -23,6 +23,14 @@ type walEntryRec struct {
 	Entry wire.Entry `json:"entry"`
 }
 
+// AppendJSON makes the record a wal.Appender: the create and setattr records
+// of the serving path are encoded once, by the wire's entry encoder, instead
+// of by reflection.
+func (r *walEntryRec) AppendJSON(b []byte) []byte {
+	b = append(b, `{"entry":`...)
+	return append(wire.AppendEntry(b, &r.Entry), '}')
+}
+
 type walRenameRec struct {
 	Path    string `json:"path"`
 	NewName string `json:"newName"`

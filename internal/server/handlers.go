@@ -258,9 +258,14 @@ func (s *Server) createLocked(e wire.Entry) (res wire.BatchResult, t *wal.Ticket
 }
 
 // glUpdate is the one global-layer mutation body, op "create" or "setattr":
-// serialised through the Monitor's lock service, then installed in the local
-// replica. The forwarded call keeps the client's request identifier so the
-// Monitor's trace event joins the same ReqID chain.
+// ordered by the Monitor, which answers with the committed entry and the GL
+// version the commit produced, then installed in the local replica. The
+// replica's glVersion says "I hold every update up to here", so it advances
+// only when the answer is the very next version: after a gap — another
+// replica committed in between — it stays behind, and the next heartbeat's
+// refresh brings what this replica has not seen. The forwarded call keeps the
+// client's request identifier so the Monitor's trace event joins the same
+// ReqID chain.
 func (s *Server) glUpdate(env *wire.Envelope, op string, e wire.Entry) (res wire.BatchResult, err error) {
 	s.mu.RLock()
 	mon, id := s.mon, s.id
@@ -272,7 +277,7 @@ func (s *Server) glUpdate(env *wire.Envelope, op string, e wire.Entry) (res wire
 	}
 	s.mu.Lock()
 	s.store.put(resp.Entry, true)
-	if resp.GLVersion > s.glVersion {
+	if resp.GLVersion == s.glVersion+1 {
 		s.glVersion = resp.GLVersion
 	}
 	res.LeaseMS, res.IndexVer = s.leaseLocked()
@@ -534,6 +539,7 @@ func (s *Server) handleStats() (*wire.StatsResponse, error) {
 		Subtrees:         roots,
 		ServeIO:          wire.ServeIO.Snapshot(),
 		ConnIO:           wire.ConnIO.Snapshot(),
+		CodecFallbacks:   wire.CodecFallbacks.Snapshot(),
 	}, nil
 }
 

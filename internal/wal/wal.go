@@ -15,7 +15,6 @@
 package wal
 
 import (
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -24,6 +23,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strconv"
 	"sync"
 )
 
@@ -96,6 +96,7 @@ type Log struct {
 
 	mu       sync.Mutex
 	f        file
+	buf      []byte // the last batch's frames, kept for the next to reuse
 	seq      int64
 	durable  int64 // file offset just past the last synced record
 	closed   bool
@@ -154,26 +155,26 @@ func (l *Log) Append(recType string, payload interface{}) (int64, error) {
 	return seqs[0], nil
 }
 
+// Appender is a payload that appends its own JSON encoding, byte for byte
+// what json.Marshal would write for it up to the escapes encoding/json adds
+// for HTML's sake. AppendBatch encodes such a payload once, straight into the
+// record; any other goes through json.Marshal.
+type Appender interface {
+	AppendJSON(b []byte) []byte
+}
+
+// maxKeptBuf bounds the frame buffer a Log keeps between batches; a batch
+// that grew it past this (a chunked subtree install) gives it back.
+const maxKeptBuf = 1 << 20
+
 // AppendBatch journals every item under one write and one fsync, returning
 // their sequence numbers in order. The batch is all-or-nothing: on any
 // failure no item is considered durable and the log rolls back as Append
-// does.
+// does. A payload that cannot be marshalled or is too big fails the batch
+// before anything touches the file.
 func (l *Log) AppendBatch(items []Item) ([]int64, error) {
 	if len(items) == 0 {
 		return nil, nil
-	}
-	// Marshal payloads outside the lock; a bad payload fails the batch
-	// before anything touches the file.
-	datas := make([]json.RawMessage, len(items))
-	for i, it := range items {
-		if it.Payload == nil {
-			continue
-		}
-		raw, err := json.Marshal(it.Payload)
-		if err != nil {
-			return nil, fmt.Errorf("wal: marshal %s: %w", it.Type, err)
-		}
-		datas[i] = raw
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -184,28 +185,16 @@ func (l *Log) AppendBatch(items []Item) ([]int64, error) {
 		return nil, ErrPoisoned
 	}
 	start := l.seq
-	var buf bytes.Buffer
-	seqs := make([]int64, len(items))
-	var hdr [8]byte
-	for i, it := range items {
-		l.seq++
-		rec := Record{Seq: l.seq, Type: it.Type, Data: datas[i]}
-		body, err := json.Marshal(&rec)
-		if err != nil {
-			l.seq = start
-			return nil, fmt.Errorf("wal: marshal record: %w", err)
-		}
-		if len(body) > MaxRecordSize {
-			l.seq = start
-			return nil, fmt.Errorf("%w: %d bytes", ErrRecordTooBig, len(body))
-		}
-		binary.BigEndian.PutUint32(hdr[:4], uint32(len(body)))
-		binary.BigEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(body))
-		buf.Write(hdr[:])
-		buf.Write(body)
-		seqs[i] = l.seq
+	seqs, err := l.frameLocked(items)
+	if err != nil {
+		l.seq = start
+		return nil, err
 	}
-	if _, err := l.f.Write(buf.Bytes()); err != nil {
+	buf := l.buf
+	if cap(buf) > maxKeptBuf {
+		l.buf = nil
+	}
+	if _, err := l.f.Write(buf); err != nil {
 		l.recoverTailLocked(start)
 		return nil, fmt.Errorf("wal: write: %w", err)
 	}
@@ -215,8 +204,80 @@ func (l *Log) AppendBatch(items []Item) ([]int64, error) {
 		l.recoverTailLocked(start)
 		return nil, fmt.Errorf("wal: sync: %w", err)
 	}
-	l.durable += int64(buf.Len())
+	l.durable += int64(len(buf))
 	return seqs, nil
+}
+
+// frameLocked encodes items into l.buf as consecutive records, advancing
+// l.seq, and returns their sequence numbers.
+func (l *Log) frameLocked(items []Item) ([]int64, error) {
+	buf := l.buf[:0]
+	seqs := make([]int64, len(items))
+	for i, it := range items {
+		l.seq++
+		at := len(buf)
+		buf = beginRecord(buf, l.seq, it.Type)
+		switch p := it.Payload.(type) {
+		case nil:
+		case Appender:
+			buf = p.AppendJSON(append(buf, `,"data":`...))
+		default:
+			raw, err := json.Marshal(p)
+			if err != nil {
+				return nil, fmt.Errorf("wal: marshal %s: %w", it.Type, err)
+			}
+			buf = append(append(buf, `,"data":`...), raw...)
+		}
+		var err error
+		if buf, err = endRecord(buf, at); err != nil {
+			return nil, err
+		}
+		seqs[i] = l.seq
+	}
+	l.buf = buf
+	return seqs, nil
+}
+
+// recordHeader is the length and CRC that precede a record's body.
+const recordHeader = 8
+
+// beginRecord appends room for a record's header and the body up to its
+// type: {"seq":N,"type":"T". The caller appends `,"data":` and the payload's
+// encoding when there is one — the bytes encoding/json writes for a Record —
+// and endRecord closes the body and fills the header in.
+func beginRecord(buf []byte, seq int64, recType string) []byte {
+	buf = append(buf, make([]byte, recordHeader)...)
+	buf = append(buf, `{"seq":`...)
+	buf = strconv.AppendInt(buf, seq, 10)
+	buf = append(buf, `,"type":`...)
+	return appendString(buf, recType)
+}
+
+// endRecord finishes the record that begins at buf[at:].
+func endRecord(buf []byte, at int) ([]byte, error) {
+	buf = append(buf, '}')
+	body := buf[at+recordHeader:]
+	if len(body) > MaxRecordSize {
+		return buf, fmt.Errorf("%w: %d bytes", ErrRecordTooBig, len(body))
+	}
+	binary.BigEndian.PutUint32(buf[at:], uint32(len(body)))
+	binary.BigEndian.PutUint32(buf[at+4:], crc32.ChecksumIEEE(body))
+	return buf, nil
+}
+
+// appendString appends s as encoding/json quotes it. Record types are plain
+// identifiers and copied between quotes; anything json.Marshal would escape
+// is left to json.Marshal.
+func appendString(buf []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			quoted, _ := json.Marshal(s) // a string always marshals
+			return append(buf, quoted...)
+		}
+	}
+	buf = append(buf, '"')
+	buf = append(buf, s...)
+	return append(buf, '"')
 }
 
 // recoverTailLocked rolls a failed append back: the sequence counter
@@ -249,21 +310,19 @@ func (l *Log) TruncateBefore(minSeq int64) error {
 	if l.poisoned {
 		return ErrPoisoned
 	}
-	var buf bytes.Buffer
-	var hdr [8]byte
+	var buf []byte
 	err := replayFrom(l.f, func(rec Record, _ int64) error {
 		if rec.Seq < minSeq {
 			return nil
 		}
-		body, err := json.Marshal(&rec)
-		if err != nil {
-			return fmt.Errorf("wal: remarshal record %d: %w", rec.Seq, err)
+		at := len(buf)
+		buf = beginRecord(buf, rec.Seq, rec.Type)
+		if len(rec.Data) > 0 {
+			buf = append(append(buf, `,"data":`...), rec.Data...)
 		}
-		binary.BigEndian.PutUint32(hdr[:4], uint32(len(body)))
-		binary.BigEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(body))
-		buf.Write(hdr[:])
-		buf.Write(body)
-		return nil
+		var err error
+		buf, err = endRecord(buf, at)
+		return err
 	})
 	if err != nil {
 		l.restoreAppendPosLocked()
@@ -275,7 +334,7 @@ func (l *Log) TruncateBefore(minSeq int64) error {
 		l.restoreAppendPosLocked()
 		return fmt.Errorf("wal: create %s: %w", tmpPath, err)
 	}
-	if _, err := tmp.Write(buf.Bytes()); err == nil {
+	if _, err = tmp.Write(buf); err == nil {
 		err = tmp.Sync()
 	}
 	if err != nil {
@@ -297,7 +356,7 @@ func (l *Log) TruncateBefore(minSeq int64) error {
 	// new log file. Swap it in and retire the old handle.
 	_ = l.f.Close()
 	l.f = tmp
-	l.durable = int64(buf.Len())
+	l.durable = int64(len(buf))
 	if _, err := tmp.Seek(l.durable, io.SeekStart); err != nil {
 		l.poisoned = true
 		return fmt.Errorf("wal: seek after compact: %w", err)

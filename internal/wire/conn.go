@@ -79,6 +79,29 @@ func (c *IOCounters) Snapshot() IOSnapshot {
 // and every serving loop's requests.
 var ConnIO, ServeIO IOCounters
 
+// FallbackCounters counts the payloads that went through encoding/json
+// because the hand codec has no case for their type or declined the input.
+type FallbackCounters struct {
+	Encode, Decode atomic.Int64
+}
+
+// FallbackSnapshot is a point-in-time copy of FallbackCounters.
+type FallbackSnapshot struct {
+	Encode int64 `json:"encode"`
+	Decode int64 `json:"decode"`
+}
+
+// Snapshot reads the counters.
+func (c *FallbackCounters) Snapshot() FallbackSnapshot {
+	return FallbackSnapshot{Encode: c.Encode.Load(), Decode: c.Decode.Load()}
+}
+
+// CodecFallbacks is this process's count: "is a hot op on reflection?"
+// without a profiler. A healthy node reads about its heartbeat rate (control
+// traffic rides encoding/json by design); a number that tracks ops/s means a
+// data-path message has no hand codec.
+var CodecFallbacks FallbackCounters
+
 // countedReader counts the reads a connection's buffered reader issues.
 type countedReader struct {
 	r     net.Conn

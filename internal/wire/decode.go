@@ -88,9 +88,10 @@ func (f *envelopeFields) parse(body []byte) bool {
 
 // decodeRequest is the serving loop's decode: env is filled from body in
 // place. Payload aliases body, so env is good only until the buffer behind
-// body is reused; Type is taken from intern when it names one of those ops,
-// which leaves ReqID and Span as the only allocations of a canonical frame.
-func decodeRequest(body []byte, env *Envelope, intern []string) error {
+// body is reused; Type is one of the constants in inline or writeOps when it
+// names one of those ops, which leaves ReqID and Span as the only allocations
+// of a canonical frame.
+func decodeRequest(body []byte, env *Envelope, inline []string) error {
 	var f envelopeFields
 	if !f.parse(body) {
 		*env = Envelope{}
@@ -98,7 +99,7 @@ func decodeRequest(body []byte, env *Envelope, intern []string) error {
 	}
 	*env = Envelope{
 		ID:      f.id,
-		Type:    internType(f.typ, intern),
+		Type:    intern(f.typ, inline, writeOps),
 		ReqID:   string(f.reqID),
 		Span:    string(f.span),
 		Error:   string(f.errMsg),
@@ -107,13 +108,22 @@ func decodeRequest(body []byte, env *Envelope, intern []string) error {
 	return nil
 }
 
-func internType(typ []byte, intern []string) string {
-	for _, t := range intern {
-		if string(typ) == t {
-			return t
+// writeOps are the ops of the write path. Each may wait on the journal or
+// the Monitor, so no call site lists it as inline; a decode hands their names
+// back as these constants all the same.
+var writeOps = []string{TypeSetAttr, TypeGLUpdate, TypeCreate, TypeCreateWithAttrs, TypeRename, TypeBatch}
+
+// intern returns the member of sets that b spells, or failing that a new
+// string.
+func intern(b []byte, sets ...[]string) string {
+	for _, set := range sets {
+		for _, s := range set {
+			if string(b) == s {
+				return s
+			}
 		}
 	}
-	return string(typ)
+	return string(b)
 }
 
 // decodeResponse is the calling side's decode of the response body to its
@@ -141,6 +151,7 @@ func decodeResponse(body []byte, msgType string, out interface{}) (uint64, error
 	if out == nil || len(f.payload) == 0 || fastUnmarshalPayload(f.payload, out) {
 		return f.id, nil
 	}
+	CodecFallbacks.Decode.Add(1)
 	if err := json.Unmarshal(f.payload, out); err != nil {
 		return f.id, fmt.Errorf("wire: decode %s payload: %w", f.typ, err)
 	}

@@ -82,6 +82,11 @@ func FuzzFastDecodeEnvelope(f *testing.F) {
 	f.Add([]byte(`{"id":9,"type":"batch","payload":{"results":[{"entry":{"path":"/a","kind":1,"version":2},"leaseMs":2000,"indexVer":3},{"redirect":"addr"},{"err":"boom"}]}}`))
 	f.Add([]byte(`{"id":10,"type":"readdir_plus","payload":{"entries":[{"path":"/a/b","kind":2,"size":4,"mode":420,"version":1}],"dirVersion":7,"leaseMs":2000,"indexVer":3}}`))
 	f.Add([]byte(`{"id":11,"type":"create_attrs","payload":{"path":"/a","kind":2,"size":9,"mode":384}}`))
+	// The write path: a setattr with zero attributes, and the gl_update pair.
+	f.Add([]byte(`{"id":12,"type":"setattr","reqId":"c0-43","span":"client-1","payload":{"path":"/a","size":0,"mode":0}}`))
+	f.Add([]byte(`{"id":13,"type":"gl_update","reqId":"c0-43","span":"mds-0","payload":{"serverId":1,"op":"setattr","entry":{"path":"/gl/a","kind":0,"size":7,"mode":420,"version":0}}}`))
+	f.Add([]byte(`{"id":13,"type":"ok","reqId":"c0-43","span":"mds-0","payload":{"entry":{"path":"/gl/a","kind":1,"size":7,"mode":420,"version":3},"glVersion":41}}`))
+	f.Add([]byte(`{"id":12,"type":"ok","reqId":"c0-43","span":"client-1","payload":{"entry":{"path":"/gl/a","kind":1,"size":7,"mode":420,"version":3},"leaseMs":2000,"indexVer":3}}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var fast Envelope

@@ -23,12 +23,14 @@ type LookupRequest struct {
 	Path string `json:"path"`
 }
 
-// LookupResponse carries the entry, or a redirect when the serving MDS does
-// not hold the path (stale client cache). Entry-carrying responses also
-// grant a cache lease: the client may serve the entry locally for LeaseMS
-// milliseconds, keyed to the granting server's IndexVer so index-version
-// bumps (migration commits, GL re-evaluations) invalidate it.
-type LookupResponse struct {
+// EntryResponse is the one answer every op that names a single entry gets:
+// the entry, or a redirect when the serving MDS does not hold the path (stale
+// client cache). An entry-carrying response also grants a cache lease: the
+// client may serve the entry locally for LeaseMS milliseconds, keyed to the
+// granting server's IndexVer so index-version bumps (migration commits, GL
+// re-evaluations) invalidate it. A committed create, setattr or rename grants
+// one like a lookup does, so the writing client can pin its own write.
+type EntryResponse struct {
 	Entry    *Entry `json:"entry,omitempty"`
 	Redirect string `json:"redirect,omitempty"` // address of the owning MDS
 	// LeaseMS is the server-chosen cache lease in milliseconds (0 = the
@@ -37,6 +39,16 @@ type LookupResponse struct {
 	// IndexVer is the serving MDS's cluster index version at grant time.
 	IndexVer int64 `json:"indexVer,omitempty"`
 }
+
+// The per-op names of EntryResponse, kept so a call site says which op it
+// answers. They are aliases: one struct, one codec case.
+type (
+	LookupResponse          = EntryResponse
+	CreateResponse          = EntryResponse
+	CreateWithAttrsResponse = EntryResponse
+	SetAttrResponse         = EntryResponse
+	RenameResponse          = EntryResponse
+)
 
 // RevalidateRequest asks the owning MDS whether a cached entry is still
 // current: the cheap coherence probe of the client cache. Only the path and
@@ -48,7 +60,7 @@ type RevalidateRequest struct {
 
 // RevalidateResponse renews the lease (Match, no Entry) or carries the
 // current entry when the cached version is stale. Redirect as in
-// LookupResponse.
+// EntryResponse.
 type RevalidateResponse struct {
 	Match    bool   `json:"match,omitempty"`
 	Entry    *Entry `json:"entry,omitempty"`
@@ -63,32 +75,12 @@ type CreateRequest struct {
 	Kind EntryKind `json:"kind"`
 }
 
-// CreateResponse returns the created entry or a redirect. The committed
-// entry carries a cache lease like SetAttrResponse, so the creating client
-// can serve its own create locally instead of refetching it.
-type CreateResponse struct {
-	Entry    *Entry `json:"entry,omitempty"`
-	Redirect string `json:"redirect,omitempty"`
-	LeaseMS  int64  `json:"leaseMs,omitempty"`
-	IndexVer int64  `json:"indexVer,omitempty"`
-}
-
 // SetAttrRequest updates metadata attributes (an "update" op in the paper's
 // classification; triggers global-layer locking when the path is replicated).
 type SetAttrRequest struct {
 	Path string `json:"path"`
 	Size int64  `json:"size"`
 	Mode uint32 `json:"mode"`
-}
-
-// SetAttrResponse returns the updated entry or a redirect. The committed
-// entry carries a cache lease like LookupResponse, so the updating client
-// can pin its own write.
-type SetAttrResponse struct {
-	Entry    *Entry `json:"entry,omitempty"`
-	Redirect string `json:"redirect,omitempty"`
-	LeaseMS  int64  `json:"leaseMs,omitempty"`
-	IndexVer int64  `json:"indexVer,omitempty"`
 }
 
 // ReaddirRequest lists a directory.
@@ -139,15 +131,6 @@ type CreateWithAttrsRequest struct {
 	Kind EntryKind `json:"kind"`
 	Size int64     `json:"size,omitempty"`
 	Mode uint32    `json:"mode,omitempty"`
-}
-
-// CreateWithAttrsResponse returns the committed entry or a redirect, with a
-// cache lease as in CreateResponse.
-type CreateWithAttrsResponse struct {
-	Entry    *Entry `json:"entry,omitempty"`
-	Redirect string `json:"redirect,omitempty"`
-	LeaseMS  int64  `json:"leaseMs,omitempty"`
-	IndexVer int64  `json:"indexVer,omitempty"`
 }
 
 // Batch sub-operation kinds (BatchOp.Op values).
@@ -207,15 +190,6 @@ type BatchResponse struct {
 type RenameRequest struct {
 	Path    string `json:"path"`
 	NewName string `json:"newName"`
-}
-
-// RenameResponse returns the renamed entry or a redirect, with a cache
-// lease on the committed entry as in SetAttrResponse.
-type RenameResponse struct {
-	Entry    *Entry `json:"entry,omitempty"`
-	Redirect string `json:"redirect,omitempty"`
-	LeaseMS  int64  `json:"leaseMs,omitempty"`
-	IndexVer int64  `json:"indexVer,omitempty"`
 }
 
 // LatencySummary reports a latency histogram's percentiles in microseconds.
@@ -285,6 +259,9 @@ type StatsResponse struct {
 	// (heartbeats, GL updates, transfers).
 	ServeIO IOSnapshot `json:"serveIo"`
 	ConnIO  IOSnapshot `json:"connIo"`
+	// CodecFallbacks counts the payloads this process put through
+	// encoding/json for want of a hand codec (see wire.CodecFallbacks).
+	CodecFallbacks FallbackSnapshot `json:"codecFallbacks"`
 }
 
 // MonitorStatsResponse reports coordinator-side counters and membership.
@@ -307,10 +284,11 @@ type MonitorStatsResponse struct {
 	// the cluster keeps running but a Monitor restart would lose journaled
 	// state since the failure.
 	JournalDegraded bool `json:"journalDegraded,omitempty"`
-	// ServeIO and ConnIO are the Monitor process's wire traffic, as in
-	// StatsResponse.
-	ServeIO IOSnapshot `json:"serveIo"`
-	ConnIO  IOSnapshot `json:"connIo"`
+	// ServeIO, ConnIO and CodecFallbacks are the Monitor process's wire
+	// traffic, as in StatsResponse.
+	ServeIO        IOSnapshot       `json:"serveIo"`
+	ConnIO         IOSnapshot       `json:"connIo"`
+	CodecFallbacks FallbackSnapshot `json:"codecFallbacks"`
 }
 
 // MemberInfo is one row of the Monitor's member table.
@@ -504,14 +482,8 @@ type ObsDumpResponse struct {
 	Ops map[string]LatencySummary `json:"ops,omitempty"`
 }
 
-// LockRequest acquires or releases a named exclusive lock.
-type LockRequest struct {
-	Name    string `json:"name"`
-	Owner   string `json:"owner"`
-	LeaseMS int64  `json:"leaseMs"`
-}
-
-// LockResponse reports whether the lock was granted.
+// LockResponse is the bare acknowledgement the install, uninstall and
+// transfer-outcome handlers return.
 type LockResponse struct {
 	Granted bool `json:"granted"`
 }

@@ -6,14 +6,16 @@ import (
 	"strconv"
 )
 
-// Fast-path codecs for the payload types that dominate serving-path traffic:
-// Lookup and Create requests and their Entry-carrying responses. The generic
-// encoding/json round trip for these tiny flat structs is the single largest
-// CPU line after syscalls (reflection walks, scanner state machine, interim
-// allocations), so the hot types are encoded and decoded by hand with the
-// same cursor machinery the envelope fast path uses. Every other payload
-// type — and any input these parsers do not recognise — takes the
-// encoding/json path, so observable behaviour is unchanged.
+// Hand codecs for every message on the data path: each op a client sends to
+// an MDS, its response, and the hop it triggers (a global-layer setattr or
+// create forwarded to the Monitor as gl_update). The generic encoding/json
+// round trip for these small flat structs costs reflection walks, a scanner
+// state machine, interim allocations and, on a goroutine started for one op,
+// stack growth, so they are encoded and decoded by hand with the same cursor
+// machinery the envelope fast path uses. Control traffic (join, heartbeat,
+// stats, transfers, obs dumps) — and any input these parsers do not recognise
+// — takes the encoding/json path, so observable behaviour is unchanged.
+// CodecFallbacks counts how often that happens.
 
 // fastMarshalPayload encodes the hot request/response types into a buffer
 // of its own. It reports false for types it does not cover; NewEnvelope then
@@ -38,10 +40,30 @@ func appendPayload(b []byte, payload interface{}) ([]byte, bool) {
 		b = append(b, `,"kind":`...)
 		b = strconv.AppendInt(b, int64(p.Kind), 10)
 		return append(b, '}'), true
-	case *LookupResponse:
-		return appendLeasedEntry(b, p.Entry, p.Redirect, p.LeaseMS, p.IndexVer), true
-	case *CreateResponse:
-		return appendLeasedEntry(b, p.Entry, p.Redirect, p.LeaseMS, p.IndexVer), true
+	case *EntryResponse:
+		return appendEntryResponse(b, p), true
+	case *SetAttrRequest:
+		b = append(b, `{"path":`...)
+		b = appendJSONString(b, p.Path)
+		b = append(b, `,"size":`...)
+		b = strconv.AppendInt(b, p.Size, 10)
+		b = append(b, `,"mode":`...)
+		b = strconv.AppendUint(b, uint64(p.Mode), 10)
+		return append(b, '}'), true
+	case *GLUpdateRequest:
+		b = append(b, `{"serverId":`...)
+		b = strconv.AppendInt(b, int64(p.ServerID), 10)
+		b = append(b, `,"op":`...)
+		b = appendJSONString(b, p.Op)
+		b = append(b, `,"entry":`...)
+		b = AppendEntry(b, &p.Entry)
+		return append(b, '}'), true
+	case *GLUpdateResponse:
+		b = append(b, `{"entry":`...)
+		b = AppendEntry(b, &p.Entry)
+		b = append(b, `,"glVersion":`...)
+		b = strconv.AppendInt(b, p.GLVersion, 10)
+		return append(b, '}'), true
 	case *RevalidateRequest:
 		b = append(b, `{"path":`...)
 		b = appendJSONString(b, p.Path)
@@ -56,8 +78,6 @@ func appendPayload(b []byte, payload interface{}) ([]byte, bool) {
 		return appendReaddirPlusResponse(b, p), true
 	case *CreateWithAttrsRequest:
 		return appendCreateWithAttrsRequest(b, p), true
-	case *CreateWithAttrsResponse:
-		return appendLeasedEntry(b, p.Entry, p.Redirect, p.LeaseMS, p.IndexVer), true
 	case *BatchRequest:
 		return appendBatchRequest(b, p), true
 	case *BatchResponse:
@@ -66,41 +86,41 @@ func appendPayload(b []byte, payload interface{}) ([]byte, bool) {
 	return b, false
 }
 
+// sep appends the comma that goes before every field of the object opened
+// at b[start] but its first.
+func sep(b []byte, start int) []byte {
+	if len(b) > start+1 {
+		b = append(b, ',')
+	}
+	return b
+}
+
 func appendPathObject(b []byte, path string) []byte {
 	b = append(b, `{"path":`...)
 	b = appendJSONString(b, path)
 	return append(b, '}')
 }
 
-// appendLeasedEntry encodes the lease-granting response shape
-// {entry?, redirect?, leaseMs?, indexVer?} with omitempty behaviour.
-func appendLeasedEntry(b []byte, entry *Entry, redirect string, leaseMS, indexVer int64) []byte {
+// appendEntryResponse encodes {entry?, redirect?, leaseMs?, indexVer?} with
+// omitempty behaviour.
+func appendEntryResponse(b []byte, p *EntryResponse) []byte {
 	start := len(b)
 	b = append(b, '{')
-	if entry != nil {
+	if p.Entry != nil {
 		b = append(b, `"entry":`...)
-		b = appendEntry(b, entry)
+		b = AppendEntry(b, p.Entry)
 	}
-	if redirect != "" {
-		if len(b) > start+1 {
-			b = append(b, ',')
-		}
-		b = append(b, `"redirect":`...)
-		b = appendJSONString(b, redirect)
+	if p.Redirect != "" {
+		b = append(sep(b, start), `"redirect":`...)
+		b = appendJSONString(b, p.Redirect)
 	}
-	if leaseMS != 0 {
-		if len(b) > start+1 {
-			b = append(b, ',')
-		}
-		b = append(b, `"leaseMs":`...)
-		b = strconv.AppendInt(b, leaseMS, 10)
+	if p.LeaseMS != 0 {
+		b = append(sep(b, start), `"leaseMs":`...)
+		b = strconv.AppendInt(b, p.LeaseMS, 10)
 	}
-	if indexVer != 0 {
-		if len(b) > start+1 {
-			b = append(b, ',')
-		}
-		b = append(b, `"indexVer":`...)
-		b = strconv.AppendInt(b, indexVer, 10)
+	if p.IndexVer != 0 {
+		b = append(sep(b, start), `"indexVer":`...)
+		b = strconv.AppendInt(b, p.IndexVer, 10)
 	}
 	return append(b, '}')
 }
@@ -114,31 +134,19 @@ func appendRevalidateResponse(b []byte, p *RevalidateResponse) []byte {
 		b = append(b, `"match":true`...)
 	}
 	if p.Entry != nil {
-		if len(b) > start+1 {
-			b = append(b, ',')
-		}
-		b = append(b, `"entry":`...)
-		b = appendEntry(b, p.Entry)
+		b = append(sep(b, start), `"entry":`...)
+		b = AppendEntry(b, p.Entry)
 	}
 	if p.LeaseMS != 0 {
-		if len(b) > start+1 {
-			b = append(b, ',')
-		}
-		b = append(b, `"leaseMs":`...)
+		b = append(sep(b, start), `"leaseMs":`...)
 		b = strconv.AppendInt(b, p.LeaseMS, 10)
 	}
 	if p.IndexVer != 0 {
-		if len(b) > start+1 {
-			b = append(b, ',')
-		}
-		b = append(b, `"indexVer":`...)
+		b = append(sep(b, start), `"indexVer":`...)
 		b = strconv.AppendInt(b, p.IndexVer, 10)
 	}
 	if p.Redirect != "" {
-		if len(b) > start+1 {
-			b = append(b, ',')
-		}
-		b = append(b, `"redirect":`...)
+		b = append(sep(b, start), `"redirect":`...)
 		b = appendJSONString(b, p.Redirect)
 	}
 	return append(b, '}')
@@ -155,36 +163,24 @@ func appendReaddirPlusResponse(b []byte, p *ReaddirPlusResponse) []byte {
 			if i > 0 {
 				b = append(b, ',')
 			}
-			b = appendEntry(b, &p.Entries[i])
+			b = AppendEntry(b, &p.Entries[i])
 		}
 		b = append(b, ']')
 	}
 	if p.Redirect != "" {
-		if len(b) > start+1 {
-			b = append(b, ',')
-		}
-		b = append(b, `"redirect":`...)
+		b = append(sep(b, start), `"redirect":`...)
 		b = appendJSONString(b, p.Redirect)
 	}
 	if p.DirVersion != 0 {
-		if len(b) > start+1 {
-			b = append(b, ',')
-		}
-		b = append(b, `"dirVersion":`...)
+		b = append(sep(b, start), `"dirVersion":`...)
 		b = strconv.AppendInt(b, p.DirVersion, 10)
 	}
 	if p.LeaseMS != 0 {
-		if len(b) > start+1 {
-			b = append(b, ',')
-		}
-		b = append(b, `"leaseMs":`...)
+		b = append(sep(b, start), `"leaseMs":`...)
 		b = strconv.AppendInt(b, p.LeaseMS, 10)
 	}
 	if p.IndexVer != 0 {
-		if len(b) > start+1 {
-			b = append(b, ',')
-		}
-		b = append(b, `"indexVer":`...)
+		b = append(sep(b, start), `"indexVer":`...)
 		b = strconv.AppendInt(b, p.IndexVer, 10)
 	}
 	return append(b, '}')
@@ -301,46 +297,33 @@ func appendBatchResult(b []byte, res *BatchResult) []byte {
 	b = append(b, '{')
 	if res.Entry != nil {
 		b = append(b, `"entry":`...)
-		b = appendEntry(b, res.Entry)
+		b = AppendEntry(b, res.Entry)
 	}
 	if res.Match {
-		if len(b) > start+1 {
-			b = append(b, ',')
-		}
-		b = append(b, `"match":true`...)
+		b = append(sep(b, start), `"match":true`...)
 	}
 	if res.Redirect != "" {
-		if len(b) > start+1 {
-			b = append(b, ',')
-		}
-		b = append(b, `"redirect":`...)
+		b = append(sep(b, start), `"redirect":`...)
 		b = appendJSONString(b, res.Redirect)
 	}
 	if res.Err != "" {
-		if len(b) > start+1 {
-			b = append(b, ',')
-		}
-		b = append(b, `"err":`...)
+		b = append(sep(b, start), `"err":`...)
 		b = appendJSONString(b, res.Err)
 	}
 	if res.LeaseMS != 0 {
-		if len(b) > start+1 {
-			b = append(b, ',')
-		}
-		b = append(b, `"leaseMs":`...)
+		b = append(sep(b, start), `"leaseMs":`...)
 		b = strconv.AppendInt(b, res.LeaseMS, 10)
 	}
 	if res.IndexVer != 0 {
-		if len(b) > start+1 {
-			b = append(b, ',')
-		}
-		b = append(b, `"indexVer":`...)
+		b = append(sep(b, start), `"indexVer":`...)
 		b = strconv.AppendInt(b, res.IndexVer, 10)
 	}
 	return append(b, '}')
 }
 
-func appendEntry(b []byte, e *Entry) []byte {
+// AppendEntry appends e's JSON encoding to b: the one entry encoder, which
+// the MDS's journal records share with the wire.
+func AppendEntry(b []byte, e *Entry) []byte {
 	b = append(b, `{"path":`...)
 	b = appendJSONString(b, e.Path)
 	b = append(b, `,"kind":`...)
@@ -364,10 +347,14 @@ func appendEntry(b []byte, e *Entry) []byte {
 // a pure encoding/json decode.
 func fastUnmarshalPayload(data []byte, out interface{}) bool {
 	switch o := out.(type) {
-	case *LookupResponse:
-		return decodeLeasedEntry(data, &o.Entry, &o.Redirect, &o.LeaseMS, &o.IndexVer)
-	case *CreateResponse:
-		return decodeLeasedEntry(data, &o.Entry, &o.Redirect, &o.LeaseMS, &o.IndexVer)
+	case *EntryResponse:
+		return decodeEntryResponse(data, o)
+	case *SetAttrRequest:
+		return decodeSetAttrRequest(data, o)
+	case *GLUpdateRequest:
+		return decodeGLUpdateRequest(data, o)
+	case *GLUpdateResponse:
+		return decodeGLUpdateResponse(data, o)
 	case *LookupRequest:
 		return decodePathObject(data, &o.Path)
 	case *ReaddirRequest:
@@ -384,8 +371,6 @@ func fastUnmarshalPayload(data []byte, out interface{}) bool {
 		return decodeReaddirPlusResponse(data, o)
 	case *CreateWithAttrsRequest:
 		return decodeCreateWithAttrsRequest(data, o)
-	case *CreateWithAttrsResponse:
-		return decodeLeasedEntry(data, &o.Entry, &o.Redirect, &o.LeaseMS, &o.IndexVer)
 	case *BatchRequest:
 		return decodeBatchRequest(data, o)
 	case *BatchResponse:
@@ -432,29 +417,13 @@ func decodeReaddirPlusResponse(data []byte, resp *ReaddirPlusResponse) bool {
 			}
 			resp.Entries = entries
 		case "redirect":
-			s, ok := c.str()
-			if !ok {
-				return false
-			}
-			resp.Redirect = s
+			return c.strTo(&resp.Redirect)
 		case "dirVersion":
-			n, ok := c.int()
-			if !ok {
-				return false
-			}
-			resp.DirVersion = n
+			return c.intTo(&resp.DirVersion)
 		case "leaseMs":
-			n, ok := c.int()
-			if !ok {
-				return false
-			}
-			resp.LeaseMS = n
+			return c.intTo(&resp.LeaseMS)
 		case "indexVer":
-			n, ok := c.int()
-			if !ok {
-				return false
-			}
-			resp.IndexVer = n
+			return c.intTo(&resp.IndexVer)
 		default:
 			return false
 		}
@@ -467,33 +436,15 @@ func decodeCreateWithAttrsRequest(data []byte, req *CreateWithAttrsRequest) bool
 	return c.object(func(key []byte) bool {
 		switch string(key) {
 		case "path":
-			s, ok := c.str()
-			if !ok {
-				return false
-			}
-			req.Path = s
+			return c.strTo(&req.Path)
 		case "kind":
-			n, ok := c.int()
-			if !ok {
-				return false
-			}
-			req.Kind = EntryKind(n)
+			return c.kindTo(&req.Kind)
 		case "size":
-			n, ok := c.int()
-			if !ok {
-				return false
-			}
-			req.Size = n
+			return c.intTo(&req.Size)
 		case "mode":
-			n, ok := c.int()
-			if !ok || n < 0 || n > math.MaxUint32 {
-				return false
-			}
-			req.Mode = uint32(n)
-		default:
-			return false
+			return c.uint32To(&req.Mode)
 		}
-		return true
+		return false
 	}) && c.end()
 }
 
@@ -560,45 +511,19 @@ func (c *cursor) batchOp(op *BatchOp) bool {
 	return c.object(func(key []byte) bool {
 		switch string(key) {
 		case "op":
-			s, ok := c.str()
-			if !ok {
-				return false
-			}
-			op.Op = s
+			return c.strTo(&op.Op)
 		case "path":
-			s, ok := c.str()
-			if !ok {
-				return false
-			}
-			op.Path = s
+			return c.strTo(&op.Path)
 		case "kind":
-			n, ok := c.int()
-			if !ok {
-				return false
-			}
-			op.Kind = EntryKind(n)
+			return c.kindTo(&op.Kind)
 		case "size":
-			n, ok := c.int()
-			if !ok {
-				return false
-			}
-			op.Size = n
+			return c.intTo(&op.Size)
 		case "mode":
-			n, ok := c.int()
-			if !ok || n < 0 || n > math.MaxUint32 {
-				return false
-			}
-			op.Mode = uint32(n)
+			return c.uint32To(&op.Mode)
 		case "version":
-			n, ok := c.int()
-			if !ok {
-				return false
-			}
-			op.Version = n
-		default:
-			return false
+			return c.intTo(&op.Version)
 		}
-		return true
+		return false
 	})
 }
 
@@ -644,66 +569,26 @@ func (c *cursor) batchResult(res *BatchResult) bool {
 	return c.object(func(key []byte) bool {
 		switch string(key) {
 		case "entry":
-			if c.i < len(c.b) && c.b[c.i] == 'n' {
-				if !c.lit("null") {
-					return false
-				}
-				res.Entry = nil
-				return true
-			}
-			if res.Entry == nil {
-				res.Entry = new(Entry)
-			}
-			return c.entry(res.Entry)
+			return c.entryPtr(&res.Entry)
 		case "match":
-			v, ok := c.boolVal()
-			if !ok {
-				return false
-			}
-			res.Match = v
+			return c.boolTo(&res.Match)
 		case "redirect":
-			s, ok := c.str()
-			if !ok {
-				return false
-			}
-			res.Redirect = s
+			return c.strTo(&res.Redirect)
 		case "err":
-			s, ok := c.str()
-			if !ok {
-				return false
-			}
-			res.Err = s
+			return c.strTo(&res.Err)
 		case "leaseMs":
-			n, ok := c.int()
-			if !ok {
-				return false
-			}
-			res.LeaseMS = n
+			return c.intTo(&res.LeaseMS)
 		case "indexVer":
-			n, ok := c.int()
-			if !ok {
-				return false
-			}
-			res.IndexVer = n
-		default:
-			return false
+			return c.intTo(&res.IndexVer)
 		}
-		return true
+		return false
 	})
 }
 
 func decodePathObject(data []byte, path *string) bool {
 	c := cursor{b: data}
 	return c.object(func(key []byte) bool {
-		if string(key) != "path" {
-			return false
-		}
-		s, ok := c.str()
-		if !ok {
-			return false
-		}
-		*path = s
-		return true
+		return string(key) == "path" && c.strTo(path)
 	}) && c.end()
 }
 
@@ -712,17 +597,68 @@ func decodeCreateRequest(data []byte, req *CreateRequest) bool {
 	return c.object(func(key []byte) bool {
 		switch string(key) {
 		case "path":
-			s, ok := c.str()
-			if !ok {
-				return false
-			}
-			req.Path = s
+			return c.strTo(&req.Path)
 		case "kind":
+			return c.kindTo(&req.Kind)
+		}
+		return false
+	}) && c.end()
+}
+
+func decodeEntryResponse(data []byte, resp *EntryResponse) bool {
+	c := cursor{b: data}
+	return c.object(func(key []byte) bool {
+		switch string(key) {
+		case "entry":
+			return c.entryPtr(&resp.Entry)
+		case "redirect":
+			return c.strTo(&resp.Redirect)
+		case "leaseMs":
+			return c.intTo(&resp.LeaseMS)
+		case "indexVer":
+			return c.intTo(&resp.IndexVer)
+		}
+		return false
+	}) && c.end()
+}
+
+func decodeSetAttrRequest(data []byte, req *SetAttrRequest) bool {
+	c := cursor{b: data}
+	return c.object(func(key []byte) bool {
+		switch string(key) {
+		case "path":
+			return c.strTo(&req.Path)
+		case "size":
+			return c.intTo(&req.Size)
+		case "mode":
+			return c.uint32To(&req.Mode)
+		}
+		return false
+	}) && c.end()
+}
+
+// decodeGLUpdateRequest fills the request in place: Entry is a value, so a
+// repeated "entry" key merges into it field by field as encoding/json's does,
+// and a null there (a no-op to encoding/json) declines.
+func decodeGLUpdateRequest(data []byte, req *GLUpdateRequest) bool {
+	c := cursor{b: data}
+	return c.object(func(key []byte) bool {
+		switch string(key) {
+		case "serverId":
 			n, ok := c.int()
+			if !ok || int64(int(n)) != n {
+				return false
+			}
+			req.ServerID = int(n)
+		case "op":
+			op, ok := c.strBytes()
 			if !ok {
 				return false
 			}
-			req.Kind = EntryKind(n)
+			// The forwarded op goes by its wire type: a constant, not a copy.
+			req.Op = intern(op, writeOps)
+		case "entry":
+			return c.entry(&req.Entry)
 		default:
 			return false
 		}
@@ -730,56 +666,16 @@ func decodeCreateRequest(data []byte, req *CreateRequest) bool {
 	}) && c.end()
 }
 
-// decodeLeasedEntry parses the shared {entry?, redirect?, leaseMs?,
-// indexVer?} response shape. A future lease-less caller may pass nil for
-// the lease fields, in which case those keys bail to the fallback (which
-// then reports the unknown-field behaviour of encoding/json — silently
-// ignoring them — with authority).
-func decodeLeasedEntry(data []byte, entry **Entry, redirect *string, leaseMS, indexVer *int64) bool {
+func decodeGLUpdateResponse(data []byte, resp *GLUpdateResponse) bool {
 	c := cursor{b: data}
 	return c.object(func(key []byte) bool {
 		switch string(key) {
 		case "entry":
-			if c.i < len(c.b) && c.b[c.i] == 'n' {
-				if !c.lit("null") {
-					return false
-				}
-				*entry = nil // JSON null sets the pointer to nil
-				return true
-			}
-			// encoding/json reuses an existing pointee; mirror that.
-			if *entry == nil {
-				*entry = new(Entry)
-			}
-			return c.entry(*entry)
-		case "redirect":
-			s, ok := c.str()
-			if !ok {
-				return false
-			}
-			*redirect = s
-		case "leaseMs":
-			if leaseMS == nil {
-				return false
-			}
-			n, ok := c.int()
-			if !ok {
-				return false
-			}
-			*leaseMS = n
-		case "indexVer":
-			if indexVer == nil {
-				return false
-			}
-			n, ok := c.int()
-			if !ok {
-				return false
-			}
-			*indexVer = n
-		default:
-			return false
+			return c.entry(&resp.Entry)
+		case "glVersion":
+			return c.intTo(&resp.GLVersion)
 		}
-		return true
+		return false
 	}) && c.end()
 }
 
@@ -788,21 +684,11 @@ func decodeRevalidateRequest(data []byte, req *RevalidateRequest) bool {
 	return c.object(func(key []byte) bool {
 		switch string(key) {
 		case "path":
-			s, ok := c.str()
-			if !ok {
-				return false
-			}
-			req.Path = s
+			return c.strTo(&req.Path)
 		case "version":
-			n, ok := c.int()
-			if !ok {
-				return false
-			}
-			req.Version = n
-		default:
-			return false
+			return c.intTo(&req.Version)
 		}
-		return true
+		return false
 	}) && c.end()
 }
 
@@ -811,46 +697,80 @@ func decodeRevalidateResponse(data []byte, resp *RevalidateResponse) bool {
 	return c.object(func(key []byte) bool {
 		switch string(key) {
 		case "match":
-			v, ok := c.boolVal()
-			if !ok {
-				return false
-			}
-			resp.Match = v
+			return c.boolTo(&resp.Match)
 		case "entry":
-			if c.i < len(c.b) && c.b[c.i] == 'n' {
-				if !c.lit("null") {
-					return false
-				}
-				resp.Entry = nil
-				return true
-			}
-			if resp.Entry == nil {
-				resp.Entry = new(Entry)
-			}
-			return c.entry(resp.Entry)
+			return c.entryPtr(&resp.Entry)
 		case "leaseMs":
-			n, ok := c.int()
-			if !ok {
-				return false
-			}
-			resp.LeaseMS = n
+			return c.intTo(&resp.LeaseMS)
 		case "indexVer":
-			n, ok := c.int()
-			if !ok {
-				return false
-			}
-			resp.IndexVer = n
+			return c.intTo(&resp.IndexVer)
 		case "redirect":
-			s, ok := c.str()
-			if !ok {
-				return false
-			}
-			resp.Redirect = s
-		default:
+			return c.strTo(&resp.Redirect)
+		}
+		return false
+	}) && c.end()
+}
+
+// The xxTo methods parse one value into *dst. They leave *dst alone when the
+// parse fails: a decode that bails out half-way must have written nothing
+// the encoding/json fallback would not also write.
+
+func (c *cursor) strTo(dst *string) bool {
+	s, ok := c.str()
+	if ok {
+		*dst = s
+	}
+	return ok
+}
+
+func (c *cursor) intTo(dst *int64) bool {
+	n, ok := c.int()
+	if ok {
+		*dst = n
+	}
+	return ok
+}
+
+func (c *cursor) kindTo(dst *EntryKind) bool {
+	n, ok := c.int()
+	if ok {
+		*dst = EntryKind(n)
+	}
+	return ok
+}
+
+// uint32To parses a JSON integer that fits a uint32 (a mode).
+func (c *cursor) uint32To(dst *uint32) bool {
+	n, ok := c.int()
+	if !ok || n < 0 || n > math.MaxUint32 {
+		return false
+	}
+	*dst = uint32(n)
+	return true
+}
+
+func (c *cursor) boolTo(dst *bool) bool {
+	v, ok := c.boolVal()
+	if ok {
+		*dst = v
+	}
+	return ok
+}
+
+// entryPtr parses an entry or null into *dst. Like encoding/json, null sets
+// the pointer to nil and an object reuses an existing pointee.
+func (c *cursor) entryPtr(dst **Entry) bool {
+	if c.i < len(c.b) && c.b[c.i] == 'n' {
+		if !c.lit("null") {
 			return false
 		}
+		*dst = nil
 		return true
-	}) && c.end()
+	}
+	if *dst == nil {
+		*dst = new(Entry)
+	}
+	return c.entry(*dst)
 }
 
 // boolVal parses a JSON true/false literal.
@@ -870,39 +790,17 @@ func (c *cursor) entry(e *Entry) bool {
 	return c.object(func(key []byte) bool {
 		switch string(key) {
 		case "path":
-			s, ok := c.str()
-			if !ok {
-				return false
-			}
-			e.Path = s
+			return c.strTo(&e.Path)
 		case "kind":
-			n, ok := c.int()
-			if !ok {
-				return false
-			}
-			e.Kind = EntryKind(n)
+			return c.kindTo(&e.Kind)
 		case "size":
-			n, ok := c.int()
-			if !ok {
-				return false
-			}
-			e.Size = n
+			return c.intTo(&e.Size)
 		case "mode":
-			n, ok := c.int()
-			if !ok || n < 0 || n > math.MaxUint32 {
-				return false
-			}
-			e.Mode = uint32(n)
+			return c.uint32To(&e.Mode)
 		case "version":
-			n, ok := c.int()
-			if !ok {
-				return false
-			}
-			e.Version = n
-		default:
-			return false
+			return c.intTo(&e.Version)
 		}
-		return true
+		return false
 	})
 }
 

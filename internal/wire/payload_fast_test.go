@@ -18,14 +18,15 @@ func fastCodecRegistry() []interface{} {
 		&LookupRequest{},
 		&ReaddirRequest{},
 		&CreateRequest{},
-		&LookupResponse{},
-		&CreateResponse{},
+		&EntryResponse{},
+		&SetAttrRequest{},
+		&GLUpdateRequest{},
+		&GLUpdateResponse{},
 		&RevalidateRequest{},
 		&RevalidateResponse{},
 		&ReaddirPlusRequest{},
 		&ReaddirPlusResponse{},
 		&CreateWithAttrsRequest{},
-		&CreateWithAttrsResponse{},
 		&BatchRequest{},
 		&BatchResponse{},
 	}
@@ -197,13 +198,16 @@ func TestFastUnmarshalPayloadEdgeCases(t *testing.T) {
 		"readdirReq":     func() interface{} { return &ReaddirRequest{} },
 		"createReq":      func() interface{} { return &CreateRequest{} },
 		"lookupResp":     func() interface{} { return &LookupResponse{} },
-		"createResp":     func() interface{} { return &CreateResponse{} },
+		"setattrReq":     func() interface{} { return &SetAttrRequest{} },
+		"setattrResp":    func() interface{} { return &SetAttrResponse{} },
+		"renameResp":     func() interface{} { return &RenameResponse{} },
+		"glUpdateReq":    func() interface{} { return &GLUpdateRequest{} },
+		"glUpdateResp":   func() interface{} { return &GLUpdateResponse{} },
 		"revalidateReq":  func() interface{} { return &RevalidateRequest{} },
 		"revalidateResp": func() interface{} { return &RevalidateResponse{} },
 		"readdirPlusReq": func() interface{} { return &ReaddirPlusRequest{} },
 		"readdirPlusRes": func() interface{} { return &ReaddirPlusResponse{} },
 		"createAttrsReq": func() interface{} { return &CreateWithAttrsRequest{} },
-		"createAttrsRes": func() interface{} { return &CreateWithAttrsResponse{} },
 		"batchReq":       func() interface{} { return &BatchRequest{} },
 		"batchResp":      func() interface{} { return &BatchResponse{} },
 	}
@@ -246,6 +250,30 @@ func TestFastUnmarshalPayloadEdgeCases(t *testing.T) {
 		`{"path":"/a"} x`,               // trailing garbage: decline
 		`{"path"`,                       // truncated
 		``,
+		// The write path: setattr requests (no omitempty: zeros travel) and
+		// the gl_update pair, whose Entry is a value, not a pointer.
+		`{"path":"/a","size":0,"mode":0}`,
+		`{"path":"/a","size":7,"mode":420}`,
+		`{"path":"/a","size":-1,"mode":4294967295}`,
+		`{"path":"/a","mode":4294967296}`, // mode > MaxUint32: decline
+		`{"path":"/a","mode":-1}`,
+		`{"path":"esc\"aped\u002fpath\n","size":1,"mode":1}`,
+		`{"path":"/a","size":1,"mode":1,"uid":0}`, // unknown key: decline → fallback ignores
+		`{"mode":1,"size":2,"path":"/later"}`,
+		`{"serverId":1,"op":"setattr","entry":{"path":"/a","kind":1,"size":7,"mode":420,"version":0}}`,
+		`{"serverId":0,"op":"create","entry":{"path":"esc\"aped","kind":2,"version":0}}`,
+		`{"serverId":-3,"op":"chmod","entry":{"path":"","kind":0,"version":0}}`,
+		`{"serverId":1,"op":"set\u0061ttr","entry":{}}`,
+		`{"serverId":1.5}`,
+		`{"serverId":9223372036854775808}`,
+		`{"op":5}`,
+		`{"entry":{"path":"/a","kind":1,"version":2},"glVersion":9}`,
+		`{"glVersion":-1,"entry":{"path":"/a","kind":1,"mode":4294967296,"version":2}}`,
+		`{"glVersion":1e3}`,
+		`{"entry":{"path":"/a","size":3,"version":2},"entry":{"kind":1,"version":5}}`, // duplicate entry key: merges field by field
+		`{"entry":{"path":"/a","version":2},"entry":null}`,                            // then null: nil pointer, or a no-op on a value
+		`{"entry":null,"entry":{"path":"/b","kind":2,"version":1}}`,
+		`{"entry":{"path":"/a","version":2},"entry":"nope"}`,
 		// List-path shapes for the compound-op payloads.
 		`{"entries":[]}`,
 		`{"entries":null}`,
@@ -253,10 +281,10 @@ func TestFastUnmarshalPayloadEdgeCases(t *testing.T) {
 		`{"entries":[{"path":"/a","kind":1,"version":2},{"path":"/b","kind":2,"size":4,"mode":420,"version":1}]}`,
 		`{"entries":[{"path":"/a","kind":1,"version":2}],"dirVersion":7,"leaseMs":2000,"indexVer":3}`,
 		`{"entries":[{"path":"/a"},{"path":"/b"}],"entries":[{"path":"/c"}]}`, // repeated slice key: decline
-		`{"entries":[{"path":"/a","kind":1,"version":2},]}`,                  // trailing comma in array: decline
-		`{"entries":[null]}`,                                                 // null element: decline
-		`{"entries":[{"path":"/a"}`,                                          // truncated array
-		`{"entries":{}}`,                                                     // wrong type: decline
+		`{"entries":[{"path":"/a","kind":1,"version":2},]}`,                   // trailing comma in array: decline
+		`{"entries":[null]}`,        // null element: decline
+		`{"entries":[{"path":"/a"}`, // truncated array
+		`{"entries":{}}`,            // wrong type: decline
 		`{"dirVersion":9,"redirect":"addr"}`,
 		`{"ops":[]}`,
 		`{"ops":null}`,
@@ -265,9 +293,9 @@ func TestFastUnmarshalPayloadEdgeCases(t *testing.T) {
 		`{"ops":[{"op":"setattr","path":"/a","size":-1,"version":-2}],"hotPaths":{"/a":3,"/b":9}}`,
 		`{"ops":[],"hotPaths":{}}`,
 		`{"ops":[],"hotPaths":null}`,
-		`{"ops":[],"hotPaths":{"dup":1,"dup":2}}`, // duplicate map key: last wins
-		`{"hotPaths":{"k":1.5}}`,                  // float into int64: decline
-		`{"hotPaths":{"k":"v"}}`,                  // wrong value type: decline
+		`{"ops":[],"hotPaths":{"dup":1,"dup":2}}`,           // duplicate map key: last wins
+		`{"hotPaths":{"k":1.5}}`,                            // float into int64: decline
+		`{"hotPaths":{"k":"v"}}`,                            // wrong value type: decline
 		`{"ops":[{"op":"lookup"}],"ops":[{"op":"create"}]}`, // repeated slice key: decline
 		`{"ops":[{"unknown":1}]}`,                           // unknown sub-op key: decline
 		`{"ops":[{"mode":4294967296}]}`,                     // overflow uint32: decline
@@ -277,10 +305,10 @@ func TestFastUnmarshalPayloadEdgeCases(t *testing.T) {
 		`{"results":[{"entry":{"path":"/a","kind":1,"version":2},"leaseMs":2000,"indexVer":3}]}`,
 		`{"results":[{"match":true},{"redirect":"addr"},{"err":"boom"}]}`,
 		`{"results":[{"entry":null,"match":false}]}`,
-		`{"results":[{"match":1}]}`,                     // wrong type: decline
-		`{"results":[{}],"results":[{"match":true}]}`,   // repeated slice key: decline
-		`{"results":[{"err":"x"},]}`,                    // trailing comma in array: decline
-		`  { "ops" : [ { "op" : "lookup" } ] }  `,       // whitespace everywhere
+		`{"results":[{"match":1}]}`,                   // wrong type: decline
+		`{"results":[{}],"results":[{"match":true}]}`, // repeated slice key: decline
+		`{"results":[{"err":"x"},]}`,                  // trailing comma in array: decline
+		`  { "ops" : [ { "op" : "lookup" } ] }  `,     // whitespace everywhere
 		`{"ops":[ {"op":"lookup","path":"/a"} , {"op":"lookup","path":"/b"} ]}`,
 	}
 	for name, mk := range mks {
@@ -289,4 +317,3 @@ func TestFastUnmarshalPayloadEdgeCases(t *testing.T) {
 		}
 	}
 }
-

@@ -100,6 +100,15 @@ func responseSeeds() [][]byte {
 		`{"id":12,"type":"ok","reqId":"r-1","span":"client-1","payload":{"entry":{"path":"/a","kind":1,"size":4096,"mode":420,"version":7},"leaseMs":2000,"indexVer":3}}`,
 		`{"id":12,"type":"ok","payload":{"redirect":"127.0.0.1:7481"}}`,
 		`{"id":12,"type":"ok","payload":{"match":true,"leaseMs":2000,"indexVer":3}}`,
+		// What a setattr, a rename and a gl_update are answered with, and the
+		// requests of the write path (a response decoded into a request type
+		// is still a decode both paths must agree on).
+		`{"id":12,"type":"ok","reqId":"r-2","span":"client-1","payload":{"entry":{"path":"/a","kind":2,"mode":420,"version":8},"leaseMs":2000,"indexVer":3}}`,
+		`{"id":12,"type":"ok","reqId":"r-2","span":"mds-0","payload":{"entry":{"path":"/gl/a","kind":1,"size":7,"mode":420,"version":3},"glVersion":41}}`,
+		`{"id":12,"type":"setattr","reqId":"r-2","span":"client-1","payload":{"path":"/a","size":0,"mode":0}}`,
+		`{"id":12,"type":"setattr","payload":{"path":"esc\"aped\u002f","size":-1,"mode":4294967296}}`,
+		`{"id":12,"type":"gl_update","reqId":"r-2","span":"mds-0","payload":{"serverId":1,"op":"setattr","entry":{"path":"/gl/a","kind":0,"size":7,"mode":420,"version":0}}}`,
+		`{"id":12,"type":"ok","payload":{"entry":{"path":"/a","version":2},"entry":{"kind":1},"glVersion":2,"extra":true}}`,
 		// Invalid UTF-8: in a value the caller keeps, in one it drops, in a key.
 		"{\"id\":13,\"type\":\"ok\",\"payload\":{\"redirect\":\"a\xffb\"}}",
 		"{\"id\":13,\"type\":\"o\xffk\",\"reqId\":\"\xc3\x28\"}",

@@ -84,12 +84,6 @@ const (
 	// per-op latency histograms.
 	TypeObsDump = "obs_dump"
 
-	// Lock service.
-	//d2vet:ignore wirecheck acquire and release share the LockRequest/LockResponse pair
-	TypeLockAcquire = "lock_acquire"
-	//d2vet:ignore wirecheck acquire and release share the LockRequest/LockResponse pair
-	TypeLockRelease = "lock_release"
-
 	// Generic.
 	//d2vet:ignore wirecheck generic success envelope: payload is the per-op response struct, produced by Envelope helpers rather than a handler case
 	TypeOK = "ok"
@@ -139,6 +133,7 @@ func NewEnvelope(id uint64, msgType string, payload interface{}) (*Envelope, err
 			env.Payload = raw
 			return env, nil
 		}
+		CodecFallbacks.Encode.Add(1)
 		raw, err := json.Marshal(payload)
 		if err != nil {
 			return nil, fmt.Errorf("wire: marshal %s payload: %w", msgType, err)
@@ -164,6 +159,7 @@ func (e *Envelope) Decode(out interface{}) error {
 	if fastUnmarshalPayload(e.Payload, out) {
 		return nil
 	}
+	CodecFallbacks.Decode.Add(1)
 	if err := json.Unmarshal(e.Payload, out); err != nil {
 		return fmt.Errorf("wire: decode %s payload: %w", e.Type, err)
 	}
@@ -271,6 +267,7 @@ func appendMessage(buf []byte, id uint64, msgType, reqID, span string, payload i
 		buf = append(buf, `,"payload":`...)
 		var ok bool
 		if buf, ok = appendPayload(buf, payload); !ok {
+			CodecFallbacks.Encode.Add(1)
 			raw, err := json.Marshal(payload)
 			if err != nil {
 				return buf, fmt.Errorf("wire: marshal %s payload: %w", msgType, err)

@@ -95,7 +95,8 @@ func TestFrameRoundTripAllocs(t *testing.T) {
 //     the payload: the ReqID, the Span and the Path, which outlive the read
 //     buffer;
 //   - the caller's decode of the response: what it is handed back, the
-//     Entry and its Path.
+//     Entry and its Path;
+//   - the same for a setattr, and for the gl_update hop behind it.
 func TestCallPathAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -152,6 +153,88 @@ func TestCallPathAllocs(t *testing.T) {
 	}
 	if resp.Entry == nil || resp.Entry.Path != req.Path || resp.LeaseMS != 2000 {
 		t.Errorf("client decoded %+v", resp)
+	}
+
+	// The write path has the same budgets: a setattr request encodes into the
+	// write buffer for nothing and decodes on the MDS for its three strings.
+	setattr := &SetAttrRequest{Path: req.Path, Size: 4096, Mode: 0o644}
+	encode = testing.AllocsPerRun(500, func() {
+		buf, err := appendMessage(beginFrame(wbuf[:0]), 8, TypeSetAttr, "c01-000043", "client-1", setattr)
+		if err == nil {
+			err = endFrame(buf, 0)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		wbuf = buf
+	})
+	if encode != 0 {
+		t.Errorf("setattr request encode into the write buffer allocates %.1f objects/op, want 0", encode)
+	}
+	request = wbuf[4:]
+	var gotSetattr SetAttrRequest
+	serverDecode = testing.AllocsPerRun(500, func() {
+		if err := decodeRequest(request, &env, inline); err != nil {
+			t.Fatal(err)
+		}
+		if err := env.Decode(&gotSetattr); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if serverDecode > 3 {
+		t.Errorf("server decode of a traced setattr allocates %.1f objects/op, want <= 3 (ReqID, Span, Path)", serverDecode)
+	}
+	if gotSetattr != *setattr || env.Type != TypeSetAttr {
+		t.Errorf("server decoded %+v / %+v", env, gotSetattr)
+	}
+
+	// The hop a global-layer setattr triggers, MDS → Monitor → MDS: all four
+	// codec steps together allocate the Monitor's copy of the ReqID, the Span
+	// and the entry's Path, and the MDS's copy of the Path it is answered
+	// with. The op is handed back as the constant it names.
+	glReq := &GLUpdateRequest{ServerID: 1, Op: "setattr", Entry: Entry{Path: req.Path, Size: 4096, Mode: 0o644}}
+	glResp := &GLUpdateResponse{Entry: Entry{Path: req.Path, Kind: EntryFile, Size: 4096, Mode: 0o644, Version: 8}, GLVersion: 41}
+	var gotReq GLUpdateRequest
+	var gotResp GLUpdateResponse
+	rbuf := make([]byte, 0, 1<<10)
+	roundTrip := testing.AllocsPerRun(500, func() {
+		buf, err := appendMessage(wbuf[:0], 9, TypeGLUpdate, "c01-000043", "mds-1", glReq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wbuf = buf
+		if err := decodeRequest(wbuf, &env, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := env.Decode(&gotReq); err != nil {
+			t.Fatal(err)
+		}
+		if rbuf, err = appendMessage(rbuf[:0], env.ID, TypeOK, env.ReqID, env.Span, glResp); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := decodeResponse(rbuf, TypeGLUpdate, &gotResp); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if roundTrip > 4 {
+		t.Errorf("gl_update round trip allocates %.1f objects/op, want <= 4 (ReqID, Span, Path; Path)", roundTrip)
+	}
+	if gotReq != *glReq || gotResp != *glResp {
+		t.Errorf("gl_update round trip decoded %+v / %+v", gotReq, gotResp)
+	}
+	before := CodecFallbacks.Snapshot()
+	buf, err := appendMessage(wbuf[:0], 9, TypeGLUpdate, "", "", glReq)
+	if err == nil {
+		err = decodeRequest(buf, &env, nil)
+	}
+	if err == nil {
+		err = env.Decode(&gotReq)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after := CodecFallbacks.Snapshot(); after != before {
+		t.Errorf("a gl_update went through encoding/json: fallbacks %+v -> %+v", before, after)
 	}
 }
 
