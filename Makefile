@@ -29,7 +29,7 @@ vet:
 	$(GO) vet ./...
 
 # go vet plus the project-specific analyzers (lockheld, determinism,
-# wirecheck, statcheck, codeccheck, leasecheck, goroutinecheck, inlinecheck). See
+# wirecheck, statcheck, leasecheck, goroutinecheck, inlinecheck). See
 # DESIGN.md "Invariants as lint rules". Use `d2vet -rule <name>` to run one
 # rule and `-json` for machine-readable findings (what ci.sh parses).
 lint:
@@ -51,14 +51,15 @@ bench-index:
 	$(GO) test -run '^$$' -bench 'ReaddirPlus(Store|Index)Size|ClientReaddirPlus|LookupHit' -benchtime 1x ./internal/server/ ./internal/client/
 
 # One iteration of the wire benchmarks, so they cannot rot: the two-step
-# frame round trip, a lookup over loopback through Conn.Call and the
+# frame round trip, an 8-child ReaddirPlus response encoded and decoded (the
+# codec rung under lmbe_ls), a lookup over loopback through Conn.Call and the
 # serving loop at 1 and 16 callers, handler inline and on its own goroutine
 # (allocs/op for the whole round trip, frames per write on both sides), and
 # a setattr through a client, an in-process MDS with a WAL and the Monitor,
-# local layer and global (allocs/op for all three, encoding/json fallbacks
-# per op, which must read 0). For numbers: -cpu 1 -benchtime 2000x.
+# local layer and global (allocs/op for all three). For numbers: -cpu 1
+# -benchtime 2000x.
 bench-wire:
-	$(GO) test -run '^$$' -bench 'FrameRoundTrip|EchoInproc|SetAttrInproc' -benchtime 1x ./internal/wire/ ./internal/server/
+	$(GO) test -run '^$$' -bench 'FrameRoundTrip|ReaddirPlusCodec|EchoInproc|SetAttrInproc' -benchtime 1x ./internal/wire/ ./internal/server/
 
 # The full gate: what ci.sh runs.
 check: build lint race-obs race-rpc race bench-test bench-index bench-wire

@@ -36,9 +36,14 @@ go test -race ./...
 go test -run '^$' -bench 'ReaddirPlus(Store|Index)Size|ClientReaddirPlus|LookupHit' -benchtime 1x ./internal/server/ ./internal/client/
 
 # And of the wire benchmarks (`make bench-wire`): the frame round trip, a
-# lookup over loopback through Conn.Call and the serving loop, and a setattr
-# through a client, an in-process MDS and the Monitor.
-go test -run '^$' -bench 'FrameRoundTrip|EchoInproc|SetAttrInproc' -benchtime 1x ./internal/wire/ ./internal/server/
+# ReaddirPlus response through the codec, a lookup over loopback through
+# Conn.Call and the serving loop, and a setattr through a client, an
+# in-process MDS and the Monitor.
+go test -run '^$' -bench 'FrameRoundTrip|ReaddirPlusCodec|EchoInproc|SetAttrInproc' -benchtime 1x ./internal/wire/ ./internal/server/
+
+# Ten seconds of fuzzing the frame decoder: every input either fails cleanly
+# or is a frame that encodes back to the bytes it was read from.
+go test -run '^$' -fuzz '^FuzzDecodeFrame$' -fuzztime 10s ./internal/wire
 
 # bench/ is a module of its own, so the ./... patterns above do not descend
 # into it: vet and test the benchmark harness too.

@@ -134,7 +134,7 @@ func run(args []string, w io.Writer) error {
 		fmt.Fprintf(w, "monitor heartbeats=%d transfers planned=%d done=%d failed=%d reissued=%d glv=%d indexv=%d journal=%s\n",
 			ms.Heartbeats, ms.TransfersPlanned, ms.TransfersDone,
 			ms.TransfersFailed, ms.TransfersReissued, ms.GLVersion, ms.IndexVer, journal)
-		printWireIO(w, ms.ServeIO, ms.ConnIO, ms.CodecFallbacks)
+		printWireIO(w, ms.ServeIO, ms.ConnIO, ms.BadFrames)
 		for _, mem := range ms.Members {
 			state := "alive"
 			if !mem.Alive {
@@ -272,17 +272,16 @@ func printServerStats(w io.Writer, st *wire.StatsResponse) {
 	}
 	fmt.Fprintf(w, "  wal appends=%d flushes=%d snapshots=%d state=%s\n",
 		st.WalAppends, st.WalFlushes, st.Snapshots, wal)
-	printWireIO(w, st.ServeIO, st.ConnIO, st.CodecFallbacks)
+	printWireIO(w, st.ServeIO, st.ConnIO, st.BadFrames)
 	for _, root := range st.Subtrees {
 		fmt.Fprintf(w, "  subtree %s\n", root)
 	}
 }
 
 // printWireIO prints one process's wire traffic as frames per syscall — the
-// requests it served and the calls it made — and the payloads it put through
-// encoding/json for want of a hand codec: about the heartbeat rate on a
-// healthy node, the op rate when a data-path message is on reflection.
-func printWireIO(w io.Writer, serve, conn wire.IOSnapshot, fb wire.FallbackSnapshot) {
+// requests it served and the calls it made — and the frames it refused as
+// malformed: 0 unless some peer speaks another format.
+func printWireIO(w io.Writer, serve, conn wire.IOSnapshot, badFrames int64) {
 	for _, side := range []struct {
 		name string
 		io   wire.IOSnapshot
@@ -291,7 +290,7 @@ func printWireIO(w io.Writer, serve, conn wire.IOSnapshot, fb wire.FallbackSnaps
 			side.name, side.io.FramesIn, side.io.Reads, perSyscall(side.io.FramesIn, side.io.Reads),
 			side.io.FramesOut, side.io.Writes, perSyscall(side.io.FramesOut, side.io.Writes))
 	}
-	fmt.Fprintf(w, "  wire codec fallbacks encode=%d decode=%d\n", fb.Encode, fb.Decode)
+	fmt.Fprintf(w, "  wire bad frames=%d\n", badFrames)
 }
 
 func perSyscall(frames, syscalls int64) float64 {

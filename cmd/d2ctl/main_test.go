@@ -103,13 +103,10 @@ func TestCtlLookupCreateReaddirStats(t *testing.T) {
 	if strings.Contains(buf.String(), "wire serve frames in=0 ") {
 		t.Errorf("a serving loop counted no frames:\n%s", buf.String())
 	}
-	// The join and the heartbeats rode encoding/json, so the process-wide
-	// count is non-zero on every line.
-	if n := strings.Count(buf.String(), "wire codec fallbacks encode="); n != 3 {
-		t.Errorf("stats prints %d codec fallback lines, want 3:\n%s", n, buf.String())
-	}
-	if strings.Contains(buf.String(), "fallbacks encode=0 ") {
-		t.Errorf("no codec fallback counted, though joins and heartbeats have no hand codec:\n%s", buf.String())
+	// Every process reports the frames it refused; nothing here speaks
+	// another format.
+	if n := strings.Count(buf.String(), "wire bad frames=0\n"); n != 3 {
+		t.Errorf("stats prints %d clean bad-frame lines, want 3:\n%s", n, buf.String())
 	}
 }
 

@@ -7,15 +7,11 @@
 //   - determinism: the simulator/partitioning/metrics/trace packages never
 //     read the wall clock or the global math/rand state — clocks and RNGs
 //     are injected and seeded;
-//   - wirecheck: every wire message struct is fully json-tagged and every
-//     wire op constant has a registered handler plus request/response
-//     structs;
+//   - wirecheck: every wire op constant has a registered handler plus
+//     request/response structs;
 //   - statcheck: fields of mutex-guarded stats/counter structs are only
 //     touched while the owning mutex is held (fields declared before the
 //     mutex, and fields of self-synchronised types, are exempt);
-//   - codeccheck: the hand payload codecs in payload_fast.go emit and
-//     accept exactly the json-tagged fields of their message structs, in
-//     declared order — codec drift becomes a build break;
 //   - leasecheck: every entry-carrying wire response declares and stamps
 //     the §8b lease fields, and mutating client calls reconcile the entry
 //     cache;
@@ -159,9 +155,8 @@ func Default() []Analyzer {
 	return []Analyzer{
 		&LockHeld{},
 		&Determinism{Packages: DeterministicPackages},
-		&WireCheck{WirePackage: "internal/wire", MessagesFile: "messages.go", EnvelopeStruct: "Envelope"},
+		&WireCheck{WirePackage: "internal/wire"},
 		&StatCheck{Packages: []string{"internal/stats", "internal/core", "internal/obs", "internal/cache", "internal/server", "internal/monitor", "internal/wal"}},
-		&CodecCheck{WirePackage: "internal/wire", CodecFile: "payload_fast.go", MessagesFile: "messages.go"},
 		&LeaseCheck{WirePackage: "internal/wire", ServerPackage: "internal/server", ClientPackage: "internal/client"},
 		&GoroutineCheck{Packages: ConcurrentPackages},
 		&InlineCheck{Packages: ConcurrentPackages},

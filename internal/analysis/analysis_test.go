@@ -28,9 +28,8 @@ func TestGolden(t *testing.T) {
 	cases := []goldenCase{
 		{name: "lockheld", analyzers: []Analyzer{&LockHeld{}}},
 		{name: "determinism", analyzers: []Analyzer{&Determinism{Packages: []string{"det"}}}},
-		{name: "wirecheck", analyzers: []Analyzer{&WireCheck{WirePackage: "wire", MessagesFile: "messages.go", EnvelopeStruct: "Envelope"}}},
+		{name: "wirecheck", analyzers: []Analyzer{&WireCheck{WirePackage: "wire"}}},
 		{name: "statcheck", analyzers: []Analyzer{&StatCheck{Packages: []string{"stats"}}}},
-		{name: "codeccheck", analyzers: []Analyzer{&CodecCheck{WirePackage: "wire", CodecFile: "payload_fast.go", MessagesFile: "messages.go"}}},
 		{name: "leasecheck", analyzers: []Analyzer{&LeaseCheck{WirePackage: "wire", ServerPackage: "server", ClientPackage: "client"}}, withIgnores: true},
 		{name: "goroutinecheck", analyzers: []Analyzer{&GoroutineCheck{Packages: []string{"wire", "server"}}}},
 		{name: "inlinecheck", analyzers: []Analyzer{&InlineCheck{Packages: []string{"server"}}}},
@@ -96,8 +95,8 @@ func relDiag(root string, d Diagnostic) string {
 
 func TestDefaultAnalyzers(t *testing.T) {
 	all := Default()
-	if len(all) != 8 {
-		t.Fatalf("Default() returned %d analyzers, want 8", len(all))
+	if len(all) != 7 {
+		t.Fatalf("Default() returned %d analyzers, want 7", len(all))
 	}
 	seen := map[string]bool{}
 	for _, a := range all {

@@ -3,7 +3,6 @@ package analysis
 import (
 	"os"
 	"path/filepath"
-	"slices"
 	"strings"
 	"testing"
 )
@@ -88,23 +87,6 @@ func requireClean(t *testing.T, diags []Diagnostic) {
 	}
 }
 
-func newCodecCheck() Analyzer {
-	return &CodecCheck{WirePackage: "internal/wire", CodecFile: "payload_fast.go", MessagesFile: "messages.go"}
-}
-
-// TestCodecCheckMutation drops the leaseMs emission from appendEntryResponse:
-// the exact field-drift a hand codec accumulates when a struct grows.
-func TestCodecCheckMutation(t *testing.T) {
-	root := mutationRoot(t, "internal/wire/messages.go", "internal/wire/payload_fast.go")
-	requireClean(t, runOn(t, root, newCodecCheck()))
-
-	mutate(t, root, "internal/wire/payload_fast.go",
-		"`\"leaseMs\":`", "`\"lms\":`")
-	diags := runOn(t, root, newCodecCheck())
-	requireDiag(t, diags, `never emits json key "leaseMs"`)
-	requireDiag(t, diags, `json key "lms" which is not a field`)
-}
-
 func newLeaseCheck() Analyzer {
 	return &LeaseCheck{WirePackage: "internal/wire", ServerPackage: "internal/server", ClientPackage: "internal/client"}
 }
@@ -170,38 +152,4 @@ func TestInlineCheckMutation(t *testing.T) {
 	requireDiag(t, diags, "inline op TypeSetAttr")
 	requireDiag(t, diags, "wait via .Wait via handle → dispatch → handleSetAttr → waitDurable")
 	requireDiag(t, diags, "RPC call via .CallTraced via handle → dispatch → handleSetAttr → glUpdate")
-}
-
-// TestCodecCheckUncovered keeps the exempt roster visible: structs with no
-// fast codec must be a deliberate, enumerable set.
-func TestCodecCheckUncovered(t *testing.T) {
-	m, err := Load(filepath.Join("..", ".."))
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := newCodecCheck().(*CodecCheck)
-	uncovered := a.Uncovered(m)
-	covered := map[string]bool{
-		"LookupRequest": true, "ReaddirRequest": true, "CreateRequest": true,
-		"EntryResponse": true, "SetAttrRequest": true,
-		"GLUpdateRequest": true, "GLUpdateResponse": true,
-		"RevalidateRequest": true, "RevalidateResponse": true,
-		"ReaddirPlusRequest": true, "ReaddirPlusResponse": true,
-		"CreateWithAttrsRequest": true, "BatchRequest": true, "BatchResponse": true,
-	}
-	for _, name := range uncovered {
-		if covered[name] {
-			t.Errorf("%s reported uncovered but has a fast codec", name)
-		}
-	}
-	// The per-op names of EntryResponse are aliases, not structs of their own:
-	// none may be listed as a message that rides encoding/json.
-	for _, alias := range []string{"LookupResponse", "CreateResponse", "CreateWithAttrsResponse", "SetAttrResponse", "RenameResponse"} {
-		if slices.Contains(uncovered, alias) {
-			t.Errorf("%s reported uncovered: it is EntryResponse, which has a fast codec", alias)
-		}
-	}
-	if len(uncovered) == 0 {
-		t.Fatal("expected some encoding/json-only structs in the roster")
-	}
 }

@@ -1,32 +1,21 @@
 package wire
 
-// PingRequest is fully tagged: clean.
+// PingRequest gives TypePing its schema.
 type PingRequest struct {
-	Seq  int    `json:"seq"`
-	Node string `json:"node"`
+	Seq int
 }
 
-// PingResponse has one untagged exported field.
-type PingResponse struct {
-	Seq  int `json:"seq"`
-	Took int // want: no json tag
-}
-
-// StatusResponse references Detail, pulling it into the checked set even
-// though Detail is declared in another file.
+// StatusResponse gives TypeStatus its schema.
 type StatusResponse struct {
-	Details []Detail `json:"details"`
-	skipped int      // unexported: never needs a tag
+	Details []string
 }
 
 // DropRequest exists so TypeDrop has a schema; its handler is missing.
 type DropRequest struct {
-	Path string `json:"path"`
+	Path string
 }
 
-// RenewResponse satisfies TypeRenew's schema on the Response side alone;
-// every exported field is tagged, so the op stays clean.
+// RenewResponse satisfies TypeRenew's schema on the Response side alone.
 type RenewResponse struct {
-	Match   bool  `json:"match,omitempty"`
-	LeaseMS int64 `json:"leaseMs,omitempty"`
+	Match bool
 }

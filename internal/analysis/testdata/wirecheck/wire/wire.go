@@ -10,21 +10,3 @@ const (
 	// Version is not an op constant; the Type prefix check must not match it.
 	Version = "v1"
 )
-
-// Detail is declared outside messages.go but reachable from StatusResponse.
-type Detail struct {
-	Key   string `json:"key"`
-	Value string // want: no json tag (transitively checked)
-}
-
-// Internal is exported but unreachable from the messages file: not checked.
-type Internal struct {
-	Untagged int
-}
-
-// Envelope lives outside messages.go but is named by the EnvelopeStruct
-// config, so its fields (and types reachable from them) are tag-checked.
-type Envelope struct {
-	ID    uint64 `json:"id"`
-	ReqID string // want: no json tag (envelope is wire format)
-}

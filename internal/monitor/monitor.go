@@ -20,6 +20,7 @@ import (
 	"net"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -455,73 +456,92 @@ func (m *Monitor) handle(env *wire.Envelope) (interface{}, error) {
 	end := time.Now()
 	d := end.Sub(start)
 	m.opStats.Observe(env.Type, d)
-	m.rec.RecordAt(end, obs.Event{
-		Kind:  obs.KindOp,
-		Op:    env.Type,
-		ReqID: env.ReqID,
-		From:  env.Span,
-		Path:  path,
-		DurUS: d.Microseconds(),
-		Err:   obs.ErrString(err),
-	})
+	m.rec.RecordOp(env, path, end, d, err)
 	return resp, err
 }
 
-// dispatch decodes and routes one request, additionally returning the
-// namespace path the request concerned (for the trace event).
+// dispatch routes one request, additionally returning the namespace path
+// it concerned (for the trace event). An op with a request body decodes it
+// in a serve method of its own, so no request is held in this frame: here it
+// would sit, with every other op's, on the fresh goroutine stack of every
+// blocking op through the decode, and push that stack past its first segment.
 func (m *Monitor) dispatch(env *wire.Envelope) (interface{}, string, error) {
 	switch env.Type {
 	case wire.TypeJoin:
-		var req wire.JoinRequest
-		if err := env.Decode(&req); err != nil {
-			return nil, "", err
-		}
-		resp, err := m.handleJoin(&req)
-		return resp, "", err
+		return m.serveJoin(env)
 	case wire.TypeHeartbeat:
-		var req wire.HeartbeatRequest
-		if err := env.Decode(&req); err != nil {
-			return nil, "", err
-		}
-		resp, err := m.handleHeartbeat(&req)
-		return resp, "", err
+		return m.serveHeartbeat(env)
 	case wire.TypeGLUpdate:
-		var req wire.GLUpdateRequest
-		if err := env.Decode(&req); err != nil {
-			return nil, "", err
-		}
-		resp, err := m.handleGLUpdate(&req)
-		return resp, req.Entry.Path, err
+		return m.serveGLUpdate(env)
 	case wire.TypeClusterInfo:
 		resp, err := m.handleClusterInfo()
 		return resp, "", err
 	case wire.TypeTransferDone:
-		var req wire.TransferDoneRequest
-		if err := env.Decode(&req); err != nil {
-			return nil, "", err
-		}
-		resp, err := m.handleTransferDone(&req)
-		return resp, req.RootPath, err
+		return m.serveTransferDone(env)
 	case wire.TypeTransferFailed:
-		var req wire.TransferFailedRequest
-		if err := env.Decode(&req); err != nil {
-			return nil, "", err
-		}
-		resp, err := m.handleTransferFailed(&req)
-		return resp, req.RootPath, err
+		return m.serveTransferFailed(env)
 	case wire.TypeMonitorStats:
 		resp, err := m.handleMonitorStats()
 		return resp, "", err
 	case wire.TypeObsDump:
-		var req wire.ObsDumpRequest
-		if err := env.Decode(&req); err != nil {
-			return nil, "", err
-		}
-		resp, err := m.handleObsDump(&req)
-		return resp, "", err
+		return m.serveObsDump(env)
 	default:
 		return nil, "", fmt.Errorf("monitor: unknown message type %q", env.Type)
 	}
+}
+
+func (m *Monitor) serveJoin(env *wire.Envelope) (interface{}, string, error) {
+	var req wire.JoinRequest
+	if err := env.Decode(&req); err != nil {
+		return nil, "", err
+	}
+	resp, err := m.handleJoin(&req)
+	return resp, "", err
+}
+
+func (m *Monitor) serveHeartbeat(env *wire.Envelope) (interface{}, string, error) {
+	var req wire.HeartbeatRequest
+	if err := env.Decode(&req); err != nil {
+		return nil, "", err
+	}
+	resp, err := m.handleHeartbeat(&req)
+	return resp, "", err
+}
+
+func (m *Monitor) serveGLUpdate(env *wire.Envelope) (interface{}, string, error) {
+	var req wire.GLUpdateRequest
+	if err := env.Decode(&req); err != nil {
+		return nil, "", err
+	}
+	resp, err := m.handleGLUpdate(&req)
+	return resp, req.Entry.Path, err
+}
+
+func (m *Monitor) serveTransferDone(env *wire.Envelope) (interface{}, string, error) {
+	var req wire.TransferDoneRequest
+	if err := env.Decode(&req); err != nil {
+		return nil, "", err
+	}
+	resp, err := m.handleTransferDone(&req)
+	return resp, req.RootPath, err
+}
+
+func (m *Monitor) serveTransferFailed(env *wire.Envelope) (interface{}, string, error) {
+	var req wire.TransferFailedRequest
+	if err := env.Decode(&req); err != nil {
+		return nil, "", err
+	}
+	resp, err := m.handleTransferFailed(&req)
+	return resp, req.RootPath, err
+}
+
+func (m *Monitor) serveObsDump(env *wire.Envelope) (interface{}, string, error) {
+	var req wire.ObsDumpRequest
+	if err := env.Decode(&req); err != nil {
+		return nil, "", err
+	}
+	resp, err := m.handleObsDump(&req)
+	return resp, "", err
 }
 
 func (m *Monitor) handleObsDump(req *wire.ObsDumpRequest) (*wire.ObsDumpResponse, error) {
@@ -707,13 +727,15 @@ func (m *Monitor) handleHeartbeat(req *wire.HeartbeatRequest) (*wire.HeartbeatRe
 	}
 	// Fold local-layer creates into the authoritative tree, so a failover
 	// push materialises paths born after bootstrap, and journal the batch:
-	// a restarted Monitor then recovers the same tree.
+	// a restarted Monitor then recovers the same tree. The tree keeps the
+	// names, so each path is copied out of the decoded heartbeat, whose hot
+	// paths would otherwise stay in memory beside every name it created.
 	if len(req.CreatedPaths) > 0 {
 		for _, e := range req.CreatedPaths {
 			if e.Kind == wire.EntryDir {
-				_, _ = m.tree.MkdirAll(e.Path)
+				_, _ = m.tree.MkdirAll(strings.Clone(e.Path))
 			} else {
-				_, _ = m.tree.AddFile(e.Path)
+				_, _ = m.tree.AddFile(strings.Clone(e.Path))
 			}
 		}
 		m.journalLocked("ll_paths", &walLLPaths{Entries: req.CreatedPaths})
@@ -1203,7 +1225,7 @@ func (m *Monitor) handleMonitorStats() (*wire.MonitorStatsResponse, error) {
 		JournalDegraded:   m.journalDegraded,
 		ServeIO:           wire.ServeIO.Snapshot(),
 		ConnIO:            wire.ConnIO.Snapshot(),
-		CodecFallbacks:    wire.CodecFallbacks.Snapshot(),
+		BadFrames:         wire.BadFrames.Load(),
 	}
 	for _, mem := range m.members {
 		resp.Members = append(resp.Members, wire.MemberInfo{

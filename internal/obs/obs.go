@@ -23,8 +23,8 @@ import (
 )
 
 // Event is the structured observability record; the schema lives in the
-// wire package so TypeObsDump ships it verbatim and d2vet's wirecheck keeps
-// it fully json-tagged.
+// wire package so TypeObsDump ships it verbatim, and its json tags name the
+// fields of the JSONL output.
 type Event = wire.ObsEvent
 
 // Event kinds.
@@ -104,6 +104,25 @@ func (r *Recorder) RecordAt(end time.Time, ev Event) {
 	ev.TS = ts
 	ev.Node = r.node
 	r.ring[(r.seq-1)%uint64(len(r.ring))] = ev
+}
+
+// RecordOp records one request a server handled: a KindOp event for env,
+// concerning path, that ended at end after d. It is kept out of line so the
+// event is built in a frame of its own once the handler has returned: built
+// in the caller, it would sit on every blocking op's fresh goroutine stack
+// for the whole handler and push that stack past its first segment.
+//
+//go:noinline
+func (r *Recorder) RecordOp(env *wire.Envelope, path string, end time.Time, d time.Duration, err error) {
+	r.RecordAt(end, Event{
+		Kind:  KindOp,
+		Op:    env.Type,
+		ReqID: env.ReqID,
+		From:  env.Span,
+		Path:  path,
+		DurUS: d.Microseconds(),
+		Err:   ErrString(err),
+	})
 }
 
 // Since returns the buffered events with Seq > since, oldest first, plus the

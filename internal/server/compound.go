@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"strings"
 
 	"d2tree/internal/wal"
 	"d2tree/internal/wire"
@@ -148,9 +149,11 @@ func (s *Server) batchMissLocked(path string, res *wire.BatchResult) {
 }
 
 // batchCreateEntry is the entry a create sub-op asks for; only create_attrs
-// carries attributes.
+// carries attributes. The store keeps the path, so it is copied out of the
+// decoded frame, which also carries every other sub-op and the client's hot
+// paths and would otherwise stay in memory as long as the entry.
 func batchCreateEntry(op *wire.BatchOp) wire.Entry {
-	e := wire.Entry{Path: op.Path, Kind: op.Kind}
+	e := wire.Entry{Path: strings.Clone(op.Path), Kind: op.Kind}
 	if op.Op == wire.BatchCreateAttrs {
 		e.Size, e.Mode = op.Size, op.Mode
 	}

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"time"
 
 	"d2tree/internal/obs"
@@ -24,11 +25,59 @@ type walEntryRec struct {
 }
 
 // AppendJSON makes the record a wal.Appender: the create and setattr records
-// of the serving path are encoded once, by the wire's entry encoder, instead
-// of by reflection.
+// of the serving path are encoded by hand, into what encoding/json writes for
+// them, instead of by reflection.
 func (r *walEntryRec) AppendJSON(b []byte) []byte {
-	b = append(b, `{"entry":`...)
-	return append(wire.AppendEntry(b, &r.Entry), '}')
+	e := &r.Entry
+	b = append(b, `{"entry":{"path":`...)
+	b = appendJSONString(b, e.Path)
+	b = append(b, `,"kind":`...)
+	b = strconv.AppendInt(b, int64(e.Kind), 10)
+	if e.Size != 0 {
+		b = append(b, `,"size":`...)
+		b = strconv.AppendInt(b, e.Size, 10)
+	}
+	if e.Mode != 0 {
+		b = append(b, `,"mode":`...)
+		b = strconv.AppendUint(b, uint64(e.Mode), 10)
+	}
+	b = append(b, `,"version":`...)
+	b = strconv.AppendInt(b, e.Version, 10)
+	return append(b, "}}"...)
+}
+
+const hexDigits = "0123456789abcdef"
+
+// appendJSONString appends s as a JSON string literal. Quotes, backslashes
+// and control characters are escaped; everything else (including multi-byte
+// UTF-8) passes through verbatim, which json.Unmarshal accepts.
+func appendJSONString(buf []byte, s string) []byte {
+	buf = append(buf, '"')
+	start := 0
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if c >= 0x20 && c != '"' && c != '\\' {
+			continue
+		}
+		buf = append(buf, s[start:i]...)
+		switch c {
+		case '"':
+			buf = append(buf, '\\', '"')
+		case '\\':
+			buf = append(buf, '\\', '\\')
+		case '\n':
+			buf = append(buf, '\\', 'n')
+		case '\r':
+			buf = append(buf, '\\', 'r')
+		case '\t':
+			buf = append(buf, '\\', 't')
+		default:
+			buf = append(buf, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xf])
+		}
+		start = i + 1
+	}
+	buf = append(buf, s[start:]...)
+	return append(buf, '"')
 }
 
 type walRenameRec struct {

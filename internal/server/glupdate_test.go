@@ -173,10 +173,9 @@ func TestWalEntryRecAppendsWhatItMarshals(t *testing.T) {
 // an MDS journaling to a temp dir, the Monitor. local updates a file the MDS
 // owns (decode, commit, group-commit fsync, encode); gl updates a
 // global-layer path, which the MDS forwards to the Monitor as a gl_update
-// (two more hops, no fsync: the MDS does not journal GL state). Beside ns/op
-// and allocs/op for all three parties it reports how many payloads per op
-// went through encoding/json: 0, unless a message on this path has lost its
-// hand codec. Run it at -cpu 1, as the benchmark's processes run.
+// (two more hops, no fsync: the MDS does not journal GL state). It reports
+// ns/op and allocs/op for all three parties. Run it at -cpu 1, as the
+// benchmark's processes run.
 func BenchmarkSetAttrInproc(b *testing.B) {
 	for _, layer := range []string{"local", "gl"} {
 		b.Run(layer, func(b *testing.B) {
@@ -194,7 +193,6 @@ func BenchmarkSetAttrInproc(b *testing.B) {
 			if _, err := c.SetAttr(path, 1, 0o644); err != nil { // dials, and sizes the buffers
 				b.Fatal(err)
 			}
-			before := wire.CodecFallbacks.Snapshot()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -206,9 +204,6 @@ func BenchmarkSetAttrInproc(b *testing.B) {
 					b.Fatal(fmt.Errorf("setattr %s to size %d answered %+v", path, i, e))
 				}
 			}
-			b.StopTimer()
-			after := wire.CodecFallbacks.Snapshot()
-			b.ReportMetric(float64(after.Encode-before.Encode+after.Decode-before.Decode)/float64(b.N), "fallbacks/op")
 		})
 	}
 }

@@ -24,15 +24,7 @@ func (s *Server) handle(env *wire.Envelope) (interface{}, error) {
 	end := time.Now()
 	d := end.Sub(start)
 	s.opStats.Observe(env.Type, d)
-	s.rec.RecordAt(end, obs.Event{
-		Kind:  obs.KindOp,
-		Op:    env.Type,
-		ReqID: env.ReqID,
-		From:  env.Span,
-		Path:  path,
-		DurUS: d.Microseconds(),
-		Err:   obs.ErrString(err),
-	})
+	s.rec.RecordOp(env, path, end, d, err)
 	return resp, err
 }
 
@@ -539,7 +531,7 @@ func (s *Server) handleStats() (*wire.StatsResponse, error) {
 		Subtrees:         roots,
 		ServeIO:          wire.ServeIO.Snapshot(),
 		ConnIO:           wire.ConnIO.Snapshot(),
-		CodecFallbacks:   wire.CodecFallbacks.Snapshot(),
+		BadFrames:        wire.BadFrames.Load(),
 	}, nil
 }
 

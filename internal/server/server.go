@@ -640,30 +640,63 @@ func (s *Server) nackTransfer(cmd wire.TransferCommand, cause error) {
 	}, nil)
 }
 
-// topPaths returns the k highest-count entries of the access counters.
+// topPaths returns the k highest-count entries of the access counters, a tie
+// going to the smaller path. One pass keeps the best k seen so far in a
+// min-heap whose root is the lowest-ranked of them: O(n log k).
 func topPaths(counts map[string]int64, k int) map[string]int64 {
 	if len(counts) <= k {
 		return counts
 	}
-	type kv struct {
-		path  string
-		count int64
-	}
-	all := make([]kv, 0, len(counts))
+	h := make([]pathCount, 0, k)
 	for p, c := range counts {
-		all = append(all, kv{p, c})
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].count != all[j].count {
-			return all[i].count > all[j].count
+		switch e := (pathCount{p, c}); {
+		case len(h) < k:
+			if h = append(h, e); len(h) == k {
+				for i := k/2 - 1; i >= 0; i-- {
+					siftDown(h, i)
+				}
+			}
+		case ranksBelow(h[0], e):
+			h[0] = e
+			siftDown(h, 0)
 		}
-		return all[i].path < all[j].path
-	})
+	}
 	out := make(map[string]int64, k)
-	for _, e := range all[:k] {
+	for _, e := range h {
 		out[e.path] = e.count
 	}
 	return out
+}
+
+type pathCount struct {
+	path  string
+	count int64
+}
+
+// ranksBelow orders access counts: fewer accesses rank lower, and of equal
+// counts the larger path.
+func ranksBelow(a, b pathCount) bool {
+	if a.count != b.count {
+		return a.count < b.count
+	}
+	return a.path > b.path
+}
+
+// siftDown restores the min-heap order of h below i.
+func siftDown(h []pathCount, i int) {
+	for {
+		low := i
+		for _, c := range [...]int{2*i + 1, 2*i + 2} {
+			if c < len(h) && ranksBelow(h[c], h[low]) {
+				low = c
+			}
+		}
+		if low == i {
+			return
+		}
+		h[i], h[low] = h[low], h[i]
+		i = low
+	}
 }
 
 // collectSubtreeLocked copies out the subtree at rootPath, sorted by path.

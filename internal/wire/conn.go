@@ -65,6 +65,13 @@ type IOSnapshot struct {
 	Writes    int64 `json:"writes"`
 }
 
+func (m *IOSnapshot) code(c *codec) {
+	c.i64(&m.FramesIn)
+	c.i64(&m.Reads)
+	c.i64(&m.FramesOut)
+	c.i64(&m.Writes)
+}
+
 // Snapshot reads the counters.
 func (c *IOCounters) Snapshot() IOSnapshot {
 	return IOSnapshot{
@@ -79,28 +86,10 @@ func (c *IOCounters) Snapshot() IOSnapshot {
 // and every serving loop's requests.
 var ConnIO, ServeIO IOCounters
 
-// FallbackCounters counts the payloads that went through encoding/json
-// because the hand codec has no case for their type or declined the input.
-type FallbackCounters struct {
-	Encode, Decode atomic.Int64
-}
-
-// FallbackSnapshot is a point-in-time copy of FallbackCounters.
-type FallbackSnapshot struct {
-	Encode int64 `json:"encode"`
-	Decode int64 `json:"decode"`
-}
-
-// Snapshot reads the counters.
-func (c *FallbackCounters) Snapshot() FallbackSnapshot {
-	return FallbackSnapshot{Encode: c.Encode.Load(), Decode: c.Decode.Load()}
-}
-
-// CodecFallbacks is this process's count: "is a hot op on reflection?"
-// without a profiler. A healthy node reads about its heartbeat rate (control
-// traffic rides encoding/json by design); a number that tracks ops/s means a
-// data-path message has no hand codec.
-var CodecFallbacks FallbackCounters
+// BadFrames counts the frames this process's serving loops and Conns have
+// refused as malformed (ErrBadFrame), each of which ended its connection:
+// "is some peer speaking another format?" without a packet capture.
+var BadFrames atomic.Int64
 
 // countedReader counts the reads a connection's buffered reader issues.
 type countedReader struct {
@@ -304,23 +293,19 @@ func (c *Conn) CallTraced(msgType, reqID, span string, payload, out interface{})
 	res := <-ch
 	c.inflight.Add(-1)
 	resultChPool.Put(ch)
-	return c.finish(msgType, id, res, out)
+	return c.finish(msgType, res, out)
 }
 
 // finish interprets one delivered call result.
-func (c *Conn) finish(msgType string, id uint64, res callResult, out interface{}) error {
+func (c *Conn) finish(msgType string, res callResult, out interface{}) error {
 	if res.err != nil {
 		return fmt.Errorf("wire: call %s: %w", msgType, res.err)
 	}
-	got, err := decodeResponse(*res.body, msgType, out)
+	err := decodeResponse(*res.body, msgType, out)
 	putFrameBuf(res.body)
-	switch {
-	case err != nil && errors.Is(err, ErrBadFrame):
+	if errors.Is(err, ErrBadFrame) {
+		BadFrames.Add(1)
 		return c.fail(msgType, err)
-	case got != id:
-		// The ID read off the front of the body is not the one the whole
-		// envelope decodes to (a repeated key): the stream cannot be trusted.
-		return c.fail(msgType, fmt.Errorf("response id %d matches no pending call", got))
 	}
 	return err
 }
@@ -383,7 +368,7 @@ func (c *Conn) writeLoop() {
 }
 
 // readLoop is the demultiplexer: the only reader of the socket. It reads
-// each response's ID (frameID) and hands the body, still encoded, to the
+// each response's ID (peekFrameID) and hands the body, still encoded, to the
 // pending call of that ID, which decodes it; a frame it cannot match means
 // the stream is desynchronised, which poisons the connection.
 func (c *Conn) readLoop() {
@@ -401,9 +386,10 @@ func (c *Conn) readLoop() {
 			return
 		}
 		frames++
-		id, err := frameID(*bp)
+		id, err := peekFrameID(*bp)
 		if err != nil {
 			putFrameBuf(bp)
+			BadFrames.Add(1)
 			c.poison(err)
 			return
 		}

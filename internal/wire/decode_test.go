@@ -2,111 +2,129 @@ package wire
 
 import (
 	"bytes"
-	"encoding/json"
+	"encoding/binary"
+	"errors"
+	"math"
 	"testing"
 	"testing/quick"
 )
 
-// checkDecodeAgreesWithJSON asserts the production decoder and a pure
-// encoding/json parse agree on body: same error-ness, same fields.
-func checkDecodeAgreesWithJSON(t *testing.T, body []byte) {
+// frameBody encodes an envelope and payload the way every peer writes one.
+func frameBody(t testing.TB, id uint64, msgType, reqID, span, errMsg string, payload []byte) []byte {
 	t.Helper()
-	var want Envelope
-	wantErr := json.Unmarshal(body, &want)
-	var got Envelope
-	gotErr := decodeEnvelope(body, &got)
-	if (wantErr == nil) != (gotErr == nil) {
-		t.Errorf("decode %q: err = %v, encoding/json err = %v", body, gotErr, wantErr)
-		return
+	b, err := appendHead(nil, id, msgType, reqID, span, errMsg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if wantErr != nil {
-		return
+	return append(b, payload...)
+}
+
+// checkDecodeAgrees asserts the serving loop's in-place decode and ReadFrame
+// agree on body: both refuse it as a bad frame, or both give the same
+// envelope, which encodes back to body.
+func checkDecodeAgrees(t *testing.T, body []byte) (accepted bool) {
+	t.Helper()
+	var got Envelope
+	gotErr := decodeRequest(body, &got)
+	want, wantErr := ReadFrame(bytes.NewReader(frameBytes(body)))
+	if (gotErr == nil) != (wantErr == nil) {
+		t.Fatalf("decode %x: err = %v, ReadFrame err = %v", body, gotErr, wantErr)
+	}
+	if gotErr != nil {
+		if !errors.Is(gotErr, ErrBadFrame) || !errors.Is(wantErr, ErrBadFrame) {
+			t.Fatalf("decode %x: errors %v / %v, want ErrBadFrame", body, gotErr, wantErr)
+		}
+		return false
 	}
 	if got.ID != want.ID || got.Type != want.Type || got.ReqID != want.ReqID ||
 		got.Span != want.Span || got.Error != want.Error || !bytes.Equal(got.Payload, want.Payload) {
-		t.Errorf("decode %q:\n  got  %+v\n  want %+v", body, got, want)
+		t.Fatalf("decode %x:\n  in place  %+v\n  ReadFrame %+v", body, got, *want)
 	}
+	var out bytes.Buffer
+	if err := WriteFrame(&out, want); err != nil {
+		t.Fatalf("re-encode of %+v: %v", *want, err)
+	}
+	if !bytes.Equal(out.Bytes()[4:], body) {
+		t.Fatalf("decode %x re-encodes as %x", body, out.Bytes()[4:])
+	}
+	return true
 }
 
 func TestDecodeEnvelopeEdgeCases(t *testing.T) {
-	cases := []string{
-		`{}`,
-		`{"id":0,"type":""}`,
-		`{"id":18446744073709551615,"type":"lookup"}`,
-		`  {  "id" : 7 , "type" : "lookup" }  `,
-		`{"id":1,"type":"lookup","reqId":"r-1","span":"client-0","error":"boom","payload":{"path":"/a"}}`,
-		`{"id":1,"type":"a\"b\\c\/d\b\f\n\r\t"}`,
-		`{"id":1,"type":"\u0041\u00e9\u4e16"}`,
-		`{"id":1,"type":"\ud83d\ude00"}`, // surrogate pair (emoji)
-		`{"id":1,"type":"\ud800"}`,       // unpaired high surrogate → U+FFFD
-		`{"id":1,"type":"\ud800x"}`,      // unpaired then literal
-		`{"id":1,"payload":[1,-2.5,1e9,true,false,null,"s",{"k":[]}]}`,
-		`{"id":1,"payload":null}`,
-		`{"id":1,"payload":"just a string"}`,
-		`{"id":1,"payload":0.5}`,
-		`{"type":"dup","type":"wins"}`,     // duplicate key: last wins
-		`{"unknown":42,"id":3,"type":"x"}`, // unknown key → fallback path
-		`{"id":1,"extra":{"nested":[{}]}}`, // unknown key with nested value
-		`null`,                             // valid JSON, not an object
-		`{"id":-1,"type":"x"}`,             // negative ID → fallback (type error)
-		`{"id":1.5,"type":"x"}`,            // float ID → fallback (type error)
-		`{"id":01,"type":"x"}`,             // leading zero: invalid JSON
-		`{"id":1,"type":"x",}`,             // trailing comma: invalid
-		`{"id":1 "type":"x"}`,              // missing comma: invalid
-		`{"id":1,"type":"unterminated`,     // truncated string
-		`{"id":1,"payload":{"k":1,}}`,      // trailing comma in payload
-		`{"id":1,"payload":[1 2]}`,         // missing comma in payload array
-		`{"id":1,"payload":1.2.3}`,         // malformed number
-		`{"id":1,"payload":truth}`,         // malformed literal
-		`{"id":1,"type":"bad\qescape"}`,    // invalid escape
-		`{"id":1,"type":"\ud800\u0041"}`,   // high surrogate + non-surrogate
-		`{"id":1,"type":"x"} trailing`,     // trailing garbage
-		`{not json`,
-		``,
+	full := frameBody(t, 300, TypeLookup, "r-1", "client-0", "boom", []byte{1, 'x'})
+	for _, tc := range []struct {
+		body []byte
+		ok   bool
+	}{
+		{frameBody(t, 0, TypeOK, "", "", "", nil), true},
+		{frameBody(t, math.MaxUint64, TypeObsDump, "", "", "", nil), true},
+		{full, true},
+		{frameBody(t, 1, TypeError, "", "", "x", nil), true},
+		{frameBody(t, 1, TypeSetAttr, "héllo→世界", "s\x00pan", "\xff", []byte("any payload")), true},
+		{[]byte{1, 0, 0, 0, 0}, false},                              // op 0
+		{[]byte{1, byte(len(ops)), 0, 0, 0}, false},                 // past the code table
+		{[]byte{1, '"', 0, 0, 0}, false},                            // what a JSON frame has second
+		{[]byte{1, 0xff, 0, 0, 0}, false},                           // far past it
+		{[]byte{0x80, 0x00, 1, 0, 0, 0}, false},                     // id with a redundant byte
+		{append(bytes.Repeat([]byte{0xff}, 10), 1, 0, 0, 0), false}, // id past 64 bits
+		{[]byte{1, 1, 5, 'a', 'b'}, false},                          // reqId longer than the frame
+		{[]byte{1, 1, 0, 0, 0x80}, false},                           // error length cut short
+		{[]byte{1, 1, 0, 0}, false},                                 // no error field
+		{[]byte(`{"id":1,"type":"lookup","payload":{"path":"/a"}}`), false},
+		{[]byte(`{}`), false},
+		{[]byte(`null`), false},
+		{[]byte("not a frame at all"), false},
+		{nil, false},
+	} {
+		if got := checkDecodeAgrees(t, tc.body); got != tc.ok {
+			t.Errorf("decode %x accepted = %v, want %v", tc.body, got, tc.ok)
+		}
 	}
-	for _, c := range cases {
-		checkDecodeAgreesWithJSON(t, []byte(c))
+	// Cut anywhere before the payload, the envelope is short; after, the
+	// payload is (which only its decoder can tell).
+	payloadAt := len(full) - 2
+	for cut := 0; cut < len(full); cut++ {
+		if got := checkDecodeAgrees(t, full[:cut]); got != (cut >= payloadAt) {
+			t.Errorf("cut at %d of %d: accepted = %v", cut, len(full), got)
+		}
 	}
 }
 
-// TestDecodeEnvelopeProperty round-trips random envelopes through BOTH
-// encoders (the hand-rolled appendEnvelope and encoding/json) and checks
-// the production decoder agrees with encoding/json on each form.
+// TestDecodeEnvelopeProperty round-trips random envelopes, every op and any
+// strings and payload bytes, through the encoder and both decodes.
 func TestDecodeEnvelopeProperty(t *testing.T) {
-	prop := func(id uint64, typ, reqID, span, errStr, payloadStr string) bool {
-		payload, err := json.Marshal(payloadStr)
-		if err != nil {
+	prop := func(id uint64, op uint8, reqID, span, errStr string, payload []byte) bool {
+		msgType := ops[1+int(op)%(len(ops)-1)]
+		body := frameBody(t, id, msgType, reqID, span, errStr, payload)
+		if !checkDecodeAgrees(t, body) {
 			return false
 		}
-		env := &Envelope{ID: id, Type: typ, ReqID: reqID, Span: span, Error: errStr, Payload: payload}
-		ours, err := appendEnvelope(nil, env)
-		if err != nil {
-			return false
-		}
-		theirs, err := json.Marshal(env)
-		if err != nil {
-			return false
-		}
-		ok := true
-		for _, body := range [][]byte{ours, theirs} {
-			var a, b Envelope
-			if err := decodeEnvelope(body, &a); err != nil {
-				t.Logf("decode %q: %v", body, err)
-				return false
-			}
-			if err := json.Unmarshal(body, &b); err != nil {
-				t.Logf("json %q: %v", body, err)
-				return false
-			}
-			if a.ID != b.ID || a.Type != b.Type || a.ReqID != b.ReqID ||
-				a.Span != b.Span || a.Error != b.Error || !bytes.Equal(a.Payload, b.Payload) {
-				t.Logf("mismatch on %q: %+v vs %+v", body, a, b)
-				ok = false
-			}
-		}
-		return ok
+		var env Envelope
+		_ = decodeRequest(body, &env)
+		return env.ID == id && env.Type == msgType && env.ReqID == reqID && env.Span == span &&
+			env.Error == errStr && bytes.Equal(env.Payload, payload)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestOpCodes pins the code table: every op decodes to its own constant,
+// and a frame's op byte is its index.
+func TestOpCodes(t *testing.T) {
+	for code := 1; code < len(ops); code++ {
+		if got := opCode(ops[code]); int(got) != code {
+			t.Errorf("opCode(%q) = %d, want %d", ops[code], got, code)
+		}
+		body := frameBody(t, 7, ops[code], "", "", "", nil)
+		if body[binary.PutUvarint(make([]byte, binary.MaxVarintLen64), 7)] != byte(code) {
+			t.Errorf("%s is not written as code %d: %x", ops[code], code, body)
+		}
+	}
+	if opCode("") != 0 || opCode(TypeTransfer) != 0 || opCode("no-such-op") != 0 {
+		t.Error("a type that is no frame op has a code")
+	}
+	if len(ops) > '"' {
+		t.Error("the code table reaches '\"': a JSON frame would parse as an op")
 	}
 }

@@ -18,10 +18,20 @@ type Entry struct {
 	Version int64     `json:"version"`
 }
 
+func (e *Entry) code(c *codec) {
+	c.str(&e.Path)
+	c.integer((*int)(&e.Kind))
+	c.i64(&e.Size)
+	c.u32(&e.Mode)
+	c.i64(&e.Version)
+}
+
 // LookupRequest asks an MDS to resolve one path.
 type LookupRequest struct {
 	Path string `json:"path"`
 }
+
+func (m *LookupRequest) code(c *codec) { c.str(&m.Path) }
 
 // EntryResponse is the one answer every op that names a single entry gets:
 // the entry, or a redirect when the serving MDS does not hold the path (stale
@@ -38,6 +48,13 @@ type EntryResponse struct {
 	LeaseMS int64 `json:"leaseMs,omitempty"`
 	// IndexVer is the serving MDS's cluster index version at grant time.
 	IndexVer int64 `json:"indexVer,omitempty"`
+}
+
+func (m *EntryResponse) code(c *codec) {
+	c.entryPtr(&m.Entry)
+	c.str(&m.Redirect)
+	c.i64(&m.LeaseMS)
+	c.i64(&m.IndexVer)
 }
 
 // The per-op names of EntryResponse, kept so a call site says which op it
@@ -58,6 +75,11 @@ type RevalidateRequest struct {
 	Version int64  `json:"version"`
 }
 
+func (m *RevalidateRequest) code(c *codec) {
+	c.str(&m.Path)
+	c.i64(&m.Version)
+}
+
 // RevalidateResponse renews the lease (Match, no Entry) or carries the
 // current entry when the cached version is stale. Redirect as in
 // EntryResponse.
@@ -69,10 +91,23 @@ type RevalidateResponse struct {
 	Redirect string `json:"redirect,omitempty"`
 }
 
+func (m *RevalidateResponse) code(c *codec) {
+	c.flag(&m.Match)
+	c.entryPtr(&m.Entry)
+	c.i64(&m.LeaseMS)
+	c.i64(&m.IndexVer)
+	c.str(&m.Redirect)
+}
+
 // CreateRequest creates a file or directory.
 type CreateRequest struct {
 	Path string    `json:"path"`
 	Kind EntryKind `json:"kind"`
+}
+
+func (m *CreateRequest) code(c *codec) {
+	c.str(&m.Path)
+	c.integer((*int)(&m.Kind))
 }
 
 // SetAttrRequest updates metadata attributes (an "update" op in the paper's
@@ -83,10 +118,18 @@ type SetAttrRequest struct {
 	Mode uint32 `json:"mode"`
 }
 
+func (m *SetAttrRequest) code(c *codec) {
+	c.str(&m.Path)
+	c.i64(&m.Size)
+	c.u32(&m.Mode)
+}
+
 // ReaddirRequest lists a directory.
 type ReaddirRequest struct {
 	Path string `json:"path"`
 }
+
+func (m *ReaddirRequest) code(c *codec) { c.str(&m.Path) }
 
 // ReaddirResponse lists child names (only those hosted on the serving MDS;
 // a directory's children may span the GL/LL boundary). The listing carries
@@ -102,10 +145,20 @@ type ReaddirResponse struct {
 	IndexVer   int64 `json:"indexVer,omitempty"`
 }
 
+func (m *ReaddirResponse) code(c *codec) {
+	c.strs(&m.Names)
+	c.str(&m.Redirect)
+	c.i64(&m.DirVersion)
+	c.i64(&m.LeaseMS)
+	c.i64(&m.IndexVer)
+}
+
 // ReaddirPlusRequest lists a directory with child attributes.
 type ReaddirPlusRequest struct {
 	Path string `json:"path"`
 }
+
+func (m *ReaddirPlusRequest) code(c *codec) { c.str(&m.Path) }
 
 // ReaddirPlusResponse returns the child entries themselves — the NFSv3
 // READDIRPLUS idea applied to the D2-Tree serving path: one frame replaces
@@ -123,6 +176,14 @@ type ReaddirPlusResponse struct {
 	IndexVer   int64 `json:"indexVer,omitempty"`
 }
 
+func (m *ReaddirPlusResponse) code(c *codec) {
+	c.entries(&m.Entries)
+	c.str(&m.Redirect)
+	c.i64(&m.DirVersion)
+	c.i64(&m.LeaseMS)
+	c.i64(&m.IndexVer)
+}
+
 // CreateWithAttrsRequest creates a file or directory with its initial
 // attributes in one operation (the fused create + setattr pair), committing
 // a single version-1 entry under one journal record.
@@ -131,6 +192,13 @@ type CreateWithAttrsRequest struct {
 	Kind EntryKind `json:"kind"`
 	Size int64     `json:"size,omitempty"`
 	Mode uint32    `json:"mode,omitempty"`
+}
+
+func (m *CreateWithAttrsRequest) code(c *codec) {
+	c.str(&m.Path)
+	c.integer((*int)(&m.Kind))
+	c.i64(&m.Size)
+	c.u32(&m.Mode)
 }
 
 // Batch sub-operation kinds (BatchOp.Op values).
@@ -154,6 +222,15 @@ type BatchOp struct {
 	Version int64     `json:"version,omitempty"`
 }
 
+func (m *BatchOp) code(c *codec) {
+	c.str(&m.Op)
+	c.str(&m.Path)
+	c.integer((*int)(&m.Kind))
+	c.i64(&m.Size)
+	c.u32(&m.Mode)
+	c.i64(&m.Version)
+}
+
 // BatchRequest carries N independent sub-operations under one envelope. The
 // server executes them in order, taking the store lock once per run of
 // consecutive locally-owned sub-ops and committing their journal records in
@@ -163,6 +240,14 @@ type BatchOp struct {
 type BatchRequest struct {
 	Ops      []BatchOp        `json:"ops"`
 	HotPaths map[string]int64 `json:"hotPaths,omitempty"`
+}
+
+func (m *BatchRequest) code(c *codec) {
+	m.Ops = sized(c, m.Ops, c.count(len(m.Ops), batchOpMin))
+	for i := range m.Ops {
+		m.Ops[i].code(c)
+	}
+	c.counts(&m.HotPaths)
 }
 
 // BatchResult is one sub-operation's outcome. Exactly like the standalone
@@ -179,9 +264,25 @@ type BatchResult struct {
 	IndexVer int64  `json:"indexVer,omitempty"`
 }
 
+func (m *BatchResult) code(c *codec) {
+	c.entryPtr(&m.Entry)
+	c.flag(&m.Match)
+	c.str(&m.Redirect)
+	c.str(&m.Err)
+	c.i64(&m.LeaseMS)
+	c.i64(&m.IndexVer)
+}
+
 // BatchResponse carries one result per request sub-op, in request order.
 type BatchResponse struct {
 	Results []BatchResult `json:"results"`
+}
+
+func (m *BatchResponse) code(c *codec) {
+	m.Results = sized(c, m.Results, c.count(len(m.Results), batchResultMin))
+	for i := range m.Results {
+		m.Results[i].code(c)
+	}
 }
 
 // RenameRequest renames a local-layer node (and its subtree) in place.
@@ -192,6 +293,11 @@ type RenameRequest struct {
 	NewName string `json:"newName"`
 }
 
+func (m *RenameRequest) code(c *codec) {
+	c.str(&m.Path)
+	c.str(&m.NewName)
+}
+
 // LatencySummary reports a latency histogram's percentiles in microseconds.
 type LatencySummary struct {
 	Count  uint64 `json:"count"`
@@ -200,6 +306,15 @@ type LatencySummary struct {
 	P90US  int64  `json:"p90Us"`
 	P99US  int64  `json:"p99Us"`
 	MaxUS  int64  `json:"maxUs"`
+}
+
+func (m *LatencySummary) code(c *codec) {
+	c.u64(&m.Count)
+	c.i64(&m.MeanUS)
+	c.i64(&m.P50US)
+	c.i64(&m.P90US)
+	c.i64(&m.P99US)
+	c.i64(&m.MaxUS)
 }
 
 // StatsResponse reports per-MDS counters for tests and operators.
@@ -259,9 +374,41 @@ type StatsResponse struct {
 	// (heartbeats, GL updates, transfers).
 	ServeIO IOSnapshot `json:"serveIo"`
 	ConnIO  IOSnapshot `json:"connIo"`
-	// CodecFallbacks counts the payloads this process put through
-	// encoding/json for want of a hand codec (see wire.CodecFallbacks).
-	CodecFallbacks FallbackSnapshot `json:"codecFallbacks"`
+	// BadFrames counts the frames this process refused as malformed (see
+	// wire.BadFrames).
+	BadFrames int64 `json:"badFrames"`
+}
+
+func (m *StatsResponse) code(c *codec) {
+	c.str(&m.Server)
+	c.i64(&m.Ops)
+	c.i64(&m.Lookups)
+	c.i64(&m.Creates)
+	c.i64(&m.SetAttrs)
+	c.i64(&m.Redirects)
+	c.integer(&m.Entries)
+	c.i64(&m.GLVersion)
+	c.integer(&m.IndexSize)
+	c.integer(&m.SubtreeCnt)
+	m.MonRPC.code(c)
+	m.HeartbeatRTT.code(c)
+	c.i64(&m.TransferOK)
+	c.i64(&m.TransferFail)
+	c.i64(&m.HeartbeatMisses)
+	c.i64(&m.LeasesGranted)
+	c.i64(&m.RevalidateHits)
+	c.i64(&m.RevalidateMisses)
+	c.i64(&m.Batches)
+	c.i64(&m.BatchSubOps)
+	c.i64(&m.ReaddirPlus)
+	c.i64(&m.WalAppends)
+	c.i64(&m.WalFlushes)
+	c.i64(&m.Snapshots)
+	c.flag(&m.WalDegraded)
+	c.strs(&m.Subtrees)
+	m.ServeIO.code(c)
+	m.ConnIO.code(c)
+	c.i64(&m.BadFrames)
 }
 
 // MonitorStatsResponse reports coordinator-side counters and membership.
@@ -284,11 +431,29 @@ type MonitorStatsResponse struct {
 	// the cluster keeps running but a Monitor restart would lose journaled
 	// state since the failure.
 	JournalDegraded bool `json:"journalDegraded,omitempty"`
-	// ServeIO, ConnIO and CodecFallbacks are the Monitor process's wire
-	// traffic, as in StatsResponse.
-	ServeIO        IOSnapshot       `json:"serveIo"`
-	ConnIO         IOSnapshot       `json:"connIo"`
-	CodecFallbacks FallbackSnapshot `json:"codecFallbacks"`
+	// ServeIO, ConnIO and BadFrames are the Monitor process's wire traffic,
+	// as in StatsResponse.
+	ServeIO   IOSnapshot `json:"serveIo"`
+	ConnIO    IOSnapshot `json:"connIo"`
+	BadFrames int64      `json:"badFrames"`
+}
+
+func (m *MonitorStatsResponse) code(c *codec) {
+	m.Members = sized(c, m.Members, c.count(len(m.Members), memberMin))
+	for i := range m.Members {
+		m.Members[i].code(c)
+	}
+	c.i64(&m.Heartbeats)
+	c.i64(&m.TransfersPlanned)
+	c.i64(&m.TransfersDone)
+	c.i64(&m.TransfersFailed)
+	c.i64(&m.TransfersReissued)
+	c.i64(&m.GLVersion)
+	c.i64(&m.IndexVer)
+	c.flag(&m.JournalDegraded)
+	m.ServeIO.code(c)
+	m.ConnIO.code(c)
+	c.i64(&m.BadFrames)
 }
 
 // MemberInfo is one row of the Monitor's member table.
@@ -300,6 +465,14 @@ type MemberInfo struct {
 	Ops   int64   `json:"ops"`
 }
 
+func (m *MemberInfo) code(c *codec) {
+	c.integer(&m.ID)
+	c.str(&m.Addr)
+	c.flag(&m.Alive)
+	c.f64(&m.Load)
+	c.i64(&m.Ops)
+}
+
 // JoinRequest registers an MDS with the Monitor.
 type JoinRequest struct {
 	Addr string `json:"addr"`
@@ -309,6 +482,11 @@ type JoinRequest struct {
 	// server keeps serving its recovered entries instead of receiving a
 	// stale re-materialization.
 	RecoveredSubtrees []string `json:"recoveredSubtrees,omitempty"`
+}
+
+func (m *JoinRequest) code(c *codec) {
+	c.str(&m.Addr)
+	c.strs(&m.RecoveredSubtrees)
 }
 
 // JoinResponse assigns the server its identity and initial state: the full
@@ -326,6 +504,19 @@ type JoinResponse struct {
 	// server keeps its recovered entries for these roots and drops any
 	// claimed root not listed here (another live server owns it).
 	AdoptedSubtrees []string `json:"adoptedSubtrees,omitempty"`
+}
+
+func (m *JoinResponse) code(c *codec) {
+	c.integer(&m.ServerID)
+	c.i64(&m.GLVersion)
+	c.entries(&m.GlobalLayer)
+	m.Subtrees = sized(c, m.Subtrees, c.count(len(m.Subtrees), 1))
+	for i := range m.Subtrees {
+		c.entries(&m.Subtrees[i])
+	}
+	c.index(&m.Index)
+	c.i64(&m.IndexVer)
+	c.strs(&m.AdoptedSubtrees)
 }
 
 // HeartbeatRequest reports an MDS's load to the Monitor (Sec. IV-B).
@@ -348,6 +539,18 @@ type HeartbeatRequest struct {
 	CreatedPaths []Entry `json:"createdPaths,omitempty"`
 }
 
+func (m *HeartbeatRequest) code(c *codec) {
+	c.integer(&m.ServerID)
+	c.str(&m.Addr)
+	c.f64(&m.Load)
+	c.i64(&m.Ops)
+	c.integer(&m.Entries)
+	c.i64(&m.GLVersion)
+	c.i64(&m.IndexVer)
+	c.counts(&m.HotPaths)
+	c.entries(&m.CreatedPaths)
+}
+
 // TransferCommand tells an MDS to ship one subtree to another MDS.
 type TransferCommand struct {
 	RootPath string `json:"rootPath"`
@@ -356,6 +559,12 @@ type TransferCommand struct {
 	// the move is first planned and kept across NACK → re-issue cycles, so
 	// one grep reconstructs the subtree's whole migration history.
 	ReqID string `json:"reqId,omitempty"`
+}
+
+func (m *TransferCommand) code(c *codec) {
+	c.str(&m.RootPath)
+	c.str(&m.DestAddr)
+	c.str(&m.ReqID)
 }
 
 // HeartbeatResponse acknowledges a heartbeat, piggybacking the current
@@ -373,6 +582,18 @@ type HeartbeatResponse struct {
 	JournalDegraded bool `json:"journalDegraded,omitempty"`
 }
 
+func (m *HeartbeatResponse) code(c *codec) {
+	c.i64(&m.GLVersion)
+	c.entries(&m.GlobalLayer)
+	c.i64(&m.IndexVer)
+	c.index(&m.Index)
+	m.Transfers = sized(c, m.Transfers, c.count(len(m.Transfers), transferMin))
+	for i := range m.Transfers {
+		m.Transfers[i].code(c)
+	}
+	c.flag(&m.JournalDegraded)
+}
+
 // GLUpdateRequest asks the Monitor to apply a serialised update to a
 // global-layer entry (create or setattr).
 type GLUpdateRequest struct {
@@ -381,10 +602,21 @@ type GLUpdateRequest struct {
 	Entry    Entry  `json:"entry"`
 }
 
+func (m *GLUpdateRequest) code(c *codec) {
+	c.integer(&m.ServerID)
+	c.str(&m.Op)
+	m.Entry.code(c)
+}
+
 // GLUpdateResponse returns the committed entry and new GL version.
 type GLUpdateResponse struct {
 	Entry     Entry `json:"entry"`
 	GLVersion int64 `json:"glVersion"`
+}
+
+func (m *GLUpdateResponse) code(c *codec) {
+	m.Entry.code(c)
+	c.i64(&m.GLVersion)
 }
 
 // ClusterInfoResponse is what clients bootstrap from.
@@ -394,11 +626,22 @@ type ClusterInfoResponse struct {
 	IndexVer int64             `json:"indexVer"`
 }
 
+func (m *ClusterInfoResponse) code(c *codec) {
+	c.strs(&m.Servers)
+	c.index(&m.Index)
+	c.i64(&m.IndexVer)
+}
+
 // InstallRequest ships a subtree's entries to the receiving MDS during a
 // migration.
 type InstallRequest struct {
 	RootPath string  `json:"rootPath"`
 	Entries  []Entry `json:"entries"`
+}
+
+func (m *InstallRequest) code(c *codec) {
+	c.str(&m.RootPath)
+	c.entries(&m.Entries)
 }
 
 // UninstallRequest tells an MDS to drop a subtree it may hold from a
@@ -408,6 +651,8 @@ type UninstallRequest struct {
 	RootPath string `json:"rootPath"`
 }
 
+func (m *UninstallRequest) code(c *codec) { c.str(&m.RootPath) }
+
 // TransferDoneRequest tells the Monitor a subtree migration completed so it
 // can commit the new ownership into the local index.
 type TransferDoneRequest struct {
@@ -416,6 +661,13 @@ type TransferDoneRequest struct {
 	DestAddr string `json:"destAddr"`
 	// ReqID echoes the TransferCommand's migration trace identifier.
 	ReqID string `json:"reqId,omitempty"`
+}
+
+func (m *TransferDoneRequest) code(c *codec) {
+	c.integer(&m.ServerID)
+	c.str(&m.RootPath)
+	c.str(&m.DestAddr)
+	c.str(&m.ReqID)
 }
 
 // TransferFailedRequest NACKs a transfer command the source could not
@@ -428,6 +680,14 @@ type TransferFailedRequest struct {
 	Reason   string `json:"reason,omitempty"`
 	// ReqID echoes the TransferCommand's migration trace identifier.
 	ReqID string `json:"reqId,omitempty"`
+}
+
+func (m *TransferFailedRequest) code(c *codec) {
+	c.integer(&m.ServerID)
+	c.str(&m.RootPath)
+	c.str(&m.DestAddr)
+	c.str(&m.Reason)
+	c.str(&m.ReqID)
 }
 
 // ObsEvent is one structured observability event: a client/MDS op, a
@@ -461,11 +721,27 @@ type ObsEvent struct {
 	Err string `json:"err,omitempty"`
 }
 
+func (m *ObsEvent) code(c *codec) {
+	c.u64(&m.Seq)
+	c.i64(&m.TS)
+	c.str(&m.Node)
+	c.str(&m.Kind)
+	c.str(&m.Op)
+	c.str(&m.ReqID)
+	c.str(&m.From)
+	c.str(&m.Path)
+	c.str(&m.Detail)
+	c.i64(&m.DurUS)
+	c.str(&m.Err)
+}
+
 // ObsDumpRequest asks a node for its buffered events and op histograms.
 type ObsDumpRequest struct {
 	// SinceSeq returns only events with Seq > SinceSeq (0 = all buffered).
 	SinceSeq uint64 `json:"sinceSeq,omitempty"`
 }
+
+func (m *ObsDumpRequest) code(c *codec) { c.u64(&m.SinceSeq) }
 
 // ObsDumpResponse carries one node's observability state.
 type ObsDumpResponse struct {
@@ -482,8 +758,21 @@ type ObsDumpResponse struct {
 	Ops map[string]LatencySummary `json:"ops,omitempty"`
 }
 
+func (m *ObsDumpResponse) code(c *codec) {
+	c.str(&m.Node)
+	c.u64(&m.Seq)
+	c.u64(&m.Dropped)
+	m.Events = sized(c, m.Events, c.count(len(m.Events), eventMin))
+	for i := range m.Events {
+		m.Events[i].code(c)
+	}
+	c.latencies(&m.Ops)
+}
+
 // LockResponse is the bare acknowledgement the install, uninstall and
 // transfer-outcome handlers return.
 type LockResponse struct {
 	Granted bool `json:"granted"`
 }
+
+func (m *LockResponse) code(c *codec) { c.flag(&m.Granted) }

@@ -2,16 +2,16 @@ package wire
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
 )
 
-// twoStepResponse is what a call did with a response before decodeResponse:
+// twoStepResponse is the public two-step path a response can also take:
 // ReadFrame builds an Envelope (copying the payload out of the body), a
-// non-empty Error becomes a RemoteError, and Envelope.Decode fills out. Both
-// steps stay public — the Monitor's tools and the benchmark's codec rung use
-// them — and are the reference the single-pass decode is held to.
+// non-empty Error becomes a RemoteError, and Envelope.Decode fills out. It is
+// the reference the single-pass decodeResponse is held to.
 func twoStepResponse(body []byte, msgType string, out interface{}) (uint64, error) {
 	env, err := ReadFrame(bytes.NewReader(frameBytes(body)))
 	if err != nil {
@@ -26,147 +26,83 @@ func twoStepResponse(body []byte, msgType string, out interface{}) (uint64, erro
 	return env.ID, env.Decode(out)
 }
 
-// responseOuts returns fresh values of every type a response is decoded
-// into by a distinct route: each type with a hand decoder, one struct and
-// one map that ride encoding/json, and no out at all.
+// responseOuts returns makers of a fresh value of every type a response can
+// be decoded into, and of no out at all.
 func responseOuts() []func() interface{} {
 	var mks []func() interface{}
-	for _, proto := range fastCodecRegistry() {
+	for _, proto := range codecTypes {
 		typ := reflect.TypeOf(proto).Elem()
 		mks = append(mks, func() interface{} { return reflect.New(typ).Interface() })
 	}
-	return append(mks,
-		func() interface{} { return &StatsResponse{} },
-		func() interface{} { return &map[string]interface{}{} },
-		func() interface{} { return nil },
-	)
+	return append(mks, func() interface{} { return nil })
 }
 
 // checkResponseAgrees decodes body both ways into fresh values of every out
-// type and requires the same frame ID, the same error (text included: a bad
-// frame, a RemoteError and a payload decode error are told apart by it) and
-// the same decoded value.
+// type and requires the same error (text included: a bad frame, a
+// RemoteError and a payload decode error are told apart by it), the same
+// decoded value, and the ID the demultiplexer reads off the front. Values are
+// compared by their encodings, which differ whenever they do: a NaN load
+// equals itself there.
 func checkResponseAgrees(t *testing.T, body []byte) {
 	t.Helper()
 	for _, mk := range responseOuts() {
 		got, want := mk(), mk()
-		gotID, gotErr := decodeResponse(body, TypeLookup, got)
+		gotErr := decodeResponse(body, TypeLookup, got)
 		wantID, wantErr := twoStepResponse(body, TypeLookup, want)
 		if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
-			t.Fatalf("decode %q into %T:\n  single pass err = %v\n  two step err    = %v", body, got, gotErr, wantErr)
+			t.Fatalf("decode %x into %T:\n  single pass err = %v\n  two step err    = %v", body, got, gotErr, wantErr)
 		}
-		if IsRemote(gotErr) != IsRemote(wantErr) {
-			t.Fatalf("decode %q into %T: RemoteError classification differs", body, got)
+		if IsRemote(gotErr) != IsRemote(wantErr) || errors.Is(gotErr, ErrBadFrame) != errors.Is(wantErr, ErrBadFrame) {
+			t.Fatalf("decode %x into %T: error classification differs: %v / %v", body, got, gotErr, wantErr)
 		}
-		if wantErr != nil && wantID == 0 {
+		if errors.Is(wantErr, ErrBadFrame) {
 			continue // a bad frame has no ID
 		}
-		if gotID != wantID {
-			t.Fatalf("decode %q into %T: id %d, two step %d", body, got, gotID, wantID)
+		if id, err := peekFrameID(body); err != nil || id != wantID {
+			t.Fatalf("decode %x: peeked id %d (%v), envelope id %d", body, id, err, wantID)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("decode %q into %T:\n  single pass %+v\n  two step    %+v", body, got, got, want)
+		if got != nil && !bytes.Equal(encode(t, got), encode(t, want)) {
+			t.Fatalf("decode %x into %T:\n  single pass %+v\n  two step    %+v", body, got, got, want)
 		}
 	}
 }
 
 // responseSeeds are the bodies the differential test and the fuzz target
-// start from: the corpora of FuzzDecodeFrame and FuzzFastDecodeEnvelope (as
-// bodies), and one of each shape the two decodes could plausibly disagree
-// on.
-func responseSeeds() [][]byte {
-	seeds := []string{
-		// FuzzDecodeFrame.
-		`{"id":7,"type":"heartbeat","payload":{"load":3}}`,
-		`{"id":1,"type":"ok"`,
-		`not json at all`,
-		"{\"id\":18446744073709551615,\"type\":\"\\u0000\"}",
-		// FuzzFastDecodeEnvelope.
-		`{}`,
-		`{"id":7,"type":"heartbeat"}`,
-		`{"id":7,"type":"lookup","reqId":"c0-42","span":"mds-1","payload":{"path":"/a"}}`,
-		`{"id":1,"type":"error","error":"server: path not found"}`,
-		`{"type":"ok","id":3,"payload":[1,2,{"k":"v"}]}`,
-		`{"id":2,"type":"ok","payload":"quoted \"string\" payload"}`,
-		`{"id":3,"unknownKey":1}`,
-		` { "id" : 4 , "type" : "ok" } `,
-		`{"id":-1,"type":"ok"}`,
-		`{"id":5,"type":"ok","payload":{"nested":{"deep":[null,true,1.5]}}}`,
-		`{"id":8,"type":"batch","payload":{"ops":[{"op":"lookup","path":"/a"},{"op":"create","path":"/b","kind":2,"size":1,"mode":420}],"hotPaths":{"/a":3}}}`,
-		`{"id":9,"type":"batch","payload":{"results":[{"entry":{"path":"/a","kind":1,"version":2},"leaseMs":2000,"indexVer":3},{"redirect":"addr"},{"err":"boom"}]}}`,
-		`{"id":10,"type":"readdir_plus","payload":{"entries":[{"path":"/a/b","kind":2,"size":4,"mode":420,"version":1}],"dirVersion":7,"leaseMs":2000,"indexVer":3}}`,
-		`{"id":11,"type":"create_attrs","payload":{"path":"/a","kind":2,"size":9,"mode":384}}`,
-		// What a lookup is answered with.
-		`{"id":12,"type":"ok","reqId":"r-1","span":"client-1","payload":{"entry":{"path":"/a","kind":1,"size":4096,"mode":420,"version":7},"leaseMs":2000,"indexVer":3}}`,
-		`{"id":12,"type":"ok","payload":{"redirect":"127.0.0.1:7481"}}`,
-		`{"id":12,"type":"ok","payload":{"match":true,"leaseMs":2000,"indexVer":3}}`,
-		// What a setattr, a rename and a gl_update are answered with, and the
-		// requests of the write path (a response decoded into a request type
-		// is still a decode both paths must agree on).
-		`{"id":12,"type":"ok","reqId":"r-2","span":"client-1","payload":{"entry":{"path":"/a","kind":2,"mode":420,"version":8},"leaseMs":2000,"indexVer":3}}`,
-		`{"id":12,"type":"ok","reqId":"r-2","span":"mds-0","payload":{"entry":{"path":"/gl/a","kind":1,"size":7,"mode":420,"version":3},"glVersion":41}}`,
-		`{"id":12,"type":"setattr","reqId":"r-2","span":"client-1","payload":{"path":"/a","size":0,"mode":0}}`,
-		`{"id":12,"type":"setattr","payload":{"path":"esc\"aped\u002f","size":-1,"mode":4294967296}}`,
-		`{"id":12,"type":"gl_update","reqId":"r-2","span":"mds-0","payload":{"serverId":1,"op":"setattr","entry":{"path":"/gl/a","kind":0,"size":7,"mode":420,"version":0}}}`,
-		`{"id":12,"type":"ok","payload":{"entry":{"path":"/a","version":2},"entry":{"kind":1},"glVersion":2,"extra":true}}`,
-		// Invalid UTF-8: in a value the caller keeps, in one it drops, in a key.
-		"{\"id\":13,\"type\":\"ok\",\"payload\":{\"redirect\":\"a\xffb\"}}",
-		"{\"id\":13,\"type\":\"o\xffk\",\"reqId\":\"\xc3\x28\"}",
-		"{\"id\":13,\"type\":\"error\",\"error\":\"bad \xff path\"}",
-		"{\"id\":13,\"pay\xffload\":{}}",
-		// Escaped keys: in the envelope, in the payload, in the entry.
-		`{"\u0069d":14,"type":"ok","p\u0061yload":{"redirect":"r"}}`,
-		`{"id":14,"type":"ok","payload":{"\u0065ntry":{"p\u0061th":"/a","kind":1,"version":2},"lease\u004ds":5}}`,
-		`{"id":14,"type":"ok","payload":{"hotPaths":{"\/esc\u0061ped":1},"ops":[]}}`,
-		// Duplicate keys: the ID read off the front is not the one decoded.
-		`{"id":15,"id":16,"type":"ok"}`,
-		`{"id":15,"type":"ok","payload":{"redirect":"a"},"payload":{"leaseMs":9}}`,
-		`{"id":15,"type":"ok","payload":{"entry":{"path":"/a","path":"/b","kind":1,"version":1},"entry":null}}`,
-		`{"id":15,"type":"error","error":"first","error":""}`,
-		`{"id":15,"type":"ok","error":"","error":"last"}`,
-		// Unknown keys: in the envelope, in the payload.
-		`{"id":17,"type":"ok","extra":{"a":[1,2]},"payload":{"redirect":"r"}}`,
-		`{"id":17,"type":"ok","payload":{"redirect":"r","extra":1}}`,
-		// Payloads of the wrong shape for the type decoded into.
-		`{"id":18,"type":"ok","payload":null}`,
-		`{"id":18,"type":"ok","payload":[]}`,
-		`{"id":18,"type":"ok","payload":{"leaseMs":1.5}}`,
-		`{"id":18,"type":"ok","payload":{"entry":"nope"}}`,
-		`{"id":18,"type":"ok","payload":{"path":"/a"} trailing}`,
-		`{"id":18,"type":"ok","payload":{"path":"/a"}} trailing`,
-		``,
+// start from: an ok response around a filled value of every message type,
+// error and empty responses, and bodies that are no frame, JSON among them.
+func responseSeeds(t testing.TB) [][]byte {
+	f := &filler{rng: rand.New(rand.NewSource(27))}
+	var seeds [][]byte
+	for i, proto := range codecTypes {
+		body, err := appendMessage(nil, uint64(i*1000), TypeOK, "r-1", "mds-0", f.filled(proto))
+		if err != nil {
+			t.Fatal(err)
+		}
+		seeds = append(seeds, body)
 	}
-	out := make([][]byte, len(seeds))
-	for i, s := range seeds {
-		out[i] = []byte(s)
-	}
-	return out
+	seeds = append(seeds,
+		appendErrorMessage(nil, 5, "r-5", "mds-1", errors.New("server: path not found")),
+		appendErrorMessage(nil, 6, "", "", errors.New("")),
+		frameBody(t, 7, TypeOK, "", "", "", nil),
+		frameBody(t, 8, TypeOK, "", "", "", []byte{0}),
+		frameBody(t, 9, TypeLookup, "c0-42", "client-1", "", encode(t, &LookupRequest{Path: "/a"})),
+		[]byte(`{"id":12,"type":"ok","payload":{"entry":{"path":"/a","kind":1,"version":7}}}`),
+		[]byte(`{"id":1,"type":"ok"`),
+		[]byte("not a frame at all"),
+		[]byte{0x80},
+		[]byte{},
+	)
+	return seeds
 }
 
-// TestDecodeResponseMatchesTwoStep is the seeded differential test: nothing
-// decodes differently now that a call reads its response out of the body in
-// place. Every seed, every response a server can encode around a random
-// payload of every hand-coded type, and a run of byte-level mutations of
-// each (truncations, flipped and dropped bytes, a repeated or spliced
-// stretch) go through both paths.
+// TestDecodeResponseMatchesTwoStep is the seeded differential test: a call
+// that decodes its response in place, in one pass, decodes exactly what the
+// two-step path does. Every seed and a run of byte-level mutations of each
+// (truncations, flipped and dropped bytes, a repeated or spliced stretch) go
+// through both.
 func TestDecodeResponseMatchesTwoStep(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))
-	bodies := responseSeeds()
-	for _, proto := range fastCodecRegistry() {
-		typ := reflect.TypeOf(proto).Elem()
-		for i := 0; i < 20; i++ {
-			p := reflect.New(typ)
-			randomFill(rng, p.Elem())
-			body, err := appendMessage(nil, uint64(rng.Intn(1000)), TypeOK,
-				trickyStrings[rng.Intn(len(trickyStrings))], "mds-0", p.Interface())
-			if err != nil {
-				t.Fatal(err)
-			}
-			bodies = append(bodies, body)
-		}
-	}
-	bodies = append(bodies, appendErrorMessage(nil, 5, "r-5", "mds-1", ErrBadFrame))
-	for _, body := range bodies {
+	for _, body := range responseSeeds(t) {
 		checkResponseAgrees(t, body)
 		for i := 0; i < 25 && len(body) > 0; i++ {
 			checkResponseAgrees(t, mutateBody(rng, body))
@@ -181,12 +117,12 @@ func mutateBody(rng *rand.Rand, body []byte) []byte {
 	switch rng.Intn(5) {
 	case 0: // truncate
 		return b[:at]
-	case 1: // flip one byte to another that matters to a JSON scanner
-		b[at] = `"\{}[]:,0-.eE tn`[rng.Intn(16)]
+	case 1: // set one byte to a value that matters to a varint, a flag or an op
+		b[at] = []byte{0, 1, 2, 0x7f, 0x80, 0xff}[rng.Intn(6)]
 		return b
 	case 2: // drop one byte
 		return append(b[:at], b[at+1:]...)
-	case 3: // repeat a stretch (duplicate keys, doubled values)
+	case 3: // repeat a stretch
 		end := at + rng.Intn(len(b)-at+1)
 		return append(b[:end:end], b[at:]...)
 	default: // splice a stretch from elsewhere
@@ -197,11 +133,10 @@ func mutateBody(rng *rand.Rand, body []byte) []byte {
 }
 
 // FuzzDecodeResponse differentially fuzzes the single-pass response decode
-// against ReadFrame + Envelope.Decode. Unlike the envelope fuzzer there is
-// no "declining is always safe" here: decodeResponse is the whole path, its
-// fallback included, so any disagreement is a finding.
+// against ReadFrame + Envelope.Decode: any disagreement, or a panic, is a
+// finding.
 func FuzzDecodeResponse(f *testing.F) {
-	for _, seed := range responseSeeds() {
+	for _, seed := range responseSeeds(f) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
@@ -210,24 +145,20 @@ func FuzzDecodeResponse(f *testing.F) {
 }
 
 // TestPeekFrameID pins what the demultiplexer reads off the front of a
-// body: the ID of a frame written the way every peer writes one, and a
-// refusal — the whole envelope is decoded instead — for anything else.
+// body: the frame's ID, however long its varint, and a refusal for a body
+// that cannot open with one.
 func TestPeekFrameID(t *testing.T) {
-	for body, want := range map[string]uint64{
-		`{"id":7,"type":"ok"}`:                    7,
-		`{"id":18446744073709551615,"type":"ok"}`: 18446744073709551615,
-		`{"id":0}`: 0,
-	} {
-		if got, ok := peekFrameID([]byte(body)); !ok || got != want {
-			t.Errorf("peekFrameID(%q) = %d, %v; want %d", body, got, ok, want)
+	for _, want := range []uint64{0, 1, 127, 128, 1 << 40, 1<<64 - 1} {
+		body := frameBody(t, want, TypeOK, "", "", "", nil)
+		if got, err := peekFrameID(body); err != nil || got != want {
+			t.Errorf("peekFrameID(%x) = %d, %v; want %d", body, got, err, want)
 		}
 	}
-	for _, body := range []string{
-		``, `{`, `{"id":`, `{"id":7`, `{"id":07,"type":"ok"}`, `{"id":-1}`, `{"id":1.5}`,
-		` {"id":7}`, `{ "id":7}`, `{"type":"ok","id":7}`, `{"id":18446744073709551616}`, `{"id":7x}`,
+	for _, body := range [][]byte{
+		nil, {0x80}, {0xff, 0xff}, {0x80, 0x00}, bytes.Repeat([]byte{0xff}, 11),
 	} {
-		if got, ok := peekFrameID([]byte(body)); ok {
-			t.Errorf("peekFrameID(%q) = %d, want a refusal", body, got)
+		if got, err := peekFrameID(body); !errors.Is(err, ErrBadFrame) {
+			t.Errorf("peekFrameID(%x) = %d, %v; want ErrBadFrame", body, got, err)
 		}
 	}
 }

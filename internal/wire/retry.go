@@ -76,6 +76,14 @@ type MetricsSnapshot struct {
 	Failures int64 `json:"failures"`
 }
 
+func (m *MetricsSnapshot) code(c *codec) {
+	c.i64(&m.Calls)
+	c.i64(&m.Retries)
+	c.i64(&m.Timeouts)
+	c.i64(&m.Redials)
+	c.i64(&m.Failures)
+}
+
 // Snapshot reads the counters.
 func (m *CallMetrics) Snapshot() MetricsSnapshot {
 	return MetricsSnapshot{

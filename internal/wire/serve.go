@@ -132,8 +132,9 @@ func (s *serveConn) readLoop() {
 		}
 		s.unpark()
 		frames++
-		if err := decodeRequest(body, &env, s.inline); err != nil {
-			return // not an envelope: the stream cannot be trusted
+		if err := decodeRequest(body, &env); err != nil {
+			BadFrames.Add(1)
+			return // not a frame: the stream cannot be trusted
 		}
 		if s.isInline(env.Type) {
 			payload, herr := s.h(&env)
@@ -156,8 +157,8 @@ func (s *serveConn) readLoop() {
 }
 
 // isInline reports whether the reader runs requests of msgType itself.
-// decodeRequest interned the type against the same list, so a match is a
-// pointer-equal string compare.
+// decodeRequest hands the type back as its Type* constant, which the caller
+// listed, so a match is a pointer-equal string compare.
 func (s *serveConn) isInline(msgType string) bool {
 	for _, t := range s.inline {
 		if t == msgType {

@@ -3,11 +3,9 @@ package wire
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"io"
 	"net"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -243,21 +241,62 @@ func TestServeFlushesLargeAndOversizedFrames(t *testing.T) {
 	}
 }
 
-// TestServeRejectsGarbageStream: a body that is not an envelope ends the
-// connection instead of being answered.
+// TestServeRejectsGarbageStream: a body that is not a frame — garbage, or a
+// JSON frame from a peer of another version — ends the connection instead of
+// being answered.
 func TestServeRejectsGarbageStream(t *testing.T) {
-	addr := serveOne(t, func(nc net.Conn) { ServeInline(nc, echoLookup, 1, TypeLookup) })
-	nc, err := net.Dial("tcp", addr)
+	for _, body := range []string{
+		"not json at all",
+		`{"id":1,"type":"lookup","payload":{"path":"/a"}}`,
+	} {
+		addr := serveOne(t, func(nc net.Conn) { ServeInline(nc, echoLookup, 1, TypeLookup) })
+		nc, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := nc.Write(frameBytes([]byte(body))); err != nil {
+			t.Fatal(err)
+		}
+		_ = nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if _, err := ReadFrame(nc); !errors.Is(err, io.EOF) {
+			t.Errorf("read after the frame %q = %v, want EOF", body, err)
+		}
+		_ = nc.Close()
+	}
+}
+
+// TestBadFrameCountedOnItsConnectionOnly: a JSON frame sent to a serving loop
+// bumps BadFrames by exactly one and ends that connection; another
+// connection to the same server keeps being answered.
+func TestBadFrameCountedOnItsConnectionOnly(t *testing.T) {
+	addr := startEcho(t)
+	good, err := DialCall(addr, time.Second, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() { _ = nc.Close() }()
-	if _, err := nc.Write(frameBytes([]byte("not json at all"))); err != nil {
+	defer func() { _ = good.Close() }()
+	var resp LookupResponse
+	if err := good.Call(TypeLookup, &LookupRequest{Path: "/before"}, &resp); err != nil {
 		t.Fatal(err)
 	}
-	_ = nc.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if _, err := ReadFrame(nc); !errors.Is(err, io.EOF) {
-		t.Errorf("read after a garbage frame = %v, want EOF", err)
+	bad, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = bad.Close() }()
+	before := BadFrames.Load()
+	if _, err := bad.Write(frameBytes([]byte(`{"id":1,"type":"lookup","payload":{"path":"/a"}}`))); err != nil {
+		t.Fatal(err)
+	}
+	_ = bad.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := ReadFrame(bad); !errors.Is(err, io.EOF) {
+		t.Fatalf("read after a JSON frame = %v, want EOF", err)
+	}
+	if n := BadFrames.Load() - before; n != 1 {
+		t.Errorf("BadFrames moved by %d, want 1", n)
+	}
+	if err := good.Call(TypeLookup, &LookupRequest{Path: "/after"}, &resp); err != nil || resp.Entry.Path != "/after" {
+		t.Errorf("the other connection after a bad frame: %v, %+v", err, resp.Entry)
 	}
 }
 
@@ -543,49 +582,5 @@ func TestConnWriteBuffersNeverAlias(t *testing.T) {
 		if err := <-errs; err != nil {
 			t.Error(err)
 		}
-	}
-}
-
-// TestConnDecodesResponseWhoseIDIsNotInFront: a peer that writes its envelope
-// keys in another order, or with whitespace, is still answered through the
-// one response decode — the demultiplexer only has to work harder for the ID.
-func TestConnDecodesResponseWhoseIDIsNotInFront(t *testing.T) {
-	bodies := []string{
-		`{"type":"ok","id":%d,"payload":{"entry":{"path":"/a","version":1}}}`,
-		` { "id" : %d , "type" : "ok" , "payload" : {"entry":{"path":"/a","version":1}} } `,
-		`{"type":"error","id":%d,"error":"no such entry"}`,
-		`{"type":"ok","extra":[1,2],"id":%d,"payload":{"entry":{"path":"/a","version":1}}}`,
-	}
-	addr := serveOne(t, func(nc net.Conn) {
-		for _, body := range bodies {
-			env, err := ReadFrame(nc)
-			if err != nil {
-				return
-			}
-			_, _ = nc.Write(frameBytes([]byte(fmt.Sprintf(body, env.ID))))
-		}
-		_, _ = ReadFrame(nc) // hold the connection open until the client is done
-	})
-	c, err := DialCall(addr, time.Second, 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = c.Close() }()
-	for _, body := range bodies {
-		var resp LookupResponse
-		err := c.Call(TypeLookup, &LookupRequest{Path: "/a"}, &resp)
-		if strings.Contains(body, `"error"`) {
-			var re *RemoteError
-			if !errors.As(err, &re) || re.Msg != "no such entry" || re.MsgType != TypeLookup {
-				t.Errorf("%s: err = %v, want the peer's RemoteError", body, err)
-			}
-			continue
-		}
-		if err != nil || resp.Entry == nil || resp.Entry.Path != "/a" {
-			t.Errorf("%s: resp = %+v, err = %v", body, resp.Entry, err)
-		}
-	}
-	if c.Broken() {
-		t.Error("connection poisoned by a well-formed response in another key order")
 	}
 }

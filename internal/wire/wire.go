@@ -1,16 +1,15 @@
-// Package wire defines the framed JSON protocol spoken between clients,
+// Package wire defines the framed binary protocol spoken between clients,
 // metadata servers (MDS) and the Monitor: a 4-byte big-endian length prefix
-// followed by one JSON-encoded Envelope. Payloads are typed structs
-// marshalled into the envelope's Payload field.
+// followed by one envelope (frame ID, op, trace identifiers, error) and the
+// payload, each message encoded by the one code method its type declares.
+// codec.go has the layout.
 package wire
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"strconv"
 	"sync"
 )
 
@@ -91,6 +90,30 @@ const (
 	TypeError = "error"
 )
 
+// ops is the code table: a frame carries its op as the index of its Type*
+// constant here and decodes to that constant, so a receiver can compare the
+// type it was handed against the constants by pointer. Code 0 is no op. The
+// codes are the wire format: append, never reorder. No code is '"' (0x22),
+// the second byte of every JSON frame, so a JSON peer is a bad frame.
+var ops = [...]string{
+	1: TypeOK, TypeError,
+	TypeLookup, TypeCreate, TypeSetAttr, TypeReaddir, TypeRename, TypeStats,
+	TypeRevalidate, TypeBatch, TypeReaddirPlus, TypeCreateWithAttrs,
+	TypeJoin, TypeHeartbeat, TypeGLUpdate, TypeClusterInfo,
+	TypeInstall, TypeUninstall, TypeTransferDone, TypeTransferFailed,
+	TypeMonitorStats, TypeObsDump,
+}
+
+// opCode returns msgType's code, or 0 for a type that is no op.
+func opCode(msgType string) byte {
+	for i := 1; i < len(ops); i++ {
+		if ops[i] == msgType {
+			return byte(i)
+		}
+	}
+	return 0
+}
+
 // Errors reported by frame handling.
 var (
 	ErrFrameTooLarge = errors.New("wire: frame exceeds maximum size")
@@ -114,29 +137,17 @@ type Envelope struct {
 	Span string `json:"span,omitempty"`
 	// Error carries a failure message on responses (empty on success).
 	Error string `json:"error,omitempty"`
-	// Payload is the type-specific body.
-	Payload json.RawMessage `json:"payload,omitempty"`
-
-	// trusted marks a Payload produced by our own json.Marshal (NewEnvelope),
-	// which WriteFrame need not re-validate. A hand-assembled envelope has it
-	// false and pays one json.Valid scan.
-	trusted bool
+	// Payload is the type-specific body, as its type's code method wrote it.
+	Payload []byte `json:"payload,omitempty"`
 }
 
-// NewEnvelope marshals payload into a fresh envelope. The payload bytes
-// come from json.Marshal, so the envelope is marked trusted: WriteFrame
-// skips re-validating them.
+// NewEnvelope encodes payload into a fresh envelope.
 func NewEnvelope(id uint64, msgType string, payload interface{}) (*Envelope, error) {
-	env := &Envelope{ID: id, Type: msgType, trusted: true}
+	env := &Envelope{ID: id, Type: msgType}
 	if payload != nil {
-		if raw, ok := fastMarshalPayload(payload); ok {
-			env.Payload = raw
-			return env, nil
-		}
-		CodecFallbacks.Encode.Add(1)
-		raw, err := json.Marshal(payload)
+		raw, err := appendPayload(nil, msgType, payload)
 		if err != nil {
-			return nil, fmt.Errorf("wire: marshal %s payload: %w", msgType, err)
+			return nil, err
 		}
 		env.Payload = raw
 	}
@@ -148,7 +159,7 @@ func ErrorEnvelope(id uint64, err error) *Envelope {
 	return &Envelope{ID: id, Type: TypeError, Error: err.Error()}
 }
 
-// Decode unmarshals the envelope payload into out.
+// Decode decodes the envelope payload into out.
 func (e *Envelope) Decode(out interface{}) error {
 	if e.Error != "" {
 		return fmt.Errorf("wire: remote error: %s", e.Error)
@@ -156,11 +167,7 @@ func (e *Envelope) Decode(out interface{}) error {
 	if len(e.Payload) == 0 {
 		return nil
 	}
-	if fastUnmarshalPayload(e.Payload, out) {
-		return nil
-	}
-	CodecFallbacks.Decode.Add(1)
-	if err := json.Unmarshal(e.Payload, out); err != nil {
+	if err := decodePayload(e.Payload, out); err != nil {
 		return fmt.Errorf("wire: decode %s payload: %w", e.Type, err)
 	}
 	return nil
@@ -182,16 +189,15 @@ func putFrameBuf(bp *[]byte) {
 	}
 }
 
-// WriteFrame serialises one envelope onto w: length prefix and body are
-// encoded into a single pooled buffer and issued as one Write, so the
-// common small frame costs no per-call allocation and one syscall on an
-// unbuffered writer. The envelope is encoded by hand (appendEnvelope)
-// rather than re-marshalled through encoding/json, which would copy the
-// already-encoded Payload a second time.
+// WriteFrame serialises one envelope onto w: length prefix, envelope and
+// payload are encoded into a single pooled buffer and issued as one Write,
+// so the common small frame costs no per-call allocation and one syscall on
+// an unbuffered writer.
 func WriteFrame(w io.Writer, env *Envelope) error {
 	bp := framePool.Get().(*[]byte)
-	buf, err := appendEnvelope(beginFrame((*bp)[:0]), env)
+	buf, err := appendHead(beginFrame((*bp)[:0]), env.ID, env.Type, env.ReqID, env.Span, env.Error)
 	if err == nil {
+		buf = append(buf, env.Payload...)
 		err = endFrame(buf, 0)
 	}
 	if err == nil {
@@ -218,108 +224,20 @@ func endFrame(buf []byte, start int) error {
 	return nil
 }
 
-// appendEnvelope encodes env as JSON onto buf. The output matches what
-// encoding/json produces for the Envelope struct tags (same field order,
-// omitempty behaviour) so either side may decode with json.Unmarshal; the
-// Payload is appended verbatim after a validity check instead of being
-// round-tripped through a second marshal.
-func appendEnvelope(buf []byte, env *Envelope) ([]byte, error) {
-	buf = appendEnvelopeHead(buf, env.ID, env.Type, env.ReqID, env.Span)
-	if env.Error != "" {
-		buf = append(buf, `,"error":`...)
-		buf = appendJSONString(buf, env.Error)
-	}
-	if len(env.Payload) > 0 {
-		if !env.trusted && !json.Valid(env.Payload) {
-			return buf, fmt.Errorf("wire: marshal envelope: payload is not valid JSON")
-		}
-		buf = append(buf, `,"payload":`...)
-		buf = append(buf, env.Payload...)
-	}
-	return append(buf, '}'), nil
-}
-
-// appendEnvelopeHead encodes an envelope up to and including its span: what
-// every way of writing one shares.
-func appendEnvelopeHead(buf []byte, id uint64, msgType, reqID, span string) []byte {
-	buf = append(buf, `{"id":`...)
-	buf = strconv.AppendUint(buf, id, 10)
-	buf = append(buf, `,"type":`...)
-	buf = appendJSONString(buf, msgType)
-	if reqID != "" {
-		buf = append(buf, `,"reqId":`...)
-		buf = appendJSONString(buf, reqID)
-	}
-	if span != "" {
-		buf = append(buf, `,"span":`...)
-		buf = appendJSONString(buf, span)
-	}
-	return buf
-}
-
-// appendMessage encodes a whole envelope around payload (nil for none)
-// straight onto buf, byte for byte what NewEnvelope followed by
-// appendEnvelope writes, with no Envelope and no payload buffer in between.
-// A payload type with a hand codec allocates nothing.
+// appendMessage encodes a whole frame body around payload (nil for none)
+// straight onto buf, with no Envelope and no payload buffer in between.
 func appendMessage(buf []byte, id uint64, msgType, reqID, span string, payload interface{}) ([]byte, error) {
-	buf = appendEnvelopeHead(buf, id, msgType, reqID, span)
-	if payload != nil {
-		buf = append(buf, `,"payload":`...)
-		var ok bool
-		if buf, ok = appendPayload(buf, payload); !ok {
-			CodecFallbacks.Encode.Add(1)
-			raw, err := json.Marshal(payload)
-			if err != nil {
-				return buf, fmt.Errorf("wire: marshal %s payload: %w", msgType, err)
-			}
-			buf = append(buf, raw...)
-		}
+	buf, err := appendHead(buf, id, msgType, reqID, span, "")
+	if err != nil || payload == nil {
+		return buf, err
 	}
-	return append(buf, '}'), nil
+	return appendPayload(buf, msgType, payload)
 }
 
 // appendErrorMessage encodes the error response ErrorEnvelope builds.
 func appendErrorMessage(buf []byte, id uint64, reqID, span string, err error) []byte {
-	buf = appendEnvelopeHead(buf, id, TypeError, reqID, span)
-	if msg := err.Error(); msg != "" {
-		buf = append(buf, `,"error":`...)
-		buf = appendJSONString(buf, msg)
-	}
-	return append(buf, '}')
-}
-
-const hexDigits = "0123456789abcdef"
-
-// appendJSONString appends s as a JSON string literal. Quotes, backslashes
-// and control characters are escaped; everything else (including multi-byte
-// UTF-8) passes through verbatim, which json.Unmarshal accepts.
-func appendJSONString(buf []byte, s string) []byte {
-	buf = append(buf, '"')
-	start := 0
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c >= 0x20 && c != '"' && c != '\\' {
-			continue
-		}
-		buf = append(buf, s[start:i]...)
-		switch c {
-		case '"':
-			buf = append(buf, '\\', '"')
-		case '\\':
-			buf = append(buf, '\\', '\\')
-		case '\n':
-			buf = append(buf, '\\', 'n')
-		case '\r':
-			buf = append(buf, '\\', 'r')
-		case '\t':
-			buf = append(buf, '\\', 't')
-		default:
-			buf = append(buf, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xf])
-		}
-		start = i + 1
-	}
-	buf = append(buf, s[start:]...)
-	return append(buf, '"')
+	buf, _ = appendHead(buf, id, TypeError, reqID, span, err.Error()) // TypeError has a code
+	return buf
 }
 
 // ReadFrame reads one envelope from r.
@@ -328,14 +246,16 @@ func ReadFrame(r io.Reader) (*Envelope, error) {
 	if err != nil {
 		return nil, err
 	}
-	// decodeEnvelope copies what it keeps out of the body (json.RawMessage
-	// appends into its own backing array), so the buffer can be recycled as
-	// soon as decoding finishes.
+	// The envelope copies what it keeps out of the body, so the buffer can be
+	// recycled as soon as decoding finishes.
 	var env Envelope
-	err = decodeEnvelope(*bp, &env)
+	err = decodeRequest(*bp, &env)
+	if err == nil && len(env.Payload) > 0 {
+		env.Payload = append([]byte(nil), env.Payload...)
+	}
 	putFrameBuf(bp)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadFrame, err)
+		return nil, err
 	}
 	return &env, nil
 }

@@ -3,7 +3,6 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"io"
 	"testing"
@@ -11,7 +10,7 @@ import (
 )
 
 func TestFrameRoundTrip(t *testing.T) {
-	env, err := NewEnvelope(7, TypeLookup, LookupRequest{Path: "/a/b"})
+	env, err := NewEnvelope(7, TypeLookup, &LookupRequest{Path: "/a/b"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,11 +35,10 @@ func TestFrameRoundTrip(t *testing.T) {
 }
 
 func TestFrameRoundTripProperty(t *testing.T) {
-	// reqID and span route arbitrary strings through the hand-rolled
-	// envelope encoder's escaper (not only through json.Marshal'd payload),
-	// so quoting, backslashes and control characters are all property-tested.
+	// reqID, span and the payload's path are arbitrary strings: the frame
+	// carries their bytes as they are, whatever they hold.
 	prop := func(id uint64, path, reqID, span string, size int64) bool {
-		env, err := NewEnvelope(id, TypeSetAttr, SetAttrRequest{Path: path, Size: size})
+		env, err := NewEnvelope(id, TypeSetAttr, &SetAttrRequest{Path: path, Size: size})
 		if err != nil {
 			return false
 		}
@@ -66,44 +64,19 @@ func TestFrameRoundTripProperty(t *testing.T) {
 	}
 }
 
-func TestAppendEnvelopeMatchesEncodingJSON(t *testing.T) {
-	envs := []*Envelope{
-		{ID: 1, Type: TypeLookup},
-		{ID: 42, Type: TypeSetAttr, ReqID: "req-1", Span: "client-0",
-			Payload: []byte(`{"path":"/a\t\"b\"","size":7}`)},
-		{ID: 9, Type: TypeError, Error: "boom:\nline2 \\ \"quoted\" \x01"},
-		{ID: 0, Type: "", ReqID: "héllo→世界", Span: "s\x00pan"},
-	}
-	for _, env := range envs {
-		want, err := json.Marshal(env)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := appendEnvelope(nil, env)
-		if err != nil {
-			t.Fatalf("appendEnvelope(%+v): %v", env, err)
-		}
-		// encoding/json additionally escapes HTML characters; compare by
-		// decoding both forms back to structs instead of comparing bytes.
-		var a, b Envelope
-		if err := json.Unmarshal(want, &a); err != nil {
-			t.Fatal(err)
-		}
-		if err := json.Unmarshal(got, &b); err != nil {
-			t.Fatalf("appendEnvelope output %q does not parse: %v", got, err)
-		}
-		if a.ID != b.ID || a.Type != b.Type || a.ReqID != b.ReqID ||
-			a.Span != b.Span || a.Error != b.Error || !bytes.Equal(a.Payload, b.Payload) {
-			t.Errorf("appendEnvelope mismatch:\n  json: %s\n  ours: %s", want, got)
-		}
-	}
-}
-
+// TestWriteFrameRejectsInvalidPayload: what cannot be framed is refused
+// with nothing written — an op with no code, a payload type with no codec,
+// a payload past MaxFrameSize.
 func TestWriteFrameRejectsInvalidPayload(t *testing.T) {
-	env := &Envelope{ID: 1, Type: TypeOK, Payload: []byte("{not json")}
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, env); err == nil {
-		t.Error("invalid payload accepted")
+	if err := WriteFrame(&buf, &Envelope{ID: 1, Type: "no-such-op", Payload: []byte{0}}); err == nil || buf.Len() != 0 {
+		t.Errorf("frame with no op code: err = %v, %d bytes written", err, buf.Len())
+	}
+	if err := WriteFrame(&buf, &Envelope{ID: 1, Type: TypeOK, Payload: make([]byte, MaxFrameSize)}); !errors.Is(err, ErrFrameTooLarge) || buf.Len() != 0 {
+		t.Errorf("oversized payload: err = %v, %d bytes written", err, buf.Len())
+	}
+	if _, err := NewEnvelope(1, TypeOK, map[string]int{"load": 3}); !errors.Is(err, errNoCodec) {
+		t.Errorf("payload with no codec: err = %v", err)
 	}
 }
 
@@ -139,9 +112,11 @@ func TestReadFrameRejectsOversize(t *testing.T) {
 	}
 }
 
+// TestReadFrameRejectsGarbageJSON: a JSON frame, as an older peer would send
+// one, is a bad frame.
 func TestReadFrameRejectsGarbageJSON(t *testing.T) {
 	var buf bytes.Buffer
-	body := []byte("{not json")
+	body := []byte(`{"id":1,"type":"lookup","payload":{"path":"/a"}}`)
 	var hdr [4]byte
 	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
 	buf.Write(hdr[:])
