@@ -13,14 +13,9 @@
 package monitor
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"net"
-	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -227,105 +222,6 @@ func New(t *namespace.Tree, cfg Config) (*Monitor, error) {
 		m.journal = journal
 	}
 	return m, nil
-}
-
-// WAL record schemas.
-type walGLUpdate struct {
-	Op        string     `json:"op"`
-	Entry     wire.Entry `json:"entry"`
-	GLVersion int64      `json:"glVersion"`
-}
-
-type walOwner struct {
-	Root   string `json:"root"`
-	Server int    `json:"server"`
-}
-
-// walLLPaths journals local-layer paths reported by heartbeat CreatedPaths
-// deltas, so the authoritative tree a restarted Monitor materialises
-// failover pushes from includes entries created after bootstrap.
-type walLLPaths struct {
-	Entries []wire.Entry `json:"entries"`
-}
-
-// recoverFromWAL replays journalled state changes over the freshly computed
-// initial partition (which is deterministic given the same namespace). The
-// records are read first and applied under m.mu afterwards: Replay's
-// callback is its own function scope, so mutating coordinator state from
-// inside it would race with any concurrently started serving goroutine.
-func (m *Monitor) recoverFromWAL(path string) error {
-	var recs []wal.Record
-	if err := wal.Replay(path, func(rec wal.Record) error {
-		recs = append(recs, rec)
-		return nil
-	}); err != nil {
-		return err
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, rec := range recs {
-		switch rec.Type {
-		case "gl_update":
-			var u walGLUpdate
-			if err := json.Unmarshal(rec.Data, &u); err != nil {
-				return fmt.Errorf("monitor: wal gl_update: %w", err)
-			}
-			e := u.Entry
-			m.glEntries[e.Path] = &e
-			if u.Op == "create" {
-				if e.Kind == wire.EntryDir {
-					_, _ = m.tree.MkdirAll(e.Path)
-				} else {
-					_, _ = m.tree.AddFile(e.Path)
-				}
-			}
-			if u.GLVersion > m.glVersion {
-				m.glVersion = u.GLVersion
-			}
-		case "owner":
-			var o walOwner
-			if err := json.Unmarshal(rec.Data, &o); err != nil {
-				return fmt.Errorf("monitor: wal owner: %w", err)
-			}
-			m.subtreeOwner[o.Root] = o.Server
-			m.indexVer++
-		case "ll_paths":
-			var p walLLPaths
-			if err := json.Unmarshal(rec.Data, &p); err != nil {
-				return fmt.Errorf("monitor: wal ll_paths: %w", err)
-			}
-			for _, e := range p.Entries {
-				if e.Kind == wire.EntryDir {
-					_, _ = m.tree.MkdirAll(e.Path)
-				} else {
-					_, _ = m.tree.AddFile(e.Path)
-				}
-			}
-		default:
-			// Unknown record types are skipped for forward compatibility.
-		}
-	}
-	return nil
-}
-
-// journalLocked appends a record, degrading to in-memory operation on
-// journal errors (metadata service availability beats durability for this
-// prototype). The first failure latches journalDegraded and records one
-// event; later failures stay quiet instead of re-logging per call. Callers
-// hold m.mu.
-func (m *Monitor) journalLocked(recType string, payload interface{}) {
-	if m.journal == nil {
-		return
-	}
-	if _, err := m.journal.Append(recType, payload); err != nil && !m.journalDegraded {
-		m.journalDegraded = true
-		m.rec.Record(obs.Event{
-			Kind:   obs.KindCluster,
-			Op:     "journal_degraded",
-			Detail: "WAL append failed; continuing memory-only",
-			Err:    err.Error(),
-		})
-	}
 }
 
 func entryFor(t *namespace.Tree, n *namespace.Node) *wire.Entry {
@@ -559,657 +455,6 @@ func (m *Monitor) handleObsDump(req *wire.ObsDumpRequest) (*wire.ObsDumpResponse
 	}, nil
 }
 
-func (m *Monitor) handleJoin(req *wire.JoinRequest) (*wire.JoinResponse, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	// Reuse a dead member slot first (replacement server), else append.
-	id := -1
-	for _, mem := range m.members {
-		if !mem.alive {
-			id = mem.id
-			break
-		}
-	}
-	if id == -1 {
-		if len(m.members) >= m.cfg.Servers {
-			return nil, ErrClusterFull
-		}
-		id = len(m.members)
-		m.members = append(m.members, &member{id: id})
-	}
-	mem := m.members[id]
-	mem.addr = req.Addr
-	mem.lastSeen = m.now()
-	mem.alive = true
-	mem.load = 0
-	m.lastAdjust = mem.lastSeen // its average starts empty: give it a full interval
-	m.rec.Record(obs.Event{
-		Kind:   obs.KindCluster,
-		Op:     "member_join",
-		Detail: "mds-" + strconv.Itoa(id) + " at " + req.Addr,
-	})
-
-	// Adopt recovery claims: a restarted MDS that replayed its WAL arrives
-	// already holding subtrees, and re-shipping them from the authoritative
-	// tree would discard any local-layer mutations newer than the Monitor's
-	// view. A claim is adopted when the root has no live owner elsewhere and
-	// no recovery push is racing for it (the push wins — its destination may
-	// already hold the data). Rejected claims are omitted from
-	// AdoptedSubtrees; the joiner drops those subtrees, which keeps every
-	// root single-owned.
-	adopted := make(map[string]bool, len(req.RecoveredSubtrees))
-	for _, root := range req.RecoveredSubtrees {
-		owner, known := m.subtreeOwner[root]
-		if !known {
-			continue // no longer a subtree root; claim rejected
-		}
-		if _, moving := m.inFlight[root]; moving {
-			continue // recovery push racing; it wins, joiner drops its copy
-		}
-		if owner != id && owner >= 0 && owner < len(m.members) && m.members[owner].alive {
-			continue // live owner elsewhere; claim rejected
-		}
-		if owner != id {
-			m.subtreeOwner[root] = id
-			m.journalLocked("owner", &walOwner{Root: root, Server: id})
-		}
-		adopted[root] = true
-	}
-
-	// Refresh index addresses for subtrees owned by this slot. Roots with a
-	// recovery push in flight stay out: the push's destination is about to
-	// commit as their owner, and advertising (or materialising, below) them
-	// on the joiner would leave one root served from two places.
-	for root, owner := range m.subtreeOwner {
-		if owner != id {
-			continue
-		}
-		if _, moving := m.inFlight[root]; moving {
-			continue
-		}
-		m.index[root] = req.Addr
-	}
-	m.indexVer++
-
-	resp := &wire.JoinResponse{
-		ServerID:  id,
-		GLVersion: m.glVersion,
-		IndexVer:  m.indexVer,
-		Index:     m.indexSnapshotLocked(),
-	}
-	for root := range adopted {
-		resp.AdoptedSubtrees = append(resp.AdoptedSubtrees, root)
-	}
-	sort.Strings(resp.AdoptedSubtrees)
-	for _, e := range m.glEntries {
-		resp.GlobalLayer = append(resp.GlobalLayer, *e)
-	}
-	sort.Slice(resp.GlobalLayer, func(i, j int) bool {
-		return resp.GlobalLayer[i].Path < resp.GlobalLayer[j].Path
-	})
-	for root, owner := range m.subtreeOwner {
-		if owner != id || adopted[root] {
-			continue // adopted roots: the joiner already holds fresher data
-		}
-		if _, moving := m.inFlight[root]; moving {
-			continue // a racing recovery push will commit elsewhere
-		}
-		if entries := m.subtreeEntriesLocked(root); len(entries) > 0 {
-			resp.Subtrees = append(resp.Subtrees, entries)
-		}
-	}
-	sort.Slice(resp.Subtrees, func(i, j int) bool {
-		return resp.Subtrees[i][0].Path < resp.Subtrees[j][0].Path
-	})
-	return resp, nil
-}
-
-// subtreeEntriesLocked materialises a subtree's entries from the
-// authoritative tree. Callers hold m.mu.
-func (m *Monitor) subtreeEntriesLocked(rootPath string) []wire.Entry {
-	n, err := m.tree.Lookup(rootPath)
-	if err != nil {
-		return nil
-	}
-	nodes := m.tree.SubtreeNodes(n)
-	out := make([]wire.Entry, 0, len(nodes))
-	for _, sn := range nodes {
-		out = append(out, *entryFor(m.tree, sn))
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
-	return out
-}
-
-func (m *Monitor) indexSnapshotLocked() map[string]string {
-	out := make(map[string]string, len(m.index))
-	for k, v := range m.index {
-		out[k] = v
-	}
-	return out
-}
-
-func (m *Monitor) handleHeartbeat(req *wire.HeartbeatRequest) (*wire.HeartbeatResponse, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.nHeartbeats++
-	if req.ServerID < 0 || req.ServerID >= len(m.members) {
-		return nil, fmt.Errorf("monitor: heartbeat from unknown server %d", req.ServerID)
-	}
-	mem := m.members[req.ServerID]
-	// A stale ID from before a Monitor restart can collide with a slot that
-	// was since granted to a different server; adopting the beat would make
-	// two servers flap one slot's address. Reject it as unknown so the
-	// sender re-joins and is assigned its own slot.
-	if req.Addr != "" && mem.addr != "" && mem.addr != req.Addr {
-		return nil, fmt.Errorf("monitor: heartbeat from unknown server %d (%s; slot registered to %s)",
-			req.ServerID, req.Addr, mem.addr)
-	}
-	// The paper's decaying access counter as a rate: req.Load, the ops since
-	// the previous beat, enters an average that forgets with time constant
-	// AdjustInterval however the beats are spaced.
-	now := m.now()
-	if dt := now.Sub(mem.lastSeen).Seconds(); dt > 0 {
-		mem.load -= math.Expm1(-dt/m.cfg.AdjustInterval.Seconds()) * (req.Load/dt - mem.load)
-	}
-	mem.lastSeen = now
-	mem.ops = req.Ops
-	mem.alive = true
-	if req.Addr != "" {
-		mem.addr = req.Addr
-	}
-	// Fold the reported access counters into the authoritative popularity
-	// view; global-layer re-evaluation reads it (Sec. IV-B: "send these
-	// information to Monitor to help adjust global layer").
-	for path, count := range req.HotPaths {
-		if n, err := m.tree.Lookup(path); err == nil {
-			m.tree.Touch(n, count)
-		}
-	}
-	// Fold local-layer creates into the authoritative tree, so a failover
-	// push materialises paths born after bootstrap, and journal the batch:
-	// a restarted Monitor then recovers the same tree. The tree keeps the
-	// names, so each path is copied out of the decoded heartbeat, whose hot
-	// paths would otherwise stay in memory beside every name it created.
-	if len(req.CreatedPaths) > 0 {
-		for _, e := range req.CreatedPaths {
-			if e.Kind == wire.EntryDir {
-				_, _ = m.tree.MkdirAll(strings.Clone(e.Path))
-			} else {
-				_, _ = m.tree.AddFile(strings.Clone(e.Path))
-			}
-		}
-		m.journalLocked("ll_paths", &walLLPaths{Entries: req.CreatedPaths})
-	}
-
-	m.checkFailuresLocked()
-	m.planAdjustmentLocked()
-
-	resp := &wire.HeartbeatResponse{
-		GLVersion:       m.glVersion,
-		IndexVer:        m.indexVer,
-		JournalDegraded: m.journalDegraded,
-	}
-	if req.GLVersion < m.glVersion {
-		for _, e := range m.glEntries {
-			resp.GlobalLayer = append(resp.GlobalLayer, *e)
-		}
-		sort.Slice(resp.GlobalLayer, func(i, j int) bool {
-			return resp.GlobalLayer[i].Path < resp.GlobalLayer[j].Path
-		})
-	}
-	if req.IndexVer < m.indexVer {
-		resp.Index = m.indexSnapshotLocked()
-	}
-	if cmds := m.transfers[req.ServerID]; len(cmds) > 0 {
-		resp.Transfers = cmds
-		delete(m.transfers, req.ServerID)
-		// Stamp the hand-off: a command neither Done nor Failed within the
-		// heartbeat timeout is presumed lost and returned to the planner.
-		for _, cmd := range cmds {
-			if f, ok := m.inFlight[cmd.RootPath]; ok {
-				f.issued = now
-				m.inFlight[cmd.RootPath] = f
-			}
-			m.rec.Record(obs.Event{
-				Kind:   obs.KindMigration,
-				Op:     "issue",
-				ReqID:  cmd.ReqID,
-				Path:   cmd.RootPath,
-				Detail: "src mds-" + strconv.Itoa(req.ServerID) + ", dest " + cmd.DestAddr,
-			})
-		}
-	}
-	return resp, nil
-}
-
-// checkFailuresLocked reassigns subtrees of servers that stopped
-// heartbeating. Callers hold m.mu.
-func (m *Monitor) checkFailuresLocked() {
-	now := m.now()
-	m.reissueStaleLocked(now)
-	var live []*member
-	for _, mem := range m.members {
-		if mem.alive && now.Sub(mem.lastSeen) > m.cfg.HeartbeatTimeout {
-			mem.alive = false
-			m.rec.Record(obs.Event{
-				Kind:   obs.KindCluster,
-				Op:     "member_dead",
-				Detail: "mds-" + strconv.Itoa(mem.id) + " at " + mem.addr + " missed heartbeats",
-			})
-			// Commands queued for (or issued to) the dead server can never
-			// complete; release their subtrees back to the planner so
-			// recovery and rebalancing are not wedged behind them.
-			for _, cmd := range m.transfers[mem.id] {
-				delete(m.inFlight, cmd.RootPath)
-			}
-			delete(m.transfers, mem.id)
-		}
-		if mem.alive {
-			live = append(live, mem)
-		}
-	}
-	if len(live) == 0 {
-		return
-	}
-	// Collect every orphaned root: owned by a dead server, or by a planned
-	// slot no process ever claimed. The latter get one heartbeat timeout of
-	// grace from Start — after a Monitor restart the owner map can reference
-	// slots whose servers are still rejoining (with recovery claims) — and
-	// are then recovered like any dead owner's.
-	var orphans []string
-	for root, owner := range m.subtreeOwner {
-		if owner >= 0 && owner < len(m.members) && m.members[owner].alive {
-			continue
-		}
-		if owner >= len(m.members) && now.Sub(m.started) <= m.cfg.HeartbeatTimeout {
-			continue // slot may still join and claim it
-		}
-		if _, moving := m.inFlight[root]; moving {
-			continue // recovery already underway
-		}
-		orphans = append(orphans, root)
-	}
-	if len(orphans) == 0 {
-		return
-	}
-	// Pending-pool distribution: the orphans are the dead server's share of
-	// the namespace, and core.GreedyLPT hands them out heaviest-first, each
-	// to the survivor carrying the least recovered popularity so far, so one
-	// server never absorbs a dead peer's whole load. Every root weighs at
-	// least 1, which spreads cold subtrees too.
-	// Entries are pushed from the authoritative copy first; ownership and
-	// the index commit only after the install succeeds, so clients are never
-	// routed to a server that does not hold the data yet. A failed push
-	// clears the in-flight marker and is retried on a later heartbeat.
-	sort.Strings(orphans)
-	subtrees := make([]core.Subtree, len(orphans))
-	for i, root := range orphans {
-		subtrees[i].Popularity = 1
-		if n, err := m.tree.Lookup(root); err == nil {
-			subtrees[i].Root, subtrees[i].Popularity = n.ID(), n.TotalPopularity()+1
-		}
-	}
-	alloc, err := core.GreedyLPT(subtrees, partition.Capacities(len(live), 1))
-	if err != nil {
-		return // unreachable: orphans and live are non-empty, capacities are 1
-	}
-	for i, root := range orphans {
-		dst := live[alloc[i]]
-		m.recoverSubtreeLocked(root, dst.id, dst.addr)
-	}
-}
-
-// reissueStaleLocked abandons transfer commands that were handed to a
-// source but never acknowledged within the heartbeat timeout (source died
-// mid-transfer, NACK lost): the in-flight marker is cleared so the next
-// adjustment round can re-schedule the subtree. Callers hold m.mu.
-func (m *Monitor) reissueStaleLocked(now time.Time) {
-	for root, f := range m.inFlight {
-		if f.issued.IsZero() || now.Sub(f.issued) <= m.cfg.HeartbeatTimeout {
-			continue
-		}
-		delete(m.inFlight, root)
-		m.nTransfersReissued++
-		m.rec.Record(obs.Event{
-			Kind:   obs.KindMigration,
-			Op:     "reissue",
-			ReqID:  m.migIDs[root],
-			Path:   root,
-			Detail: "command unacknowledged past heartbeat timeout; returned to planner",
-		})
-	}
-}
-
-// recoverSubtreeLocked reserves a subtree for its recovery destination,
-// pushes it there and, on success, commits ownership and publishes the new
-// index. Callers hold m.mu.
-func (m *Monitor) recoverSubtreeLocked(rootPath string, destID int, destAddr string) {
-	m.inFlight[rootPath] = flight{dest: destID}
-	entries := m.subtreeEntriesLocked(rootPath)
-	reqID := m.migIDForLocked(rootPath)
-	m.rec.Record(obs.Event{
-		Kind:   obs.KindMigration,
-		Op:     "recover_start",
-		ReqID:  reqID,
-		Path:   rootPath,
-		Detail: "dest mds-" + strconv.Itoa(destID) + " at " + destAddr,
-	})
-	m.wg.Add(1)
-	go func() {
-		defer m.wg.Done()
-		err := installEntries(destAddr, rootPath, entries)
-		m.mu.Lock()
-		defer m.mu.Unlock()
-		if f, moving := m.inFlight[rootPath]; !moving || f.dest != destID {
-			return // superseded by a newer plan
-		}
-		delete(m.inFlight, rootPath)
-		if err != nil {
-			m.rec.Record(obs.Event{
-				Kind:  obs.KindMigration,
-				Op:    "recover_failed",
-				ReqID: reqID,
-				Path:  rootPath,
-				Err:   err.Error(),
-			})
-			// The push may have landed on the destination despite failing
-			// here (a timeout races the install's durability wait), leaving
-			// a stray copy whose index override pins its claim through every
-			// reconciliation. Best-effort tell the destination to drop the
-			// subtree before it is homed anywhere else.
-			m.wg.Add(1)
-			go func() {
-				defer m.wg.Done()
-				_ = uninstallSubtree(destAddr, rootPath)
-			}()
-			// If the root's owner slot rejoined while this push was failing,
-			// the joiner was denied both its recovery claim and the join
-			// materialisation (the push held the root) — it owns a subtree it
-			// does not hold. Re-home the entries to the owner; otherwise a
-			// later failure check retries. Not once the Monitor is closing:
-			// nothing marks the owner dead any more, so against an owner that
-			// has gone away the retry would never end and Close never return.
-			if owner, ok := m.subtreeOwner[rootPath]; ok && !m.closed &&
-				owner >= 0 && owner < len(m.members) && m.members[owner].alive {
-				m.recoverSubtreeLocked(rootPath, owner, m.members[owner].addr)
-			}
-			return
-		}
-		m.subtreeOwner[rootPath] = destID
-		m.index[rootPath] = destAddr
-		m.journalLocked("owner", &walOwner{Root: rootPath, Server: destID})
-		m.indexVer++
-		delete(m.migIDs, rootPath)
-		m.rec.Record(obs.Event{
-			Kind:   obs.KindMigration,
-			Op:     "recover_done",
-			ReqID:  reqID,
-			Path:   rootPath,
-			Detail: "dest " + destAddr,
-		})
-	}()
-}
-
-// migIDForLocked returns the subtree's migration trace identifier, minting
-// one on first use. Callers hold m.mu.
-func (m *Monitor) migIDForLocked(root string) string {
-	if id := m.migIDs[root]; id != "" {
-		return id
-	}
-	id := m.ids.Next()
-	m.migIDs[root] = id
-	return id
-}
-
-// pushSubtreeLocked installs a subtree's entries onto the destination MDS
-// directly from the monitor's authoritative copy. Callers hold m.mu.
-func (m *Monitor) pushSubtreeLocked(rootPath, destAddr string) {
-	entries := m.subtreeEntriesLocked(rootPath)
-	m.wg.Add(1)
-	go func() {
-		defer m.wg.Done()
-		_ = installEntries(destAddr, rootPath, entries)
-	}()
-}
-
-// installEntries ships one subtree to an MDS with a per-call deadline, so a
-// hung destination cannot pin the push goroutine (and with it the subtree's
-// in-flight marker) forever.
-func installEntries(destAddr, rootPath string, entries []wire.Entry) error {
-	conn, err := wire.DialCall(destAddr, 2*time.Second, 5*time.Second)
-	if err != nil {
-		return err
-	}
-	defer func() { _ = conn.Close() }()
-	return conn.Call(wire.TypeInstall, &wire.InstallRequest{
-		RootPath: rootPath, Entries: entries,
-	}, nil)
-}
-
-// uninstallSubtree tells an MDS to drop a subtree copy left by a superseded
-// recovery push. Best-effort: the target may be dead or never have received
-// the install, and either way the ack (or the error) ends the matter.
-func uninstallSubtree(destAddr, rootPath string) error {
-	conn, err := wire.DialCall(destAddr, 2*time.Second, 5*time.Second)
-	if err != nil {
-		return err
-	}
-	defer func() { _ = conn.Close() }()
-	return conn.Call(wire.TypeUninstall, &wire.UninstallRequest{RootPath: rootPath}, nil)
-}
-
-// planAdjustmentLocked runs one Dynamic-Adjustment round. core.Adjuster
-// plans it from the members' decayed loads (dead and unjoined slots at
-// capacity 0) and one exclusion set: roots in flight, roots that moved
-// within pinRounds, and the destination a root's last transfer NACKed
-// against. The plan is issued only if it lowers the predicted Eq. 2
-// variance — otherwise even the smallest subtree overshoots the imbalance it
-// answers, and the next round would send it back. Callers hold m.mu.
-func (m *Monitor) planAdjustmentLocked() {
-	now, n := m.now(), m.cfg.Servers
-	in := core.PlanInput{Loads: make([]float64, n), Caps: make([]float64, n), Exclude: make(map[int]partition.ServerID)}
-	var live int
-	var total float64
-	for _, mem := range m.members {
-		if mem.alive {
-			in.Loads[mem.id], in.Caps[mem.id] = mem.load, 1
-			live++
-			total += mem.load
-		}
-	}
-	if live < 2 || total < minPlanLoad*float64(live) {
-		// Idle (or alone) restarts the clock, so when load arrives the
-		// averages get a full interval to fill before the first round.
-		m.lastAdjust = now
-		return
-	}
-	if now.Sub(m.lastAdjust) < m.cfg.AdjustInterval {
-		return
-	}
-	m.lastAdjust = now
-	m.round++
-	var roots []string // roots[i] names in.Subtrees[i]
-	for root, owner := range m.subtreeOwner {
-		node, err := m.tree.Lookup(root)
-		if err != nil {
-			continue
-		}
-		if _, moving := m.inFlight[root]; moving {
-			in.Exclude[len(roots)] = core.AnyServer
-		} else if p, ok := m.pinned[root]; ok && p.until > m.round {
-			in.Exclude[len(roots)] = p.dest
-		} else if ok {
-			delete(m.pinned, root)
-		}
-		roots = append(roots, root)
-		in.Subtrees = append(in.Subtrees, core.Subtree{Root: node.ID(), Popularity: node.TotalPopularity()})
-		in.Owners = append(in.Owners, partition.ServerID(owner))
-	}
-	detail := fmt.Sprintf("loads=%.0f ops/s", in.Loads)
-	for k := range in.Loads {
-		in.Loads[k] /= loadUnit
-	}
-	moves, err := core.NewAdjuster(core.AdjusterConfig{}).Plan(in)
-	before, after := in.Variance(nil)*loadUnit*loadUnit, in.Variance(moves)*loadUnit*loadUnit
-	gain := len(moves) == 0 || after < before
-	verdict := "planned"
-	if !gain {
-		verdict = "discarded=no-gain"
-	}
-	m.rec.Record(obs.Event{
-		Kind: obs.KindMigration,
-		Op:   "round",
-		Detail: fmt.Sprintf("%s variance=%.4g->%.4g moves=%d %s in-flight=%d pinned=%d",
-			detail, before, after, len(moves), verdict, len(m.inFlight), len(m.pinned)),
-		Err: obs.ErrString(err),
-	})
-	if !gain {
-		return
-	}
-	for _, mv := range moves {
-		m.queueTransferLocked(roots[mv.Subtree], int(mv.From), m.members[mv.To], mv.Load*loadUnit, "")
-	}
-}
-
-// queueTransferLocked enqueues one transfer command for the source's next
-// heartbeat and reserves the root. Ownership commits only on TransferDone —
-// committing now would open a window where the destination is advertised as
-// owner before the entries arrive. Callers hold m.mu.
-func (m *Monitor) queueTransferLocked(root string, src int, dst *member, load float64, note string) {
-	reqID := m.migIDForLocked(root)
-	m.transfers[src] = append(m.transfers[src], wire.TransferCommand{
-		RootPath: root, DestAddr: dst.addr, ReqID: reqID,
-	})
-	m.inFlight[root] = flight{dest: dst.id, load: load}
-	m.nTransfersPlanned++
-	m.rec.Record(obs.Event{
-		Kind:   obs.KindMigration,
-		Op:     "plan",
-		ReqID:  reqID,
-		Path:   root,
-		Detail: note + "src mds-" + strconv.Itoa(src) + ", dest mds-" + strconv.Itoa(dst.id) + " at " + dst.addr,
-	})
-}
-
-// handleGLUpdate commits one global-layer write. m.mu is what orders GL
-// writes: each takes the next GL version and, on its path, the next entry
-// version, under the one lock every other reader and writer of the GL holds.
-func (m *Monitor) handleGLUpdate(req *wire.GLUpdateRequest) (*wire.GLUpdateResponse, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	e, ok := m.glEntries[req.Entry.Path]
-	switch req.Op {
-	case "create":
-		if ok {
-			return nil, fmt.Errorf("monitor: %s already exists in GL", req.Entry.Path)
-		}
-		created := req.Entry
-		created.Version = 1
-		e = &created
-		m.glEntries[e.Path] = e
-		// Mirror into the authoritative tree so future joins see it.
-		if e.Kind == wire.EntryDir {
-			_, _ = m.tree.MkdirAll(e.Path)
-		} else {
-			_, _ = m.tree.AddFile(e.Path)
-		}
-	case "setattr":
-		if !ok {
-			return nil, fmt.Errorf("monitor: %s not in GL", req.Entry.Path)
-		}
-		e.Size = req.Entry.Size
-		e.Mode = req.Entry.Mode
-		e.Version++
-	default:
-		return nil, fmt.Errorf("monitor: unknown GL op %q", req.Op)
-	}
-	m.glVersion++
-	m.journalLocked("gl_update", &walGLUpdate{Op: req.Op, Entry: *e, GLVersion: m.glVersion})
-	return &wire.GLUpdateResponse{Entry: *e, GLVersion: m.glVersion}, nil
-}
-
-func (m *Monitor) handleClusterInfo() (*wire.ClusterInfoResponse, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	resp := &wire.ClusterInfoResponse{
-		Index:    m.indexSnapshotLocked(),
-		IndexVer: m.indexVer,
-	}
-	for _, mem := range m.members {
-		if mem.alive {
-			resp.Servers = append(resp.Servers, mem.addr)
-		}
-	}
-	return resp, nil
-}
-
-func (m *Monitor) handleTransferDone(req *wire.TransferDoneRequest) (*wire.LockResponse, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	// The destination now has the entries: commit ownership and publish it.
-	if f, ok := m.inFlight[req.RootPath]; ok {
-		if f.load > 0 {
-			// The paper keeps the decaying counter per subtree, so it moves
-			// with the subtree. Shifting the planned share now keeps the next
-			// round from shedding the same load again while the averages
-			// catch up with the move.
-			src := m.members[m.subtreeOwner[req.RootPath]]
-			src.load = max(0, src.load-f.load)
-			m.members[f.dest].load += f.load
-		}
-		m.subtreeOwner[req.RootPath] = f.dest
-		delete(m.inFlight, req.RootPath)
-		m.journalLocked("owner", &walOwner{Root: req.RootPath, Server: f.dest})
-	}
-	m.pinned[req.RootPath] = pin{dest: core.AnyServer, until: m.round + pinRounds}
-	m.nTransfersDone++
-	m.index[req.RootPath] = req.DestAddr
-	m.indexVer++
-	reqID := req.ReqID
-	if reqID == "" {
-		reqID = m.migIDs[req.RootPath]
-	}
-	delete(m.migIDs, req.RootPath) // migration over; a later move is a new trace
-	m.rec.Record(obs.Event{
-		Kind:   obs.KindMigration,
-		Op:     "done",
-		ReqID:  reqID,
-		Path:   req.RootPath,
-		Detail: "committed to " + req.DestAddr,
-	})
-	return &wire.LockResponse{Granted: true}, nil
-}
-
-// handleTransferFailed releases a NACKed transfer's in-flight marker so the
-// subtree can be re-scheduled — to a different destination: the failed one
-// goes into the planner's exclusion set for pinRounds.
-func (m *Monitor) handleTransferFailed(req *wire.TransferFailedRequest) (*wire.LockResponse, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.nTransfersFailed++
-	if f, ok := m.inFlight[req.RootPath]; ok {
-		m.pinned[req.RootPath] = pin{dest: partition.ServerID(f.dest), until: m.round + pinRounds}
-		delete(m.inFlight, req.RootPath)
-	}
-	reqID := req.ReqID
-	if reqID == "" {
-		reqID = m.migIDs[req.RootPath]
-	}
-	// The migID is kept: the re-scheduled move continues the same trace.
-	m.rec.Record(obs.Event{
-		Kind:   obs.KindMigration,
-		Op:     "failed",
-		ReqID:  reqID,
-		Path:   req.RootPath,
-		Detail: "dest " + req.DestAddr,
-		Err:    req.Reason,
-	})
-	// Let the planner act on the failure without waiting out a full
-	// adjustment interval: the NACK is fresh evidence, not noise.
-	m.lastAdjust = time.Time{}
-	return &wire.LockResponse{Granted: true}, nil
-}
-
 // handleMonitorStats reports coordinator counters and the member table.
 func (m *Monitor) handleMonitorStats() (*wire.MonitorStatsResponse, error) {
 	m.mu.Lock()
@@ -1234,89 +479,6 @@ func (m *Monitor) handleMonitorStats() (*wire.MonitorStatsResponse, error) {
 		})
 	}
 	return resp, nil
-}
-
-// ReevaluateGlobalLayer re-runs Tree-Splitting and Subtree-Allocation
-// against the popularity accumulated from heartbeat access counters — the
-// infrequent global-layer adjustment of Sec. IV-B ("typically once a day").
-// The new global layer and index are published with bumped versions; every
-// local-layer subtree is pushed to its (possibly new) owner, and servers
-// drop subtrees the fresh index maps elsewhere.
-func (m *Monitor) ReevaluateGlobalLayer() error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if err := m.d2.Resplit(); err != nil {
-		return fmt.Errorf("monitor: resplit: %w", err)
-	}
-	// Rebuild the global layer, preserving committed entry versions.
-	old := m.glEntries
-	m.glEntries = make(map[string]*wire.Entry, len(m.d2.Split().GL))
-	for id := range m.d2.Split().GL {
-		n := m.tree.Node(id)
-		if n == nil {
-			continue
-		}
-		path := m.tree.Path(n)
-		if e, ok := old[path]; ok {
-			m.glEntries[path] = e
-			continue
-		}
-		m.glEntries[path] = entryFor(m.tree, n)
-	}
-	// Rebuild subtree ownership from the fresh allocation; superseded
-	// transfers are dropped.
-	m.subtreeOwner = make(map[string]int)
-	m.index = make(map[string]string)
-	m.transfers = make(map[int][]wire.TransferCommand)
-	m.inFlight = make(map[string]flight)
-	m.pinned = make(map[string]pin)
-	m.migIDs = make(map[string]string)
-	for i, st := range m.d2.Subtrees() {
-		owner, _ := m.d2.SubtreeOwner(i)
-		id := int(owner)
-		root := m.tree.Path(m.tree.Node(st.Root))
-		m.subtreeOwner[root] = id
-		m.journalLocked("owner", &walOwner{Root: root, Server: id})
-		if id < len(m.members) && m.members[id].alive {
-			m.index[root] = m.members[id].addr
-			m.pushSubtreeLocked(root, m.members[id].addr)
-		}
-	}
-	m.glVersion++
-	m.indexVer++
-	// Subtrees the fresh allocation gave to a dead server are orphans like
-	// any other: the failover path re-homes them.
-	m.checkFailuresLocked()
-	return nil
-}
-
-// ScheduleTransfer manually enqueues one subtree transfer to the given
-// destination server, bypassing the load planner — an operator/test hook for
-// forcing a migration. The command is handed to the source on its next
-// heartbeat and follows the normal lifecycle (issue → install →
-// TransferDone/TransferFailed), sharing the subtree's migration trace
-// identifier with any earlier NACKed attempt.
-func (m *Monitor) ScheduleTransfer(root string, destID int) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	owner, ok := m.subtreeOwner[root]
-	if !ok {
-		return fmt.Errorf("monitor: %s is not a subtree root", root)
-	}
-	if owner < 0 || owner >= len(m.members) || !m.members[owner].alive {
-		return fmt.Errorf("monitor: subtree %s owner mds-%d is not alive", root, owner)
-	}
-	if destID < 0 || destID >= len(m.members) || !m.members[destID].alive {
-		return fmt.Errorf("monitor: destination mds-%d is not alive", destID)
-	}
-	if destID == owner {
-		return fmt.Errorf("monitor: subtree %s is already owned by mds-%d", root, destID)
-	}
-	if _, moving := m.inFlight[root]; moving {
-		return fmt.Errorf("monitor: subtree %s already has a transfer in flight", root)
-	}
-	m.queueTransferLocked(root, owner, m.members[destID], 0, "manual, ")
-	return nil
 }
 
 // Obs returns the Monitor's event recorder (debug endpoints, tests).
