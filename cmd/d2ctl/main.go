@@ -131,9 +131,11 @@ func run(args []string, w io.Writer) error {
 		if ms.JournalDegraded {
 			journal = "DEGRADED"
 		}
-		fmt.Fprintf(w, "monitor heartbeats=%d transfers planned=%d done=%d failed=%d reissued=%d glv=%d indexv=%d journal=%s\n",
+		fmt.Fprintf(w, "monitor heartbeats=%d transfers planned=%d done=%d failed=%d reissued=%d glv=%d indexv=%d\n",
 			ms.Heartbeats, ms.TransfersPlanned, ms.TransfersDone,
-			ms.TransfersFailed, ms.TransfersReissued, ms.GLVersion, ms.IndexVer, journal)
+			ms.TransfersFailed, ms.TransfersReissued, ms.GLVersion, ms.IndexVer)
+		// Records per flush above 1 is group commit at work.
+		fmt.Fprintf(w, "  journal appends=%d flushes=%d state=%s\n", ms.JournalAppends, ms.JournalFlushes, journal)
 		printWireIO(w, ms.ServeIO, ms.ConnIO, ms.BadFrames)
 		for _, mem := range ms.Members {
 			state := "alive"

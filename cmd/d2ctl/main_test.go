@@ -95,6 +95,11 @@ func TestCtlLookupCreateReaddirStats(t *testing.T) {
 	if strings.Count(buf.String(), "mds-") != 2 {
 		t.Errorf("stats output = %q", buf.String())
 	}
+	// The Monitor's journal counters, as an MDS prints its WAL's; this
+	// Monitor runs without one.
+	if !strings.Contains(buf.String(), "  journal appends=0 flushes=0 state=ok\n") {
+		t.Errorf("stats prints no Monitor journal line:\n%s", buf.String())
+	}
 	// Frames per read and per write, both sides of the wire, for the Monitor
 	// and each MDS; the in-process cluster has served this test's own calls.
 	if n := strings.Count(buf.String(), "wire serve frames in="); n != 3 {

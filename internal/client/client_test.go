@@ -662,7 +662,7 @@ func TestConcurrentCacheCoherence(t *testing.T) {
 		var destID int
 		found := false
 		owner := c.Index()[root]
-		for _, mem := range mon.Members() {
+		for _, mem := range mon.Stats().Members {
 			if mem.Alive && mem.Addr != owner {
 				destID, found = mem.ID, true
 				break

@@ -123,7 +123,7 @@ func TestBatchMigrationRedirects(t *testing.T) {
 	}
 	owner := c.Index()[root]
 	destID, found := 0, false
-	for _, mem := range mon.Members() {
+	for _, mem := range mon.Stats().Members {
 		if mem.Alive && mem.Addr != owner {
 			destID, found = mem.ID, true
 			break
@@ -377,7 +377,7 @@ func TestListingAcrossTheCutWhileIndexChanges(t *testing.T) {
 	}
 	owner := c.Index()[root]
 	other, otherID := "", -1
-	for _, mem := range mon.Members() {
+	for _, mem := range mon.Stats().Members {
 		if mem.Alive && mem.Addr != owner {
 			other, otherID = mem.Addr, mem.ID
 		}

@@ -126,7 +126,7 @@ func (m *Monitor) recoverSubtreeLocked(rootPath string, destID int, destAddr str
 	m.wg.Add(1)
 	go func() {
 		defer m.wg.Done()
-		err := installEntries(destAddr, rootPath, entries)
+		err := callMDS(destAddr, wire.TypeInstall, &wire.InstallRequest{RootPath: rootPath, Entries: entries})
 		m.mu.Lock()
 		defer m.mu.Unlock()
 		if f, moving := m.inFlight[rootPath]; !moving || f.dest != destID {
@@ -145,11 +145,13 @@ func (m *Monitor) recoverSubtreeLocked(rootPath string, destID int, destAddr str
 			// here (a timeout races the install's durability wait), leaving
 			// a stray copy whose index override pins its claim through every
 			// reconciliation. Best-effort tell the destination to drop the
-			// subtree before it is homed anywhere else.
+			// subtree before it is homed anywhere else: it may be dead or
+			// never have received the install, and either way the ack (or
+			// the error) ends the matter.
 			m.wg.Add(1)
 			go func() {
 				defer m.wg.Done()
-				_ = uninstallSubtree(destAddr, rootPath)
+				_ = callMDS(destAddr, wire.TypeUninstall, &wire.UninstallRequest{RootPath: rootPath})
 			}()
 			// If the root's owner slot rejoined while this push was failing,
 			// the joiner was denied both its recovery claim and the join
@@ -164,10 +166,7 @@ func (m *Monitor) recoverSubtreeLocked(rootPath string, destID int, destAddr str
 			}
 			return
 		}
-		m.subtreeOwner[rootPath] = destID
-		m.index[rootPath] = destAddr
-		m.journalLocked("owner", &walOwner{Root: rootPath, Server: destID})
-		m.indexVer++
+		m.commitLocked(&walOwner{Root: rootPath, Server: destID})
 		delete(m.migIDs, rootPath)
 		m.rec.Record(obs.Event{
 			Kind:   obs.KindMigration,
@@ -186,34 +185,20 @@ func (m *Monitor) pushSubtreeLocked(rootPath, destAddr string) {
 	m.wg.Add(1)
 	go func() {
 		defer m.wg.Done()
-		_ = installEntries(destAddr, rootPath, entries)
+		_ = callMDS(destAddr, wire.TypeInstall, &wire.InstallRequest{RootPath: rootPath, Entries: entries})
 	}()
 }
 
-// installEntries ships one subtree to an MDS with a per-call deadline, so a
-// hung destination cannot pin the push goroutine (and with it the subtree's
+// callMDS makes one control call to an MDS with a per-call deadline, so a
+// hung server cannot pin the calling goroutine (and with it a subtree's
 // in-flight marker) forever.
-func installEntries(destAddr, rootPath string, entries []wire.Entry) error {
-	conn, err := wire.DialCall(destAddr, 2*time.Second, 5*time.Second)
+func callMDS(addr, op string, req interface{}) error {
+	conn, err := wire.DialCall(addr, 2*time.Second, 5*time.Second)
 	if err != nil {
 		return err
 	}
 	defer func() { _ = conn.Close() }()
-	return conn.Call(wire.TypeInstall, &wire.InstallRequest{
-		RootPath: rootPath, Entries: entries,
-	}, nil)
-}
-
-// uninstallSubtree tells an MDS to drop a subtree copy left by a superseded
-// recovery push. Best-effort: the target may be dead or never have received
-// the install, and either way the ack (or the error) ends the matter.
-func uninstallSubtree(destAddr, rootPath string) error {
-	conn, err := wire.DialCall(destAddr, 2*time.Second, 5*time.Second)
-	if err != nil {
-		return err
-	}
-	defer func() { _ = conn.Close() }()
-	return conn.Call(wire.TypeUninstall, &wire.UninstallRequest{RootPath: rootPath}, nil)
+	return conn.Call(op, req, nil)
 }
 
 // subtreeEntriesLocked materialises a subtree's entries from the
@@ -226,7 +211,7 @@ func (m *Monitor) subtreeEntriesLocked(rootPath string) []wire.Entry {
 	nodes := m.tree.SubtreeNodes(n)
 	out := make([]wire.Entry, 0, len(nodes))
 	for _, sn := range nodes {
-		out = append(out, *entryFor(m.tree, sn))
+		out = append(out, entryFor(m.tree, sn))
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
 	return out

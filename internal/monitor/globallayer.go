@@ -2,95 +2,85 @@ package monitor
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"d2tree/internal/wire"
 )
 
-// handleGLUpdate commits one global-layer write. m.mu is what orders GL
+// glUpdateLocked commits one global-layer write. m.mu is what orders GL
 // writes: each takes the next GL version and, on its path, the next entry
 // version, under the one lock every other reader and writer of the GL holds.
-func (m *Monitor) handleGLUpdate(req *wire.GLUpdateRequest) (*wire.GLUpdateResponse, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+// The answer leaves once the write is durable.
+func (m *Monitor) glUpdateLocked(req *wire.GLUpdateRequest) (*wire.GLUpdateResponse, error) {
 	e, ok := m.glEntries[req.Entry.Path]
+	u := &walGLUpdate{Op: req.Op, Entry: req.Entry, GLVersion: m.glVersion + 1}
 	switch req.Op {
 	case "create":
 		if ok {
 			return nil, fmt.Errorf("monitor: %s already exists in GL", req.Entry.Path)
 		}
-		created := req.Entry
-		created.Version = 1
-		e = &created
-		m.glEntries[e.Path] = e
-		// Mirror into the authoritative tree so future joins see it.
-		if e.Kind == wire.EntryDir {
-			_, _ = m.tree.MkdirAll(e.Path)
-		} else {
-			_, _ = m.tree.AddFile(e.Path)
-		}
+		u.Entry.Version = 1
 	case "setattr":
 		if !ok {
 			return nil, fmt.Errorf("monitor: %s not in GL", req.Entry.Path)
 		}
-		e.Size = req.Entry.Size
-		e.Mode = req.Entry.Mode
-		e.Version++
+		u.Entry = *e
+		u.Entry.Size, u.Entry.Mode = req.Entry.Size, req.Entry.Mode
+		u.Entry.Version++
 	default:
 		return nil, fmt.Errorf("monitor: unknown GL op %q", req.Op)
 	}
-	m.glVersion++
-	m.journalLocked("gl_update", &walGLUpdate{Op: req.Op, Entry: *e, GLVersion: m.glVersion})
-	return &wire.GLUpdateResponse{Entry: *e, GLVersion: m.glVersion}, nil
+	m.commitLocked(u)
+	return &wire.GLUpdateResponse{Entry: u.Entry, GLVersion: u.GLVersion}, nil
+}
+
+// layerLocked reads the global layer and the subtree owners off the current
+// split, keeping the committed version of every entry already in the GL.
+func (m *Monitor) layerLocked() ([]wire.Entry, []walOwner) {
+	gl := make([]wire.Entry, 0, len(m.d2.Split().GL))
+	for id := range m.d2.Split().GL {
+		if n := m.tree.Node(id); n != nil {
+			e := entryFor(m.tree, n)
+			if old, ok := m.glEntries[e.Path]; ok {
+				e = *old
+			}
+			gl = append(gl, e)
+		}
+	}
+	slices.SortFunc(gl, func(a, b wire.Entry) int { return strings.Compare(a.Path, b.Path) })
+	owners := make([]walOwner, len(m.d2.Subtrees()))
+	for i, st := range m.d2.Subtrees() {
+		owner, _ := m.d2.SubtreeOwner(i)
+		owners[i] = walOwner{Root: m.tree.Path(m.tree.Node(st.Root)), Server: int(owner)}
+	}
+	return gl, owners
 }
 
 // ReevaluateGlobalLayer re-runs Tree-Splitting and Subtree-Allocation
 // against the popularity accumulated from heartbeat access counters — the
 // infrequent global-layer adjustment of Sec. IV-B ("typically once a day").
-// The new global layer and index are published with bumped versions; every
-// local-layer subtree is pushed to its (possibly new) owner, and servers
-// drop subtrees the fresh index maps elsewhere.
+// The new global layer and owner set are journaled and published with bumped
+// versions; every local-layer subtree is pushed to its (possibly new) owner,
+// and servers drop subtrees the fresh index maps elsewhere.
 func (m *Monitor) ReevaluateGlobalLayer() error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+	_, err := durably(m, func() (struct{}, error) { return struct{}{}, m.reevaluateLocked() })
+	return err
+}
+
+func (m *Monitor) reevaluateLocked() error {
 	if err := m.d2.Resplit(); err != nil {
 		return fmt.Errorf("monitor: resplit: %w", err)
 	}
-	// Rebuild the global layer, preserving committed entry versions.
-	old := m.glEntries
-	m.glEntries = make(map[string]*wire.Entry, len(m.d2.Split().GL))
-	for id := range m.d2.Split().GL {
-		n := m.tree.Node(id)
-		if n == nil {
-			continue
-		}
-		path := m.tree.Path(n)
-		if e, ok := old[path]; ok {
-			m.glEntries[path] = e
-			continue
-		}
-		m.glEntries[path] = entryFor(m.tree, n)
-	}
-	// Rebuild subtree ownership from the fresh allocation; superseded
-	// transfers are dropped.
-	m.subtreeOwner = make(map[string]int)
-	m.index = make(map[string]string)
+	m.commitLayerLocked(m.layerLocked())
+	// Superseded transfers are dropped.
 	m.transfers = make(map[int][]wire.TransferCommand)
 	m.inFlight = make(map[string]flight)
 	m.pinned = make(map[string]pin)
 	m.migIDs = make(map[string]string)
-	for i, st := range m.d2.Subtrees() {
-		owner, _ := m.d2.SubtreeOwner(i)
-		id := int(owner)
-		root := m.tree.Path(m.tree.Node(st.Root))
-		m.subtreeOwner[root] = id
-		m.journalLocked("owner", &walOwner{Root: root, Server: id})
-		if id < len(m.members) && m.members[id].alive {
-			m.index[root] = m.members[id].addr
-			m.pushSubtreeLocked(root, m.members[id].addr)
-		}
+	for root, addr := range m.index {
+		m.pushSubtreeLocked(root, addr)
 	}
-	m.glVersion++
-	m.indexVer++
 	// Subtrees the fresh allocation gave to a dead server are orphans like
 	// any other: the failover path re-homes them.
 	m.checkFailuresLocked()

@@ -2,18 +2,16 @@ package monitor
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"sort"
 	"strconv"
-	"strings"
 
 	"d2tree/internal/obs"
 	"d2tree/internal/wire"
 )
 
-func (m *Monitor) handleJoin(req *wire.JoinRequest) (*wire.JoinResponse, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+func (m *Monitor) joinLocked(req *wire.JoinRequest) (*wire.JoinResponse, error) {
 	// Reuse a dead member slot first (replacement server), else append.
 	id := -1
 	for _, mem := range m.members {
@@ -62,49 +60,24 @@ func (m *Monitor) handleJoin(req *wire.JoinRequest) (*wire.JoinResponse, error) 
 			continue // live owner elsewhere; claim rejected
 		}
 		if owner != id {
-			m.subtreeOwner[root] = id
-			m.journalLocked("owner", &walOwner{Root: root, Server: id})
+			m.commitLocked(&walOwner{Root: root, Server: id})
 		}
 		adopted[root] = true
 	}
 
-	// Refresh index addresses for subtrees owned by this slot. Roots with a
+	// Route this slot's subtrees to the joiner and materialise those it does
+	// not already hold (adopted roots: it holds fresher data). Roots with a
 	// recovery push in flight stay out: the push's destination is about to
-	// commit as their owner, and advertising (or materialising, below) them
-	// on the joiner would leave one root served from two places.
+	// commit as their owner, and advertising or materialising them on the
+	// joiner would leave one root served from two places.
+	resp := &wire.JoinResponse{ServerID: id, GlobalLayer: m.glSnapshotLocked()}
 	for root, owner := range m.subtreeOwner {
-		if owner != id {
-			continue
-		}
-		if _, moving := m.inFlight[root]; moving {
+		if _, moving := m.inFlight[root]; owner != id || moving {
 			continue
 		}
 		m.index[root] = req.Addr
-	}
-	m.indexVer++
-
-	resp := &wire.JoinResponse{
-		ServerID:  id,
-		GLVersion: m.glVersion,
-		IndexVer:  m.indexVer,
-		Index:     m.indexSnapshotLocked(),
-	}
-	for root := range adopted {
-		resp.AdoptedSubtrees = append(resp.AdoptedSubtrees, root)
-	}
-	sort.Strings(resp.AdoptedSubtrees)
-	for _, e := range m.glEntries {
-		resp.GlobalLayer = append(resp.GlobalLayer, *e)
-	}
-	sort.Slice(resp.GlobalLayer, func(i, j int) bool {
-		return resp.GlobalLayer[i].Path < resp.GlobalLayer[j].Path
-	})
-	for root, owner := range m.subtreeOwner {
-		if owner != id || adopted[root] {
-			continue // adopted roots: the joiner already holds fresher data
-		}
-		if _, moving := m.inFlight[root]; moving {
-			continue // a racing recovery push will commit elsewhere
+		if adopted[root] {
+			continue
 		}
 		if entries := m.subtreeEntriesLocked(root); len(entries) > 0 {
 			resp.Subtrees = append(resp.Subtrees, entries)
@@ -113,20 +86,26 @@ func (m *Monitor) handleJoin(req *wire.JoinRequest) (*wire.JoinResponse, error) 
 	sort.Slice(resp.Subtrees, func(i, j int) bool {
 		return resp.Subtrees[i][0].Path < resp.Subtrees[j][0].Path
 	})
+	m.indexVer++
+	resp.GLVersion, resp.IndexVer, resp.Index = m.glVersion, m.indexVer, maps.Clone(m.index)
+	for root := range adopted {
+		resp.AdoptedSubtrees = append(resp.AdoptedSubtrees, root)
+	}
+	sort.Strings(resp.AdoptedSubtrees)
 	return resp, nil
 }
 
-func (m *Monitor) indexSnapshotLocked() map[string]string {
-	out := make(map[string]string, len(m.index))
-	for k, v := range m.index {
-		out[k] = v
+// glSnapshotLocked copies the global layer out, sorted by path.
+func (m *Monitor) glSnapshotLocked() []wire.Entry {
+	out := make([]wire.Entry, 0, len(m.glEntries))
+	for _, e := range m.glEntries {
+		out = append(out, *e)
 	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
 	return out
 }
 
-func (m *Monitor) handleHeartbeat(req *wire.HeartbeatRequest) (*wire.HeartbeatResponse, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+func (m *Monitor) heartbeatLocked(req *wire.HeartbeatRequest) (*wire.HeartbeatResponse, error) {
 	m.nHeartbeats++
 	if req.ServerID < 0 || req.ServerID >= len(m.members) {
 		return nil, fmt.Errorf("monitor: heartbeat from unknown server %d", req.ServerID)
@@ -162,39 +141,21 @@ func (m *Monitor) handleHeartbeat(req *wire.HeartbeatRequest) (*wire.HeartbeatRe
 		}
 	}
 	// Fold local-layer creates into the authoritative tree, so a failover
-	// push materialises paths born after bootstrap, and journal the batch:
-	// a restarted Monitor then recovers the same tree. The tree keeps the
-	// names, so each path is copied out of the decoded heartbeat, whose hot
-	// paths would otherwise stay in memory beside every name it created.
+	// push materialises paths born after bootstrap; journaled, so a restarted
+	// Monitor recovers the same tree.
 	if len(req.CreatedPaths) > 0 {
-		for _, e := range req.CreatedPaths {
-			if e.Kind == wire.EntryDir {
-				_, _ = m.tree.MkdirAll(strings.Clone(e.Path))
-			} else {
-				_, _ = m.tree.AddFile(strings.Clone(e.Path))
-			}
-		}
-		m.journalLocked("ll_paths", &walLLPaths{Entries: req.CreatedPaths})
+		m.commitLocked(&walLLPaths{Entries: req.CreatedPaths})
 	}
 
 	m.checkFailuresLocked()
 	m.planAdjustmentLocked()
 
-	resp := &wire.HeartbeatResponse{
-		GLVersion:       m.glVersion,
-		IndexVer:        m.indexVer,
-		JournalDegraded: m.journalDegraded,
-	}
+	resp := &wire.HeartbeatResponse{GLVersion: m.glVersion, IndexVer: m.indexVer, JournalDegraded: m.journalDegraded.Load()}
 	if req.GLVersion < m.glVersion {
-		for _, e := range m.glEntries {
-			resp.GlobalLayer = append(resp.GlobalLayer, *e)
-		}
-		sort.Slice(resp.GlobalLayer, func(i, j int) bool {
-			return resp.GlobalLayer[i].Path < resp.GlobalLayer[j].Path
-		})
+		resp.GlobalLayer = m.glSnapshotLocked()
 	}
 	if req.IndexVer < m.indexVer {
-		resp.Index = m.indexSnapshotLocked()
+		resp.Index = maps.Clone(m.index)
 	}
 	if cmds := m.transfers[req.ServerID]; len(cmds) > 0 {
 		resp.Transfers = cmds
@@ -218,13 +179,8 @@ func (m *Monitor) handleHeartbeat(req *wire.HeartbeatRequest) (*wire.HeartbeatRe
 	return resp, nil
 }
 
-func (m *Monitor) handleClusterInfo() (*wire.ClusterInfoResponse, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	resp := &wire.ClusterInfoResponse{
-		Index:    m.indexSnapshotLocked(),
-		IndexVer: m.indexVer,
-	}
+func (m *Monitor) clusterInfoLocked() (*wire.ClusterInfoResponse, error) {
+	resp := &wire.ClusterInfoResponse{Index: maps.Clone(m.index), IndexVer: m.indexVer}
 	for _, mem := range m.members {
 		if mem.alive {
 			resp.Servers = append(resp.Servers, mem.addr)

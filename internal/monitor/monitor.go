@@ -13,10 +13,12 @@
 package monitor
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"d2tree/internal/core"
@@ -50,15 +52,9 @@ type Config struct {
 }
 
 func (c *Config) applyDefaults() {
-	if c.GLProportion == 0 {
-		c.GLProportion = 0.01
-	}
-	if c.HeartbeatTimeout == 0 {
-		c.HeartbeatTimeout = 3 * time.Second
-	}
-	if c.AdjustInterval == 0 {
-		c.AdjustInterval = 2 * time.Second
-	}
+	c.GLProportion = cmp.Or(c.GLProportion, 0.01)
+	c.HeartbeatTimeout = cmp.Or(c.HeartbeatTimeout, 3*time.Second)
+	c.AdjustInterval = cmp.Or(c.AdjustInterval, 2*time.Second)
 }
 
 // ErrClusterFull is returned when more than the configured number of
@@ -138,14 +134,20 @@ type Monitor struct {
 	// when a move is first planned and kept across NACK → re-issue cycles, so
 	// the whole history of one subtree's migration shares one ReqID; cleared
 	// when the move commits.
-	migIDs  map[string]string
-	journal *wal.Log // nil when WALPath is unset
-	// journalDegraded latches on the journal's first append failure: the
+	migIDs map[string]string
+	// journal group-commits the records of commitLocked to wlog; both are nil
+	// when WALPath is unset. tail is the newest record's ticket.
+	journal *wal.Batcher
+	wlog    *wal.Log
+	tail    *wal.Ticket
+	// journalDegraded latches on the journal's first failed flush: the
 	// Monitor keeps serving (availability over durability) but the stat is
 	// surfaced in MonitorStats and heartbeat responses so operators learn
 	// the recovery story has silently become memory-only.
-	journalDegraded bool
-	lastAdjust      time.Time
+	journalDegraded atomic.Bool
+	// applied, when set, runs after every applied record (tests).
+	applied    func()
+	lastAdjust time.Time
 	// started stamps Start: subtrees whose planned owner slot never joined
 	// get one heartbeat-timeout of grace from this instant before the
 	// failover path recovers them (a restarted Monitor's owner map can
@@ -185,51 +187,40 @@ func New(t *namespace.Tree, cfg Config) (*Monitor, error) {
 		return nil, fmt.Errorf("monitor: initial partition: %w", err)
 	}
 	m := &Monitor{
-		cfg:          cfg,
-		tree:         t,
-		d2:           d2,
-		glEntries:    make(map[string]*wire.Entry),
-		index:        make(map[string]string),
-		subtreeOwner: make(map[string]int),
-		transfers:    make(map[int][]wire.TransferCommand),
-		inFlight:     make(map[string]flight),
-		pinned:       make(map[string]pin),
-		migIDs:       make(map[string]string),
-		rec:          obs.NewRecorder("monitor", 0),
-		ids:          obs.NewIDGen("m", 0),
-		now:          time.Now,
-		conns:        make(map[net.Conn]struct{}),
-		stop:         make(chan struct{}),
+		cfg:       cfg,
+		tree:      t,
+		d2:        d2,
+		transfers: make(map[int][]wire.TransferCommand),
+		inFlight:  make(map[string]flight),
+		pinned:    make(map[string]pin),
+		migIDs:    make(map[string]string),
+		rec:       obs.NewRecorder("monitor", 0),
+		ids:       obs.NewIDGen("m", 0),
+		now:       time.Now,
+		conns:     make(map[net.Conn]struct{}),
+		stop:      make(chan struct{}),
 	}
-	m.glVersion = 1
-	m.indexVer = 1
-	for id := range d2.Split().GL {
-		n := t.Node(id)
-		m.glEntries[t.Path(n)] = entryFor(t, n)
-	}
-	for i, st := range d2.Subtrees() {
-		owner, _ := d2.SubtreeOwner(i)
-		m.subtreeOwner[t.Path(t.Node(st.Root))] = int(owner)
-	}
+	// The boot layer is the state every log starts from: applied, never logged.
+	gl, owners := m.layerLocked()
+	m.applyLocked(&walLayer{Reset: true, GLVersion: 1, Entries: gl, Owners: owners})
 	if cfg.WALPath != "" {
 		if err := m.recoverFromWAL(cfg.WALPath); err != nil {
 			return nil, err
 		}
-		journal, err := wal.Open(cfg.WALPath)
-		if err != nil {
+		if m.wlog, err = wal.Open(cfg.WALPath); err != nil {
 			return nil, err
 		}
-		m.journal = journal
+		m.journal = wal.NewBatcher(m.wlog)
 	}
 	return m, nil
 }
 
-func entryFor(t *namespace.Tree, n *namespace.Node) *wire.Entry {
+func entryFor(t *namespace.Tree, n *namespace.Node) wire.Entry {
 	kind := wire.EntryDir
 	if !n.IsDir() {
 		kind = wire.EntryFile
 	}
-	return &wire.Entry{Path: t.Path(n), Kind: kind, Version: 1}
+	return wire.Entry{Path: t.Path(n), Kind: kind, Version: 1}
 }
 
 // Start begins listening and serving.
@@ -296,17 +287,19 @@ func (m *Monitor) Close() error {
 	if m.ln != nil {
 		err = m.ln.Close()
 	}
-	if m.journal != nil {
-		if jerr := m.journal.Close(); err == nil {
-			err = jerr
-		}
-	}
 	// Force-close in-flight connections so per-conn goroutines unblock even
 	// when peers keep pooled connections open.
 	for _, nc := range conns {
 		_ = nc.Close()
 	}
 	m.wg.Wait()
+	// Nothing commits any more: flush the last window, then close the log.
+	if m.journal != nil {
+		_ = m.journal.Close()
+		if jerr := m.wlog.Close(); err == nil {
+			err = jerr
+		}
+	}
 	return err
 }
 
@@ -334,11 +327,10 @@ func (m *Monitor) acceptLoop() {
 				delete(m.conns, nc)
 				m.mu.Unlock()
 			}()
-			// The two reads a client makes are answered by the connection's
-			// reader; joins, heartbeats and GL updates may wait on the
-			// journal.
-			wire.ServeInline(nc, m.handle, wire.DefaultServeWorkers,
-				wire.TypeClusterInfo, wire.TypeMonitorStats)
+			// Only the stats read is answered by the connection's reader:
+			// every other response, cluster_info included, waits until the
+			// state it carries is durable.
+			wire.ServeInline(nc, m.handle, wire.DefaultServeWorkers, wire.TypeMonitorStats)
 		}()
 	}
 }
@@ -357,90 +349,51 @@ func (m *Monitor) handle(env *wire.Envelope) (interface{}, error) {
 }
 
 // dispatch routes one request, additionally returning the namespace path
-// it concerned (for the trace event). An op with a request body decodes it
-// in a serve method of its own, so no request is held in this frame: here it
-// would sit, with every other op's, on the fresh goroutine stack of every
-// blocking op through the decode, and push that stack past its first segment.
+// it concerned (for the trace event).
 func (m *Monitor) dispatch(env *wire.Envelope) (interface{}, string, error) {
 	switch env.Type {
 	case wire.TypeJoin:
-		return m.serveJoin(env)
+		return serve(m, env, m.joinLocked, nil)
 	case wire.TypeHeartbeat:
-		return m.serveHeartbeat(env)
+		return serve(m, env, m.heartbeatLocked, nil)
 	case wire.TypeGLUpdate:
-		return m.serveGLUpdate(env)
+		return serve(m, env, m.glUpdateLocked, func(r *wire.GLUpdateRequest) string { return r.Entry.Path })
 	case wire.TypeClusterInfo:
-		resp, err := m.handleClusterInfo()
+		resp, err := durably(m, m.clusterInfoLocked)
 		return resp, "", err
 	case wire.TypeTransferDone:
-		return m.serveTransferDone(env)
+		return serve(m, env, m.transferDoneLocked, func(r *wire.TransferDoneRequest) string { return r.RootPath })
 	case wire.TypeTransferFailed:
-		return m.serveTransferFailed(env)
+		return serve(m, env, m.transferFailedLocked, func(r *wire.TransferFailedRequest) string { return r.RootPath })
 	case wire.TypeMonitorStats:
-		resp, err := m.handleMonitorStats()
-		return resp, "", err
+		return m.Stats(), "", nil
 	case wire.TypeObsDump:
-		return m.serveObsDump(env)
+		return serve(m, env, m.obsDump, nil)
 	default:
 		return nil, "", fmt.Errorf("monitor: unknown message type %q", env.Type)
 	}
 }
 
-func (m *Monitor) serveJoin(env *wire.Envelope) (interface{}, string, error) {
-	var req wire.JoinRequest
+// serve decodes an op's request in a frame of its own, so no request is held
+// in dispatch's: there it would sit, with every other op's, on the fresh
+// goroutine stack of every blocking op through the decode, and push that
+// stack past its first segment. It answers through h under m.mu, once the
+// answer is durable (durably); path, when set, names the request's path.
+func serve[Req, Resp any](m *Monitor, env *wire.Envelope, h func(*Req) (Resp, error), path func(*Req) string) (interface{}, string, error) {
+	var req Req
 	if err := env.Decode(&req); err != nil {
 		return nil, "", err
 	}
-	resp, err := m.handleJoin(&req)
-	return resp, "", err
-}
-
-func (m *Monitor) serveHeartbeat(env *wire.Envelope) (interface{}, string, error) {
-	var req wire.HeartbeatRequest
-	if err := env.Decode(&req); err != nil {
-		return nil, "", err
+	resp, err := durably(m, func() (Resp, error) { return h(&req) })
+	if path == nil {
+		return resp, "", err
 	}
-	resp, err := m.handleHeartbeat(&req)
-	return resp, "", err
+	return resp, path(&req), err
 }
 
-func (m *Monitor) serveGLUpdate(env *wire.Envelope) (interface{}, string, error) {
-	var req wire.GLUpdateRequest
-	if err := env.Decode(&req); err != nil {
-		return nil, "", err
-	}
-	resp, err := m.handleGLUpdate(&req)
-	return resp, req.Entry.Path, err
-}
-
-func (m *Monitor) serveTransferDone(env *wire.Envelope) (interface{}, string, error) {
-	var req wire.TransferDoneRequest
-	if err := env.Decode(&req); err != nil {
-		return nil, "", err
-	}
-	resp, err := m.handleTransferDone(&req)
-	return resp, req.RootPath, err
-}
-
-func (m *Monitor) serveTransferFailed(env *wire.Envelope) (interface{}, string, error) {
-	var req wire.TransferFailedRequest
-	if err := env.Decode(&req); err != nil {
-		return nil, "", err
-	}
-	resp, err := m.handleTransferFailed(&req)
-	return resp, req.RootPath, err
-}
-
-func (m *Monitor) serveObsDump(env *wire.Envelope) (interface{}, string, error) {
-	var req wire.ObsDumpRequest
-	if err := env.Decode(&req); err != nil {
-		return nil, "", err
-	}
-	resp, err := m.handleObsDump(&req)
-	return resp, "", err
-}
-
-func (m *Monitor) handleObsDump(req *wire.ObsDumpRequest) (*wire.ObsDumpResponse, error) {
+// obsDump answers an obs_dump from the event ring and the op histograms,
+// which keep their own locks.
+func (m *Monitor) obsDump(req *wire.ObsDumpRequest) (*wire.ObsDumpResponse, error) {
 	events, dropped := m.rec.Since(req.SinceSeq, 0)
 	seq := req.SinceSeq
 	if n := len(events); n > 0 {
@@ -455,8 +408,10 @@ func (m *Monitor) handleObsDump(req *wire.ObsDumpRequest) (*wire.ObsDumpResponse
 	}, nil
 }
 
-// handleMonitorStats reports coordinator counters and the member table.
-func (m *Monitor) handleMonitorStats() (*wire.MonitorStatsResponse, error) {
+// Stats reports the coordinator counters and the member table: the
+// monitor_stats answer, read on the connection's reader without waiting on
+// the journal.
+func (m *Monitor) Stats() *wire.MonitorStatsResponse {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	resp := &wire.MonitorStatsResponse{
@@ -467,18 +422,18 @@ func (m *Monitor) handleMonitorStats() (*wire.MonitorStatsResponse, error) {
 		TransfersReissued: m.nTransfersReissued,
 		GLVersion:         m.glVersion,
 		IndexVer:          m.indexVer,
-		JournalDegraded:   m.journalDegraded,
+		JournalDegraded:   m.journalDegraded.Load(),
 		ServeIO:           wire.ServeIO.Snapshot(),
 		ConnIO:            wire.ConnIO.Snapshot(),
 		BadFrames:         wire.BadFrames.Load(),
 	}
-	for _, mem := range m.members {
-		resp.Members = append(resp.Members, wire.MemberInfo{
-			ID: mem.id, Addr: mem.addr, Alive: mem.alive,
-			Load: mem.load, Ops: mem.ops,
-		})
+	if m.journal != nil {
+		resp.JournalAppends, resp.JournalFlushes = m.journal.Stats()
 	}
-	return resp, nil
+	for _, mem := range m.members {
+		resp.Members = append(resp.Members, wire.MemberInfo{ID: mem.id, Addr: mem.addr, Alive: mem.alive, Load: mem.load, Ops: mem.ops})
+	}
+	return resp
 }
 
 // Obs returns the Monitor's event recorder (debug endpoints, tests).
@@ -489,34 +444,6 @@ func (m *Monitor) OpLatencies() map[string]wire.LatencySummary {
 	return m.opStats.Latencies()
 }
 
-// Stats returns the coordinator counters and member table (tools, tests).
-func (m *Monitor) Stats() *wire.MonitorStatsResponse {
-	resp, _ := m.handleMonitorStats()
-	return resp
-}
-
-// Members returns (id, addr, alive) tuples for tests and tools.
-func (m *Monitor) Members() []struct {
-	ID    int
-	Addr  string
-	Alive bool
-} {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]struct {
-		ID    int
-		Addr  string
-		Alive bool
-	}, len(m.members))
-	for i, mem := range m.members {
-		out[i].ID = mem.id
-		out[i].Addr = mem.addr
-		out[i].Alive = mem.alive
-	}
-	return out
-}
-
-// GLVersion returns the current global-layer version.
 // HasPath reports whether the Monitor's authoritative namespace tree
 // resolves path — heartbeat CreatedPaths deltas included, which is what
 // failover tests wait on before killing an owner. Safe against the
@@ -528,6 +455,7 @@ func (m *Monitor) HasPath(path string) bool {
 	return err == nil
 }
 
+// GLVersion returns the current global-layer version.
 func (m *Monitor) GLVersion() int64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()

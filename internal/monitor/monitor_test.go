@@ -1,6 +1,7 @@
 package monitor
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"d2tree/internal/trace"
+	"d2tree/internal/wal"
 	"d2tree/internal/wire"
 )
 
@@ -19,6 +21,33 @@ func testTree(t *testing.T) *trace.Workload {
 		t.Fatal(err)
 	}
 	return w
+}
+
+// The handlers as dispatch serves them once the request is decoded: each
+// body runs under m.mu and answers once what it carries is durable.
+
+func (m *Monitor) handleJoin(req *wire.JoinRequest) (*wire.JoinResponse, error) {
+	return durably(m, func() (*wire.JoinResponse, error) { return m.joinLocked(req) })
+}
+
+func (m *Monitor) handleHeartbeat(req *wire.HeartbeatRequest) (*wire.HeartbeatResponse, error) {
+	return durably(m, func() (*wire.HeartbeatResponse, error) { return m.heartbeatLocked(req) })
+}
+
+func (m *Monitor) handleGLUpdate(req *wire.GLUpdateRequest) (*wire.GLUpdateResponse, error) {
+	return durably(m, func() (*wire.GLUpdateResponse, error) { return m.glUpdateLocked(req) })
+}
+
+func (m *Monitor) handleClusterInfo() (*wire.ClusterInfoResponse, error) {
+	return durably(m, m.clusterInfoLocked)
+}
+
+func (m *Monitor) handleTransferDone(req *wire.TransferDoneRequest) (*wire.LockResponse, error) {
+	return durably(m, func() (*wire.LockResponse, error) { return m.transferDoneLocked(req) })
+}
+
+func (m *Monitor) handleTransferFailed(req *wire.TransferFailedRequest) (*wire.LockResponse, error) {
+	return durably(m, func() (*wire.LockResponse, error) { return m.transferFailedLocked(req) })
 }
 
 func TestNewValidation(t *testing.T) {
@@ -122,14 +151,17 @@ func TestGLUpdateSerialisesAndVersions(t *testing.T) {
 // deletion rests on: writers × rounds gl_updates straight into handleGLUpdate,
 // creates and setattrs, on one shared path and on a path per writer. m.mu
 // alone must order them: every response carries a GL version of its own, the
-// GL versions are dense, and so are each path's entry versions.
+// GL versions are dense, and so are each path's entry versions. The journal,
+// appended outside m.mu, must still list the GL records in GL-version order.
 func TestGLUpdatesAreOrderedByTheMonitorMutex(t *testing.T) {
 	const writers, rounds = 8, 50
 	w := testTree(t)
-	m, err := New(w.Tree, Config{Servers: 1})
+	walPath := t.TempDir() + "/mon.wal"
+	m, err := New(w.Tree, Config{Servers: 1, WALPath: walPath})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer func() { _ = m.Close() }()
 	v0 := m.GLVersion()
 	resps := make([][]*wire.GLUpdateResponse, writers)
 	var wg sync.WaitGroup
@@ -191,6 +223,26 @@ func TestGLUpdatesAreOrderedByTheMonitorMutex(t *testing.T) {
 	if got := m.GLVersion(); got != v0+writers*rounds {
 		t.Errorf("GL version ends at %d, want %d", got, v0+writers*rounds)
 	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	next := v0 + 1
+	if err := wal.Replay(walPath, func(rec wal.Record) error {
+		var u walGLUpdate
+		if err := json.Unmarshal(rec.Data, &u); err != nil {
+			return err
+		}
+		if u.GLVersion != next {
+			return fmt.Errorf("log record %d carries GL version %d, want %d", rec.Seq, u.GLVersion, next)
+		}
+		next++
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if next != v0+writers*rounds+1 {
+		t.Errorf("the log lists GL versions up to %d, want %d", next-1, v0+writers*rounds)
+	}
 	for path, seen := range entrySeen {
 		// A created path starts at 1; "/" was at 1 and its first setattr is 2.
 		first := int64(1)
@@ -224,7 +276,7 @@ func TestHeartbeatDetectsFailure(t *testing.T) {
 	if _, err := m.handleHeartbeat(&wire.HeartbeatRequest{ServerID: 1, Addr: "b:2", Load: 5}); err != nil {
 		t.Fatal(err)
 	}
-	mem := m.Members()
+	mem := m.Stats().Members
 	if mem[0].Alive {
 		t.Error("silent server still alive")
 	}
@@ -524,9 +576,9 @@ func TestWALRecovery(t *testing.T) {
 }
 
 // TestJournalDegradedLatch pins the availability-over-durability contract:
-// the first failed journal append latches journalDegraded (surfaced in
-// MonitorStats and heartbeat responses) and records exactly one event, and
-// later failures stay silent instead of re-logging.
+// the first failed journal flush latches journalDegraded (surfaced in
+// MonitorStats and heartbeat responses) and records exactly one event, later
+// failures stay silent instead of re-logging, and the writes are answered.
 func TestJournalDegradedLatch(t *testing.T) {
 	w := testTree(t)
 	m, err := New(w.Tree, Config{Servers: 1, WALPath: t.TempDir() + "/mon.wal"})
@@ -536,15 +588,18 @@ func TestJournalDegradedLatch(t *testing.T) {
 	if _, err := m.handleJoin(&wire.JoinRequest{Addr: "a:1"}); err != nil {
 		t.Fatal(err)
 	}
-	// Sabotage the journal: a closed log fails every Append.
-	if err := m.journal.Close(); err != nil {
+	// Sabotage the journal: a closed log fails every flush.
+	if err := m.wlog.Close(); err != nil {
 		t.Fatal(err)
 	}
-	m.mu.Lock()
-	m.journalLocked("owner", &walOwner{Root: "/x", Server: 0})
-	first := m.journalDegraded
-	m.journalLocked("owner", &walOwner{Root: "/y", Server: 0})
-	m.mu.Unlock()
+	setattr := func(size int64) {
+		if _, err := m.handleGLUpdate(&wire.GLUpdateRequest{Op: "setattr", Entry: wire.Entry{Path: "/", Size: size}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	setattr(1)
+	first := m.journalDegraded.Load()
+	setattr(2)
 	if !first {
 		t.Fatal("journalDegraded not latched on first append failure")
 	}

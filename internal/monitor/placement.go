@@ -1,6 +1,7 @@
 package monitor
 
 import (
+	"cmp"
 	"fmt"
 	"strconv"
 	"time"
@@ -115,9 +116,9 @@ func (m *Monitor) migIDForLocked(root string) string {
 	return id
 }
 
-func (m *Monitor) handleTransferDone(req *wire.TransferDoneRequest) (*wire.LockResponse, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+// transferDoneLocked commits a move. The source drops its copy on the
+// answer, which leaves once the new owner is durable.
+func (m *Monitor) transferDoneLocked(req *wire.TransferDoneRequest) (*wire.LockResponse, error) {
 	// The destination now has the entries: commit ownership and publish it.
 	if f, ok := m.inFlight[req.RootPath]; ok {
 		if f.load > 0 {
@@ -129,18 +130,17 @@ func (m *Monitor) handleTransferDone(req *wire.TransferDoneRequest) (*wire.LockR
 			src.load = max(0, src.load-f.load)
 			m.members[f.dest].load += f.load
 		}
-		m.subtreeOwner[req.RootPath] = f.dest
 		delete(m.inFlight, req.RootPath)
-		m.journalLocked("owner", &walOwner{Root: req.RootPath, Server: f.dest})
+		m.commitLocked(&walOwner{Root: req.RootPath, Server: f.dest})
+	} else {
+		// A command abandoned past its deadline completed after all: the
+		// destination holds the subtree, so route it there.
+		m.index[req.RootPath] = req.DestAddr
+		m.indexVer++
 	}
 	m.pinned[req.RootPath] = pin{dest: core.AnyServer, until: m.round + pinRounds}
 	m.nTransfersDone++
-	m.index[req.RootPath] = req.DestAddr
-	m.indexVer++
-	reqID := req.ReqID
-	if reqID == "" {
-		reqID = m.migIDs[req.RootPath]
-	}
+	reqID := cmp.Or(req.ReqID, m.migIDs[req.RootPath])
 	delete(m.migIDs, req.RootPath) // migration over; a later move is a new trace
 	m.rec.Record(obs.Event{
 		Kind:   obs.KindMigration,
@@ -152,21 +152,16 @@ func (m *Monitor) handleTransferDone(req *wire.TransferDoneRequest) (*wire.LockR
 	return &wire.LockResponse{Granted: true}, nil
 }
 
-// handleTransferFailed releases a NACKed transfer's in-flight marker so the
+// transferFailedLocked releases a NACKed transfer's in-flight marker so the
 // subtree can be re-scheduled — to a different destination: the failed one
 // goes into the planner's exclusion set for pinRounds.
-func (m *Monitor) handleTransferFailed(req *wire.TransferFailedRequest) (*wire.LockResponse, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+func (m *Monitor) transferFailedLocked(req *wire.TransferFailedRequest) (*wire.LockResponse, error) {
 	m.nTransfersFailed++
 	if f, ok := m.inFlight[req.RootPath]; ok {
 		m.pinned[req.RootPath] = pin{dest: partition.ServerID(f.dest), until: m.round + pinRounds}
 		delete(m.inFlight, req.RootPath)
 	}
-	reqID := req.ReqID
-	if reqID == "" {
-		reqID = m.migIDs[req.RootPath]
-	}
+	reqID := cmp.Or(req.ReqID, m.migIDs[req.RootPath])
 	// The migID is kept: the re-scheduled move continues the same trace.
 	m.rec.Record(obs.Event{
 		Kind:   obs.KindMigration,

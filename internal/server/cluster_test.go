@@ -338,7 +338,7 @@ func TestClusterServerFailureRecovery(t *testing.T) {
 	})
 
 	alive := 0
-	for _, mem := range mon.Members() {
+	for _, mem := range mon.Stats().Members {
 		if mem.Alive {
 			alive++
 		}
@@ -369,7 +369,7 @@ func TestClusterReplacementServerJoins(t *testing.T) {
 	_ = servers[0].Close()
 	// Wait for the monitor to notice the death.
 	eventually(t, 3*time.Second, func() error {
-		for _, mem := range mon.Members() {
+		for _, mem := range mon.Stats().Members {
 			if !mem.Alive {
 				return nil
 			}
@@ -495,7 +495,7 @@ func TestClusterChaosRestartUnderLoad(t *testing.T) {
 
 	// Wait for the monitor to mark it dead, then start a replacement.
 	eventually(t, 5*time.Second, func() error {
-		for _, mem := range mon.Members() {
+		for _, mem := range mon.Stats().Members {
 			if !mem.Alive {
 				return nil
 			}

@@ -75,7 +75,7 @@ func TestClusterRestartRecoversFromWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	eventually(t, 5*time.Second, func() error {
-		if mon.Members()[0].Alive {
+		if mon.Stats().Members[0].Alive {
 			return fmt.Errorf("dead server still marked alive")
 		}
 		return nil
@@ -152,7 +152,7 @@ func TestClusterSnapshotTruncatesWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	eventually(t, 5*time.Second, func() error {
-		if mon.Members()[0].Alive {
+		if mon.Stats().Members[0].Alive {
 			return fmt.Errorf("dead server still marked alive")
 		}
 		return nil

@@ -431,6 +431,11 @@ type MonitorStatsResponse struct {
 	// the cluster keeps running but a Monitor restart would lose journaled
 	// state since the failure.
 	JournalDegraded bool `json:"journalDegraded,omitempty"`
+	// JournalAppends and JournalFlushes count the records the Monitor's
+	// journal took and the fsync windows that committed them: their ratio is
+	// group commit at work. Both read 0 without a journal.
+	JournalAppends int64 `json:"journalAppends"`
+	JournalFlushes int64 `json:"journalFlushes"`
 	// ServeIO, ConnIO and BadFrames are the Monitor process's wire traffic,
 	// as in StatsResponse.
 	ServeIO   IOSnapshot `json:"serveIo"`
@@ -451,6 +456,8 @@ func (m *MonitorStatsResponse) code(c *codec) {
 	c.i64(&m.GLVersion)
 	c.i64(&m.IndexVer)
 	c.flag(&m.JournalDegraded)
+	c.i64(&m.JournalAppends)
+	c.i64(&m.JournalFlushes)
 	m.ServeIO.code(c)
 	m.ConnIO.code(c)
 	c.i64(&m.BadFrames)
