@@ -56,10 +56,13 @@ bench-index:
 # serving loop at 1 and 16 callers, handler inline and on its own goroutine
 # (allocs/op for the whole round trip, frames per write on both sides), and
 # a setattr through a client, an in-process MDS with a WAL and the Monitor,
-# local layer and global (allocs/op for all three). For numbers: -cpu 1
-# -benchtime 2000x.
+# local layer and global (allocs/op for all three), and global-layer setattrs
+# from 1 and 8 writers with the Monitor's journal off and on (setattrs/s, the
+# Monitor's heartbeat p99, records per fsync). For numbers: -cpu 1
+# -benchtime 2000x; for the journal rung, -bench GLUpdateJournaled
+# -benchtime 2s.
 bench-wire:
-	$(GO) test -run '^$$' -bench 'FrameRoundTrip|ReaddirPlusCodec|EchoInproc|SetAttrInproc' -benchtime 1x ./internal/wire/ ./internal/server/
+	$(GO) test -run '^$$' -bench 'FrameRoundTrip|ReaddirPlusCodec|EchoInproc|SetAttrInproc|GLUpdateJournaled' -benchtime 1x ./internal/wire/ ./internal/server/
 
 # The full gate: what ci.sh runs.
 check: build lint race-obs race-rpc race bench-test bench-index bench-wire

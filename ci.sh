@@ -29,6 +29,12 @@ go test -race -count=1 ./internal/wire/ ./internal/server/ ./internal/client/ ./
 
 go test -race ./...
 
+# The Monitor's replay-equals-live check at 1,000 seeded schedules (the
+# default run takes 100): recovery from every sampled cut of a live run's
+# journal, torn tails included, equals the live state at that record, and no
+# answer leaves before the state it carries is durable.
+go test -count=1 -run '^TestReplayEqualsLive$' ./internal/monitor/ -args -replay.seeds 1000
+
 # One iteration of the listing benchmarks and of the client's cache-hit
 # benchmark, so they cannot rot: the MDS handler against store size and
 # against index size, the client's merge against index size, and a leased
@@ -37,9 +43,10 @@ go test -run '^$' -bench 'ReaddirPlus(Store|Index)Size|ClientReaddirPlus|LookupH
 
 # And of the wire benchmarks (`make bench-wire`): the frame round trip, a
 # ReaddirPlus response through the codec, a lookup over loopback through
-# Conn.Call and the serving loop, and a setattr through a client, an
-# in-process MDS and the Monitor.
-go test -run '^$' -bench 'FrameRoundTrip|ReaddirPlusCodec|EchoInproc|SetAttrInproc' -benchtime 1x ./internal/wire/ ./internal/server/
+# Conn.Call and the serving loop, a setattr through a client, an in-process
+# MDS and the Monitor, and global-layer setattrs with the Monitor's journal
+# off and on.
+go test -run '^$' -bench 'FrameRoundTrip|ReaddirPlusCodec|EchoInproc|SetAttrInproc|GLUpdateJournaled' -benchtime 1x ./internal/wire/ ./internal/server/
 
 # Ten seconds of fuzzing the frame decoder: every input either fails cleanly
 # or is a frame that encodes back to the bytes it was read from.

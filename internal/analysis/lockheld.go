@@ -12,8 +12,9 @@ import (
 // It flags:
 //
 //   - blocking operations — wire RPCs (Call/CallOnce), dials, listener
-//     accepts, frame I/O, sleeps, WaitGroup waits, channel sends/receives,
-//     selects without default — reached while any mutex is held;
+//     accepts, frame I/O, fsyncs and WAL appends, sleeps, WaitGroup waits,
+//     channel sends/receives, selects without default — reached while any
+//     mutex is held;
 //   - Lock() without a paired defer Unlock() or an explicit Unlock on every
 //     return path, and locks leaking across loop iterations;
 //   - double Lock of the same mutex on one path, RLock released with
@@ -53,6 +54,9 @@ var blockingMethods = map[string]string{
 	"WithLock":    "lock-service acquire (spins with backoff)",
 	"ReadFrame":   "frame read (network I/O)",
 	"WriteFrame":  "frame write (network I/O)",
+	"Sync":        "fsync",
+	"Append":      "WAL append (fsync)",
+	"AppendBatch": "WAL append (fsync)",
 }
 
 // blockingIdents are package-local function names that block; they appear as

@@ -153,3 +153,27 @@ func TestInlineCheckMutation(t *testing.T) {
 	requireDiag(t, diags, "wait via .Wait via handle → dispatch → handleSetAttr → waitDurable")
 	requireDiag(t, diags, "RPC call via .CallTraced via handle → dispatch → handleSetAttr → glUpdate")
 }
+
+// TestMonitorJournalMutation puts the Monitor's journal back under m.mu, as a
+// synchronous append, and its cluster_info back on the connection's reader:
+// lockheld flags the fsync under the *Locked convention, and inlinecheck the
+// durability wait on the reader.
+func TestMonitorJournalMutation(t *testing.T) {
+	files := []string{"internal/monitor/monitor.go", "internal/monitor/journal.go", "internal/monitor/membership.go"}
+	t.Run("append under the lock", func(t *testing.T) {
+		root := mutationRoot(t, files...)
+		requireClean(t, runOn(t, root, &LockHeld{}))
+		mutate(t, root, "internal/monitor/journal.go",
+			"m.tail = m.journal.Enqueue(rec.recType(), rec)", "_, _ = m.wlog.Append(rec.recType(), rec)")
+		requireDiag(t, runOn(t, root, &LockHeld{}),
+			"blocking WAL append (fsync) via .Append while holding m.mu (held by the *Locked convention")
+	})
+	t.Run("cluster_info inline", func(t *testing.T) {
+		check := &InlineCheck{Packages: []string{"internal/monitor"}}
+		root := mutationRoot(t, files...)
+		requireClean(t, runOn(t, root, check))
+		mutate(t, root, "internal/monitor/monitor.go",
+			"wire.DefaultServeWorkers, wire.TypeMonitorStats)", "wire.DefaultServeWorkers, wire.TypeClusterInfo, wire.TypeMonitorStats)")
+		requireDiag(t, runOn(t, root, check), "wait via .Wait via handle → dispatch → durably → waitDurable")
+	})
+}

@@ -146,3 +146,44 @@ func (s *svc) cleanSelectDefault() {
 	default:
 	}
 }
+
+type wlog struct{}
+
+func (*wlog) Append(string, any) (int64, error)  { return 0, nil }
+func (*wlog) AppendBatch([]any) ([]int64, error) { return nil, nil }
+func (*wlog) Sync() error                        { return nil }
+
+type journaled struct {
+	mu  sync.Mutex
+	log *wlog
+	n   int
+}
+
+// appendUnderLock fsyncs a WAL record while holding j.mu.
+func (j *journaled) appendUnderLock() {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.n++
+	_, _ = j.log.Append("rec", j.n) // want: blocking WAL append
+}
+
+// journalLocked appends under the caller's lock by convention.
+func (j *journaled) journalLocked() {
+	_, _ = j.log.AppendBatch(nil) // want: blocking WAL append under the *Locked convention
+}
+
+// syncUnderLock fsyncs while holding j.mu.
+func (j *journaled) syncUnderLock() {
+	j.mu.Lock()
+	_ = j.log.Sync() // want: blocking fsync
+	j.mu.Unlock()
+}
+
+// cleanSyncAfterUnlock changes state under the lock and fsyncs after it:
+// clean.
+func (j *journaled) cleanSyncAfterUnlock() {
+	j.mu.Lock()
+	j.n++
+	j.mu.Unlock()
+	_ = j.log.Sync()
+}

@@ -3,7 +3,10 @@ package server
 import (
 	"encoding/json"
 	"fmt"
+	"path/filepath"
 	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -205,5 +208,94 @@ func BenchmarkSetAttrInproc(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkGLUpdateJournaled is the global-layer write path with the
+// Monitor's journal off and on: an in-process Monitor (journaling to a temp
+// dir for journal=on), 2 MDSs heartbeating every 10 ms, and 1 or 8 writers
+// setting attributes on global-layer paths through clients that share one
+// Transport. Each MDS forwards the write to the Monitor, which answers once
+// it is durable. It reports setattrs/s, the Monitor's heartbeat p99 over the
+// run, and the journal's records per fsync window.
+func BenchmarkGLUpdateJournaled(b *testing.B) {
+	for _, journal := range []string{"off", "on"} {
+		for _, writers := range []int{1, 8} {
+			b.Run(fmt.Sprintf("journal=%s/writers=%d", journal, writers), func(b *testing.B) {
+				benchGLUpdateJournaled(b, journal == "on", writers)
+			})
+		}
+	}
+}
+
+func benchGLUpdateJournaled(b *testing.B, journal bool, writers int) {
+	w, err := trace.BuildWorkload(trace.LMBE().Scale(2000), 8000, 42)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := monitor.Config{Addr: "127.0.0.1:0", Servers: 2, HeartbeatTimeout: time.Hour}
+	if journal {
+		cfg.WALPath = filepath.Join(b.TempDir(), "monitor.wal")
+	}
+	mon, err := monitor.New(w.Tree, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := mon.Start(); err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { _ = mon.Close() })
+	var global []string
+	for i := 0; i < 2; i++ {
+		s := New(Config{Addr: "127.0.0.1:0", MonitorAddr: mon.Addr(), HeartbeatInterval: 10 * time.Millisecond})
+		if err := s.Start(); err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(func() { _ = s.Close() })
+		global, _ = layerPaths(s)
+	}
+	tr := client.NewTransport(0, 0)
+	b.Cleanup(func() { _ = tr.Close() })
+	clients := make([]*client.Client, writers)
+	for i := range clients {
+		if clients[i], err = client.Connect(client.Config{MonitorAddr: mon.Addr(), Seed: int64(i + 1), Transport: tr}); err != nil {
+			b.Fatal(err)
+		}
+		defer func() { _ = clients[i].Close() }()
+		if _, err := clients[i].SetAttr(global[i%len(global)], 1, 0o644); err != nil { // dials, and sizes the buffers
+			b.Fatal(err)
+		}
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	b.ResetTimer()
+	start := time.Now()
+	for i, c := range clients {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := next.Add(1); n <= int64(b.N); n = next.Add(1) {
+				if _, err := c.SetAttr(global[i%len(global)], n, 0o644); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	elapsed := time.Since(start)
+	b.StopTimer()
+	b.ReportMetric(float64(b.N)/elapsed.Seconds(), "setattrs/s")
+	dump, err := clients[0].MonitorObsDump(0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(dump.Ops[wire.TypeHeartbeat].P99US), "hb-p99-µs")
+	if journal {
+		st, err := clients[0].MonitorStats()
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportMetric(float64(st.JournalAppends)/float64(max(st.JournalFlushes, 1)), "appends/flush")
 	}
 }

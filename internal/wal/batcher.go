@@ -25,13 +25,14 @@ func (t *Ticket) Wait() (int64, error) {
 // Batcher turns per-record fsyncs into group commit: concurrent Enqueues
 // accumulate into a window and a single flusher goroutine appends the whole
 // window through one AppendBatch — one write, one fsync — then releases
-// every waiter. Under the MDS worker pool this amortizes the sync cost
-// across however many mutations the pool commits per window.
+// every waiter. Each blocking op runs on a goroutine of its own (wire's
+// serving loop), so the sync cost is shared by however many mutations the
+// concurrently serving ops commit per window: on an MDS and on the Monitor.
 //
 // Enqueue never blocks on the disk, so it is safe to call while holding the
-// server's namespace lock; only Wait parks, and callers do that after
-// unlocking. WAL order therefore matches commit order as long as Enqueue
-// happens under the same lock as the in-memory mutation.
+// owner's state lock; only Wait parks, and callers do that after unlocking.
+// WAL order therefore matches commit order as long as Enqueue happens under
+// the same lock as the in-memory mutation.
 type Batcher struct {
 	log  *Log
 	kick chan struct{}
