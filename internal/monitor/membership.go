@@ -150,7 +150,11 @@ func (m *Monitor) heartbeatLocked(req *wire.HeartbeatRequest) (*wire.HeartbeatRe
 	m.checkFailuresLocked()
 	m.planAdjustmentLocked()
 
-	resp := &wire.HeartbeatResponse{GLVersion: m.glVersion, IndexVer: m.indexVer, JournalDegraded: m.journalDegraded.Load()}
+	resp := &wire.HeartbeatResponse{
+		GLVersion:       m.glVersion,
+		IndexVer:        m.indexVer,
+		JournalDegraded: m.journalDegraded.Load(),
+	}
 	if req.GLVersion < m.glVersion {
 		resp.GlobalLayer = m.glSnapshotLocked()
 	}
@@ -180,7 +184,10 @@ func (m *Monitor) heartbeatLocked(req *wire.HeartbeatRequest) (*wire.HeartbeatRe
 }
 
 func (m *Monitor) clusterInfoLocked() (*wire.ClusterInfoResponse, error) {
-	resp := &wire.ClusterInfoResponse{Index: maps.Clone(m.index), IndexVer: m.indexVer}
+	resp := &wire.ClusterInfoResponse{
+		Index:    maps.Clone(m.index),
+		IndexVer: m.indexVer,
+	}
 	for _, mem := range m.members {
 		if mem.alive {
 			resp.Servers = append(resp.Servers, mem.addr)

@@ -13,7 +13,6 @@
 package monitor
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"net"
@@ -52,9 +51,15 @@ type Config struct {
 }
 
 func (c *Config) applyDefaults() {
-	c.GLProportion = cmp.Or(c.GLProportion, 0.01)
-	c.HeartbeatTimeout = cmp.Or(c.HeartbeatTimeout, 3*time.Second)
-	c.AdjustInterval = cmp.Or(c.AdjustInterval, 2*time.Second)
+	if c.GLProportion == 0 {
+		c.GLProportion = 0.01
+	}
+	if c.HeartbeatTimeout == 0 {
+		c.HeartbeatTimeout = 3 * time.Second
+	}
+	if c.AdjustInterval == 0 {
+		c.AdjustInterval = 2 * time.Second
+	}
 }
 
 // ErrClusterFull is returned when more than the configured number of
@@ -368,7 +373,12 @@ func (m *Monitor) dispatch(env *wire.Envelope) (interface{}, string, error) {
 	case wire.TypeMonitorStats:
 		return m.Stats(), "", nil
 	case wire.TypeObsDump:
-		return serve(m, env, m.obsDump, nil)
+		// The event ring and the histograms keep their own locks.
+		var req wire.ObsDumpRequest
+		if err := env.Decode(&req); err != nil {
+			return nil, "", err
+		}
+		return m.obsDump(&req), "", nil
 	default:
 		return nil, "", fmt.Errorf("monitor: unknown message type %q", env.Type)
 	}
@@ -391,9 +401,8 @@ func serve[Req, Resp any](m *Monitor, env *wire.Envelope, h func(*Req) (Resp, er
 	return resp, path(&req), err
 }
 
-// obsDump answers an obs_dump from the event ring and the op histograms,
-// which keep their own locks.
-func (m *Monitor) obsDump(req *wire.ObsDumpRequest) (*wire.ObsDumpResponse, error) {
+// obsDump answers an obs_dump from the event ring and the op histograms.
+func (m *Monitor) obsDump(req *wire.ObsDumpRequest) *wire.ObsDumpResponse {
 	events, dropped := m.rec.Since(req.SinceSeq, 0)
 	seq := req.SinceSeq
 	if n := len(events); n > 0 {
@@ -405,7 +414,7 @@ func (m *Monitor) obsDump(req *wire.ObsDumpRequest) (*wire.ObsDumpResponse, erro
 		Dropped: dropped,
 		Events:  events,
 		Ops:     m.opStats.Latencies(),
-	}, nil
+	}
 }
 
 // Stats reports the coordinator counters and the member table: the
@@ -431,7 +440,10 @@ func (m *Monitor) Stats() *wire.MonitorStatsResponse {
 		resp.JournalAppends, resp.JournalFlushes = m.journal.Stats()
 	}
 	for _, mem := range m.members {
-		resp.Members = append(resp.Members, wire.MemberInfo{ID: mem.id, Addr: mem.addr, Alive: mem.alive, Load: mem.load, Ops: mem.ops})
+		resp.Members = append(resp.Members, wire.MemberInfo{
+			ID: mem.id, Addr: mem.addr, Alive: mem.alive,
+			Load: mem.load, Ops: mem.ops,
+		})
 	}
 	return resp
 }

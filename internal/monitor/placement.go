@@ -1,7 +1,6 @@
 package monitor
 
 import (
-	"cmp"
 	"fmt"
 	"strconv"
 	"time"
@@ -140,7 +139,10 @@ func (m *Monitor) transferDoneLocked(req *wire.TransferDoneRequest) (*wire.LockR
 	}
 	m.pinned[req.RootPath] = pin{dest: core.AnyServer, until: m.round + pinRounds}
 	m.nTransfersDone++
-	reqID := cmp.Or(req.ReqID, m.migIDs[req.RootPath])
+	reqID := req.ReqID
+	if reqID == "" {
+		reqID = m.migIDs[req.RootPath]
+	}
 	delete(m.migIDs, req.RootPath) // migration over; a later move is a new trace
 	m.rec.Record(obs.Event{
 		Kind:   obs.KindMigration,
@@ -161,7 +163,10 @@ func (m *Monitor) transferFailedLocked(req *wire.TransferFailedRequest) (*wire.L
 		m.pinned[req.RootPath] = pin{dest: partition.ServerID(f.dest), until: m.round + pinRounds}
 		delete(m.inFlight, req.RootPath)
 	}
-	reqID := cmp.Or(req.ReqID, m.migIDs[req.RootPath])
+	reqID := req.ReqID
+	if reqID == "" {
+		reqID = m.migIDs[req.RootPath]
+	}
 	// The migID is kept: the re-scheduled move continues the same trace.
 	m.rec.Record(obs.Event{
 		Kind:   obs.KindMigration,
