@@ -58,11 +58,12 @@ bench-index:
 # a setattr through a client, an in-process MDS with a WAL and the Monitor,
 # local layer and global (allocs/op for all three), and global-layer setattrs
 # from 1 and 8 writers with the Monitor's journal off and on (setattrs/s, the
-# Monitor's heartbeat p99, records per fsync). For numbers: -cpu 1
+# Monitor's heartbeat p99, records per fsync), and a cold start (snapshot
+# read, split, two joins, a 64-path probe, in ms each). For numbers: -cpu 1
 # -benchtime 2000x; for the journal rung, -bench GLUpdateJournaled
-# -benchtime 2s.
+# -benchtime 2s; for the cold start, -bench ColdStart -cpu 1 -benchtime 20x.
 bench-wire:
-	$(GO) test -run '^$$' -bench 'FrameRoundTrip|ReaddirPlusCodec|EchoInproc|SetAttrInproc|GLUpdateJournaled' -benchtime 1x ./internal/wire/ ./internal/server/
+	$(GO) test -run '^$$' -bench 'FrameRoundTrip|ReaddirPlusCodec|EchoInproc|SetAttrInproc|GLUpdateJournaled|ColdStart' -benchtime 1x ./internal/wire/ ./internal/server/
 
 # The full gate: what ci.sh runs.
 check: build lint race-obs race-rpc race bench-test bench-index bench-wire

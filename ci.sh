@@ -44,13 +44,17 @@ go test -run '^$' -bench 'ReaddirPlus(Store|Index)Size|ClientReaddirPlus|LookupH
 # And of the wire benchmarks (`make bench-wire`): the frame round trip, a
 # ReaddirPlus response through the codec, a lookup over loopback through
 # Conn.Call and the serving loop, a setattr through a client, an in-process
-# MDS and the Monitor, and global-layer setattrs with the Monitor's journal
-# off and on.
-go test -run '^$' -bench 'FrameRoundTrip|ReaddirPlusCodec|EchoInproc|SetAttrInproc|GLUpdateJournaled' -benchtime 1x ./internal/wire/ ./internal/server/
+# MDS and the Monitor, global-layer setattrs with the Monitor's journal off
+# and on, and a cold start from the binary namespace snapshot.
+go test -run '^$' -bench 'FrameRoundTrip|ReaddirPlusCodec|EchoInproc|SetAttrInproc|GLUpdateJournaled|ColdStart' -benchtime 1x ./internal/wire/ ./internal/server/
 
 # Ten seconds of fuzzing the frame decoder: every input either fails cleanly
 # or is a frame that encodes back to the bytes it was read from.
 go test -run '^$' -fuzz '^FuzzDecodeFrame$' -fuzztime 10s ./internal/wire
+
+# And ten of the namespace snapshot reader: no panic, allocation bounded by
+# the input, and an accepted snapshot writes back to the same bytes.
+go test -run '^$' -fuzz '^FuzzReadSnapshot$' -fuzztime 10s ./internal/namespace
 
 # bench/ is a module of its own, so the ./... patterns above do not descend
 # into it: vet and test the benchmark harness too.

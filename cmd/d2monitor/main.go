@@ -4,9 +4,12 @@
 //
 // Usage:
 //
-//	d2monitor -addr :7070 -servers 4 [-snapshot tree.ndjson]
+//	d2monitor -addr :7070 -servers 4 [-snapshot tree.ns]
 //	          [-profile LMBE -nodes 20000 -events 100000 -seed 1]
 //	          [-debug-addr 127.0.0.1:6070] [-event-log monitor.jsonl]
+//
+// -snapshot names a binary namespace snapshot (v2), as tracegen -tree writes
+// it; without one the namespace is synthesized from -profile and -nodes.
 package main
 
 import (
@@ -36,7 +39,7 @@ func run(args []string) error {
 		addr       = fs.String("addr", "127.0.0.1:7070", "listen address")
 		servers    = fs.Int("servers", 3, "expected MDS cluster size")
 		glProp     = fs.Float64("gl", 0.01, "global-layer proportion")
-		snapshot   = fs.String("snapshot", "", "namespace snapshot file (ndjson); empty = synthesize")
+		snapshot   = fs.String("snapshot", "", "binary namespace snapshot (v2) file, as tracegen -tree writes it; empty = synthesize")
 		profile    = fs.String("profile", "LMBE", "trace profile for synthesis (DTR|LMBE|RA)")
 		nodes      = fs.Int("nodes", 20000, "synthetic namespace size")
 		events     = fs.Int("events", 100000, "popularity-annotation events for synthesis")
@@ -54,13 +57,18 @@ func run(args []string) error {
 	}
 
 	var (
-		tree *namespace.Tree
-		err  error
+		tree   *namespace.Tree
+		err    error
+		source = "synthesized namespace"
 	)
+	start := time.Now()
 	if *snapshot != "" {
 		f, err := os.Open(*snapshot)
 		if err != nil {
 			return err
+		}
+		if st, err := f.Stat(); err == nil {
+			source = fmt.Sprintf("snapshot %d bytes", st.Size())
 		}
 		tree, err = namespace.ReadSnapshot(f)
 		cerr := f.Close()
@@ -81,6 +89,7 @@ func run(args []string) error {
 		}
 		tree = w.Tree
 	}
+	read := time.Since(start)
 
 	mon, err := monitor.New(tree, monitor.Config{
 		Addr:             *addr,
@@ -92,6 +101,17 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
+	// The boot phases, for attributing start-up time from -event-log or
+	// obs_dump: the namespace read (or synthesis), then the initial split
+	// and any journal replay.
+	split := time.Since(start) - read
+	mon.Obs().Record(obs.Event{
+		Kind: obs.KindCluster,
+		Op:   "boot",
+		Detail: fmt.Sprintf("%s, %d nodes, read %.1f ms, split %.1f ms", source, tree.Len(),
+			float64(read.Microseconds())/1000, float64(split.Microseconds())/1000),
+		DurUS: (read + split).Microseconds(),
+	})
 	if err := mon.Start(); err != nil {
 		return err
 	}

@@ -1,11 +1,14 @@
 package monitor
 
 import (
+	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"time"
 
 	"d2tree/internal/core"
+	"d2tree/internal/namespace"
 	"d2tree/internal/obs"
 	"d2tree/internal/partition"
 	"d2tree/internal/wire"
@@ -202,17 +205,31 @@ func callMDS(addr, op string, req interface{}) error {
 }
 
 // subtreeEntriesLocked materialises a subtree's entries from the
-// authoritative tree. Callers hold m.mu.
+// authoritative tree, sorted by path (the root's first). One pre-order walk
+// makes each path from its parent's. Callers hold m.mu.
 func (m *Monitor) subtreeEntriesLocked(rootPath string) []wire.Entry {
 	n, err := m.tree.Lookup(rootPath)
 	if err != nil {
 		return nil
 	}
-	nodes := m.tree.SubtreeNodes(n)
-	out := make([]wire.Entry, 0, len(nodes))
-	for _, sn := range nodes {
-		out = append(out, entryFor(m.tree, sn))
+	out := appendSubtree(make([]wire.Entry, 0, m.tree.SubtreeSize(n)), m.tree.Path(n), n)
+	slices.SortFunc(out, func(a, b wire.Entry) int { return strings.Compare(a.Path, b.Path) })
+	return out
+}
+
+// appendSubtree appends the entries of n, at path, and of its descendants,
+// each directory's children in name order. That is path order except where a
+// name sorts below '/' after a sibling it extends ("a.txt" after "a/b"), so
+// the sort that follows has little left to move.
+func appendSubtree(out []wire.Entry, path string, n *namespace.Node) []wire.Entry {
+	out = append(out, entryFor(path, n))
+	if path == "/" {
+		path = ""
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
+	kids := n.Children()
+	slices.SortFunc(kids, func(a, b *namespace.Node) int { return strings.Compare(a.Name(), b.Name()) })
+	for _, c := range kids {
+		out = appendSubtree(out, path+"/"+c.Name(), c)
+	}
 	return out
 }

@@ -62,43 +62,66 @@ func (*walLayer) recType() string    { return "gl_layer" }
 // only to route the index to a live owner; on replay nobody has joined yet,
 // and the joins that follow route it. Callers hold m.mu.
 func (m *Monitor) applyLocked(rec record) {
+	// Each kind applies in a method of its own, the small ones kept out of
+	// line, so no kind's locals sit in the frame every record passes
+	// through: a gl_update, applied on the fresh goroutine of its handler,
+	// then fits the stack that goroutine started with instead of copying it
+	// to a larger one.
 	switch r := rec.(type) {
 	case *walGLUpdate:
-		if e, ok := m.glEntries[r.Entry.Path]; ok {
-			*e = r.Entry
-		} else {
-			e := r.Entry
-			m.glEntries[e.Path] = &e
-		}
-		if r.Op == "create" {
-			m.mirror(r.Entry)
-		}
-		m.glVersion = max(m.glVersion, r.GLVersion)
+		m.applyGLUpdateLocked(r)
 	case *walOwner:
-		m.setOwnerLocked(r.Root, r.Server)
-		m.indexVer++
+		m.applyOwnerLocked(r)
 	case *walLLPaths:
-		for _, e := range r.Entries {
-			m.mirror(e)
-		}
+		m.applyLLPathsLocked(r)
 	case *walLayer:
-		if r.Reset {
-			m.glEntries = make(map[string]*wire.Entry, len(r.Entries))
-			m.subtreeOwner = make(map[string]int, len(r.Owners))
-			m.index = make(map[string]string, len(r.Owners))
-		}
-		for _, e := range r.Entries {
-			m.glEntries[e.Path] = &e
-		}
-		for _, o := range r.Owners {
-			m.setOwnerLocked(o.Root, o.Server)
-		}
-		m.glVersion = max(m.glVersion, r.GLVersion)
-		m.indexVer++
+		m.applyLayerLocked(r)
 	}
 	if m.applied != nil {
 		m.applied()
 	}
+}
+
+func (m *Monitor) applyGLUpdateLocked(r *walGLUpdate) {
+	if e, ok := m.glEntries[r.Entry.Path]; ok {
+		*e = r.Entry
+	} else {
+		e := r.Entry
+		m.glEntries[e.Path] = &e
+	}
+	if r.Op == "create" {
+		m.mirror(r.Entry)
+	}
+	m.glVersion = max(m.glVersion, r.GLVersion)
+}
+
+//go:noinline
+func (m *Monitor) applyOwnerLocked(r *walOwner) {
+	m.setOwnerLocked(r.Root, r.Server)
+	m.indexVer++
+}
+
+//go:noinline
+func (m *Monitor) applyLLPathsLocked(r *walLLPaths) {
+	for _, e := range r.Entries {
+		m.mirror(e)
+	}
+}
+
+func (m *Monitor) applyLayerLocked(r *walLayer) {
+	if r.Reset {
+		m.glEntries = make(map[string]*wire.Entry, len(r.Entries))
+		m.subtreeOwner = make(map[string]int, len(r.Owners))
+		m.index = make(map[string]string, len(r.Owners))
+	}
+	for _, e := range r.Entries {
+		m.glEntries[e.Path] = &e
+	}
+	for _, o := range r.Owners {
+		m.setOwnerLocked(o.Root, o.Server)
+	}
+	m.glVersion = max(m.glVersion, r.GLVersion)
+	m.indexVer++
 }
 
 // mirror adds a path to the authoritative tree. The tree keeps the name, so

@@ -220,12 +220,13 @@ func New(t *namespace.Tree, cfg Config) (*Monitor, error) {
 	return m, nil
 }
 
-func entryFor(t *namespace.Tree, n *namespace.Node) wire.Entry {
+// entryFor is the entry the Monitor materialises for n, at path.
+func entryFor(path string, n *namespace.Node) wire.Entry {
 	kind := wire.EntryDir
 	if !n.IsDir() {
 		kind = wire.EntryFile
 	}
-	return wire.Entry{Path: t.Path(n), Kind: kind, Version: 1}
+	return wire.Entry{Path: path, Kind: kind, Version: 1}
 }
 
 // Start begins listening and serving.

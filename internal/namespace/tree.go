@@ -44,20 +44,30 @@ func (t *Tree) Node(id NodeID) *Node {
 
 // AddChild creates a new child of parent with the given name and kind.
 func (t *Tree) AddChild(parent *Node, name string, kind Kind) (*Node, error) {
+	n := new(Node)
+	if err := t.link(parent, n, name, kind); err != nil {
+		return nil, err
+	}
+	return n, nil
+}
+
+// link makes the zero node n the newest node of t, a child of parent, with
+// AddChild's checks. ReadSnapshot hands it nodes from one allocation.
+func (t *Tree) link(parent, n *Node, name string, kind Kind) error {
 	switch {
 	case parent == nil:
-		return nil, ErrNotFound
+		return ErrNotFound
 	case !parent.IsDir():
-		return nil, ErrNotDir
+		return ErrNotDir
 	case name == "":
-		return nil, ErrEmptyName
+		return ErrEmptyName
 	case strings.Contains(name, "/"):
-		return nil, fmt.Errorf("%w: %q", ErrSlashName, name)
+		return fmt.Errorf("%w: %q", ErrSlashName, name)
 	}
 	if _, dup := parent.byName[name]; dup {
-		return nil, fmt.Errorf("%w: %q under %q", ErrExists, name, t.Path(parent))
+		return fmt.Errorf("%w: %q under %q", ErrExists, name, t.Path(parent))
 	}
-	n := &Node{
+	*n = Node{
 		id:     NodeID(len(t.nodes)),
 		name:   name,
 		kind:   kind,
@@ -71,7 +81,7 @@ func (t *Tree) AddChild(parent *Node, name string, kind Kind) (*Node, error) {
 	parent.byName[name] = n
 	t.nodes = append(t.nodes, n)
 	t.live++
-	return n, nil
+	return nil
 }
 
 // MkdirAll resolves path, creating missing intermediate directories, and

@@ -1,8 +1,11 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
+	"math/rand"
 	"path/filepath"
 	"reflect"
 	"sync"
@@ -12,6 +15,7 @@ import (
 
 	"d2tree/internal/client"
 	"d2tree/internal/monitor"
+	"d2tree/internal/namespace"
 	"d2tree/internal/trace"
 	"d2tree/internal/wire"
 )
@@ -225,6 +229,88 @@ func BenchmarkGLUpdateJournaled(b *testing.B) {
 				benchGLUpdateJournaled(b, journal == "on", writers)
 			})
 		}
+	}
+}
+
+// BenchmarkColdStart is a cluster boot in one process, phase by phase, over
+// the benchmark's namespace (20k-node LMBE, 200k popularity events, seed 1):
+// the Monitor reads its binary snapshot (read-ms) and computes the initial
+// split (split-ms), two MDSs join and install their share (join-ms), and a
+// client resolves 64 paths (probe-ms). These are the steps behind the
+// benchmark's setup_s, less process start; allocs/op counts all four.
+func BenchmarkColdStart(b *testing.B) {
+	w, err := trace.BuildWorkload(trace.LMBE().Scale(20000), 200000, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var snap bytes.Buffer
+	if err := w.Tree.WriteSnapshot(&snap); err != nil {
+		b.Fatal(err)
+	}
+	nodes := w.Tree.Nodes()
+	rng := rand.New(rand.NewSource(1))
+	probes := make([]string, 64)
+	for i := range probes {
+		probes[i] = w.Tree.Path(nodes[rng.Intn(len(nodes))])
+	}
+	var phases [4]time.Duration
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		coldStart(b, snap.Bytes(), probes, &phases)
+	}
+	for i, unit := range []string{"read-ms", "split-ms", "join-ms", "probe-ms"} {
+		b.ReportMetric(float64(phases[i].Microseconds())/1000/float64(b.N), unit)
+	}
+}
+
+// coldStart boots one cluster from snap, adds each phase's time to phases,
+// and shuts the cluster down off the clock.
+func coldStart(b *testing.B, snap []byte, probes []string, phases *[4]time.Duration) {
+	var up []io.Closer
+	defer func() {
+		b.StopTimer()
+		for i := len(up) - 1; i >= 0; i-- {
+			_ = up[i].Close()
+		}
+		b.StartTimer()
+	}()
+	t0 := time.Now()
+	tree, err := namespace.ReadSnapshot(bytes.NewReader(snap))
+	if err != nil {
+		b.Fatal(err)
+	}
+	t1 := time.Now()
+	mon, err := monitor.New(tree, monitor.Config{Addr: "127.0.0.1:0", Servers: 2, HeartbeatTimeout: time.Hour})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := mon.Start(); err != nil {
+		b.Fatal(err)
+	}
+	up = append(up, mon)
+	t2 := time.Now()
+	for i := 0; i < 2; i++ {
+		s := New(Config{Addr: "127.0.0.1:0", MonitorAddr: mon.Addr(), HeartbeatInterval: time.Hour})
+		if err := s.Start(); err != nil {
+			b.Fatal(err)
+		}
+		up = append(up, s)
+	}
+	t3 := time.Now()
+	c, err := client.Connect(client.Config{MonitorAddr: mon.Addr(), Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	up = append(up, c)
+	for _, p := range probes {
+		if _, err := c.Lookup(p); err != nil {
+			b.Fatalf("probe %s: %v", p, err)
+		}
+	}
+	t4 := time.Now()
+	for i, d := range []time.Duration{t1.Sub(t0), t2.Sub(t1), t3.Sub(t2), t4.Sub(t3)} {
+		phases[i] += d
 	}
 }
 

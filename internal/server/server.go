@@ -216,17 +216,12 @@ func (s *Server) Start() error {
 		Policy:      s.cfg.Retry,
 		Metrics:     &s.monMetrics,
 	})
-	var join wire.JoinResponse
-	if err := mon.Call(wire.TypeJoin, s.joinRequest(), &join); err != nil {
+	if err := s.join(mon); err != nil {
 		_ = mon.Close()
 		_ = ln.Close()
 		s.closeJournal()
 		return fmt.Errorf("server: join: %w", err)
 	}
-	s.mu.Lock()
-	s.mon = mon
-	s.applyJoinLocked(&join)
-	s.mu.Unlock()
 
 	s.wg.Add(2)
 	go s.acceptLoop()
@@ -236,6 +231,36 @@ func (s *Server) Start() error {
 		go s.snapshotLoop()
 	}
 	return nil
+}
+
+// join registers with the Monitor over mon and installs its answer. It
+// records one "joined" event: how long the join call took, how many entries
+// were installed and how long installing them took.
+func (s *Server) join(mon *wire.RetryingConn) error {
+	start := time.Now()
+	var join wire.JoinResponse
+	if err := mon.Call(wire.TypeJoin, s.joinRequest(), &join); err != nil {
+		return err
+	}
+	called := time.Now()
+	s.mu.Lock()
+	s.mon = mon
+	installed := s.applyJoinLocked(&join)
+	s.mu.Unlock()
+	end := time.Now()
+	s.rec.RecordAt(end, obs.Event{
+		Kind: obs.KindCluster,
+		Op:   "joined",
+		Detail: "join rpc " + ms(called.Sub(start)) + " ms, " + strconv.Itoa(installed) +
+			" entries installed in " + ms(end.Sub(called)) + " ms",
+		DurUS: end.Sub(start).Microseconds(),
+	})
+	return nil
+}
+
+// ms renders d in milliseconds to one decimal, for event details.
+func ms(d time.Duration) string {
+	return strconv.FormatFloat(float64(d.Microseconds())/1000, 'f', 1, 64)
 }
 
 // joinRequest builds the join (or re-join) registration, claiming every
@@ -269,8 +294,9 @@ func (s *Server) closeJournal() {
 // claimed (its current holdings) but the Monitor did not adopt belong to a
 // live owner elsewhere: they are dropped — and the drop journaled — before
 // the assigned subtrees install, so a recovered-but-reassigned root can
-// never be served from two places. Callers hold s.mu.
-func (s *Server) applyJoinLocked(join *wire.JoinResponse) {
+// never be served from two places. It returns the number of entries it
+// installed. Callers hold s.mu.
+func (s *Server) applyJoinLocked(join *wire.JoinResponse) int {
 	s.id = join.ServerID
 	s.rec.SetNode("mds-" + strconv.Itoa(join.ServerID))
 	s.glVersion = join.GLVersion
@@ -285,6 +311,11 @@ func (s *Server) applyJoinLocked(join *wire.JoinResponse) {
 			_ = s.journalLocked("remove", &walSubtreeRec{Root: root})
 		}
 	}
+	installed := len(join.GlobalLayer)
+	for _, st := range join.Subtrees {
+		installed += len(st)
+	}
+	s.store.reserve(installed)
 	s.store.replaceGL(join.GlobalLayer)
 	for _, st := range join.Subtrees {
 		if len(st) == 0 {
@@ -294,6 +325,7 @@ func (s *Server) applyJoinLocked(join *wire.JoinResponse) {
 		_ = s.journalInstallLocked(st[0].Path, st)
 	}
 	s.index = rootindex.New(join.Index)
+	return installed
 }
 
 // Addr returns the bound listen address.
@@ -477,14 +509,7 @@ func (s *Server) rejoin() bool {
 	if mon == nil {
 		return false
 	}
-	var join wire.JoinResponse
-	if err := mon.Call(wire.TypeJoin, s.joinRequest(), &join); err != nil {
-		return false
-	}
-	s.mu.Lock()
-	s.applyJoinLocked(&join)
-	s.mu.Unlock()
-	return true
+	return s.join(mon) == nil
 }
 
 func (s *Server) applyHeartbeat(resp *wire.HeartbeatResponse) {

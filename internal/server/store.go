@@ -1,6 +1,7 @@
 package server
 
 import (
+	"maps"
 	"strings"
 
 	"d2tree/internal/wire"
@@ -55,6 +56,14 @@ func parentPath(path string) string {
 		return "/"
 	}
 	return ""
+}
+
+// reserve sizes the path map for n more nodes in one step, so a join that
+// installs them does not grow it entry by entry.
+func (st *store) reserve(n int) {
+	nodes := make(map[string]*node, len(st.nodes)+n)
+	maps.Copy(nodes, st.nodes)
+	st.nodes = nodes
 }
 
 // len returns the number of entries held.

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -16,6 +17,7 @@ type faultFile struct {
 	shortN       int  // bytes the failing Write still lands (torn write)
 	failSync     bool // next Sync errors
 	failTruncate bool // every Truncate errors (forces poisoning)
+	reads        int  // Read calls made
 }
 
 var errInjected = errors.New("injected fault")
@@ -37,7 +39,10 @@ func (w *faultFile) Write(p []byte) (int, error) {
 	return w.f.Write(p)
 }
 
-func (w *faultFile) Read(p []byte) (int, error)          { return w.f.Read(p) }
+func (w *faultFile) Read(p []byte) (int, error) {
+	w.reads++
+	return w.f.Read(p)
+}
 func (w *faultFile) Seek(o int64, wh int) (int64, error) { return w.f.Seek(o, wh) }
 func (w *faultFile) Close() error                        { return w.f.Close() }
 
@@ -249,6 +254,47 @@ func TestOpenSyncsDirOnCreate(t *testing.T) {
 		t.Errorf("dir syncs after TruncateBefore = %v, want [%s]", synced, dir)
 	}
 	_ = l2.Close()
+}
+
+// TestReplayReadsInBlocks: compaction replays the log under l.mu, so every
+// append waits for the whole re-read; a record must not cost read calls of
+// its own. A 1,000-record log replays in a few reads, and each end offset
+// still falls exactly on a record boundary (Open truncates a torn tail at
+// the last one).
+func TestReplayReadsInBlocks(t *testing.T) {
+	l, ff, path := faultLog(t)
+	items := make([]Item, 1000)
+	for i := range items {
+		items[i] = Item{Type: "x", Payload: &testPayload{Path: "/a/b", N: i}}
+	}
+	if _, err := l.AppendBatch(items); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ff.reads = 0
+	var ends []int64
+	if err := replayFrom(ff, func(_ Record, end int64) error {
+		ends = append(ends, end)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(ends) != len(items) {
+		t.Fatalf("replayed %d records, want %d", len(ends), len(items))
+	}
+	off := int64(0)
+	for i, end := range ends {
+		off += 8 + int64(binary.BigEndian.Uint32(data[off:]))
+		if end != off {
+			t.Fatalf("record %d ends at %d, its frame at %d", i, end, off)
+		}
+	}
+	if max := 1 + len(data)/4096; ff.reads > max {
+		t.Errorf("replaying %d bytes took %d reads, want <= %d", len(data), ff.reads, max)
+	}
 }
 
 func TestTruncateBeforeCompacts(t *testing.T) {

@@ -15,6 +15,7 @@
 package wal
 
 import (
+	"bufio"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -417,16 +418,23 @@ func Replay(path string, fn func(Record) error) error {
 	return replayFrom(f, func(rec Record, _ int64) error { return fn(rec) })
 }
 
+// replayBuf is how much of the log replayFrom reads per call. Compaction
+// replays under l.mu, where every append waits for it.
+const replayBuf = 64 << 10
+
 // replayFrom scans records from the reader, reporting each record plus the
-// stream offset just past it. It returns nil at a clean or torn end.
+// stream offset just past it. It returns nil at a clean or torn end. It
+// reads ahead, so the reader's position afterwards is not the end of the
+// last record; callers seek before writing.
 func replayFrom(r io.ReadSeeker, fn func(rec Record, end int64) error) error {
 	if _, err := r.Seek(0, io.SeekStart); err != nil {
 		return fmt.Errorf("wal: seek: %w", err)
 	}
+	br := bufio.NewReaderSize(r, replayBuf)
 	offset := int64(0)
 	var hdr [8]byte
 	for {
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		if _, err := io.ReadFull(br, hdr[:]); err != nil {
 			return nil // clean EOF or torn header: stop at valid prefix
 		}
 		size := binary.BigEndian.Uint32(hdr[:4])
@@ -435,7 +443,7 @@ func replayFrom(r io.ReadSeeker, fn func(rec Record, end int64) error) error {
 			return nil // corrupt length: treat as torn tail
 		}
 		body := make([]byte, size)
-		if _, err := io.ReadFull(r, body); err != nil {
+		if _, err := io.ReadFull(br, body); err != nil {
 			return nil // torn body
 		}
 		if crc32.ChecksumIEEE(body) != sum {
