@@ -35,6 +35,12 @@ go test -race ./...
 # answer leaves before the state it carries is durable.
 go test -count=1 -run '^TestReplayEqualsLive$' ./internal/monitor/ -args -replay.seeds 1000
 
+# And the MDS's, at 1,000 seeds: a server recovered from a copy of its data
+# directory (snapshot and log, whole, cut at a record boundary or torn) equals
+# the live local layer at the newest record the copy holds, across snapshots
+# taken between a commit and its wait and across restarts.
+go test -count=1 -run '^TestReplayEqualsLive$' ./internal/server/ -args -replay.seeds 1000
+
 # One iteration of the listing benchmarks and of the client's cache-hit
 # benchmark, so they cannot rot: the MDS handler against store size and
 # against index size, the client's merge against index size, and a leased

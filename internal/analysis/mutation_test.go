@@ -91,9 +91,9 @@ func newLeaseCheck() Analyzer {
 	return &LeaseCheck{WirePackage: "internal/wire", ServerPackage: "internal/server", ClientPackage: "internal/client"}
 }
 
-// TestLeaseCheckMutation reintroduces both halves of the §8b gap this PR
-// closed for Create: a response struct losing a lease field, and a handler
-// literal shipping an entry without stamping the grant.
+// TestLeaseCheckMutation reintroduces both halves of the §8b gap leasecheck
+// exists for: a response struct losing a lease field, and the result every
+// op body ships an entry in (grantLocked) losing the grant's stamp.
 func TestLeaseCheckMutation(t *testing.T) {
 	t.Run("wire struct loses lease field", func(t *testing.T) {
 		root := mutationRoot(t, "internal/wire/messages.go", "internal/server/handlers.go")
@@ -104,10 +104,10 @@ func TestLeaseCheckMutation(t *testing.T) {
 		requireDiag(t, runOn(t, root, newLeaseCheck()),
 			"declares no LeaseMS/IndexVer lease fields")
 	})
-	t.Run("handler literal skips the stamp", func(t *testing.T) {
+	t.Run("op body skips the stamp", func(t *testing.T) {
 		root := mutationRoot(t, "internal/wire/messages.go", "internal/server/handlers.go")
 		mutate(t, root, "internal/server/handlers.go",
-			"Entry: &cp, LeaseMS: leaseMS, ", "Entry: &cp, ")
+			"wire.BatchResult{Entry: e, LeaseMS: leaseMS, ", "wire.BatchResult{Entry: e, ")
 		requireDiag(t, runOn(t, root, newLeaseCheck()),
 			"without stamping LeaseMS/IndexVer")
 	})
@@ -136,7 +136,8 @@ func TestGoroutineCheckMutation(t *testing.T) {
 }
 
 // TestInlineCheckMutation moves an op that waits onto the MDS reader: a
-// SetAttr parks on its WAL ticket, or on the Monitor for a global-layer path.
+// SetAttr parks on the tail it noted, or on the Monitor for a global-layer
+// path.
 func TestInlineCheckMutation(t *testing.T) {
 	check := func() Analyzer {
 		return &InlineCheck{Packages: []string{"internal/server", "internal/monitor"}}
@@ -150,8 +151,21 @@ func TestInlineCheckMutation(t *testing.T) {
 		"wire.TypeLookup, wire.TypeRevalidate,", "wire.TypeLookup, wire.TypeSetAttr, wire.TypeRevalidate,")
 	diags := runOn(t, root, check())
 	requireDiag(t, diags, "inline op TypeSetAttr")
-	requireDiag(t, diags, "wait via .Wait via handle → dispatch → handleSetAttr → waitDurable")
-	requireDiag(t, diags, "RPC call via .CallTraced via handle → dispatch → handleSetAttr → glUpdate")
+	requireDiag(t, diags, "wait via .Wait via handle → dispatch → handleSetAttr → mutate → waitDurable")
+	requireDiag(t, diags, "RPC call via .CallTraced via handle → dispatch → handleSetAttr → mutate → glUpdate")
+}
+
+// TestServerJournalMutation puts the MDS's journal append back under s.mu, as
+// a synchronous append in commitLocked: lockheld flags the fsync under the
+// *Locked convention.
+func TestServerJournalMutation(t *testing.T) {
+	root := mutationRoot(t, "internal/server/server.go", "internal/server/handlers.go",
+		"internal/server/durability.go", "internal/server/compound.go", "internal/server/store.go")
+	requireClean(t, runOn(t, root, &LockHeld{}))
+	mutate(t, root, "internal/server/durability.go",
+		"s.tail = s.journal.Enqueue(rec.recType(), rec)", "_, _ = s.wlog.Append(rec.recType(), rec)")
+	requireDiag(t, runOn(t, root, &LockHeld{}),
+		"blocking WAL append (fsync) via .Append while holding s.mu (held by the *Locked convention")
 }
 
 // TestMonitorJournalMutation puts the Monitor's journal back under m.mu, as a

@@ -14,14 +14,21 @@ import (
 	"d2tree/internal/wire"
 )
 
-// WAL record payloads journaled by the MDS serving path. GL mutations are
-// not journaled here: their durability home is the Monitor's WAL (every
-// GLUpdate is journaled there) and the join/heartbeat GL refresh restores
-// the replica, so the MDS log carries only local-layer state.
+// record is one journaled change to the MDS's local layer: its entries and
+// the subtree roots it owns. That state changes in one place, applyLocked,
+// and only by a record: a live body builds one, enqueues it and applies it
+// under s.mu (commitLocked); recovery applies the snapshot image and then the
+// logged records with the same method. GL mutations are not journaled here:
+// their durability home is the Monitor's WAL (every GLUpdate is journaled
+// there) and the join/heartbeat GL refresh restores the replica. Nor are the
+// index, its overrides, the counters or newPaths.
+type record interface{ recType() string }
+
+// walEntryRec is a create or setattr (op): the committed post-op entry,
+// installed verbatim.
 type walEntryRec struct {
-	// Entry is the committed post-op entry; replay reinstalls it verbatim,
-	// which makes re-applying a record idempotent.
 	Entry wire.Entry `json:"entry"`
+	op    string
 }
 
 // AppendJSON makes the record a wal.Appender: the create and setattr records
@@ -85,21 +92,30 @@ type walRenameRec struct {
 	NewName string `json:"newName"`
 }
 
-// walSubtreeRec journals migration installs (with entries, chunked under
-// MaxRecordSize) and removals (root only).
+// walSubtreeRec is an install (op; with entries, chunked under
+// MaxRecordSize) or a remove (root only) of an owned subtree.
 type walSubtreeRec struct {
 	Root    string       `json:"root"`
 	Entries []wire.Entry `json:"entries,omitempty"`
+	op      string
 }
+
+func (r *walEntryRec) recType() string   { return r.op }
+func (*walRenameRec) recType() string    { return "rename" }
+func (r *walSubtreeRec) recType() string { return r.op }
+
+// The snapshot image is applied as a record that is never logged.
+func (*snapshotState) recType() string { return "snapshot" }
 
 // installChunk bounds entries per install record so a large subtree ships
 // as several records instead of tripping wal.MaxRecordSize.
 const installChunk = 2048
 
 // snapshotState is the periodic namespace snapshot (snapshot.json): the
-// local-layer image at WALSeq, after which the log is truncated. GL entries
-// are not persisted — the join refresh restores the replica — but the GL
-// version is, so a restarted server rejoins with staleness detection intact.
+// local-layer image holding every record up to WALSeq and none after it. GL
+// entries are not persisted — the join refresh restores the replica — but the
+// GL version is, so a restarted server rejoins with staleness detection
+// intact.
 type snapshotState struct {
 	WALSeq    int64            `json:"walSeq"`
 	GLVersion int64            `json:"glVersion"`
@@ -134,9 +150,10 @@ func (s *Server) openJournal() error {
 }
 
 // recoverFromDisk rebuilds the local layer: the snapshot image first, then
-// every WAL record past the snapshot's horizon, in commit order. Replay is
-// idempotent (records re-install committed state), so a snapshot cut
-// conservatively below the batcher's in-flight window is safe.
+// every WAL record past the snapshot's horizon, in commit order, each applied
+// once. The horizon is exact (writeSnapshot), which matters: replay is not
+// idempotent, since a create replayed under a directory the image already
+// renamed would come back under the old name.
 func (s *Server) recoverFromDisk() error {
 	var snapSeq int64
 	data, err := os.ReadFile(s.snapshotPath())
@@ -149,12 +166,7 @@ func (s *Server) recoverFromDisk() error {
 		snapSeq = snap.WALSeq
 		s.mu.Lock()
 		s.glVersion = snap.GLVersion
-		for _, root := range snap.Subtrees {
-			s.subtrees[root] = true
-		}
-		for _, e := range snap.Entries {
-			s.store.put(e, false)
-		}
+		s.applyLocked(&snap)
 		s.mu.Unlock()
 		s.hot.Merge(snap.OpCounts)
 	case os.IsNotExist(err):
@@ -188,72 +200,74 @@ func (s *Server) recoverFromDisk() error {
 	return nil
 }
 
-// applyWALRecord re-applies one journaled mutation to the in-memory state.
-// Every case tolerates re-application: creates and setattrs install the
-// committed entry verbatim, renames of an already-moved path no-op, install
-// chunks are additive, removals of an absent root no-op.
+// applyWALRecord decodes one journaled record and applies it. Unknown record
+// types are skipped, so an older binary replaying a newer log degrades
+// instead of failing the whole recovery.
 func (s *Server) applyWALRecord(rec wal.Record) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	var r record
 	switch rec.Type {
 	case "create", "setattr":
-		var p walEntryRec
-		if err := json.Unmarshal(rec.Data, &p); err != nil {
-			return fmt.Errorf("server: wal record %d: %w", rec.Seq, err)
-		}
-		s.store.put(p.Entry, false)
+		r = &walEntryRec{op: rec.Type}
 	case "rename":
-		var p walRenameRec
-		if err := json.Unmarshal(rec.Data, &p); err != nil {
-			return fmt.Errorf("server: wal record %d: %w", rec.Seq, err)
-		}
-		s.store.rename(p.Path, p.NewName)
-	case "install":
-		var p walSubtreeRec
-		if err := json.Unmarshal(rec.Data, &p); err != nil {
-			return fmt.Errorf("server: wal record %d: %w", rec.Seq, err)
-		}
-		s.installLocked(p.Root, p.Entries)
-	case "remove":
-		var p walSubtreeRec
-		if err := json.Unmarshal(rec.Data, &p); err != nil {
-			return fmt.Errorf("server: wal record %d: %w", rec.Seq, err)
-		}
-		s.dropSubtreeLocked(p.Root)
+		r = &walRenameRec{}
+	case "install", "remove":
+		r = &walSubtreeRec{op: rec.Type}
 	default:
-		// Unknown record types are skipped, so an older binary replaying a
-		// newer log degrades instead of failing the whole recovery.
+		return nil
 	}
+	if err := json.Unmarshal(rec.Data, r); err != nil {
+		return fmt.Errorf("server: wal record %d: %w", rec.Seq, err)
+	}
+	s.mu.Lock()
+	s.applyLocked(r)
+	s.mu.Unlock()
 	return nil
 }
 
-// journalLocked enqueues one mutation record into the group-commit window.
-// Callers hold s.mu (write side) so WAL order matches commit order; they
-// Wait on the ticket after unlocking. Returns nil when memory-only.
-func (s *Server) journalLocked(recType string, payload interface{}) *wal.Ticket {
-	if s.journal == nil {
-		return nil
+// applyLocked makes one record's change. Callers hold s.mu.
+func (s *Server) applyLocked(rec record) {
+	switch r := rec.(type) {
+	case *walEntryRec:
+		s.store.put(r.Entry, false)
+	case *walRenameRec:
+		s.store.rename(r.Path, r.NewName)
+	case *walSubtreeRec:
+		if r.op == "remove" {
+			s.dropSubtreeLocked(r.Root)
+		} else {
+			s.installLocked(r.Root, r.Entries)
+		}
+	case *snapshotState:
+		for _, root := range r.Subtrees {
+			s.subtrees[root] = true
+		}
+		for _, e := range r.Entries {
+			s.store.put(e, false)
+		}
 	}
-	return s.journal.Enqueue(recType, payload)
+	if s.applied != nil {
+		s.applied()
+	}
 }
 
-// journalInstallLocked journals an installed subtree in bounded chunks.
-func (s *Server) journalInstallLocked(root string, entries []wire.Entry) []*wal.Ticket {
-	if s.journal == nil {
-		return nil
+// commitLocked enqueues a record to the journal, notes its ticket as the
+// tail, and applies it. The enqueue never blocks; callers hold s.mu (write
+// side), so the log's order is the apply order, and answer only after waiting
+// on the tail they noted before unlocking: flush windows commit in order, so
+// that covers every record the answer can reflect.
+func (s *Server) commitLocked(rec record) {
+	if s.journal != nil {
+		s.tail = s.journal.Enqueue(rec.recType(), rec)
 	}
-	if len(entries) == 0 {
-		return []*wal.Ticket{s.journal.Enqueue("install", &walSubtreeRec{Root: root})}
+	s.applyLocked(rec)
+}
+
+// commitInstallLocked takes ownership of the subtree at root in install
+// records of at most installChunk entries.
+func (s *Server) commitInstallLocked(root string, entries []wire.Entry) {
+	for off := 0; off == 0 || off < len(entries); off += installChunk {
+		s.commitLocked(&walSubtreeRec{op: "install", Root: root, Entries: entries[off:min(off+installChunk, len(entries))]})
 	}
-	var tickets []*wal.Ticket
-	for off := 0; off < len(entries); off += installChunk {
-		end := off + installChunk
-		if end > len(entries) {
-			end = len(entries)
-		}
-		tickets = append(tickets, s.journal.Enqueue("install", &walSubtreeRec{Root: root, Entries: entries[off:end]}))
-	}
-	return tickets
 }
 
 // waitDurable parks until the record's flush window is fsynced. A journal
@@ -276,25 +290,17 @@ func (s *Server) noteWalDegraded(err error) {
 	}
 }
 
-// snapshotEntriesLocked copies out the local-layer entries of every owned
-// subtree. An owned root lying inside another owned subtree (a re-evaluation
-// moved the cut above it) is covered by the outer walk and skipped.
+// snapshotEntriesLocked copies out every local-layer entry: those of the
+// owned subtrees, and any left outside them (a create under a root the index
+// still routes here after its uninstall), which are state as much as the
+// rest.
 func (s *Server) snapshotEntriesLocked() []wire.Entry {
 	entries := make([]wire.Entry, 0, s.store.len())
-	for root := range s.subtrees {
-		nested := false
-		for up := parentPath(root); up != "" && !nested; up = parentPath(up) {
-			nested = s.subtrees[up]
+	s.store.walk("/", func(e *wire.Entry, gl bool) {
+		if !gl {
+			entries = append(entries, *e)
 		}
-		if nested {
-			continue
-		}
-		s.store.walk(root, func(e *wire.Entry, gl bool) {
-			if !gl {
-				entries = append(entries, *e)
-			}
-		})
-	}
+	})
 	return entries
 }
 
@@ -316,16 +322,18 @@ func (s *Server) snapshotLoop() {
 	}
 }
 
-// writeSnapshot captures the local-layer image at the log's current durable
-// horizon, writes it atomically (tmp + rename + dir sync), and truncates
-// the WAL below it. Records still in the batcher's window get seqs past the
-// horizon and survive truncation; replaying them onto the snapshot is
-// idempotent. The image is a walk of the owned subtrees, so the global-layer
-// replica costs it nothing.
+// writeSnapshot captures the local-layer image, writes it atomically (tmp +
+// rename + dir sync), and truncates the WAL below its horizon: the sequence
+// number of the newest record the image holds. The image and the tail ticket
+// are taken under one lock, and a record enqueued and applied but not yet
+// flushed is in the image before it has a number, so the horizon is the
+// tail's number once it is durable; without a tail, or when its flush failed,
+// it is the log's, read with the image. The log keeps the horizon record
+// itself, so a log reopened after the truncation numbers on past it.
 func (s *Server) writeSnapshot() error {
 	s.mu.RLock()
+	tail, seq := s.tail, s.wlog.Seq()
 	snap := snapshotState{
-		WALSeq:    s.wlog.Seq(),
 		GLVersion: s.glVersion,
 		Subtrees:  make([]string, 0, len(s.subtrees)),
 		Entries:   s.snapshotEntriesLocked(),
@@ -334,6 +342,12 @@ func (s *Server) writeSnapshot() error {
 		snap.Subtrees = append(snap.Subtrees, root)
 	}
 	s.mu.RUnlock()
+	if tail != nil {
+		if n, err := tail.Wait(); err == nil {
+			seq = n
+		}
+	}
+	snap.WALSeq = seq
 	sort.Strings(snap.Subtrees)
 	sortByPath(snap.Entries)
 	// The access counters have no non-destructive read: take them and put
@@ -368,7 +382,7 @@ func (s *Server) writeSnapshot() error {
 	if err := wal.SyncDir(s.cfg.WALDir); err != nil {
 		return err
 	}
-	if err := s.wlog.TruncateBefore(snap.WALSeq + 1); err != nil {
+	if err := s.wlog.TruncateBefore(snap.WALSeq); err != nil {
 		return err
 	}
 	s.snapshots.Add(1)

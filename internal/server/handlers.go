@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"d2tree/internal/obs"
-	"d2tree/internal/wal"
 	"d2tree/internal/wire"
 )
 
@@ -129,32 +128,63 @@ func (s *Server) dispatch(env *wire.Envelope) (interface{}, string, error) {
 }
 
 // leaseLocked returns the cache lease to stamp on an entry-carrying
-// response and the index version it is keyed to. Callers hold s.mu (either
-// side); counting the grant is left to the caller so redirects and errors
-// never count.
+// response and the index version it is keyed to, and counts the grant.
+// Callers hold s.mu (either side) and call it only when an entry or a match
+// goes out: redirects and errors grant nothing.
 func (s *Server) leaseLocked() (leaseMS, indexVer int64) {
 	if s.cfg.EntryLease > 0 {
 		leaseMS = s.cfg.EntryLease.Milliseconds()
 	}
+	s.leases.Add(1)
 	return leaseMS, s.indexVer
 }
 
-func (s *Server) handleLookup(req *wire.LookupRequest) (*wire.LookupResponse, error) {
-	s.lookups.Add(1)
-	s.hot.Add(req.Path, 1)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if e, _ := s.store.get(req.Path); e != nil {
-		cp := *e
-		leaseMS, ver := s.leaseLocked()
-		s.leases.Add(1)
-		return &wire.LookupResponse{Entry: &cp, LeaseMS: leaseMS, IndexVer: ver}, nil
-	}
-	if addr, ok := s.index.Owner(req.Path); ok && addr != s.Addr() {
+// grantLocked is the result that ships e with the lease it grants.
+func (s *Server) grantLocked(e *wire.Entry) wire.BatchResult {
+	leaseMS, ver := s.leaseLocked()
+	return wire.BatchResult{Entry: e, LeaseMS: leaseMS, IndexVer: ver}
+}
+
+// missLocked answers for a path the store does not hold: the owner to
+// redirect to, or not-found when that is this server.
+func (s *Server) missLocked(path string) (redirect string, err error) {
+	if addr, ok := s.index.Owner(path); ok && addr != s.Addr() {
 		s.redirects.Add(1)
-		return &wire.LookupResponse{Redirect: addr}, nil
+		return addr, nil
 	}
-	return nil, fmt.Errorf("%w: %s", ErrNotFound, req.Path)
+	return "", fmt.Errorf("%w: %s", ErrNotFound, path)
+}
+
+// entryResponse is a single-op answer built from its body's result.
+func entryResponse(res wire.BatchResult, err error) (*wire.EntryResponse, error) {
+	if err != nil {
+		return nil, err
+	}
+	return &wire.EntryResponse{Entry: res.Entry, Redirect: res.Redirect, LeaseMS: res.LeaseMS, IndexVer: res.IndexVer}, nil
+}
+
+// The op bodies below are shared by the single-op handlers and the batch
+// arms (compound.go): each runs under s.mu, returns the result a sub-op
+// carries, and changes journaled state only through commitLocked.
+
+func (s *Server) handleLookup(req *wire.LookupRequest) (*wire.LookupResponse, error) {
+	s.countAccess(req.Path)
+	s.mu.RLock()
+	res, err := s.lookupLocked(req.Path)
+	s.mu.RUnlock()
+	return entryResponse(res, err)
+}
+
+// lookupLocked is the one lookup body. Callers hold s.mu (either side).
+func (s *Server) lookupLocked(path string) (res wire.BatchResult, err error) {
+	s.lookups.Add(1)
+	e, _ := s.store.get(path)
+	if e == nil {
+		res.Redirect, err = s.missLocked(path)
+		return res, err
+	}
+	cp := *e
+	return s.grantLocked(&cp), nil
 }
 
 // handleRevalidate answers the client cache's coherence probe: a version
@@ -163,48 +193,58 @@ func (s *Server) handleLookup(req *wire.LookupRequest) (*wire.LookupResponse, er
 // is re-checked exactly like a lookup so a migrated path redirects instead
 // of false-confirming.
 func (s *Server) handleRevalidate(req *wire.RevalidateRequest) (*wire.RevalidateResponse, error) {
-	s.hot.Add(req.Path, 1)
+	s.countAccess(req.Path)
 	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if e, _ := s.store.get(req.Path); e != nil {
-		leaseMS, ver := s.leaseLocked()
-		s.leases.Add(1)
-		if e.Version == req.Version {
-			s.revalidateHits.Add(1)
-			return &wire.RevalidateResponse{Match: true, LeaseMS: leaseMS, IndexVer: ver}, nil
-		}
-		s.revalidateMisses.Add(1)
-		cp := *e
-		return &wire.RevalidateResponse{Entry: &cp, LeaseMS: leaseMS, IndexVer: ver}, nil
-	}
-	if addr, ok := s.index.Owner(req.Path); ok && addr != s.Addr() {
-		s.redirects.Add(1)
-		return &wire.RevalidateResponse{Redirect: addr}, nil
-	}
-	return nil, fmt.Errorf("%w: %s", ErrNotFound, req.Path)
-}
-
-func (s *Server) handleCreate(env *wire.Envelope, req *wire.CreateRequest) (*wire.CreateResponse, error) {
-	r, err := s.create(env, wire.Entry{Path: req.Path, Kind: req.Kind})
+	res, err := s.revalidateLocked(req.Path, req.Version)
+	s.mu.RUnlock()
 	if err != nil {
 		return nil, err
 	}
-	return &wire.CreateResponse{Entry: r.Entry, Redirect: r.Redirect, LeaseMS: r.LeaseMS, IndexVer: r.IndexVer}, nil
+	return &wire.RevalidateResponse{Match: res.Match, Entry: res.Entry, LeaseMS: res.LeaseMS, IndexVer: res.IndexVer, Redirect: res.Redirect}, nil
 }
 
-// create serves one create outside a batch frame; e carries the requested
-// path, kind and attributes (a plain create is one with zero attributes).
-func (s *Server) create(env *wire.Envelope, e wire.Entry) (wire.BatchResult, error) {
-	if validPath(e.Path) {
-		s.hot.Add(e.Path, 1)
+// revalidateLocked is the one revalidate body. Callers hold s.mu (either
+// side).
+func (s *Server) revalidateLocked(path string, version int64) (res wire.BatchResult, err error) {
+	e, _ := s.store.get(path)
+	switch {
+	case e == nil:
+		res.Redirect, err = s.missLocked(path)
+		return res, err
+	case e.Version == version:
+		s.revalidateHits.Add(1)
+		res = s.grantLocked(nil)
+		res.Match = true
+		return res, nil
 	}
+	s.revalidateMisses.Add(1)
+	cp := *e
+	return s.grantLocked(&cp), nil
+}
+
+func (s *Server) handleCreate(env *wire.Envelope, req *wire.CreateRequest) (*wire.CreateResponse, error) {
+	return entryResponse(s.mutate(env, "create", wire.Entry{Path: req.Path, Kind: req.Kind}))
+}
+
+func (s *Server) handleSetAttr(env *wire.Envelope, req *wire.SetAttrRequest) (*wire.SetAttrResponse, error) {
+	return entryResponse(s.mutate(env, "setattr", wire.Entry{Path: req.Path, Size: req.Size, Mode: req.Mode}))
+}
+
+// mutate serves one create or setattr (op) outside a batch frame; e carries
+// the path and the requested kind and attributes. The body commits under
+// s.mu and the answer waits, after unlocking, until the tail it noted is
+// durable, so the fsync never extends the lock hold. A global-layer path
+// goes to the Monitor instead, once the lock is released.
+func (s *Server) mutate(env *wire.Envelope, op string, e wire.Entry) (wire.BatchResult, error) {
+	s.countAccess(e.Path)
 	s.mu.Lock()
-	res, t, global, err := s.createLocked(e)
+	res, global, err := s.writeLocked(op, e)
+	tail := s.tail
 	s.mu.Unlock()
 	if global {
-		return s.glUpdate(env, "create", e)
+		return s.glUpdate(env, op, e)
 	}
-	s.waitDurable(t)
+	s.waitDurable(tail)
 	return res, err
 }
 
@@ -213,40 +253,72 @@ func validPath(path string) bool {
 	return len(path) > 1 && path[0] == '/'
 }
 
-// createLocked is the one create body under s.mu, shared by the single-op
-// handlers and the batch arms: validation, the exists check, ownership, and
-// for a path this server owns the local-layer commit itself. That commit
+// countAccess counts one access to path toward the popularity the heartbeat
+// reports. The counters have sharded locks of their own: never call it under
+// s.mu.
+func (s *Server) countAccess(path string) {
+	if validPath(path) {
+		s.hot.Add(path, 1)
+	}
+}
+
+// writeLocked runs the create or setattr body. global reports, with nothing
+// changed, that the path belongs to the global layer: the caller goes
+// through glUpdate once the lock is released.
+func (s *Server) writeLocked(op string, e wire.Entry) (res wire.BatchResult, global bool, err error) {
+	if op == "create" {
+		return s.createLocked(e)
+	}
+	return s.setattrLocked(e)
+}
+
+// createLocked is the one create body: validation, the exists check,
+// ownership, and for a path this server owns the local-layer commit, which
 // needs no cluster coordination. The entry carries a lease so the creator
-// can serve its own create from cache (§8b), and the mutation journals
-// inside the critical section (WAL order = commit order) while the caller
-// waits on the ticket after unlocking, so the fsync never extends the lock
-// hold. global reports, with nothing changed, that the path belongs to the
-// global layer: the caller goes through glUpdate once the lock is released.
-func (s *Server) createLocked(e wire.Entry) (res wire.BatchResult, t *wal.Ticket, global bool, err error) {
+// can serve its own create from cache (§8b).
+func (s *Server) createLocked(e wire.Entry) (res wire.BatchResult, global bool, err error) {
 	s.creates.Add(1)
 	if !validPath(e.Path) {
-		return res, nil, false, fmt.Errorf("server: invalid path %q", e.Path)
+		return res, false, fmt.Errorf("server: invalid path %q", e.Path)
 	}
 	if held, _ := s.store.get(e.Path); held != nil {
-		return res, nil, false, fmt.Errorf("%w: %s", ErrExists, e.Path)
+		return res, false, fmt.Errorf("%w: %s", ErrExists, e.Path)
 	}
 	addr, ok := s.index.Owner(e.Path)
 	if !ok {
-		return res, nil, true, nil
+		return res, true, nil
 	}
 	if addr != s.Addr() {
 		s.redirects.Add(1)
 		res.Redirect = addr
-		return res, nil, false, nil
+		return res, false, nil
 	}
 	e.Version = 1
-	s.store.put(e, false)
+	rec := &walEntryRec{op: "create", Entry: e}
+	s.commitLocked(rec)
 	s.newPaths = append(s.newPaths, e)
-	t = s.journalLocked("create", &walEntryRec{Entry: e})
-	res.Entry = &e
-	res.LeaseMS, res.IndexVer = s.leaseLocked()
-	s.leases.Add(1)
-	return res, t, false, nil
+	// The answer shares the record's copy of the entry: nothing writes
+	// either once it is committed.
+	return s.grantLocked(&rec.Entry), false, nil
+}
+
+// setattrLocked is the one setattr body: a local-layer entry takes e's size
+// and mode and its next version. global is as for createLocked.
+func (s *Server) setattrLocked(e wire.Entry) (res wire.BatchResult, global bool, err error) {
+	s.setattrs.Add(1)
+	held, gl := s.store.get(e.Path)
+	switch {
+	case gl:
+		return res, true, nil
+	case held == nil:
+		res.Redirect, err = s.missLocked(e.Path)
+		return res, false, err
+	}
+	rec := &walEntryRec{op: "setattr", Entry: *held}
+	rec.Entry.Size, rec.Entry.Mode = e.Size, e.Mode
+	rec.Entry.Version++
+	s.commitLocked(rec)
+	return s.grantLocked(&rec.Entry), false, nil
 }
 
 // glUpdate is the one global-layer mutation body, op "create" or "setattr":
@@ -272,46 +344,9 @@ func (s *Server) glUpdate(env *wire.Envelope, op string, e wire.Entry) (res wire
 	if resp.GLVersion == s.glVersion+1 {
 		s.glVersion = resp.GLVersion
 	}
-	res.LeaseMS, res.IndexVer = s.leaseLocked()
+	res = s.grantLocked(&resp.Entry)
 	s.mu.Unlock()
-	s.leases.Add(1)
-	res.Entry = &resp.Entry
 	return res, nil
-}
-
-func (s *Server) handleSetAttr(env *wire.Envelope, req *wire.SetAttrRequest) (*wire.SetAttrResponse, error) {
-	s.setattrs.Add(1)
-	s.hot.Add(req.Path, 1)
-	s.mu.Lock()
-	e, gl := s.store.get(req.Path)
-	if e == nil {
-		addr, ok := s.index.Owner(req.Path)
-		s.mu.Unlock()
-		if ok && addr != s.Addr() {
-			s.redirects.Add(1)
-			return &wire.SetAttrResponse{Redirect: addr}, nil
-		}
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, req.Path)
-	}
-	if !gl {
-		// Local-layer update, journaled like the local create.
-		e.Size = req.Size
-		e.Mode = req.Mode
-		e.Version++
-		t := s.journalLocked("setattr", &walEntryRec{Entry: *e})
-		cp := *e
-		leaseMS, ver := s.leaseLocked()
-		s.mu.Unlock()
-		s.waitDurable(t)
-		s.leases.Add(1)
-		return &wire.SetAttrResponse{Entry: &cp, LeaseMS: leaseMS, IndexVer: ver}, nil
-	}
-	s.mu.Unlock()
-	r, err := s.glUpdate(env, "setattr", wire.Entry{Path: req.Path, Size: req.Size, Mode: req.Mode})
-	if err != nil {
-		return nil, err
-	}
-	return &wire.SetAttrResponse{Entry: r.Entry, LeaseMS: r.LeaseMS, IndexVer: r.IndexVer}, nil
 }
 
 func (s *Server) handleReaddir(req *wire.ReaddirRequest) (*wire.ReaddirResponse, error) {
@@ -331,7 +366,6 @@ func (s *Server) handleReaddir(req *wire.ReaddirRequest) (*wire.ReaddirResponse,
 	// Stamp the directory's own version and a lease so the client can at
 	// least renew the parent entry it almost certainly holds cached.
 	leaseMS, ver := s.leaseLocked()
-	s.leases.Add(1)
 	return &wire.ReaddirResponse{Names: names, DirVersion: dir.Version, LeaseMS: leaseMS, IndexVer: ver}, nil
 }
 
@@ -348,11 +382,8 @@ func (s *Server) handleReaddir(req *wire.ReaddirRequest) (*wire.ReaddirResponse,
 func (s *Server) listLocked(path string) (dir *wire.Entry, children []wire.Entry, redirect string, err error) {
 	dir, _ = s.store.get(path)
 	if dir == nil {
-		if addr, ok := s.index.Owner(path); ok && addr != s.Addr() {
-			s.redirects.Add(1)
-			return nil, nil, addr, nil
-		}
-		return nil, nil, "", fmt.Errorf("%w: %s", ErrNotFound, path)
+		redirect, err = s.missLocked(path)
+		return nil, nil, redirect, err
 	}
 	if dir.Kind != wire.EntryDir {
 		return nil, nil, "", fmt.Errorf("server: %s is not a directory", path)
@@ -374,55 +405,43 @@ func (s *Server) listLocked(path string) (dir *wire.Entry, children []wire.Entry
 // Renaming a global-layer path or a subtree root changes the partition
 // itself and is deferred to maintenance (Monitor re-evaluation).
 func (s *Server) handleRename(req *wire.RenameRequest) (*wire.RenameResponse, error) {
-	if !validPath(req.Path) {
-		return nil, fmt.Errorf("server: invalid path %q", req.Path)
-	}
-	if req.NewName == "" || strings.ContainsRune(req.NewName, '/') {
-		return nil, fmt.Errorf("server: invalid new name %q", req.NewName)
-	}
-	s.hot.Add(req.Path, 1)
-	resp, t, err := s.renameAndJournal(req)
-	s.waitDurable(t)
-	return resp, err
+	s.countAccess(req.Path)
+	s.mu.Lock()
+	res, err := s.renameLocked(req.Path, req.NewName)
+	tail := s.tail
+	s.mu.Unlock()
+	s.waitDurable(tail)
+	return entryResponse(res, err)
 }
 
-// renameAndJournal commits the rename under s.mu and enqueues its journal
-// record; the caller waits for durability after the lock is released.
-func (s *Server) renameAndJournal(req *wire.RenameRequest) (*wire.RenameResponse, *wal.Ticket, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, gl := s.store.get(req.Path)
-	if gl {
-		return nil, nil, fmt.Errorf("server: %s is in the global layer; rename requires re-evaluation", req.Path)
+// renameLocked is the one rename body. The record is just the (path,
+// newName) pair: applying it rekeys the node and every descendant.
+func (s *Server) renameLocked(path, newName string) (res wire.BatchResult, err error) {
+	if !validPath(path) {
+		return res, fmt.Errorf("server: invalid path %q", path)
 	}
-	if s.subtrees[req.Path] {
-		return nil, nil, fmt.Errorf("server: %s is a subtree root; rename requires re-evaluation", req.Path)
+	if newName == "" || strings.ContainsRune(newName, '/') {
+		return res, fmt.Errorf("server: invalid new name %q", newName)
 	}
-	if e == nil {
-		if addr, ok := s.index.Owner(req.Path); ok && addr != s.Addr() {
-			s.redirects.Add(1)
-			return &wire.RenameResponse{Redirect: addr}, nil, nil
+	e, gl := s.store.get(path)
+	switch {
+	case gl:
+		return res, fmt.Errorf("server: %s is in the global layer; rename requires re-evaluation", path)
+	case s.subtrees[path]:
+		return res, fmt.Errorf("server: %s is a subtree root; rename requires re-evaluation", path)
+	case e == nil:
+		res.Redirect, err = s.missLocked(path)
+		return res, err
+	}
+	if newPath := path[:strings.LastIndexByte(path, '/')+1] + newName; newPath != path {
+		if held, _ := s.store.get(newPath); held != nil {
+			return res, fmt.Errorf("%w: %s", ErrExists, newPath)
 		}
-		return nil, nil, fmt.Errorf("%w: %s", ErrNotFound, req.Path)
+		s.commitLocked(&walRenameRec{Path: path, NewName: newName})
+		e, _ = s.store.get(newPath)
 	}
-	slash := strings.LastIndexByte(req.Path, '/')
-	newPath := req.Path[:slash+1] + req.NewName
-	if newPath == req.Path {
-		cp := *e
-		leaseMS, ver := s.leaseLocked()
-		s.leases.Add(1)
-		return &wire.RenameResponse{Entry: &cp, LeaseMS: leaseMS, IndexVer: ver}, nil, nil
-	}
-	if held, _ := s.store.get(newPath); held != nil {
-		return nil, nil, fmt.Errorf("%w: %s", ErrExists, newPath)
-	}
-	// Rekey the node and every descendant — the same commit step WAL replay
-	// re-runs, so journaling just the (path, newName) pair suffices.
-	cp := *s.store.rename(req.Path, req.NewName)
-	t := s.journalLocked("rename", &walRenameRec{Path: req.Path, NewName: req.NewName})
-	leaseMS, ver := s.leaseLocked()
-	s.leases.Add(1)
-	return &wire.RenameResponse{Entry: &cp, LeaseMS: leaseMS, IndexVer: ver}, t, nil
+	cp := *e
+	return s.grantLocked(&cp), nil
 }
 
 func (s *Server) handleInstall(env *wire.Envelope, req *wire.InstallRequest) (*wire.LockResponse, error) {
@@ -437,20 +456,18 @@ func (s *Server) handleInstall(env *wire.Envelope, req *wire.InstallRequest) (*w
 		Detail: strconv.Itoa(len(req.Entries)) + " entries",
 	})
 	s.mu.Lock()
-	s.installLocked(req.RootPath, req.Entries)
+	s.commitInstallLocked(req.RootPath, req.Entries)
 	s.index.Set(req.RootPath, s.Addr())
 	// Pin our claim until the Monitor's index confirms it, so a stale
 	// refresh between the install and its commit cannot make us drop the
 	// data we just received.
 	s.overrides[req.RootPath] = &indexOverride{addr: s.Addr(), ttl: 50}
-	tickets := s.journalInstallLocked(req.RootPath, req.Entries)
+	tail := s.tail
 	s.mu.Unlock()
 	// Ack only once the install is durable: the source deletes its copy on
 	// this reply, so a receiver that crashes afterwards must be able to
 	// replay the subtree.
-	for _, t := range tickets {
-		s.waitDurable(t)
-	}
+	s.waitDurable(tail)
 	return &wire.LockResponse{Granted: true}, nil
 }
 
@@ -463,14 +480,13 @@ func (s *Server) handleInstall(env *wire.Envelope, req *wire.InstallRequest) (*w
 func (s *Server) handleUninstall(req *wire.UninstallRequest) (*wire.LockResponse, error) {
 	s.mu.Lock()
 	held := s.subtrees[req.RootPath]
-	var t *wal.Ticket
 	if held {
-		s.dropSubtreeLocked(req.RootPath)
-		t = s.journalLocked("remove", &walSubtreeRec{Root: req.RootPath})
+		s.commitLocked(&walSubtreeRec{op: "remove", Root: req.RootPath})
 	}
 	delete(s.overrides, req.RootPath)
+	tail := s.tail
 	s.mu.Unlock()
-	s.waitDurable(t)
+	s.waitDurable(tail)
 	if held {
 		s.rec.Record(obs.Event{
 			Kind:   obs.KindMigration,

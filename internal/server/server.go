@@ -125,6 +125,11 @@ type Server struct {
 	// authoritative namespace copy converges (bounding what a failover
 	// push can miss to one heartbeat window).
 	newPaths []wire.Entry
+	// tail is the ticket of the newest journaled record (commitLocked). A
+	// blocking handler notes it under mu and waits on it after unlocking.
+	tail *wal.Ticket
+	// applied, when set (tests), runs under mu after every applied record.
+	applied func()
 
 	ops              atomic.Int64
 	lastHeartbeatOps int64 // guarded by mu; for recent-load reporting
@@ -233,9 +238,9 @@ func (s *Server) Start() error {
 	return nil
 }
 
-// join registers with the Monitor over mon and installs its answer. It
-// records one "joined" event: how long the join call took, how many entries
-// were installed and how long installing them took.
+// join registers with the Monitor over mon and installs its answer, durably
+// when journaled. It records one "joined" event: how long the join call
+// took, how many entries were installed and how long installing them took.
 func (s *Server) join(mon *wire.RetryingConn) error {
 	start := time.Now()
 	var join wire.JoinResponse
@@ -246,7 +251,9 @@ func (s *Server) join(mon *wire.RetryingConn) error {
 	s.mu.Lock()
 	s.mon = mon
 	installed := s.applyJoinLocked(&join)
+	tail := s.tail
 	s.mu.Unlock()
+	s.waitDurable(tail)
 	end := time.Now()
 	s.rec.RecordAt(end, obs.Event{
 		Kind: obs.KindCluster,
@@ -292,10 +299,9 @@ func (s *Server) closeJournal() {
 // applyJoinLocked installs a JoinResponse: identity, the global-layer
 // replica, assigned subtrees, and the index. Subtree roots the server
 // claimed (its current holdings) but the Monitor did not adopt belong to a
-// live owner elsewhere: they are dropped — and the drop journaled — before
-// the assigned subtrees install, so a recovered-but-reassigned root can
-// never be served from two places. It returns the number of entries it
-// installed. Callers hold s.mu.
+// live owner elsewhere: they are removed before the assigned subtrees
+// install, so a recovered-but-reassigned root can never be served from two
+// places. It returns the number of entries it installed. Callers hold s.mu.
 func (s *Server) applyJoinLocked(join *wire.JoinResponse) int {
 	s.id = join.ServerID
 	s.rec.SetNode("mds-" + strconv.Itoa(join.ServerID))
@@ -307,8 +313,7 @@ func (s *Server) applyJoinLocked(join *wire.JoinResponse) int {
 	}
 	for root := range s.subtrees {
 		if !adopted[root] {
-			s.dropSubtreeLocked(root)
-			_ = s.journalLocked("remove", &walSubtreeRec{Root: root})
+			s.commitLocked(&walSubtreeRec{op: "remove", Root: root})
 		}
 	}
 	installed := len(join.GlobalLayer)
@@ -318,11 +323,9 @@ func (s *Server) applyJoinLocked(join *wire.JoinResponse) int {
 	s.store.reserve(installed)
 	s.store.replaceGL(join.GlobalLayer)
 	for _, st := range join.Subtrees {
-		if len(st) == 0 {
-			continue
+		if len(st) > 0 {
+			s.commitInstallLocked(st[0].Path, st)
 		}
-		s.installLocked(st[0].Path, st)
-		_ = s.journalInstallLocked(st[0].Path, st)
 	}
 	s.index = rootindex.New(join.Index)
 	return installed
@@ -513,7 +516,6 @@ func (s *Server) rejoin() bool {
 }
 
 func (s *Server) applyHeartbeat(resp *wire.HeartbeatResponse) {
-	var tickets []*wal.Ticket
 	s.mu.Lock()
 	if len(resp.GlobalLayer) > 0 {
 		s.store.replaceGL(resp.GlobalLayer)
@@ -537,23 +539,21 @@ func (s *Server) applyHeartbeat(resp *wire.HeartbeatResponse) {
 		}
 		// Reconcile ownership with the fresh index: subtrees the Monitor
 		// reassigned elsewhere (e.g. after a global-layer re-evaluation)
-		// are dropped — and the drop journaled, so a restart cannot
-		// resurrect a claim to data that now lives elsewhere; their new
-		// owners receive Installs from the Monitor.
+		// are removed, so a restart cannot resurrect a claim to data that
+		// now lives elsewhere; their new owners receive Installs from the
+		// Monitor.
 		self := s.Addr()
 		for root := range s.subtrees {
 			if owner, ok := s.index.Get(root); ok && owner != self {
-				s.dropSubtreeLocked(root)
-				tickets = append(tickets, s.journalLocked("remove", &walSubtreeRec{Root: root}))
+				s.commitLocked(&walSubtreeRec{op: "remove", Root: root})
 			}
 		}
 	}
 	s.indexVer = resp.IndexVer
 	transfers := resp.Transfers
+	tail := s.tail
 	s.mu.Unlock()
-	for _, t := range tickets {
-		s.waitDurable(t)
-	}
+	s.waitDurable(tail)
 
 	for _, cmd := range transfers {
 		s.executeTransfer(cmd)
@@ -603,17 +603,17 @@ func (s *Server) executeTransfer(cmd wire.TransferCommand) {
 	// this point (DESIGN.md §10); it is counted so the loss is visible.
 	s.mu.Lock()
 	raced := s.unshippedLocked(cmd.RootPath, entries)
-	s.dropSubtreeLocked(cmd.RootPath)
+	s.commitLocked(&walSubtreeRec{op: "remove", Root: cmd.RootPath})
 	s.index.Set(cmd.RootPath, cmd.DestAddr)
 	s.overrides[cmd.RootPath] = &indexOverride{addr: cmd.DestAddr, ttl: 50}
-	removeTicket := s.journalLocked("remove", &walSubtreeRec{Root: cmd.RootPath})
+	tail := s.tail
 	mon := s.mon
 	id := s.id
 	s.mu.Unlock()
 	// The removal must be durable before TransferDone commits ownership to
 	// the destination: a source that crashes past this point replays the
 	// remove and cannot re-claim the subtree it shipped away.
-	s.waitDurable(removeTicket)
+	s.waitDurable(tail)
 	if raced > 0 {
 		s.rec.Record(obs.Event{
 			Kind:   obs.KindMigration,
@@ -754,9 +754,10 @@ func (s *Server) unshippedLocked(root string, shipped []wire.Entry) int {
 	return n + len(versions)
 }
 
-// installLocked takes ownership of the subtree at root and stores its
-// entries. An installed path belongs to the local layer from now on, even
-// one the global-layer replica held before a re-evaluation demoted it.
+// installLocked applies an install: it takes ownership of the subtree at
+// root and stores its entries. An installed path belongs to the local layer
+// from now on, even one the global-layer replica held before a re-evaluation
+// demoted it.
 func (s *Server) installLocked(root string, entries []wire.Entry) {
 	s.subtrees[root] = true
 	for _, e := range entries {
@@ -764,7 +765,8 @@ func (s *Server) installLocked(root string, entries []wire.Entry) {
 	}
 }
 
-// dropSubtreeLocked forgets an owned subtree and its local-layer entries.
+// dropSubtreeLocked applies a remove: it forgets an owned subtree and its
+// local-layer entries.
 func (s *Server) dropSubtreeLocked(root string) {
 	delete(s.subtrees, root)
 	s.store.dropSubtree(root)

@@ -192,9 +192,10 @@ func (st *store) walk(root string, fn func(e *wire.Entry, gl bool)) {
 
 // rename moves the entry at path and every entry beneath it to the sibling
 // name newName, bumping the version of each, and returns the moved entry. It
-// returns nil and changes nothing when path holds no entry, which makes a
-// WAL replay of a rename that already happened a no-op. Only the moved
-// entries are touched, so the cost is the size of the subtree.
+// returns nil and changes nothing when path holds no entry; the one caller,
+// applyLocked, gets a rename record only for a path the live body found held,
+// and recovery applies each record once over the state before it. Only the
+// moved entries are touched, so the cost is the size of the subtree.
 func (st *store) rename(path, newName string) *wire.Entry {
 	top := st.nodes[path]
 	if top == nil || !top.present {
