@@ -61,9 +61,12 @@ bench-index:
 # Monitor's heartbeat p99, records per fsync), and a cold start (snapshot
 # read, split, two joins, a 64-path probe, in ms each). For numbers: -cpu 1
 # -benchtime 2000x; for the journal rung, -bench GLUpdateJournaled
-# -benchtime 2s; for the cold start, -bench ColdStart -cpu 1 -benchtime 20x.
+# -benchtime 2s; for the cold start (the join call and the install apart,
+# and the bytes of both join answers), -bench ColdStart -cpu 1 -benchtime
+# 20x. SubtreeEntries is the Monitor building the subtrees the second MDS
+# joins with (roots, nodes, encoded bytes).
 bench-wire:
-	$(GO) test -run '^$$' -bench 'FrameRoundTrip|ReaddirPlusCodec|EchoInproc|SetAttrInproc|GLUpdateJournaled|ColdStart' -benchtime 1x ./internal/wire/ ./internal/server/
+	$(GO) test -run '^$$' -bench 'FrameRoundTrip|ReaddirPlusCodec|EchoInproc|SetAttrInproc|GLUpdateJournaled|ColdStart|SubtreeEntries' -benchtime 1x ./internal/wire/ ./internal/server/ ./internal/monitor/
 
 # The full gate: what ci.sh runs.
 check: build lint race-obs race-rpc race bench-test bench-index bench-wire

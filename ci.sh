@@ -51,8 +51,9 @@ go test -run '^$' -bench 'ReaddirPlus(Store|Index)Size|ClientReaddirPlus|LookupH
 # ReaddirPlus response through the codec, a lookup over loopback through
 # Conn.Call and the serving loop, a setattr through a client, an in-process
 # MDS and the Monitor, global-layer setattrs with the Monitor's journal off
-# and on, and a cold start from the binary namespace snapshot.
-go test -run '^$' -bench 'FrameRoundTrip|ReaddirPlusCodec|EchoInproc|SetAttrInproc|GLUpdateJournaled|ColdStart' -benchtime 1x ./internal/wire/ ./internal/server/
+# and on, a cold start from the binary namespace snapshot, and the Monitor
+# building the subtrees a join ships.
+go test -run '^$' -bench 'FrameRoundTrip|ReaddirPlusCodec|EchoInproc|SetAttrInproc|GLUpdateJournaled|ColdStart|SubtreeEntries' -benchtime 1x ./internal/wire/ ./internal/server/ ./internal/monitor/
 
 # Ten seconds of fuzzing the frame decoder: every input either fails cleanly
 # or is a frame that encodes back to the bytes it was read from.
@@ -61,6 +62,12 @@ go test -run '^$' -fuzz '^FuzzDecodeFrame$' -fuzztime 10s ./internal/wire
 # And ten of the namespace snapshot reader: no panic, allocation bounded by
 # the input, and an accepted snapshot writes back to the same bytes.
 go test -run '^$' -fuzz '^FuzzReadSnapshot$' -fuzztime 10s ./internal/namespace
+
+# And ten of the subtree decoder (joins, installs, install records): no
+# panic, allocation bounded by the input, every parent before its node and
+# every name one AddChild takes, and an accepted subtree re-encodes to the
+# same bytes.
+go test -run '^$' -fuzz '^FuzzDecodeSubtree$' -fuzztime 10s ./internal/wire
 
 # bench/ is a module of its own, so the ./... patterns above do not descend
 # into it: vet and test the benchmark harness too.

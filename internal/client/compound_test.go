@@ -454,10 +454,10 @@ func TestListingAcrossTheCutWhileIndexChanges(t *testing.T) {
 	}
 	defer func() { _ = conn.Close() }()
 	var ack wire.LockResponse
-	if err := conn.Call(wire.TypeInstall, &wire.InstallRequest{RootPath: fresh, Entries: []wire.Entry{
-		{Path: fresh, Kind: wire.EntryDir, Version: 1},
-		{Path: fresh + "/f", Kind: wire.EntryFile, Version: 1},
-	}}, &ack); err != nil {
+	if err := conn.Call(wire.TypeInstall, &wire.InstallRequest{Tree: wire.Subtree{Path: fresh, Nodes: []wire.SubtreeNode{
+		{Kind: wire.EntryDir, Version: 1},
+		{Kind: wire.EntryFile, Name: "f", Version: 1},
+	}}}, &ack); err != nil {
 		t.Fatal(err)
 	}
 	entries, names = listFrom(t, other, dir)

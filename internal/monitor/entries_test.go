@@ -1,8 +1,10 @@
 package monitor
 
 import (
+	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"d2tree/internal/namespace"
@@ -35,9 +37,26 @@ func parentEntryFor(t *namespace.Tree, n *namespace.Node) wire.Entry {
 	return wire.Entry{Path: t.Path(n), Kind: kind, Version: 1}
 }
 
+// treeEntries spells a subtree out as entries by full path, sorted.
+func treeEntries(t wire.Subtree) []wire.Entry {
+	if len(t.Nodes) == 0 {
+		return nil
+	}
+	out := make([]wire.Entry, len(t.Nodes))
+	for i, n := range t.Nodes {
+		out[i] = wire.Entry{Path: t.Path, Kind: n.Kind, Size: n.Size, Mode: n.Mode, Version: n.Version}
+		if i > 0 {
+			out[i].Path = strings.TrimSuffix(out[n.Parent].Path, "/") + "/" + n.Name
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
+	return out
+}
+
 // TestSubtreeEntriesMatchParent: for every subtree root of seeded LMBE, RA
-// and DTR namespaces, after local-layer creates were mirrored in, the entries
-// a join or failover push ships are the ones the parent's build shipped.
+// and DTR namespaces, after local-layer creates were mirrored in, the
+// subtree a join or failover push ships holds the entries the parent's
+// build shipped, and a join ships its roots' subtrees in root order.
 func TestSubtreeEntriesMatchParent(t *testing.T) {
 	for _, p := range []trace.Profile{trace.LMBE(), trace.RA(), trace.DTR()} {
 		t.Run(p.Name, func(t *testing.T) {
@@ -65,9 +84,20 @@ func TestSubtreeEntriesMatchParent(t *testing.T) {
 				{Path: roots[0] + "/new-dir", Kind: wire.EntryDir},
 			}})
 			for _, root := range append(roots, "/", "/no/such/root") {
-				got, want := m.subtreeEntriesLocked(root), parentSubtreeEntries(m, root)
-				if !reflect.DeepEqual(got, want) {
+				tree := m.subtreeLocked(root)
+				if got, want := treeEntries(tree), parentSubtreeEntries(m, root); tree.Path != root || !reflect.DeepEqual(got, want) {
 					t.Fatalf("%s: %d entries, the parent's build %d, or they differ", root, len(got), len(want))
+				}
+			}
+			shuffled := append([]string{"/no/such/root"}, roots...)
+			rand.New(rand.NewSource(1)).Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+			trees := m.subtreesLocked(shuffled)
+			if len(trees) != len(roots) {
+				t.Fatalf("%d trees for %d roots", len(trees), len(roots))
+			}
+			for i, tree := range trees {
+				if tree.Path != roots[i] || !reflect.DeepEqual(treeEntries(tree), parentSubtreeEntries(m, roots[i])) {
+					t.Fatalf("join tree %d is %s, or differs from the parent's build of %s", i, tree.Path, roots[i])
 				}
 			}
 		})
@@ -95,16 +125,18 @@ func BenchmarkSubtreeEntries(b *testing.B) {
 			roots = append(roots, root)
 		}
 	}
-	sort.Strings(roots)
-	entries := 0
+	var trees []wire.Subtree
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		entries = 0
-		for _, root := range roots {
-			entries += len(m.subtreeEntriesLocked(root))
-		}
+		trees = m.subtreesLocked(roots)
 	}
-	b.ReportMetric(float64(len(roots)), "roots")
-	b.ReportMetric(float64(entries), "entries")
+	b.StopTimer()
+	nodes := 0
+	for _, t := range trees {
+		nodes += len(t.Nodes)
+	}
+	b.ReportMetric(float64(len(trees)), "roots")
+	b.ReportMetric(float64(nodes), "entries")
+	b.ReportMetric(float64(len(wire.AppendSubtrees(nil, trees))), "bytes")
 }

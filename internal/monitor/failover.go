@@ -1,10 +1,8 @@
 package monitor
 
 import (
-	"slices"
 	"sort"
 	"strconv"
-	"strings"
 	"time"
 
 	"d2tree/internal/core"
@@ -117,7 +115,7 @@ func (m *Monitor) reissueStaleLocked(now time.Time) {
 // index. Callers hold m.mu.
 func (m *Monitor) recoverSubtreeLocked(rootPath string, destID int, destAddr string) {
 	m.inFlight[rootPath] = flight{dest: destID}
-	entries := m.subtreeEntriesLocked(rootPath)
+	tree := m.subtreeLocked(rootPath)
 	reqID := m.migIDForLocked(rootPath)
 	m.rec.Record(obs.Event{
 		Kind:   obs.KindMigration,
@@ -129,7 +127,7 @@ func (m *Monitor) recoverSubtreeLocked(rootPath string, destID int, destAddr str
 	m.wg.Add(1)
 	go func() {
 		defer m.wg.Done()
-		err := callMDS(destAddr, wire.TypeInstall, &wire.InstallRequest{RootPath: rootPath, Entries: entries})
+		err := callMDS(destAddr, wire.TypeInstall, &wire.InstallRequest{Tree: tree})
 		m.mu.Lock()
 		defer m.mu.Unlock()
 		if f, moving := m.inFlight[rootPath]; !moving || f.dest != destID {
@@ -181,14 +179,14 @@ func (m *Monitor) recoverSubtreeLocked(rootPath string, destID int, destAddr str
 	}()
 }
 
-// pushSubtreeLocked installs a subtree's entries onto the destination MDS
-// directly from the monitor's authoritative copy. Callers hold m.mu.
+// pushSubtreeLocked installs a subtree onto the destination MDS directly
+// from the monitor's authoritative copy. Callers hold m.mu.
 func (m *Monitor) pushSubtreeLocked(rootPath, destAddr string) {
-	entries := m.subtreeEntriesLocked(rootPath)
+	req := &wire.InstallRequest{Tree: m.subtreeLocked(rootPath)}
 	m.wg.Add(1)
 	go func() {
 		defer m.wg.Done()
-		_ = callMDS(destAddr, wire.TypeInstall, &wire.InstallRequest{RootPath: rootPath, Entries: entries})
+		_ = callMDS(destAddr, wire.TypeInstall, req)
 	}()
 }
 
@@ -204,32 +202,57 @@ func callMDS(addr, op string, req interface{}) error {
 	return conn.Call(op, req, nil)
 }
 
-// subtreeEntriesLocked materialises a subtree's entries from the
-// authoritative tree, sorted by path (the root's first). One pre-order walk
-// makes each path from its parent's. Callers hold m.mu.
-func (m *Monitor) subtreeEntriesLocked(rootPath string) []wire.Entry {
-	n, err := m.tree.Lookup(rootPath)
-	if err != nil {
-		return nil
+// subtreeLocked is the subtree at rootPath as the authoritative tree holds
+// it, with no nodes when the tree has no such path. Callers hold m.mu.
+func (m *Monitor) subtreeLocked(rootPath string) wire.Subtree {
+	t := wire.Subtree{Path: rootPath}
+	if n, err := m.tree.Lookup(rootPath); err == nil {
+		t.Nodes = appendTree(make([]wire.SubtreeNode, 0, m.tree.SubtreeSize(n)), n)
 	}
-	out := appendSubtree(make([]wire.Entry, 0, m.tree.SubtreeSize(n)), m.tree.Path(n), n)
-	slices.SortFunc(out, func(a, b wire.Entry) int { return strings.Compare(a.Path, b.Path) })
-	return out
+	return t
 }
 
-// appendSubtree appends the entries of n, at path, and of its descendants,
-// each directory's children in name order. That is path order except where a
-// name sorts below '/' after a sibling it extends ("a.txt" after "a/b"), so
-// the sort that follows has little left to move.
-func appendSubtree(out []wire.Entry, path string, n *namespace.Node) []wire.Entry {
-	out = append(out, entryFor(path, n))
-	if path == "/" {
-		path = ""
+// subtreesLocked is the subtrees at roots, in root order, leaving out a root
+// the tree has no path for. One pre-order walk per root writes the nodes
+// into one slice, sized by a counting walk first: no path is built and
+// nothing is sorted but the roots. Callers hold m.mu.
+func (m *Monitor) subtreesLocked(roots []string) []wire.Subtree {
+	sort.Strings(roots)
+	trees := make([]wire.Subtree, 0, len(roots))
+	tops := make([]*namespace.Node, 0, len(roots))
+	size := 0
+	for _, root := range roots {
+		if n, err := m.tree.Lookup(root); err == nil {
+			trees = append(trees, wire.Subtree{Path: root})
+			tops = append(tops, n)
+			size += m.tree.SubtreeSize(n)
+		}
 	}
-	kids := n.Children()
-	slices.SortFunc(kids, func(a, b *namespace.Node) int { return strings.Compare(a.Name(), b.Name()) })
-	for _, c := range kids {
-		out = appendSubtree(out, path+"/"+c.Name(), c)
+	nodes := make([]wire.SubtreeNode, 0, size)
+	for i, n := range tops {
+		start := len(nodes)
+		nodes = appendTree(nodes, n)
+		trees[i].Nodes = nodes[start:len(nodes):len(nodes)]
 	}
-	return out
+	return trees
+}
+
+// appendTree appends n as a subtree's root, then every node beneath it in
+// pre-order, each with the index of its parent counted from the root's.
+func appendTree(nodes []wire.SubtreeNode, n *namespace.Node) []wire.SubtreeNode {
+	base := len(nodes)
+	return appendChildren(append(nodes, wire.SubtreeNode{Kind: kindOf(n), Version: 1}), base, n)
+}
+
+// appendChildren appends the nodes beneath n, the last node appended.
+func appendChildren(nodes []wire.SubtreeNode, base int, n *namespace.Node) []wire.SubtreeNode {
+	parent := len(nodes) - 1 - base
+	n.EachChild(func(c *namespace.Node) bool {
+		nodes = append(nodes, wire.SubtreeNode{Parent: parent, Kind: kindOf(c), Name: c.Name(), Version: 1})
+		if c.NumChildren() > 0 {
+			nodes = appendChildren(nodes, base, c)
+		}
+		return true
+	})
+	return nodes
 }

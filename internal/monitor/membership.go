@@ -70,22 +70,17 @@ func (m *Monitor) joinLocked(req *wire.JoinRequest) (*wire.JoinResponse, error) 
 	// recovery push in flight stay out: the push's destination is about to
 	// commit as their owner, and advertising or materialising them on the
 	// joiner would leave one root served from two places.
-	resp := &wire.JoinResponse{ServerID: id, GlobalLayer: m.glSnapshotLocked()}
+	var ship []string
 	for root, owner := range m.subtreeOwner {
 		if _, moving := m.inFlight[root]; owner != id || moving {
 			continue
 		}
 		m.index[root] = req.Addr
-		if adopted[root] {
-			continue
-		}
-		if entries := m.subtreeEntriesLocked(root); len(entries) > 0 {
-			resp.Subtrees = append(resp.Subtrees, entries)
+		if !adopted[root] {
+			ship = append(ship, root)
 		}
 	}
-	sort.Slice(resp.Subtrees, func(i, j int) bool {
-		return resp.Subtrees[i][0].Path < resp.Subtrees[j][0].Path
-	})
+	resp := &wire.JoinResponse{ServerID: id, GlobalLayer: m.glSnapshotLocked(), Trees: m.subtreesLocked(ship)}
 	m.indexVer++
 	resp.GLVersion, resp.IndexVer, resp.Index = m.glVersion, m.indexVer, maps.Clone(m.index)
 	for root := range adopted {

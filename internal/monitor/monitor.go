@@ -222,11 +222,14 @@ func New(t *namespace.Tree, cfg Config) (*Monitor, error) {
 
 // entryFor is the entry the Monitor materialises for n, at path.
 func entryFor(path string, n *namespace.Node) wire.Entry {
-	kind := wire.EntryDir
-	if !n.IsDir() {
-		kind = wire.EntryFile
+	return wire.Entry{Path: path, Kind: kindOf(n), Version: 1}
+}
+
+func kindOf(n *namespace.Node) wire.EntryKind {
+	if n.IsDir() {
+		return wire.EntryDir
 	}
-	return wire.Entry{Path: path, Kind: kind, Version: 1}
+	return wire.EntryFile
 }
 
 // Start begins listening and serving.

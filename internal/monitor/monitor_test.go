@@ -104,7 +104,7 @@ func TestJoinAssignsSequentialIDs(t *testing.T) {
 		t.Errorf("want ErrClusterFull, got %v", err)
 	}
 	// Every subtree appears in exactly one join response.
-	total := len(r0.Subtrees) + len(r1.Subtrees)
+	total := len(r0.Trees) + len(r1.Trees)
 	if total != len(m.subtreeOwner) {
 		t.Errorf("subtrees delivered %d, want %d", total, len(m.subtreeOwner))
 	}
@@ -698,9 +698,9 @@ func TestJoinAdoptsRecoveredSubtrees(t *testing.T) {
 	if len(resp.AdoptedSubtrees) != 1 || resp.AdoptedSubtrees[0] != claim {
 		t.Fatalf("AdoptedSubtrees = %v, want [%s]", resp.AdoptedSubtrees, claim)
 	}
-	for _, st := range resp.Subtrees {
-		if st[0].Path == claim {
-			t.Errorf("adopted subtree %s was re-materialised in Subtrees", claim)
+	for _, st := range resp.Trees {
+		if st.Path == claim {
+			t.Errorf("adopted subtree %s was re-materialised in Trees", claim)
 		}
 	}
 

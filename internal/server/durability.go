@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/base64"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -92,24 +93,153 @@ type walRenameRec struct {
 	NewName string `json:"newName"`
 }
 
-// walSubtreeRec is an install (op; with entries, chunked under
-// MaxRecordSize) or a remove (root only) of an owned subtree.
-type walSubtreeRec struct {
-	Root    string       `json:"root"`
-	Entries []wire.Entry `json:"entries,omitempty"`
-	op      string
+// walInstallRec is one chunk of an install (installRecords): it takes
+// ownership of the subtree roots Roots and stores the nodes of Trees, at
+// most installChunk of them. A subtree cut between chunks goes on in the
+// next as subtrees rooted where the cut left it, so each record applies on
+// its own. It is logged as {"roots":[…],"trees":"…"}, the trees in their
+// wire encoding (wire.AppendSubtrees), base64 as encoding/json writes bytes.
+type walInstallRec struct {
+	Roots []string
+	Trees []wire.Subtree
 }
 
-func (r *walEntryRec) recType() string   { return r.op }
-func (*walRenameRec) recType() string    { return "rename" }
-func (r *walSubtreeRec) recType() string { return r.op }
+// AppendJSON makes the record a wal.Appender.
+func (r *walInstallRec) AppendJSON(b []byte) []byte {
+	b = append(b, `{"roots":[`...)
+	for i, root := range r.Roots {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = appendJSONString(b, root)
+	}
+	b = append(b, `],"trees":"`...)
+	b = base64.StdEncoding.AppendEncode(b, wire.AppendSubtrees(nil, r.Trees))
+	return append(b, `"}`...)
+}
+
+// MarshalJSON writes what AppendJSON does.
+func (r *walInstallRec) MarshalJSON() ([]byte, error) { return r.AppendJSON(nil), nil }
+
+// UnmarshalJSON reads what AppendJSON writes.
+func (r *walInstallRec) UnmarshalJSON(data []byte) error {
+	var raw struct {
+		Roots []string `json:"roots"`
+		Trees []byte   `json:"trees"`
+	}
+	if err := json.Unmarshal(data, &raw); err != nil {
+		return err
+	}
+	trees, err := wire.DecodeSubtrees(raw.Trees)
+	if err != nil {
+		return err
+	}
+	r.Roots, r.Trees = raw.Roots, trees
+	return nil
+}
+
+// legacyInstallRec is the install record as it was written before installs
+// were journaled as trees: one owned root and entries by full path. Replay
+// reads it as the walInstallRec it stands for (install).
+type legacyInstallRec struct {
+	Root    string       `json:"root"`
+	Entries []wire.Entry `json:"entries,omitempty"`
+}
+
+// install is r as a walInstallRec: the root, and each entry as a subtree of
+// one node at its own path, put in the order it was logged.
+func (r *legacyInstallRec) install() *walInstallRec {
+	rec := &walInstallRec{Roots: []string{r.Root}, Trees: make([]wire.Subtree, len(r.Entries))}
+	nodes := make([]wire.SubtreeNode, len(r.Entries))
+	for i, e := range r.Entries {
+		nodes[i] = wire.SubtreeNode{Kind: e.Kind, Size: e.Size, Mode: e.Mode, Version: e.Version}
+		rec.Trees[i] = wire.Subtree{Path: e.Path, Nodes: nodes[i : i+1 : i+1]}
+	}
+	return rec
+}
+
+// walRemoveRec forgets an owned subtree and its local-layer entries.
+type walRemoveRec struct {
+	Root string `json:"root"`
+}
+
+func (r *walEntryRec) recType() string { return r.op }
+func (*walRenameRec) recType() string  { return "rename" }
+func (*walInstallRec) recType() string { return "install_trees" }
+func (*walRemoveRec) recType() string  { return "remove" }
+
+// A legacy install is never applied or logged as such: replay reads it and
+// applies its install().
+func (*legacyInstallRec) recType() string { return "install" }
 
 // The snapshot image is applied as a record that is never logged.
 func (*snapshotState) recType() string { return "snapshot" }
 
-// installChunk bounds entries per install record so a large subtree ships
-// as several records instead of tripping wal.MaxRecordSize.
+// installChunk bounds the nodes of one install record, so a large install
+// is journaled as several records instead of tripping wal.MaxRecordSize.
 const installChunk = 2048
+
+// installRecords cuts the install of trees, each to be owned at its root,
+// into records of at most installChunk nodes, in order. A tree that does not
+// fit in the room left is cut: its root goes in the record that holds its
+// first node, and each run of the rest whose parent lies before the cut, or
+// before the run, starts a subtree of its own at its full path, so the path
+// of every node can still be built from the record alone. A tree with no
+// nodes gives its root to a record all the same.
+func installRecords(trees []wire.Subtree) []*walInstallRec {
+	var recs []*walInstallRec
+	rec, room := &walInstallRec{}, installChunk
+	next := func() {
+		recs = append(recs, rec)
+		rec, room = &walInstallRec{}, installChunk
+	}
+	for _, t := range trees {
+		if room == 0 {
+			next()
+		}
+		rec.Roots = append(rec.Roots, t.Path)
+		head := min(len(t.Nodes), room)
+		if head > 0 {
+			rec.Trees = append(rec.Trees, wire.Subtree{Path: t.Path, Nodes: t.Nodes[:head:head]})
+			room -= head
+		}
+		run := -1 // the index in t.Nodes of the root of the subtree being filled
+		for i := head; i < len(t.Nodes); i++ {
+			if room == 0 {
+				next()
+				run = -1
+			}
+			n := t.Nodes[i]
+			if run < 0 || n.Parent < run {
+				run = i
+				rec.Trees = append(rec.Trees, wire.Subtree{Path: nodePath(t, i)})
+				n.Parent, n.Name = 0, ""
+			} else {
+				n.Parent -= run
+			}
+			last := &rec.Trees[len(rec.Trees)-1]
+			last.Nodes = append(last.Nodes, n)
+			room--
+		}
+	}
+	if len(rec.Roots) > 0 || len(rec.Trees) > 0 {
+		recs = append(recs, rec)
+	}
+	return recs
+}
+
+// nodePath spells out the full path of t.Nodes[i].
+func nodePath(t wire.Subtree, i int) string {
+	var names []string
+	for ; i > 0; i = t.Nodes[i].Parent {
+		names = append(names, t.Nodes[i].Name)
+	}
+	path := t.Path
+	for k := len(names) - 1; k >= 0; k-- {
+		path = childPath(path, names[k])
+	}
+	return path
+}
 
 // snapshotState is the periodic namespace snapshot (snapshot.json): the
 // local-layer image holding every record up to WALSeq and none after it. GL
@@ -210,13 +340,20 @@ func (s *Server) applyWALRecord(rec wal.Record) error {
 		r = &walEntryRec{op: rec.Type}
 	case "rename":
 		r = &walRenameRec{}
-	case "install", "remove":
-		r = &walSubtreeRec{op: rec.Type}
+	case "install_trees":
+		r = &walInstallRec{}
+	case "install":
+		r = &legacyInstallRec{}
+	case "remove":
+		r = &walRemoveRec{}
 	default:
 		return nil
 	}
 	if err := json.Unmarshal(rec.Data, r); err != nil {
 		return fmt.Errorf("server: wal record %d: %w", rec.Seq, err)
+	}
+	if old, ok := r.(*legacyInstallRec); ok {
+		r = old.install()
 	}
 	s.mu.Lock()
 	s.applyLocked(r)
@@ -231,12 +368,16 @@ func (s *Server) applyLocked(rec record) {
 		s.store.put(r.Entry, false)
 	case *walRenameRec:
 		s.store.rename(r.Path, r.NewName)
-	case *walSubtreeRec:
-		if r.op == "remove" {
-			s.dropSubtreeLocked(r.Root)
-		} else {
-			s.installLocked(r.Root, r.Entries)
+	case *walInstallRec:
+		// An installed path belongs to the local layer from now on, even one
+		// the global-layer replica held before a re-evaluation demoted it.
+		for _, root := range r.Roots {
+			s.subtrees[root] = true
 		}
+		s.store.graft(r.Trees)
+	case *walRemoveRec:
+		delete(s.subtrees, r.Root)
+		s.store.dropSubtree(r.Root)
 	case *snapshotState:
 		for _, root := range r.Subtrees {
 			s.subtrees[root] = true
@@ -262,11 +403,11 @@ func (s *Server) commitLocked(rec record) {
 	s.applyLocked(rec)
 }
 
-// commitInstallLocked takes ownership of the subtree at root in install
-// records of at most installChunk entries.
-func (s *Server) commitInstallLocked(root string, entries []wire.Entry) {
-	for off := 0; off == 0 || off < len(entries); off += installChunk {
-		s.commitLocked(&walSubtreeRec{op: "install", Root: root, Entries: entries[off:min(off+installChunk, len(entries))]})
+// commitInstallLocked takes ownership of trees, each at its root, in the
+// install records installRecords cuts them into.
+func (s *Server) commitInstallLocked(trees []wire.Subtree) {
+	for _, rec := range installRecords(trees) {
+		s.commitLocked(rec)
 	}
 }
 

@@ -235,9 +235,12 @@ func BenchmarkGLUpdateJournaled(b *testing.B) {
 // BenchmarkColdStart is a cluster boot in one process, phase by phase, over
 // the benchmark's namespace (20k-node LMBE, 200k popularity events, seed 1):
 // the Monitor reads its binary snapshot (read-ms) and computes the initial
-// split (split-ms), two MDSs join and install their share (join-ms), and a
-// client resolves 64 paths (probe-ms). These are the steps behind the
-// benchmark's setup_s, less process start; allocs/op counts all four.
+// split (split-ms), two MDSs join and install their share (join-ms: each
+// MDS's join call, join-rpc-ms, and its install, install-ms, as its
+// "joined" event reports them), and a client resolves 64 paths (probe-ms).
+// These are the steps behind the benchmark's setup_s, less process start;
+// allocs/op counts all four. join-bytes is the payload of both join
+// answers.
 func BenchmarkColdStart(b *testing.B) {
 	w, err := trace.BuildWorkload(trace.LMBE().Scale(20000), 200000, 1)
 	if err != nil {
@@ -253,20 +256,76 @@ func BenchmarkColdStart(b *testing.B) {
 	for i := range probes {
 		probes[i] = w.Tree.Path(nodes[rng.Intn(len(nodes))])
 	}
-	var phases [4]time.Duration
+	joinBytes := joinPayloads(b, snap.Bytes())
+	var phases [6]time.Duration
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		coldStart(b, snap.Bytes(), probes, &phases)
 	}
-	for i, unit := range []string{"read-ms", "split-ms", "join-ms", "probe-ms"} {
+	for i, unit := range []string{"read-ms", "split-ms", "join-ms", "probe-ms", "join-rpc-ms", "install-ms"} {
 		b.ReportMetric(float64(phases[i].Microseconds())/1000/float64(b.N), unit)
 	}
+	b.ReportMetric(float64(joinBytes), "join-bytes")
+}
+
+// joinPayloads boots a Monitor from snap, joins it twice by hand and returns
+// the payload bytes of both answers.
+func joinPayloads(b *testing.B, snap []byte) int {
+	tree, err := namespace.ReadSnapshot(bytes.NewReader(snap))
+	if err != nil {
+		b.Fatal(err)
+	}
+	mon, err := monitor.New(tree, monitor.Config{Addr: "127.0.0.1:0", Servers: 2, HeartbeatTimeout: time.Hour})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := mon.Start(); err != nil {
+		b.Fatal(err)
+	}
+	defer func() { _ = mon.Close() }()
+	conn, err := wire.DialCall(mon.Addr(), time.Second, 10*time.Second)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer func() { _ = conn.Close() }()
+	total := 0
+	for _, addr := range []string{"10.0.0.1:1", "10.0.0.2:2"} {
+		var join wire.JoinResponse
+		if err := conn.Call(wire.TypeJoin, &wire.JoinRequest{Addr: addr}, &join); err != nil {
+			b.Fatal(err)
+		}
+		env, err := wire.NewEnvelope(0, wire.TypeJoin, &join)
+		if err != nil {
+			b.Fatal(err)
+		}
+		total += len(env.Payload)
+	}
+	return total
+}
+
+// joinedPhases reads an MDS's "joined" event: how long its join call and
+// its install took.
+func joinedPhases(b *testing.B, s *Server) (rpc, install time.Duration) {
+	events, _ := s.Obs().Since(0, 0)
+	for _, ev := range events {
+		if ev.Op != "joined" {
+			continue
+		}
+		var rpcMS, installMS float64
+		var n int
+		if _, err := fmt.Sscanf(ev.Detail, "join rpc %f ms, %d entries installed in %f ms", &rpcMS, &n, &installMS); err != nil {
+			b.Fatalf("joined event %q: %v", ev.Detail, err)
+		}
+		return time.Duration(rpcMS * float64(time.Millisecond)), time.Duration(installMS * float64(time.Millisecond))
+	}
+	b.Fatal("no joined event")
+	return 0, 0
 }
 
 // coldStart boots one cluster from snap, adds each phase's time to phases,
 // and shuts the cluster down off the clock.
-func coldStart(b *testing.B, snap []byte, probes []string, phases *[4]time.Duration) {
+func coldStart(b *testing.B, snap []byte, probes []string, phases *[6]time.Duration) {
 	var up []io.Closer
 	defer func() {
 		b.StopTimer()
@@ -296,6 +355,9 @@ func coldStart(b *testing.B, snap []byte, probes []string, phases *[4]time.Durat
 			b.Fatal(err)
 		}
 		up = append(up, s)
+		rpc, install := joinedPhases(b, s)
+		phases[4] += rpc
+		phases[5] += install
 	}
 	t3 := time.Now()
 	c, err := client.Connect(client.Config{MonitorAddr: mon.Addr(), Seed: 1})

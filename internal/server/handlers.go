@@ -32,99 +32,91 @@ func (s *Server) handle(env *wire.Envelope) (interface{}, error) {
 func (s *Server) dispatch(env *wire.Envelope) (interface{}, string, error) {
 	switch env.Type {
 	case wire.TypeLookup:
-		var req wire.LookupRequest
-		if err := env.Decode(&req); err != nil {
-			return nil, "", err
-		}
-		resp, err := s.handleLookup(&req)
-		return resp, req.Path, err
+		return serve(env, func(r wire.LookupRequest) (interface{}, string, error) {
+			resp, err := s.handleLookup(&r)
+			return resp, r.Path, err
+		})
 	case wire.TypeRevalidate:
-		var req wire.RevalidateRequest
-		if err := env.Decode(&req); err != nil {
-			return nil, "", err
-		}
-		resp, err := s.handleRevalidate(&req)
-		return resp, req.Path, err
+		return serve(env, func(r wire.RevalidateRequest) (interface{}, string, error) {
+			resp, err := s.handleRevalidate(&r)
+			return resp, r.Path, err
+		})
 	case wire.TypeCreate:
-		var req wire.CreateRequest
-		if err := env.Decode(&req); err != nil {
-			return nil, "", err
-		}
-		resp, err := s.handleCreate(env, &req)
-		return resp, req.Path, err
+		return serve(env, func(r wire.CreateRequest) (interface{}, string, error) {
+			resp, err := s.handleCreate(env, &r)
+			return resp, r.Path, err
+		})
 	case wire.TypeSetAttr:
-		var req wire.SetAttrRequest
-		if err := env.Decode(&req); err != nil {
-			return nil, "", err
-		}
-		resp, err := s.handleSetAttr(env, &req)
-		return resp, req.Path, err
+		return serve(env, func(r wire.SetAttrRequest) (interface{}, string, error) {
+			resp, err := s.handleSetAttr(env, &r)
+			return resp, r.Path, err
+		})
 	case wire.TypeReaddir:
-		var req wire.ReaddirRequest
-		if err := env.Decode(&req); err != nil {
-			return nil, "", err
-		}
-		resp, err := s.handleReaddir(&req)
-		return resp, req.Path, err
+		return serve(env, func(r wire.ReaddirRequest) (interface{}, string, error) {
+			resp, err := s.handleReaddir(&r)
+			return resp, r.Path, err
+		})
 	case wire.TypeReaddirPlus:
-		var req wire.ReaddirPlusRequest
-		if err := env.Decode(&req); err != nil {
-			return nil, "", err
-		}
-		resp, err := s.handleReaddirPlus(&req)
-		return resp, req.Path, err
+		return serve(env, func(r wire.ReaddirPlusRequest) (interface{}, string, error) {
+			resp, err := s.handleReaddirPlus(&r)
+			return resp, r.Path, err
+		})
 	case wire.TypeCreateWithAttrs:
-		var req wire.CreateWithAttrsRequest
-		if err := env.Decode(&req); err != nil {
-			return nil, "", err
-		}
-		resp, err := s.handleCreateWithAttrs(env, &req)
-		return resp, req.Path, err
+		return serve(env, func(r wire.CreateWithAttrsRequest) (interface{}, string, error) {
+			resp, err := s.handleCreateWithAttrs(env, &r)
+			return resp, r.Path, err
+		})
 	case wire.TypeBatch:
-		var req wire.BatchRequest
-		if err := env.Decode(&req); err != nil {
-			return nil, "", err
-		}
-		path := ""
-		if len(req.Ops) > 0 {
-			path = req.Ops[0].Path // trace the frame under its first sub-op
-		}
-		resp, err := s.handleBatch(env, &req)
-		return resp, path, err
+		return serve(env, func(r wire.BatchRequest) (interface{}, string, error) {
+			path := ""
+			if len(r.Ops) > 0 {
+				path = r.Ops[0].Path // trace the frame under its first sub-op
+			}
+			resp, err := s.handleBatch(env, &r)
+			return resp, path, err
+		})
 	case wire.TypeRename:
-		var req wire.RenameRequest
-		if err := env.Decode(&req); err != nil {
-			return nil, "", err
-		}
-		resp, err := s.handleRename(&req)
-		return resp, req.Path, err
+		return serve(env, func(r wire.RenameRequest) (interface{}, string, error) {
+			resp, err := s.handleRename(&r)
+			return resp, r.Path, err
+		})
 	case wire.TypeInstall:
-		var req wire.InstallRequest
-		if err := env.Decode(&req); err != nil {
-			return nil, "", err
-		}
-		resp, err := s.handleInstall(env, &req)
-		return resp, req.RootPath, err
+		return serve(env, func(r wire.InstallRequest) (interface{}, string, error) {
+			resp, err := s.handleInstall(env, &r)
+			return resp, r.Tree.Path, err
+		})
 	case wire.TypeUninstall:
-		var req wire.UninstallRequest
-		if err := env.Decode(&req); err != nil {
-			return nil, "", err
-		}
-		resp, err := s.handleUninstall(&req)
-		return resp, req.RootPath, err
+		return serve(env, func(r wire.UninstallRequest) (interface{}, string, error) {
+			resp, err := s.handleUninstall(&r)
+			return resp, r.RootPath, err
+		})
 	case wire.TypeStats:
 		resp, err := s.handleStats()
 		return resp, "", err
 	case wire.TypeObsDump:
-		var req wire.ObsDumpRequest
-		if err := env.Decode(&req); err != nil {
-			return nil, "", err
-		}
-		resp, err := s.handleObsDump(&req)
-		return resp, "", err
+		return serve(env, func(r wire.ObsDumpRequest) (interface{}, string, error) {
+			resp, err := s.handleObsDump(&r)
+			return resp, "", err
+		})
 	default:
 		return nil, "", fmt.Errorf("server: unknown message type %q", env.Type)
 	}
+}
+
+// serve decodes an op's request in a frame of its own, so no request is held
+// in dispatch's: there it would sit, with every other op's, on the fresh
+// goroutine stack of every blocking op through the decode, and push that
+// stack past its first segment. It is kept out of dispatch for that reason.
+// h gets the request by value: a pointer handed to a function value would
+// move the request to the heap.
+//
+//go:noinline
+func serve[Req any](env *wire.Envelope, h func(Req) (interface{}, string, error)) (interface{}, string, error) {
+	var req Req
+	if err := env.Decode(&req); err != nil {
+		return nil, "", err
+	}
+	return h(req)
 }
 
 // leaseLocked returns the cache lease to stamp on an entry-carrying
@@ -280,6 +272,10 @@ func (s *Server) createLocked(e wire.Entry) (res wire.BatchResult, global bool, 
 	s.creates.Add(1)
 	if !validPath(e.Path) {
 		return res, false, fmt.Errorf("server: invalid path %q", e.Path)
+	}
+	if e.Kind != wire.EntryDir && e.Kind != wire.EntryFile {
+		// Kind 0 is how a shipped subtree marks a path that holds no entry.
+		return res, false, fmt.Errorf("server: invalid kind %d for %q", e.Kind, e.Path)
 	}
 	if held, _ := s.store.get(e.Path); held != nil {
 		return res, false, fmt.Errorf("%w: %s", ErrExists, e.Path)
@@ -447,21 +443,22 @@ func (s *Server) renameLocked(path, newName string) (res wire.BatchResult, err e
 func (s *Server) handleInstall(env *wire.Envelope, req *wire.InstallRequest) (*wire.LockResponse, error) {
 	// The install is one stage of a migration: record it under the
 	// TransferCommand's ReqID (carried on the envelope by the source MDS).
+	root := req.Tree.Path
 	s.rec.Record(obs.Event{
 		Kind:   obs.KindMigration,
 		Op:     "install",
 		ReqID:  env.ReqID,
 		From:   env.Span,
-		Path:   req.RootPath,
-		Detail: strconv.Itoa(len(req.Entries)) + " entries",
+		Path:   root,
+		Detail: strconv.Itoa(len(req.Tree.Nodes)) + " nodes",
 	})
 	s.mu.Lock()
-	s.commitInstallLocked(req.RootPath, req.Entries)
-	s.index.Set(req.RootPath, s.Addr())
+	s.commitInstallLocked([]wire.Subtree{req.Tree})
+	s.index.Set(root, s.Addr())
 	// Pin our claim until the Monitor's index confirms it, so a stale
 	// refresh between the install and its commit cannot make us drop the
 	// data we just received.
-	s.overrides[req.RootPath] = &indexOverride{addr: s.Addr(), ttl: 50}
+	s.overrides[root] = &indexOverride{addr: s.Addr(), ttl: 50}
 	tail := s.tail
 	s.mu.Unlock()
 	// Ack only once the install is durable: the source deletes its copy on
@@ -481,7 +478,7 @@ func (s *Server) handleUninstall(req *wire.UninstallRequest) (*wire.LockResponse
 	s.mu.Lock()
 	held := s.subtrees[req.RootPath]
 	if held {
-		s.commitLocked(&walSubtreeRec{op: "remove", Root: req.RootPath})
+		s.commitLocked(&walRemoveRec{Root: req.RootPath})
 	}
 	delete(s.overrides, req.RootPath)
 	tail := s.tail

@@ -67,10 +67,10 @@ func TestSnapshotHorizonCoversItsImage(t *testing.T) {
 	for round := 0; round < rounds; round++ {
 		dir := t.TempDir()
 		s := newDurableServer(t, dir)
-		if _, err := s.handleInstall(env, &wire.InstallRequest{RootPath: "/r", Entries: []wire.Entry{
+		if _, err := s.handleInstall(env, &wire.InstallRequest{Tree: tree("/r", []wire.Entry{
 			{Path: "/r", Kind: wire.EntryDir, Version: 1},
 			{Path: "/r/a", Kind: wire.EntryDir, Version: 1},
-		}}); err != nil {
+		})}); err != nil {
 			t.Fatal(err)
 		}
 		var wg sync.WaitGroup
@@ -132,7 +132,7 @@ func TestRestartNumbersPastTheSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	env := &wire.Envelope{}
 	s := newDurableServer(t, dir)
-	if _, err := s.handleInstall(env, &wire.InstallRequest{RootPath: "/r", Entries: []wire.Entry{{Path: "/r", Kind: wire.EntryDir, Version: 1}}}); err != nil {
+	if _, err := s.handleInstall(env, &wire.InstallRequest{Tree: tree("/r", []wire.Entry{{Path: "/r", Kind: wire.EntryDir, Version: 1}})}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.handleCreate(env, &wire.CreateRequest{Path: "/r/before", Kind: wire.EntryFile}); err != nil {

@@ -82,10 +82,10 @@ func TestSingleOpEqualsOneOpBatch(t *testing.T) {
 			{Path: "/g/gf", Kind: wire.EntryFile, Version: 2},
 		})
 		s.index.Set("/g/far", "other:1")
-		if _, err := s.handleInstall(&wire.Envelope{}, &wire.InstallRequest{RootPath: "/g/mine", Entries: []wire.Entry{
+		if _, err := s.handleInstall(&wire.Envelope{}, &wire.InstallRequest{Tree: tree("/g/mine", []wire.Entry{
 			{Path: "/g/mine", Kind: wire.EntryDir, Version: 1},
 			{Path: "/g/mine/f", Kind: wire.EntryFile, Size: 5, Version: 3},
-		}}); err != nil {
+		})}); err != nil {
 			t.Fatal(err)
 		}
 		return s
@@ -367,7 +367,7 @@ func replaySchedule(t *testing.T, peer string, mon *wire.RetryingConn, seed int6
 		switch op := rng.Intn(16); {
 		case op == 0 || step < 2:
 			root := pick(roots)
-			if _, err := s.handleInstall(env, &wire.InstallRequest{RootPath: root, Entries: subtree(root)}); err != nil {
+			if _, err := s.handleInstall(env, &wire.InstallRequest{Tree: tree(root, subtree(root))}); err != nil {
 				t.Fatal(err)
 			}
 			durable("install")
@@ -419,7 +419,7 @@ func replaySchedule(t *testing.T, peer string, mon *wire.RetryingConn, seed int6
 				}
 			}
 			root := pick(roots)
-			join.Subtrees = [][]wire.Entry{subtree(root)}
+			join.Trees = []wire.Subtree{tree(root, subtree(root))}
 			s.mu.Lock()
 			join.Index = index()
 			for _, r := range join.AdoptedSubtrees {

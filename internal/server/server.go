@@ -313,20 +313,16 @@ func (s *Server) applyJoinLocked(join *wire.JoinResponse) int {
 	}
 	for root := range s.subtrees {
 		if !adopted[root] {
-			s.commitLocked(&walSubtreeRec{op: "remove", Root: root})
+			s.commitLocked(&walRemoveRec{Root: root})
 		}
 	}
 	installed := len(join.GlobalLayer)
-	for _, st := range join.Subtrees {
-		installed += len(st)
+	for _, t := range join.Trees {
+		installed += len(t.Nodes)
 	}
 	s.store.reserve(installed)
 	s.store.replaceGL(join.GlobalLayer)
-	for _, st := range join.Subtrees {
-		if len(st) > 0 {
-			s.commitInstallLocked(st[0].Path, st)
-		}
-	}
+	s.commitInstallLocked(join.Trees)
 	s.index = rootindex.New(join.Index)
 	return installed
 }
@@ -545,7 +541,7 @@ func (s *Server) applyHeartbeat(resp *wire.HeartbeatResponse) {
 		self := s.Addr()
 		for root := range s.subtrees {
 			if owner, ok := s.index.Get(root); ok && owner != self {
-				s.commitLocked(&walSubtreeRec{op: "remove", Root: root})
+				s.commitLocked(&walRemoveRec{Root: root})
 			}
 		}
 	}
@@ -570,7 +566,7 @@ func (s *Server) executeTransfer(cmd wire.TransferCommand) {
 		s.mu.Unlock()
 		return
 	}
-	entries := s.collectSubtreeLocked(cmd.RootPath)
+	tree := s.store.subtree(cmd.RootPath)
 	s.mu.Unlock()
 
 	s.rec.Record(obs.Event{
@@ -578,9 +574,9 @@ func (s *Server) executeTransfer(cmd wire.TransferCommand) {
 		Op:     "transfer_start",
 		ReqID:  cmd.ReqID,
 		Path:   cmd.RootPath,
-		Detail: "dest " + cmd.DestAddr + ", " + strconv.Itoa(len(entries)) + " entries",
+		Detail: "dest " + cmd.DestAddr + ", " + strconv.Itoa(len(tree.Nodes)) + " nodes",
 	})
-	if err := s.installOnDest(cmd, entries); err != nil {
+	if err := s.installOnDest(cmd, tree); err != nil {
 		s.transferFail.Add(1)
 		s.rec.Record(obs.Event{
 			Kind:   obs.KindMigration,
@@ -602,8 +598,8 @@ func (s *Server) executeTransfer(cmd wire.TransferCommand) {
 	// landed under the root while the lock was released is therefore lost at
 	// this point (DESIGN.md §10); it is counted so the loss is visible.
 	s.mu.Lock()
-	raced := s.unshippedLocked(cmd.RootPath, entries)
-	s.commitLocked(&walSubtreeRec{op: "remove", Root: cmd.RootPath})
+	raced := s.unshippedLocked(tree)
+	s.commitLocked(&walRemoveRec{Root: cmd.RootPath})
 	s.index.Set(cmd.RootPath, cmd.DestAddr)
 	s.overrides[cmd.RootPath] = &indexOverride{addr: cmd.DestAddr, ttl: 50}
 	tail := s.tail
@@ -638,16 +634,15 @@ func (s *Server) executeTransfer(cmd wire.TransferCommand) {
 	}
 }
 
-// installOnDest pushes a subtree's entries to the transfer destination with
-// a per-call deadline.
-func (s *Server) installOnDest(cmd wire.TransferCommand, entries []wire.Entry) error {
+// installOnDest pushes a subtree to the transfer destination with a
+// per-call deadline.
+func (s *Server) installOnDest(cmd wire.TransferCommand, tree wire.Subtree) error {
 	dest, err := wire.DialCall(cmd.DestAddr, s.cfg.DialTimeout, s.cfg.CallTimeout)
 	if err != nil {
 		return err
 	}
 	defer func() { _ = dest.Close() }()
-	req := &wire.InstallRequest{RootPath: cmd.RootPath, Entries: entries}
-	return dest.CallTraced(wire.TypeInstall, cmd.ReqID, s.rec.Node(), req, nil)
+	return dest.CallTraced(wire.TypeInstall, cmd.ReqID, s.rec.Node(), &wire.InstallRequest{Tree: tree}, nil)
 }
 
 // nackTransfer reports a failed transfer command back to the Monitor.
@@ -724,50 +719,31 @@ func siftDown(h []pathCount, i int) {
 	}
 }
 
-// collectSubtreeLocked copies out the subtree at rootPath, sorted by path.
-func (s *Server) collectSubtreeLocked(rootPath string) []wire.Entry {
-	var out []wire.Entry
-	s.store.walk(rootPath, func(e *wire.Entry, _ bool) { out = append(out, *e) })
-	sortByPath(out)
-	return out
-}
-
 func sortByPath(entries []wire.Entry) {
 	slices.SortFunc(entries, func(a, b wire.Entry) int { return strings.Compare(a.Path, b.Path) })
 }
 
-// unshippedLocked counts how the subtree at root differs from shipped, the
-// copy executeTransfer collected before it released the lock: entries
-// created, changed (any version differs) or gone since.
-func (s *Server) unshippedLocked(root string, shipped []wire.Entry) int {
-	versions := make(map[string]int64, len(shipped))
-	for i := range shipped {
-		versions[shipped[i].Path] = shipped[i].Version
+// unshippedLocked counts how the subtree at shipped.Path differs from
+// shipped, the copy executeTransfer took before it released the lock:
+// entries created, changed (any version differs) or gone since.
+func (s *Server) unshippedLocked(shipped wire.Subtree) int {
+	versions := make(map[string]int64, len(shipped.Nodes))
+	paths := make([]string, len(shipped.Nodes))
+	for i, n := range shipped.Nodes {
+		paths[i] = shipped.Path
+		if i > 0 {
+			paths[i] = childPath(paths[n.Parent], n.Name)
+		}
+		if n.Kind != 0 {
+			versions[paths[i]] = n.Version
+		}
 	}
 	n := 0
-	s.store.walk(root, func(e *wire.Entry, _ bool) {
+	s.store.walk(shipped.Path, func(e *wire.Entry, _ bool) {
 		if v, ok := versions[e.Path]; !ok || v != e.Version {
 			n++
 		}
 		delete(versions, e.Path)
 	})
 	return n + len(versions)
-}
-
-// installLocked applies an install: it takes ownership of the subtree at
-// root and stores its entries. An installed path belongs to the local layer
-// from now on, even one the global-layer replica held before a re-evaluation
-// demoted it.
-func (s *Server) installLocked(root string, entries []wire.Entry) {
-	s.subtrees[root] = true
-	for _, e := range entries {
-		s.store.put(e, false)
-	}
-}
-
-// dropSubtreeLocked applies a remove: it forgets an owned subtree and its
-// local-layer entries.
-func (s *Server) dropSubtreeLocked(root string) {
-	delete(s.subtrees, root)
-	s.store.dropSubtree(root)
 }

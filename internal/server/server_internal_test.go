@@ -2,6 +2,7 @@ package server
 
 import (
 	"net"
+	"sort"
 	"strings"
 	"testing"
 
@@ -15,21 +16,60 @@ func newBareServer(t *testing.T) *Server {
 	return s
 }
 
-func TestCollectSubtreeLocked(t *testing.T) {
+// tree is the subtree at root holding entries, each at or under root, as an
+// install ships it: a node per path in the order the paths first come up,
+// and a kind-0 node for a directory between root and an entry that holds
+// none.
+func tree(root string, entries []wire.Entry) wire.Subtree {
+	t := wire.Subtree{Path: root, Nodes: []wire.SubtreeNode{{}}}
+	at := map[string]int{root: 0}
+	var index func(path string) int
+	index = func(path string) int {
+		if i, ok := at[path]; ok {
+			return i
+		}
+		p := index(parentPath(path))
+		t.Nodes = append(t.Nodes, wire.SubtreeNode{Parent: p, Name: path[strings.LastIndexByte(path, '/')+1:]})
+		at[path] = len(t.Nodes) - 1
+		return at[path]
+	}
+	for _, e := range entries {
+		n := &t.Nodes[index(e.Path)]
+		n.Kind, n.Size, n.Mode, n.Version = e.Kind, e.Size, e.Mode, e.Version
+	}
+	return t
+}
+
+// TestStoreSubtreeShipsTheSubtree: a transfer ships the entries at and under
+// its root, and none beside it that merely share a prefix.
+func TestStoreSubtreeShipsTheSubtree(t *testing.T) {
 	s := newBareServer(t)
 	for _, p := range []string{"/x", "/x/y", "/x/y/z", "/xx", "/x2/file"} {
 		s.store.put(wire.Entry{Path: p, Kind: wire.EntryDir, Version: 1}, false)
 	}
-	got := s.collectSubtreeLocked("/x")
+	got := treePaths(s.store.subtree("/x"))
 	want := []string{"/x", "/x/y", "/x/y/z"}
 	if len(got) != len(want) {
 		t.Fatalf("collected %d entries, want %d: %+v", len(got), len(want), got)
 	}
-	for i, e := range got {
-		if e.Path != want[i] {
-			t.Errorf("entry %d = %q, want %q", i, e.Path, want[i])
+	for i, p := range got {
+		if p != want[i] {
+			t.Errorf("entry %d = %q, want %q", i, p, want[i])
 		}
 	}
+}
+
+// treePaths lists the full paths of t's nodes, sorted.
+func treePaths(t wire.Subtree) []string {
+	paths := make([]string, len(t.Nodes))
+	for i, n := range t.Nodes {
+		paths[i] = t.Path
+		if i > 0 {
+			paths[i] = childPath(paths[n.Parent], n.Name)
+		}
+	}
+	sort.Strings(paths)
+	return paths
 }
 
 func TestHandleLookupLocalStore(t *testing.T) {
@@ -86,13 +126,10 @@ func TestHandleCreateValidation(t *testing.T) {
 
 func TestHandleInstallAddsSubtree(t *testing.T) {
 	s := newBareServer(t)
-	req := &wire.InstallRequest{
-		RootPath: "/moved",
-		Entries: []wire.Entry{
-			{Path: "/moved", Kind: wire.EntryDir, Version: 1},
-			{Path: "/moved/f", Kind: wire.EntryFile, Version: 2},
-		},
-	}
+	req := &wire.InstallRequest{Tree: tree("/moved", []wire.Entry{
+		{Path: "/moved", Kind: wire.EntryDir, Version: 1},
+		{Path: "/moved/f", Kind: wire.EntryFile, Version: 2},
+	})}
 	if _, err := s.handleInstall(&wire.Envelope{}, req); err != nil {
 		t.Fatal(err)
 	}
@@ -164,10 +201,10 @@ func TestApplyHeartbeatRefreshesGL(t *testing.T) {
 // has given the root away, and must say that it dropped something.
 func TestTransferDropsWhatRacedTheShipment(t *testing.T) {
 	s := newBareServer(t)
-	if _, err := s.handleInstall(&wire.Envelope{}, &wire.InstallRequest{RootPath: "/moved", Entries: []wire.Entry{
+	if _, err := s.handleInstall(&wire.Envelope{}, &wire.InstallRequest{Tree: tree("/moved", []wire.Entry{
 		{Path: "/moved", Kind: wire.EntryDir, Version: 1},
 		{Path: "/moved/f", Kind: wire.EntryFile, Version: 2},
-	}}); err != nil {
+	})}); err != nil {
 		t.Fatal(err)
 	}
 

@@ -58,6 +58,14 @@ func parentPath(path string) string {
 	return ""
 }
 
+// childPath is the path of name in the directory dir.
+func childPath(dir, name string) string {
+	if dir == "/" {
+		return "/" + name
+	}
+	return dir + "/" + name
+}
+
 // reserve sizes the path map for n more nodes in one step, so a join that
 // installs them does not grow it entry by entry.
 func (st *store) reserve(n int) {
@@ -147,6 +155,160 @@ func (st *store) remove(n *node) {
 		}
 		n = p
 	}
+}
+
+// graft stores the nodes of trees as local-layer entries, as put would one
+// by one, in one pass: each node's path is its parent's, found by index,
+// and its name, all of them in one string; the nodes the store did
+// not hold come from one slab; and the map sees one probe per node and one
+// insert per new one. A tree's root is linked like any path node links (its
+// missing ancestors become placeholders). A kind-0 node, a path with no
+// entry, is linked only once an entry beneath it needs it, so no placeholder
+// is left without one. A path already held keeps its node, which takes the
+// entry.
+func (st *store) graft(trees []wire.Subtree) {
+	total := 0
+	for _, t := range trees {
+		total += len(t.Nodes)
+	}
+	g := grafting{st: st, at: make([]graftNode, total)}
+	// Each path's length first, in end, so the string is sized once (a
+	// byte over for each child of "/").
+	size, k := 0, 0
+	for _, t := range trees {
+		base := k
+		for i, n := range t.Nodes {
+			a := &g.at[k]
+			a.up, a.end = -1, len(t.Path)
+			if i > 0 {
+				a.up = base + n.Parent
+				a.end = g.at[a.up].end + 1 + len(n.Name)
+			}
+			size += a.end
+			k++
+		}
+	}
+	// The paths, each after its parent's, so each is a copy of a part of
+	// what is written already. Node k's path ends where node k+1's begins.
+	var b strings.Builder
+	b.Grow(size)
+	k = 0
+	for _, t := range trees {
+		for i, n := range t.Nodes {
+			a := &g.at[k]
+			if i == 0 {
+				b.WriteString(t.Path)
+			} else {
+				if up := g.path(a.up); up != "/" {
+					b.WriteString(up)
+				}
+				b.WriteByte('/')
+				b.WriteString(n.Name)
+			}
+			a.end = b.Len()
+			g.paths = b.String()
+			k++
+		}
+	}
+	g.slab = make([]node, total)
+	k = 0
+	for _, t := range trees {
+		for _, n := range t.Nodes {
+			if n.Kind != 0 {
+				nd := g.link(k)
+				if !nd.present {
+					nd.present = true
+					st.entries++
+				}
+				nd.entry = wire.Entry{Path: nd.entry.Path, Kind: n.Kind, Size: n.Size, Mode: n.Mode, Version: n.Version}
+				nd.gl = false
+			}
+			k++
+		}
+	}
+}
+
+// grafting is one graft's state: per node, where its path ends in paths,
+// its parent's index (-1 for a tree's root) and, once linked, its node.
+type grafting struct {
+	st    *store
+	at    []graftNode
+	paths string
+	slab  []node
+}
+
+type graftNode struct {
+	end, up int
+	n       *node
+}
+
+// path is graft node k's path.
+func (g *grafting) path(k int) string {
+	lo := 0
+	if k > 0 {
+		lo = g.at[k-1].end
+	}
+	return g.paths[lo:g.at[k].end]
+}
+
+// link returns the store's node for graft node k, linking it, and the
+// ancestors it needs, when the store holds none at its path.
+func (g *grafting) link(k int) *node {
+	a := &g.at[k]
+	if a.n != nil {
+		return a.n
+	}
+	path := g.path(k)
+	if a.n = g.st.nodes[path]; a.n != nil {
+		return a.n
+	}
+	if a.up < 0 {
+		a.n = g.st.node(path)
+		return a.n
+	}
+	p := g.link(a.up)
+	n := &g.slab[k]
+	n.entry.Path = path
+	n.parent, n.next = p, p.child
+	if p.child != nil {
+		p.child.prev = n
+	}
+	p.child = n
+	g.st.nodes[path] = n
+	a.n = n
+	return n
+}
+
+// subtree is the subtree at root as an install ships it: every entry held
+// under root, global-layer ones too, in pre-order, and a kind-0 node for
+// each placeholder linking them. It has no nodes when nothing is held there.
+func (st *store) subtree(root string) wire.Subtree {
+	t := wire.Subtree{Path: root}
+	if top := st.nodes[root]; top != nil {
+		t.Nodes = appendNodes([]wire.SubtreeNode{treeNode(top, 0, "")}, top, 0)
+	}
+	return t
+}
+
+// appendNodes appends every node beneath n, the node at index at.
+func appendNodes(nodes []wire.SubtreeNode, n *node, at int) []wire.SubtreeNode {
+	for c := n.child; c != nil; c = c.next {
+		p := c.entry.Path
+		nodes = append(nodes, treeNode(c, at, p[strings.LastIndexByte(p, '/')+1:]))
+		if c.child != nil {
+			nodes = appendNodes(nodes, c, len(nodes)-1)
+		}
+	}
+	return nodes
+}
+
+// treeNode is n as a subtree node under the parent at index parent.
+func treeNode(n *node, parent int, name string) wire.SubtreeNode {
+	if !n.present {
+		return wire.SubtreeNode{Parent: parent, Name: name}
+	}
+	e := &n.entry
+	return wire.SubtreeNode{Parent: parent, Kind: e.Kind, Name: name, Size: e.Size, Mode: e.Mode, Version: e.Version}
 }
 
 // each calls fn on top and every node beneath it, parents first. fn must not

@@ -62,6 +62,21 @@ func (r *flatRef) listing(dir string) []wire.Entry {
 	return out
 }
 
+// installEntries applies the install of entries, at and under root, as the
+// one-pass graft of the subtree they form.
+func installEntries(s *Server, root string, entries []wire.Entry) {
+	s.applyLocked(&walInstallRec{Roots: []string{root}, Trees: []wire.Subtree{tree(root, entries)}})
+}
+
+// collectSubtree copies out the entries of the subtree at root, sorted by
+// path.
+func collectSubtree(s *Server, root string) []wire.Entry {
+	var out []wire.Entry
+	s.store.walk(root, func(e *wire.Entry, _ bool) { out = append(out, *e) })
+	sortByPath(out)
+	return out
+}
+
 func (r *flatRef) collect(root string) []wire.Entry {
 	prefix := root + "/"
 	out := []wire.Entry{}
@@ -346,7 +361,13 @@ func TestStoreMatchesFlatReference(t *testing.T) {
 					if rng.Intn(2) == 0 {
 						rng.Shuffle(len(entries), func(i, j int) { entries[i], entries[j] = entries[j], entries[i] })
 					}
-					s.installLocked(root, entries)
+					if rng.Intn(3) == 0 {
+						// As replay applies an install logged before
+						// installs were journaled as trees.
+						s.applyLocked((&legacyInstallRec{Root: root, Entries: entries}).install())
+					} else {
+						installEntries(s, root, entries)
+					}
 					ref.install(root, entries)
 				case op < 5: // create, sometimes under directories not held
 					roots := ownedRoots()
@@ -403,7 +424,7 @@ func TestStoreMatchesFlatReference(t *testing.T) {
 					if rng.Intn(6) == 0 {
 						root += "/absent"
 					}
-					s.dropSubtreeLocked(root)
+					s.applyLocked(&walRemoveRec{Root: root})
 					ref.dropSubtree(root)
 				default:
 					refreshGL()
@@ -428,11 +449,11 @@ func mustGet(t *testing.T, st *store, path string) *wire.Entry {
 // parents; once the refresh brings the directory, everything is listed.
 func TestStoreChildBeforeParent(t *testing.T) {
 	s := newBareServer(t)
-	_, err := s.handleInstall(&wire.Envelope{}, &wire.InstallRequest{RootPath: "/g/r", Entries: []wire.Entry{
+	_, err := s.handleInstall(&wire.Envelope{}, &wire.InstallRequest{Tree: tree("/g/r", []wire.Entry{
 		{Path: "/g/r/d/f", Kind: wire.EntryFile, Version: 4},
 		{Path: "/g/r/d", Kind: wire.EntryDir, Version: 2},
 		{Path: "/g/r", Kind: wire.EntryDir, Version: 1},
-	}})
+	})})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -469,7 +490,7 @@ func TestStoreReplaceGLKeepsLocalLayer(t *testing.T) {
 		return set
 	}
 	s.store.replaceGL(gl(1, "/", "/g"))
-	s.installLocked("/g/r", []wire.Entry{
+	installEntries(s, "/g/r", []wire.Entry{
 		{Path: "/g/r", Kind: wire.EntryDir, Version: 7},
 		{Path: "/g/r/f", Kind: wire.EntryFile, Version: 9},
 	})
@@ -523,7 +544,7 @@ func TestStoreReplaceGLKeepsLocalLayer(t *testing.T) {
 func TestListingAcrossTheCut(t *testing.T) {
 	s := newBareServer(t)
 	s.store.replaceGL([]wire.Entry{{Path: "/", Kind: wire.EntryDir, Version: 1}, {Path: "/g", Kind: wire.EntryDir, Version: 5}})
-	s.installLocked("/g/local", []wire.Entry{
+	installEntries(s, "/g/local", []wire.Entry{
 		{Path: "/g/local", Kind: wire.EntryDir, Mode: 0o755, Version: 3},
 		{Path: "/g/local/deep", Kind: wire.EntryFile, Version: 1},
 	})
@@ -568,7 +589,7 @@ func TestRenameDirTouchesOnlyDescendants(t *testing.T) {
 	entries := subtreeEntries(rand.New(rand.NewSource(7)), root, 10000, true)
 	build := func() *Server {
 		s := newBareServer(t)
-		s.installLocked(root, entries)
+		installEntries(s, root, entries)
 		s.index.Set(root, s.Addr())
 		return s
 	}
@@ -600,7 +621,7 @@ func TestRenameDirTouchesOnlyDescendants(t *testing.T) {
 	}
 	ref.rename(victim, "renamed")
 	checkTree(t, s.store)
-	if got := s.collectSubtreeLocked(root); !reflect.DeepEqual(got, ref.collect(root)) {
+	if got := collectSubtree(s, root); !reflect.DeepEqual(got, ref.collect(root)) {
 		t.Fatal("renamed store differs from the reference")
 	}
 	untouched := 0
@@ -623,14 +644,14 @@ func TestRenameDirTouchesOnlyDescendants(t *testing.T) {
 		if err := replayed.applyWALRecord(rec); err != nil {
 			t.Fatal(err)
 		}
-		if got := replayed.collectSubtreeLocked(root); !reflect.DeepEqual(got, ref.collect(root)) {
+		if got := collectSubtree(replayed, root); !reflect.DeepEqual(got, ref.collect(root)) {
 			t.Fatalf("replay round %d differs from the live rename", round)
 		}
 	}
 	if err := s.applyWALRecord(rec); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.collectSubtreeLocked(root); !reflect.DeepEqual(got, ref.collect(root)) {
+	if got := collectSubtree(s, root); !reflect.DeepEqual(got, ref.collect(root)) {
 		t.Fatal("replaying the record over the live rename changed the store")
 	}
 }

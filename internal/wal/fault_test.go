@@ -256,9 +256,8 @@ func TestOpenSyncsDirOnCreate(t *testing.T) {
 	_ = l2.Close()
 }
 
-// TestReplayReadsInBlocks: compaction replays the log under l.mu, so every
-// append waits for the whole re-read; a record must not cost read calls of
-// its own. A 1,000-record log replays in a few reads, and each end offset
+// TestReplayReadsInBlocks: Open and recovery replay the whole log before a
+// process serves; a record must not cost read calls of its own. A 1,000-record log replays in a few reads, and each end offset
 // still falls exactly on a record boundary (Open truncates a torn tail at
 // the last one).
 func TestReplayReadsInBlocks(t *testing.T) {

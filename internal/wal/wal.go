@@ -16,6 +16,7 @@ package wal
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -24,6 +25,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"sync"
 )
@@ -102,7 +104,14 @@ type Log struct {
 	durable  int64 // file offset just past the last synced record
 	closed   bool
 	poisoned bool
+	// index holds where each record in the file begins, in file order,
+	// which is sequence order: compaction finds its cut here instead of
+	// decoding the log.
+	index []recordAt
 }
+
+// recordAt is where the record numbered seq begins in the file.
+type recordAt struct{ seq, off int64 }
 
 // Open opens (or creates) the log at path, replays it to find the last
 // sequence number, and positions for appending. Creating a new log fsyncs
@@ -125,7 +134,9 @@ func Open(path string) (*Log, error) {
 	// Scan to the end of the valid prefix.
 	var lastSeq int64
 	validEnd := int64(0)
+	var index []recordAt
 	err = replayFrom(f, func(rec Record, end int64) error {
+		index = append(index, recordAt{rec.Seq, validEnd})
 		lastSeq = rec.Seq
 		validEnd = end
 		return nil
@@ -143,7 +154,7 @@ func Open(path string) (*Log, error) {
 		_ = f.Close()
 		return nil, fmt.Errorf("wal: seek: %w", err)
 	}
-	return &Log{path: path, dir: dir, f: f, seq: lastSeq, durable: validEnd}, nil
+	return &Log{path: path, dir: dir, f: f, seq: lastSeq, durable: validEnd, index: index}, nil
 }
 
 // Append journals one record and returns its sequence number. The record is
@@ -188,7 +199,7 @@ func (l *Log) AppendBatch(items []Item) ([]int64, error) {
 	start := l.seq
 	seqs, err := l.frameLocked(items)
 	if err != nil {
-		l.seq = start
+		l.rollbackLocked(start)
 		return nil, err
 	}
 	buf := l.buf
@@ -211,13 +222,15 @@ func (l *Log) AppendBatch(items []Item) ([]int64, error) {
 }
 
 // frameLocked encodes items into l.buf as consecutive records, advancing
-// l.seq, and returns their sequence numbers.
+// l.seq and indexing each where it will land, at the durable end, and
+// returns their sequence numbers.
 func (l *Log) frameLocked(items []Item) ([]int64, error) {
 	buf := l.buf[:0]
 	seqs := make([]int64, len(items))
 	for i, it := range items {
 		l.seq++
 		at := len(buf)
+		l.index = append(l.index, recordAt{l.seq, l.durable + int64(at)})
 		buf = beginRecord(buf, l.seq, it.Type)
 		switch p := it.Payload.(type) {
 		case nil:
@@ -282,13 +295,22 @@ func appendString(buf []byte, s string) []byte {
 	return append(buf, '"')
 }
 
+// rollbackLocked returns the sequence counter to seq and forgets where the
+// records numbered past it were to land.
+func (l *Log) rollbackLocked(seq int64) {
+	l.seq = seq
+	for len(l.index) > 0 && l.index[len(l.index)-1].seq > seq {
+		l.index = l.index[:len(l.index)-1]
+	}
+}
+
 // recoverTailLocked rolls a failed append back: the sequence counter
 // returns to its pre-append value and the file is truncated to the last
 // durable offset, so torn bytes can never sit in front of a later record.
 // If the truncate or re-seek itself fails the tail state is unknown and the
 // log is poisoned.
 func (l *Log) recoverTailLocked(seq int64) {
-	l.seq = seq
+	l.rollbackLocked(seq)
 	if err := l.f.Truncate(l.durable); err != nil {
 		l.poisoned = true
 		return
@@ -300,9 +322,10 @@ func (l *Log) recoverTailLocked(seq int64) {
 
 // TruncateBefore compacts the log, dropping every record with Seq < minSeq
 // — used after a snapshot has captured the state those records rebuilt. The
-// retained suffix is rewritten through a temp file, renamed over the log,
-// and the directory synced, so a crash at any point leaves either the old
-// or the new log fully intact.
+// index gives the offset of the first record kept, and the bytes from there
+// to the durable end are copied, unread, into a temp file, which is synced,
+// renamed over the log, and the directory synced, so a crash at any point
+// leaves either the old or the new log fully intact.
 func (l *Log) TruncateBefore(minSeq int64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -312,33 +335,21 @@ func (l *Log) TruncateBefore(minSeq int64) error {
 	if l.poisoned {
 		return ErrPoisoned
 	}
-	var buf []byte
-	err := replayFrom(l.f, func(rec Record, _ int64) error {
-		if rec.Seq < minSeq {
-			return nil
-		}
-		at := len(buf)
-		buf = beginRecord(buf, rec.Seq, rec.Type)
-		if len(rec.Data) > 0 {
-			buf = append(append(buf, `,"data":`...), rec.Data...)
-		}
-		var err error
-		buf, err = endRecord(buf, at)
-		return err
-	})
-	if err != nil {
-		l.restoreAppendPosLocked()
-		return err
+	keep, _ := slices.BinarySearchFunc(l.index, minSeq, func(r recordAt, seq int64) int { return cmp.Compare(r.seq, seq) })
+	from := l.durable
+	if keep < len(l.index) {
+		from = l.index[keep].off
 	}
 	tmpPath := l.path + ".tmp"
 	tmp, err := os.OpenFile(tmpPath, os.O_CREATE|os.O_TRUNC|os.O_RDWR, 0o644)
 	if err != nil {
-		l.restoreAppendPosLocked()
 		return fmt.Errorf("wal: create %s: %w", tmpPath, err)
 	}
-	if _, err = tmp.Write(buf); err == nil {
-		//d2vet:ignore lockheld compaction swaps the file under l.mu, so no append may land in the old file after its records were copied
-		err = tmp.Sync()
+	if _, err = l.f.Seek(from, io.SeekStart); err == nil {
+		if _, err = io.CopyN(tmp, l.f, l.durable-from); err == nil {
+			//d2vet:ignore lockheld compaction swaps the file under l.mu, so no append may land in the old file after its records were copied
+			err = tmp.Sync()
+		}
 	}
 	if err != nil {
 		_ = tmp.Close()
@@ -359,7 +370,11 @@ func (l *Log) TruncateBefore(minSeq int64) error {
 	// new log file. Swap it in and retire the old handle.
 	_ = l.f.Close()
 	l.f = tmp
-	l.durable = int64(len(buf))
+	l.durable -= from
+	l.index = append(l.index[:0], l.index[keep:]...)
+	for i := range l.index {
+		l.index[i].off -= from
+	}
 	if _, err := tmp.Seek(l.durable, io.SeekStart); err != nil {
 		l.poisoned = true
 		return fmt.Errorf("wal: seek after compact: %w", err)
@@ -418,8 +433,7 @@ func Replay(path string, fn func(Record) error) error {
 	return replayFrom(f, func(rec Record, _ int64) error { return fn(rec) })
 }
 
-// replayBuf is how much of the log replayFrom reads per call. Compaction
-// replays under l.mu, where every append waits for it.
+// replayBuf is how much of the log replayFrom reads per call.
 const replayBuf = 64 << 10
 
 // replayFrom scans records from the reader, reporting each record plus the

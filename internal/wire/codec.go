@@ -391,6 +391,22 @@ func (c *codec) entries(p *[]Entry) {
 	}
 }
 
+func (c *codec) subtrees(p *[]Subtree) {
+	if !c.dec {
+		size := 0
+		for i := range *p {
+			size += (*p)[i].encodedSize()
+		}
+		c.b = slices.Grow(c.b, size)
+	}
+	if n := c.count(len(*p), subtreeMin); c.dec {
+		*p = sized(c, *p, n)
+	}
+	for i := range *p {
+		(*p)[i].code(c)
+	}
+}
+
 func (c *codec) strs(p *[]string) {
 	*p = sized(c, *p, c.count(len(*p), 1))
 	for i := range *p {
@@ -477,7 +493,11 @@ func (c *codec) latencies(p *map[string]LatencySummary) {
 
 // The fewest bytes an element of each decoded slice or map can take: what its
 // zero value encodes to. count checks a count against them.
-var entryMin, batchOpMin, batchResultMin, transferMin, memberMin, eventMin, latencyMin int
+var entryMin, batchOpMin, batchResultMin, transferMin, memberMin, eventMin, latencyMin, subtreeMin int
+
+// subtreeNodeMin is the fewest bytes a subtree node takes: a root's kind,
+// size, mode and version, a byte each. Every other node takes more.
+const subtreeNodeMin = 4
 
 func init() {
 	entryMin = minSize(&Entry{})
@@ -487,6 +507,7 @@ func init() {
 	memberMin = minSize(&MemberInfo{})
 	eventMin = minSize(&ObsEvent{})
 	latencyMin = minSize(&LatencySummary{})
+	subtreeMin = minSize(&Subtree{})
 }
 
 func minSize(zero interface{}) int {
@@ -551,6 +572,8 @@ func code(c *codec, p interface{}) bool {
 	case *ClusterInfoResponse:
 		m.code(c)
 	case *InstallRequest:
+		m.code(c)
+	case *Subtree:
 		m.code(c)
 	case *UninstallRequest:
 		m.code(c)

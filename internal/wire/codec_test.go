@@ -31,7 +31,7 @@ var codecTypes = []interface{}{
 	&GLUpdateResponse{}, &ClusterInfoResponse{}, &InstallRequest{},
 	&UninstallRequest{}, &TransferDoneRequest{}, &TransferFailedRequest{},
 	&ObsEvent{}, &ObsDumpRequest{}, &ObsDumpResponse{}, &LockResponse{},
-	&MetricsSnapshot{}, &IOSnapshot{},
+	&MetricsSnapshot{}, &IOSnapshot{}, &Subtree{},
 }
 
 func typeName(p interface{}) string { return reflect.TypeOf(p).Elem().Name() }
@@ -87,6 +87,10 @@ func (f *filler) fill(v reflect.Value) {
 		}
 		v.Set(m)
 	case reflect.Struct:
+		if t, ok := v.Addr().Interface().(*Subtree); ok {
+			f.subtree(t)
+			return
+		}
 		for i := 0; i < v.NumField(); i++ {
 			if v.Type().Field(i).IsExported() {
 				f.fill(v.Field(i))
@@ -94,6 +98,29 @@ func (f *filler) fill(v reflect.Value) {
 		}
 	default:
 		panic("filler: no case for " + v.Type().String())
+	}
+}
+
+// subtreeNames are names AddChild takes: none empty, none with a '/'.
+var subtreeNames = []string{"n", `quotes " and \ backslash`, "nul\x00and\xffinvalid utf-8", "unicode é 漢字", strings.Repeat("long", 60)}
+
+// subtree fills t as a decoder accepts it: an absolute path, one to five
+// nodes, the root first, each other node after a parent picked among those
+// before it, names AddChild takes and every kind a node can have.
+func (f *filler) subtree(t *Subtree) {
+	f.n++
+	t.Path = "/s" + strconv.FormatInt(f.n, 10)
+	t.Nodes = make([]SubtreeNode, 1+f.rng.Intn(5))
+	for i := range t.Nodes {
+		n := &t.Nodes[i]
+		n.Kind = EntryKind(f.rng.Intn(3))
+		if i > 0 {
+			n.Parent = f.rng.Intn(i)
+			n.Name = subtreeNames[f.rng.Intn(len(subtreeNames))] + strconv.Itoa(i)
+		}
+		f.fill(reflect.ValueOf(&n.Size).Elem())
+		f.fill(reflect.ValueOf(&n.Mode).Elem())
+		f.fill(reflect.ValueOf(&n.Version).Elem())
 	}
 }
 

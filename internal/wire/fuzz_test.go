@@ -133,7 +133,7 @@ func TestReadFrameOversizePrefixRejected(t *testing.T) {
 // with a frame bigger than one chunk.
 func TestReadFrameLargeBodyRoundTrip(t *testing.T) {
 	big := strings.Repeat("x", 200<<10)
-	env, err := NewEnvelope(42, TypeInstall, &InstallRequest{RootPath: "/big", Entries: []Entry{{Path: big}}})
+	env, err := NewEnvelope(42, TypeInstall, &InstallRequest{Tree: Subtree{Path: "/big", Nodes: []SubtreeNode{{Kind: EntryDir}, {Kind: EntryFile, Name: big}}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,57 @@ func TestReadFrameLargeBodyRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var req InstallRequest
-	if got.ID != 42 || got.Type != TypeInstall || got.Decode(&req) != nil || len(req.Entries) != 1 || req.Entries[0].Path != big {
+	if got.ID != 42 || got.Type != TypeInstall || got.Decode(&req) != nil || len(req.Tree.Nodes) != 2 || req.Tree.Nodes[1].Name != big {
 		t.Fatal("large frame did not round-trip")
 	}
+}
+
+// FuzzDecodeSubtree: whatever the bytes, a subtree decode returns without
+// panicking and allocates in proportion to the input, not to a count the
+// input declares. What it accepts is a tree AddChild could have built, every
+// parent before its node and every name non-empty and free of '/', under an
+// absolute path, and it encodes back to the bytes it was read from.
+func FuzzDecodeSubtree(f *testing.F) {
+	for _, st := range []Subtree{
+		{},
+		{Path: "/r"},
+		{Path: "/", Nodes: []SubtreeNode{
+			{Kind: EntryDir, Version: 1},
+			{Kind: EntryDir, Name: "a", Version: 1},
+			{Parent: 1, Kind: EntryFile, Name: "x", Size: 7, Mode: 0o644, Version: 3},
+			{Kind: EntryFile, Name: "b", Version: 1},
+		}},
+		{Path: "/r/s", Nodes: []SubtreeNode{{}, {Name: "held-by-no-entry"}, {Parent: 1, Kind: EntryFile, Name: "f", Version: 2}}},
+	} {
+		f.Add(encode(f, &st))
+	}
+	f.Add([]byte{2, '/', 'r', 2, 1, 0, 0, 2, 1, 2, 1, '/', 0, 0, 2})     // a name with '/'
+	f.Add([]byte{2, '/', 'r', 2, 1, 0, 0, 2, 2, 2, 1, 'x', 0, 0, 2})     // a parent before the root
+	f.Add([]byte{2, '/', 'r', 2, 1, 0, 0, 2, 0, 2, 1, 'x', 0, 0, 2})     // a node its own parent
+	f.Add([]byte{1, 'r', 1, 1, 0, 0, 2})                                 // a relative path
+	f.Add([]byte{2, '/', 'r', 0xff, 0xff, 0xff, 0xff, 0x0f, 1, 0, 0, 2}) // a count the input cannot hold
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		var st Subtree
+		err := decodePayload(data, &st)
+		runtime.ReadMemStats(&after)
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 64<<10+32*uint64(len(data)) {
+			t.Fatalf("decoding %d bytes allocated %d", len(data), alloc)
+		}
+		if err != nil {
+			return
+		}
+		if len(st.Nodes) > 0 && !strings.HasPrefix(st.Path, "/") {
+			t.Fatalf("accepted nodes under the relative path %q", st.Path)
+		}
+		for i, n := range st.Nodes[min(1, len(st.Nodes)):] {
+			if n.Parent > i || n.Name == "" || strings.Contains(n.Name, "/") {
+				t.Fatalf("accepted node %d with parent %d and name %q", i+1, n.Parent, n.Name)
+			}
+		}
+		if again := encode(t, &st); !bytes.Equal(again, data) {
+			t.Fatalf("accepted %x, re-encodes as %x", data, again)
+		}
+	})
 }

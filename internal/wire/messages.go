@@ -501,12 +501,13 @@ func (m *JoinRequest) code(c *codec) {
 //
 //d2vet:ignore leasecheck bootstrap payload between Monitor and MDS; entries seed server state and are never client-cached, so no lease is granted
 type JoinResponse struct {
-	ServerID    int               `json:"serverId"`
-	GLVersion   int64             `json:"glVersion"`
-	GlobalLayer []Entry           `json:"globalLayer"`
-	Subtrees    [][]Entry         `json:"subtrees"`
-	Index       map[string]string `json:"index"` // subtree root path → MDS addr
-	IndexVer    int64             `json:"indexVer"`
+	ServerID    int     `json:"serverId"`
+	GLVersion   int64   `json:"glVersion"`
+	GlobalLayer []Entry `json:"globalLayer"`
+	// Trees are the local-layer subtrees the server is to own, each whole.
+	Trees    []Subtree         `json:"trees"`
+	Index    map[string]string `json:"index"` // subtree root path → MDS addr
+	IndexVer int64             `json:"indexVer"`
 	// AdoptedSubtrees echoes the recovery claims the Monitor accepted; the
 	// server keeps its recovered entries for these roots and drops any
 	// claimed root not listed here (another live server owns it).
@@ -517,10 +518,7 @@ func (m *JoinResponse) code(c *codec) {
 	c.integer(&m.ServerID)
 	c.i64(&m.GLVersion)
 	c.entries(&m.GlobalLayer)
-	m.Subtrees = sized(c, m.Subtrees, c.count(len(m.Subtrees), 1))
-	for i := range m.Subtrees {
-		c.entries(&m.Subtrees[i])
-	}
+	c.subtrees(&m.Trees)
 	c.index(&m.Index)
 	c.i64(&m.IndexVer)
 	c.strs(&m.AdoptedSubtrees)
@@ -639,17 +637,14 @@ func (m *ClusterInfoResponse) code(c *codec) {
 	c.i64(&m.IndexVer)
 }
 
-// InstallRequest ships a subtree's entries to the receiving MDS during a
-// migration.
+// InstallRequest ships a subtree to the MDS that is to own it, during a
+// migration or a failover push.
+// The receiver takes ownership of the subtree at Tree.Path.
 type InstallRequest struct {
-	RootPath string  `json:"rootPath"`
-	Entries  []Entry `json:"entries"`
+	Tree Subtree `json:"tree"`
 }
 
-func (m *InstallRequest) code(c *codec) {
-	c.str(&m.RootPath)
-	c.entries(&m.Entries)
-}
+func (m *InstallRequest) code(c *codec) { m.Tree.code(c) }
 
 // UninstallRequest tells an MDS to drop a subtree it may hold from a
 // superseded recovery push (install timed out at the Monitor but landed);
