@@ -7,6 +7,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"reflect"
@@ -215,12 +216,14 @@ var legacyEdgeNames = map[string]interface{}{
 }
 
 // malformed returns inputs built from encodings of seeded fills of proto, at
-// least min of them, every one of which a decoder must refuse: each encoding
+// least min of them and from at least fills encodings, so that no type is
+// tried on the one shape a single fill happens to draw. A decoder must refuse
+// every input: each encoding
 // cut short at every offset and given a trailing byte, and each length and
 // count in it made to claim more bytes than the frame holds, each varint made
 // to run past 64 bits, each flag set to 2 and to 0x80. The unmutated
 // encoding each input came from is returned beside it.
-func malformed(f *filler, proto interface{}, min int) (inputs, from [][]byte) {
+func malformed(f *filler, proto interface{}, min, fills int) (inputs, from [][]byte) {
 	add := func(in, raw []byte) {
 		inputs = append(inputs, in)
 		from = append(from, raw)
@@ -228,7 +231,7 @@ func malformed(f *filler, proto interface{}, min int) (inputs, from [][]byte) {
 	splice := func(raw []byte, at, n int, with ...byte) []byte {
 		return append(append(append([]byte(nil), raw[:at]...), with...), raw[at+n:]...)
 	}
-	for len(inputs) < min {
+	for n := 0; n < fills || len(inputs) < min; n++ {
 		var marks []mark
 		c := codec{marks: &marks}
 		code(&c, f.filled(proto))
@@ -289,11 +292,16 @@ func TestFastUnmarshalPayloadEdgeCases(t *testing.T) {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	f := &filler{rng: rand.New(rand.NewSource(7))}
 	for _, name := range names {
 		proto := types[name]
 		typ := reflect.TypeOf(proto).Elem()
-		inputs, from := malformed(f, proto, 100)
+		// Each type draws from its own stream, seeded by its name, so adding
+		// or reshaping one message leaves every other message's inputs as
+		// they were.
+		h := fnv.New64a()
+		h.Write([]byte(name))
+		f := &filler{rng: rand.New(rand.NewSource(7 ^ int64(h.Sum64())))}
+		inputs, from := malformed(f, proto, 100, 3)
 		for i, in := range inputs {
 			t.Run(name, func(t *testing.T) {
 				decode := func(b []byte) error { return decodePayload(b, reflect.New(typ).Interface()) }
