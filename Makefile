@@ -64,9 +64,12 @@ bench-index:
 # -benchtime 2s; for the cold start (the join call and the install apart,
 # and the bytes of both join answers), -bench ColdStart -cpu 1 -benchtime
 # 20x. SubtreeEntries is the Monitor building the subtrees the second MDS
-# joins with (roots, nodes, encoded bytes).
+# joins with (roots, nodes, encoded bytes). MDSRestart is an MDS holding a 20k
+# and a 200k-node local layer writing its snapshot image and restarting from
+# it (image bytes, write, s.mu hold and recovery ms; -benchtime 5x for
+# numbers).
 bench-wire:
-	$(GO) test -run '^$$' -bench 'FrameRoundTrip|ReaddirPlusCodec|EchoInproc|SetAttrInproc|GLUpdateJournaled|ColdStart|SubtreeEntries' -benchtime 1x ./internal/wire/ ./internal/server/ ./internal/monitor/
+	$(GO) test -run '^$$' -bench 'FrameRoundTrip|ReaddirPlusCodec|EchoInproc|SetAttrInproc|GLUpdateJournaled|ColdStart|SubtreeEntries|MDSRestart' -benchtime 1x ./internal/wire/ ./internal/server/ ./internal/monitor/
 
 # The full gate: what ci.sh runs.
 check: build lint race-obs race-rpc race bench-test bench-index bench-wire

@@ -51,23 +51,23 @@ go test -run '^$' -bench 'ReaddirPlus(Store|Index)Size|ClientReaddirPlus|LookupH
 # ReaddirPlus response through the codec, a lookup over loopback through
 # Conn.Call and the serving loop, a setattr through a client, an in-process
 # MDS and the Monitor, global-layer setattrs with the Monitor's journal off
-# and on, a cold start from the binary namespace snapshot, and the Monitor
-# building the subtrees a join ships.
-go test -run '^$' -bench 'FrameRoundTrip|ReaddirPlusCodec|EchoInproc|SetAttrInproc|GLUpdateJournaled|ColdStart|SubtreeEntries' -benchtime 1x ./internal/wire/ ./internal/server/ ./internal/monitor/
+# and on, a cold start from the binary namespace snapshot, the Monitor
+# building the subtrees a join ships, and an MDS writing its snapshot image
+# and restarting from it.
+go test -run '^$' -bench 'FrameRoundTrip|ReaddirPlusCodec|EchoInproc|SetAttrInproc|GLUpdateJournaled|ColdStart|SubtreeEntries|MDSRestart' -benchtime 1x ./internal/wire/ ./internal/server/ ./internal/monitor/
 
 # Ten seconds of fuzzing the frame decoder: every input either fails cleanly
 # or is a frame that encodes back to the bytes it was read from.
 go test -run '^$' -fuzz '^FuzzDecodeFrame$' -fuzztime 10s ./internal/wire
 
-# And ten of the namespace snapshot reader: no panic, allocation bounded by
-# the input, and an accepted snapshot writes back to the same bytes.
-go test -run '^$' -fuzz '^FuzzReadSnapshot$' -fuzztime 10s ./internal/namespace
-
-# And ten of the subtree decoder (joins, installs, install records): no
-# panic, allocation bounded by the input, every parent before its node and
-# every name one AddChild takes, and an accepted subtree re-encodes to the
-# same bytes.
-go test -run '^$' -fuzz '^FuzzDecodeSubtree$' -fuzztime 10s ./internal/wire
+# And ten of the tree shape that the namespace snapshot and the subtrees of
+# joins, installs and install records share: no panic, allocation bounded by
+# the input, every parent before its node and every name one AddChild takes,
+# and an accepted snapshot or subtree list re-encodes to the same bytes.
+# Minimizing a new corpus entry may take the default 60 s budget, and on a
+# warm corpus it took the whole ten seconds (a few thousand inputs run,
+# against about 170k with the budget cut to one second).
+go test -run '^$' -fuzz '^FuzzTreeShape$' -fuzztime 10s -fuzzminimizetime 1s ./internal/namespace
 
 # bench/ is a module of its own, so the ./... patterns above do not descend
 # into it: vet and test the benchmark harness too.

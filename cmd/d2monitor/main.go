@@ -8,7 +8,7 @@
 //	          [-profile LMBE -nodes 20000 -events 100000 -seed 1]
 //	          [-debug-addr 127.0.0.1:6070] [-event-log monitor.jsonl]
 //
-// -snapshot names a binary namespace snapshot (v2), as tracegen -tree writes
+// -snapshot names a binary namespace snapshot (v3), as tracegen -tree writes
 // it; without one the namespace is synthesized from -profile and -nodes.
 package main
 
@@ -39,7 +39,7 @@ func run(args []string) error {
 		addr       = fs.String("addr", "127.0.0.1:7070", "listen address")
 		servers    = fs.Int("servers", 3, "expected MDS cluster size")
 		glProp     = fs.Float64("gl", 0.01, "global-layer proportion")
-		snapshot   = fs.String("snapshot", "", "binary namespace snapshot (v2) file, as tracegen -tree writes it; empty = synthesize")
+		snapshot   = fs.String("snapshot", "", "binary namespace snapshot (v3) file, as tracegen -tree writes it; empty = synthesize")
 		profile    = fs.String("profile", "LMBE", "trace profile for synthesis (DTR|LMBE|RA)")
 		nodes      = fs.Int("nodes", 20000, "synthetic namespace size")
 		events     = fs.Int("events", 100000, "popularity-annotation events for synthesis")

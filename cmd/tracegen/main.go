@@ -1,5 +1,5 @@
 // Command tracegen generates synthetic trace files (and the matching binary
-// namespace snapshot (v2), which d2monitor -snapshot reads) for one of the
+// namespace snapshot (v3), which d2monitor -snapshot reads) for one of the
 // paper's workload profiles.
 //
 // Usage:
@@ -31,7 +31,7 @@ func run(args []string) error {
 		events  = fs.Int("events", 200000, "number of operations")
 		seed    = fs.Int64("seed", 1, "random seed")
 		out     = fs.String("out", "", "trace output file (required)")
-		treeOut = fs.String("tree", "", "optional binary namespace snapshot (v2) output file, for d2monitor -snapshot")
+		treeOut = fs.String("tree", "", "optional binary namespace snapshot (v3) output file, for d2monitor -snapshot")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err

@@ -9,7 +9,11 @@ import (
 
 	"d2tree/internal/namespace"
 	"d2tree/internal/trace"
+	"d2tree/internal/wire"
 )
+
+// magic opens every snapshot WriteSnapshot writes.
+const magic = "d2tree/namespace/v3\n"
 
 // TestSnapshotRoundTripLMBE writes the namespace the benchmark boots from
 // (20k-node LMBE, 200k popularity events, seed 1), reads it back and writes
@@ -103,11 +107,15 @@ func TestReadSnapshotRefusesV1(t *testing.T) {
 	}
 }
 
-// FuzzReadSnapshot: whatever the bytes, ReadSnapshot returns without
-// panicking, allocates in proportion to the input rather than to a count the
-// input declares, and accepts only what WriteSnapshot would write: an
-// accepted input re-encodes byte for byte.
-func FuzzReadSnapshot(f *testing.F) {
+// FuzzTreeShape fuzzes the one tree shape both of its users decode: the
+// bytes after the magic of a namespace snapshot, and a list of wire.Subtrees
+// (joins, installs, install records). Whatever the bytes, neither decode
+// panics or allocates in proportion to a count the input declares rather than
+// to the input. What the wire accepts is a tree AddChild could have built,
+// every parent before its node and every name non-empty and free of '/',
+// under an absolute path. What either accepts encodes back to the bytes it
+// was read from.
+func FuzzTreeShape(f *testing.F) {
 	tr := namespace.NewTree()
 	for _, p := range []string{"/d/x", "/d/y", "/e/f/g"} {
 		n, err := tr.AddFile(p)
@@ -123,28 +131,81 @@ func FuzzReadSnapshot(f *testing.F) {
 	if err := tr.WriteSnapshot(&buf); err != nil {
 		f.Fatal(err)
 	}
-	f.Add(buf.Bytes())
-	f.Add([]byte("d2tree/namespace/v2\n\x01\x00\x00"))
-	f.Add([]byte("d2tree/namespace/v2\n\x01\x00"))
-	f.Add([]byte("d2tree/namespace/v2\n\xff\xff\xff\xff\xff\xff\xff\xff\x7f\x00\x00"))
-	f.Add([]byte(`{"format":"d2tree/namespace/v1","nodes":1}` + "\n"))
+	f.Add(bytes.TrimPrefix(buf.Bytes(), []byte(magic)))
+	f.Add([]byte{1, 2, 0, 0})                                                    // a root alone
+	f.Add([]byte{1, 2, 0})                                                       // cut inside the root
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f, 2, 0, 0}) // a count the input cannot hold
+	f.Add([]byte{2, 2, 0, 0, 1, 0, 1, 'x', 0, 0})                                // a node with no kind
+	f.Add([]byte{3, 2, 0, 0, 1, 4, 1, 'x', 0, 0, 2, 4, 1, 'x', 0, 0})            // a name twice under one parent
+	for _, ts := range [][]wire.Subtree{
+		{{}},
+		{{Path: "/r"}},
+		{{Path: "/", Nodes: []wire.SubtreeNode{
+			{Kind: wire.EntryDir, Version: 1},
+			{Kind: wire.EntryDir, Name: "a", Version: 1},
+			{Parent: 1, Kind: wire.EntryFile, Name: "x", Size: 7, Mode: 0o644, Version: 3},
+			{Kind: wire.EntryFile, Name: "b", Version: 1},
+		}}},
+		{{Path: "/r/s", Nodes: []wire.SubtreeNode{{}, {Name: "held-by-no-entry"}, {Parent: 1, Kind: wire.EntryFile, Name: "f", Version: 2}}}},
+	} {
+		f.Add(wire.AppendSubtrees(nil, ts))
+	}
+	f.Add([]byte{1, 2, '/', 'r', 2, 1, 0, 0, 2, 1, 2, 1, '/', 0, 0, 2})     // a name with '/'
+	f.Add([]byte{1, 2, '/', 'r', 2, 1, 0, 0, 2, 2, 2, 1, 'x', 0, 0, 2})     // a parent before the root
+	f.Add([]byte{1, 2, '/', 'r', 2, 1, 0, 0, 2, 0, 2, 1, 'x', 0, 0, 2})     // a node its own parent
+	f.Add([]byte{1, 1, 'r', 1, 1, 0, 0, 2})                                 // a relative path
+	f.Add([]byte{1, 2, '/', 'r', 0xff, 0xff, 0xff, 0xff, 0x0f, 1, 0, 0, 2}) // a count the input cannot hold
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		tree, err := namespace.ReadSnapshot(bytes.NewReader(data))
+		tree, err := namespace.ReadSnapshot(bytes.NewReader(append([]byte(magic), data...)))
 		runtime.ReadMemStats(&after)
 		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20+512*uint64(len(data)) {
-			t.Fatalf("reading %d bytes allocated %d", len(data), alloc)
+			t.Fatalf("reading a %d-byte snapshot allocated %d", len(data), alloc)
+		}
+		if err == nil {
+			var out bytes.Buffer
+			if err := tree.WriteSnapshot(&out); err != nil {
+				t.Fatal(err)
+			}
+			if again := out.Bytes()[len(magic):]; !bytes.Equal(again, data) {
+				t.Fatalf("accepted snapshot %x, re-encodes as %x", data, again)
+			}
+		}
+
+		runtime.ReadMemStats(&before)
+		ts, err := wire.DecodeSubtrees(data)
+		runtime.ReadMemStats(&after)
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 64<<10+32*uint64(len(data)) {
+			t.Fatalf("decoding %d bytes of subtrees allocated %d", len(data), alloc)
 		}
 		if err != nil {
 			return
 		}
-		var out bytes.Buffer
-		if err := tree.WriteSnapshot(&out); err != nil {
-			t.Fatal(err)
+		for _, st := range ts {
+			if len(st.Nodes) > 0 && !strings.HasPrefix(st.Path, "/") {
+				t.Fatalf("accepted nodes under the relative path %q", st.Path)
+			}
+			for i, n := range st.Nodes[min(1, len(st.Nodes)):] {
+				if n.Parent > i || n.Name == "" || strings.Contains(n.Name, "/") {
+					t.Fatalf("accepted node %d with parent %d and name %q", i+1, n.Parent, n.Name)
+				}
+			}
 		}
-		if !bytes.Equal(out.Bytes(), data) {
-			t.Fatalf("accepted %q, re-encodes as %q", data, out.Bytes())
+		if again := wire.AppendSubtrees(nil, ts); !bytes.Equal(again, data) {
+			t.Fatalf("accepted subtrees %x, re-encode as %x", data, again)
 		}
 	})
+}
+
+func TestReadSnapshotRefusesV2(t *testing.T) {
+	_, err := namespace.ReadSnapshot(strings.NewReader("d2tree/namespace/v2\n\x01\x00\x00"))
+	if !errors.Is(err, namespace.ErrSnapshotV2) {
+		t.Fatalf("ReadSnapshot(v2) = %v, want ErrSnapshotV2", err)
+	}
+	for _, want := range []string{"v2", "tracegen -tree"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %q", err, want)
+		}
+	}
 }

@@ -2,11 +2,14 @@ package server
 
 import (
 	"encoding/base64"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
+	"maps"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strconv"
 	"time"
 
@@ -172,9 +175,6 @@ func (*walRemoveRec) recType() string  { return "remove" }
 // applies its install().
 func (*legacyInstallRec) recType() string { return "install" }
 
-// The snapshot image is applied as a record that is never logged.
-func (*snapshotState) recType() string { return "snapshot" }
-
 // installChunk bounds the nodes of one install record, so a large install
 // is journaled as several records instead of tripping wal.MaxRecordSize.
 const installChunk = 2048
@@ -241,21 +241,19 @@ func nodePath(t wire.Subtree, i int) string {
 	return path
 }
 
-// snapshotState is the periodic namespace snapshot (snapshot.json): the
-// local-layer image holding every record up to WALSeq and none after it. GL
-// entries are not persisted — the join refresh restores the replica — but the
-// GL version is, so a restarted server rejoins with staleness detection
-// intact.
-type snapshotState struct {
-	WALSeq    int64            `json:"walSeq"`
-	GLVersion int64            `json:"glVersion"`
-	Subtrees  []string         `json:"subtrees"`
-	Entries   []wire.Entry     `json:"entries"`
-	OpCounts  map[string]int64 `json:"opCounts,omitempty"`
-}
+// The snapshot image (snapshot.img) is a version byte, the body's length and
+// CRC-32 (IEEE, as a log record's), 4 bytes big-endian each, then the body,
+// a wire.Image. GL entries are not persisted — the join refresh restores the
+// replica — but the GL version is, so a restarted server rejoins with
+// staleness detection intact.
+const (
+	imageVersion = 1
+	imageHead    = 9 // version, length and crc
+)
 
-func (s *Server) walPath() string      { return filepath.Join(s.cfg.WALDir, "mds.wal") }
-func (s *Server) snapshotPath() string { return filepath.Join(s.cfg.WALDir, "snapshot.json") }
+func (s *Server) walPath() string          { return filepath.Join(s.cfg.WALDir, "mds.wal") }
+func (s *Server) imagePath() string        { return filepath.Join(s.cfg.WALDir, "snapshot.img") }
+func (s *Server) jsonSnapshotPath() string { return filepath.Join(s.cfg.WALDir, "snapshot.json") }
 
 // openJournal recovers local state from snapshot+WAL replay, then opens the
 // log for appending behind the group-commit batcher. Called from Start
@@ -280,34 +278,18 @@ func (s *Server) openJournal() error {
 }
 
 // recoverFromDisk rebuilds the local layer: the snapshot image first, then
-// every WAL record past the snapshot's horizon, in commit order, each applied
+// every WAL record past the image's horizon, in commit order, each applied
 // once. The horizon is exact (writeSnapshot), which matters: replay is not
 // idempotent, since a create replayed under a directory the image already
 // renamed would come back under the old name.
 func (s *Server) recoverFromDisk() error {
-	var snapSeq int64
-	data, err := os.ReadFile(s.snapshotPath())
-	switch {
-	case err == nil:
-		var snap snapshotState
-		if jerr := json.Unmarshal(data, &snap); jerr != nil {
-			return fmt.Errorf("server: snapshot corrupt: %w", jerr)
-		}
-		snapSeq = snap.WALSeq
-		s.mu.Lock()
-		s.glVersion = snap.GLVersion
-		s.applyLocked(&snap)
-		s.mu.Unlock()
-		s.hot.Merge(snap.OpCounts)
-	case os.IsNotExist(err):
-		// No snapshot yet: replay the whole log.
-	default:
-		return fmt.Errorf("server: read snapshot: %w", err)
+	horizon, err := s.loadImage()
+	if err != nil {
+		return err
 	}
-
 	recovered := 0
 	err = wal.Replay(s.walPath(), func(rec wal.Record) error {
-		if rec.Seq <= snapSeq {
+		if rec.Seq <= horizon {
 			return nil
 		}
 		recovered++
@@ -324,10 +306,100 @@ func (s *Server) recoverFromDisk() error {
 			Kind: obs.KindCluster,
 			Op:   "wal_recovered",
 			Detail: fmt.Sprintf("%d records past snapshot seq %d: %d entries, %d subtrees",
-				recovered, snapSeq, entries, roots),
+				recovered, horizon, entries, roots),
 		})
 	}
 	return nil
+}
+
+// loadImage applies the snapshot image, through the install_trees arm, and
+// returns its horizon (0 when there is none). Without an image, a
+// snapshot.json an older MDS wrote is upgraded instead (upgradeJSON).
+func (s *Server) loadImage() (int64, error) {
+	img, err := readImage(s.imagePath())
+	if os.IsNotExist(err) {
+		return s.upgradeJSON()
+	} else if err != nil {
+		return 0, err
+	}
+	s.mu.Lock()
+	s.glVersion = img.GLVersion
+	s.store.reserve(len(img.Tree.Nodes))
+	s.applyLocked(&walInstallRec{Roots: img.Roots, Trees: []wire.Subtree{img.Tree}})
+	s.mu.Unlock()
+	s.hot.Merge(img.OpCounts)
+	return img.Horizon, s.removeJSON()
+}
+
+// readImage reads and checks the image at path. It refuses, naming the
+// file, an image that is cut short, fails its CRC, or is of a version this
+// MDS does not read, so nothing of a bad image is applied.
+func readImage(path string) (*wire.Image, error) {
+	data, err := os.ReadFile(path)
+	switch {
+	case err != nil:
+		return nil, err
+	case len(data) < imageHead || data[0] != imageVersion:
+		return nil, fmt.Errorf("server: snapshot image %s is cut short or not version %d", path, imageVersion)
+	case int64(binary.BigEndian.Uint32(data[1:])) != int64(len(data)-imageHead) ||
+		crc32.ChecksumIEEE(data[imageHead:]) != binary.BigEndian.Uint32(data[5:]):
+		return nil, fmt.Errorf("server: snapshot image %s fails its length or CRC check", path)
+	}
+	img, err := wire.DecodeImage(data[imageHead:])
+	if err != nil {
+		return nil, fmt.Errorf("server: snapshot image %s: %w", path, err)
+	}
+	return img, nil
+}
+
+// upgradeJSON applies the snapshot.json an MDS wrote before the image, if
+// any, as the install record legacyInstallRec.install makes of its entries,
+// and returns its horizon. It saves the state as an image with that horizon
+// before it removes the JSON: a crash in between leaves both, and the image
+// wins.
+func (s *Server) upgradeJSON() (int64, error) {
+	path := s.jsonSnapshotPath()
+	data, err := os.ReadFile(path)
+	if os.IsNotExist(err) {
+		return 0, nil
+	}
+	var old struct {
+		WALSeq           int64            `json:"walSeq"`
+		GLVersion        int64            `json:"glVersion"`
+		Subtrees         []string         `json:"subtrees"`
+		OpCounts         map[string]int64 `json:"opCounts,omitempty"`
+		legacyInstallRec                  // the entries
+	}
+	if err == nil {
+		err = json.Unmarshal(data, &old)
+	}
+	if err != nil {
+		return 0, fmt.Errorf("server: snapshot %s: %w", path, err)
+	}
+	rec := old.install()
+	rec.Roots = old.Subtrees
+	s.mu.Lock()
+	s.glVersion = old.GLVersion
+	s.applyLocked(rec)
+	img := s.imageLocked()
+	s.mu.Unlock()
+	s.hot.Merge(old.OpCounts)
+	img.Horizon = old.WALSeq
+	if err := s.saveImage(img); err != nil {
+		return 0, fmt.Errorf("server: upgrade %s: %w", path, err)
+	}
+	return old.WALSeq, s.removeJSON()
+}
+
+// removeJSON removes a snapshot.json the image holds the state of, and
+// syncs the directory so the removal survives a crash.
+func (s *Server) removeJSON() error {
+	if err := os.Remove(s.jsonSnapshotPath()); os.IsNotExist(err) {
+		return nil
+	} else if err != nil {
+		return err
+	}
+	return wal.SyncDir(s.cfg.WALDir)
 }
 
 // applyWALRecord decodes one journaled record and applies it. Unknown record
@@ -378,13 +450,6 @@ func (s *Server) applyLocked(rec record) {
 	case *walRemoveRec:
 		delete(s.subtrees, r.Root)
 		s.store.dropSubtree(r.Root)
-	case *snapshotState:
-		for _, root := range r.Subtrees {
-			s.subtrees[root] = true
-		}
-		for _, e := range r.Entries {
-			s.store.put(e, false)
-		}
 	}
 	if s.applied != nil {
 		s.applied()
@@ -431,20 +496,6 @@ func (s *Server) noteWalDegraded(err error) {
 	}
 }
 
-// snapshotEntriesLocked copies out every local-layer entry: those of the
-// owned subtrees, and any left outside them (a create under a root the index
-// still routes here after its uninstall), which are state as much as the
-// rest.
-func (s *Server) snapshotEntriesLocked() []wire.Entry {
-	entries := make([]wire.Entry, 0, s.store.len())
-	s.store.walk("/", func(e *wire.Entry, gl bool) {
-		if !gl {
-			entries = append(entries, *e)
-		}
-	})
-	return entries
-}
-
 // snapshotLoop periodically captures the namespace image and truncates the
 // log behind it.
 func (s *Server) snapshotLoop() {
@@ -463,69 +514,68 @@ func (s *Server) snapshotLoop() {
 	}
 }
 
-// writeSnapshot captures the local-layer image, writes it atomically (tmp +
-// rename + dir sync), and truncates the WAL below its horizon: the sequence
-// number of the newest record the image holds. The image and the tail ticket
-// are taken under one lock, and a record enqueued and applied but not yet
-// flushed is in the image before it has a number, so the horizon is the
-// tail's number once it is durable; without a tail, or when its flush failed,
-// it is the log's, read with the image. The log keeps the horizon record
-// itself, so a log reopened after the truncation numbers on past it.
+// writeSnapshot captures the local-layer image, writes it atomically
+// (saveImage), and truncates the WAL below its horizon: the sequence number
+// of the newest record the image holds. The image and the tail ticket are
+// taken under one lock, and a record enqueued and applied but not yet flushed
+// is in the image before it has a number, so the horizon is the tail's number
+// once it is durable; without a tail, or when its flush failed, it is the
+// log's, read with the image. The log keeps the horizon record itself, so a
+// log reopened after the truncation numbers on past it.
 func (s *Server) writeSnapshot() error {
 	s.mu.RLock()
 	tail, seq := s.tail, s.wlog.Seq()
-	snap := snapshotState{
-		GLVersion: s.glVersion,
-		Subtrees:  make([]string, 0, len(s.subtrees)),
-		Entries:   s.snapshotEntriesLocked(),
-	}
-	for root := range s.subtrees {
-		snap.Subtrees = append(snap.Subtrees, root)
-	}
+	img := s.imageLocked()
 	s.mu.RUnlock()
 	if tail != nil {
 		if n, err := tail.Wait(); err == nil {
 			seq = n
 		}
 	}
-	snap.WALSeq = seq
-	sort.Strings(snap.Subtrees)
-	sortByPath(snap.Entries)
-	// The access counters have no non-destructive read: take them and put
-	// them straight back. Increments landing in between stay live.
-	counts := s.hot.Drain()
-	s.hot.Merge(counts)
-	snap.OpCounts = counts
-
-	data, err := json.Marshal(&snap)
-	if err != nil {
+	img.Horizon = seq
+	if err := s.saveImage(img); err != nil {
 		return err
 	}
-	tmp := s.snapshotPath() + ".tmp"
+	if err := s.wlog.TruncateBefore(seq); err != nil {
+		return err
+	}
+	s.snapshots.Add(1)
+	return nil
+}
+
+// imageLocked captures the GL version, the owned roots and the local layer.
+func (s *Server) imageLocked() *wire.Image {
+	return &wire.Image{GLVersion: s.glVersion, Roots: slices.Collect(maps.Keys(s.subtrees)), Tree: s.store.tree("/", true)}
+}
+
+// saveImage adds the access counters to img and writes it atomically: tmp,
+// fsync, rename, dir sync.
+func (s *Server) saveImage(img *wire.Image) error {
+	// The access counters have no non-destructive read: take them and put
+	// them straight back. Increments landing in between stay live.
+	img.OpCounts = s.hot.Drain()
+	s.hot.Merge(img.OpCounts)
+	data := wire.AppendImage(make([]byte, imageHead), img)
+	data[0] = imageVersion
+	binary.BigEndian.PutUint32(data[1:], uint32(len(data)-imageHead))
+	binary.BigEndian.PutUint32(data[5:], crc32.ChecksumIEEE(data[imageHead:]))
+	tmp := s.imagePath() + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(data); err == nil {
+	if _, err = f.Write(data); err == nil {
 		err = f.Sync()
 	}
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
+	if err == nil {
+		err = os.Rename(tmp, s.imagePath())
+	}
 	if err != nil {
 		_ = os.Remove(tmp)
 		return err
 	}
-	if err := os.Rename(tmp, s.snapshotPath()); err != nil {
-		_ = os.Remove(tmp)
-		return err
-	}
-	if err := wal.SyncDir(s.cfg.WALDir); err != nil {
-		return err
-	}
-	if err := s.wlog.TruncateBefore(snap.WALSeq); err != nil {
-		return err
-	}
-	s.snapshots.Add(1)
-	return nil
+	return wal.SyncDir(s.cfg.WALDir)
 }

@@ -105,7 +105,7 @@ func TestClusterRestartRecoversFromWAL(t *testing.T) {
 }
 
 // TestClusterSnapshotTruncatesWAL checks the compaction loop: snapshots are
-// taken on the configured cadence, snapshot.json lands on disk, and restart
+// taken on the configured cadence, snapshot.img lands on disk, and restart
 // still recovers every journaled mutation from snapshot+tail replay.
 func TestClusterSnapshotTruncatesWAL(t *testing.T) {
 	walDir := t.TempDir()
@@ -144,8 +144,8 @@ func TestClusterSnapshotTruncatesWAL(t *testing.T) {
 		}
 		return nil
 	})
-	if _, err := os.Stat(filepath.Join(walDir, "snapshot.json")); err != nil {
-		t.Fatalf("snapshot.json missing: %v", err)
+	if _, err := os.Stat(filepath.Join(walDir, "snapshot.img")); err != nil {
+		t.Fatalf("snapshot.img missing: %v", err)
 	}
 
 	if err := srv.Close(); err != nil {

@@ -216,7 +216,7 @@ func TestInstallFromPeerMatchesParent(t *testing.T) {
 		}
 	}
 	src.mu.Unlock()
-	shipped := src.store.subtree(root)
+	shipped := src.store.tree(root, false)
 	placeholders := 0
 	for _, n := range shipped.Nodes {
 		if n.Kind == 0 {
@@ -335,10 +335,164 @@ func TestInstallRecordsStayInTheLog(t *testing.T) {
 // snapshot and, past it, a re-join's remove and install, an install from a
 // peer, creates, setattrs, renames, an uninstall and a batch, all in the
 // parent's record formats, recovers to the local layer the parent held
-// (testdata/parent-datadir/digest.txt).
+// (testdata/parent-datadir/digest.txt). The recovery upgrades its
+// snapshot.json to an image and removes it; a reopen then reads only the
+// image, and so does one that finds both, as a crash between writing the
+// image and removing the JSON leaves them, and each reaches the same state.
 func TestParentDataDirRecovers(t *testing.T) {
 	src := filepath.Join("testdata", "parent-datadir")
 	dir := t.TempDir()
+	copyIn := func(name string) {
+		t.Helper()
+		data, err := os.ReadFile(filepath.Join(src, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	copyIn("mds.wal")
+	copyIn("snapshot.json")
+	want, err := os.ReadFile(filepath.Join(src, "digest.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := recoveredDigest(t, dir) + "\n"; got != string(want) {
+		t.Fatalf("recovered\n%s\nthe parent held\n%s", got, want)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "snapshot.json")); !os.IsNotExist(err) {
+		t.Fatalf("snapshot.json is still there after the upgrade (%v)", err)
+	}
+	if got := recoveredDigest(t, dir) + "\n"; got != string(want) {
+		t.Fatalf("reopened from the image, recovered\n%s\nwant\n%s", got, want)
+	}
+	copyIn("snapshot.json")
+	if got := recoveredDigest(t, dir) + "\n"; got != string(want) {
+		t.Fatalf("with both the image and snapshot.json, recovered\n%s\nwant\n%s", got, want)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "snapshot.json")); !os.IsNotExist(err) {
+		t.Fatalf("snapshot.json is still there beside the image (%v)", err)
+	}
+}
+
+// TestBadImageRefused: an image cut short at any length, or with any one
+// byte flipped, fails the open with an error naming the file, and applies
+// nothing.
+func TestBadImageRefused(t *testing.T) {
+	dir := t.TempDir()
+	s := newDurableServer(t, dir)
+	installEntries(s, "/r", []wire.Entry{
+		{Path: "/r", Kind: wire.EntryDir, Version: 1},
+		{Path: "/r/a", Kind: wire.EntryDir, Version: 2},
+		{Path: "/r/a/f", Kind: wire.EntryFile, Size: 300, Mode: 0o644, Version: 3},
+	})
+	if err := s.writeSnapshot(); err != nil {
+		t.Fatal(err)
+	}
+	good, err := os.ReadFile(s.imagePath())
+	if err != nil {
+		t.Fatal(err)
+	}
+	open := func(what string, img []byte) {
+		t.Helper()
+		bad := t.TempDir()
+		if err := os.WriteFile(filepath.Join(bad, "snapshot.img"), img, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		r := New(Config{WALDir: bad})
+		err := r.recoverFromDisk()
+		if err == nil || !strings.Contains(err.Error(), filepath.Join(bad, "snapshot.img")) {
+			t.Fatalf("%s: recovery returned %v, want an error naming the image", what, err)
+		}
+		if r.store.len() != 0 || len(r.subtrees) != 0 {
+			t.Fatalf("%s: %d entries and %d roots applied from a bad image", what, r.store.len(), len(r.subtrees))
+		}
+	}
+	for n := 0; n < len(good); n++ {
+		open(fmt.Sprintf("cut to %d of %d bytes", n, len(good)), good[:n])
+	}
+	for i := range good {
+		flipped := slices.Clone(good)
+		flipped[i] ^= 0x20
+		open(fmt.Sprintf("byte %d flipped", i), flipped)
+	}
+}
+
+// TestFailedImageWriteKeepsTheOldState: an image write that fails (its
+// temporary file is /dev/full, so every write returns ENOSPC) fails the
+// snapshot and changes nothing on disk: the image in place stays, the log is
+// not truncated behind it, and a restart recovers what the server held. An
+// upgrade whose image write fails keeps snapshot.json, and a retry recovers
+// from it.
+func TestFailedImageWriteKeepsTheOldState(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full")
+	}
+	failNextWrite := func(dir string) {
+		t.Helper()
+		if err := os.Symlink("/dev/full", filepath.Join(dir, "snapshot.img.tmp")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	unchanged := func(path string, want []byte) {
+		t.Helper()
+		// Lstat first: a failed write renamed into place would be the
+		// symlink, and reading /dev/full never ends.
+		if fi, err := os.Lstat(path); err != nil || !fi.Mode().IsRegular() {
+			t.Fatalf("%s after the failed write: %v, %v", path, fi, err)
+		}
+		if got, err := os.ReadFile(path); err != nil || !slices.Equal(got, want) {
+			t.Fatalf("%s changed under the failed write (%v)", path, err)
+		}
+	}
+
+	dir := t.TempDir()
+	s := newDurableServer(t, dir)
+	commit := func(root string) {
+		t.Helper()
+		s.mu.Lock()
+		s.commitLocked(&walInstallRec{Roots: []string{root}, Trees: []wire.Subtree{tree(root, []wire.Entry{
+			{Path: root, Kind: wire.EntryDir, Version: 1},
+			{Path: root + "/f", Kind: wire.EntryFile, Size: 7, Version: 2},
+		})}})
+		tail := s.tail
+		s.mu.Unlock()
+		if _, err := tail.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	commit("/r")
+	if err := s.writeSnapshot(); err != nil {
+		t.Fatal(err)
+	}
+	commit("/q")
+	image, err := os.ReadFile(s.imagePath())
+	if err != nil {
+		t.Fatal(err)
+	}
+	log, err := os.ReadFile(s.walPath())
+	if err != nil {
+		t.Fatal(err)
+	}
+	failNextWrite(dir)
+	if err := s.writeSnapshot(); err == nil {
+		t.Fatal("a snapshot whose image write failed reported success")
+	}
+	unchanged(s.imagePath(), image)
+	unchanged(s.walPath(), log)
+	if _, err := os.Lstat(s.imagePath() + ".tmp"); !os.IsNotExist(err) {
+		t.Fatalf("the temporary image is left behind (%v)", err)
+	}
+	s.mu.RLock()
+	want := localDigest(s)
+	s.mu.RUnlock()
+	if got := recoveredDigest(t, dir); got != want {
+		t.Fatalf("recovered\n%s\nthe server held\n%s", got, want)
+	}
+
+	src := filepath.Join("testdata", "parent-datadir")
+	dir = t.TempDir()
 	for _, name := range []string{"mds.wal", "snapshot.json"} {
 		data, err := os.ReadFile(filepath.Join(src, name))
 		if err != nil {
@@ -348,12 +502,24 @@ func TestParentDataDirRecovers(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	want, err := os.ReadFile(filepath.Join(src, "digest.txt"))
+	json, err := os.ReadFile(filepath.Join(dir, "snapshot.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := recoveredDigest(t, dir) + "\n"; got != string(want) {
-		t.Fatalf("recovered\n%s\nthe parent held\n%s", got, want)
+	failNextWrite(dir)
+	if err := New(Config{WALDir: dir}).recoverFromDisk(); err == nil || !strings.Contains(err.Error(), filepath.Join(dir, "snapshot.json")) {
+		t.Fatalf("an upgrade whose image write failed returned %v, want an error naming snapshot.json", err)
+	}
+	unchanged(filepath.Join(dir, "snapshot.json"), json)
+	if _, err := os.Lstat(filepath.Join(dir, "snapshot.img")); !os.IsNotExist(err) {
+		t.Fatalf("an image is in place after the failed upgrade (%v)", err)
+	}
+	digest, err := os.ReadFile(filepath.Join(src, "digest.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := recoveredDigest(t, dir) + "\n"; got != string(digest) {
+		t.Fatalf("retried upgrade recovered\n%s\nthe parent held\n%s", got, digest)
 	}
 }
 

@@ -345,12 +345,10 @@ func replaySchedule(t *testing.T, peer string, mon *wire.RetryingConn, seed int6
 	durable := func(op string) {
 		t.Helper()
 		var last int64
-		if data, err := os.ReadFile(s.snapshotPath()); err == nil {
-			var snap snapshotState
-			if err := json.Unmarshal(data, &snap); err != nil {
-				t.Fatal(err)
-			}
-			last = snap.WALSeq
+		if img, err := readImage(s.imagePath()); err == nil {
+			last = img.Horizon
+		} else if !os.IsNotExist(err) {
+			t.Fatal(err)
 		}
 		if err := wal.Replay(s.walPath(), func(rec wal.Record) error {
 			last = rec.Seq
@@ -470,16 +468,17 @@ func replaySchedule(t *testing.T, peer string, mon *wire.RetryingConn, seed int6
 	check := func(img crashImage, n int, how string) {
 		t.Helper()
 		horizon := 0
-		_ = os.Remove(filepath.Join(scratch, "snapshot.json"))
+		path := filepath.Join(scratch, "snapshot.img")
+		_ = os.Remove(path)
 		if img.snap != nil {
-			var snap snapshotState
-			if err := json.Unmarshal(img.snap, &snap); err != nil {
+			if err := os.WriteFile(path, img.snap, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			horizon = int(snap.WALSeq)
-			if err := os.WriteFile(filepath.Join(scratch, "snapshot.json"), img.snap, 0o644); err != nil {
+			snap, err := readImage(path)
+			if err != nil {
 				t.Fatal(err)
 			}
+			horizon = int(snap.Horizon)
 		}
 		if err := os.WriteFile(filepath.Join(scratch, "mds.wal"), img.log[:n], 0o644); err != nil {
 			t.Fatal(err)
@@ -525,7 +524,7 @@ func takeImage(t *testing.T, s *Server, applied int) crashImage {
 	if img.log, err = os.ReadFile(s.walPath()); err != nil {
 		t.Fatal(err)
 	}
-	if img.snap, err = os.ReadFile(s.snapshotPath()); os.IsNotExist(err) {
+	if img.snap, err = os.ReadFile(s.imagePath()); os.IsNotExist(err) {
 		img.snap = nil
 	} else if err != nil {
 		t.Fatal(err)

@@ -55,7 +55,7 @@ type Config struct {
 	EntryLease time.Duration
 	// WALDir enables durability: local-layer mutations are journaled to
 	// <WALDir>/mds.wal through a group-commit batcher, periodic snapshots
-	// land in <WALDir>/snapshot.json, and a restart recovers subtrees, op
+	// land in <WALDir>/snapshot.img, and a restart recovers subtrees, op
 	// counts and GL version from snapshot+replay before rejoining. Empty =
 	// memory-only (the pre-durability behaviour).
 	WALDir string
@@ -566,7 +566,7 @@ func (s *Server) executeTransfer(cmd wire.TransferCommand) {
 		s.mu.Unlock()
 		return
 	}
-	tree := s.store.subtree(cmd.RootPath)
+	tree := s.store.tree(cmd.RootPath, false)
 	s.mu.Unlock()
 
 	s.rec.Record(obs.Event{

@@ -47,7 +47,7 @@ func TestStoreSubtreeShipsTheSubtree(t *testing.T) {
 	for _, p := range []string{"/x", "/x/y", "/x/y/z", "/xx", "/x2/file"} {
 		s.store.put(wire.Entry{Path: p, Kind: wire.EntryDir, Version: 1}, false)
 	}
-	got := treePaths(s.store.subtree("/x"))
+	got := treePaths(s.store.tree("/x", false))
 	want := []string{"/x", "/x/y", "/x/y/z"}
 	if len(got) != len(want) {
 		t.Fatalf("collected %d entries, want %d: %+v", len(got), len(want), got)

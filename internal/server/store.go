@@ -2,6 +2,7 @@ package server
 
 import (
 	"maps"
+	"slices"
 	"strings"
 
 	"d2tree/internal/wire"
@@ -279,32 +280,40 @@ func (g *grafting) link(k int) *node {
 	return n
 }
 
-// subtree is the subtree at root as an install ships it: every entry held
+// tree is the subtree at root as an install ships it: every entry held
 // under root, global-layer ones too, in pre-order, and a kind-0 node for
-// each placeholder linking them. It has no nodes when nothing is held there.
-func (st *store) subtree(root string) wire.Subtree {
+// each placeholder linking them; no nodes when nothing is held there. With
+// local set, as the snapshot image takes it, a global-layer entry is a
+// kind-0 node too.
+func (st *store) tree(root string, local bool) wire.Subtree {
 	t := wire.Subtree{Path: root}
 	if top := st.nodes[root]; top != nil {
-		t.Nodes = appendNodes([]wire.SubtreeNode{treeNode(top, 0, "")}, top, 0)
+		nodes := []wire.SubtreeNode{treeNode(top, 0, "", local)}
+		if root == "/" { // every node the store holds
+			nodes = slices.Grow(nodes, len(st.nodes)-1)
+		}
+		t.Nodes = appendNodes(nodes, top, 0, local)
 	}
 	return t
 }
 
 // appendNodes appends every node beneath n, the node at index at.
-func appendNodes(nodes []wire.SubtreeNode, n *node, at int) []wire.SubtreeNode {
+func appendNodes(nodes []wire.SubtreeNode, n *node, at int, local bool) []wire.SubtreeNode {
 	for c := n.child; c != nil; c = c.next {
 		p := c.entry.Path
-		nodes = append(nodes, treeNode(c, at, p[strings.LastIndexByte(p, '/')+1:]))
+		nodes = append(nodes, treeNode(c, at, p[strings.LastIndexByte(p, '/')+1:], local))
 		if c.child != nil {
-			nodes = appendNodes(nodes, c, len(nodes)-1)
+			nodes = appendNodes(nodes, c, len(nodes)-1, local)
 		}
 	}
 	return nodes
 }
 
-// treeNode is n as a subtree node under the parent at index parent.
-func treeNode(n *node, parent int, name string) wire.SubtreeNode {
-	if !n.present {
+// treeNode is n as a subtree node under the parent at index parent: a
+// kind-0 node for a placeholder and, with local set, for a global-layer
+// entry.
+func treeNode(n *node, parent int, name string, local bool) wire.SubtreeNode {
+	if !n.present || local && n.gl {
 		return wire.SubtreeNode{Parent: parent, Name: name}
 	}
 	e := &n.entry

@@ -231,11 +231,27 @@ func checkAgainstRef(t *testing.T, s *Server, ref *flatRef) {
 			t.Fatalf("walk(%q) = %v, want %v", root, got, want)
 		}
 	}
-	got := s.snapshotEntriesLocked()
+	got := treeEntries(s.store.tree("/", true))
 	sortByPath(got)
 	if want := ref.snapshot(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("snapshot has %d entries, want %d:\n got %v\nwant %v", len(got), len(want), got, want)
 	}
+}
+
+// treeEntries returns the entries of tr, by full path.
+func treeEntries(tr wire.Subtree) []wire.Entry {
+	out := []wire.Entry{}
+	paths := make([]string, len(tr.Nodes))
+	for i, n := range tr.Nodes {
+		paths[i] = tr.Path
+		if i > 0 {
+			paths[i] = childPath(paths[n.Parent], n.Name)
+		}
+		if n.Kind != 0 {
+			out = append(out, wire.Entry{Path: paths[i], Kind: n.Kind, Size: n.Size, Mode: n.Mode, Version: n.Version})
+		}
+	}
+	return out
 }
 
 // subtreeEntries builds one local-layer subtree of about n entries under

@@ -575,6 +575,8 @@ func code(c *codec, p interface{}) bool {
 		m.code(c)
 	case *Subtree:
 		m.code(c)
+	case *Image:
+		m.code(c)
 	case *UninstallRequest:
 		m.code(c)
 	case *TransferDoneRequest:

@@ -32,7 +32,7 @@ var codecTypes = []interface{}{
 	&GLUpdateResponse{}, &ClusterInfoResponse{}, &InstallRequest{},
 	&UninstallRequest{}, &TransferDoneRequest{}, &TransferFailedRequest{},
 	&ObsEvent{}, &ObsDumpRequest{}, &ObsDumpResponse{}, &LockResponse{},
-	&MetricsSnapshot{}, &IOSnapshot{}, &Subtree{},
+	&MetricsSnapshot{}, &IOSnapshot{}, &Subtree{}, &Image{},
 }
 
 func typeName(p interface{}) string { return reflect.TypeOf(p).Elem().Name() }

@@ -12,12 +12,10 @@ import (
 // name (no second "/" under the root "/"), and a receiver builds the paths
 // and links the nodes in one pass by index.
 //
-// The encoding is Path, the node count, the root's kind, size, mode and
-// version, and for every other node the distance back to its parent (at
-// least 1, at most its own index), kind, name, size, mode and version. A
-// decoder refuses a node whose parent does not precede it, a name that
-// AddChild would refuse (empty or holding a '/'), a kind that is neither
-// EntryDir, EntryFile nor 0, and nodes under a Path that is not absolute.
+// The encoding is Path, then the nodes in the tree shape the namespace
+// snapshot shares (Shape), each with its size, mode and version.
+// A decoder refuses what the shape refuses, and nodes under a Path that is
+// not absolute.
 type Subtree struct {
 	Path  string        `json:"path"`
 	Nodes []SubtreeNode `json:"nodes,omitempty"`
@@ -60,31 +58,80 @@ func (m *Subtree) code(c *codec) {
 			return
 		}
 	}
+	shape := Shape{c: c}
 	for i := range m.Nodes {
 		n := &m.Nodes[i]
-		if i > 0 {
-			up := uint64(i - n.Parent)
-			c.u64(&up)
-			if c.dec {
-				if up == 0 || up > uint64(i) {
-					c.fail()
-					return
-				}
-				n.Parent = i - int(up)
-			}
-		}
-		c.integer((*int)(&n.Kind))
-		if i > 0 {
-			c.str(&n.Name)
-		}
+		shape.Node(&n.Parent, &n.Kind, &n.Name)
 		c.i64(&n.Size)
 		c.u32(&n.Mode)
 		c.i64(&n.Version)
-		if c.dec && (n.Kind < 0 || n.Kind > EntryFile || i > 0 && !validName(n.Name)) {
-			c.fail()
-			return
+	}
+}
+
+// Shape codes a tree's shape, which a Subtree and the namespace snapshot
+// share: the node count, then the nodes in pre-order, the root as its kind
+// alone and every other node as the distance back to its parent (at least 1,
+// at most its own index), its kind and its name, each node followed by its
+// own attributes. A decoder refuses a parent that does not precede its node,
+// a name AddChild would refuse (empty or holding a '/') and a kind that is
+// neither EntryDir, EntryFile nor 0.
+type Shape struct {
+	c    *codec
+	next int // the index of the next node
+}
+
+// EncodeShape starts a tree of count nodes after b.
+func EncodeShape(b []byte, count int) *Shape {
+	s := &Shape{c: &codec{b: b}}
+	s.c.count(count, 1)
+	return s
+}
+
+// DecodeShape starts decoding the tree b holds, whose nodes each carry
+// attributes of at least attrMin bytes, and returns its node count: 0 when
+// the bytes cannot hold that many. Every name it decodes is a substring of
+// one copy of b.
+func DecodeShape(b []byte, attrMin int) (*Shape, int) {
+	s := &Shape{c: &codec{dec: true, s: string(b)}}
+	return s, s.c.count(0, 1+attrMin)
+}
+
+// Node codes the next node's parent (its index), kind, name and then attrs,
+// and reports whether everything decoded so far is well formed.
+func (s *Shape) Node(parent *int, kind *EntryKind, name *string, attrs ...*int64) bool {
+	c, i := s.c, s.next
+	s.next++
+	if i > 0 {
+		up := uint64(i - *parent)
+		c.u64(&up)
+		if c.dec {
+			if up == 0 || up > uint64(i) {
+				c.fail()
+				return false
+			}
+			*parent = i - int(up)
 		}
 	}
+	c.integer((*int)(kind))
+	if i > 0 {
+		c.str(name)
+	}
+	if c.dec && (*kind < 0 || *kind > EntryFile || i > 0 && !validName(*name)) {
+		c.fail()
+	}
+	for _, a := range attrs {
+		c.i64(a)
+	}
+	return !c.bad
+}
+
+// End returns the encoding. Decoding, it refuses what Node refused and bytes
+// left over once every node has been read.
+func (s *Shape) End() ([]byte, error) {
+	if s.c.bad || s.c.dec && s.c.i != len(s.c.s) {
+		return nil, errMalformed
+	}
+	return s.c.b, nil
 }
 
 // validName reports whether AddChild would take name: it is not empty and
@@ -111,4 +158,37 @@ func DecodeSubtrees(b []byte) ([]Subtree, error) {
 		return nil, errMalformed
 	}
 	return ts, nil
+}
+
+// Image is an MDS's local layer at rest, the body of its snapshot image: the
+// global-layer version and the log horizon it was taken at, the subtree roots
+// it owns, its access counters, and its local layer as one tree at "/".
+type Image struct {
+	GLVersion int64
+	Horizon   int64
+	Roots     []string
+	OpCounts  map[string]int64
+	Tree      Subtree
+}
+
+func (m *Image) code(c *codec) {
+	c.i64(&m.GLVersion)
+	c.i64(&m.Horizon)
+	c.strs(&m.Roots)
+	c.counts(&m.OpCounts)
+	m.Tree.code(c)
+}
+
+// AppendImage appends m's encoding to b.
+func AppendImage(b []byte, m *Image) []byte {
+	c := codec{b: b}
+	m.code(&c)
+	return c.b
+}
+
+// DecodeImage decodes what AppendImage wrote. Every path and name it returns
+// is a substring of one copy of b.
+func DecodeImage(b []byte) (*Image, error) {
+	m := new(Image)
+	return m, decodePayload(b, m)
 }
