@@ -1,7 +1,7 @@
 GO ?= go
 BENCH_LABEL ?= dev
 
-.PHONY: build test race race-obs race-rpc vet lint check bench-test bench-index bench-wire bench bench-cluster bench-go
+.PHONY: build test race race-obs race-rpc vet lint repro check bench-test bench-index bench-wire bench bench-cluster bench-go
 
 build:
 	$(GO) build ./...
@@ -62,8 +62,8 @@ bench-index:
 # read, split, two joins, a 64-path probe, in ms each). For numbers: -cpu 1
 # -benchtime 2000x; for the journal rung, -bench GLUpdateJournaled
 # -benchtime 2s; for the cold start (the join call and the install apart,
-# and the bytes of both join answers), -bench ColdStart -cpu 1 -benchtime
-# 20x. SubtreeEntries is the Monitor building the subtrees the second MDS
+# the bytes each phase allocates, and the bytes of both join answers), -bench
+# ColdStart -cpu 1 -benchtime 20x. SubtreeEntries is the Monitor building the subtrees the second MDS
 # joins with (roots, nodes, encoded bytes). MDSRestart is an MDS holding a 20k
 # and a 200k-node local layer writing its snapshot image and restarting from
 # it (image bytes, write, s.mu hold and recovery ms; -benchtime 5x for
@@ -71,8 +71,13 @@ bench-index:
 bench-wire:
 	$(GO) test -run '^$$' -bench 'FrameRoundTrip|ReaddirPlusCodec|EchoInproc|SetAttrInproc|GLUpdateJournaled|ColdStart|SubtreeEntries|MDSRestart' -benchtime 1x ./internal/wire/ ./internal/server/ ./internal/monitor/
 
+# The simulator's reproduction of the paper's Figs. 5-8 must equal the
+# committed results_full.txt byte for byte (about 25 s).
+repro:
+	$(GO) run ./cmd/d2bench -exp all -full | cmp - results_full.txt
+
 # The full gate: what ci.sh runs.
-check: build lint race-obs race-rpc race bench-test bench-index bench-wire
+check: build lint race-obs race-rpc race repro bench-test bench-index bench-wire
 
 # Run the replay-tier benchmark suite and append a labelled entry to the
 # tracked trajectory BENCH_replay.json (set BENCH_LABEL to tag the run).

@@ -29,6 +29,19 @@ go test -race -count=1 ./internal/wire/ ./internal/server/ ./internal/client/ ./
 
 go test -race ./...
 
+# The simulator's reproduction of the paper's Figs. 5-8 (`make repro`):
+# internal/namespace, partition and core serve the simulator as well as the
+# Monitor, so a change to them must leave its output equal, byte for byte, to
+# the committed results_full.txt (about 25 s).
+repro_out=$(mktemp)
+go run ./cmd/d2bench -exp all -full > "$repro_out"
+if ! cmp -s "$repro_out" results_full.txt; then
+    diff "$repro_out" results_full.txt | head -40 >&2
+    rm -f "$repro_out"
+    exit 1
+fi
+rm -f "$repro_out"
+
 # The Monitor's replay-equals-live check at 1,000 seeded schedules (the
 # default run takes 100): recovery from every sampled cut of a live run's
 # journal, torn tails included, equals the live state at that record, and no

@@ -1,10 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"d2tree/internal/partition"
 )
@@ -62,17 +63,7 @@ func MirrorDivide(subtrees []Subtree, remaining []float64, cfg AllocConfig) (All
 		return nil, ErrNoCapacity
 	}
 
-	order := make([]int, len(subtrees))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		sa, sb := subtrees[order[a]], subtrees[order[b]]
-		if sa.Popularity != sb.Popularity {
-			return sa.Popularity > sb.Popularity
-		}
-		return sa.Root < sb.Root
-	})
+	order := rankOrder(subtrees)
 
 	var totalPop float64
 	if len(cfg.Sample) > 0 {
@@ -160,17 +151,7 @@ func GreedyLPT(subtrees []Subtree, capacities []float64) (Allocation, error) {
 			return nil, fmt.Errorf("%w: C[%d] = %v", ErrBadCapacity, i, c)
 		}
 	}
-	order := make([]int, len(subtrees))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		sa, sb := subtrees[order[a]], subtrees[order[b]]
-		if sa.Popularity != sb.Popularity {
-			return sa.Popularity > sb.Popularity
-		}
-		return sa.Root < sb.Root
-	})
+	order := rankOrder(subtrees)
 	loads := make([]float64, len(capacities))
 	alloc := make(Allocation, len(subtrees))
 	for _, si := range order {
@@ -200,10 +181,30 @@ func AllocationLoads(subtrees []Subtree, alloc Allocation, m int) []float64 {
 // sortSubtrees orders subtrees by descending popularity then root ID —
 // the canonical presentation order used throughout the package.
 func sortSubtrees(subtrees []Subtree) {
-	sort.SliceStable(subtrees, func(i, j int) bool {
-		if subtrees[i].Popularity != subtrees[j].Popularity {
-			return subtrees[i].Popularity > subtrees[j].Popularity
+	slices.SortFunc(subtrees, byRank)
+}
+
+// byRank orders subtrees by descending popularity, then by root ID. Roots
+// are distinct, so no two subtrees tie and any sort by it is stable.
+func byRank(a, b Subtree) int {
+	if c := cmp.Compare(b.Popularity, a.Popularity); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Root, b.Root)
+}
+
+// rankOrder is the indices of subtrees in byRank order, ties (a root listed
+// twice) in index order.
+func rankOrder(subtrees []Subtree) []int {
+	order := make([]int, len(subtrees))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int {
+		if c := byRank(subtrees[a], subtrees[b]); c != 0 {
+			return c
 		}
-		return subtrees[i].Root < subtrees[j].Root
+		return cmp.Compare(a, b)
 	})
+	return order
 }

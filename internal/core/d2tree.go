@@ -122,10 +122,8 @@ func (d *D2Tree) allocate() error {
 		for i, st := range d.split.Subtrees {
 			srv := alloc[i]
 			d.index.Set(st.Root, srv)
-			for _, n := range d.tree.SubtreeNodes(d.tree.Node(st.Root)) {
-				if err := asg.SetOwner(n.ID(), srv); err != nil {
-					return err
-				}
+			if err := setOwner(asg, d.tree.Node(st.Root), srv); err != nil {
+				return err
 			}
 		}
 	} else {
@@ -205,11 +203,18 @@ func (d *D2Tree) MoveSubtree(i int, dst partition.ServerID) error {
 	st := d.split.Subtrees[i]
 	d.alloc[i] = dst
 	d.index.Set(st.Root, dst)
-	for _, n := range d.tree.SubtreeNodes(d.tree.Node(st.Root)) {
-		if err := d.asg.SetOwner(n.ID(), dst); err != nil {
-			return err
-		}
+	return setOwner(d.asg, d.tree.Node(st.Root), dst)
+}
+
+// setOwner gives n and every node beneath it to srv.
+func setOwner(asg *partition.Assignment, n *namespace.Node, srv partition.ServerID) error {
+	if err := asg.SetOwner(n.ID(), srv); err != nil {
+		return err
 	}
+	n.EachChild(func(c *namespace.Node) bool {
+		_ = setOwner(asg, c, srv) // cannot fail: srv took n
+		return true
+	})
 	return nil
 }
 

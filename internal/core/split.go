@@ -9,6 +9,7 @@ import (
 	"container/heap"
 	"errors"
 	"fmt"
+	"slices"
 
 	"d2tree/internal/namespace"
 )
@@ -113,12 +114,7 @@ func Split(t *namespace.Tree, cfg SplitConfig) (*SplitResult, error) {
 	gl := map[namespace.NodeID]struct{}{root.ID(): {}}
 	// L_tmp = Σ_{n_j ≠ root} p_j: the local-layer popularity sum with only
 	// the root promoted.
-	var lTmp int64
-	for _, n := range t.Nodes() {
-		if n != root {
-			lTmp += n.TotalPopularity()
-		}
-	}
+	lTmp := localPopSum(t)
 	uTmp := root.UpdateCost()
 
 	frontier := popHeap(root.Children())
@@ -139,9 +135,10 @@ func Split(t *namespace.Tree, cfg SplitConfig) (*SplitResult, error) {
 		}
 		gl[nx.ID()] = struct{}{}
 		lTmp -= nx.TotalPopularity()
-		for _, c := range nx.Children() {
+		nx.EachChild(func(c *namespace.Node) bool {
 			heap.Push(&frontier, c)
-		}
+			return true
+		})
 	}
 	res := &SplitResult{GL: gl, LocalPopSum: lTmp, UpdateCost: uTmp}
 	res.finish(t)
@@ -161,12 +158,7 @@ func SplitTopK(t *namespace.Tree, k int) (*SplitResult, error) {
 	}
 	root := t.Root()
 	gl := map[namespace.NodeID]struct{}{root.ID(): {}}
-	var lTmp int64
-	for _, n := range t.Nodes() {
-		if n != root {
-			lTmp += n.TotalPopularity()
-		}
-	}
+	lTmp := localPopSum(t)
 	uTmp := root.UpdateCost()
 	frontier := popHeap(root.Children())
 	heap.Init(&frontier)
@@ -178,9 +170,10 @@ func SplitTopK(t *namespace.Tree, k int) (*SplitResult, error) {
 		gl[nx.ID()] = struct{}{}
 		uTmp += nx.UpdateCost()
 		lTmp -= nx.TotalPopularity()
-		for _, c := range nx.Children() {
+		nx.EachChild(func(c *namespace.Node) bool {
 			heap.Push(&frontier, c)
-		}
+			return true
+		})
 	}
 	res := &SplitResult{GL: gl, LocalPopSum: lTmp, UpdateCost: uTmp}
 	res.finish(t)
@@ -207,32 +200,35 @@ func (r *SplitResult) finish(t *namespace.Tree) {
 	r.Inter = r.Inter[:0]
 	r.Subtrees = r.Subtrees[:0]
 	for id := range r.GL {
-		n := t.Node(id)
 		isInter := false
-		for _, c := range n.Children() {
-			if _, in := r.GL[c.ID()]; in {
-				continue
+		t.Node(id).EachChild(func(c *namespace.Node) bool {
+			if _, in := r.GL[c.ID()]; !in {
+				isInter = true
+				r.Subtrees = append(r.Subtrees, Subtree{
+					Root:       c.ID(),
+					Parent:     id,
+					Popularity: c.TotalPopularity(),
+					Size:       t.SubtreeSize(c),
+				})
 			}
-			isInter = true
-			r.Subtrees = append(r.Subtrees, Subtree{
-				Root:       c.ID(),
-				Parent:     id,
-				Popularity: c.TotalPopularity(),
-				Size:       t.SubtreeSize(c),
-			})
-		}
+			return true
+		})
 		if isInter {
 			r.Inter = append(r.Inter, id)
 		}
 	}
 	sortSubtrees(r.Subtrees)
-	sortIDs(r.Inter)
+	slices.Sort(r.Inter)
 }
 
-func sortIDs(ids []namespace.NodeID) {
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
+// localPopSum is Σ_{n_j ≠ root} p_j, the local-layer popularity sum with
+// only the root in the global layer.
+func localPopSum(t *namespace.Tree) int64 {
+	var sum int64
+	for id := 1; id < t.IDSpan(); id++ {
+		if n := t.Node(namespace.NodeID(id)); n != nil {
+			sum += n.TotalPopularity()
 		}
 	}
+	return sum
 }

@@ -49,8 +49,9 @@ func (m *Monitor) layerLocked() ([]wire.Entry, []walOwner) {
 		}
 	}
 	slices.SortFunc(gl, func(a, b wire.Entry) int { return strings.Compare(a.Path, b.Path) })
-	owners := make([]walOwner, len(m.d2.Subtrees()))
-	for i, st := range m.d2.Subtrees() {
+	subtrees := m.d2.Subtrees()
+	owners := make([]walOwner, len(subtrees))
+	for i, st := range subtrees {
 		owner, _ := m.d2.SubtreeOwner(i)
 		owners[i] = walOwner{Root: m.tree.Path(m.tree.Node(st.Root)), Server: int(owner)}
 	}

@@ -21,14 +21,15 @@ func (t *Tree) Rename(n *Node, newParent *Node, newName string) error {
 		return ErrIsRoot
 	case !newParent.IsDir():
 		return ErrNotDir
-	case newName == "":
-		return ErrEmptyName
+	}
+	if err := checkName(newName); err != nil {
+		return err
 	}
 	if n.IsAncestorOf(newParent) {
 		return fmt.Errorf("namespace: cannot move %q into its own subtree", t.Path(n))
 	}
 	if existing := newParent.Child(newName); existing != nil && existing != n {
-		return fmt.Errorf("%w: %q under %q", ErrExists, newName, t.Path(newParent))
+		return t.errExists(newParent, newName)
 	}
 
 	// Detach: popularity leaves the old ancestor chain.
@@ -39,11 +40,10 @@ func (t *Tree) Rename(n *Node, newParent *Node, newName string) error {
 	}
 	oldParent.removeChild(n)
 
-	// Attach under the new parent.
+	// Attach under the new parent, where the name is now free.
 	n.parent = newParent
 	n.name = newName
-	newParent.children = append(newParent.children, n)
-	newParent.byName[newName] = n
+	_ = t.attach(newParent, n)
 	for cur := newParent; cur != nil; cur = cur.parent {
 		cur.totalPop += sub
 	}
@@ -73,17 +73,6 @@ func (t *Tree) Delete(n *Node) (int, error) {
 	}
 	t.live -= len(removed)
 	return len(removed), nil
-}
-
-// removeChild unlinks c from n's child structures.
-func (n *Node) removeChild(c *Node) {
-	delete(n.byName, c.name)
-	for i, ch := range n.children {
-		if ch == c {
-			n.children = append(n.children[:i], n.children[i+1:]...)
-			return
-		}
-	}
 }
 
 // refreshDepths recomputes depths for n's subtree after a move.

@@ -89,6 +89,7 @@ func TestRenameRejections(t *testing.T) {
 		{"root", tr.Root(), vr, "x"},
 		{"file parent", a, tool, "x"},
 		{"empty name", a, vr, ""},
+		{"slash in name", a, vr, "x/y"},
 		{"own subtree", a, a, "x"},
 		{"own descendant file parent", a, c, "x"},
 		{"existing name", a, vr, "log"},
@@ -102,6 +103,28 @@ func TestRenameRejections(t *testing.T) {
 	}
 	if err := tr.CheckPopularity(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRenameRefusesSlashName: a name holding '/' is refused as AddChild
+// refuses it. Accepted, it made Path read one more component than the tree
+// has and the tree's snapshot unreadable.
+func TestRenameRefusesSlashName(t *testing.T) {
+	tr := buildMutTree(t)
+	c, _ := tr.Lookup("/home/a/c.txt")
+	a, _ := tr.Lookup("/home/a")
+	if err := tr.Rename(c, a, "a/b"); !errors.Is(err, ErrSlashName) {
+		t.Fatalf("Rename to %q = %v, want ErrSlashName", "a/b", err)
+	}
+	if got := tr.Path(c); got != "/home/a/c.txt" {
+		t.Errorf("refused rename moved the node to %s", got)
+	}
+	var buf bytes.Buffer
+	if err := tr.WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadSnapshot(&buf); err != nil {
+		t.Errorf("snapshot after the refused rename: %v", err)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 
 	"d2tree/internal/wire"
 )
@@ -86,10 +87,15 @@ func (t *Tree) WriteSnapshot(w io.Writer) error {
 // ReadSnapshot reconstructs a tree written by WriteSnapshot, including
 // popularity aggregates. It reads r to the end and refuses anything but one
 // well-formed v3 snapshot: whatever the tree shape refuses (wire.DecodeShape),
-// no nodes, a root that is not a directory, a node with no kind, a name
-// AddChild would refuse, or trailing bytes.
+// no nodes, a root that is not a directory, a node with no kind, a node under
+// a file, two children of one directory with one name, or trailing bytes.
+//
+// The nodes come from one slab, and every directory's children from one
+// slice: the decode links each node to its parent and counts the children,
+// then a second pass gives each directory its share of the slice, at its
+// exact capacity, and attaches the children in stream order.
 func ReadSnapshot(r io.Reader) (*Tree, error) {
-	data, err := io.ReadAll(r)
+	data, err := readAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("namespace: read snapshot: %w", err)
 	}
@@ -102,34 +108,63 @@ func ReadSnapshot(r io.Reader) (*Tree, error) {
 		return nil, errors.New("namespace: not a namespace snapshot (no v3 magic)")
 	}
 	s, count := wire.DecodeShape(data[len(snapshotMagic):], 2) // selfPop, updateCost
-	t := NewTree()
-	t.nodes = append(make([]*Node, 0, count), t.root)
-	slab := make([]Node, max(count-1, 0))
-	for i := 0; i < count; i++ {
+	slab := make([]Node, count)
+	t := &Tree{nodes: make([]*Node, count), live: count}
+	fanout := make([]int32, count)
+	for i := range slab {
 		var parent int
 		var kind wire.EntryKind
-		var name string
-		var selfPop, updateCost int64
-		if !s.Node(&parent, &kind, &name, &selfPop, &updateCost) {
+		n := &slab[i]
+		if !s.Node(&parent, &kind, &n.name, &n.selfPop, &n.updateCost) {
 			break
 		}
-		n := t.root
+		n.id, n.kind = NodeID(i), Kind(kind)
 		switch {
-		case i == 0 && Kind(kind) != KindDir:
-			return nil, fmt.Errorf("namespace: bad snapshot: the root is a %v", Kind(kind))
-		case i > 0 && kind == 0:
+		case i == 0 && n.kind != KindDir:
+			return nil, fmt.Errorf("namespace: bad snapshot: the root is a %v", n.kind)
+		case i == 0:
+			n.name = "/"
+		case kind == 0:
 			return nil, fmt.Errorf("namespace: bad snapshot: node %d has no kind", i)
-		case i > 0:
-			n = &slab[i-1]
-			if err := t.link(t.nodes[parent], n, name, Kind(kind)); err != nil {
-				return nil, err
-			}
+		case !slab[parent].IsDir():
+			return nil, ErrNotDir
+		default:
+			n.parent = &slab[parent]
+			n.depth = n.parent.depth + 1
+			fanout[parent]++
 		}
-		n.selfPop, n.updateCost = selfPop, updateCost
+		t.nodes[i] = n
 	}
 	if _, err := s.End(); err != nil || count == 0 {
 		return nil, errors.New("namespace: bad snapshot: malformed, or no nodes")
 	}
+	t.root = &slab[0]
+	children := make([]*Node, count-1)
+	for i := range slab[1:] {
+		n := &slab[i+1]
+		if p := n.parent; p.children == nil {
+			k := int(fanout[p.id])
+			p.children, children = children[:0:k], children[k:]
+		}
+		if err := t.attach(n.parent, n); err != nil {
+			return nil, err
+		}
+	}
 	t.RecomputePopularity()
 	return t, nil
+}
+
+// readAll reads r to the end, in one read at the file's size when r is a
+// regular file.
+func readAll(r io.Reader) ([]byte, error) {
+	if f, ok := r.(interface{ Stat() (fs.FileInfo, error) }); ok {
+		if fi, err := f.Stat(); err == nil && fi.Mode().IsRegular() {
+			// A read at the end needs MinRead bytes free to see io.EOF
+			// without growing the buffer.
+			b := bytes.NewBuffer(make([]byte, 0, fi.Size()+bytes.MinRead))
+			_, err := b.ReadFrom(r)
+			return b.Bytes(), err
+		}
+	}
+	return io.ReadAll(r)
 }

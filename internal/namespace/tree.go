@@ -15,12 +15,7 @@ type Tree struct {
 
 // NewTree returns a tree containing only the root directory "/".
 func NewTree() *Tree {
-	root := &Node{
-		id:     0,
-		name:   "/",
-		kind:   KindDir,
-		byName: make(map[string]*Node),
-	}
+	root := &Node{id: 0, name: "/", kind: KindDir}
 	return &Tree{root: root, nodes: []*Node{root}, live: 1}
 }
 
@@ -44,43 +39,38 @@ func (t *Tree) Node(id NodeID) *Node {
 
 // AddChild creates a new child of parent with the given name and kind.
 func (t *Tree) AddChild(parent *Node, name string, kind Kind) (*Node, error) {
-	n := new(Node)
-	if err := t.link(parent, n, name, kind); err != nil {
-		return nil, err
-	}
-	return n, nil
-}
-
-// link makes the zero node n the newest node of t, a child of parent, with
-// AddChild's checks. ReadSnapshot hands it nodes from one allocation.
-func (t *Tree) link(parent, n *Node, name string, kind Kind) error {
 	switch {
 	case parent == nil:
-		return ErrNotFound
+		return nil, ErrNotFound
 	case !parent.IsDir():
-		return ErrNotDir
-	case name == "":
-		return ErrEmptyName
-	case strings.Contains(name, "/"):
-		return fmt.Errorf("%w: %q", ErrSlashName, name)
+		return nil, ErrNotDir
 	}
-	if _, dup := parent.byName[name]; dup {
-		return fmt.Errorf("%w: %q under %q", ErrExists, name, t.Path(parent))
+	if err := checkName(name); err != nil {
+		return nil, err
 	}
-	*n = Node{
+	n := &Node{
 		id:     NodeID(len(t.nodes)),
 		name:   name,
 		kind:   kind,
 		parent: parent,
 		depth:  parent.depth + 1,
 	}
-	if kind == KindDir {
-		n.byName = make(map[string]*Node)
+	if err := t.attach(parent, n); err != nil {
+		return nil, err
 	}
-	parent.children = append(parent.children, n)
-	parent.byName[name] = n
 	t.nodes = append(t.nodes, n)
 	t.live++
+	return n, nil
+}
+
+// checkName refuses a name no node can have: empty, or holding a '/'.
+func checkName(name string) error {
+	switch {
+	case name == "":
+		return ErrEmptyName
+	case strings.Contains(name, "/"):
+		return fmt.Errorf("%w: %q", ErrSlashName, name)
+	}
 	return nil
 }
 

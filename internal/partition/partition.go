@@ -8,6 +8,7 @@ package partition
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"d2tree/internal/namespace"
 )
@@ -21,37 +22,41 @@ const NoServer ServerID = -1
 
 // Errors reported by assignment operations.
 var (
-	ErrBadServer    = errors.New("partition: server id out of range")
-	ErrUnplaced     = errors.New("partition: node has no placement")
-	ErrDoublePlaced = errors.New("partition: node both replicated and owned")
-	ErrBadM         = errors.New("partition: need at least one server")
+	ErrBadServer = errors.New("partition: server id out of range")
+	ErrUnplaced  = errors.New("partition: node has no placement")
+	ErrBadM      = errors.New("partition: need at least one server")
 )
 
 // Assignment records where every metadata node lives: replicated to all M
 // servers (the global layer in D2-Tree), replicated to a bounded subset
 // (the paper's future-work extension of thresholding GL replication), or
-// owned by exactly one server.
+// owned by exactly one server. A node has one placement at a time: each
+// setter replaces the last.
 type Assignment struct {
-	m          int
-	owner      map[namespace.NodeID]ServerID
-	replicated map[namespace.NodeID]struct{}
-	partial    map[namespace.NodeID][]ServerID
+	m int
+	// at[id] is node id's placement: its owner, NoServer, or one of the
+	// marks replicatedMark and partialMark. IDs past its end are unplaced.
+	at []int32
+	// partial holds the replica set of every node marked partialMark.
+	partial           map[namespace.NodeID][]ServerID
+	owned, replicated int
 	// gen counts placement mutations; compiled RouteTables snapshot it to
 	// detect staleness after a Rebalance round.
 	gen uint64
 }
+
+// Placement marks in Assignment.at beside a node's owner and NoServer.
+const (
+	replicatedMark = -2 // on every server
+	partialMark    = -3 // on the servers Assignment.partial lists
+)
 
 // NewAssignment creates an empty assignment over m servers.
 func NewAssignment(m int) (*Assignment, error) {
 	if m < 1 {
 		return nil, fmt.Errorf("%w: m = %d", ErrBadM, m)
 	}
-	return &Assignment{
-		m:          m,
-		owner:      make(map[namespace.NodeID]ServerID),
-		replicated: make(map[namespace.NodeID]struct{}),
-		partial:    make(map[namespace.NodeID][]ServerID),
-	}, nil
+	return &Assignment{m: m}, nil
 }
 
 // M returns the number of servers.
@@ -62,24 +67,52 @@ func (a *Assignment) M() int { return a.m }
 // detect that its snapshot went stale.
 func (a *Assignment) Generation() uint64 { return a.gen }
 
+// loc is node id's placement mark.
+func (a *Assignment) loc(id namespace.NodeID) int32 {
+	if id < 0 || int(id) >= len(a.at) {
+		return int32(NoServer)
+	}
+	return a.at[id]
+}
+
+// place gives node id the placement mark loc, replacing its last one.
+func (a *Assignment) place(id namespace.NodeID, loc int32) {
+	if int(id) >= len(a.at) {
+		n := len(a.at)
+		a.at = slices.Grow(a.at, int(id)+1-n)[:int(id)+1]
+		for i := n; i < len(a.at); i++ {
+			a.at[i] = int32(NoServer)
+		}
+	}
+	switch old := a.at[id]; {
+	case old >= 0:
+		a.owned--
+	case old == replicatedMark:
+		a.replicated--
+	case old == partialMark:
+		delete(a.partial, id)
+	}
+	switch a.at[id] = loc; {
+	case loc >= 0:
+		a.owned++
+	case loc == replicatedMark:
+		a.replicated++
+	}
+	a.gen++
+}
+
 // SetOwner places a node on exactly one server, clearing any replication.
 func (a *Assignment) SetOwner(id namespace.NodeID, s ServerID) error {
 	if s < 0 || int(s) >= a.m {
 		return fmt.Errorf("%w: %d (m=%d)", ErrBadServer, s, a.m)
 	}
-	delete(a.replicated, id)
-	delete(a.partial, id)
-	a.owner[id] = s
-	a.gen++
+	a.place(id, int32(s))
 	return nil
 }
 
 // SetReplicated marks a node as replicated to every server.
 func (a *Assignment) SetReplicated(id namespace.NodeID) {
-	delete(a.owner, id)
-	delete(a.partial, id)
-	a.replicated[id] = struct{}{}
-	a.gen++
+	a.place(id, replicatedMark)
 }
 
 // SetReplicas replicates a node to a bounded server subset — the paper's
@@ -90,17 +123,14 @@ func (a *Assignment) SetReplicas(id namespace.NodeID, servers []ServerID) error 
 	if len(servers) == 0 {
 		return fmt.Errorf("%w: empty replica set", ErrBadServer)
 	}
-	seen := make(map[ServerID]struct{}, len(servers))
 	cp := make([]ServerID, 0, len(servers))
 	for _, s := range servers {
 		if s < 0 || int(s) >= a.m {
 			return fmt.Errorf("%w: %d (m=%d)", ErrBadServer, s, a.m)
 		}
-		if _, dup := seen[s]; dup {
-			continue
+		if !slices.Contains(cp, s) {
+			cp = append(cp, s)
 		}
-		seen[s] = struct{}{}
-		cp = append(cp, s)
 	}
 	if len(cp) == a.m {
 		a.SetReplicated(id)
@@ -109,100 +139,77 @@ func (a *Assignment) SetReplicas(id namespace.NodeID, servers []ServerID) error 
 	if len(cp) == 1 {
 		return a.SetOwner(id, cp[0])
 	}
-	delete(a.owner, id)
-	delete(a.replicated, id)
+	a.place(id, partialMark)
+	if a.partial == nil {
+		a.partial = make(map[namespace.NodeID][]ServerID)
+	}
 	a.partial[id] = cp
-	a.gen++
 	return nil
 }
 
 // Replicas returns the bounded replica set of a partially replicated node.
 func (a *Assignment) Replicas(id namespace.NodeID) ([]ServerID, bool) {
-	rs, ok := a.partial[id]
-	if !ok {
+	if a.loc(id) != partialMark {
 		return nil, false
 	}
-	out := make([]ServerID, len(rs))
-	copy(out, rs)
-	return out, true
+	return slices.Clone(a.partial[id]), true
 }
 
 // Owner returns the owning server for a non-replicated node.
 // ok is false for replicated or unplaced nodes.
 func (a *Assignment) Owner(id namespace.NodeID) (ServerID, bool) {
-	s, ok := a.owner[id]
-	return s, ok
+	if loc := a.loc(id); loc >= 0 {
+		return ServerID(loc), true
+	}
+	return NoServer, false
 }
 
 // IsReplicated reports whether the node is replicated to all servers.
 func (a *Assignment) IsReplicated(id namespace.NodeID) bool {
-	_, ok := a.replicated[id]
-	return ok
+	return a.loc(id) == replicatedMark
 }
 
 // Placed reports whether the node has any placement.
 func (a *Assignment) Placed(id namespace.NodeID) bool {
-	if _, ok := a.owner[id]; ok {
-		return true
-	}
-	if _, ok := a.partial[id]; ok {
-		return true
-	}
-	return a.IsReplicated(id)
+	return a.loc(id) != int32(NoServer)
 }
 
 // Holds reports whether server s can serve node id locally.
 func (a *Assignment) Holds(id namespace.NodeID, s ServerID) bool {
-	if a.IsReplicated(id) {
+	switch loc := a.loc(id); loc {
+	case replicatedMark:
 		return true
+	case partialMark:
+		return slices.Contains(a.partial[id], s)
+	default:
+		return loc >= 0 && ServerID(loc) == s
 	}
-	if rs, ok := a.partial[id]; ok {
-		for _, r := range rs {
-			if r == s {
-				return true
-			}
-		}
-		return false
-	}
-	o, ok := a.owner[id]
-	return ok && o == s
 }
 
 // NumReplicated returns the number of replicated (global-layer) nodes.
-func (a *Assignment) NumReplicated() int { return len(a.replicated) }
+func (a *Assignment) NumReplicated() int { return a.replicated }
 
 // NumOwned returns the number of singly-placed nodes.
-func (a *Assignment) NumOwned() int { return len(a.owner) }
+func (a *Assignment) NumOwned() int { return a.owned }
 
 // ReplicatedIDs returns the replicated node IDs (unordered copy).
 func (a *Assignment) ReplicatedIDs() []namespace.NodeID {
-	out := make([]namespace.NodeID, 0, len(a.replicated))
-	for id := range a.replicated {
-		out = append(out, id)
+	out := make([]namespace.NodeID, 0, a.replicated)
+	for id, loc := range a.at {
+		if loc == replicatedMark {
+			out = append(out, namespace.NodeID(id))
+		}
 	}
 	return out
 }
 
-// Validate checks that every node of the tree is placed exactly once
-// (Eq. 4 of the optimization problem).
+// Validate checks that every node of the tree is placed (Eq. 4 of the
+// optimization problem: each node exactly once, which holding one placement
+// per node makes structural).
 func (a *Assignment) Validate(t *namespace.Tree) error {
 	for _, n := range t.Nodes() {
-		id := n.ID()
-		placements := 0
-		if _, ok := a.owner[id]; ok {
-			placements++
-		}
-		if a.IsReplicated(id) {
-			placements++
-		}
-		if _, ok := a.partial[id]; ok {
-			placements++
-		}
-		if placements > 1 {
-			return fmt.Errorf("%w: node %d", ErrDoublePlaced, id)
-		}
-		if placements == 0 {
-			return fmt.Errorf("%w: node %d (%s)", ErrUnplaced, id, t.Path(n))
+		if !a.Placed(n.ID()) {
+			return fmt.Errorf("%w: node %d (%s)", ErrUnplaced, n.ID(), t.Path(n))
 		}
 	}
 	return nil
@@ -210,25 +217,15 @@ func (a *Assignment) Validate(t *namespace.Tree) error {
 
 // Clone returns a deep copy of the assignment.
 func (a *Assignment) Clone() *Assignment {
-	c := &Assignment{
-		m:          a.m,
-		owner:      make(map[namespace.NodeID]ServerID, len(a.owner)),
-		replicated: make(map[namespace.NodeID]struct{}, len(a.replicated)),
-		partial:    make(map[namespace.NodeID][]ServerID, len(a.partial)),
-		gen:        a.gen,
+	c := *a
+	c.at = slices.Clone(a.at)
+	if a.partial != nil {
+		c.partial = make(map[namespace.NodeID][]ServerID, len(a.partial))
+		for k, v := range a.partial {
+			c.partial[k] = slices.Clone(v)
+		}
 	}
-	for k, v := range a.owner {
-		c.owner[k] = v
-	}
-	for k := range a.replicated {
-		c.replicated[k] = struct{}{}
-	}
-	for k, v := range a.partial {
-		cp := make([]ServerID, len(v))
-		copy(cp, v)
-		c.partial[k] = cp
-	}
-	return c
+	return &c
 }
 
 // Jumps computes jp_j for one node under Def. 1, extended with the paper's
@@ -279,16 +276,14 @@ func (a *Assignment) Jumps(n *namespace.Node) float64 {
 // locSet resolves a node's holder set. wild means "every server". Unplaced
 // nodes map to the sentinel NoServer so they count as a distinct location.
 func (a *Assignment) locSet(id namespace.NodeID, buf []ServerID) (bool, []ServerID) {
-	if a.IsReplicated(id) {
+	switch loc := a.loc(id); loc {
+	case replicatedMark:
 		return true, nil
+	case partialMark:
+		return false, a.partial[id]
+	default:
+		return false, append(buf, ServerID(loc))
 	}
-	if rs, ok := a.partial[id]; ok {
-		return false, rs
-	}
-	if o, ok := a.owner[id]; ok {
-		return false, append(buf, o)
-	}
-	return false, append(buf, NoServer)
 }
 
 func intersectCount(a, b []ServerID) int {
@@ -335,24 +330,7 @@ func (a *Assignment) WeightedJumpSum(t *namespace.Tree) float64 {
 func (a *Assignment) Loads(t *namespace.Tree) []float64 {
 	loads := make([]float64, a.m)
 	for _, n := range t.Nodes() {
-		p := float64(n.TotalPopularity())
-		if a.IsReplicated(n.ID()) {
-			share := p / float64(a.m)
-			for i := range loads {
-				loads[i] += share
-			}
-			continue
-		}
-		if rs, ok := a.partial[n.ID()]; ok {
-			share := p / float64(len(rs))
-			for _, s := range rs {
-				loads[s] += share
-			}
-			continue
-		}
-		if o, ok := a.owner[n.ID()]; ok {
-			loads[o] += p
-		}
+		a.spread(loads, n.ID(), float64(n.TotalPopularity()))
 	}
 	return loads
 }
@@ -363,29 +341,32 @@ func (a *Assignment) Loads(t *namespace.Tree) []float64 {
 func (a *Assignment) SelfLoads(t *namespace.Tree) []float64 {
 	loads := make([]float64, a.m)
 	for _, n := range t.Nodes() {
-		p := float64(n.SelfPopularity())
-		if p == 0 {
-			continue
-		}
-		if a.IsReplicated(n.ID()) {
-			share := p / float64(a.m)
-			for i := range loads {
-				loads[i] += share
-			}
-			continue
-		}
-		if rs, ok := a.partial[n.ID()]; ok {
-			share := p / float64(len(rs))
-			for _, s := range rs {
-				loads[s] += share
-			}
-			continue
-		}
-		if o, ok := a.owner[n.ID()]; ok {
-			loads[o] += p
+		if p := float64(n.SelfPopularity()); p != 0 {
+			a.spread(loads, n.ID(), p)
 		}
 	}
 	return loads
+}
+
+// spread adds node id's load p to the servers holding it, in equal shares.
+func (a *Assignment) spread(loads []float64, id namespace.NodeID, p float64) {
+	switch loc := a.loc(id); loc {
+	case replicatedMark:
+		share := p / float64(a.m)
+		for i := range loads {
+			loads[i] += share
+		}
+	case partialMark:
+		rs := a.partial[id]
+		share := p / float64(len(rs))
+		for _, s := range rs {
+			loads[s] += share
+		}
+	default:
+		if loc >= 0 {
+			loads[loc] += p
+		}
+	}
 }
 
 // Scheme is a metadata partition algorithm: given a namespace tree with

@@ -89,7 +89,7 @@ func CompileRoutes(t *namespace.Tree, asg *Assignment, router Router) (*RouteTab
 			continue
 		}
 		rt.known[id] = true
-		if o, ok := asg.owner[n.ID()]; ok {
+		if o, ok := asg.Owner(n.ID()); ok {
 			rt.owner[id] = o
 		}
 		rt.replicated[id] = asg.IsReplicated(n.ID())

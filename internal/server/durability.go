@@ -469,8 +469,17 @@ func (s *Server) commitLocked(rec record) {
 }
 
 // commitInstallLocked takes ownership of trees, each at its root, in the
-// install records installRecords cuts them into.
+// install records installRecords cuts them into, or in one record when there
+// is no journal whose record size to keep under.
 func (s *Server) commitInstallLocked(trees []wire.Subtree) {
+	if s.journal == nil {
+		rec := &walInstallRec{Roots: make([]string, len(trees)), Trees: trees}
+		for i, t := range trees {
+			rec.Roots[i] = t.Path
+		}
+		s.commitLocked(rec)
+		return
+	}
 	for _, rec := range installRecords(trees) {
 		s.commitLocked(rec)
 	}

@@ -253,29 +253,41 @@ func (g *grafting) path(k int) string {
 }
 
 // link returns the store's node for graft node k, linking it, and the
-// ancestors it needs, when the store holds none at its path.
+// ancestors it needs, when the store holds none at its path. The store
+// stays connected, so it holds no path beneath one this graft linked: only
+// a node whose parent the store held already is looked up before it is
+// inserted. A name given twice under one parent keeps its first node.
 func (g *grafting) link(k int) *node {
 	a := &g.at[k]
 	if a.n != nil {
 		return a.n
 	}
 	path := g.path(k)
-	if a.n = g.st.nodes[path]; a.n != nil {
-		return a.n
-	}
 	if a.up < 0 {
 		a.n = g.st.node(path)
 		return a.n
 	}
 	p := g.link(a.up)
+	if p != &g.slab[a.up] {
+		if a.n = g.st.nodes[path]; a.n != nil {
+			return a.n
+		}
+	}
 	n := &g.slab[k]
 	n.entry.Path = path
+	held := len(g.st.nodes)
+	if g.st.nodes[path] = n; len(g.st.nodes) == held {
+		// The path was taken: by a sibling linked before, under p.
+		for a.n = p.child; a.n.entry.Path != path; a.n = a.n.next {
+		}
+		g.st.nodes[path] = a.n
+		return a.n
+	}
 	n.parent, n.next = p, p.child
 	if p.child != nil {
 		p.child.prev = n
 	}
 	p.child = n
-	g.st.nodes[path] = n
 	a.n = n
 	return n
 }

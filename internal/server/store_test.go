@@ -493,6 +493,41 @@ func TestStoreChildBeforeParent(t *testing.T) {
 	}
 }
 
+// TestGraftNameTwice: a tree naming one path twice, under a directory the
+// store did not hold and under one it did, grafts as the entries put one by
+// one would: one node per path, the later entry in it, every child linked
+// once and reachable from the map.
+func TestGraftNameTwice(t *testing.T) {
+	st := newStore()
+	st.put(wire.Entry{Path: "/held", Kind: wire.EntryDir, Version: 1}, false)
+	st.graft([]wire.Subtree{{Path: "/", Nodes: []wire.SubtreeNode{
+		{Kind: wire.EntryDir, Version: 1},
+		{Kind: wire.EntryDir, Name: "fresh", Version: 1},
+		{Parent: 1, Kind: wire.EntryFile, Name: "f", Version: 2},
+		{Parent: 1, Kind: wire.EntryFile, Name: "f", Version: 3},
+		{Parent: 1, Kind: wire.EntryFile, Name: "g", Version: 4},
+		{Kind: wire.EntryDir, Name: "held", Version: 5},
+		{Parent: 5, Kind: wire.EntryFile, Name: "h", Version: 6},
+		{Parent: 5, Kind: wire.EntryFile, Name: "h", Version: 7},
+	}}})
+	checkTree(t, st)
+	reached := 0
+	st.nodes["/"].each(func(n *node) {
+		reached++
+		if st.nodes[n.entry.Path] != n {
+			t.Errorf("%s is linked, and the map holds another node there", n.entry.Path)
+		}
+	})
+	if reached != len(st.nodes) {
+		t.Errorf("%d nodes linked beneath /, %d in the map", reached, len(st.nodes))
+	}
+	for path, want := range map[string]int64{"/fresh/f": 3, "/fresh/g": 4, "/held/h": 7} {
+		if e, _ := st.get(path); e == nil || e.Version != want {
+			t.Errorf("%s holds %+v, want version %d", path, e, want)
+		}
+	}
+}
+
 // TestStoreReplaceGLKeepsLocalLayer: a refresh that swaps, drops and
 // restores a global-layer directory never touches the local-layer subtree
 // under it, and lists its root whenever the directory is held.

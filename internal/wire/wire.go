@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 )
 
@@ -320,15 +321,12 @@ func readBody(r io.Reader, size int) ([]byte, error) {
 	}
 	body := make([]byte, 0, readBodyChunk)
 	for len(body) < size {
-		n := size - len(body)
-		if n > readBodyChunk {
-			n = readBodyChunk
-		}
-		chunk := make([]byte, n)
-		if _, err := io.ReadFull(r, chunk); err != nil {
+		n := min(size-len(body), readBodyChunk)
+		body = slices.Grow(body, n)
+		if _, err := io.ReadFull(r, body[len(body):len(body)+n]); err != nil {
 			return nil, bodyEOF(err)
 		}
-		body = append(body, chunk...)
+		body = body[:len(body)+n]
 	}
 	return body, nil
 }
