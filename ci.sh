@@ -66,8 +66,9 @@ go test -run '^$' -bench 'ReaddirPlus(Store|Index)Size|ClientReaddirPlus|LookupH
 # MDS and the Monitor, global-layer setattrs with the Monitor's journal off
 # and on, a cold start from the binary namespace snapshot, the Monitor
 # building the subtrees a join ships, and an MDS writing its snapshot image
-# and restarting from it.
-go test -run '^$' -bench 'FrameRoundTrip|ReaddirPlusCodec|EchoInproc|SetAttrInproc|GLUpdateJournaled|ColdStart|SubtreeEntries|MDSRestart' -benchtime 1x ./internal/wire/ ./internal/server/ ./internal/monitor/
+# and restarting from it; and of the MDS store's rungs, a path resolved by
+# its index against a walk down the child lists, and a directory rename.
+go test -run '^$' -bench 'FrameRoundTrip|ReaddirPlusCodec|EchoInproc|SetAttrInproc|GLUpdateJournaled|ColdStart|SubtreeEntries|MDSRestart|StoreGet|RenameDir' -benchtime 1x ./internal/wire/ ./internal/server/ ./internal/monitor/
 
 # Ten seconds of fuzzing the frame decoder: every input either fails cleanly
 # or is a frame that encodes back to the bytes it was read from.

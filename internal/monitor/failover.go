@@ -205,11 +205,10 @@ func callMDS(addr, op string, req interface{}) error {
 // subtreeLocked is the subtree at rootPath as the authoritative tree holds
 // it, with no nodes when the tree has no such path. Callers hold m.mu.
 func (m *Monitor) subtreeLocked(rootPath string) wire.Subtree {
-	t := wire.Subtree{Path: rootPath}
-	if n, err := m.tree.Lookup(rootPath); err == nil {
-		t.Nodes = appendTree(make([]wire.SubtreeNode, 0, m.tree.SubtreeSize(n)), n)
+	if trees := m.subtreesLocked([]string{rootPath}); len(trees) > 0 {
+		return trees[0]
 	}
-	return t
+	return wire.Subtree{Path: rootPath}
 }
 
 // subtreesLocked is the subtrees at roots, in root order, leaving out a root
@@ -231,28 +230,8 @@ func (m *Monitor) subtreesLocked(roots []string) []wire.Subtree {
 	nodes := make([]wire.SubtreeNode, 0, size)
 	for i, n := range tops {
 		start := len(nodes)
-		nodes = appendTree(nodes, n)
+		nodes = namespace.AppendSubtree(nodes, n, nil)
 		trees[i].Nodes = nodes[start:len(nodes):len(nodes)]
 	}
 	return trees
-}
-
-// appendTree appends n as a subtree's root, then every node beneath it in
-// pre-order, each with the index of its parent counted from the root's.
-func appendTree(nodes []wire.SubtreeNode, n *namespace.Node) []wire.SubtreeNode {
-	base := len(nodes)
-	return appendChildren(append(nodes, wire.SubtreeNode{Kind: kindOf(n), Version: 1}), base, n)
-}
-
-// appendChildren appends the nodes beneath n, the last node appended.
-func appendChildren(nodes []wire.SubtreeNode, base int, n *namespace.Node) []wire.SubtreeNode {
-	parent := len(nodes) - 1 - base
-	n.EachChild(func(c *namespace.Node) bool {
-		nodes = append(nodes, wire.SubtreeNode{Parent: parent, Kind: kindOf(c), Name: c.Name(), Version: 1})
-		if c.NumChildren() > 0 {
-			nodes = appendChildren(nodes, base, c)
-		}
-		return true
-	})
-	return nodes
 }

@@ -41,7 +41,7 @@ func (m *Monitor) layerLocked() ([]wire.Entry, []walOwner) {
 	gl := make([]wire.Entry, 0, len(m.d2.Split().GL))
 	for id := range m.d2.Split().GL {
 		if n := m.tree.Node(id); n != nil {
-			e := entryFor(m.tree.Path(n), n)
+			e := n.Entry(m.tree.Path(n))
 			if old, ok := m.glEntries[e.Path]; ok {
 				e = *old
 			}

@@ -220,18 +220,6 @@ func New(t *namespace.Tree, cfg Config) (*Monitor, error) {
 	return m, nil
 }
 
-// entryFor is the entry the Monitor materialises for n, at path.
-func entryFor(path string, n *namespace.Node) wire.Entry {
-	return wire.Entry{Path: path, Kind: kindOf(n), Version: 1}
-}
-
-func kindOf(n *namespace.Node) wire.EntryKind {
-	if n.IsDir() {
-		return wire.EntryDir
-	}
-	return wire.EntryFile
-}
-
 // Start begins listening and serving.
 func (m *Monitor) Start() error {
 	ln, err := net.Listen("tcp", m.cfg.Addr)

@@ -2,6 +2,8 @@ package namespace
 
 import (
 	"fmt"
+
+	"d2tree/internal/wire"
 )
 
 // Rename moves node n under newParent with the given name, carrying its
@@ -22,32 +24,25 @@ func (t *Tree) Rename(n *Node, newParent *Node, newName string) error {
 	case !newParent.IsDir():
 		return ErrNotDir
 	}
-	if err := checkName(newName); err != nil {
-		return err
+	if err := wire.CheckName(newName); err != nil {
+		return fmt.Errorf("namespace: %w: %q", err, newName)
 	}
 	if n.IsAncestorOf(newParent) {
 		return fmt.Errorf("namespace: cannot move %q into its own subtree", t.Path(n))
 	}
 	if existing := newParent.Child(newName); existing != nil && existing != n {
-		return t.errExists(newParent, newName)
+		return errExists(newParent, newName)
 	}
 
-	// Detach: popularity leaves the old ancestor chain.
+	// Popularity leaves the old ancestor chain and joins the new one.
 	sub := n.totalPop
-	oldParent := n.parent
-	for cur := oldParent; cur != nil; cur = cur.parent {
+	for cur := n.parent; cur != nil; cur = cur.parent {
 		cur.totalPop -= sub
 	}
-	oldParent.removeChild(n)
-
-	// Attach under the new parent, where the name is now free.
-	n.parent = newParent
-	n.name = newName
-	_ = t.attach(newParent, n)
+	n.move(newParent, newName)
 	for cur := newParent; cur != nil; cur = cur.parent {
 		cur.totalPop += sub
 	}
-	t.refreshDepths(n)
 	return nil
 }
 
@@ -73,12 +68,4 @@ func (t *Tree) Delete(n *Node) (int, error) {
 	}
 	t.live -= len(removed)
 	return len(removed), nil
-}
-
-// refreshDepths recomputes depths for n's subtree after a move.
-func (t *Tree) refreshDepths(n *Node) {
-	n.depth = n.parent.depth + 1
-	for _, c := range n.children {
-		t.refreshDepths(c)
-	}
 }

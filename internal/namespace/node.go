@@ -12,6 +12,9 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strings"
+
+	"d2tree/internal/wire"
 )
 
 // NodeID identifies a node within one Tree. IDs are dense, start at 0 for the
@@ -21,44 +24,37 @@ type NodeID int64
 // InvalidID is returned by lookups that fail to resolve a node.
 const InvalidID NodeID = -1
 
-// Kind distinguishes directories from files.
-type Kind int
+// Kind distinguishes directories from files. It is the wire's entry kind:
+// kind 0 is a path that holds no entry, which an MDS keeps a node for while
+// entries beneath it need one, and which a Tree never holds.
+type Kind = wire.EntryKind
 
 // Node kinds. Enums start at one so the zero value is detectably unset.
 const (
-	KindDir Kind = iota + 1
-	KindFile
+	KindDir  = wire.EntryDir
+	KindFile = wire.EntryFile
 )
-
-// String implements fmt.Stringer.
-func (k Kind) String() string {
-	switch k {
-	case KindDir:
-		return "dir"
-	case KindFile:
-		return "file"
-	default:
-		return fmt.Sprintf("Kind(%d)", int(k))
-	}
-}
 
 // Errors reported by tree mutation and lookup.
 var (
 	ErrNotFound   = errors.New("namespace: node not found")
 	ErrNotDir     = errors.New("namespace: parent is not a directory")
 	ErrExists     = errors.New("namespace: name already exists in parent")
-	ErrEmptyName  = errors.New("namespace: empty node name")
-	ErrSlashName  = errors.New("namespace: node name contains '/'")
+	ErrEmptyName  = wire.ErrEmptyName
+	ErrSlashName  = wire.ErrSlashName
 	ErrIsRoot     = errors.New("namespace: operation not valid on root")
 	ErrStaleTotal = errors.New("namespace: aggregate popularity is stale")
 )
 
-// Node is a single metadata object (file or directory) in the namespace tree.
-// Nodes are owned by their Tree and must only be mutated through it.
+// Node is a single metadata object (file or directory) in the namespace tree,
+// the Monitor's and an MDS's alike. Nodes are owned by their Tree, or by the
+// MDS store that linked them, and must only be mutated through it.
+//
+// A node holds 112 bytes: the ID and the depth are 32-bit and the kind is a
+// byte, which leaves room for the attributes an MDS serves beside the
+// popularity the Monitor splits by.
 type Node struct {
-	id       NodeID
 	name     string
-	kind     Kind
 	parent   *Node
 	children []*Node
 	// byName indexes children by name once there are more than indexFanout
@@ -68,26 +64,33 @@ type Node struct {
 	selfPop    int64 // p'_j: individual access popularity
 	totalPop   int64 // p_j: selfPop + Σ descendants' selfPop (maintained)
 	updateCost int64 // u_j: cost of an update touching this node
-	depth      int   // root is depth 0
+	// size, mode and version are the entry's attributes. A Tree's nodes
+	// stay at version 1, the version a created entry starts at.
+	size    int64
+	version int64
+	id      int32 // NodeID
+	mode    uint32
+	depth   int32 // root is depth 0
+	kind    uint8 // Kind
 }
 
 // ID returns the node's identifier.
-func (n *Node) ID() NodeID { return n.id }
+func (n *Node) ID() NodeID { return NodeID(n.id) }
 
 // Name returns the final path component of the node ("/" for the root).
 func (n *Node) Name() string { return n.name }
 
-// Kind reports whether the node is a directory or a file.
-func (n *Node) Kind() Kind { return n.kind }
+// Kind reports whether the node is a directory or a file, or kind 0.
+func (n *Node) Kind() Kind { return Kind(n.kind) }
 
 // IsDir reports whether the node is a directory.
-func (n *Node) IsDir() bool { return n.kind == KindDir }
+func (n *Node) IsDir() bool { return n.Kind() == KindDir }
 
 // Parent returns the parent node, or nil for the root.
 func (n *Node) Parent() *Node { return n.parent }
 
 // Depth returns the number of edges from the root (root is 0).
-func (n *Node) Depth() int { return n.depth }
+func (n *Node) Depth() int { return int(n.depth) }
 
 // SelfPopularity returns p'_j, the node's individual access popularity.
 func (n *Node) SelfPopularity() int64 { return n.selfPop }
@@ -100,6 +103,20 @@ func (n *Node) TotalPopularity() int64 { return n.totalPop }
 // UpdateCost returns u_j, the cost charged when this node's metadata is
 // updated while it sits in the replicated global layer (Def. 4).
 func (n *Node) UpdateCost() int64 { return n.updateCost }
+
+// Version returns the version of the node's entry.
+func (n *Node) Version() int64 { return n.version }
+
+// Entry is the node's entry at path: its kind and attributes.
+func (n *Node) Entry(path string) wire.Entry {
+	return wire.Entry{Path: path, Kind: n.Kind(), Size: n.size, Mode: n.mode, Version: n.version}
+}
+
+// SetEntry gives the node e's kind and attributes. e's path is the caller's
+// business: a node knows only its name.
+func (n *Node) SetEntry(e *wire.Entry) {
+	n.kind, n.size, n.mode, n.version = uint8(e.Kind), e.Size, e.Mode, e.Version
+}
 
 // NumChildren returns the number of direct children.
 func (n *Node) NumChildren() int { return len(n.children) }
@@ -132,11 +149,8 @@ func (n *Node) Child(name string) *Node {
 }
 
 // attach makes c the last child of n, under c's name, which no child of n
-// may hold already.
-func (t *Tree) attach(n, c *Node) error {
-	if n.Child(c.name) != nil {
-		return t.errExists(n, c.name)
-	}
+// holds.
+func (n *Node) attach(c *Node) {
 	n.children = append(n.children, c)
 	switch {
 	case n.byName != nil:
@@ -147,7 +161,6 @@ func (t *Tree) attach(n, c *Node) error {
 			n.byName[x.name] = x
 		}
 	}
-	return nil
 }
 
 // removeChild unlinks c from n's children, dropping the by-name index when
@@ -164,9 +177,126 @@ func (n *Node) removeChild(c *Node) {
 	}
 }
 
+// Attach returns parent's child named name, linking c there first when
+// parent holds none: c, or a new kind-0 node when c is nil, takes the name
+// and goes last among parent's children.
+func Attach(parent *Node, name string, c *Node) *Node {
+	if held := parent.Child(name); held != nil {
+		return held
+	}
+	if c == nil {
+		c = new(Node)
+	}
+	c.name, c.parent, c.depth = name, parent, parent.depth+1
+	parent.attach(c)
+	return c
+}
+
+// Detach unlinks the node, and everything beneath it, from its parent, and
+// returns the parent: nil for a root.
+func (n *Node) Detach() (parent *Node) {
+	if parent, n.parent = n.parent, nil; parent != nil {
+		parent.removeChild(n)
+	}
+	return parent
+}
+
+// Relink renames the node within its parent. Every entry it moves takes its
+// next version: a client caches entries by path. A sibling holding the new
+// name already, with no entry of its own, is merged into the node: its
+// children join the node's, each merged likewise into a child of the same
+// name, where a moved entry wins. Relink returns how many entries the merge
+// overwrote.
+func (n *Node) Relink(name string) (lost int) {
+	n.Walk(func(m *Node) bool {
+		if m.kind != 0 {
+			m.version++
+		}
+		return true
+	})
+	return n.move(n.parent, name)
+}
+
+// move takes n from its parent to parent, under name, merges a node that
+// held the name there into it (absorb), and returns how many entries that
+// overwrote.
+func (n *Node) move(parent *Node, name string) (lost int) {
+	n.parent.removeChild(n)
+	n.name, n.parent = name, parent
+	if held := parent.Child(name); held != nil {
+		parent.removeChild(held)
+		lost = n.absorb(held)
+	}
+	parent.attach(n)
+	n.Walk(func(m *Node) bool {
+		m.depth = m.parent.depth + 1
+		return true
+	})
+	return lost
+}
+
+// Walk visits n and every node beneath it in depth-first pre-order,
+// skipping what lies beneath a node fn returns false for.
+func (n *Node) Walk(fn func(*Node) bool) {
+	if fn(n) {
+		for _, c := range n.children {
+			c.Walk(fn)
+		}
+	}
+}
+
+// absorb merges y, unlinked, into n (Relink) and returns how many of y's
+// entries it dropped for n's.
+func (n *Node) absorb(y *Node) (lost int) {
+	switch {
+	case y.kind == 0:
+	case n.kind == 0:
+		n.kind, n.size, n.mode, n.version = y.kind, y.size, y.mode, y.version
+	default:
+		lost++
+	}
+	for _, c := range y.children {
+		if held := n.Child(c.name); held != nil {
+			lost += held.absorb(c)
+			continue
+		}
+		c.parent = n
+		n.attach(c)
+	}
+	y.parent, y.children, y.byName = nil, nil, nil
+	return lost
+}
+
+// ParentPath returns the directory holding path: "/" for a top-level path,
+// "" for "/" itself.
+func ParentPath(path string) string {
+	if i := strings.LastIndexByte(path, '/'); i > 0 {
+		return path[:i]
+	} else if len(path) > 1 {
+		return "/"
+	}
+	return ""
+}
+
+// Path returns the node's absolute path, read up its parent links.
+func (n *Node) Path() string {
+	var b strings.Builder
+	n.EachAncestor(func(a *Node) bool {
+		if a.parent != nil {
+			b.WriteByte('/')
+			b.WriteString(a.name)
+		}
+		return true
+	})
+	if b.Len() == 0 {
+		return "/"
+	}
+	return b.String()
+}
+
 // errExists is the error for a second child named name under n.
-func (t *Tree) errExists(n *Node, name string) error {
-	return fmt.Errorf("%w: %q under %q", ErrExists, name, t.Path(n))
+func errExists(n *Node, name string) error {
+	return fmt.Errorf("%w: %q under %q", ErrExists, name, n.Path())
 }
 
 // IsAncestorOf reports whether n is a (strict or equal) ancestor of other.

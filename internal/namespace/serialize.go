@@ -60,10 +60,10 @@ func (t *Tree) WriteSnapshot(w io.Writer) error {
 			}
 			parent = pos[p.id]
 		}
-		if n.kind != KindDir && n.kind != KindFile {
-			return fmt.Errorf("namespace: %q has unknown kind %v", t.Path(n), n.kind)
+		kind, name := n.Kind(), n.name
+		if kind != KindDir && kind != KindFile {
+			return fmt.Errorf("namespace: %q has unknown kind %v", t.Path(n), kind)
 		}
-		kind, name := wire.EntryKind(n.kind), n.name
 		s.Node(&parent, &kind, &name, &n.selfPop, &n.updateCost)
 		pos[n.id] = next
 		next++
@@ -90,10 +90,9 @@ func (t *Tree) WriteSnapshot(w io.Writer) error {
 // no nodes, a root that is not a directory, a node with no kind, a node under
 // a file, two children of one directory with one name, or trailing bytes.
 //
-// The nodes come from one slab, and every directory's children from one
-// slice: the decode links each node to its parent and counts the children,
-// then a second pass gives each directory its share of the slice, at its
-// exact capacity, and attaches the children in stream order.
+// The decode reads the nodes into one slab and counts each one's children;
+// the slab then links them (Slab), every directory's children carved from
+// one slice.
 func ReadSnapshot(r io.Reader) (*Tree, error) {
 	data, err := readAll(r)
 	if err != nil {
@@ -108,48 +107,41 @@ func ReadSnapshot(r io.Reader) (*Tree, error) {
 		return nil, errors.New("namespace: not a namespace snapshot (no v3 magic)")
 	}
 	s, count := wire.DecodeShape(data[len(snapshotMagic):], 2) // selfPop, updateCost
-	slab := make([]Node, count)
+	slab := &Slab{Nodes: make([]Node, count)}
 	t := &Tree{nodes: make([]*Node, count), live: count}
-	fanout := make([]int32, count)
-	for i := range slab {
+	for i := range slab.Nodes {
 		var parent int
-		var kind wire.EntryKind
-		n := &slab[i]
+		var kind Kind
+		n := &slab.Nodes[i]
 		if !s.Node(&parent, &kind, &n.name, &n.selfPop, &n.updateCost) {
 			break
 		}
-		n.id, n.kind = NodeID(i), Kind(kind)
+		n.id, n.kind, n.version = int32(i), uint8(kind), 1
 		switch {
-		case i == 0 && n.kind != KindDir:
-			return nil, fmt.Errorf("namespace: bad snapshot: the root is a %v", n.kind)
+		case i == 0 && kind != KindDir:
+			return nil, fmt.Errorf("namespace: bad snapshot: the root is a %v", kind)
 		case i == 0:
 			n.name = "/"
 		case kind == 0:
 			return nil, fmt.Errorf("namespace: bad snapshot: node %d has no kind", i)
-		case !slab[parent].IsDir():
+		case !slab.Nodes[parent].IsDir():
 			return nil, ErrNotDir
 		default:
-			n.parent = &slab[parent]
-			n.depth = n.parent.depth + 1
-			fanout[parent]++
+			n.parent = &slab.Nodes[parent]
+			n.parent.depth++
 		}
 		t.nodes[i] = n
 	}
 	if _, err := s.End(); err != nil || count == 0 {
 		return nil, errors.New("namespace: bad snapshot: malformed, or no nodes")
 	}
-	t.root = &slab[0]
-	children := make([]*Node, count-1)
-	for i := range slab[1:] {
-		n := &slab[i+1]
-		if p := n.parent; p.children == nil {
-			k := int(fanout[p.id])
-			p.children, children = children[:0:k], children[k:]
-		}
-		if err := t.attach(n.parent, n); err != nil {
-			return nil, err
+	slab.carve(count - 1)
+	for i := 1; i < count; i++ {
+		if held := slab.Link(i); held != &slab.Nodes[i] {
+			return nil, errExists(held.parent, held.name)
 		}
 	}
+	t.root = &slab.Nodes[0]
 	t.RecomputePopularity()
 	return t, nil
 }

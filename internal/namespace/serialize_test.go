@@ -187,7 +187,7 @@ func FuzzTreeShape(f *testing.F) {
 				t.Fatalf("accepted nodes under the relative path %q", st.Path)
 			}
 			for i, n := range st.Nodes[min(1, len(st.Nodes)):] {
-				if n.Parent > i || n.Name == "" || strings.Contains(n.Name, "/") {
+				if int(n.Parent) > i || n.Name == "" || strings.Contains(n.Name, "/") {
 					t.Fatalf("accepted node %d with parent %d and name %q", i+1, n.Parent, n.Name)
 				}
 			}

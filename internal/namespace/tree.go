@@ -3,6 +3,8 @@ package namespace
 import (
 	"fmt"
 	"strings"
+
+	"d2tree/internal/wire"
 )
 
 // Tree is a mutable namespace tree. The zero value is not usable; construct
@@ -15,7 +17,7 @@ type Tree struct {
 
 // NewTree returns a tree containing only the root directory "/".
 func NewTree() *Tree {
-	root := &Node{id: 0, name: "/", kind: KindDir}
+	root := &Node{name: "/", kind: uint8(KindDir), version: 1}
 	return &Tree{root: root, nodes: []*Node{root}, live: 1}
 }
 
@@ -45,33 +47,16 @@ func (t *Tree) AddChild(parent *Node, name string, kind Kind) (*Node, error) {
 	case !parent.IsDir():
 		return nil, ErrNotDir
 	}
-	if err := checkName(name); err != nil {
-		return nil, err
+	if err := wire.CheckName(name); err != nil {
+		return nil, fmt.Errorf("namespace: %w: %q", err, name)
 	}
-	n := &Node{
-		id:     NodeID(len(t.nodes)),
-		name:   name,
-		kind:   kind,
-		parent: parent,
-		depth:  parent.depth + 1,
-	}
-	if err := t.attach(parent, n); err != nil {
-		return nil, err
+	n := &Node{id: int32(len(t.nodes)), kind: uint8(kind), version: 1}
+	if Attach(parent, name, n) != n {
+		return nil, errExists(parent, name)
 	}
 	t.nodes = append(t.nodes, n)
 	t.live++
 	return n, nil
-}
-
-// checkName refuses a name no node can have: empty, or holding a '/'.
-func checkName(name string) error {
-	switch {
-	case name == "":
-		return ErrEmptyName
-	case strings.Contains(name, "/"):
-		return fmt.Errorf("%w: %q", ErrSlashName, name)
-	}
-	return nil
 }
 
 // MkdirAll resolves path, creating missing intermediate directories, and
@@ -102,8 +87,8 @@ func (t *Tree) addPath(path string, leaf Kind) (*Node, error) {
 			if err != nil {
 				return nil, err
 			}
-		} else if i == len(parts)-1 && next.kind != leaf {
-			return nil, fmt.Errorf("%w: %q is a %v", ErrExists, path, next.kind)
+		} else if i == len(parts)-1 && next.Kind() != leaf {
+			return nil, fmt.Errorf("%w: %q is a %v", ErrExists, path, next.Kind())
 		}
 		cur = next
 	}
@@ -134,19 +119,7 @@ func (t *Tree) Path(n *Node) string {
 	if n == nil {
 		return ""
 	}
-	if n.parent == nil {
-		return "/"
-	}
-	parts := make([]string, 0, n.depth)
-	for cur := n; cur.parent != nil; cur = cur.parent {
-		parts = append(parts, cur.name)
-	}
-	var b strings.Builder
-	for i := len(parts) - 1; i >= 0; i-- {
-		b.WriteByte('/')
-		b.WriteString(parts[i])
-	}
-	return b.String()
+	return n.Path()
 }
 
 // Touch adds delta to n's individual popularity and propagates it up the
@@ -205,18 +178,7 @@ func (t *Tree) CheckPopularity() error {
 // Walk visits every node in depth-first pre-order, stopping early if fn
 // returns false for a directory (its subtree is skipped) — mirroring the
 // cut-line traversal used by the splitter.
-func (t *Tree) Walk(fn func(*Node) bool) {
-	var rec func(*Node)
-	rec = func(n *Node) {
-		if !fn(n) {
-			return
-		}
-		for _, c := range n.children {
-			rec(c)
-		}
-	}
-	rec(t.root)
-}
+func (t *Tree) Walk(fn func(*Node) bool) { t.root.Walk(fn) }
 
 // Nodes returns all live nodes in creation order (root first). The
 // returned slice is a copy.
@@ -237,9 +199,7 @@ func (t *Tree) MaxDepth() int {
 		if n == nil {
 			continue
 		}
-		if n.depth > maxd {
-			maxd = n.depth
-		}
+		maxd = max(maxd, n.Depth())
 	}
 	return maxd
 }
@@ -252,28 +212,14 @@ func (t *Tree) TotalPopularity() int64 { return t.root.totalPop }
 // including n itself).
 func (t *Tree) SubtreeNodes(n *Node) []*Node {
 	var out []*Node
-	var rec func(*Node)
-	rec = func(cur *Node) {
-		out = append(out, cur)
-		for _, c := range cur.children {
-			rec(c)
-		}
-	}
-	rec(n)
+	n.Walk(func(c *Node) bool { out = append(out, c); return true })
 	return out
 }
 
 // SubtreeSize returns the number of nodes in the subtree rooted at n.
 func (t *Tree) SubtreeSize(n *Node) int {
 	count := 0
-	var rec func(*Node)
-	rec = func(cur *Node) {
-		count++
-		for _, c := range cur.children {
-			rec(c)
-		}
-	}
-	rec(n)
+	n.Walk(func(*Node) bool { count++; return true })
 	return count
 }
 

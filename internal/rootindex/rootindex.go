@@ -8,6 +8,8 @@ package rootindex
 import (
 	"slices"
 	"strings"
+
+	"d2tree/internal/namespace"
 )
 
 // Index maps subtree roots to owners. It has no lock of its own: the owner
@@ -26,7 +28,7 @@ func New(owner map[string]string) *Index {
 	}
 	ix := &Index{owner: owner, kids: make(map[string][]string)}
 	for root := range owner {
-		dir := parent(root)
+		dir := namespace.ParentPath(root)
 		ix.kids[dir] = append(ix.kids[dir], root)
 	}
 	for _, roots := range ix.kids {
@@ -35,21 +37,10 @@ func New(owner map[string]string) *Index {
 	return ix
 }
 
-// parent returns the directory a path is listed under ("" for "/").
-func parent(path string) string {
-	if i := strings.LastIndexByte(path, '/'); i > 0 {
-		return path[:i]
-	}
-	if len(path) > 1 {
-		return "/"
-	}
-	return ""
-}
-
 // Set records, or moves, one subtree root's owner.
 func (ix *Index) Set(root, addr string) {
 	if _, known := ix.owner[root]; !known {
-		dir := parent(root)
+		dir := namespace.ParentPath(root)
 		roots := ix.kids[dir]
 		at, _ := slices.BinarySearch(roots, root)
 		ix.kids[dir] = slices.Insert(roots, at, root)

@@ -1120,7 +1120,7 @@ func TestClusterConcurrentClients(t *testing.T) {
 				// Sprinkle in mutations so read-lock holders and writers
 				// genuinely interleave on every server.
 				if i%10 == g%10 {
-					np := fmt.Sprintf("%s/conc-g%d-%d", p, g, i)
+					np := fmt.Sprintf("%s/conc-g%d-%d", strings.TrimSuffix(p, "/"), g, i)
 					if e.Kind == wire.EntryDir {
 						ce, err := shared.Create(np, wire.EntryFile)
 						if err != nil {

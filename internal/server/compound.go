@@ -132,7 +132,7 @@ func (s *Server) handleReaddirPlus(req *wire.ReaddirPlusRequest) (*wire.ReaddirP
 	leaseMS, ver := s.leaseLocked()
 	return &wire.ReaddirPlusResponse{
 		Entries:    children,
-		DirVersion: dir.Version,
+		DirVersion: dir.Version(),
 		LeaseMS:    leaseMS,
 		IndexVer:   ver,
 	}, nil

@@ -204,18 +204,22 @@ func installRecords(trees []wire.Subtree) []*walInstallRec {
 			room -= head
 		}
 		run := -1 // the index in t.Nodes of the root of the subtree being filled
+		var paths wire.Paths
+		if head < len(t.Nodes) {
+			paths = wire.PathsOf([]wire.Subtree{t})
+		}
 		for i := head; i < len(t.Nodes); i++ {
 			if room == 0 {
 				next()
 				run = -1
 			}
 			n := t.Nodes[i]
-			if run < 0 || n.Parent < run {
+			if run < 0 || int(n.Parent) < run {
 				run = i
-				rec.Trees = append(rec.Trees, wire.Subtree{Path: nodePath(t, i)})
+				rec.Trees = append(rec.Trees, wire.Subtree{Path: paths.At(i)})
 				n.Parent, n.Name = 0, ""
 			} else {
-				n.Parent -= run
+				n.Parent -= int32(run)
 			}
 			last := &rec.Trees[len(rec.Trees)-1]
 			last.Nodes = append(last.Nodes, n)
@@ -226,19 +230,6 @@ func installRecords(trees []wire.Subtree) []*walInstallRec {
 		recs = append(recs, rec)
 	}
 	return recs
-}
-
-// nodePath spells out the full path of t.Nodes[i].
-func nodePath(t wire.Subtree, i int) string {
-	var names []string
-	for ; i > 0; i = t.Nodes[i].Parent {
-		names = append(names, t.Nodes[i].Name)
-	}
-	path := t.Path
-	for k := len(names) - 1; k >= 0; k-- {
-		path = childPath(path, names[k])
-	}
-	return path
 }
 
 // The snapshot image (snapshot.img) is a version byte, the body's length and

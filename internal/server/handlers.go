@@ -7,6 +7,7 @@ import (
 	"strings"
 	"time"
 
+	"d2tree/internal/namespace"
 	"d2tree/internal/obs"
 	"d2tree/internal/wire"
 )
@@ -170,13 +171,13 @@ func (s *Server) handleLookup(req *wire.LookupRequest) (*wire.LookupResponse, er
 // lookupLocked is the one lookup body. Callers hold s.mu (either side).
 func (s *Server) lookupLocked(path string) (res wire.BatchResult, err error) {
 	s.lookups.Add(1)
-	e, _ := s.store.get(path)
-	if e == nil {
+	n := s.store.get(path)
+	if n == nil {
 		res.Redirect, err = s.missLocked(path)
 		return res, err
 	}
-	cp := *e
-	return s.grantLocked(&cp), nil
+	e := n.Entry(path)
+	return s.grantLocked(&e), nil
 }
 
 // handleRevalidate answers the client cache's coherence probe: a version
@@ -198,20 +199,20 @@ func (s *Server) handleRevalidate(req *wire.RevalidateRequest) (*wire.Revalidate
 // revalidateLocked is the one revalidate body. Callers hold s.mu (either
 // side).
 func (s *Server) revalidateLocked(path string, version int64) (res wire.BatchResult, err error) {
-	e, _ := s.store.get(path)
+	n := s.store.get(path)
 	switch {
-	case e == nil:
+	case n == nil:
 		res.Redirect, err = s.missLocked(path)
 		return res, err
-	case e.Version == version:
+	case n.Version() == version:
 		s.revalidateHits.Add(1)
 		res = s.grantLocked(nil)
 		res.Match = true
 		return res, nil
 	}
 	s.revalidateMisses.Add(1)
-	cp := *e
-	return s.grantLocked(&cp), nil
+	e := n.Entry(path)
+	return s.grantLocked(&e), nil
 }
 
 func (s *Server) handleCreate(env *wire.Envelope, req *wire.CreateRequest) (*wire.CreateResponse, error) {
@@ -270,14 +271,14 @@ func (s *Server) writeLocked(op string, e wire.Entry) (res wire.BatchResult, glo
 // can serve its own create from cache (§8b).
 func (s *Server) createLocked(e wire.Entry) (res wire.BatchResult, global bool, err error) {
 	s.creates.Add(1)
-	if !validPath(e.Path) {
-		return res, false, fmt.Errorf("server: invalid path %q", e.Path)
+	if err := s.checkCreateLocked(e.Path); err != nil {
+		return res, false, err
 	}
 	if e.Kind != wire.EntryDir && e.Kind != wire.EntryFile {
 		// Kind 0 is how a shipped subtree marks a path that holds no entry.
 		return res, false, fmt.Errorf("server: invalid kind %d for %q", e.Kind, e.Path)
 	}
-	if held, _ := s.store.get(e.Path); held != nil {
+	if s.store.get(e.Path) != nil {
 		return res, false, fmt.Errorf("%w: %s", ErrExists, e.Path)
 	}
 	addr, ok := s.index.Owner(e.Path)
@@ -298,19 +299,45 @@ func (s *Server) createLocked(e wire.Entry) (res wire.BatchResult, global bool, 
 	return s.grantLocked(&rec.Entry), false, nil
 }
 
+// checkCreateLocked refuses a path no create may make: one not below the
+// root, one with a name CheckName refuses (an empty one, between two
+// slashes or after a trailing one), or one whose nearest entry held above it
+// is a file's. Callers hold s.mu.
+func (s *Server) checkCreateLocked(path string) error {
+	if !validPath(path) {
+		return fmt.Errorf("server: invalid path %q", path)
+	}
+	for name := range strings.SplitSeq(path[1:], "/") {
+		if err := wire.CheckName(name); err != nil {
+			return fmt.Errorf("server: invalid path %q: %w", path, err)
+		}
+	}
+	var n *namespace.Node
+	for p := namespace.ParentPath(path); n == nil && p != ""; p = namespace.ParentPath(p) {
+		n = s.store.nodes[p]
+	}
+	for n != nil && n.Kind() == 0 {
+		n = n.Parent()
+	}
+	if n != nil && n.Kind() == wire.EntryFile {
+		return fmt.Errorf("server: %s: %w", path, namespace.ErrNotDir)
+	}
+	return nil
+}
+
 // setattrLocked is the one setattr body: a local-layer entry takes e's size
 // and mode and its next version. global is as for createLocked.
 func (s *Server) setattrLocked(e wire.Entry) (res wire.BatchResult, global bool, err error) {
 	s.setattrs.Add(1)
-	held, gl := s.store.get(e.Path)
+	held := s.store.get(e.Path)
 	switch {
-	case gl:
-		return res, true, nil
 	case held == nil:
 		res.Redirect, err = s.missLocked(e.Path)
 		return res, false, err
+	case s.store.gl[held]:
+		return res, true, nil
 	}
-	rec := &walEntryRec{op: "setattr", Entry: *held}
+	rec := &walEntryRec{op: "setattr", Entry: held.Entry(e.Path)}
 	rec.Entry.Size, rec.Entry.Mode = e.Size, e.Mode
 	rec.Entry.Version++
 	s.commitLocked(rec)
@@ -362,7 +389,7 @@ func (s *Server) handleReaddir(req *wire.ReaddirRequest) (*wire.ReaddirResponse,
 	// Stamp the directory's own version and a lease so the client can at
 	// least renew the parent entry it almost certainly holds cached.
 	leaseMS, ver := s.leaseLocked()
-	return &wire.ReaddirResponse{Names: names, DirVersion: dir.Version, LeaseMS: leaseMS, IndexVer: ver}, nil
+	return &wire.ReaddirResponse{Names: names, DirVersion: dir.Version(), LeaseMS: leaseMS, IndexVer: ver}, nil
 }
 
 // listLocked is the one listing body behind Readdir and ReaddirPlus: the
@@ -375,19 +402,19 @@ func (s *Server) handleReaddir(req *wire.ReaddirRequest) (*wire.ReaddirResponse,
 // The cost is O(children + subtree roots directly under path): the index is
 // keyed by the directory above the cut, so a listing never visits the roots
 // under other directories. Callers hold s.mu (either side).
-func (s *Server) listLocked(path string) (dir *wire.Entry, children []wire.Entry, redirect string, err error) {
-	dir, _ = s.store.get(path)
+func (s *Server) listLocked(path string) (dir *namespace.Node, children []wire.Entry, redirect string, err error) {
+	dir = s.store.get(path)
 	if dir == nil {
 		redirect, err = s.missLocked(path)
 		return nil, nil, redirect, err
 	}
-	if dir.Kind != wire.EntryDir {
+	if !dir.IsDir() {
 		return nil, nil, "", fmt.Errorf("server: %s is not a directory", path)
 	}
-	children = []wire.Entry{}
-	s.store.children(path, func(e *wire.Entry) { children = append(children, *e) })
-	for _, root := range s.index.ChildRoots(path) {
-		if held, _ := s.store.get(root); held == nil {
+	roots := s.index.ChildRoots(path)
+	children = dir.AppendEntries(make([]wire.Entry, 0, dir.NumChildren()+len(roots)), path)
+	for _, root := range roots {
+		if s.store.get(root) == nil {
 			children = append(children, wire.Entry{Path: root, Kind: wire.EntryDir})
 		}
 	}
@@ -416,28 +443,28 @@ func (s *Server) renameLocked(path, newName string) (res wire.BatchResult, err e
 	if !validPath(path) {
 		return res, fmt.Errorf("server: invalid path %q", path)
 	}
-	if newName == "" || strings.ContainsRune(newName, '/') {
-		return res, fmt.Errorf("server: invalid new name %q", newName)
+	if err := wire.CheckName(newName); err != nil {
+		return res, fmt.Errorf("server: new name %q: %w", newName, err)
 	}
-	e, gl := s.store.get(path)
+	n := s.store.get(path)
 	switch {
-	case gl:
+	case n == nil:
+		res.Redirect, err = s.missLocked(path)
+		return res, err
+	case s.store.gl[n]:
 		return res, fmt.Errorf("server: %s is in the global layer; rename requires re-evaluation", path)
 	case s.subtrees[path]:
 		return res, fmt.Errorf("server: %s is a subtree root; rename requires re-evaluation", path)
-	case e == nil:
-		res.Redirect, err = s.missLocked(path)
-		return res, err
 	}
-	if newPath := path[:strings.LastIndexByte(path, '/')+1] + newName; newPath != path {
-		if held, _ := s.store.get(newPath); held != nil {
+	newPath := path[:strings.LastIndexByte(path, '/')+1] + newName
+	if newPath != path {
+		if s.store.get(newPath) != nil {
 			return res, fmt.Errorf("%w: %s", ErrExists, newPath)
 		}
 		s.commitLocked(&walRenameRec{Path: path, NewName: newName})
-		e, _ = s.store.get(newPath)
 	}
-	cp := *e
-	return s.grantLocked(&cp), nil
+	e := n.Entry(newPath)
+	return s.grantLocked(&e), nil
 }
 
 func (s *Server) handleInstall(env *wire.Envelope, req *wire.InstallRequest) (*wire.LockResponse, error) {

@@ -94,10 +94,10 @@ func nodesDigest(st *store) string {
 	lines := make([]string, 0, len(st.nodes))
 	for path, n := range st.nodes {
 		up := "-"
-		if n.parent != nil {
-			up = n.parent.entry.Path
+		if n.Parent() != nil {
+			up = namespace.ParentPath(path)
 		}
-		lines = append(lines, fmt.Sprintf("%s present=%v under %s", path, n.present, up))
+		lines = append(lines, fmt.Sprintf("%s present=%v under %s", path, n.Kind() != 0, up))
 	}
 	sort.Strings(lines)
 	return strings.Join(lines, "\n")

@@ -133,3 +133,34 @@ func snapshotBytes(b *testing.B, dir string) int64 {
 	}
 	return n
 }
+
+// TestBadCreatesLeaveTheServerRestartable: creates of a path with an empty
+// name (/r//x), of one with a trailing slash (/r/x/) and of one under a file
+// (/r/f/x) are refused, so a snapshot taken after them is an image the
+// server reads back to the state it held, and the Monitor, which files a
+// create under its own tree, never sees one its tree refuses.
+func TestBadCreatesLeaveTheServerRestartable(t *testing.T) {
+	dir := t.TempDir()
+	s := newDurableServer(t, dir)
+	env := &wire.Envelope{}
+	if _, err := s.handleInstall(env, &wire.InstallRequest{Tree: tree("/r", []wire.Entry{
+		{Path: "/r", Kind: wire.EntryDir, Version: 1},
+		{Path: "/r/f", Kind: wire.EntryFile, Version: 1},
+	})}); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{"/r//x", "/r/x/", "/r/f/x"} {
+		if _, err := s.handleCreate(env, &wire.CreateRequest{Path: path, Kind: wire.EntryFile}); err == nil {
+			t.Errorf("create %s was acked", path)
+		}
+	}
+	if err := s.writeSnapshot(); err != nil {
+		t.Fatal(err)
+	}
+	s.mu.RLock()
+	want := localDigest(s)
+	s.mu.RUnlock()
+	if got := recoveredDigest(t, dir); got != want {
+		t.Fatalf("restarted with\n%s\nthe server held\n%s", got, want)
+	}
+}

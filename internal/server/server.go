@@ -24,6 +24,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"d2tree/internal/namespace"
 	"d2tree/internal/obs"
 	"d2tree/internal/rootindex"
 	"d2tree/internal/stats"
@@ -728,22 +729,21 @@ func sortByPath(entries []wire.Entry) {
 // entries created, changed (any version differs) or gone since.
 func (s *Server) unshippedLocked(shipped wire.Subtree) int {
 	versions := make(map[string]int64, len(shipped.Nodes))
-	paths := make([]string, len(shipped.Nodes))
+	paths := wire.PathsOf([]wire.Subtree{shipped})
 	for i, n := range shipped.Nodes {
-		paths[i] = shipped.Path
-		if i > 0 {
-			paths[i] = childPath(paths[n.Parent], n.Name)
-		}
 		if n.Kind != 0 {
-			versions[paths[i]] = n.Version
+			versions[paths.At(i)] = n.Version
 		}
 	}
 	n := 0
-	s.store.walk(shipped.Path, func(e *wire.Entry, _ bool) {
-		if v, ok := versions[e.Path]; !ok || v != e.Version {
+	s.store.nodes[shipped.Path].Each(shipped.Path, func(path string, nd *namespace.Node) {
+		if nd.Kind() == 0 {
+			return
+		}
+		if v, ok := versions[path]; !ok || v != nd.Version() {
 			n++
 		}
-		delete(versions, e.Path)
+		delete(versions, path)
 	})
 	return n + len(versions)
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"d2tree/internal/namespace"
 	"d2tree/internal/obs"
 	"d2tree/internal/wire"
 )
@@ -28,8 +29,8 @@ func tree(root string, entries []wire.Entry) wire.Subtree {
 		if i, ok := at[path]; ok {
 			return i
 		}
-		p := index(parentPath(path))
-		t.Nodes = append(t.Nodes, wire.SubtreeNode{Parent: p, Name: path[strings.LastIndexByte(path, '/')+1:]})
+		p := index(namespace.ParentPath(path))
+		t.Nodes = append(t.Nodes, wire.SubtreeNode{Parent: int32(p), Name: path[strings.LastIndexByte(path, '/')+1:]})
 		at[path] = len(t.Nodes) - 1
 		return at[path]
 	}
@@ -61,12 +62,10 @@ func TestStoreSubtreeShipsTheSubtree(t *testing.T) {
 
 // treePaths lists the full paths of t's nodes, sorted.
 func treePaths(t wire.Subtree) []string {
+	all := wire.PathsOf([]wire.Subtree{t})
 	paths := make([]string, len(t.Nodes))
-	for i, n := range t.Nodes {
-		paths[i] = t.Path
-		if i > 0 {
-			paths[i] = childPath(paths[n.Parent], n.Name)
-		}
+	for i := range t.Nodes {
+		paths[i] = all.At(i)
 	}
 	sort.Strings(paths)
 	return paths
@@ -84,7 +83,7 @@ func TestHandleLookupLocalStore(t *testing.T) {
 	}
 	// Returned entry is a copy: mutating it must not touch the store.
 	resp.Entry.Version = 99
-	if e, _ := s.store.get("/g"); e.Version != 3 {
+	if e, _ := s.store.entry("/g"); e.Version != 3 {
 		t.Error("lookup leaked interior pointer")
 	}
 }
@@ -136,7 +135,7 @@ func TestHandleInstallAddsSubtree(t *testing.T) {
 	if !s.subtrees["/moved"] {
 		t.Error("subtree not registered")
 	}
-	if e, gl := s.store.get("/moved/f"); e == nil || e.Version != 2 || gl {
+	if e, gl := s.store.entry("/moved/f"); e == nil || e.Version != 2 || gl {
 		t.Error("entries not installed")
 	}
 }
@@ -181,13 +180,13 @@ func TestApplyHeartbeatRefreshesGL(t *testing.T) {
 		IndexVer: 2,
 		Index:    map[string]string{"/mine": "me"},
 	})
-	if e, _ := s.store.get("/old"); e != nil {
+	if e, _ := s.store.entry("/old"); e != nil {
 		t.Error("stale GL entry survived refresh")
 	}
-	if e, gl := s.store.get("/new"); e == nil || !gl {
+	if e, gl := s.store.entry("/new"); e == nil || !gl {
 		t.Error("new GL entry not installed")
 	}
-	if e, gl := s.store.get("/mine"); e == nil || gl {
+	if e, gl := s.store.entry("/mine"); e == nil || gl {
 		t.Error("local-layer entry dropped by GL refresh")
 	}
 	if mine, _ := s.index.Get("/mine"); s.glVersion != 5 || s.indexVer != 2 || mine != "me" {

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"d2tree/internal/namespace"
 	"d2tree/internal/wal"
 	"d2tree/internal/wire"
 )
@@ -66,6 +67,36 @@ func (r *flatRef) listing(dir string) []wire.Entry {
 // one-pass graft of the subtree they form.
 func installEntries(s *Server, root string, entries []wire.Entry) {
 	s.applyLocked(&walInstallRec{Roots: []string{root}, Trees: []wire.Subtree{tree(root, entries)}})
+}
+
+// entry returns a copy of the entry held at path, nil when none is held, and
+// whether it is a global-layer entry.
+func (st *store) entry(path string) (*wire.Entry, bool) {
+	n := st.get(path)
+	if n == nil {
+		return nil, false
+	}
+	e := n.Entry(path)
+	return &e, st.gl[n]
+}
+
+// each calls fn on the node at root, if any, and every node beneath it,
+// parents first, with its path.
+func (st *store) each(root string, fn func(path string, n *namespace.Node)) {
+	if top := st.nodes[root]; top != nil {
+		top.Each(root, fn)
+	}
+}
+
+// walk calls fn on a copy of every entry of the subtree at root, the root's
+// own entry included, parents before children.
+func (st *store) walk(root string, fn func(e *wire.Entry, gl bool)) {
+	st.each(root, func(path string, n *namespace.Node) {
+		if n.Kind() != 0 {
+			e := n.Entry(path)
+			fn(&e, st.gl[n])
+		}
+	})
 }
 
 // collectSubtree copies out the entries of the subtree at root, sorted by
@@ -148,40 +179,40 @@ func (r *flatRef) snapshot() []wire.Entry {
 }
 
 // checkTree verifies the store's structure by ranging over its path index,
-// which only a test may do: every node is linked under its parent, every
-// placeholder still connects something, and the entry count is right.
+// which only a test may do: every node is linked under its parent by the
+// last name of its path, every kind-0 node still connects something, every
+// global-layer node is indexed and holds an entry, and the entry count is
+// right.
 func checkTree(t *testing.T, st *store) {
 	t.Helper()
 	present := 0
 	for path, n := range st.nodes {
-		if n.entry.Path != path {
-			t.Fatalf("node keyed %q carries path %q", path, n.entry.Path)
-		}
-		if n.present {
+		if n.Kind() != 0 {
 			present++
-		} else if n.child == nil {
-			t.Fatalf("placeholder %q has no children", path)
+		} else if n.NumChildren() == 0 {
+			t.Fatalf("kind-0 node %q has no children", path)
 		}
-		pp := parentPath(path)
+		pp := namespace.ParentPath(path)
 		if pp == "" {
-			if n.parent != nil {
+			if n.Parent() != nil {
 				t.Fatalf("%q has a parent", path)
 			}
 			continue
 		}
-		if n.parent == nil || n.parent != st.nodes[pp] {
+		if n.Parent() == nil || n.Parent() != st.nodes[pp] {
 			t.Fatalf("%q is not linked to the node at %q", path, pp)
 		}
-		linked := false
-		for c := n.parent.child; c != nil; c = c.next {
-			linked = linked || c == n
-		}
-		if !linked {
+		if name := path[strings.LastIndexByte(path, '/')+1:]; n.Name() != name || n.Parent().Child(name) != n {
 			t.Fatalf("%q is missing from its parent's children", path)
 		}
 	}
 	if present != st.len() {
 		t.Fatalf("len() = %d, %d nodes hold an entry", st.len(), present)
+	}
+	for n := range st.gl {
+		if n.Kind() == 0 || st.nodes[n.Path()] != n {
+			t.Fatalf("global-layer node %q is not held at its path", n.Path())
+		}
 	}
 }
 
@@ -196,18 +227,20 @@ func checkAgainstRef(t *testing.T, s *Server, ref *flatRef) {
 	}
 	dirs := map[string]bool{}
 	for p, want := range ref.entries {
-		got, gl := s.store.get(p)
+		got, gl := s.store.entry(p)
 		if got == nil || *got != *want || gl != ref.gl[p] {
 			t.Fatalf("get(%q) = %+v gl=%v, want %+v gl=%v", p, got, gl, *want, ref.gl[p])
 		}
 		dirs[p] = true
-		if pp := parentPath(p); pp != "" {
+		if pp := namespace.ParentPath(p); pp != "" {
 			dirs[pp] = true
 		}
 	}
 	for dir := range dirs {
 		got := []wire.Entry{}
-		s.store.children(dir, func(e *wire.Entry) { got = append(got, *e) })
+		if n := s.store.nodes[dir]; n != nil {
+			got = n.AppendEntries(got, dir)
+		}
 		sortByPath(got)
 		if want := ref.listing(dir); !reflect.DeepEqual(got, want) {
 			t.Fatalf("children(%q) = %v, want %v", dir, got, want)
@@ -220,7 +253,7 @@ func checkAgainstRef(t *testing.T, s *Server, ref *flatRef) {
 		got := []wire.Entry{}
 		seen := map[string]bool{}
 		s.store.walk(root, func(e *wire.Entry, _ bool) {
-			if pp := parentPath(e.Path); e.Path != root && ref.entries[pp] != nil && !seen[pp] {
+			if pp := namespace.ParentPath(e.Path); e.Path != root && ref.entries[pp] != nil && !seen[pp] {
 				t.Fatalf("walk(%q) reached %q before its parent", root, e.Path)
 			}
 			seen[e.Path] = true
@@ -236,19 +269,31 @@ func checkAgainstRef(t *testing.T, s *Server, ref *flatRef) {
 	if want := ref.snapshot(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("snapshot has %d entries, want %d:\n got %v\nwant %v", len(got), len(want), got, want)
 	}
+	// The snapshot image must read back: encoded and decoded as the image
+	// is, and loaded into a fresh store, it holds the reference's local
+	// layer.
+	img, err := wire.DecodeImage(wire.AppendImage(nil, &wire.Image{Tree: s.store.tree("/", true)}))
+	if err != nil {
+		t.Fatalf("the store's image does not decode: %v", err)
+	}
+	fresh := newStore()
+	fresh.graft([]wire.Subtree{img.Tree})
+	checkTree(t, fresh)
+	got = []wire.Entry{}
+	fresh.walk("/", func(e *wire.Entry, _ bool) { got = append(got, *e) })
+	sortByPath(got)
+	if want := ref.snapshot(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("the image loads %d entries, want %d:\n got %v\nwant %v", len(got), len(want), got, want)
+	}
 }
 
 // treeEntries returns the entries of tr, by full path.
 func treeEntries(tr wire.Subtree) []wire.Entry {
 	out := []wire.Entry{}
-	paths := make([]string, len(tr.Nodes))
+	paths := wire.PathsOf([]wire.Subtree{tr})
 	for i, n := range tr.Nodes {
-		paths[i] = tr.Path
-		if i > 0 {
-			paths[i] = childPath(paths[n.Parent], n.Name)
-		}
 		if n.Kind != 0 {
-			out = append(out, wire.Entry{Path: paths[i], Kind: n.Kind, Size: n.Size, Mode: n.Mode, Version: n.Version})
+			out = append(out, wire.Entry{Path: paths.At(i), Kind: n.Kind, Size: n.Size, Mode: n.Mode, Version: n.Version})
 		}
 	}
 	return out
@@ -414,10 +459,10 @@ func TestStoreMatchesFlatReference(t *testing.T) {
 					}
 					path := paths[rng.Intn(len(paths))]
 					size := rng.Int63n(1 << 30)
-					for _, e := range []*wire.Entry{ref.entries[path], mustGet(t, s.store, path)} {
-						e.Size = size
-						e.Version++
-					}
+					e := ref.entries[path]
+					e.Size = size
+					e.Version++
+					mustGet(t, s.store, path).SetEntry(e)
 				case op < 8: // rename, onto a fresh name or one only a placeholder holds
 					paths := localPaths()
 					if len(paths) == 0 {
@@ -451,13 +496,50 @@ func TestStoreMatchesFlatReference(t *testing.T) {
 	}
 }
 
-func mustGet(t *testing.T, st *store, path string) *wire.Entry {
+// TestInstallDropChurn: installing and dropping one 1,000-entry subtree a
+// thousand times, with files created under it in each round, leaves the
+// store's nodes, index and entry count where they started: a node dropped
+// is gone, not parked in a table that only grows.
+func TestInstallDropChurn(t *testing.T) {
+	s := newBareServer(t)
+	s.store.replaceGL([]wire.Entry{{Path: "/", Kind: wire.EntryDir, Version: 1}, {Path: "/g", Kind: wire.EntryDir, Version: 1}})
+	const root = "/g/r"
+	s.index.Set(root, s.Addr())
+	entries := subtreeEntries(rand.New(rand.NewSource(1)), root, 1000, true)
+	var dirs []string
+	for _, e := range entries {
+		if e.Kind == wire.EntryDir {
+			dirs = append(dirs, e.Path)
+		}
+	}
+	nodes, held, gl := len(s.store.nodes), s.store.len(), len(s.store.gl)
+	for round := 0; round < 1000; round++ {
+		installEntries(s, root, entries)
+		for i := 0; i < 3; i++ {
+			path := fmt.Sprintf("%s/churn%d", dirs[(round+i)%len(dirs)], i)
+			if _, _, err := s.createLocked(wire.Entry{Path: path, Kind: wire.EntryFile}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := s.store.len(); got != held+len(entries)+3 {
+			t.Fatalf("round %d: %d entries held, want %d", round, got, held+len(entries)+3)
+		}
+		s.applyLocked(&walRemoveRec{Root: root})
+	}
+	checkTree(t, s.store)
+	if len(s.store.nodes) != nodes || s.store.len() != held || len(s.store.gl) != gl {
+		t.Fatalf("after the churn: %d nodes, %d entries, %d global-layer nodes; before: %d, %d, %d",
+			len(s.store.nodes), s.store.len(), len(s.store.gl), nodes, held, gl)
+	}
+}
+
+func mustGet(t *testing.T, st *store, path string) *namespace.Node {
 	t.Helper()
-	e, _ := st.get(path)
-	if e == nil {
+	n := st.get(path)
+	if n == nil {
 		t.Fatalf("store holds nothing at %q", path)
 	}
-	return e
+	return n
 }
 
 // TestStoreChildBeforeParent: an install lands under a global-layer
@@ -512,17 +594,17 @@ func TestGraftNameTwice(t *testing.T) {
 	}}})
 	checkTree(t, st)
 	reached := 0
-	st.nodes["/"].each(func(n *node) {
+	st.each("/", func(path string, n *namespace.Node) {
 		reached++
-		if st.nodes[n.entry.Path] != n {
-			t.Errorf("%s is linked, and the map holds another node there", n.entry.Path)
+		if st.nodes[path] != n {
+			t.Errorf("%s is linked, and the map holds another node there", path)
 		}
 	})
 	if reached != len(st.nodes) {
 		t.Errorf("%d nodes linked beneath /, %d in the map", reached, len(st.nodes))
 	}
 	for path, want := range map[string]int64{"/fresh/f": 3, "/fresh/g": 4, "/held/h": 7} {
-		if e, _ := st.get(path); e == nil || e.Version != want {
+		if e, _ := st.entry(path); e == nil || e.Version != want {
 			t.Errorf("%s holds %+v, want version %d", path, e, want)
 		}
 	}
@@ -549,7 +631,7 @@ func TestStoreReplaceGLKeepsLocalLayer(t *testing.T) {
 		t.Helper()
 		checkTree(t, s.store)
 		for path, version := range map[string]int64{"/g/r": 7, "/g/r/f": 9} {
-			if e, gl := s.store.get(path); e == nil || e.Version != version || gl {
+			if e, gl := s.store.entry(path); e == nil || e.Version != version || gl {
 				t.Fatalf("%s: %s = %+v gl=%v", when, path, e, gl)
 			}
 		}
@@ -568,13 +650,13 @@ func TestStoreReplaceGLKeepsLocalLayer(t *testing.T) {
 	s.store.replaceGL(gl(2, "/", "/g", "/h"))
 	localIntact("swapped")
 	listsRoot("swapped")
-	if e, gl := s.store.get("/g"); e == nil || e.Version != 2 || !gl {
+	if e, gl := s.store.entry("/g"); e == nil || e.Version != 2 || !gl {
 		t.Fatalf("swapped: /g = %+v gl=%v", e, gl)
 	}
 
 	s.store.replaceGL(gl(3, "/", "/h"))
 	localIntact("dropped")
-	if e, _ := s.store.get("/g"); e != nil {
+	if e, _ := s.store.entry("/g"); e != nil {
 		t.Fatalf("dropped: /g still held: %+v", e)
 	}
 	if s.store.len() != 4 {
@@ -584,7 +666,7 @@ func TestStoreReplaceGLKeepsLocalLayer(t *testing.T) {
 	s.store.replaceGL(gl(4, "/", "/g"))
 	localIntact("restored")
 	listsRoot("restored")
-	if e, _ := s.store.get("/h"); e != nil {
+	if e, _ := s.store.entry("/h"); e != nil {
 		t.Fatalf("restored: /h still held: %+v", e)
 	}
 }
@@ -647,7 +729,7 @@ func TestRenameDirTouchesOnlyDescendants(t *testing.T) {
 	// The victim: a directory with descendants, but a small share of the store.
 	below := map[string]int{}
 	for _, e := range entries {
-		for up := parentPath(e.Path); up != ""; up = parentPath(up) {
+		for up := namespace.ParentPath(e.Path); up != ""; up = namespace.ParentPath(up) {
 			below[up]++
 		}
 	}
@@ -665,8 +747,8 @@ func TestRenameDirTouchesOnlyDescendants(t *testing.T) {
 	inside := below[victim] + 1
 
 	s := build()
-	before := map[string]*wire.Entry{}
-	s.store.walk(root, func(e *wire.Entry, _ bool) { before[e.Path] = e })
+	before := map[string]*namespace.Node{}
+	s.store.each(root, func(path string, n *namespace.Node) { before[path] = n })
 	if _, err := s.handleRename(&wire.RenameRequest{Path: victim, NewName: "renamed"}); err != nil {
 		t.Fatal(err)
 	}
@@ -676,8 +758,8 @@ func TestRenameDirTouchesOnlyDescendants(t *testing.T) {
 		t.Fatal("renamed store differs from the reference")
 	}
 	untouched := 0
-	s.store.walk(root, func(e *wire.Entry, _ bool) {
-		if before[e.Path] == e {
+	s.store.each(root, func(path string, n *namespace.Node) {
+		if n.Kind() != 0 && before[path] == n {
 			untouched++
 		}
 	})
@@ -767,5 +849,66 @@ func BenchmarkReaddirPlusStoreSize(b *testing.B) {
 func BenchmarkReaddirPlusIndexSize(b *testing.B) {
 	for _, roots := range []int{1, 1322, 10000} {
 		b.Run(fmt.Sprintf("roots=%d", roots), func(b *testing.B) { benchListing(b, 10000, roots) })
+	}
+}
+
+// BenchmarkStoreGet resolves paths held in a store of 20k and 200k entries
+// two ways: index is the store's one probe of its path index, as every
+// lookup and revalidation does; walk descends from the root one name at a
+// time through the child lists, as a store without the index would.
+func BenchmarkStoreGet(b *testing.B) {
+	for _, size := range []int{20000, 200000} {
+		rng := rand.New(rand.NewSource(1))
+		s := New(Config{Addr: "127.0.0.1:0", MonitorAddr: "unused"})
+		entries := subtreeEntries(rng, "/g/r", size, true)
+		installEntries(s, "/g/r", entries)
+		probes := make([]string, 1024)
+		for i := range probes {
+			probes[i] = strings.Clone(entries[rng.Intn(len(entries))].Path)
+		}
+		walk := func(path string) *namespace.Node {
+			n := s.store.nodes["/"]
+			for rest := path[1:]; n != nil && rest != ""; {
+				var name string
+				name, rest, _ = strings.Cut(rest, "/")
+				n = n.Child(name)
+			}
+			return n
+		}
+		for _, way := range []struct {
+			name string
+			get  func(string) *namespace.Node
+		}{{"index", s.store.get}, {"walk", walk}} {
+			b.Run(fmt.Sprintf("entries=%d/%s", size, way.name), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if way.get(probes[i%len(probes)]) == nil {
+						b.Fatal("a held path did not resolve")
+					}
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkRenameDir renames a directory with 1k and with 10k entries
+// beneath it, and back, one store rename per op: the relink, the version
+// bumps and the re-keying of its subtree.
+func BenchmarkRenameDir(b *testing.B) {
+	for _, size := range []int{1000, 10000} {
+		b.Run(fmt.Sprintf("descendants=%d", size), func(b *testing.B) {
+			s := New(Config{Addr: "127.0.0.1:0", MonitorAddr: "unused"})
+			entries := append([]wire.Entry{{Path: "/g/r", Kind: wire.EntryDir, Version: 1}},
+				subtreeEntries(rand.New(rand.NewSource(1)), "/g/r/a", size+1, true)...)
+			installEntries(s, "/g/r", entries)
+			names := [2]string{"a", "b"}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if s.store.rename("/g/r/"+names[i%2], names[(i+1)%2]) == nil {
+					b.Fatal("the directory to rename is not held")
+				}
+			}
+		})
 	}
 }

@@ -116,7 +116,7 @@ func (f *filler) subtree(t *Subtree) {
 		n := &t.Nodes[i]
 		n.Kind = EntryKind(f.rng.Intn(3))
 		if i > 0 {
-			n.Parent = f.rng.Intn(i)
+			n.Parent = int32(f.rng.Intn(i))
 			n.Name = subtreeNames[f.rng.Intn(len(subtreeNames))] + strconv.Itoa(i)
 		}
 		f.fill(reflect.ValueOf(&n.Size).Elem())

@@ -1,6 +1,10 @@
 package wire
 
-// EntryKind mirrors namespace.Kind on the wire.
+import "strconv"
+
+// EntryKind tells a directory from a file. It is namespace.Kind too. Kind 0
+// is a path that holds no entry: a shipped subtree links the entries beneath
+// such a path through a kind-0 node, and an MDS holds one for each.
 type EntryKind int
 
 // Entry kinds.
@@ -8,6 +12,14 @@ const (
 	EntryDir EntryKind = iota + 1
 	EntryFile
 )
+
+// String implements fmt.Stringer.
+func (k EntryKind) String() string {
+	if k == EntryDir || k == EntryFile {
+		return [...]string{"", "dir", "file"}[k]
+	}
+	return "Kind(" + strconv.Itoa(int(k)) + ")"
+}
 
 // Entry is one metadata record as shipped between processes.
 type Entry struct {

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"errors"
 	"slices"
 	"strings"
 )
@@ -23,13 +24,14 @@ type Subtree struct {
 
 // SubtreeNode is one node of a Subtree. Kind 0 is a path that holds no
 // entry: it is shipped only to link the entries beneath it (a directory the
-// sending MDS holds no body for) and its attributes are zero.
+// sending MDS holds no body for) and its attributes are zero. Parent and
+// Mode share a word, which keeps a node at 48 bytes.
 type SubtreeNode struct {
-	Parent  int       `json:"parent"`
+	Parent  int32     `json:"parent"`
+	Mode    uint32    `json:"mode,omitempty"`
 	Kind    EntryKind `json:"kind"`
 	Name    string    `json:"name"`
 	Size    int64     `json:"size,omitempty"`
-	Mode    uint32    `json:"mode,omitempty"`
 	Version int64     `json:"version"`
 }
 
@@ -61,20 +63,72 @@ func (m *Subtree) code(c *codec) {
 	shape := Shape{c: c}
 	for i := range m.Nodes {
 		n := &m.Nodes[i]
-		shape.Node(&n.Parent, &n.Kind, &n.Name)
+		parent := int(n.Parent)
+		if shape.Node(&parent, &n.Kind, &n.Name); c.dec {
+			n.Parent = int32(parent)
+		}
 		c.i64(&n.Size)
 		c.u32(&n.Mode)
 		c.i64(&n.Version)
 	}
 }
 
+// Paths is the full path of every node of some subtrees, counted across
+// them in order, all in one string: each is its parent's, "/" and its
+// name, written after its parent's.
+type Paths struct {
+	s    string
+	ends []int32 // node k's path is s[ends[k]:ends[k+1]]
+}
+
+// PathsOf builds the paths of the nodes of trees, sizing the string once.
+func PathsOf(trees []Subtree) Paths {
+	total, size := 0, 0
+	for _, t := range trees {
+		total += len(t.Nodes)
+	}
+	p := Paths{ends: make([]int32, 1, total+1)}
+	for _, t := range trees { // each path's length (a byte over under "/")
+		base := len(p.ends)
+		for i, n := range t.Nodes {
+			length := int32(len(t.Path))
+			if i > 0 {
+				length = p.ends[base+int(n.Parent)] + 1 + int32(len(n.Name))
+			}
+			p.ends, size = append(p.ends, length), size+int(length)
+		}
+	}
+	var b strings.Builder
+	b.Grow(size)
+	k := 0
+	for _, t := range trees {
+		for i, n := range t.Nodes {
+			if i == 0 {
+				b.WriteString(t.Path)
+			} else {
+				if up := p.At(k - i + int(n.Parent)); up != "/" {
+					b.WriteString(up)
+				}
+				b.WriteByte('/')
+				b.WriteString(n.Name)
+			}
+			k++
+			p.ends[k], p.s = int32(b.Len()), b.String()
+		}
+	}
+	return p
+}
+
+// At returns the path of node k.
+func (p *Paths) At(k int) string { return p.s[p.ends[k]:p.ends[k+1]] }
+
 // Shape codes a tree's shape, which a Subtree and the namespace snapshot
 // share: the node count, then the nodes in pre-order, the root as its kind
 // alone and every other node as the distance back to its parent (at least 1,
 // at most its own index), its kind and its name, each node followed by its
 // own attributes. A decoder refuses a parent that does not precede its node,
-// a name AddChild would refuse (empty or holding a '/') and a kind that is
-// neither EntryDir, EntryFile nor 0.
+// a name CheckName refuses and a kind that is neither EntryDir, EntryFile
+// nor 0.
 type Shape struct {
 	c    *codec
 	next int // the index of the next node
@@ -116,7 +170,7 @@ func (s *Shape) Node(parent *int, kind *EntryKind, name *string, attrs ...*int64
 	if i > 0 {
 		c.str(name)
 	}
-	if c.dec && (*kind < 0 || *kind > EntryFile || i > 0 && !validName(*name)) {
+	if c.dec && (*kind < 0 || *kind > EntryFile || i > 0 && CheckName(*name) != nil) {
 		c.fail()
 	}
 	for _, a := range attrs {
@@ -134,10 +188,23 @@ func (s *Shape) End() ([]byte, error) {
 	return s.c.b, nil
 }
 
-// validName reports whether AddChild would take name: it is not empty and
-// holds no '/'.
-func validName(name string) bool {
-	return name != "" && strings.IndexByte(name, '/') < 0
+// Errors CheckName returns.
+var (
+	ErrEmptyName = errors.New("empty node name")
+	ErrSlashName = errors.New("node name contains '/'")
+)
+
+// CheckName is the one check of a node's name, whichever tree the node is
+// in: nil for a name that is not empty and holds no '/', and ErrEmptyName or
+// ErrSlashName otherwise.
+func CheckName(name string) error {
+	switch {
+	case name == "":
+		return ErrEmptyName
+	case strings.IndexByte(name, '/') >= 0:
+		return ErrSlashName
+	}
+	return nil
 }
 
 // AppendSubtrees appends ts as a JoinResponse carries its Trees: their

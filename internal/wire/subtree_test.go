@@ -31,7 +31,7 @@ func seededSubtrees(seed int64, n int) []Subtree {
 			nd := &t.Nodes[i]
 			nd.Kind = EntryKind(rng.Intn(3))
 			if i > 0 {
-				nd.Parent = rng.Intn(i)
+				nd.Parent = int32(rng.Intn(i))
 				nd.Name = names[rng.Intn(len(names))] + strconv.Itoa(i)
 			}
 			if nd.Kind != 0 {
