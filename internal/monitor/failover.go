@@ -230,7 +230,7 @@ func (m *Monitor) subtreesLocked(roots []string) []wire.Subtree {
 	nodes := make([]wire.SubtreeNode, 0, size)
 	for i, n := range tops {
 		start := len(nodes)
-		nodes = namespace.AppendSubtree(nodes, n, nil)
+		nodes = namespace.AppendSubtree(nodes, n)
 		trees[i].Nodes = nodes[start:len(nodes):len(nodes)]
 	}
 	return trees

@@ -1,158 +1,62 @@
 package namespace
 
-import (
-	"strings"
+import "d2tree/internal/wire"
 
-	"d2tree/internal/wire"
-)
-
-// A Slab is one bulk load of decoded tree shapes, which the Monitor's
-// snapshot read and an MDS's install, recovery and join all go through: the
-// nodes, read into one slab in stream order, each but a shape's root
-// pointing at its parent in the slab, and each parent's children carved
-// from one slice at the count the shapes give it (in its depth, until the
-// carve). Link then attaches the nodes one by one, parents first.
-type Slab struct {
-	Nodes []Node
-	// merged maps a node whose place a node linked already holds (Place,
-	// Link) to that node, which its children are linked beneath instead.
-	merged map[*Node]*Node
-	// Entries counts the nodes that came to hold an entry: those linked with
-	// one, and those held already, with none, that took one.
-	Entries int
+// SlabOf reads the nodes of trees into one slab, tree after tree, so slab
+// node k is the k-th node the trees hold, with the kind, name and attributes
+// its SubtreeNode gives. A tree's root is left unlinked; every other node
+// points at its parent in the slab, for the caller to link it there
+// (Attach), parents first, into children already carved at their count
+// (carve).
+func SlabOf(trees []wire.Subtree) []Node {
+	total, links := 0, 0
+	for _, t := range trees {
+		total, links = total+len(t.Nodes), links+max(len(t.Nodes)-1, 0)
+	}
+	nodes, k := make([]Node, total), 0
+	for _, t := range trees {
+		for i := range t.Nodes {
+			sn, n := &t.Nodes[i], &nodes[k+i]
+			n.name, n.kind, n.size, n.mode, n.version = sn.Name, uint8(sn.Kind), sn.Size, sn.Mode, sn.Version
+			if i > 0 {
+				n.parent = &nodes[k+int(sn.Parent)]
+				n.parent.depth++
+			}
+		}
+		k += len(t.Nodes)
+	}
+	carve(nodes, links)
+	return nodes
 }
 
-// carve gives each node with children its share of one slice of links
-// children, at its exact capacity.
-func (s *Slab) carve(links int) {
+// carve gives each node of a slab with children, which its depth counts
+// until then, its share of one slice of links children, at its exact
+// capacity. The bulk loads (SlabOf, ReadSnapshot) share it.
+func carve(nodes []Node, links int) {
 	children := make([]*Node, links)
-	for i := range s.Nodes {
-		if n := &s.Nodes[i]; n.depth > 0 {
+	for i := range nodes {
+		if n := &nodes[i]; n.depth > 0 {
 			n.children, children = children[:0:n.depth], children[n.depth:]
 			n.depth = 0
 		}
 	}
 }
 
-// SlabOf reads the nodes of trees into one slab, tree after tree, so slab
-// node k is the k-th node the trees hold, each with the kind, name and
-// attributes its SubtreeNode gives. A tree's root is left unlinked, for the
-// caller to link (Attach) and place (Place).
-func SlabOf(trees []wire.Subtree) *Slab {
-	total, links := 0, 0
-	for _, t := range trees {
-		total, links = total+len(t.Nodes), links+max(len(t.Nodes)-1, 0)
-	}
-	s, k := &Slab{Nodes: make([]Node, total)}, 0
-	for _, t := range trees {
-		for i := range t.Nodes {
-			sn, n := &t.Nodes[i], &s.Nodes[k+i]
-			n.name, n.kind, n.size, n.mode, n.version = sn.Name, uint8(sn.Kind), sn.Size, sn.Mode, sn.Version
-			if i > 0 {
-				n.parent = &s.Nodes[k+int(sn.Parent)]
-				n.parent.depth++
-			}
-		}
-		k += len(t.Nodes)
-	}
-	s.carve(links)
-	return s
-}
-
-// Link attaches node k beneath its parent, once that is linked, and places
-// it (Place) at the child its parent holds by its name: k, but for a name
-// taken already.
-func (s *Slab) Link(k int) *Node {
-	n := &s.Nodes[k]
-	parent := n.parent
-	if to := s.merged[parent]; to != nil {
-		parent = to
-	}
-	n.parent = nil
-	return s.Place(k, Attach(parent, n.name, n))
-}
-
-// Place records at as node k's place and returns it: k itself, linked, or a
-// node held there already, which takes k's entry, unless k is kind 0, and
-// has k's children linked beneath it; k then stays unlinked.
-func (s *Slab) Place(k int, at *Node) *Node {
-	n := &s.Nodes[k]
-	if n.kind != 0 && (at == n || at.kind == 0) {
-		s.Entries++
-	}
-	if at == n {
-		return n
-	}
-	if n.kind != 0 {
-		at.kind, at.size, at.mode, at.version = n.kind, n.size, n.mode, n.version
-	}
-	n.parent = nil
-	if s.merged == nil {
-		s.merged = make(map[*Node]*Node)
-	}
-	s.merged[n] = at
-	return at
-}
-
 // AppendSubtree appends top and every node beneath it to nodes in
-// pre-order, as a wire.Subtree holds them: top as the root, with no name,
-// and every other node after its parent, named, with its parent's index
-// counted from top's. A node blank reports true for goes as kind 0, a path
-// with no entry; a nil blank writes every node with its own kind.
-func AppendSubtree(nodes []wire.SubtreeNode, top *Node, blank func(*Node) bool) []wire.SubtreeNode {
-	return top.appendSubtree(nodes, len(nodes), 0, "", blank)
+// pre-order (Walk's order), as a wire.Subtree holds them: top as the root,
+// with no name, and every other node after its parent, named, with its
+// parent's index counted from top's.
+func AppendSubtree(nodes []wire.SubtreeNode, top *Node) []wire.SubtreeNode {
+	return top.appendSubtree(nodes, len(nodes), 0, "")
 }
 
 // appendSubtree appends n, named name under the node at index parent, and
 // its descendants (AppendSubtree); base is the index of the subtree's root.
-func (n *Node) appendSubtree(nodes []wire.SubtreeNode, base, parent int, name string, blank func(*Node) bool) []wire.SubtreeNode {
-	sn := wire.SubtreeNode{Parent: int32(parent), Name: name}
-	if blank == nil || !blank(n) {
-		sn.Kind, sn.Size, sn.Mode, sn.Version = n.Kind(), n.size, n.mode, n.version
-	}
-	nodes = append(nodes, sn)
+func (n *Node) appendSubtree(nodes []wire.SubtreeNode, base, parent int, name string) []wire.SubtreeNode {
+	nodes = append(nodes, wire.SubtreeNode{Parent: int32(parent), Kind: n.Kind(), Name: name, Size: n.size, Mode: n.mode, Version: n.version})
 	at := len(nodes) - 1 - base
 	for _, c := range n.children {
-		nodes = c.appendSubtree(nodes, base, at, c.name, blank)
+		nodes = c.appendSubtree(nodes, base, at, c.name)
 	}
 	return nodes
-}
-
-// Each calls fn on n, at path, and on every node beneath it with its path,
-// parents first; nothing when n is nil. fn must not link or unlink nodes.
-func (n *Node) Each(path string, fn func(path string, n *Node)) {
-	if n == nil {
-		return
-	}
-	fn(path, n)
-	if path == "/" {
-		path = ""
-	}
-	for _, c := range n.children {
-		c.Each(path+"/"+c.name, fn)
-	}
-}
-
-// AppendEntries appends to out the entry of every child of n, the node at
-// path, that holds one, their paths all in one string.
-func (n *Node) AppendEntries(out []wire.Entry, path string) []wire.Entry {
-	if path == "/" {
-		path = ""
-	}
-	size := 0
-	for _, c := range n.children {
-		size += len(path) + 1 + len(c.name)
-	}
-	var b strings.Builder
-	b.Grow(size)
-	for _, c := range n.children {
-		if c.kind != 0 {
-			start := b.Len()
-			b.WriteString(path)
-			b.WriteByte('/')
-			b.WriteString(c.name)
-			out = append(out, c.Entry(b.String()[start:]))
-		}
-	}
-	return out
 }

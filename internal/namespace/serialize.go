@@ -90,9 +90,9 @@ func (t *Tree) WriteSnapshot(w io.Writer) error {
 // no nodes, a root that is not a directory, a node with no kind, a node under
 // a file, two children of one directory with one name, or trailing bytes.
 //
-// The decode reads the nodes into one slab and counts each one's children;
-// the slab then links them (Slab), every directory's children carved from
-// one slice.
+// The decode reads the nodes into one slab and counts each one's children,
+// then links them, every directory's children carved from one slice
+// (carve), as SlabOf's are.
 func ReadSnapshot(r io.Reader) (*Tree, error) {
 	data, err := readAll(r)
 	if err != nil {
@@ -107,12 +107,12 @@ func ReadSnapshot(r io.Reader) (*Tree, error) {
 		return nil, errors.New("namespace: not a namespace snapshot (no v3 magic)")
 	}
 	s, count := wire.DecodeShape(data[len(snapshotMagic):], 2) // selfPop, updateCost
-	slab := &Slab{Nodes: make([]Node, count)}
+	slab := make([]Node, count)
 	t := &Tree{nodes: make([]*Node, count), live: count}
-	for i := range slab.Nodes {
+	for i := range slab {
 		var parent int
 		var kind Kind
-		n := &slab.Nodes[i]
+		n := &slab[i]
 		if !s.Node(&parent, &kind, &n.name, &n.selfPop, &n.updateCost) {
 			break
 		}
@@ -124,10 +124,10 @@ func ReadSnapshot(r io.Reader) (*Tree, error) {
 			n.name = "/"
 		case kind == 0:
 			return nil, fmt.Errorf("namespace: bad snapshot: node %d has no kind", i)
-		case !slab.Nodes[parent].IsDir():
+		case !slab[parent].IsDir():
 			return nil, ErrNotDir
 		default:
-			n.parent = &slab.Nodes[parent]
+			n.parent = &slab[parent]
 			n.parent.depth++
 		}
 		t.nodes[i] = n
@@ -135,13 +135,13 @@ func ReadSnapshot(r io.Reader) (*Tree, error) {
 	if _, err := s.End(); err != nil || count == 0 {
 		return nil, errors.New("namespace: bad snapshot: malformed, or no nodes")
 	}
-	slab.carve(count - 1)
+	carve(slab, count-1)
 	for i := 1; i < count; i++ {
-		if held := slab.Link(i); held != &slab.Nodes[i] {
-			return nil, errExists(held.parent, held.name)
+		if n := &slab[i]; Attach(n.parent, n.name, n) != n {
+			return nil, errExists(n.parent, n.name)
 		}
 	}
-	t.root = &slab.Nodes[0]
+	t.root = &slab[0]
 	t.RecomputePopularity()
 	return t, nil
 }

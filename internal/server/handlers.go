@@ -307,7 +307,9 @@ func (s *Server) checkCreateLocked(path string) error {
 	if !validPath(path) {
 		return fmt.Errorf("server: invalid path %q", path)
 	}
-	for name := range strings.SplitSeq(path[1:], "/") {
+	for rest, more := path[1:], true; more; {
+		var name string
+		name, rest, more = strings.Cut(rest, "/")
 		if err := wire.CheckName(name); err != nil {
 			return fmt.Errorf("server: invalid path %q: %w", path, err)
 		}
@@ -334,7 +336,7 @@ func (s *Server) setattrLocked(e wire.Entry) (res wire.BatchResult, global bool,
 	case held == nil:
 		res.Redirect, err = s.missLocked(e.Path)
 		return res, false, err
-	case s.store.gl[held]:
+	case s.store.gl[held] != "":
 		return res, true, nil
 	}
 	rec := &walEntryRec{op: "setattr", Entry: held.Entry(e.Path)}
@@ -412,7 +414,7 @@ func (s *Server) listLocked(path string) (dir *namespace.Node, children []wire.E
 		return nil, nil, "", fmt.Errorf("server: %s is not a directory", path)
 	}
 	roots := s.index.ChildRoots(path)
-	children = dir.AppendEntries(make([]wire.Entry, 0, dir.NumChildren()+len(roots)), path)
+	children = appendEntries(make([]wire.Entry, 0, dir.NumChildren()+len(roots)), dir, path)
 	for _, root := range roots {
 		if s.store.get(root) == nil {
 			children = append(children, wire.Entry{Path: root, Kind: wire.EntryDir})
@@ -420,6 +422,32 @@ func (s *Server) listLocked(path string) (dir *namespace.Node, children []wire.E
 	}
 	sortByPath(children)
 	return dir, children, "", nil
+}
+
+// appendEntries appends to out the entry of every child of dir, the node at
+// path, that holds one, their paths all in one string.
+func appendEntries(out []wire.Entry, dir *namespace.Node, path string) []wire.Entry {
+	if path == "/" {
+		path = ""
+	}
+	size := 0
+	dir.EachChild(func(c *namespace.Node) bool {
+		size += len(path) + 1 + len(c.Name())
+		return true
+	})
+	var b strings.Builder
+	b.Grow(size)
+	dir.EachChild(func(c *namespace.Node) bool {
+		if c.Kind() != 0 {
+			start := b.Len()
+			b.WriteString(path)
+			b.WriteByte('/')
+			b.WriteString(c.Name())
+			out = append(out, c.Entry(b.String()[start:]))
+		}
+		return true
+	})
+	return out
 }
 
 // handleRename renames a local-layer node and its whole subtree in place —
@@ -451,7 +479,7 @@ func (s *Server) renameLocked(path, newName string) (res wire.BatchResult, err e
 	case n == nil:
 		res.Redirect, err = s.missLocked(path)
 		return res, err
-	case s.store.gl[n]:
+	case s.store.gl[n] != "":
 		return res, fmt.Errorf("server: %s is in the global layer; rename requires re-evaluation", path)
 	case s.subtrees[path]:
 		return res, fmt.Errorf("server: %s is a subtree root; rename requires re-evaluation", path)

@@ -12,6 +12,7 @@ import (
 	"reflect"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"d2tree/internal/wal"
@@ -20,15 +21,30 @@ import (
 
 var replaySeeds = flag.Int("replay.seeds", 100, "seeded schedules TestReplayEqualsLive runs")
 
+// peerGL is the global layer startPeer's Monitor starts with, the one the
+// tests that use it install.
+var peerGL = []wire.Entry{
+	{Path: "/", Kind: wire.EntryDir, Version: 1},
+	{Path: "/g", Kind: wire.EntryDir, Version: 1},
+	{Path: "/g/a", Kind: wire.EntryDir, Version: 1},
+	{Path: "/g/b", Kind: wire.EntryDir, Version: 1},
+	{Path: "/g/gf", Kind: wire.EntryFile, Version: 1},
+}
+
 // startPeer serves what an MDS sends out, answering the same way every time:
-// a Monitor's gl_update (the entry as asked, at version 7, GL version 1) and
-// transfer_done, and a transfer destination's install. It returns the
-// listener's address and a Monitor channel to it.
+// a Monitor's gl_update (the entry as asked, at version 7, GL version 1, of
+// the kind it holds: a setattr asks with none) and transfer_done, and a
+// transfer destination's install. It returns the listener's address and a
+// Monitor channel to it.
 func startPeer(t testing.TB) (string, *wire.RetryingConn) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
+	}
+	var kinds sync.Map // path → the wire.EntryKind the Monitor holds there
+	for _, e := range peerGL {
+		kinds.Store(e.Path, e.Kind)
 	}
 	go func() {
 		for {
@@ -43,6 +59,11 @@ func startPeer(t testing.TB) (string, *wire.RetryingConn) {
 				var req wire.GLUpdateRequest
 				if err := env.Decode(&req); err != nil {
 					return nil, err
+				}
+				if req.Op == "create" {
+					kinds.Store(req.Entry.Path, req.Entry.Kind)
+				} else if k, ok := kinds.Load(req.Entry.Path); ok {
+					req.Entry.Kind = k.(wire.EntryKind)
 				}
 				req.Entry.Version = 7
 				return &wire.GLUpdateResponse{Entry: req.Entry, GLVersion: 1}, nil
@@ -227,13 +248,7 @@ func replaySchedule(t *testing.T, peer string, mon *wire.RetryingConn, seed int6
 	rng := rand.New(rand.NewSource(seed))
 	dir := t.TempDir()
 	env := &wire.Envelope{}
-	gl := []wire.Entry{
-		{Path: "/", Kind: wire.EntryDir, Version: 1},
-		{Path: "/g", Kind: wire.EntryDir, Version: 1},
-		{Path: "/g/a", Kind: wire.EntryDir, Version: 1},
-		{Path: "/g/b", Kind: wire.EntryDir, Version: 1},
-		{Path: "/g/gf", Kind: wire.EntryFile, Version: 1},
-	}
+	gl := peerGL
 	var roots []string
 	for _, up := range []string{"/g/a", "/g/b"} {
 		for i := 0; i < 3; i++ {

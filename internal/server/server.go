@@ -736,7 +736,7 @@ func (s *Server) unshippedLocked(shipped wire.Subtree) int {
 		}
 	}
 	n := 0
-	s.store.nodes[shipped.Path].Each(shipped.Path, func(path string, nd *namespace.Node) {
+	eachPath(s.store.nodes[shipped.Path], shipped.Path, func(path string, nd *namespace.Node) {
 		if nd.Kind() == 0 {
 			return
 		}

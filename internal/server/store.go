@@ -15,12 +15,12 @@ import (
 // whose parent is not held (DESIGN.md §8c). Server.mu guards it.
 type store struct {
 	nodes   map[string]*namespace.Node
-	entries int // nodes holding an entry
-	gl      map[*namespace.Node]bool
+	entries int                        // nodes holding an entry
+	gl      map[*namespace.Node]string // global-layer node → its path
 }
 
 func newStore() *store {
-	return &store{nodes: make(map[string]*namespace.Node), gl: make(map[*namespace.Node]bool)}
+	return &store{nodes: make(map[string]*namespace.Node), gl: make(map[*namespace.Node]string)}
 }
 
 // reserve sizes the index for n more nodes in one step.
@@ -45,16 +45,17 @@ func (st *store) get(path string) *namespace.Node {
 // whatever entry was there. A kind-0 entry is none: it takes that away.
 func (st *store) put(e wire.Entry, gl bool) {
 	n := st.place(e.Path, nil)
+	if e.Kind == 0 {
+		st.remove(n, e.Path)
+		return
+	}
 	if n.Kind() == 0 {
 		st.entries++
 	}
 	if n.SetEntry(&e); gl {
-		st.gl[n] = true
+		st.gl[n] = e.Path
 	} else {
 		delete(st.gl, n)
-	}
-	if e.Kind == 0 {
-		st.remove(n, e.Path)
 	}
 }
 
@@ -73,40 +74,51 @@ func (st *store) place(path string, n *namespace.Node) *namespace.Node {
 	return n
 }
 
-// remove takes the entry of n, at path, away and unlinks n if that leaves a
-// kind-0 node with nothing beneath it, and each ancestor that leaves so.
+// remove takes the entry of n, at path, away, out of the global layer too,
+// and unlinks n if that leaves a kind-0 node with nothing beneath it, and
+// each ancestor that leaves so.
 func (st *store) remove(n *namespace.Node, path string) {
 	if n.Kind() != 0 {
 		st.entries--
 	}
+	delete(st.gl, n)
 	for n.SetEntry(&wire.Entry{}); n != nil && n.Kind() == 0 && n.NumChildren() == 0; {
-		delete(st.gl, n)
 		delete(st.nodes, path)
 		n, path = n.Detach(), namespace.ParentPath(path)
 	}
 }
 
 // graft stores the nodes of trees as local-layer entries, as put would one
-// by one, in one pass over one slab of them (namespace.Slab), indexing each
-// node linked fresh under its path in one string (wire.PathsOf). A held node
-// met instead takes the entry into the local layer. A kind-0 node stays only
-// while an entry beneath it needs it.
+// by one, in one pass over one slab of them (namespace.SlabOf), indexing each
+// node linked fresh under its path in one string (wire.PathsOf). A node whose
+// place a held node has merges into it: the held node takes its entry into
+// the local layer, unless it is kind 0, and its children are linked beneath
+// the held node. A kind-0 node stays only while an entry beneath it needs it.
 func (st *store) graft(trees []wire.Subtree) {
 	slab, paths := namespace.SlabOf(trees), wire.PathsOf(trees)
-	for k := range slab.Nodes {
-		n, at := &slab.Nodes[k], (*namespace.Node)(nil)
-		if n.Parent() == nil { // a tree's root
-			at = slab.Place(k, st.place(paths.At(k), n))
-		} else if at = slab.Link(k); at == n {
-			st.nodes[paths.At(k)] = n
+	merged := map[*namespace.Node]*namespace.Node{} // a node met held → the held node
+	for k := range slab {
+		n, at := &slab[k], (*namespace.Node)(nil)
+		if up := n.Parent(); up == nil { // a tree's root
+			at = st.place(paths.At(k), n)
+		} else {
+			if to := merged[up]; to != nil {
+				up = to
+			}
+			if at = namespace.Attach(up, n.Name(), n); at == n {
+				st.nodes[paths.At(k)] = n
+			}
 		}
-		if at != n && n.Kind() != 0 {
-			delete(st.gl, at)
+		if at != n {
+			if merged[n] = at; n.Kind() != 0 {
+				st.put(n.Entry(paths.At(k)), false)
+			}
+		} else if n.Kind() != 0 {
+			st.entries++
 		}
 	}
-	st.entries += slab.Entries
-	for k := len(slab.Nodes) - 1; k >= 0; k-- {
-		if n := &slab.Nodes[k]; n.Kind() == 0 && st.nodes[paths.At(k)] == n {
+	for k := len(slab) - 1; k >= 0; k-- {
+		if n := &slab[k]; n.Kind() == 0 && st.nodes[paths.At(k)] == n {
 			st.remove(n, paths.At(k))
 		}
 	}
@@ -120,9 +132,20 @@ func (st *store) tree(root string, local bool) wire.Subtree {
 	if root == "/" { // every node the store holds
 		size = len(st.nodes)
 	}
-	if top := st.nodes[root]; top != nil {
-		blank := func(n *namespace.Node) bool { return local && st.gl[n] }
-		t.Nodes = namespace.AppendSubtree(make([]wire.SubtreeNode, 0, size), top, blank)
+	top := st.nodes[root]
+	if top == nil {
+		return t
+	}
+	t.Nodes = namespace.AppendSubtree(make([]wire.SubtreeNode, 0, size), top)
+	if local && len(st.gl) > 0 {
+		i := 0
+		top.Walk(func(n *namespace.Node) bool { // AppendSubtree's order
+			if sn := &t.Nodes[i]; st.gl[n] != "" {
+				*sn = wire.SubtreeNode{Parent: sn.Parent, Name: sn.Name}
+			}
+			i++
+			return true
+		})
 	}
 	return t
 }
@@ -135,23 +158,27 @@ func (st *store) rename(path, newName string) *namespace.Node {
 	if n == nil || newName == n.Name() {
 		return n
 	}
-	n.Each(path, func(p string, _ *namespace.Node) { delete(st.nodes, p) })
+	eachPath(n, path, func(p string, _ *namespace.Node) { delete(st.nodes, p) })
 	st.entries -= n.Relink(newName)
-	n.Each(path[:strings.LastIndexByte(path, '/')+1]+newName, func(p string, m *namespace.Node) { st.nodes[p] = m })
+	eachPath(n, path[:strings.LastIndexByte(path, '/')+1]+newName, func(p string, m *namespace.Node) { st.nodes[p] = m })
 	return n
 }
 
 // dropSubtree removes every local-layer entry of the subtree at root.
 // Global-layer entries belong to the replica and stay.
 func (st *store) dropSubtree(root string) {
-	var drop []string
-	st.nodes[root].Each(root, func(p string, n *namespace.Node) {
-		if n.Kind() != 0 && !st.gl[n] {
-			drop = append(drop, p)
+	type at struct {
+		n    *namespace.Node
+		path string
+	}
+	var drop []at
+	eachPath(st.nodes[root], root, func(p string, n *namespace.Node) {
+		if n.Kind() != 0 && st.gl[n] == "" {
+			drop = append(drop, at{n, p})
 		}
 	})
-	for _, p := range drop {
-		st.remove(st.nodes[p], p)
+	for i := len(drop) - 1; i >= 0; i-- { // children first, each its parent's last
+		st.remove(drop[i].n, drop[i].path)
 	}
 }
 
@@ -160,13 +187,58 @@ func (st *store) dropSubtree(root string) {
 // local layer is left alone.
 func (st *store) replaceGL(entries []wire.Entry) {
 	old := st.gl
-	st.gl = make(map[*namespace.Node]bool, len(entries))
+	st.gl = make(map[*namespace.Node]string, len(entries))
 	for _, e := range entries {
 		st.put(e, true)
 	}
-	for n := range old {
-		if path := n.Path(); !st.gl[n] && st.nodes[path] == n {
+	for n, path := range old {
+		if st.gl[n] != "" {
+			continue
+		}
+		if st.nodes[path] != n { // a rename moved it
+			path = n.Path()
+		}
+		if st.nodes[path] == n {
 			st.remove(n, path)
 		}
 	}
+}
+
+// eachPath calls fn on n, at path, and on every node beneath it with its
+// path, parents first; nothing when n is nil. The paths beneath n are
+// substrings of one string, built in one allocation (a load's index keys
+// are built so too). fn must not link or unlink nodes.
+func eachPath(n *namespace.Node, path string, fn func(path string, n *namespace.Node)) {
+	if n == nil {
+		return
+	}
+	var b strings.Builder
+	b.Grow(pathsLen(n, len(strings.TrimSuffix(path, "/"))))
+	appendPaths(&b, n, path, fn)
+}
+
+// pathsLen is the length of the paths of every node beneath n, whose path
+// is base bytes long ("/" counting as none).
+func pathsLen(n *namespace.Node, base int) (size int) {
+	n.EachChild(func(c *namespace.Node) bool {
+		l := base + 1 + len(c.Name())
+		size += l + pathsLen(c, l)
+		return true
+	})
+	return size
+}
+
+// appendPaths calls fn on n, at path, and then on every node beneath it,
+// writing each one's path to b (eachPath).
+func appendPaths(b *strings.Builder, n *namespace.Node, path string, fn func(path string, n *namespace.Node)) {
+	fn(path, n)
+	path = strings.TrimSuffix(path, "/")
+	n.EachChild(func(c *namespace.Node) bool {
+		start := b.Len()
+		b.WriteString(path)
+		b.WriteByte('/')
+		b.WriteString(c.Name())
+		appendPaths(b, c, b.String()[start:], fn)
+		return true
+	})
 }

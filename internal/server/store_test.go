@@ -77,15 +77,13 @@ func (st *store) entry(path string) (*wire.Entry, bool) {
 		return nil, false
 	}
 	e := n.Entry(path)
-	return &e, st.gl[n]
+	return &e, st.gl[n] != ""
 }
 
 // each calls fn on the node at root, if any, and every node beneath it,
 // parents first, with its path.
 func (st *store) each(root string, fn func(path string, n *namespace.Node)) {
-	if top := st.nodes[root]; top != nil {
-		top.Each(root, fn)
-	}
+	eachPath(st.nodes[root], root, fn)
 }
 
 // walk calls fn on a copy of every entry of the subtree at root, the root's
@@ -94,7 +92,7 @@ func (st *store) walk(root string, fn func(e *wire.Entry, gl bool)) {
 	st.each(root, func(path string, n *namespace.Node) {
 		if n.Kind() != 0 {
 			e := n.Entry(path)
-			fn(&e, st.gl[n])
+			fn(&e, st.gl[n] != "")
 		}
 	})
 }
@@ -239,7 +237,7 @@ func checkAgainstRef(t *testing.T, s *Server, ref *flatRef) {
 	for dir := range dirs {
 		got := []wire.Entry{}
 		if n := s.store.nodes[dir]; n != nil {
-			got = n.AppendEntries(got, dir)
+			got = appendEntries(got, n, dir)
 		}
 		sortByPath(got)
 		if want := ref.listing(dir); !reflect.DeepEqual(got, want) {
@@ -607,6 +605,42 @@ func TestGraftNameTwice(t *testing.T) {
 		if e, _ := st.entry(path); e == nil || e.Version != want {
 			t.Errorf("%s holds %+v, want version %d", path, e, want)
 		}
+	}
+}
+
+// TestPutKindZeroTakesTheEntryAway: a kind-0 entry put over a held file,
+// over a global-layer directory with entries beneath it, and over a path
+// the store does not hold leaves no entry there, counts right, and keeps no
+// global-layer node without an entry; a refresh that brings the directory
+// back counts it once.
+func TestPutKindZeroTakesTheEntryAway(t *testing.T) {
+	st := newStore()
+	gl := []wire.Entry{{Path: "/", Kind: wire.EntryDir, Version: 1}, {Path: "/g", Kind: wire.EntryDir, Version: 1}}
+	st.replaceGL(gl)
+	st.put(wire.Entry{Path: "/g/r", Kind: wire.EntryDir, Version: 1}, false)
+	st.put(wire.Entry{Path: "/g/r/f", Kind: wire.EntryFile, Version: 1}, false)
+	checkTree(t, st)
+	for _, c := range []struct {
+		path string
+		gl   bool
+		held int
+	}{{"/g/r/f", false, 3}, {"/g", true, 2}, {"/absent/x", false, 2}, {"/g/r/f", false, 2}} {
+		st.put(wire.Entry{Path: c.path}, c.gl)
+		checkTree(t, st)
+		if e, _ := st.entry(c.path); e != nil {
+			t.Fatalf("kind-0 put of %s left %+v", c.path, e)
+		}
+		if st.len() != c.held {
+			t.Fatalf("after a kind-0 put of %s len() = %d, want %d", c.path, st.len(), c.held)
+		}
+	}
+	if st.nodes["/absent"] != nil || st.nodes["/absent/x"] != nil {
+		t.Fatal("a kind-0 put of an absent path left nodes behind")
+	}
+	st.replaceGL(gl)
+	checkTree(t, st)
+	if st.len() != 3 {
+		t.Fatalf("after the refresh len() = %d, want 3", st.len())
 	}
 }
 
