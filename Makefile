@@ -67,16 +67,21 @@ bench-index:
 # joins with (roots, nodes, encoded bytes). MDSRestart is an MDS holding a 20k
 # and a 200k-node local layer writing its snapshot image and restarting from
 # it (image bytes, write, s.mu hold and recovery ms; -benchtime 5x for
-# numbers).
+# numbers). The MDS store's rungs: StoreGet resolves a path by the index and
+# by a walk down the child lists, RenameDir renames a directory of 1k and
+# 10k entries, ReplaceGL refreshes a 2,051-entry global layer and
+# DropSubtree drops a 10,101-entry subtree (-benchmem -cpu 1 for numbers).
 bench-wire:
-	$(GO) test -run '^$$' -bench 'FrameRoundTrip|ReaddirPlusCodec|EchoInproc|SetAttrInproc|GLUpdateJournaled|ColdStart|SubtreeEntries|MDSRestart' -benchtime 1x ./internal/wire/ ./internal/server/ ./internal/monitor/
+	$(GO) test -run '^$$' -bench 'FrameRoundTrip|ReaddirPlusCodec|EchoInproc|SetAttrInproc|GLUpdateJournaled|ColdStart|SubtreeEntries|MDSRestart|StoreGet|RenameDir|ReplaceGL|DropSubtree' -benchtime 1x ./internal/wire/ ./internal/server/ ./internal/monitor/
 
 # The simulator's reproduction of the paper's Figs. 5-8 must equal the
 # committed results_full.txt byte for byte (about 25 s).
 repro:
 	$(GO) run ./cmd/d2bench -exp all -full | cmp - results_full.txt
 
-# The full gate: what ci.sh runs.
+# The gate's build, lint, test and benchmark steps, as ci.sh runs them; ci.sh
+# also runs the replay checks at 1,000 seeds, the fuzzers, the d2bench smoke
+# runs and the crash-recovery scenario.
 check: build lint race-obs race-rpc race repro bench-test bench-index bench-wire
 
 # Run the replay-tier benchmark suite and append a labelled entry to the

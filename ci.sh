@@ -1,6 +1,9 @@
 #!/bin/sh
 # CI gate: build, go vet, the project analyzers (d2vet), and the full test
-# suite under the race detector. Equivalent to `make check`.
+# suite under the race detector. `make check` runs the same build, lint,
+# test, repro and benchmark steps; the replay checks at 1,000 seeds, the
+# fuzzers, the d2bench smoke runs and the crash-recovery scenario are ci.sh's
+# own.
 set -eux
 
 cd "$(dirname "$0")"
@@ -67,8 +70,9 @@ go test -run '^$' -bench 'ReaddirPlus(Store|Index)Size|ClientReaddirPlus|LookupH
 # and on, a cold start from the binary namespace snapshot, the Monitor
 # building the subtrees a join ships, and an MDS writing its snapshot image
 # and restarting from it; and of the MDS store's rungs, a path resolved by
-# its index against a walk down the child lists, and a directory rename.
-go test -run '^$' -bench 'FrameRoundTrip|ReaddirPlusCodec|EchoInproc|SetAttrInproc|GLUpdateJournaled|ColdStart|SubtreeEntries|MDSRestart|StoreGet|RenameDir' -benchtime 1x ./internal/wire/ ./internal/server/ ./internal/monitor/
+# its index against a walk down the child lists, a directory rename, a
+# global-layer refresh and the drop of a shipped subtree.
+go test -run '^$' -bench 'FrameRoundTrip|ReaddirPlusCodec|EchoInproc|SetAttrInproc|GLUpdateJournaled|ColdStart|SubtreeEntries|MDSRestart|StoreGet|RenameDir|ReplaceGL|DropSubtree' -benchtime 1x ./internal/wire/ ./internal/server/ ./internal/monitor/
 
 # Ten seconds of fuzzing the frame decoder: every input either fails cleanly
 # or is a frame that encodes back to the bytes it was read from.

@@ -26,9 +26,9 @@ func (m *Monitor) checkFailuresLocked() {
 				Op:     "member_dead",
 				Detail: "mds-" + strconv.Itoa(mem.id) + " at " + mem.addr + " missed heartbeats",
 			})
-			// Commands queued for (or issued to) the dead server can never
-			// complete; release their subtrees back to the planner so
-			// recovery and rebalancing are not wedged behind them.
+			// Commands still queued for the dead server can never be issued
+			// (issued ones left m.transfers; reissueStaleLocked abandons them):
+			// release their subtrees so recovery and rebalancing go on.
 			for _, cmd := range m.transfers[mem.id] {
 				delete(m.inFlight, cmd.RootPath)
 			}
@@ -67,10 +67,6 @@ func (m *Monitor) checkFailuresLocked() {
 	// to the survivor carrying the least recovered popularity so far, so one
 	// server never absorbs a dead peer's whole load. Every root weighs at
 	// least 1, which spreads cold subtrees too.
-	// Entries are pushed from the authoritative copy first; ownership and
-	// the index commit only after the install succeeds, so clients are never
-	// routed to a server that does not hold the data yet. A failed push
-	// clears the in-flight marker and is retried on a later heartbeat.
 	sort.Strings(orphans)
 	subtrees := make([]core.Subtree, len(orphans))
 	for i, root := range orphans {
@@ -110,11 +106,13 @@ func (m *Monitor) reissueStaleLocked(now time.Time) {
 	}
 }
 
-// recoverSubtreeLocked reserves a subtree for its recovery destination,
-// pushes it there and, on success, commits ownership and publishes the new
-// index. Callers hold m.mu.
+// recoverSubtreeLocked reserves a subtree for its recovery destination and
+// pushes it there from the authoritative copy. Ownership and the index
+// commit only once the install succeeds, so no client is routed to a server
+// that does not hold the data yet; a failed push is retried by a later
+// failure check. Callers hold m.mu.
 func (m *Monitor) recoverSubtreeLocked(rootPath string, destID int, destAddr string) {
-	m.inFlight[rootPath] = flight{dest: destID}
+	m.inFlight[rootPath] = flight{dest: destID, push: true}
 	tree := m.subtreeLocked(rootPath)
 	reqID := m.migIDForLocked(rootPath)
 	m.rec.Record(obs.Event{

@@ -93,6 +93,7 @@ type member struct {
 // flight is a subtree move awaiting its commit.
 type flight struct {
 	dest int
+	push bool // a recovery push from the Monitor's copy, not a planned transfer
 	// load is the ops/s the planner expects the subtree to take along; zero
 	// for manual transfers and recovery pushes.
 	load float64

@@ -499,8 +499,12 @@ func TestWALRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m1.handleJoin(&wire.JoinRequest{Addr: "a:1"}); err != nil {
-		t.Fatal(err)
+	// Slot 1 joins too: the planted flight's destination must be a member
+	// for its done to settle it.
+	for _, addr := range []string{"a:1", "b:2"} {
+		if _, err := m1.handleJoin(&wire.JoinRequest{Addr: addr}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	// Journal a GL update and an ownership change.
 	if _, err := m1.handleGLUpdate(&wire.GLUpdateRequest{

@@ -1,7 +1,9 @@
 package monitor
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strconv"
 	"time"
 
@@ -90,9 +92,7 @@ func (m *Monitor) planAdjustmentLocked() {
 // owner before the entries arrive. Callers hold m.mu.
 func (m *Monitor) queueTransferLocked(root string, src int, dst *member, load float64, note string) {
 	reqID := m.migIDForLocked(root)
-	m.transfers[src] = append(m.transfers[src], wire.TransferCommand{
-		RootPath: root, DestAddr: dst.addr, ReqID: reqID,
-	})
+	m.transfers[src] = append(m.transfers[src], wire.TransferCommand{RootPath: root, DestAddr: dst.addr, ReqID: reqID})
 	m.inFlight[root] = flight{dest: dst.id, load: load}
 	m.nTransfersPlanned++
 	m.rec.Record(obs.Event{
@@ -115,79 +115,79 @@ func (m *Monitor) migIDForLocked(root string) string {
 	return id
 }
 
-// transferDoneLocked commits a move. The source drops its copy on the
-// answer, which leaves once the new owner is durable.
+// transferDoneLocked settles a shipped transfer: the source removed its copy,
+// durably, before it sent the done, so the named destination holds the only
+// one. A done matching the root's transfer flight commits it. A late one
+// commits its destination while the sender still owns the root, the
+// destination is live and no recovery push races for the root, and cancels
+// the root's other transfer, queued or issued: its source no longer holds
+// the root. A done naming the owner is a duplicate; any other is refused
+// (DESIGN.md §10, "Owner commits").
 func (m *Monitor) transferDoneLocked(req *wire.TransferDoneRequest) (*wire.LockResponse, error) {
-	// The destination now has the entries: commit ownership and publish it.
-	if f, ok := m.inFlight[req.RootPath]; ok {
-		if f.load > 0 {
-			// The paper keeps the decaying counter per subtree, so it moves
-			// with the subtree. Shifting the planned share now keeps the next
-			// round from shedding the same load again while the averages
-			// catch up with the move.
-			src := m.members[m.subtreeOwner[req.RootPath]]
-			src.load = max(0, src.load-f.load)
-			m.members[f.dest].load += f.load
-		}
-		delete(m.inFlight, req.RootPath)
-		m.commitLocked(&walOwner{Root: req.RootPath, Server: f.dest})
-	} else {
-		// A command abandoned past its deadline completed after all: the
-		// destination holds the subtree, so route it there.
-		m.index[req.RootPath] = req.DestAddr
-		m.indexVer++
+	root, reqID := req.RootPath, cmp.Or(req.ReqID, m.migIDs[req.RootPath])
+	owner, known := m.subtreeOwner[root]
+	dest := slices.IndexFunc(m.members, func(mem *member) bool { return mem.alive && mem.addr == req.DestAddr })
+	if f, ok := m.transferToLocked(root, req.DestAddr); ok {
+		// The paper keeps the decaying counter per subtree, so the planned
+		// share moves with it now: the next round does not shed the same
+		// load again while the averages catch up with the move.
+		m.members[owner].load = max(0, m.members[owner].load-f.load)
+		m.members[f.dest].load += f.load
+		dest = f.dest
+	} else if known && dest >= 0 && owner == dest {
+		return &wire.LockResponse{Granted: true}, nil // a duplicate: committed already
+	} else if !known || dest < 0 || owner != req.ServerID || m.inFlight[root].push {
+		m.rec.Record(obs.Event{Kind: obs.KindMigration, Op: "done_refused", ReqID: reqID, Path: root, Detail: "dest " + req.DestAddr})
+		return &wire.LockResponse{}, nil
 	}
-	m.pinned[req.RootPath] = pin{dest: core.AnyServer, until: m.round + pinRounds}
+	delete(m.inFlight, root)
+	m.transfers[owner] = slices.DeleteFunc(m.transfers[owner], func(c wire.TransferCommand) bool { return c.RootPath == root })
+	m.commitLocked(&walOwner{Root: root, Server: dest})
+	m.pinned[root] = pin{dest: core.AnyServer, until: m.round + pinRounds}
 	m.nTransfersDone++
-	reqID := req.ReqID
-	if reqID == "" {
-		reqID = m.migIDs[req.RootPath]
-	}
-	delete(m.migIDs, req.RootPath) // migration over; a later move is a new trace
-	m.rec.Record(obs.Event{
-		Kind:   obs.KindMigration,
-		Op:     "done",
-		ReqID:  reqID,
-		Path:   req.RootPath,
-		Detail: "committed to " + req.DestAddr,
-	})
+	delete(m.migIDs, root) // migration over; a later move is a new trace
+	m.rec.Record(obs.Event{Kind: obs.KindMigration, Op: "done", ReqID: reqID, Path: root, Detail: "committed to " + req.DestAddr})
 	return &wire.LockResponse{Granted: true}, nil
 }
 
-// transferFailedLocked releases a NACKed transfer's in-flight marker so the
-// subtree can be re-scheduled — to a different destination: the failed one
-// goes into the planner's exclusion set for pinRounds.
+// transferFailedLocked settles a NACKed transfer. A NACK naming the
+// destination of the root's transfer flight releases it so the subtree can be
+// re-scheduled, to a different destination: the failed one goes into the
+// planner's exclusion set for pinRounds. A NACK for a command abandoned since
+// leaves a newer flight alone.
 func (m *Monitor) transferFailedLocked(req *wire.TransferFailedRequest) (*wire.LockResponse, error) {
 	m.nTransfersFailed++
-	if f, ok := m.inFlight[req.RootPath]; ok {
+	if f, ok := m.transferToLocked(req.RootPath, req.DestAddr); ok {
 		m.pinned[req.RootPath] = pin{dest: partition.ServerID(f.dest), until: m.round + pinRounds}
 		delete(m.inFlight, req.RootPath)
-	}
-	reqID := req.ReqID
-	if reqID == "" {
-		reqID = m.migIDs[req.RootPath]
+		// Let the planner act on the failure without waiting out a full
+		// adjustment interval: the NACK is fresh evidence, not noise.
+		m.lastAdjust = time.Time{}
 	}
 	// The migID is kept: the re-scheduled move continues the same trace.
 	m.rec.Record(obs.Event{
 		Kind:   obs.KindMigration,
 		Op:     "failed",
-		ReqID:  reqID,
+		ReqID:  cmp.Or(req.ReqID, m.migIDs[req.RootPath]),
 		Path:   req.RootPath,
 		Detail: "dest " + req.DestAddr,
 		Err:    req.Reason,
 	})
-	// Let the planner act on the failure without waiting out a full
-	// adjustment interval: the NACK is fresh evidence, not noise.
-	m.lastAdjust = time.Time{}
 	return &wire.LockResponse{Granted: true}, nil
 }
 
-// ScheduleTransfer manually enqueues one subtree transfer to the given
-// destination server, bypassing the load planner — an operator/test hook for
-// forcing a migration. The command is handed to the source on its next
-// heartbeat and follows the normal lifecycle (issue → install →
-// TransferDone/TransferFailed), sharing the subtree's migration trace
-// identifier with any earlier NACKed attempt.
+// transferToLocked is root's flight, and whether it is a planned transfer to
+// addr: the one flight a done or a NACK naming addr settles.
+func (m *Monitor) transferToLocked(root, addr string) (flight, bool) {
+	f, ok := m.inFlight[root]
+	return f, ok && !f.push && m.members[f.dest].addr == addr
+}
+
+// ScheduleTransfer queues one transfer of root to server destID, bypassing
+// the load planner: an operator and test hook. The command follows the
+// normal lifecycle from the source's next heartbeat (issue → install →
+// TransferDone/TransferFailed) and shares the root's migration trace with
+// any earlier NACKed attempt.
 func (m *Monitor) ScheduleTransfer(root string, destID int) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()

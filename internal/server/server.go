@@ -558,13 +558,15 @@ func (s *Server) applyHeartbeat(resp *wire.HeartbeatResponse) {
 }
 
 // executeTransfer ships one owned subtree to the destination MDS and
-// confirms completion to the Monitor. A transfer that cannot reach the
-// destination is NACKed with TransferFailed so the Monitor releases the
-// subtree for rescheduling instead of leaving it wedged in-flight.
+// confirms completion to the Monitor. A command for a root this server does
+// not hold, or a transfer that cannot reach the destination, is NACKed with
+// TransferFailed so the Monitor releases the subtree for rescheduling instead
+// of leaving it wedged in flight until the command times out.
 func (s *Server) executeTransfer(cmd wire.TransferCommand) {
 	s.mu.Lock()
 	if !s.subtrees[cmd.RootPath] {
 		s.mu.Unlock()
+		s.nackTransfer(cmd, errRootNotHeld)
 		return
 	}
 	tree := s.store.tree(cmd.RootPath, false)
@@ -578,15 +580,6 @@ func (s *Server) executeTransfer(cmd wire.TransferCommand) {
 		Detail: "dest " + cmd.DestAddr + ", " + strconv.Itoa(len(tree.Nodes)) + " nodes",
 	})
 	if err := s.installOnDest(cmd, tree); err != nil {
-		s.transferFail.Add(1)
-		s.rec.Record(obs.Event{
-			Kind:   obs.KindMigration,
-			Op:     "transfer_failed",
-			ReqID:  cmd.ReqID,
-			Path:   cmd.RootPath,
-			Detail: "dest " + cmd.DestAddr,
-			Err:    err.Error(),
-		})
 		s.nackTransfer(cmd, err)
 		return
 	}
@@ -628,10 +621,24 @@ func (s *Server) executeTransfer(cmd wire.TransferCommand) {
 		Path:   cmd.RootPath,
 		Detail: "dest " + cmd.DestAddr,
 	})
-	if mon != nil {
-		_ = mon.CallTraced(wire.TypeTransferDone, cmd.ReqID, s.rec.Node(), &wire.TransferDoneRequest{
-			ServerID: id, RootPath: cmd.RootPath, DestAddr: cmd.DestAddr, ReqID: cmd.ReqID,
-		}, nil)
+	if mon == nil {
+		return
+	}
+	// The entries are gone from here whatever the answer: a refused done
+	// leaves a stray copy at the destination, which the Monitor routes
+	// elsewhere (DESIGN.md §10, "Owner commits"). The event makes it visible.
+	var ans wire.LockResponse
+	if err := mon.CallTraced(wire.TypeTransferDone, cmd.ReqID, s.rec.Node(), &wire.TransferDoneRequest{
+		ServerID: id, RootPath: cmd.RootPath, DestAddr: cmd.DestAddr, ReqID: cmd.ReqID,
+	}, &ans); err != nil || !ans.Granted {
+		s.rec.Record(obs.Event{
+			Kind:   obs.KindMigration,
+			Op:     "done_refused",
+			ReqID:  cmd.ReqID,
+			Path:   cmd.RootPath,
+			Detail: "dest " + cmd.DestAddr,
+			Err:    obs.ErrString(err),
+		})
 	}
 }
 
@@ -646,8 +653,22 @@ func (s *Server) installOnDest(cmd wire.TransferCommand, tree wire.Subtree) erro
 	return dest.CallTraced(wire.TypeInstall, cmd.ReqID, s.rec.Node(), &wire.InstallRequest{Tree: tree}, nil)
 }
 
-// nackTransfer reports a failed transfer command back to the Monitor.
+// errRootNotHeld NACKs a transfer command for a root this server does not
+// hold: one it shipped already, or one a join or restart took away.
+var errRootNotHeld = errors.New("source does not hold the root")
+
+// nackTransfer counts and records a failed transfer command and reports it
+// back to the Monitor.
 func (s *Server) nackTransfer(cmd wire.TransferCommand, cause error) {
+	s.transferFail.Add(1)
+	s.rec.Record(obs.Event{
+		Kind:   obs.KindMigration,
+		Op:     "transfer_failed",
+		ReqID:  cmd.ReqID,
+		Path:   cmd.RootPath,
+		Detail: "dest " + cmd.DestAddr,
+		Err:    cause.Error(),
+	})
 	s.mu.Lock()
 	mon := s.mon
 	id := s.id

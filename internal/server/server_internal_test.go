@@ -258,3 +258,76 @@ func TestTransferDropsWhatRacedTheShipment(t *testing.T) {
 		t.Errorf("transfer_raced events = %+v, want one for m-7 counting 2 mutations", raced)
 	}
 }
+
+// TestTransferNACKsWhatItCannotShip: a transfer command for a root the source
+// does not hold is NACKed at once, not left for the Monitor to time out, and
+// a done the Monitor refuses is recorded on the source.
+func TestTransferNACKsWhatItCannotShip(t *testing.T) {
+	s := newBareServer(t)
+	if _, err := s.handleInstall(&wire.Envelope{}, &wire.InstallRequest{Tree: tree("/moved", []wire.Entry{
+		{Path: "/moved", Kind: wire.EntryDir, Version: 1},
+	})}); err != nil {
+		t.Fatal(err)
+	}
+	// One peer is both the destination, which takes the install, and the
+	// Monitor, which refuses every done and notes every NACK.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	nacks := make(chan wire.TransferFailedRequest, 1)
+	go func() {
+		for {
+			nc, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go wire.Serve(nc, func(env *wire.Envelope) (interface{}, error) {
+				switch env.Type {
+				case wire.TypeTransferDone:
+					return &wire.LockResponse{}, nil
+				case wire.TypeTransferFailed:
+					var req wire.TransferFailedRequest
+					if err := env.Decode(&req); err != nil {
+						return nil, err
+					}
+					nacks <- req
+				}
+				return &wire.LockResponse{Granted: true}, nil
+			})
+		}
+	}()
+	s.mon = wire.NewRetryingConn(ln.Addr().String(), wire.RetryOptions{})
+	t.Cleanup(func() {
+		_ = s.mon.Close()
+		_ = ln.Close()
+	})
+	dest := ln.Addr().String()
+
+	s.executeTransfer(wire.TransferCommand{RootPath: "/elsewhere", DestAddr: dest, ReqID: "m-1"})
+	select {
+	case nack := <-nacks:
+		if nack.RootPath != "/elsewhere" || nack.DestAddr != dest || nack.ReqID != "m-1" {
+			t.Errorf("NACK %+v, want /elsewhere to %s under m-1", nack, dest)
+		}
+	default:
+		t.Fatal("a command for a root the source does not hold was not NACKed")
+	}
+	if got := s.transferFail.Load(); got != 1 {
+		t.Errorf("transfers failed = %d, want 1", got)
+	}
+
+	s.executeTransfer(wire.TransferCommand{RootPath: "/moved", DestAddr: dest, ReqID: "m-2"})
+	if s.transferOK.Load() != 1 {
+		t.Fatalf("transfer did not complete: ok=%d fail=%d", s.transferOK.Load(), s.transferFail.Load())
+	}
+	refused := 0
+	for _, ev := range s.rec.Snapshot() {
+		if ev.Op == "done_refused" && ev.ReqID == "m-2" && ev.Path == "/moved" {
+			refused++
+		}
+	}
+	if refused != 1 {
+		t.Errorf("%d done_refused events for the refused done, want 1", refused)
+	}
+}

@@ -946,3 +946,53 @@ func BenchmarkRenameDir(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkReplaceGL refreshes a 2,051-entry global-layer replica, one
+// store replaceGL per op: every other op drops every tenth file of it and
+// the next restores them. A heartbeat's GL refresh costs this.
+func BenchmarkReplaceGL(b *testing.B) {
+	s := New(Config{Addr: "127.0.0.1:0", MonitorAddr: "unused"})
+	full := append([]wire.Entry{{Path: "/", Kind: wire.EntryDir, Version: 1}},
+		subtreeEntries(rand.New(rand.NewSource(1)), "/g", 2050, true)...)
+	var part []wire.Entry
+	for i, e := range full {
+		if e.Kind == wire.EntryDir || i%10 != 0 {
+			part = append(part, e)
+		}
+	}
+	s.store.replaceGL(full)
+	lists := [2][]wire.Entry{part, full}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.store.replaceGL(lists[i%2])
+	}
+	b.StopTimer()
+	if s.store.len() != len(lists[(b.N-1)%2]) {
+		b.Fatalf("store holds %d entries, want %d", s.store.len(), len(lists[(b.N-1)%2]))
+	}
+}
+
+// BenchmarkDropSubtree drops a 10,101-entry subtree, as a source does once
+// its transfer has shipped; the install that puts it back between ops is
+// not timed.
+func BenchmarkDropSubtree(b *testing.B) {
+	s := New(Config{Addr: "127.0.0.1:0", MonitorAddr: "unused"})
+	entries := append([]wire.Entry{{Path: "/g/r", Kind: wire.EntryDir, Version: 1}},
+		subtreeEntries(rand.New(rand.NewSource(1)), "/g/r/a", 10100, true)...)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		installEntries(s, "/g/r", entries)
+		if s.store.len() != len(entries) {
+			b.Fatalf("store holds %d entries, want %d", s.store.len(), len(entries))
+		}
+		b.StartTimer()
+		s.store.dropSubtree("/g/r")
+	}
+	b.StopTimer()
+	if s.store.len() != 0 {
+		b.Fatalf("store holds %d entries after the drop", s.store.len())
+	}
+}
