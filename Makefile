@@ -70,7 +70,10 @@ bench-index:
 # numbers). The MDS store's rungs: StoreGet resolves a path by the index and
 # by a walk down the child lists, RenameDir renames a directory of 1k and
 # 10k entries, ReplaceGL refreshes a 2,051-entry global layer and
-# DropSubtree drops a 10,101-entry subtree (-benchmem -cpu 1 for numbers).
+# DropSubtree drops a 10,101-entry subtree (-benchmem -cpu 1, and
+# -benchtime 100x for the last two, for numbers); go test holds those two
+# to a byte and allocation budget on the same inputs
+# (TestStoreRefreshAndDropAllocs).
 bench-wire:
 	$(GO) test -run '^$$' -bench 'FrameRoundTrip|ReaddirPlusCodec|EchoInproc|SetAttrInproc|GLUpdateJournaled|ColdStart|SubtreeEntries|MDSRestart|StoreGet|RenameDir|ReplaceGL|DropSubtree' -benchtime 1x ./internal/wire/ ./internal/server/ ./internal/monitor/
 

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"unsafe"
 )
 
 // TestChildrenMatchReference runs seeded AddChild, Rename and Delete
@@ -244,5 +245,13 @@ func TestCarvedChildrenGrowApart(t *testing.T) {
 	}
 	if names := nodeNames(b.Children()); !slices.Equal(names, []string{"2", "3", "4", "5"}) {
 		t.Fatalf("/b has children %v", names)
+	}
+}
+
+// TestNodeSize holds a node to the 112 bytes DESIGN.md §8c gives it: the
+// global-layer mark sits in the padding after the kind.
+func TestNodeSize(t *testing.T) {
+	if size := unsafe.Sizeof(Node{}); size != 112 {
+		t.Fatalf("a node is %d bytes, want 112", size)
 	}
 }

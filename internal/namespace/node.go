@@ -50,9 +50,9 @@ var (
 // the Monitor's and an MDS's alike. Nodes are owned by their Tree, or by the
 // MDS store that linked them, and must only be mutated through it.
 //
-// A node holds 112 bytes: the ID and the depth are 32-bit and the kind is a
-// byte, which leaves room for the attributes an MDS serves beside the
-// popularity the Monitor splits by.
+// A node holds 112 bytes: the ID and the depth are 32-bit and the kind and
+// the global-layer mark are a byte each, which leaves room for the
+// attributes an MDS serves beside the popularity the Monitor splits by.
 type Node struct {
 	name     string
 	parent   *Node
@@ -72,6 +72,8 @@ type Node struct {
 	mode    uint32
 	depth   int32 // root is depth 0
 	kind    uint8 // Kind
+	// gl marks an MDS's global-layer replica entry; a Tree sets none.
+	gl bool
 }
 
 // ID returns the node's identifier.
@@ -117,6 +119,12 @@ func (n *Node) Entry(path string) wire.Entry {
 func (n *Node) SetEntry(e *wire.Entry) {
 	n.kind, n.size, n.mode, n.version = uint8(e.Kind), e.Size, e.Mode, e.Version
 }
+
+// GL reports whether the node holds a global-layer entry of an MDS replica.
+func (n *Node) GL() bool { return n.gl }
+
+// SetGL marks the node's entry as a global-layer entry, or not.
+func (n *Node) SetGL(gl bool) { n.gl = gl }
 
 // NumChildren returns the number of direct children.
 func (n *Node) NumChildren() int { return len(n.children) }
@@ -174,6 +182,25 @@ func (n *Node) removeChild(c *Node) {
 		n.byName = nil
 	case n.byName != nil:
 		delete(n.byName, c.name)
+	}
+}
+
+// Prune unlinks every child of n that holds no entry and has no children,
+// in one pass over the children, dropping the by-name index when no more
+// than indexFanout are left.
+func (n *Node) Prune() {
+	kept := n.children[:0]
+	for _, c := range n.children {
+		switch {
+		case c.kind != 0 || len(c.children) > 0:
+			kept = append(kept, c)
+		case n.byName != nil:
+			delete(n.byName, c.name)
+		}
+	}
+	clear(n.children[len(kept):])
+	if n.children = kept; len(kept) <= indexFanout {
+		n.byName = nil
 	}
 }
 
@@ -246,7 +273,8 @@ func (n *Node) Walk(fn func(*Node) bool) {
 }
 
 // absorb merges y, unlinked, into n (Relink) and returns how many of y's
-// entries it dropped for n's.
+// entries it dropped for n's. y, discarded, leaves the global layer: only a
+// linked node is marked.
 func (n *Node) absorb(y *Node) (lost int) {
 	switch {
 	case y.kind == 0:
@@ -263,7 +291,7 @@ func (n *Node) absorb(y *Node) (lost int) {
 		c.parent = n
 		n.attach(c)
 	}
-	y.parent, y.children, y.byName = nil, nil, nil
+	y.parent, y.children, y.byName, y.gl = nil, nil, nil, false
 	return lost
 }
 
@@ -281,6 +309,13 @@ func ParentPath(path string) string {
 // Path returns the node's absolute path, read up its parent links.
 func (n *Node) Path() string {
 	var b strings.Builder
+	n.WritePath(&b)
+	return b.String()
+}
+
+// WritePath writes the node's absolute path to b, as Path returns it.
+func (n *Node) WritePath(b *strings.Builder) {
+	start := b.Len()
 	n.EachAncestor(func(a *Node) bool {
 		if a.parent != nil {
 			b.WriteByte('/')
@@ -288,10 +323,9 @@ func (n *Node) Path() string {
 		}
 		return true
 	})
-	if b.Len() == 0 {
-		return "/"
+	if b.Len() == start {
+		b.WriteByte('/')
 	}
-	return b.String()
 }
 
 // errExists is the error for a second child named name under n.

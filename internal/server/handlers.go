@@ -336,7 +336,7 @@ func (s *Server) setattrLocked(e wire.Entry) (res wire.BatchResult, global bool,
 	case held == nil:
 		res.Redirect, err = s.missLocked(e.Path)
 		return res, false, err
-	case s.store.gl[held] != "":
+	case held.GL():
 		return res, true, nil
 	}
 	rec := &walEntryRec{op: "setattr", Entry: held.Entry(e.Path)}
@@ -479,7 +479,7 @@ func (s *Server) renameLocked(path, newName string) (res wire.BatchResult, err e
 	case n == nil:
 		res.Redirect, err = s.missLocked(path)
 		return res, err
-	case s.store.gl[n] != "":
+	case n.GL():
 		return res, fmt.Errorf("server: %s is in the global layer; rename requires re-evaluation", path)
 	case s.subtrees[path]:
 		return res, fmt.Errorf("server: %s is a subtree root; rename requires re-evaluation", path)

@@ -428,6 +428,7 @@ func (s *Server) heartbeatOnce() {
 	// On failure both the counters and the ops delta are merged back below,
 	// so a Monitor outage delays load reports instead of losing them.
 	hot := s.hot.Drain()
+	top := topPaths(hot, 128) // before the lock: it reads only hot
 	s.mu.Lock()
 	ops := s.ops.Load()
 	// Report recent load (ops since the previous heartbeat) rather than the
@@ -453,7 +454,7 @@ func (s *Server) heartbeatOnce() {
 		Entries:      s.store.len(),
 		GLVersion:    s.glVersion,
 		IndexVer:     s.indexVer,
-		HotPaths:     topPaths(hot, 128),
+		HotPaths:     top,
 		CreatedPaths: created,
 	}
 	mon := s.mon

@@ -9,19 +9,21 @@ import (
 )
 
 // store is the MDS namespace, the global-layer replica and the local-layer
-// subtrees the server owns, as one tree of namespace nodes. What only an MDS
-// needs is here: an index of every node by path, the nodes holding a
-// global-layer entry, and the pruning of the kind-0 nodes that link entries
-// whose parent is not held (DESIGN.md §8c). Server.mu guards it.
+// subtrees the server owns, as one tree of namespace nodes, each
+// global-layer node marked (namespace.Node.GL). What only an MDS needs is
+// here: an index of every node by path, the list of the global layer's
+// nodes, and the pruning of the kind-0 nodes that link entries whose parent
+// is not held (DESIGN.md §8c). Server.mu guards it.
 type store struct {
 	nodes   map[string]*namespace.Node
-	entries int                        // nodes holding an entry
-	gl      map[*namespace.Node]string // global-layer node → its path
+	entries int // nodes holding an entry
+	// gl lists the nodes put as global-layer entries since the last
+	// replaceGL, so a refresh finds the layer without a scan. It can hold
+	// a node twice, or one no longer marked; replaceGL skips those.
+	gl []*namespace.Node
 }
 
-func newStore() *store {
-	return &store{nodes: make(map[string]*namespace.Node), gl: make(map[*namespace.Node]string)}
-}
+func newStore() *store { return &store{nodes: make(map[string]*namespace.Node)} }
 
 // reserve sizes the index for n more nodes in one step.
 func (st *store) reserve(n int) {
@@ -52,11 +54,11 @@ func (st *store) put(e wire.Entry, gl bool) {
 	if n.Kind() == 0 {
 		st.entries++
 	}
-	if n.SetEntry(&e); gl {
-		st.gl[n] = e.Path
-	} else {
-		delete(st.gl, n)
+	if gl && !n.GL() {
+		st.gl = append(st.gl, n)
 	}
+	n.SetEntry(&e)
+	n.SetGL(gl)
 }
 
 // place returns the node at path, linking n, or a new kind-0 node, there
@@ -81,7 +83,7 @@ func (st *store) remove(n *namespace.Node, path string) {
 	if n.Kind() != 0 {
 		st.entries--
 	}
-	delete(st.gl, n)
+	n.SetGL(false)
 	for n.SetEntry(&wire.Entry{}); n != nil && n.Kind() == 0 && n.NumChildren() == 0; {
 		delete(st.nodes, path)
 		n, path = n.Detach(), namespace.ParentPath(path)
@@ -140,7 +142,7 @@ func (st *store) tree(root string, local bool) wire.Subtree {
 	if local && len(st.gl) > 0 {
 		i := 0
 		top.Walk(func(n *namespace.Node) bool { // AppendSubtree's order
-			if sn := &t.Nodes[i]; st.gl[n] != "" {
+			if sn := &t.Nodes[i]; n.GL() {
 				*sn = wire.SubtreeNode{Parent: sn.Parent, Name: sn.Name}
 			}
 			i++
@@ -164,21 +166,23 @@ func (st *store) rename(path, newName string) *namespace.Node {
 	return n
 }
 
-// dropSubtree removes every local-layer entry of the subtree at root.
-// Global-layer entries belong to the replica and stay.
+// dropSubtree removes every local-layer entry of the subtree at root, and
+// unlinks each node that leaves nothing beneath it, each directory's
+// children in one pass (namespace.Node.Prune). Global-layer entries belong
+// to the replica and stay.
 func (st *store) dropSubtree(root string) {
-	type at struct {
-		n    *namespace.Node
-		path string
-	}
-	var drop []at
-	eachPath(st.nodes[root], root, func(p string, n *namespace.Node) {
-		if n.Kind() != 0 && st.gl[n] == "" {
-			drop = append(drop, at{n, p})
+	top := st.nodes[root]
+	eachPath(top, root, func(p string, n *namespace.Node) {
+		if n.Kind() != 0 && !n.GL() {
+			st.entries--
+			n.SetEntry(&wire.Entry{})
+		}
+		if n.Prune(); n.Kind() == 0 && n.NumChildren() == 0 {
+			delete(st.nodes, p)
 		}
 	})
-	for i := len(drop) - 1; i >= 0; i-- { // children first, each its parent's last
-		st.remove(drop[i].n, drop[i].path)
+	if top != nil && top.Kind() == 0 {
+		st.remove(top, root)
 	}
 }
 
@@ -186,35 +190,46 @@ func (st *store) dropSubtree(root string) {
 // not among them is removed, the rest are overwritten in place, and the
 // local layer is left alone.
 func (st *store) replaceGL(entries []wire.Entry) {
-	old := st.gl
-	st.gl = make(map[*namespace.Node]string, len(entries))
+	old := st.gl[:0] // the layer now, each node once
+	for _, n := range st.gl {
+		if n.GL() {
+			n.SetGL(false)
+			old = append(old, n)
+		}
+	}
+	st.gl = make([]*namespace.Node, 0, len(entries))
 	for _, e := range entries {
 		st.put(e, true)
 	}
-	for n, path := range old {
-		if st.gl[n] != "" {
-			continue
+	gone, size := old[:0], 0 // the nodes leaving the layer, and a bound on their paths' length
+	for _, n := range old {
+		if !n.GL() && n.Kind() != 0 { // not taken away by a kind-0 entry
+			gone = append(gone, n)
+			n.EachAncestor(func(a *namespace.Node) bool { size += 1 + len(a.Name()); return true })
 		}
-		if st.nodes[path] != n { // a rename moved it
-			path = n.Path()
-		}
-		if st.nodes[path] == n {
-			st.remove(n, path)
-		}
+	}
+	var paths strings.Builder
+	paths.Grow(size)
+	for _, n := range gone {
+		start := paths.Len()
+		n.WritePath(&paths)
+		st.remove(n, paths.String()[start:])
 	}
 }
 
-// eachPath calls fn on n, at path, and on every node beneath it with its
-// path, parents first; nothing when n is nil. The paths beneath n are
-// substrings of one string, built in one allocation (a load's index keys
-// are built so too). fn must not link or unlink nodes.
+// eachPath calls fn on every node beneath n, with its path, and then on n,
+// at path: children before their parent; nothing when n is nil. The paths
+// beneath n are substrings of one string, built in one allocation (a load's
+// index keys are built so too). fn may unlink the children of the node it
+// is given (namespace.Node.Prune), and must link none.
 func eachPath(n *namespace.Node, path string, fn func(path string, n *namespace.Node)) {
 	if n == nil {
 		return
 	}
+	dir := strings.TrimSuffix(path, "/")
 	var b strings.Builder
-	b.Grow(pathsLen(n, len(strings.TrimSuffix(path, "/"))))
-	appendPaths(&b, n, path, fn)
+	b.Grow(pathsLen(n, len(dir)))
+	appendPaths(&b, n, path, dir, fn)
 }
 
 // pathsLen is the length of the paths of every node beneath n, whose path
@@ -228,17 +243,18 @@ func pathsLen(n *namespace.Node, base int) (size int) {
 	return size
 }
 
-// appendPaths calls fn on n, at path, and then on every node beneath it,
-// writing each one's path to b (eachPath).
-func appendPaths(b *strings.Builder, n *namespace.Node, path string, fn func(path string, n *namespace.Node)) {
-	fn(path, n)
-	path = strings.TrimSuffix(path, "/")
+// appendPaths calls fn on every node beneath n and then on n, at path,
+// writing each one's path to b (eachPath): dir, the prefix of its
+// children's paths, is path but for the root's slash.
+func appendPaths(b *strings.Builder, n *namespace.Node, path, dir string, fn func(path string, n *namespace.Node)) {
 	n.EachChild(func(c *namespace.Node) bool {
 		start := b.Len()
-		b.WriteString(path)
+		b.WriteString(dir)
 		b.WriteByte('/')
 		b.WriteString(c.Name())
-		appendPaths(b, c, b.String()[start:], fn)
+		p := b.String()[start:]
+		appendPaths(b, c, p, p, fn)
 		return true
 	})
+	fn(path, n)
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -21,14 +22,15 @@ type flatRef struct {
 	entries  map[string]*wire.Entry
 	gl       map[string]bool
 	subtrees map[string]bool
+	seen     map[string]bool // every path ever put
 }
 
 func newFlatRef() *flatRef {
-	return &flatRef{entries: map[string]*wire.Entry{}, gl: map[string]bool{}, subtrees: map[string]bool{}}
+	return &flatRef{entries: map[string]*wire.Entry{}, gl: map[string]bool{}, subtrees: map[string]bool{}, seen: map[string]bool{}}
 }
 
 func (r *flatRef) put(e wire.Entry, gl bool) {
-	r.entries[e.Path] = &e
+	r.entries[e.Path], r.seen[e.Path] = &e, true
 	if gl {
 		r.gl[e.Path] = true
 	} else {
@@ -77,23 +79,31 @@ func (st *store) entry(path string) (*wire.Entry, bool) {
 		return nil, false
 	}
 	e := n.Entry(path)
-	return &e, st.gl[n] != ""
+	return &e, n.GL()
 }
 
 // each calls fn on the node at root, if any, and every node beneath it,
-// parents first, with its path.
+// children first, with its path.
 func (st *store) each(root string, fn func(path string, n *namespace.Node)) {
 	eachPath(st.nodes[root], root, fn)
 }
 
 // walk calls fn on a copy of every entry of the subtree at root, the root's
-// own entry included, parents before children.
+// own entry included, parents before children, in the order an install
+// ships them (store.tree).
 func (st *store) walk(root string, fn func(e *wire.Entry, gl bool)) {
-	st.each(root, func(path string, n *namespace.Node) {
+	top := st.nodes[root]
+	if top == nil {
+		return
+	}
+	paths, i := wire.PathsOf([]wire.Subtree{st.tree(root, false)}), 0
+	top.Walk(func(n *namespace.Node) bool {
 		if n.Kind() != 0 {
-			e := n.Entry(path)
-			fn(&e, st.gl[n] != "")
+			e := n.Entry(paths.At(i))
+			fn(&e, n.GL())
 		}
+		i++
+		return true
 	})
 }
 
@@ -179,12 +189,15 @@ func (r *flatRef) snapshot() []wire.Entry {
 // checkTree verifies the store's structure by ranging over its path index,
 // which only a test may do: every node is linked under its parent by the
 // last name of its path, every kind-0 node still connects something, every
-// global-layer node is indexed and holds an entry, and the entry count is
-// right.
+// global-layer node is indexed, holds an entry and is listed once in the
+// store's global-layer list, and the entry count is right.
 func checkTree(t *testing.T, st *store) {
 	t.Helper()
-	present := 0
+	present, marked := 0, 0
 	for path, n := range st.nodes {
+		if n.GL() {
+			marked++
+		}
 		if n.Kind() != 0 {
 			present++
 		} else if n.NumChildren() == 0 {
@@ -207,10 +220,18 @@ func checkTree(t *testing.T, st *store) {
 	if present != st.len() {
 		t.Fatalf("len() = %d, %d nodes hold an entry", st.len(), present)
 	}
-	for n := range st.gl {
+	listed := map[*namespace.Node]bool{}
+	for _, n := range st.gl {
+		if !n.GL() {
+			continue
+		}
 		if n.Kind() == 0 || st.nodes[n.Path()] != n {
 			t.Fatalf("global-layer node %q is not held at its path", n.Path())
 		}
+		listed[n] = true
+	}
+	if len(listed) != marked {
+		t.Fatalf("%d global-layer nodes listed, %d marked", len(listed), marked)
 	}
 }
 
@@ -242,6 +263,13 @@ func checkAgainstRef(t *testing.T, s *Server, ref *flatRef) {
 		sortByPath(got)
 		if want := ref.listing(dir); !reflect.DeepEqual(got, want) {
 			t.Fatalf("children(%q) = %v, want %v", dir, got, want)
+		}
+	}
+	// A name resolves in its directory to the node the index holds at its
+	// path, or to none: an unlinked child leaves no by-name entry behind.
+	for p := range ref.seen {
+		if up := s.store.nodes[namespace.ParentPath(p)]; up != nil && up.Child(p[strings.LastIndexByte(p, '/')+1:]) != s.store.nodes[p] {
+			t.Fatalf("%q resolves by name to a node the index does not hold there", p)
 		}
 	}
 	for root := range ref.subtrees {
@@ -382,10 +410,14 @@ func TestStoreMatchesFlatReference(t *testing.T) {
 					}
 				}
 				// Now and then a re-evaluation promotes a top-level subtree
-				// root into the global layer.
+				// root into the global layer, with the files that make a
+				// root wide, which a drop of the root then keeps.
 				for _, root := range ownedRoots() {
-					if strings.Count(root, "/") == 3 && ref.entries[root] != nil && rng.Intn(6) == 0 {
+					if strings.Count(root, "/") == 3 && ref.entries[root] != nil && rng.Intn(3) == 0 {
 						set = append(set, wire.Entry{Path: root, Kind: wire.EntryDir, Version: glVersion})
+						for i := 1; ref.entries[fmt.Sprintf("%s/w%d", root, i)] != nil; i++ {
+							set = append(set, wire.Entry{Path: fmt.Sprintf("%s/w%d", root, i), Kind: wire.EntryFile, Version: glVersion})
+						}
 					}
 				}
 				rng.Shuffle(len(set), func(i, j int) { set[i], set[j] = set[j], set[i] })
@@ -417,6 +449,14 @@ func TestStoreMatchesFlatReference(t *testing.T) {
 						root = roots[rng.Intn(len(roots))] + "/d0"
 					}
 					entries := subtreeEntries(rng, root, 1+rng.Intn(60), split)
+					if rng.Intn(3) == 0 {
+						// A root with more children than a node lists
+						// before it indexes them by name (16), so drops and
+						// refreshes cross that threshold.
+						for i := 17 + rng.Intn(8); i > 0; i-- {
+							entries = append(entries, wire.Entry{Path: fmt.Sprintf("%s/w%d", root, i), Kind: wire.EntryFile, Version: 1})
+						}
+					}
 					if rng.Intn(2) == 0 {
 						rng.Shuffle(len(entries), func(i, j int) { entries[i], entries[j] = entries[j], entries[i] })
 					}
@@ -947,11 +987,9 @@ func BenchmarkRenameDir(b *testing.B) {
 	}
 }
 
-// BenchmarkReplaceGL refreshes a 2,051-entry global-layer replica, one
-// store replaceGL per op: every other op drops every tenth file of it and
-// the next restores them. A heartbeat's GL refresh costs this.
-func BenchmarkReplaceGL(b *testing.B) {
-	s := New(Config{Addr: "127.0.0.1:0", MonitorAddr: "unused"})
+// glRefreshes is BenchmarkReplaceGL's input: a 2,051-entry global layer
+// with every tenth file left out, and the whole of it.
+func glRefreshes() [2][]wire.Entry {
 	full := append([]wire.Entry{{Path: "/", Kind: wire.EntryDir, Version: 1}},
 		subtreeEntries(rand.New(rand.NewSource(1)), "/g", 2050, true)...)
 	var part []wire.Entry
@@ -960,8 +998,22 @@ func BenchmarkReplaceGL(b *testing.B) {
 			part = append(part, e)
 		}
 	}
-	s.store.replaceGL(full)
-	lists := [2][]wire.Entry{part, full}
+	return [2][]wire.Entry{part, full}
+}
+
+// droppedSubtree is BenchmarkDropSubtree's input: a 10,101-entry subtree at /g/r.
+func droppedSubtree() []wire.Entry {
+	return append([]wire.Entry{{Path: "/g/r", Kind: wire.EntryDir, Version: 1}},
+		subtreeEntries(rand.New(rand.NewSource(1)), "/g/r/a", 10100, true)...)
+}
+
+// BenchmarkReplaceGL refreshes a 2,051-entry global-layer replica, one
+// store replaceGL per op: every other op drops every tenth file of it and
+// the next restores them. A heartbeat's GL refresh costs this.
+func BenchmarkReplaceGL(b *testing.B) {
+	s := New(Config{Addr: "127.0.0.1:0", MonitorAddr: "unused"})
+	lists := glRefreshes()
+	s.store.replaceGL(lists[1])
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -978,8 +1030,7 @@ func BenchmarkReplaceGL(b *testing.B) {
 // not timed.
 func BenchmarkDropSubtree(b *testing.B) {
 	s := New(Config{Addr: "127.0.0.1:0", MonitorAddr: "unused"})
-	entries := append([]wire.Entry{{Path: "/g/r", Kind: wire.EntryDir, Version: 1}},
-		subtreeEntries(rand.New(rand.NewSource(1)), "/g/r/a", 10100, true)...)
+	entries := droppedSubtree()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -994,5 +1045,78 @@ func BenchmarkDropSubtree(b *testing.B) {
 	b.StopTimer()
 	if s.store.len() != 0 {
 		b.Fatalf("store holds %d entries after the drop", s.store.len())
+	}
+}
+
+// Store budgets, per op on the inputs of BenchmarkReplaceGL and
+// BenchmarkDropSubtree. The allocation budgets are what the store allocated
+// when each node carried its global-layer mark and its siblings were
+// linked in a list (86 and 18); keeping the global layer in a map by node
+// and unlinking a dropped subtree child by child took 95 and 19–20, in
+// 119 KB and 1.28 MB. Both now allocate about 28 KB and 303 KB.
+const (
+	replaceGLBytesBudget  = 40_000
+	replaceGLAllocsBudget = 86
+	dropBytesBudget       = 400_000
+	dropAllocsBudget      = 18
+)
+
+// TestStoreRefreshAndDropAllocs holds a GL refresh and a subtree drop to
+// their byte and allocation budgets.
+func TestStoreRefreshAndDropAllocs(t *testing.T) {
+	perOp := func(ops int, setup, op func(i int)) (size, allocs uint64) {
+		var before, after runtime.MemStats
+		for i := 0; i < ops; i++ {
+			setup(i)
+			runtime.ReadMemStats(&before)
+			op(i)
+			runtime.ReadMemStats(&after)
+			size, allocs = size+after.TotalAlloc-before.TotalAlloc, allocs+after.Mallocs-before.Mallocs
+		}
+		return size / uint64(ops), allocs / uint64(ops)
+	}
+	s := newBareServer(t)
+	lists := glRefreshes()
+	s.store.replaceGL(lists[1])
+	size, allocs := perOp(10, func(int) {}, func(i int) { s.store.replaceGL(lists[i%2]) })
+	t.Logf("replaceGL: %d bytes in %d allocations an op", size, allocs)
+	if size > replaceGLBytesBudget || allocs > replaceGLAllocsBudget {
+		t.Errorf("replaceGL allocated %d bytes in %d allocations an op, budget %d in %d",
+			size, allocs, replaceGLBytesBudget, replaceGLAllocsBudget)
+	}
+	entries := droppedSubtree()
+	size, allocs = perOp(3, func(int) { installEntries(s, "/g/r", entries) }, func(int) { s.store.dropSubtree("/g/r") })
+	t.Logf("dropSubtree: %d bytes in %d allocations an op", size, allocs)
+	if size > dropBytesBudget || allocs > dropAllocsBudget {
+		t.Errorf("dropSubtree allocated %d bytes in %d allocations an op, budget %d in %d",
+			size, allocs, dropBytesBudget, dropAllocsBudget)
+	}
+}
+
+// TestRefreshSkipsWhatLeftBefore: two global-layer nodes leave the layer
+// before a refresh sweeps the old one, and the sweep must not read a path
+// up their parent links, which no longer lead to them: one a rename merges
+// away (a directory renamed onto a name only a kind-0 node holds absorbs
+// it, its global-layer file with it), and one a kind-0 entry of the
+// refresh itself takes away.
+func TestRefreshSkipsWhatLeftBefore(t *testing.T) {
+	st := newStore()
+	root := wire.Entry{Path: "/", Kind: wire.EntryDir, Version: 1}
+	st.replaceGL([]wire.Entry{root, {Path: "/a/x", Kind: wire.EntryFile, Version: 1}, {Path: "/g", Kind: wire.EntryDir, Version: 1}})
+	st.put(wire.Entry{Path: "/c", Kind: wire.EntryDir, Version: 1}, false)
+	st.put(wire.Entry{Path: "/c/x", Kind: wire.EntryFile, Version: 1}, false)
+	if st.rename("/c", "a") == nil {
+		t.Fatal("/c is not held")
+	}
+	checkTree(t, st)
+	st.replaceGL([]wire.Entry{root, {Path: "/g"}})
+	checkTree(t, st)
+	for path, gl := range map[string]bool{"/": true, "/a": false, "/a/x": false} {
+		if e, isGL := st.entry(path); e == nil || isGL != gl {
+			t.Errorf("%s holds %+v, global layer %v; want an entry, global layer %v", path, e, isGL, gl)
+		}
+	}
+	if e, _ := st.entry("/g"); e != nil || st.len() != 3 {
+		t.Errorf("/g holds %+v and len() = %d, want none and 3", e, st.len())
 	}
 }
