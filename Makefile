@@ -67,6 +67,9 @@ bench-index:
 # joins with (roots, nodes, encoded bytes). MDSRestart is an MDS holding a 20k
 # and a 200k-node local layer writing its snapshot image and restarting from
 # it (image bytes, write, s.mu hold and recovery ms; -benchtime 5x for
+# numbers). MonitorRestart is a Monitor restarting after 10k and 1M
+# global-layer writes, compacted once and followed by a 1k-write tail
+# (restart ms, log and image bytes, offset-index entries; -benchtime 5x for
 # numbers). The MDS store's rungs: StoreGet resolves a path by the index and
 # by a walk down the child lists, RenameDir renames a directory of 1k and
 # 10k entries, ReplaceGL refreshes a 2,051-entry global layer and
@@ -75,7 +78,7 @@ bench-index:
 # to a byte and allocation budget on the same inputs
 # (TestStoreRefreshAndDropAllocs).
 bench-wire:
-	$(GO) test -run '^$$' -bench 'FrameRoundTrip|ReaddirPlusCodec|EchoInproc|SetAttrInproc|GLUpdateJournaled|ColdStart|SubtreeEntries|MDSRestart|StoreGet|RenameDir|ReplaceGL|DropSubtree' -benchtime 1x ./internal/wire/ ./internal/server/ ./internal/monitor/
+	$(GO) test -run '^$$' -bench 'FrameRoundTrip|ReaddirPlusCodec|EchoInproc|SetAttrInproc|GLUpdateJournaled|ColdStart|SubtreeEntries|MDSRestart|MonitorRestart|StoreGet|RenameDir|ReplaceGL|DropSubtree' -benchtime 1x ./internal/wire/ ./internal/server/ ./internal/monitor/
 
 # The simulator's reproduction of the paper's Figs. 5-8 must equal the
 # committed results_full.txt byte for byte (about 25 s).

@@ -68,11 +68,12 @@ go test -run '^$' -bench 'ReaddirPlus(Store|Index)Size|ClientReaddirPlus|LookupH
 # Conn.Call and the serving loop, a setattr through a client, an in-process
 # MDS and the Monitor, global-layer setattrs with the Monitor's journal off
 # and on, a cold start from the binary namespace snapshot, the Monitor
-# building the subtrees a join ships, and an MDS writing its snapshot image
-# and restarting from it; and of the MDS store's rungs, a path resolved by
-# its index against a walk down the child lists, a directory rename, a
-# global-layer refresh and the drop of a shipped subtree.
-go test -run '^$' -bench 'FrameRoundTrip|ReaddirPlusCodec|EchoInproc|SetAttrInproc|GLUpdateJournaled|ColdStart|SubtreeEntries|MDSRestart|StoreGet|RenameDir|ReplaceGL|DropSubtree' -benchtime 1x ./internal/wire/ ./internal/server/ ./internal/monitor/
+# building the subtrees a join ships, an MDS writing its snapshot image and
+# restarting from it, and a Monitor restarting from its image and a 1k-record
+# log after 10k and 1M global-layer writes; and of the MDS store's rungs, a
+# path resolved by its index against a walk down the child lists, a
+# directory rename, a global-layer refresh and the drop of a shipped subtree.
+go test -run '^$' -bench 'FrameRoundTrip|ReaddirPlusCodec|EchoInproc|SetAttrInproc|GLUpdateJournaled|ColdStart|SubtreeEntries|MDSRestart|MonitorRestart|StoreGet|RenameDir|ReplaceGL|DropSubtree' -benchtime 1x ./internal/wire/ ./internal/server/ ./internal/monitor/
 
 # Ten seconds of fuzzing the frame decoder: every input either fails cleanly
 # or is a frame that encodes back to the bytes it was read from.

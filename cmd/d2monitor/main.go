@@ -10,6 +10,12 @@
 //
 // -snapshot names a binary namespace snapshot (v3), as tracegen -tree writes
 // it; without one the namespace is synthesized from -profile and -nodes.
+//
+// -wal journals the global layer, the subtree owners and the paths servers
+// report created to a write-ahead log, compacted every 5s behind an image of
+// that state in the file named by -wal plus ".img", beside the log. A restart
+// with the same -wal recovers from the image and the log past it, not by
+// replaying every record over the boot layer.
 package main
 
 import (
@@ -44,7 +50,7 @@ func run(args []string) error {
 		nodes      = fs.Int("nodes", 20000, "synthetic namespace size")
 		events     = fs.Int("events", 100000, "popularity-annotation events for synthesis")
 		seed       = fs.Int64("seed", 1, "synthesis seed")
-		walPath    = fs.String("wal", "", "write-ahead log path for crash recovery (optional)")
+		walPath    = fs.String("wal", "", "write-ahead log path for crash recovery (optional); the log is compacted every 5s behind an image in <path>.img, and a restart recovers from the image and the log past it")
 		hbTimeout  = fs.Duration("hb-timeout", 3*time.Second, "mark an MDS dead after this heartbeat silence")
 		statsEvery = fs.Duration("stats", 0, "print cluster stats at this interval (0 = off)")
 		// -events already means "synthesis event count", so the trace sink

@@ -151,19 +151,19 @@ func TestInlineCheckMutation(t *testing.T) {
 		"wire.TypeLookup, wire.TypeRevalidate,", "wire.TypeLookup, wire.TypeSetAttr, wire.TypeRevalidate,")
 	diags := runOn(t, root, check())
 	requireDiag(t, diags, "inline op TypeSetAttr")
-	requireDiag(t, diags, "wait via .Wait via handle → dispatch → handleSetAttr → mutate → waitDurable")
+	requireDiag(t, diags, "wait via .Wait via handle → dispatch → handleSetAttr → mutate")
 	requireDiag(t, diags, "RPC call via .CallTraced via handle → dispatch → handleSetAttr → mutate → glUpdate")
 }
 
 // TestServerJournalMutation puts the MDS's journal append back under s.mu, as
-// a synchronous append in commitLocked: lockheld flags the fsync under the
-// *Locked convention.
+// a synchronous append where a create commits: lockheld flags the fsync
+// under the *Locked convention.
 func TestServerJournalMutation(t *testing.T) {
 	root := mutationRoot(t, "internal/server/server.go", "internal/server/handlers.go",
 		"internal/server/durability.go", "internal/server/compound.go", "internal/server/store.go")
 	requireClean(t, runOn(t, root, &LockHeld{}))
-	mutate(t, root, "internal/server/durability.go",
-		"s.tail = s.journal.Enqueue(rec.recType(), rec)", "_, _ = s.wlog.Append(rec.recType(), rec)")
+	mutate(t, root, "internal/server/handlers.go",
+		"s.journal.Commit(rec)", "_, _ = s.journal.Log().Append(rec.RecType(), rec)")
 	requireDiag(t, runOn(t, root, &LockHeld{}),
 		"blocking WAL append (fsync) via .Append while holding s.mu (held by the *Locked convention")
 }
@@ -173,12 +173,12 @@ func TestServerJournalMutation(t *testing.T) {
 // lockheld flags the fsync under the *Locked convention, and inlinecheck the
 // durability wait on the reader.
 func TestMonitorJournalMutation(t *testing.T) {
-	files := []string{"internal/monitor/monitor.go", "internal/monitor/journal.go", "internal/monitor/membership.go"}
+	files := []string{"internal/monitor/monitor.go", "internal/monitor/journal.go", "internal/monitor/membership.go", "internal/monitor/globallayer.go"}
 	t.Run("append under the lock", func(t *testing.T) {
 		root := mutationRoot(t, files...)
 		requireClean(t, runOn(t, root, &LockHeld{}))
-		mutate(t, root, "internal/monitor/journal.go",
-			"m.tail = m.journal.Enqueue(rec.recType(), rec)", "_, _ = m.wlog.Append(rec.recType(), rec)")
+		mutate(t, root, "internal/monitor/globallayer.go",
+			"m.journal.Commit(u)", "_, _ = m.wlog.Append(u.RecType(), u)")
 		requireDiag(t, runOn(t, root, &LockHeld{}),
 			"blocking WAL append (fsync) via .Append while holding m.mu (held by the *Locked convention")
 	})
@@ -188,6 +188,6 @@ func TestMonitorJournalMutation(t *testing.T) {
 		requireClean(t, runOn(t, root, check))
 		mutate(t, root, "internal/monitor/monitor.go",
 			"wire.DefaultServeWorkers, wire.TypeMonitorStats)", "wire.DefaultServeWorkers, wire.TypeClusterInfo, wire.TypeMonitorStats)")
-		requireDiag(t, runOn(t, root, check), "wait via .Wait via handle → dispatch → durably → waitDurable")
+		requireDiag(t, runOn(t, root, check), "wait via .Wait via handle → dispatch → durably")
 	})
 }

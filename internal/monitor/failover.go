@@ -165,7 +165,7 @@ func (m *Monitor) recoverSubtreeLocked(rootPath string, destID int, destAddr str
 			}
 			return
 		}
-		m.commitLocked(&walOwner{Root: rootPath, Server: destID})
+		m.journal.Commit(&walOwner{Root: rootPath, Server: destID})
 		delete(m.migIDs, rootPath)
 		m.rec.Record(obs.Event{
 			Kind:   obs.KindMigration,

@@ -31,7 +31,7 @@ func (m *Monitor) glUpdateLocked(req *wire.GLUpdateRequest) (*wire.GLUpdateRespo
 	default:
 		return nil, fmt.Errorf("monitor: unknown GL op %q", req.Op)
 	}
-	m.commitLocked(u)
+	m.journal.Commit(u)
 	return &wire.GLUpdateResponse{Entry: u.Entry, GLVersion: u.GLVersion}, nil
 }
 

@@ -1,23 +1,22 @@
 package monitor
 
 import (
-	"encoding/json"
-	"fmt"
 	"strings"
 
-	"d2tree/internal/obs"
+	"d2tree/internal/namespace"
 	"d2tree/internal/wal"
 	"d2tree/internal/wire"
 )
 
-// record is one journaled state transition, logged under its recType. The
+// record is one journaled state transition, logged under its RecType. The
 // Monitor's journaled state is the global layer (entries and version), the
 // subtree owners with the index routed from them, and the namespace tree. It
 // changes in one place, applyLocked, and only by a record: a live handler
-// builds one, enqueues it and applies it under m.mu (commitLocked);
-// recoverFromWAL reads the log back and applies the same records. Membership
-// is not journaled: servers re-join a restarted Monitor.
-type record interface{ recType() string }
+// builds one and commits it under m.mu (journal.Commit enqueues and applies
+// it); recovery loads the image and applies the logged records past it with
+// the same method. Membership is not journaled: servers re-join a restarted
+// Monitor.
+type record = wal.Entry
 
 // walGLUpdate commits one global-layer write: the entry as committed and the
 // GL version it took. A create also mirrors the path into the tree.
@@ -53,10 +52,19 @@ type walLayer struct {
 // layerChunk keeps a gl_layer record far below wal.MaxRecordSize.
 const layerChunk = 2048
 
-func (*walGLUpdate) recType() string { return "gl_update" }
-func (*walOwner) recType() string    { return "owner" }
-func (*walLLPaths) recType() string  { return "ll_paths" }
-func (*walLayer) recType() string    { return "gl_layer" }
+func (*walGLUpdate) RecType() string { return "gl_update" }
+func (*walOwner) RecType() string    { return "owner" }
+func (*walLLPaths) RecType() string  { return "ll_paths" }
+func (*walLayer) RecType() string    { return "gl_layer" }
+
+// recordKinds makes an empty record of each type the log holds, for recovery
+// to decode into.
+var recordKinds = map[string]func() record{
+	"gl_update": func() record { return &walGLUpdate{} },
+	"owner":     func() record { return &walOwner{} },
+	"ll_paths":  func() record { return &walLLPaths{} },
+	"gl_layer":  func() record { return &walLayer{} },
+}
 
 // applyLocked makes one record's state change. It reads the member table
 // only to route the index to a live owner; on replay nobody has joined yet,
@@ -146,23 +154,12 @@ func (m *Monitor) setOwnerLocked(root string, id int) {
 	}
 }
 
-// commitLocked enqueues a record to the journal, notes its ticket as the
-// newest, and applies it. The enqueue never blocks; callers hold m.mu, so the
-// log's order is the apply order, and answer only after waitDurable on the
-// newest ticket (durably).
-func (m *Monitor) commitLocked(rec record) {
-	if m.journal != nil {
-		m.tail = m.journal.Enqueue(rec.recType(), rec)
-	}
-	m.applyLocked(rec)
-}
-
 // commitLayerLocked journals and applies a re-evaluated global layer in
 // gl_layer chunks; every chunk carries the one new GL version.
 func (m *Monitor) commitLayerLocked(gl []wire.Entry, owners []walOwner) {
 	v := m.glVersion + 1
 	for off := 0; off == 0 || off < max(len(gl), len(owners)); off += layerChunk {
-		m.commitLocked(&walLayer{Reset: off == 0, GLVersion: v, Entries: chunk(gl, off), Owners: chunk(owners, off)})
+		m.journal.Commit(&walLayer{Reset: off == 0, GLVersion: v, Entries: chunk(gl, off), Owners: chunk(owners, off)})
 	}
 }
 
@@ -178,52 +175,52 @@ func durably[T any](m *Monitor, fn func() (T, error)) (T, error) {
 	resp, err := fn()
 	tail := m.tail
 	m.mu.Unlock()
-	m.waitDurable(tail)
+	m.journal.Wait(tail)
 	return resp, err
 }
 
-// waitDurable parks until the ticket's flush window is fsynced; windows
-// flush in order, so every earlier record is then durable too. A failed
-// window latches journalDegraded and records one event: the Monitor keeps
-// serving from memory (availability over durability), and the stat surfaces
-// in MonitorStats and heartbeat responses.
-func (m *Monitor) waitDurable(t *wal.Ticket) {
-	if t == nil {
-		return
-	}
-	if _, err := t.Wait(); err != nil && m.journalDegraded.CompareAndSwap(false, true) {
-		m.rec.Record(obs.Event{
-			Kind:   obs.KindCluster,
-			Op:     "journal_degraded",
-			Detail: "WAL append failed; continuing memory-only",
-			Err:    err.Error(),
-		})
+// machine is what the Monitor gives its journal.
+func (m *Monitor) machine() wal.Machine[record] {
+	return wal.Machine[record]{
+		Kinds: recordKinds, Apply: m.applyLocked, Image: m.imageLocked, Load: m.loadImage, Lock: &m.mu,
+		//d2vet:ignore statcheck the tail's address only: the journal writes and reads it under m.mu
+		Tail: &m.tail, Degraded: &m.journalDegraded, Rec: m.rec,
 	}
 }
 
-// recoverFromWAL replays the journal over the freshly computed initial
-// partition (deterministic given the same namespace): each record is decoded
-// and applied as the handler that logged it applied it. Unknown record types
-// are skipped for forward compatibility. It runs in New, before m is shared.
-func (m *Monitor) recoverFromWAL(path string) error {
-	return wal.Replay(path, func(rec wal.Record) error {
-		var r record
-		switch rec.Type {
-		case "gl_update":
-			r = &walGLUpdate{}
-		case "owner":
-			r = &walOwner{}
-		case "ll_paths":
-			r = &walLLPaths{}
-		case "gl_layer":
-			r = &walLayer{}
-		default:
-			return nil
-		}
-		if err := json.Unmarshal(rec.Data, r); err != nil {
-			return fmt.Errorf("monitor: wal %s: %w", rec.Type, err)
-		}
-		m.applyLocked(r)
-		return nil
-	})
+// imageLocked captures the journaled state: the GL and its version, the
+// subtree owners, and the namespace tree, in pre-order.
+func (m *Monitor) imageLocked() wal.Image {
+	img := &wire.MonitorImage{GLVersion: m.glVersion, GL: m.glSnapshotLocked(), Owners: make(map[string]int64, len(m.subtreeOwner)),
+		Tree: wire.Subtree{Path: "/", Nodes: namespace.AppendSubtree(make([]wire.SubtreeNode, 0, m.tree.Len()), m.tree.Root())}}
+	for root, id := range m.subtreeOwner {
+		img.Owners[root] = int64(id)
+	}
+	return func(b []byte, horizon int64) []byte {
+		img.Horizon = horizon
+		return wire.AppendMonitorImage(b, img)
+	}
+}
+
+// loadImage applies an image and returns its horizon: its tree's paths are
+// added to the namespace the Monitor was started with, and its GL and owners
+// replace the boot layer's as a re-evaluation's do. Without an image, the
+// boot layer is the state the log starts from: applied, never logged.
+func (m *Monitor) loadImage(body []byte) (int64, error) {
+	if body == nil {
+		gl, owners := m.layerLocked()
+		m.applyLocked(&walLayer{Reset: true, GLVersion: 1, Entries: gl, Owners: owners})
+		return 0, nil
+	}
+	img, err := wire.DecodeMonitorImage(body)
+	if err != nil {
+		return 0, err
+	}
+	m.tree.Merge(img.Tree)
+	owners := make([]walOwner, 0, len(img.Owners))
+	for root, id := range img.Owners {
+		owners = append(owners, walOwner{Root: root, Server: int(id)})
+	}
+	m.applyLocked(&walLayer{Reset: true, GLVersion: img.GLVersion, Entries: img.GL, Owners: owners})
+	return img.Horizon, nil
 }

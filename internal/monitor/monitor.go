@@ -44,9 +44,12 @@ type Config struct {
 	// rounds (default 2s), and the time constant the members' load averages
 	// decay with: a round weighs about one round's worth of traffic.
 	AdjustInterval time.Duration
-	// WALPath, when non-empty, journals global-layer updates and subtree
-	// ownership changes to a write-ahead log; a Monitor restarted with the
-	// same namespace and WAL recovers the cluster's logical state.
+	// WALPath, when non-empty, journals global-layer updates, subtree
+	// ownership changes and new paths to a write-ahead log there, and
+	// compacts it every wal.CompactEvery behind an image of that state in
+	// WALPath+".img", beside the log. A Monitor restarted with the same WAL
+	// recovers the cluster's logical state from the image and the log past
+	// it, not by replaying every record over the boot layer.
 	WALPath string
 }
 
@@ -121,6 +124,10 @@ type Monitor struct {
 	// read-only thereafter (Close's ln.Close is safe concurrently with
 	// Accept), so it lives outside mu's guard.
 	ln net.Listener
+	// journal commits the records applyLocked applies, memory-only when
+	// WALPath is unset; wlog is its log (nil then). Both are set in New.
+	journal *wal.Journal[record]
+	wlog    *wal.Log
 
 	mu           sync.Mutex
 	members      []*member
@@ -141,11 +148,8 @@ type Monitor struct {
 	// the whole history of one subtree's migration shares one ReqID; cleared
 	// when the move commits.
 	migIDs map[string]string
-	// journal group-commits the records of commitLocked to wlog; both are nil
-	// when WALPath is unset. tail is the newest record's ticket.
-	journal *wal.Batcher
-	wlog    *wal.Log
-	tail    *wal.Ticket
+	// tail is the newest journaled record's ticket.
+	tail *wal.Ticket
 	// journalDegraded latches on the journal's first failed flush: the
 	// Monitor keeps serving (availability over durability) but the stat is
 	// surfaced in MonitorStats and heartbeat responses so operators learn
@@ -206,18 +210,13 @@ func New(t *namespace.Tree, cfg Config) (*Monitor, error) {
 		conns:     make(map[net.Conn]struct{}),
 		stop:      make(chan struct{}),
 	}
-	// The boot layer is the state every log starts from: applied, never logged.
-	gl, owners := m.layerLocked()
-	m.applyLocked(&walLayer{Reset: true, GLVersion: 1, Entries: gl, Owners: owners})
-	if cfg.WALPath != "" {
-		if err := m.recoverFromWAL(cfg.WALPath); err != nil {
-			return nil, err
-		}
-		if m.wlog, err = wal.Open(cfg.WALPath); err != nil {
-			return nil, err
-		}
-		m.journal = wal.NewBatcher(m.wlog)
+	if cfg.WALPath == "" {
+		_, _ = m.loadImage(nil) // the boot layer; it cannot fail
 	}
+	if m.journal, err = wal.OpenJournal(cfg.WALPath, cfg.WALPath+".img", m.machine()); err != nil {
+		return nil, err
+	}
+	m.wlog = m.journal.Log()
 	return m, nil
 }
 
@@ -235,6 +234,7 @@ func (m *Monitor) Start() error {
 	go m.acceptLoop()
 	m.wg.Add(1)
 	go m.failureLoop()
+	m.journal.Run(wal.CompactEvery)
 	return nil
 }
 
@@ -291,12 +291,10 @@ func (m *Monitor) Close() error {
 		_ = nc.Close()
 	}
 	m.wg.Wait()
-	// Nothing commits any more: flush the last window, then close the log.
-	if m.journal != nil {
-		_ = m.journal.Close()
-		if jerr := m.wlog.Close(); err == nil {
-			err = jerr
-		}
+	// Nothing commits any more: stop compacting, flush the last window, then
+	// close the log.
+	if jerr := m.journal.Close(); err == nil {
+		err = jerr
 	}
 	return err
 }
@@ -429,9 +427,7 @@ func (m *Monitor) Stats() *wire.MonitorStatsResponse {
 		ConnIO:            wire.ConnIO.Snapshot(),
 		BadFrames:         wire.BadFrames.Load(),
 	}
-	if m.journal != nil {
-		resp.JournalAppends, resp.JournalFlushes = m.journal.Stats()
-	}
+	resp.JournalAppends, resp.JournalFlushes, _ = m.journal.Stats()
 	for _, mem := range m.members {
 		resp.Members = append(resp.Members, wire.MemberInfo{
 			ID: mem.id, Addr: mem.addr, Alive: mem.alive,

@@ -142,7 +142,7 @@ func (m *Monitor) transferDoneLocked(req *wire.TransferDoneRequest) (*wire.LockR
 	}
 	delete(m.inFlight, root)
 	m.transfers[owner] = slices.DeleteFunc(m.transfers[owner], func(c wire.TransferCommand) bool { return c.RootPath == root })
-	m.commitLocked(&walOwner{Root: root, Server: dest})
+	m.journal.Commit(&walOwner{Root: root, Server: dest})
 	m.pinned[root] = pin{dest: core.AnyServer, until: m.round + pinRounds}
 	m.nTransfersDone++
 	delete(m.migIDs, root) // migration over; a later move is a new trace

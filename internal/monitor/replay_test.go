@@ -46,13 +46,17 @@ func digest(m *Monitor) string {
 	return b.String()
 }
 
-// logState reads the log as it stands: how many records it holds, and the GL
-// version a Monitor recovered from it would resume at.
-func logState(t *testing.T, path string) (records int, glv int64) {
+// logState reads the image and the log as they stand: the number of the
+// newest record they hold, and the GL version a Monitor recovered from them
+// would resume at.
+func logState(t *testing.T, path string) (last int, glv int64) {
 	t.Helper()
 	glv = 1
+	if img := readImage(t, path+".img"); img != nil {
+		last, glv = int(img.Horizon), img.GLVersion
+	}
 	err := wal.Replay(path, func(rec wal.Record) error {
-		records++
+		last = int(rec.Seq)
 		if rec.Type == "gl_update" || rec.Type == "gl_layer" {
 			var r struct{ GLVersion int64 }
 			if err := json.Unmarshal(rec.Data, &r); err != nil {
@@ -65,26 +69,82 @@ func logState(t *testing.T, path string) (records int, glv int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return records, glv
+	return last, glv
 }
 
-// recordEnds returns the byte offset just past each record of a log.
-func recordEnds(log []byte) []int {
-	var ends []int
-	for off := 0; off+8 <= len(log); {
-		off += 8 + int(binary.BigEndian.Uint32(log[off:]))
-		ends = append(ends, off)
+// readImage decodes the Monitor's image at path, nil when there is none.
+func readImage(t *testing.T, path string) *wire.MonitorImage {
+	t.Helper()
+	body, err := wal.ReadImage(path)
+	if err != nil || body == nil {
+		if err != nil {
+			t.Fatal(err)
+		}
+		return nil
 	}
-	return ends
+	img, err := wire.DecodeMonitorImage(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return img
 }
 
-// recoverDigest boots a fresh Monitor from the first n bytes of a log and
-// returns the digest of what it recovered.
-func recoverDigest(t *testing.T, tree *namespace.Tree, log []byte, n, servers int) string {
+// logRecord is a record of a log: its number, and the byte offset just past
+// it.
+type logRecord struct{ seq, end int }
+
+// logRecords returns each whole record of a log.
+func logRecords(log []byte) []logRecord {
+	var out []logRecord
+	for off := 0; off+8 <= len(log); {
+		end := off + 8 + int(binary.BigEndian.Uint32(log[off:]))
+		var rec struct{ Seq int }
+		if end > len(log) || json.Unmarshal(log[off+8:end], &rec) != nil {
+			break
+		}
+		out = append(out, logRecord{rec.Seq, end})
+		off = end
+	}
+	return out
+}
+
+// crash is a journal's files as a crash could have left them: the log, the
+// image (nil before the first compaction) and its horizon.
+type crash struct {
+	log, img []byte
+	horizon  int
+}
+
+// takeCrash copies the journal's files at path.
+func takeCrash(t *testing.T, path string) crash {
+	t.Helper()
+	var c crash
+	var err error
+	if c.log, err = os.ReadFile(path); err != nil {
+		t.Fatal(err)
+	}
+	if c.img, err = os.ReadFile(path + ".img"); os.IsNotExist(err) {
+		c.img = nil
+	} else if err != nil {
+		t.Fatal(err)
+	} else {
+		c.horizon = int(readImage(t, path+".img").Horizon)
+	}
+	return c
+}
+
+// recoverDigest boots a fresh Monitor from c's image and the first n bytes
+// of its log and returns the digest of what it recovered.
+func recoverDigest(t *testing.T, tree *namespace.Tree, c crash, n, servers int) string {
 	t.Helper()
 	cut := filepath.Join(t.TempDir(), "cut.wal")
-	if err := os.WriteFile(cut, log[:n], 0o644); err != nil {
+	if err := os.WriteFile(cut, c.log[:n], 0o644); err != nil {
 		t.Fatal(err)
+	}
+	if c.img != nil {
+		if err := os.WriteFile(cut+".img", c.img, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 	m, err := New(tree, Config{Servers: servers, WALPath: cut})
 	if err != nil {
@@ -101,12 +161,14 @@ func recoverDigest(t *testing.T, tree *namespace.Tree, log []byte, n, servers in
 // recovery claims), heartbeats (hot and created paths), GL creates and
 // setattrs (rejected ones too), manual transfers acked done or failed,
 // cluster_info reads and one re-evaluation runs against a journaled Monitor
-// that records its state after every applied record. Fresh Monitors then
-// recover from the log cut at sampled record boundaries and at one torn byte
-// offset, and each must equal the live state at that record. Along the way,
-// every answer must leave with what it carries durable: when a handler
-// returns, the log holds every record applied so far, and its GL version.
-// ci.sh runs it at -replay.seeds 1000.
+// that records its state after every applied record, and compacts its log
+// behind an image now and then. Fresh Monitors then recover from the image
+// and the log cut at sampled record boundaries and at one torn byte offset,
+// as the run left them and as they stood after a compaction, and each must
+// equal the live state at that record. Along the way, every answer must
+// leave with what it carries durable: when a handler returns, the image and
+// the log hold every record applied so far, and its GL version. ci.sh runs
+// it at -replay.seeds 1000.
 func TestReplayEqualsLive(t *testing.T) {
 	var snap bytes.Buffer
 	if err := testTree(t).Tree.WriteSnapshot(&snap); err != nil {
@@ -130,6 +192,9 @@ func TestReplayEqualsLive(t *testing.T) {
 func replaySchedule(t *testing.T, fresh func() *namespace.Tree, seed int64) {
 	const servers, steps = 3, 60
 	rng := rand.New(rand.NewSource(seed))
+	// Compactions draw on a source of their own, so the schedule of ops is
+	// the one a seed ran before compactions were added to it.
+	compactions := rand.New(rand.NewSource(-seed))
 	walPath := filepath.Join(t.TempDir(), "mon.wal")
 	tree := fresh()
 	m, err := New(tree, Config{Servers: servers, HeartbeatTimeout: time.Hour, WALPath: walPath})
@@ -187,7 +252,7 @@ func replaySchedule(t *testing.T, fresh func() *namespace.Tree, seed int64) {
 		t.Helper()
 		records, logged := logState(t, walPath)
 		if records < len(live)-1 {
-			t.Fatalf("seed %d: %s answered with %d of %d applied records in the log", seed, op, records, len(live)-1)
+			t.Fatalf("seed %d: %s answered with %d of %d applied records in the image and the log", seed, op, records, len(live)-1)
 		}
 		if glv > logged {
 			t.Fatalf("seed %d: %s answered GL version %d; the log recovers %d", seed, op, glv, logged)
@@ -195,7 +260,16 @@ func replaySchedule(t *testing.T, fresh func() *namespace.Tree, seed int64) {
 	}
 	joined, reevaluated := 0, false
 	var cmds []wire.TransferCommand
+	var crashes []crash // the files as the run went
 	for step := 0; step < steps; step++ {
+		switch compactions.Intn(8) {
+		case 0:
+			if err := m.journal.Compact(); err != nil {
+				t.Fatal(err)
+			}
+		case 1:
+			crashes = append(crashes, takeCrash(t, walPath))
+		}
 		now = now.Add(beat)
 		name := fmt.Sprintf("r%d-%d", seed, step)
 		switch op := rng.Intn(10); {
@@ -276,31 +350,48 @@ func replaySchedule(t *testing.T, fresh func() *namespace.Tree, seed int64) {
 		t.Fatal(err)
 	}
 
-	log, err := os.ReadFile(walPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ends := append([]int{0}, recordEnds(log)...)
-	if len(ends) != len(live) {
-		t.Fatalf("seed %d: the log holds %d records, the live Monitor applied %d", seed, len(ends)-1, len(live)-1)
-	}
-	cuts := []int{0, len(live) - 1}
-	for i := 0; i < 3; i++ {
-		cuts = append(cuts, rng.Intn(len(live)))
-	}
-	check := func(k, n int, how string) {
-		if got := recoverDigest(t, fresh(), log, n, servers); got != live[k] {
-			t.Fatalf("seed %d: recovered from %s (%d bytes) is not the live state after record %d:\nrecovered:\n%s\nlive:\n%s",
-				seed, how, n, k, got, live[k])
+	final := takeCrash(t, walPath)
+	// check recovers from c with its log cut to n bytes: the state after the
+	// newest record the image or the cut log holds.
+	check := func(c crash, n int, how string) {
+		t.Helper()
+		k := c.horizon
+		for _, r := range logRecords(c.log) {
+			if r.end <= n {
+				k = max(k, r.seq)
+			}
+		}
+		if got := recoverDigest(t, fresh(), c, n, servers); got != live[k] {
+			t.Fatalf("seed %d: recovered from %s (%d bytes, image horizon %d) is not the live state after record %d:\nrecovered:\n%s\nlive:\n%s",
+				seed, how, n, c.horizon, k, got, live[k])
 		}
 	}
-	for _, k := range cuts {
-		check(k, ends[k], "a record boundary")
+	recs := logRecords(final.log)
+	if last := final.horizon; len(recs) > 0 && recs[len(recs)-1].seq != len(live)-1 || len(recs) == 0 && last != len(live)-1 {
+		t.Fatalf("seed %d: the image and the log hold %d records, the live Monitor applied %d", seed, len(recs), len(live)-1)
 	}
-	if len(log) > 0 {
-		torn := rng.Intn(len(log))
-		k := sort.Search(len(ends), func(i int) bool { return ends[i] > torn }) - 1
-		check(k, torn, "a torn tail")
+	ends := []int{0}
+	for _, r := range recs {
+		ends = append(ends, r.end)
+	}
+	cuts := []int{0, len(ends) - 1}
+	for i := 0; i < 3; i++ {
+		cuts = append(cuts, rng.Intn(len(ends)))
+	}
+	for _, i := range cuts {
+		check(final, ends[i], "a record boundary")
+	}
+	if len(final.log) > 0 {
+		check(final, rng.Intn(len(final.log)), "a torn tail")
+	}
+	// And the files as they stood at one point of the run: whole, and the
+	// log cut at a record boundary.
+	if len(crashes) > 0 {
+		c := crashes[compactions.Intn(len(crashes))]
+		check(c, len(c.log), "an earlier image and log")
+		if recs := logRecords(c.log); len(recs) > 0 {
+			check(c, recs[compactions.Intn(len(recs))].end, "an earlier image and log cut at a record boundary")
+		}
 	}
 }
 

@@ -1,6 +1,10 @@
 package namespace
 
-import "d2tree/internal/wire"
+import (
+	"strings"
+
+	"d2tree/internal/wire"
+)
 
 // SlabOf reads the nodes of trees into one slab, tree after tree, so slab
 // node k is the k-th node the trees hold, with the kind, name and attributes
@@ -59,4 +63,21 @@ func (n *Node) appendSubtree(nodes []wire.SubtreeNode, base, parent int, name st
 		nodes = c.appendSubtree(nodes, base, at, c.name)
 	}
 	return nodes
+}
+
+// Merge adds to t each node of s, a tree at "/" in AppendSubtree's shape,
+// that t does not hold, as AddChild adds it, with its name copied out of s.
+// A node AddChild refuses is skipped, and so is everything beneath it.
+func (t *Tree) Merge(s wire.Subtree) {
+	nodes := make([]*Node, len(s.Nodes))
+	for i, sn := range s.Nodes {
+		switch parent := nodes[sn.Parent]; {
+		case i == 0:
+			nodes[0] = t.root
+		case parent != nil:
+			if nodes[i] = parent.Child(sn.Name); nodes[i] == nil {
+				nodes[i], _ = t.AddChild(parent, strings.Clone(sn.Name), sn.Kind)
+			}
+		}
+	}
 }

@@ -55,7 +55,7 @@ func (s *Server) handleBatch(env *wire.Envelope, req *wire.BatchRequest) (*wire.
 			i++
 		}
 	}
-	s.waitDurable(tail)
+	s.journal.Wait(tail)
 	return &wire.BatchResponse{Results: results}, nil
 }
 

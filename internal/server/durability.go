@@ -2,31 +2,27 @@ package server
 
 import (
 	"encoding/base64"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"maps"
 	"os"
 	"path/filepath"
 	"slices"
 	"strconv"
-	"time"
 
-	"d2tree/internal/obs"
 	"d2tree/internal/wal"
 	"d2tree/internal/wire"
 )
 
 // record is one journaled change to the MDS's local layer: its entries and
 // the subtree roots it owns. That state changes in one place, applyLocked,
-// and only by a record: a live body builds one, enqueues it and applies it
-// under s.mu (commitLocked); recovery applies the snapshot image and then the
-// logged records with the same method. GL mutations are not journaled here:
-// their durability home is the Monitor's WAL (every GLUpdate is journaled
-// there) and the join/heartbeat GL refresh restores the replica. Nor are the
-// index, its overrides, the counters or newPaths.
-type record interface{ recType() string }
+// and only by a record: a live body builds one and commits it under s.mu
+// (journal.Commit enqueues and applies it); recovery applies the snapshot
+// image and then the logged records with the same method. GL mutations are
+// not journaled here: their durability home is the Monitor's WAL (every
+// GLUpdate is journaled there) and the join/heartbeat GL refresh restores the
+// replica. Nor are the index, its overrides, the counters or newPaths.
+type record = wal.Entry
 
 // walEntryRec is a create or setattr (op): the committed post-op entry,
 // installed verbatim.
@@ -166,14 +162,25 @@ type walRemoveRec struct {
 	Root string `json:"root"`
 }
 
-func (r *walEntryRec) recType() string { return r.op }
-func (*walRenameRec) recType() string  { return "rename" }
-func (*walInstallRec) recType() string { return "install_trees" }
-func (*walRemoveRec) recType() string  { return "remove" }
+func (r *walEntryRec) RecType() string { return r.op }
+func (*walRenameRec) RecType() string  { return "rename" }
+func (*walInstallRec) RecType() string { return "install_trees" }
+func (*walRemoveRec) RecType() string  { return "remove" }
 
-// A legacy install is never applied or logged as such: replay reads it and
+// A legacy install is never logged: recovery reads it, and applyLocked
 // applies its install().
-func (*legacyInstallRec) recType() string { return "install" }
+func (*legacyInstallRec) RecType() string { return "install" }
+
+// recordKinds makes an empty record of each type the log holds, for recovery
+// to decode into.
+var recordKinds = map[string]func() record{
+	"create":        func() record { return &walEntryRec{op: "create"} },
+	"setattr":       func() record { return &walEntryRec{op: "setattr"} },
+	"rename":        func() record { return &walRenameRec{} },
+	"install_trees": func() record { return &walInstallRec{} },
+	"install":       func() record { return &legacyInstallRec{} },
+	"remove":        func() record { return &walRemoveRec{} },
+}
 
 // installChunk bounds the nodes of one install record, so a large install
 // is journaled as several records instead of tripping wal.MaxRecordSize.
@@ -232,23 +239,26 @@ func installRecords(trees []wire.Subtree) []*walInstallRec {
 	return recs
 }
 
-// The snapshot image (snapshot.img) is a version byte, the body's length and
-// CRC-32 (IEEE, as a log record's), 4 bytes big-endian each, then the body,
+// The snapshot image (snapshot.img) is the journal's image file (wal) around
 // a wire.Image. GL entries are not persisted — the join refresh restores the
 // replica — but the GL version is, so a restarted server rejoins with
 // staleness detection intact.
-const (
-	imageVersion = 1
-	imageHead    = 9 // version, length and crc
-)
-
 func (s *Server) walPath() string          { return filepath.Join(s.cfg.WALDir, "mds.wal") }
 func (s *Server) imagePath() string        { return filepath.Join(s.cfg.WALDir, "snapshot.img") }
 func (s *Server) jsonSnapshotPath() string { return filepath.Join(s.cfg.WALDir, "snapshot.json") }
 
-// openJournal recovers local state from snapshot+WAL replay, then opens the
-// log for appending behind the group-commit batcher. Called from Start
-// before the join, so the recovered subtrees become the join's claims.
+// machine is what the MDS gives its journal.
+func (s *Server) machine() wal.Machine[record] {
+	return wal.Machine[record]{
+		Kinds: recordKinds, Apply: s.applyLocked, Image: s.imageLocked, Load: s.loadImage, Lock: s.mu.RLocker(),
+		//d2vet:ignore statcheck the tail's address only: the journal writes it under s.mu and reads it under its read side
+		Tail: &s.tail, Degraded: &s.walDegraded, Rec: s.rec,
+	}
+}
+
+// openJournal recovers the local layer from the snapshot image and the log
+// past its horizon, then keeps journaling to them. Called from Start before
+// the join, so the recovered subtrees become the join's claims.
 func (s *Server) openJournal() error {
 	if s.cfg.WALDir == "" {
 		return nil
@@ -256,99 +266,57 @@ func (s *Server) openJournal() error {
 	if err := os.MkdirAll(s.cfg.WALDir, 0o755); err != nil {
 		return fmt.Errorf("server: wal dir: %w", err)
 	}
-	if err := s.recoverFromDisk(); err != nil {
-		return err
-	}
-	l, err := wal.Open(s.walPath())
+	j, err := wal.OpenJournal(s.walPath(), s.imagePath(), s.machine())
 	if err != nil {
 		return err
 	}
-	s.wlog = l
-	s.journal = wal.NewBatcher(l)
+	s.journal = j
+	// A snapshot.json goes once the image holds its state: when recovery
+	// loaded it, for want of an image, that takes a compaction first. A crash
+	// before the removal is durable leaves both, and the image wins.
+	path := s.jsonSnapshotPath()
+	if _, err := os.Stat(path); err == nil {
+		if _, err = os.Stat(s.imagePath()); os.IsNotExist(err) {
+			err = j.Compact()
+		}
+		if err == nil {
+			err = os.Remove(path)
+		}
+		if err != nil {
+			_ = j.Close()
+			return fmt.Errorf("server: upgrade %s: %w", path, err)
+		}
+	}
 	return nil
 }
 
-// recoverFromDisk rebuilds the local layer: the snapshot image first, then
-// every WAL record past the image's horizon, in commit order, each applied
-// once. The horizon is exact (writeSnapshot), which matters: replay is not
-// idempotent, since a create replayed under a directory the image already
-// renamed would come back under the old name.
-func (s *Server) recoverFromDisk() error {
-	horizon, err := s.loadImage()
-	if err != nil {
-		return err
-	}
-	recovered := 0
-	err = wal.Replay(s.walPath(), func(rec wal.Record) error {
-		if rec.Seq <= horizon {
-			return nil
-		}
-		recovered++
-		return s.applyWALRecord(rec)
-	})
-	if err != nil {
-		return err
-	}
-	s.mu.RLock()
-	entries, roots := s.store.len(), len(s.subtrees)
-	s.mu.RUnlock()
-	if recovered > 0 || roots > 0 {
-		s.rec.Record(obs.Event{
-			Kind: obs.KindCluster,
-			Op:   "wal_recovered",
-			Detail: fmt.Sprintf("%d records past snapshot seq %d: %d entries, %d subtrees",
-				recovered, horizon, entries, roots),
-		})
-	}
-	return nil
-}
+// closeJournal flushes and closes the journal.
+func (s *Server) closeJournal() { _ = s.journal.Close() }
 
 // loadImage applies the snapshot image, through the install_trees arm, and
-// returns its horizon (0 when there is none). Without an image, a
-// snapshot.json an older MDS wrote is upgraded instead (upgradeJSON).
-func (s *Server) loadImage() (int64, error) {
-	img, err := readImage(s.imagePath())
-	if os.IsNotExist(err) {
-		return s.upgradeJSON()
-	} else if err != nil {
+// returns its horizon. Without an image, a snapshot.json an older MDS wrote
+// is applied instead (loadJSONLocked).
+func (s *Server) loadImage(body []byte) (int64, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if body == nil {
+		return s.loadJSONLocked()
+	}
+	img, err := wire.DecodeImage(body)
+	if err != nil {
 		return 0, err
 	}
-	s.mu.Lock()
 	s.glVersion = img.GLVersion
 	s.store.reserve(len(img.Tree.Nodes))
 	s.applyLocked(&walInstallRec{Roots: img.Roots, Trees: []wire.Subtree{img.Tree}})
-	s.mu.Unlock()
 	s.hot.Merge(img.OpCounts)
-	return img.Horizon, s.removeJSON()
+	return img.Horizon, nil
 }
 
-// readImage reads and checks the image at path. It refuses, naming the
-// file, an image that is cut short, fails its CRC, or is of a version this
-// MDS does not read, so nothing of a bad image is applied.
-func readImage(path string) (*wire.Image, error) {
-	data, err := os.ReadFile(path)
-	switch {
-	case err != nil:
-		return nil, err
-	case len(data) < imageHead || data[0] != imageVersion:
-		return nil, fmt.Errorf("server: snapshot image %s is cut short or not version %d", path, imageVersion)
-	case int64(binary.BigEndian.Uint32(data[1:])) != int64(len(data)-imageHead) ||
-		crc32.ChecksumIEEE(data[imageHead:]) != binary.BigEndian.Uint32(data[5:]):
-		return nil, fmt.Errorf("server: snapshot image %s fails its length or CRC check", path)
-	}
-	img, err := wire.DecodeImage(data[imageHead:])
-	if err != nil {
-		return nil, fmt.Errorf("server: snapshot image %s: %w", path, err)
-	}
-	return img, nil
-}
-
-// upgradeJSON applies the snapshot.json an MDS wrote before the image, if
-// any, as the install record legacyInstallRec.install makes of its entries,
-// and returns its horizon. It saves the state as an image with that horizon
-// before it removes the JSON: a crash in between leaves both, and the image
-// wins.
-func (s *Server) upgradeJSON() (int64, error) {
+// loadJSONLocked applies the snapshot.json an MDS wrote before the image, if any,
+// as the install record legacyInstallRec.install makes of its entries, and
+// returns its horizon. openJournal then writes the state back as an image.
+func (s *Server) loadJSONLocked() (int64, error) {
 	path := s.jsonSnapshotPath()
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
@@ -369,63 +337,17 @@ func (s *Server) upgradeJSON() (int64, error) {
 	}
 	rec := old.install()
 	rec.Roots = old.Subtrees
-	s.mu.Lock()
 	s.glVersion = old.GLVersion
 	s.applyLocked(rec)
-	img := s.imageLocked()
-	s.mu.Unlock()
 	s.hot.Merge(old.OpCounts)
-	img.Horizon = old.WALSeq
-	if err := s.saveImage(img); err != nil {
-		return 0, fmt.Errorf("server: upgrade %s: %w", path, err)
-	}
-	return old.WALSeq, s.removeJSON()
-}
-
-// removeJSON removes a snapshot.json the image holds the state of, and
-// syncs the directory so the removal survives a crash.
-func (s *Server) removeJSON() error {
-	if err := os.Remove(s.jsonSnapshotPath()); os.IsNotExist(err) {
-		return nil
-	} else if err != nil {
-		return err
-	}
-	return wal.SyncDir(s.cfg.WALDir)
-}
-
-// applyWALRecord decodes one journaled record and applies it. Unknown record
-// types are skipped, so an older binary replaying a newer log degrades
-// instead of failing the whole recovery.
-func (s *Server) applyWALRecord(rec wal.Record) error {
-	var r record
-	switch rec.Type {
-	case "create", "setattr":
-		r = &walEntryRec{op: rec.Type}
-	case "rename":
-		r = &walRenameRec{}
-	case "install_trees":
-		r = &walInstallRec{}
-	case "install":
-		r = &legacyInstallRec{}
-	case "remove":
-		r = &walRemoveRec{}
-	default:
-		return nil
-	}
-	if err := json.Unmarshal(rec.Data, r); err != nil {
-		return fmt.Errorf("server: wal record %d: %w", rec.Seq, err)
-	}
-	if old, ok := r.(*legacyInstallRec); ok {
-		r = old.install()
-	}
-	s.mu.Lock()
-	s.applyLocked(r)
-	s.mu.Unlock()
-	return nil
+	return old.WALSeq, nil
 }
 
 // applyLocked makes one record's change. Callers hold s.mu.
 func (s *Server) applyLocked(rec record) {
+	if old, ok := rec.(*legacyInstallRec); ok {
+		rec = old.install()
+	}
 	switch r := rec.(type) {
 	case *walEntryRec:
 		s.store.put(r.Entry, false)
@@ -447,135 +369,29 @@ func (s *Server) applyLocked(rec record) {
 	}
 }
 
-// commitLocked enqueues a record to the journal, notes its ticket as the
-// tail, and applies it. The enqueue never blocks; callers hold s.mu (write
-// side), so the log's order is the apply order, and answer only after waiting
-// on the tail they noted before unlocking: flush windows commit in order, so
-// that covers every record the answer can reflect.
-func (s *Server) commitLocked(rec record) {
-	if s.journal != nil {
-		s.tail = s.journal.Enqueue(rec.recType(), rec)
-	}
-	s.applyLocked(rec)
-}
-
 // commitInstallLocked takes ownership of trees, each at its root, in the
 // install records installRecords cuts them into, or in one record when there
-// is no journal whose record size to keep under.
+// is no log whose record size to keep under.
 func (s *Server) commitInstallLocked(trees []wire.Subtree) {
-	if s.journal == nil {
+	if s.journal.Log() == nil {
 		rec := &walInstallRec{Roots: make([]string, len(trees)), Trees: trees}
 		for i, t := range trees {
 			rec.Roots[i] = t.Path
 		}
-		s.commitLocked(rec)
+		s.journal.Commit(rec)
 		return
 	}
 	for _, rec := range installRecords(trees) {
-		s.commitLocked(rec)
+		s.journal.Commit(rec)
 	}
 }
 
-// waitDurable parks until the record's flush window is fsynced. A journal
-// failure latches the degraded stat and lets the operation succeed: the
-// availability-over-durability choice, matching the Monitor's journal.
-func (s *Server) waitDurable(t *wal.Ticket) {
-	if t == nil {
-		return
+// imageLocked captures the GL version, the owned roots and the local layer;
+// the horizon and the access counters are added as the image is written.
+func (s *Server) imageLocked() wal.Image {
+	img := &wire.Image{GLVersion: s.glVersion, Roots: slices.Collect(maps.Keys(s.subtrees)), Tree: s.store.tree("/", true)}
+	return func(b []byte, horizon int64) []byte {
+		img.Horizon, img.OpCounts = horizon, s.hot.Counts()
+		return wire.AppendImage(b, img)
 	}
-	if _, err := t.Wait(); err != nil {
-		s.noteWalDegraded(err)
-	}
-}
-
-// noteWalDegraded latches the degraded flag and records one event on the
-// first failure only.
-func (s *Server) noteWalDegraded(err error) {
-	if s.walDegraded.CompareAndSwap(false, true) {
-		s.rec.Record(obs.Event{Kind: obs.KindCluster, Op: "wal_degraded", Err: err.Error()})
-	}
-}
-
-// snapshotLoop periodically captures the namespace image and truncates the
-// log behind it.
-func (s *Server) snapshotLoop() {
-	defer s.wg.Done()
-	ticker := time.NewTicker(s.cfg.SnapshotInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-s.stop:
-			return
-		case <-ticker.C:
-			if err := s.writeSnapshot(); err != nil {
-				s.rec.Record(obs.Event{Kind: obs.KindCluster, Op: "snapshot_failed", Err: err.Error()})
-			}
-		}
-	}
-}
-
-// writeSnapshot captures the local-layer image, writes it atomically
-// (saveImage), and truncates the WAL below its horizon: the sequence number
-// of the newest record the image holds. The image and the tail ticket are
-// taken under one lock, and a record enqueued and applied but not yet flushed
-// is in the image before it has a number, so the horizon is the tail's number
-// once it is durable; without a tail, or when its flush failed, it is the
-// log's, read with the image. The log keeps the horizon record itself, so a
-// log reopened after the truncation numbers on past it.
-func (s *Server) writeSnapshot() error {
-	s.mu.RLock()
-	tail, seq := s.tail, s.wlog.Seq()
-	img := s.imageLocked()
-	s.mu.RUnlock()
-	if tail != nil {
-		if n, err := tail.Wait(); err == nil {
-			seq = n
-		}
-	}
-	img.Horizon = seq
-	if err := s.saveImage(img); err != nil {
-		return err
-	}
-	if err := s.wlog.TruncateBefore(seq); err != nil {
-		return err
-	}
-	s.snapshots.Add(1)
-	return nil
-}
-
-// imageLocked captures the GL version, the owned roots and the local layer.
-func (s *Server) imageLocked() *wire.Image {
-	return &wire.Image{GLVersion: s.glVersion, Roots: slices.Collect(maps.Keys(s.subtrees)), Tree: s.store.tree("/", true)}
-}
-
-// saveImage adds the access counters to img and writes it atomically: tmp,
-// fsync, rename, dir sync.
-func (s *Server) saveImage(img *wire.Image) error {
-	// The access counters have no non-destructive read: take them and put
-	// them straight back. Increments landing in between stay live.
-	img.OpCounts = s.hot.Drain()
-	s.hot.Merge(img.OpCounts)
-	data := wire.AppendImage(make([]byte, imageHead), img)
-	data[0] = imageVersion
-	binary.BigEndian.PutUint32(data[1:], uint32(len(data)-imageHead))
-	binary.BigEndian.PutUint32(data[5:], crc32.ChecksumIEEE(data[imageHead:]))
-	tmp := s.imagePath() + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err = f.Write(data); err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, s.imagePath())
-	}
-	if err != nil {
-		_ = os.Remove(tmp)
-		return err
-	}
-	return wal.SyncDir(s.cfg.WALDir)
 }

@@ -158,7 +158,7 @@ func entryResponse(res wire.BatchResult, err error) (*wire.EntryResponse, error)
 
 // The op bodies below are shared by the single-op handlers and the batch
 // arms (compound.go): each runs under s.mu, returns the result a sub-op
-// carries, and changes journaled state only through commitLocked.
+// carries, and changes journaled state only through journal.Commit.
 
 func (s *Server) handleLookup(req *wire.LookupRequest) (*wire.LookupResponse, error) {
 	s.countAccess(req.Path)
@@ -237,7 +237,7 @@ func (s *Server) mutate(env *wire.Envelope, op string, e wire.Entry) (wire.Batch
 	if global {
 		return s.glUpdate(env, op, e)
 	}
-	s.waitDurable(tail)
+	s.journal.Wait(tail)
 	return res, err
 }
 
@@ -292,7 +292,7 @@ func (s *Server) createLocked(e wire.Entry) (res wire.BatchResult, global bool, 
 	}
 	e.Version = 1
 	rec := &walEntryRec{op: "create", Entry: e}
-	s.commitLocked(rec)
+	s.journal.Commit(rec)
 	s.newPaths = append(s.newPaths, e)
 	// The answer shares the record's copy of the entry: nothing writes
 	// either once it is committed.
@@ -342,7 +342,7 @@ func (s *Server) setattrLocked(e wire.Entry) (res wire.BatchResult, global bool,
 	rec := &walEntryRec{op: "setattr", Entry: held.Entry(e.Path)}
 	rec.Entry.Size, rec.Entry.Mode = e.Size, e.Mode
 	rec.Entry.Version++
-	s.commitLocked(rec)
+	s.journal.Commit(rec)
 	return s.grantLocked(&rec.Entry), false, nil
 }
 
@@ -461,7 +461,7 @@ func (s *Server) handleRename(req *wire.RenameRequest) (*wire.RenameResponse, er
 	res, err := s.renameLocked(req.Path, req.NewName)
 	tail := s.tail
 	s.mu.Unlock()
-	s.waitDurable(tail)
+	s.journal.Wait(tail)
 	return entryResponse(res, err)
 }
 
@@ -489,7 +489,7 @@ func (s *Server) renameLocked(path, newName string) (res wire.BatchResult, err e
 		if s.store.get(newPath) != nil {
 			return res, fmt.Errorf("%w: %s", ErrExists, newPath)
 		}
-		s.commitLocked(&walRenameRec{Path: path, NewName: newName})
+		s.journal.Commit(&walRenameRec{Path: path, NewName: newName})
 	}
 	e := n.Entry(newPath)
 	return s.grantLocked(&e), nil
@@ -519,7 +519,7 @@ func (s *Server) handleInstall(env *wire.Envelope, req *wire.InstallRequest) (*w
 	// Ack only once the install is durable: the source deletes its copy on
 	// this reply, so a receiver that crashes afterwards must be able to
 	// replay the subtree.
-	s.waitDurable(tail)
+	s.journal.Wait(tail)
 	return &wire.LockResponse{Granted: true}, nil
 }
 
@@ -533,12 +533,12 @@ func (s *Server) handleUninstall(req *wire.UninstallRequest) (*wire.LockResponse
 	s.mu.Lock()
 	held := s.subtrees[req.RootPath]
 	if held {
-		s.commitLocked(&walRemoveRec{Root: req.RootPath})
+		s.journal.Commit(&walRemoveRec{Root: req.RootPath})
 	}
 	delete(s.overrides, req.RootPath)
 	tail := s.tail
 	s.mu.Unlock()
-	s.waitDurable(tail)
+	s.journal.Wait(tail)
 	if held {
 		s.rec.Record(obs.Event{
 			Kind:   obs.KindMigration,
@@ -552,10 +552,7 @@ func (s *Server) handleUninstall(req *wire.UninstallRequest) (*wire.LockResponse
 
 func (s *Server) handleStats() (*wire.StatsResponse, error) {
 	rtt := s.hbRTT.Summarize()
-	var walAppends, walFlushes int64
-	if s.journal != nil {
-		walAppends, walFlushes = s.journal.Stats()
-	}
+	walAppends, walFlushes, snapshots := s.journal.Stats()
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	roots := make([]string, 0, len(s.subtrees))
@@ -594,7 +591,7 @@ func (s *Server) handleStats() (*wire.StatsResponse, error) {
 		ReaddirPlus:      s.readdirplus.Load(),
 		WalAppends:       walAppends,
 		WalFlushes:       walFlushes,
-		Snapshots:        s.snapshots.Load(),
+		Snapshots:        snapshots,
 		WalDegraded:      s.walDegraded.Load(),
 		Subtrees:         roots,
 		ServeIO:          wire.ServeIO.Snapshot(),

@@ -300,7 +300,7 @@ func TestInstallRecordsStayInTheLog(t *testing.T) {
 		if legacyFirst {
 			// As the parent logged an install, and as replay applies it.
 			old := &legacyInstallRec{Root: root, Entries: entries[:10]}
-			if _, err := s.wlog.Append("install", old); err != nil {
+			if _, err := s.journal.Log().Append("install", old); err != nil {
 				t.Fatal(err)
 			}
 			s.applyLocked(old.install())

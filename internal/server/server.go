@@ -61,7 +61,7 @@ type Config struct {
 	// memory-only (the pre-durability behaviour).
 	WALDir string
 	// SnapshotInterval is the namespace snapshot + log truncation cadence
-	// when WALDir is set (default 5s).
+	// when WALDir is set (default wal.CompactEvery, 5s).
 	SnapshotInterval time.Duration
 }
 
@@ -79,7 +79,7 @@ func (c *Config) applyDefaults() {
 		c.EntryLease = 2 * time.Second
 	}
 	if c.SnapshotInterval == 0 {
-		c.SnapshotInterval = 5 * time.Second
+		c.SnapshotInterval = wal.CompactEvery
 	}
 }
 
@@ -96,11 +96,10 @@ type Server struct {
 	// read-only thereafter (Close's ln.Close is safe concurrently with
 	// Accept), so it lives outside mu's guard.
 	ln net.Listener
-	// wlog/journal are the durability pair (nil when memory-only): the log
-	// plus its group-commit batcher. Like ln they are set once in Start
-	// before any goroutine can observe them and are read-only thereafter.
-	wlog    *wal.Log
-	journal *wal.Batcher
+	// journal commits the local layer's records, memory-only until Start
+	// opens it on WALDir. Like ln it is set before any goroutine can observe
+	// it and is read-only thereafter.
+	journal *wal.Journal[record]
 
 	// mu is a read/write lock over the entry store and cluster-state maps:
 	// the read-mostly handlers (Lookup, Readdir, Stats) take the read side
@@ -126,7 +125,7 @@ type Server struct {
 	// authoritative namespace copy converges (bounding what a failover
 	// push can miss to one heartbeat window).
 	newPaths []wire.Entry
-	// tail is the ticket of the newest journaled record (commitLocked). A
+	// tail is the ticket of the newest journaled record (journal.Commit). A
 	// blocking handler notes it under mu and waits on it after unlocking.
 	tail *wal.Ticket
 	// applied, when set (tests), runs under mu after every applied record.
@@ -148,7 +147,6 @@ type Server struct {
 	leases           atomic.Int64 // cache leases granted on responses
 	revalidateHits   atomic.Int64 // version matched: lease renewed bodiless
 	revalidateMisses atomic.Int64 // version stale: entry resent
-	snapshots        atomic.Int64 // namespace snapshots written
 	walDegraded      atomic.Bool  // latched on first journal failure
 	batches          atomic.Int64 // compound frames served
 	batchSubOps      atomic.Int64 // sub-ops inside compound frames
@@ -180,7 +178,7 @@ const maxCreatedPerHeartbeat = 4096
 // New builds an MDS.
 func New(cfg Config) *Server {
 	cfg.applyDefaults()
-	return &Server{
+	s := &Server{
 		cfg:       cfg,
 		store:     newStore(),
 		subtrees:  make(map[string]bool),
@@ -190,6 +188,8 @@ func New(cfg Config) *Server {
 		stop:      make(chan struct{}),
 		rec:       obs.NewRecorder("mds", 0),
 	}
+	s.journal, _ = wal.OpenJournal("", "", s.machine()) // memory-only: cannot fail
+	return s
 }
 
 // Obs returns the server's event recorder (debug endpoints, tests).
@@ -232,10 +232,7 @@ func (s *Server) Start() error {
 	s.wg.Add(2)
 	go s.acceptLoop()
 	go s.heartbeatLoop()
-	if s.journal != nil {
-		s.wg.Add(1)
-		go s.snapshotLoop()
-	}
+	s.journal.Run(s.cfg.SnapshotInterval)
 	return nil
 }
 
@@ -254,7 +251,7 @@ func (s *Server) join(mon *wire.RetryingConn) error {
 	installed := s.applyJoinLocked(&join)
 	tail := s.tail
 	s.mu.Unlock()
-	s.waitDurable(tail)
+	s.journal.Wait(tail)
 	end := time.Now()
 	s.rec.RecordAt(end, obs.Event{
 		Kind: obs.KindCluster,
@@ -287,16 +284,6 @@ func (s *Server) joinRequest() *wire.JoinRequest {
 	return req
 }
 
-// closeJournal flushes and closes the durability pair (no-op memory-only).
-func (s *Server) closeJournal() {
-	if s.journal != nil {
-		_ = s.journal.Close()
-	}
-	if s.wlog != nil {
-		_ = s.wlog.Close()
-	}
-}
-
 // applyJoinLocked installs a JoinResponse: identity, the global-layer
 // replica, assigned subtrees, and the index. Subtree roots the server
 // claimed (its current holdings) but the Monitor did not adopt belong to a
@@ -314,7 +301,7 @@ func (s *Server) applyJoinLocked(join *wire.JoinResponse) int {
 	}
 	for root := range s.subtrees {
 		if !adopted[root] {
-			s.commitLocked(&walRemoveRec{Root: root})
+			s.journal.Commit(&walRemoveRec{Root: root})
 		}
 	}
 	installed := len(join.GlobalLayer)
@@ -543,7 +530,7 @@ func (s *Server) applyHeartbeat(resp *wire.HeartbeatResponse) {
 		self := s.Addr()
 		for root := range s.subtrees {
 			if owner, ok := s.index.Get(root); ok && owner != self {
-				s.commitLocked(&walRemoveRec{Root: root})
+				s.journal.Commit(&walRemoveRec{Root: root})
 			}
 		}
 	}
@@ -551,7 +538,7 @@ func (s *Server) applyHeartbeat(resp *wire.HeartbeatResponse) {
 	transfers := resp.Transfers
 	tail := s.tail
 	s.mu.Unlock()
-	s.waitDurable(tail)
+	s.journal.Wait(tail)
 
 	for _, cmd := range transfers {
 		s.executeTransfer(cmd)
@@ -594,7 +581,7 @@ func (s *Server) executeTransfer(cmd wire.TransferCommand) {
 	// this point (DESIGN.md §10); it is counted so the loss is visible.
 	s.mu.Lock()
 	raced := s.unshippedLocked(tree)
-	s.commitLocked(&walRemoveRec{Root: cmd.RootPath})
+	s.journal.Commit(&walRemoveRec{Root: cmd.RootPath})
 	s.index.Set(cmd.RootPath, cmd.DestAddr)
 	s.overrides[cmd.RootPath] = &indexOverride{addr: cmd.DestAddr, ttl: 50}
 	tail := s.tail
@@ -604,7 +591,7 @@ func (s *Server) executeTransfer(cmd wire.TransferCommand) {
 	// The removal must be durable before TransferDone commits ownership to
 	// the destination: a source that crashes past this point replays the
 	// remove and cannot re-claim the subtree it shipped away.
-	s.waitDurable(tail)
+	s.journal.Wait(tail)
 	if raced > 0 {
 		s.rec.Record(obs.Event{
 			Kind:   obs.KindMigration,

@@ -188,7 +188,9 @@ func (st *store) dropSubtree(root string) {
 
 // replaceGL makes entries the global-layer replica: a global-layer entry
 // not among them is removed, the rest are overwritten in place, and the
-// local layer is left alone.
+// local layer is left alone. A node that leaves the layer with nothing
+// beneath it is unlinked, and so is each ancestor that then holds nothing,
+// each directory's children in one pass (namespace.Node.Prune).
 func (st *store) replaceGL(entries []wire.Entry) {
 	old := st.gl[:0] // the layer now, each node once
 	for _, n := range st.gl {
@@ -211,9 +213,28 @@ func (st *store) replaceGL(entries []wire.Entry) {
 	var paths strings.Builder
 	paths.Grow(size)
 	for _, n := range gone {
-		start := paths.Len()
-		n.WritePath(&paths)
-		st.remove(n, paths.String()[start:])
+		st.entries--
+		if n.SetEntry(&wire.Entry{}); n.NumChildren() == 0 {
+			start := paths.Len()
+			n.WritePath(&paths)
+			delete(st.nodes, paths.String()[start:])
+		}
+	}
+	for _, n := range gone {
+		// A node still linked with nothing beneath it goes with its siblings,
+		// in one pass over their parent's children, and a parent that leaves
+		// holding nothing goes the same way. A node a sibling's pass unlinked
+		// is skipped.
+		for n.Kind() == 0 && n.NumChildren() == 0 {
+			up := n.Parent()
+			if up == nil || up.Child(n.Name()) != n {
+				break
+			}
+			up.Prune()
+			if n = up; n.Kind() == 0 && n.NumChildren() == 0 {
+				delete(st.nodes, n.Path())
+			}
+		}
 	}
 }
 

@@ -12,16 +12,22 @@ const counterShards = 16
 // not convoy on a single mutex. The zero value is ready to use.
 //
 // It is the MDS's per-path access counter: every served operation
-// increments one key on the hot path, and the heartbeat drains the whole
-// map once per tick.
+// increments one key on the hot path, the heartbeat drains the whole map
+// once per tick, and the snapshot image copies it.
 type ShardedCounter struct {
 	shards [counterShards]counterShard
+	// mu serialises drains. A drain swaps each shard's map for its spare,
+	// the map the drain before it took and cleared, so a shard's lock is
+	// held only for the swap, never while its map is read, and the Adds
+	// after a drain land in a map already grown to a drain's worth of keys.
+	mu     sync.Mutex
+	spares [counterShards]map[string]int64
 }
 
 // counterShard holds one slice of the key space.
 type counterShard struct {
 	mu     sync.Mutex
-	counts map[string]int64 // lazily allocated; nil after a drain
+	counts map[string]int64 // lazily allocated
 }
 
 // shardIndex hashes key with inline FNV-1a (no allocation, no interface).
@@ -45,11 +51,33 @@ func (c *ShardedCounter) Add(key string, n int64) {
 
 // Drain atomically takes and resets every shard, returning the merged
 // counts. Increments that race with a drain land wholly in either the
-// returned map or the fresh one — never lost, never double-counted.
+// returned map or the shard's next one — never lost, never double-counted.
 func (c *ShardedCounter) Drain() map[string]int64 {
-	out := make(map[string]int64)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := make(map[string]int64, c.Len())
 	for i := range c.shards {
-		c.shards[i].drainInto(out)
+		taken := c.shards[i].swap(c.spares[i])
+		for k, v := range taken {
+			out[k] += v
+		}
+		clear(taken)
+		c.spares[i] = taken
+	}
+	return out
+}
+
+// Counts returns a copy of the counts and leaves them in place: the
+// snapshot image's read. It reads each shard under its lock.
+func (c *ShardedCounter) Counts() map[string]int64 {
+	out := make(map[string]int64, c.Len())
+	for i := range c.shards {
+		sh := &c.shards[i]
+		sh.mu.Lock()
+		for k, v := range sh.counts {
+			out[k] += v
+		}
+		sh.mu.Unlock()
 	}
 	return out
 }
@@ -81,14 +109,13 @@ func (sh *counterShard) add(key string, n int64) {
 	sh.mu.Unlock()
 }
 
-func (sh *counterShard) drainInto(out map[string]int64) {
+// swap puts m in place of the shard's map and returns the map it held.
+func (sh *counterShard) swap(m map[string]int64) map[string]int64 {
 	sh.mu.Lock()
-	counts := sh.counts
-	sh.counts = nil
-	sh.mu.Unlock()
-	for k, v := range counts {
-		out[k] += v
-	}
+	defer sh.mu.Unlock()
+	old := sh.counts
+	sh.counts = m
+	return old
 }
 
 func (sh *counterShard) size() int {

@@ -1,9 +1,9 @@
-// Package wal is a minimal write-ahead log: length-prefixed, CRC-protected
-// JSON records appended to a single file. The Monitor journals global-layer
-// updates and subtree-ownership changes through it, and each MDS journals
-// its local-layer mutations, so a restarted process recovers its logical
-// state. Replay stops cleanly at the first torn or corrupt record, making
-// crash-truncated tails harmless.
+// Package wal is the journal both daemons keep their state in (Journal): a
+// write-ahead log of length-prefixed, CRC-protected JSON records in one file,
+// compacted behind an image of the state in another. The Monitor journals
+// the global layer, the subtree owners and its namespace tree; each MDS its
+// local layer. Replay stops cleanly at the first torn or corrupt record,
+// making crash-truncated tails harmless.
 //
 // Durability contract: Append (and AppendBatch) return only after the
 // record bytes are fsynced. A failed write or sync rolls the log back to
@@ -61,15 +61,11 @@ var (
 	ErrPoisoned = errors.New("wal: log poisoned by unrecoverable write failure")
 )
 
-// syncDir is the directory-fsync hook. It is a package variable so tests
-// can observe that creation and rename paths really sync the parent
-// directory (the filesystem effect itself is not portably observable).
-var syncDir = SyncDir
-
-// SyncDir fsyncs a directory so a freshly created or renamed file inside it
-// survives a crash. Callers that write their own atomic snapshot files
-// (tmp + rename) use it to make the rename durable.
-func SyncDir(dir string) error {
+// syncDir fsyncs a directory so a file just created or renamed in it
+// survives a crash. It is a variable so tests can observe that creation and
+// rename paths really sync the parent directory (the filesystem effect
+// itself is not portably observable).
+var syncDir = func(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
 		return fmt.Errorf("wal: open dir %s: %w", dir, err)
@@ -117,7 +113,12 @@ type recordAt struct{ seq, off int64 }
 // sequence number, and positions for appending. Creating a new log fsyncs
 // the parent directory, so a crash immediately after creation cannot lose
 // the file while the caller believes records were synced.
-func Open(path string) (*Log, error) {
+func Open(path string) (*Log, error) { return open(path, nil) }
+
+// open is Open, handing each record of the valid prefix to fn, when set, in
+// the same read that finds the append position; an error from fn fails the
+// open.
+func open(path string, fn func(Record) error) (*Log, error) {
 	_, serr := os.Stat(path)
 	created := errors.Is(serr, os.ErrNotExist)
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
@@ -139,7 +140,10 @@ func Open(path string) (*Log, error) {
 		index = append(index, recordAt{rec.Seq, validEnd})
 		lastSeq = rec.Seq
 		validEnd = end
-		return nil
+		if fn == nil {
+			return nil
+		}
+		return fn(rec)
 	})
 	if err != nil {
 		_ = f.Close()
@@ -324,8 +328,10 @@ func (l *Log) recoverTailLocked(seq int64) {
 // — used after a snapshot has captured the state those records rebuilt. The
 // index gives the offset of the first record kept, and the bytes from there
 // to the durable end are copied, unread, into a temp file, which is synced,
-// renamed over the log, and the directory synced, so a crash at any point
-// leaves either the old or the new log fully intact.
+// renamed over the log, and the directory synced (replaceFile), so a crash
+// at any point leaves either the old or the new log fully intact. All of it
+// runs under l.mu, so no append can land in the old file after its records
+// were copied.
 func (l *Log) TruncateBefore(minSeq int64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -340,34 +346,21 @@ func (l *Log) TruncateBefore(minSeq int64) error {
 	if keep < len(l.index) {
 		from = l.index[keep].off
 	}
-	tmpPath := l.path + ".tmp"
-	tmp, err := os.OpenFile(tmpPath, os.O_CREATE|os.O_TRUNC|os.O_RDWR, 0o644)
-	if err != nil {
-		return fmt.Errorf("wal: create %s: %w", tmpPath, err)
-	}
-	if _, err = l.f.Seek(from, io.SeekStart); err == nil {
-		if _, err = io.CopyN(tmp, l.f, l.durable-from); err == nil {
-			//d2vet:ignore lockheld compaction swaps the file under l.mu, so no append may land in the old file after its records were copied
-			err = tmp.Sync()
+	old, kept := l.f, l.durable-from
+	tmp, err := replaceFile(l.path, func(tmp *os.File) error {
+		if _, err := old.Seek(from, io.SeekStart); err != nil {
+			return err
 		}
-	}
-	if err != nil {
-		_ = tmp.Close()
-		_ = os.Remove(tmpPath)
+		_, err := io.CopyN(tmp, old, kept)
+		return err
+	})
+	if tmp == nil {
 		l.restoreAppendPosLocked()
-		return fmt.Errorf("wal: write %s: %w", tmpPath, err)
+		return err
 	}
-	if err := os.Rename(tmpPath, l.path); err != nil {
-		_ = tmp.Close()
-		_ = os.Remove(tmpPath)
-		l.restoreAppendPosLocked()
-		return fmt.Errorf("wal: rename: %w", err)
-	}
-	// The rename happened; best-effort dir sync makes it durable. The open
-	// handle follows the inode either way.
-	_ = syncDir(l.dir)
-	// The open tmp handle followed the inode through the rename: it IS the
-	// new log file. Swap it in and retire the old handle.
+	// The rename happened (a failed directory sync leaves its durability to
+	// the filesystem), and the open tmp handle followed the inode through it:
+	// it IS the new log file. Swap it in and retire the old handle.
 	_ = l.f.Close()
 	l.f = tmp
 	l.durable -= from
@@ -380,6 +373,31 @@ func (l *Log) TruncateBefore(minSeq int64) error {
 		return fmt.Errorf("wal: seek after compact: %w", err)
 	}
 	return nil
+}
+
+// replaceFile gives the file at path new contents atomically: write fills a
+// temporary file beside it, which is fsynced and renamed over path, and then
+// the directory is fsynced. It returns the temporary file, open and now at
+// path, and the directory sync's error; on any other failure, nil, with
+// nothing at path changed and the temporary file removed.
+func replaceFile(path string, write func(*os.File) error) (*os.File, error) {
+	tmpPath := path + ".tmp"
+	tmp, err := os.OpenFile(tmpPath, os.O_CREATE|os.O_TRUNC|os.O_RDWR, 0o644)
+	if err != nil {
+		return nil, fmt.Errorf("wal: create %s: %w", tmpPath, err)
+	}
+	if err = write(tmp); err == nil {
+		err = tmp.Sync()
+	}
+	if err == nil {
+		err = os.Rename(tmpPath, path)
+	}
+	if err != nil {
+		_ = tmp.Close()
+		_ = os.Remove(tmpPath)
+		return nil, fmt.Errorf("wal: write %s: %w", tmpPath, err)
+	}
+	return tmp, syncDir(filepath.Dir(path))
 }
 
 // restoreAppendPosLocked re-seeks the file to the append position after a

@@ -577,6 +577,8 @@ func code(c *codec, p interface{}) bool {
 		m.code(c)
 	case *Image:
 		m.code(c)
+	case *MonitorImage:
+		m.code(c)
 	case *UninstallRequest:
 		m.code(c)
 	case *TransferDoneRequest:

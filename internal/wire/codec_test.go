@@ -33,6 +33,7 @@ var codecTypes = []interface{}{
 	&UninstallRequest{}, &TransferDoneRequest{}, &TransferFailedRequest{},
 	&ObsEvent{}, &ObsDumpRequest{}, &ObsDumpResponse{}, &LockResponse{},
 	&MetricsSnapshot{}, &IOSnapshot{}, &Subtree{}, &Image{},
+	&MonitorImage{},
 }
 
 func typeName(p interface{}) string { return reflect.TypeOf(p).Elem().Name() }

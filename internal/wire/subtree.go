@@ -259,3 +259,36 @@ func DecodeImage(b []byte) (*Image, error) {
 	m := new(Image)
 	return m, decodePayload(b, m)
 }
+
+// MonitorImage is the Monitor's journaled state at rest, the body of its
+// image: the global-layer version and the log horizon it was taken at, the
+// global layer, the owner of each subtree root (a server id), and the
+// namespace tree as one tree at "/".
+type MonitorImage struct {
+	GLVersion int64
+	Horizon   int64
+	GL        []Entry
+	Owners    map[string]int64
+	Tree      Subtree
+}
+
+func (m *MonitorImage) code(c *codec) {
+	c.i64(&m.GLVersion)
+	c.i64(&m.Horizon)
+	c.entries(&m.GL)
+	c.counts(&m.Owners)
+	m.Tree.code(c)
+}
+
+// AppendMonitorImage appends m's encoding to b.
+func AppendMonitorImage(b []byte, m *MonitorImage) []byte {
+	c := codec{b: b}
+	m.code(&c)
+	return c.b
+}
+
+// DecodeMonitorImage decodes what AppendMonitorImage wrote.
+func DecodeMonitorImage(b []byte) (*MonitorImage, error) {
+	m := new(MonitorImage)
+	return m, decodePayload(b, m)
+}
