@@ -11,6 +11,15 @@ cd "$(dirname "$0")"
 go build ./...
 go vet ./...
 
+# The journal is binary: only the files that upgrade a JSON-era log or
+# snapshot, once at open, may import encoding/json in the daemons' packages.
+json_files=$(grep -l '"encoding/json"$' internal/wal/*.go internal/server/*.go internal/monitor/*.go |
+    grep -v -e '_test\.go$' -e '^internal/wal/upgrade\.go$' -e '^internal/server/upgrade\.go$' || true)
+if [ -n "$json_files" ]; then
+    echo "ci.sh: encoding/json imported outside the upgrade path: $json_files" >&2
+    exit 1
+fi
+
 # Project analyzers (make lint), machine-readable: on findings, re-render
 # the JSONL stream as GitHub-style file:line: rule: msg annotations.
 d2vet_out=$(mktemp)
@@ -78,6 +87,10 @@ go test -run '^$' -bench 'FrameRoundTrip|ReaddirPlusCodec|EchoInproc|SetAttrInpr
 # Ten seconds of fuzzing the frame decoder: every input either fails cleanly
 # or is a frame that encodes back to the bytes it was read from.
 go test -run '^$' -fuzz '^FuzzDecodeFrame$' -fuzztime 10s ./internal/wire
+
+# And ten of the journal's reader: any bytes are refused for their version or
+# read up to a valid prefix, and the records read frame back to those bytes.
+go test -run '^$' -fuzz '^FuzzReplay$' -fuzztime 10s ./internal/wal
 
 # And ten of the tree shape that the namespace snapshot and the subtrees of
 # joins, installs and install records share: no panic, allocation bounded by

@@ -79,7 +79,7 @@ func TestSubtreeEntriesMatchParent(t *testing.T) {
 				t.Fatal("no subtree roots")
 			}
 			sort.Strings(roots)
-			m.applyLocked(&walLLPaths{Entries: []wire.Entry{
+			m.applyLocked(&wire.LLPathsRecord{Entries: []wire.Entry{
 				{Path: roots[0] + "/new-dir/new-file", Kind: wire.EntryFile},
 				{Path: roots[0] + "/new-dir", Kind: wire.EntryDir},
 			}})

@@ -14,7 +14,7 @@ import (
 // The answer leaves once the write is durable.
 func (m *Monitor) glUpdateLocked(req *wire.GLUpdateRequest) (*wire.GLUpdateResponse, error) {
 	e, ok := m.glEntries[req.Entry.Path]
-	u := &walGLUpdate{Op: req.Op, Entry: req.Entry, GLVersion: m.glVersion + 1}
+	u := &wire.GLUpdateRecord{Op: req.Op, Entry: req.Entry, GLVersion: m.glVersion + 1}
 	switch req.Op {
 	case "create":
 		if ok {
@@ -37,7 +37,7 @@ func (m *Monitor) glUpdateLocked(req *wire.GLUpdateRequest) (*wire.GLUpdateRespo
 
 // layerLocked reads the global layer and the subtree owners off the current
 // split, keeping the committed version of every entry already in the GL.
-func (m *Monitor) layerLocked() ([]wire.Entry, []walOwner) {
+func (m *Monitor) layerLocked() ([]wire.Entry, []wire.OwnerRecord) {
 	gl := make([]wire.Entry, 0, len(m.d2.Split().GL))
 	for id := range m.d2.Split().GL {
 		if n := m.tree.Node(id); n != nil {
@@ -50,10 +50,10 @@ func (m *Monitor) layerLocked() ([]wire.Entry, []walOwner) {
 	}
 	slices.SortFunc(gl, func(a, b wire.Entry) int { return strings.Compare(a.Path, b.Path) })
 	subtrees := m.d2.Subtrees()
-	owners := make([]walOwner, len(subtrees))
+	owners := make([]wire.OwnerRecord, len(subtrees))
 	for i, st := range subtrees {
 		owner, _ := m.d2.SubtreeOwner(i)
-		owners[i] = walOwner{Root: m.tree.Path(m.tree.Node(st.Root)), Server: int(owner)}
+		owners[i] = wire.OwnerRecord{Root: m.tree.Path(m.tree.Node(st.Root)), Server: int(owner)}
 	}
 	return gl, owners
 }

@@ -18,52 +18,16 @@ import (
 // Monitor.
 type record = wal.Entry
 
-// walGLUpdate commits one global-layer write: the entry as committed and the
-// GL version it took. A create also mirrors the path into the tree.
-type walGLUpdate struct {
-	Op        string     `json:"op"`
-	Entry     wire.Entry `json:"entry"`
-	GLVersion int64      `json:"glVersion"`
-}
-
-// walOwner gives one subtree root to a server.
-type walOwner struct {
-	Root   string `json:"root"`
-	Server int    `json:"server"`
-}
-
-// walLLPaths journals local-layer paths reported by heartbeat CreatedPaths
-// deltas, so the authoritative tree a restarted Monitor materialises
-// failover pushes from includes entries created after bootstrap.
-type walLLPaths struct {
-	Entries []wire.Entry `json:"entries"`
-}
-
-// walLayer journals a global-layer re-evaluation: the new GL and subtree
-// owner set, split into records of at most layerChunk entries and owners. The
-// first (Reset) replaces both; the rest extend them.
-type walLayer struct {
-	Reset     bool         `json:"reset,omitempty"`
-	GLVersion int64        `json:"glVersion"`
-	Entries   []wire.Entry `json:"entries,omitempty"`
-	Owners    []walOwner   `json:"owners,omitempty"`
-}
-
 // layerChunk keeps a gl_layer record far below wal.MaxRecordSize.
 const layerChunk = 2048
-
-func (*walGLUpdate) RecType() string { return "gl_update" }
-func (*walOwner) RecType() string    { return "owner" }
-func (*walLLPaths) RecType() string  { return "ll_paths" }
-func (*walLayer) RecType() string    { return "gl_layer" }
 
 // recordKinds makes an empty record of each type the log holds, for recovery
 // to decode into.
 var recordKinds = map[string]func() record{
-	"gl_update": func() record { return &walGLUpdate{} },
-	"owner":     func() record { return &walOwner{} },
-	"ll_paths":  func() record { return &walLLPaths{} },
-	"gl_layer":  func() record { return &walLayer{} },
+	"gl_update": func() record { return &wire.GLUpdateRecord{} },
+	"owner":     func() record { return &wire.OwnerRecord{} },
+	"ll_paths":  func() record { return &wire.LLPathsRecord{} },
+	"gl_layer":  func() record { return &wire.LayerRecord{} },
 }
 
 // applyLocked makes one record's state change. It reads the member table
@@ -76,13 +40,13 @@ func (m *Monitor) applyLocked(rec record) {
 	// then fits the stack that goroutine started with instead of copying it
 	// to a larger one.
 	switch r := rec.(type) {
-	case *walGLUpdate:
+	case *wire.GLUpdateRecord:
 		m.applyGLUpdateLocked(r)
-	case *walOwner:
+	case *wire.OwnerRecord:
 		m.applyOwnerLocked(r)
-	case *walLLPaths:
+	case *wire.LLPathsRecord:
 		m.applyLLPathsLocked(r)
-	case *walLayer:
+	case *wire.LayerRecord:
 		m.applyLayerLocked(r)
 	}
 	if m.applied != nil {
@@ -90,7 +54,7 @@ func (m *Monitor) applyLocked(rec record) {
 	}
 }
 
-func (m *Monitor) applyGLUpdateLocked(r *walGLUpdate) {
+func (m *Monitor) applyGLUpdateLocked(r *wire.GLUpdateRecord) {
 	if e, ok := m.glEntries[r.Entry.Path]; ok {
 		*e = r.Entry
 	} else {
@@ -104,19 +68,19 @@ func (m *Monitor) applyGLUpdateLocked(r *walGLUpdate) {
 }
 
 //go:noinline
-func (m *Monitor) applyOwnerLocked(r *walOwner) {
+func (m *Monitor) applyOwnerLocked(r *wire.OwnerRecord) {
 	m.setOwnerLocked(r.Root, r.Server)
 	m.indexVer++
 }
 
 //go:noinline
-func (m *Monitor) applyLLPathsLocked(r *walLLPaths) {
+func (m *Monitor) applyLLPathsLocked(r *wire.LLPathsRecord) {
 	for _, e := range r.Entries {
 		m.mirror(e)
 	}
 }
 
-func (m *Monitor) applyLayerLocked(r *walLayer) {
+func (m *Monitor) applyLayerLocked(r *wire.LayerRecord) {
 	if r.Reset {
 		m.glEntries = make(map[string]*wire.Entry, len(r.Entries))
 		m.subtreeOwner = make(map[string]int, len(r.Owners))
@@ -156,10 +120,10 @@ func (m *Monitor) setOwnerLocked(root string, id int) {
 
 // commitLayerLocked journals and applies a re-evaluated global layer in
 // gl_layer chunks; every chunk carries the one new GL version.
-func (m *Monitor) commitLayerLocked(gl []wire.Entry, owners []walOwner) {
+func (m *Monitor) commitLayerLocked(gl []wire.Entry, owners []wire.OwnerRecord) {
 	v := m.glVersion + 1
 	for off := 0; off == 0 || off < max(len(gl), len(owners)); off += layerChunk {
-		m.journal.Commit(&walLayer{Reset: off == 0, GLVersion: v, Entries: chunk(gl, off), Owners: chunk(owners, off)})
+		m.journal.Commit(&wire.LayerRecord{Reset: off == 0, GLVersion: v, Entries: chunk(gl, off), Owners: chunk(owners, off)})
 	}
 }
 
@@ -196,9 +160,9 @@ func (m *Monitor) imageLocked() wal.Image {
 	for root, id := range m.subtreeOwner {
 		img.Owners[root] = int64(id)
 	}
-	return func(b []byte, horizon int64) []byte {
+	return func(horizon int64) any {
 		img.Horizon = horizon
-		return wire.AppendMonitorImage(b, img)
+		return img
 	}
 }
 
@@ -209,18 +173,18 @@ func (m *Monitor) imageLocked() wal.Image {
 func (m *Monitor) loadImage(body []byte) (int64, error) {
 	if body == nil {
 		gl, owners := m.layerLocked()
-		m.applyLocked(&walLayer{Reset: true, GLVersion: 1, Entries: gl, Owners: owners})
+		m.applyLocked(&wire.LayerRecord{Reset: true, GLVersion: 1, Entries: gl, Owners: owners})
 		return 0, nil
 	}
-	img, err := wire.DecodeMonitorImage(body)
-	if err != nil {
+	img := new(wire.MonitorImage)
+	if err := wire.DecodePayload(body, img); err != nil {
 		return 0, err
 	}
 	m.tree.Merge(img.Tree)
-	owners := make([]walOwner, 0, len(img.Owners))
+	owners := make([]wire.OwnerRecord, 0, len(img.Owners))
 	for root, id := range img.Owners {
-		owners = append(owners, walOwner{Root: root, Server: int(id)})
+		owners = append(owners, wire.OwnerRecord{Root: root, Server: int(id)})
 	}
-	m.applyLocked(&walLayer{Reset: true, GLVersion: img.GLVersion, Entries: img.GL, Owners: owners})
+	m.applyLocked(&wire.LayerRecord{Reset: true, GLVersion: img.GLVersion, Entries: img.GL, Owners: owners})
 	return img.Horizon, nil
 }

@@ -60,7 +60,7 @@ func (m *Monitor) joinLocked(req *wire.JoinRequest) (*wire.JoinResponse, error) 
 			continue // live owner elsewhere; claim rejected
 		}
 		if owner != id {
-			m.journal.Commit(&walOwner{Root: root, Server: id})
+			m.journal.Commit(&wire.OwnerRecord{Root: root, Server: id})
 		}
 		adopted[root] = true
 	}
@@ -139,7 +139,7 @@ func (m *Monitor) heartbeatLocked(req *wire.HeartbeatRequest) (*wire.HeartbeatRe
 	// push materialises paths born after bootstrap; journaled, so a restarted
 	// Monitor recovers the same tree.
 	if len(req.CreatedPaths) > 0 {
-		m.journal.Commit(&walLLPaths{Entries: req.CreatedPaths})
+		m.journal.Commit(&wire.LLPathsRecord{Entries: req.CreatedPaths})
 	}
 
 	m.checkFailuresLocked()

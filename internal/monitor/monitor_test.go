@@ -1,7 +1,6 @@
 package monitor
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -228,8 +227,8 @@ func TestGLUpdatesAreOrderedByTheMonitorMutex(t *testing.T) {
 	}
 	next := v0 + 1
 	if err := wal.Replay(walPath, func(rec wal.Record) error {
-		var u walGLUpdate
-		if err := json.Unmarshal(rec.Data, &u); err != nil {
+		var u wire.GLUpdateRecord
+		if err := wire.DecodePayload(rec.Data, &u); err != nil {
 			return err
 		}
 		if u.GLVersion != next {

@@ -3,7 +3,6 @@ package monitor
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -57,11 +56,14 @@ func logState(t *testing.T, path string) (last int, glv int64) {
 	}
 	err := wal.Replay(path, func(rec wal.Record) error {
 		last = int(rec.Seq)
-		if rec.Type == "gl_update" || rec.Type == "gl_layer" {
-			var r struct{ GLVersion int64 }
-			if err := json.Unmarshal(rec.Data, &r); err != nil {
-				return err
-			}
+		r := recordKinds[rec.Type]()
+		if err := wire.DecodePayload(rec.Data, r); err != nil {
+			return err
+		}
+		switch r := r.(type) {
+		case *wire.GLUpdateRecord:
+			glv = max(glv, r.GLVersion)
+		case *wire.LayerRecord:
 			glv = max(glv, r.GLVersion)
 		}
 		return nil
@@ -82,8 +84,8 @@ func readImage(t *testing.T, path string) *wire.MonitorImage {
 		}
 		return nil
 	}
-	img, err := wire.DecodeMonitorImage(body)
-	if err != nil {
+	img := new(wire.MonitorImage)
+	if err := wire.DecodePayload(body, img); err != nil {
 		t.Fatal(err)
 	}
 	return img
@@ -96,13 +98,16 @@ type logRecord struct{ seq, end int }
 // logRecords returns each whole record of a log.
 func logRecords(log []byte) []logRecord {
 	var out []logRecord
-	for off := 0; off+8 <= len(log); {
+	for off := 9; off+8 <= len(log); { // past the log's version and base
 		end := off + 8 + int(binary.BigEndian.Uint32(log[off:]))
-		var rec struct{ Seq int }
-		if end > len(log) || json.Unmarshal(log[off+8:end], &rec) != nil {
+		if end > len(log) {
 			break
 		}
-		out = append(out, logRecord{rec.Seq, end})
+		seq, n := binary.Uvarint(log[off+8 : end])
+		if n <= 0 {
+			break
+		}
+		out = append(out, logRecord{int(seq), end})
 		off = end
 	}
 	return out

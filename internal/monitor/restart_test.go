@@ -34,7 +34,7 @@ func writeGL(m *Monitor, n int) {
 		for end := min(n, done+10_000); done < end; done++ {
 			e := *m.glEntries[paths[done%len(paths)]]
 			e.Size, e.Version = int64(done), e.Version+1
-			m.journal.Commit(&walGLUpdate{Op: "setattr", Entry: e, GLVersion: m.glVersion + 1})
+			m.journal.Commit(&wire.GLUpdateRecord{Op: "setattr", Entry: e, GLVersion: m.glVersion + 1})
 		}
 		tail := m.tail
 		m.mu.Unlock()
@@ -178,4 +178,55 @@ func TestFailedImageWriteKeepsTheOldState(t *testing.T) {
 	if got := digest(r); got != want {
 		t.Fatalf("recovered\n%s\nthe Monitor held\n%s", got, want)
 	}
+}
+
+// TestParentMonitorLogRecovers: an image and a JSON-era log the parent wrote
+// (testdata/parent-wal), the log holding global-layer creates and setattrs,
+// an owner change, local-layer paths and a re-evaluated layer past the
+// image, recover to the state the parent held (digest.txt). The recovery
+// leaves the log in the current format, and a reopen reaches the same
+// state; so does the upgraded image beside the JSON log, which a crash
+// before the log's rewrite leaves.
+func TestParentMonitorLogRecovers(t *testing.T) {
+	src := filepath.Join("testdata", "parent-wal")
+	path := filepath.Join(t.TempDir(), "monitor.wal")
+	copyIn := func(name string) {
+		t.Helper()
+		data, err := os.ReadFile(filepath.Join(src, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(filepath.Dir(path), name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(filepath.Join(src, "digest.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(what string) {
+		t.Helper()
+		m, err := New(testTree(t).Tree, Config{Servers: 2, WALPath: path})
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		m.mu.Lock()
+		got := digest(m)
+		m.mu.Unlock()
+		if err := m.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if got != string(want) {
+			t.Fatalf("%s recovered\n%.3000s\nthe parent held\n%.3000s", what, got, want)
+		}
+		if log, err := os.ReadFile(path); err != nil || len(log) == 0 || log[0] != 1 {
+			t.Fatalf("%s: the log is not in the current format afterwards (%v)", what, err)
+		}
+	}
+	copyIn("monitor.wal")
+	copyIn("monitor.wal.img")
+	check("the parent's files")
+	check("a reopen")
+	copyIn("monitor.wal")
+	check("the upgraded image beside the JSON log")
 }

@@ -1,14 +1,11 @@
 package server
 
 import (
-	"encoding/base64"
-	"encoding/json"
 	"fmt"
 	"maps"
 	"os"
 	"path/filepath"
 	"slices"
-	"strconv"
 
 	"d2tree/internal/wal"
 	"d2tree/internal/wire"
@@ -24,162 +21,14 @@ import (
 // replica. Nor are the index, its overrides, the counters or newPaths.
 type record = wal.Entry
 
-// walEntryRec is a create or setattr (op): the committed post-op entry,
-// installed verbatim.
-type walEntryRec struct {
-	Entry wire.Entry `json:"entry"`
-	op    string
-}
-
-// AppendJSON makes the record a wal.Appender: the create and setattr records
-// of the serving path are encoded by hand, into what encoding/json writes for
-// them, instead of by reflection.
-func (r *walEntryRec) AppendJSON(b []byte) []byte {
-	e := &r.Entry
-	b = append(b, `{"entry":{"path":`...)
-	b = appendJSONString(b, e.Path)
-	b = append(b, `,"kind":`...)
-	b = strconv.AppendInt(b, int64(e.Kind), 10)
-	if e.Size != 0 {
-		b = append(b, `,"size":`...)
-		b = strconv.AppendInt(b, e.Size, 10)
-	}
-	if e.Mode != 0 {
-		b = append(b, `,"mode":`...)
-		b = strconv.AppendUint(b, uint64(e.Mode), 10)
-	}
-	b = append(b, `,"version":`...)
-	b = strconv.AppendInt(b, e.Version, 10)
-	return append(b, "}}"...)
-}
-
-const hexDigits = "0123456789abcdef"
-
-// appendJSONString appends s as a JSON string literal. Quotes, backslashes
-// and control characters are escaped; everything else (including multi-byte
-// UTF-8) passes through verbatim, which json.Unmarshal accepts.
-func appendJSONString(buf []byte, s string) []byte {
-	buf = append(buf, '"')
-	start := 0
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c >= 0x20 && c != '"' && c != '\\' {
-			continue
-		}
-		buf = append(buf, s[start:i]...)
-		switch c {
-		case '"':
-			buf = append(buf, '\\', '"')
-		case '\\':
-			buf = append(buf, '\\', '\\')
-		case '\n':
-			buf = append(buf, '\\', 'n')
-		case '\r':
-			buf = append(buf, '\\', 'r')
-		case '\t':
-			buf = append(buf, '\\', 't')
-		default:
-			buf = append(buf, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xf])
-		}
-		start = i + 1
-	}
-	buf = append(buf, s[start:]...)
-	return append(buf, '"')
-}
-
-type walRenameRec struct {
-	Path    string `json:"path"`
-	NewName string `json:"newName"`
-}
-
-// walInstallRec is one chunk of an install (installRecords): it takes
-// ownership of the subtree roots Roots and stores the nodes of Trees, at
-// most installChunk of them. A subtree cut between chunks goes on in the
-// next as subtrees rooted where the cut left it, so each record applies on
-// its own. It is logged as {"roots":[…],"trees":"…"}, the trees in their
-// wire encoding (wire.AppendSubtrees), base64 as encoding/json writes bytes.
-type walInstallRec struct {
-	Roots []string
-	Trees []wire.Subtree
-}
-
-// AppendJSON makes the record a wal.Appender.
-func (r *walInstallRec) AppendJSON(b []byte) []byte {
-	b = append(b, `{"roots":[`...)
-	for i, root := range r.Roots {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = appendJSONString(b, root)
-	}
-	b = append(b, `],"trees":"`...)
-	b = base64.StdEncoding.AppendEncode(b, wire.AppendSubtrees(nil, r.Trees))
-	return append(b, `"}`...)
-}
-
-// MarshalJSON writes what AppendJSON does.
-func (r *walInstallRec) MarshalJSON() ([]byte, error) { return r.AppendJSON(nil), nil }
-
-// UnmarshalJSON reads what AppendJSON writes.
-func (r *walInstallRec) UnmarshalJSON(data []byte) error {
-	var raw struct {
-		Roots []string `json:"roots"`
-		Trees []byte   `json:"trees"`
-	}
-	if err := json.Unmarshal(data, &raw); err != nil {
-		return err
-	}
-	trees, err := wire.DecodeSubtrees(raw.Trees)
-	if err != nil {
-		return err
-	}
-	r.Roots, r.Trees = raw.Roots, trees
-	return nil
-}
-
-// legacyInstallRec is the install record as it was written before installs
-// were journaled as trees: one owned root and entries by full path. Replay
-// reads it as the walInstallRec it stands for (install).
-type legacyInstallRec struct {
-	Root    string       `json:"root"`
-	Entries []wire.Entry `json:"entries,omitempty"`
-}
-
-// install is r as a walInstallRec: the root, and each entry as a subtree of
-// one node at its own path, put in the order it was logged.
-func (r *legacyInstallRec) install() *walInstallRec {
-	rec := &walInstallRec{Roots: []string{r.Root}, Trees: make([]wire.Subtree, len(r.Entries))}
-	nodes := make([]wire.SubtreeNode, len(r.Entries))
-	for i, e := range r.Entries {
-		nodes[i] = wire.SubtreeNode{Kind: e.Kind, Size: e.Size, Mode: e.Mode, Version: e.Version}
-		rec.Trees[i] = wire.Subtree{Path: e.Path, Nodes: nodes[i : i+1 : i+1]}
-	}
-	return rec
-}
-
-// walRemoveRec forgets an owned subtree and its local-layer entries.
-type walRemoveRec struct {
-	Root string `json:"root"`
-}
-
-func (r *walEntryRec) RecType() string { return r.op }
-func (*walRenameRec) RecType() string  { return "rename" }
-func (*walInstallRec) RecType() string { return "install_trees" }
-func (*walRemoveRec) RecType() string  { return "remove" }
-
-// A legacy install is never logged: recovery reads it, and applyLocked
-// applies its install().
-func (*legacyInstallRec) RecType() string { return "install" }
-
 // recordKinds makes an empty record of each type the log holds, for recovery
 // to decode into.
 var recordKinds = map[string]func() record{
-	"create":        func() record { return &walEntryRec{op: "create"} },
-	"setattr":       func() record { return &walEntryRec{op: "setattr"} },
-	"rename":        func() record { return &walRenameRec{} },
-	"install_trees": func() record { return &walInstallRec{} },
-	"install":       func() record { return &legacyInstallRec{} },
-	"remove":        func() record { return &walRemoveRec{} },
+	"create":        func() record { return &wire.CreateRecord{} },
+	"setattr":       func() record { return &wire.SetAttrRecord{} },
+	"rename":        func() record { return &wire.RenameRequest{} },
+	"install_trees": func() record { return &wire.InstallRecord{} },
+	"remove":        func() record { return &wire.RemoveRecord{} },
 }
 
 // installChunk bounds the nodes of one install record, so a large install
@@ -193,12 +42,12 @@ const installChunk = 2048
 // before the run, starts a subtree of its own at its full path, so the path
 // of every node can still be built from the record alone. A tree with no
 // nodes gives its root to a record all the same.
-func installRecords(trees []wire.Subtree) []*walInstallRec {
-	var recs []*walInstallRec
-	rec, room := &walInstallRec{}, installChunk
+func installRecords(trees []wire.Subtree) []*wire.InstallRecord {
+	var recs []*wire.InstallRecord
+	rec, room := &wire.InstallRecord{}, installChunk
 	next := func() {
 		recs = append(recs, rec)
-		rec, room = &walInstallRec{}, installChunk
+		rec, room = &wire.InstallRecord{}, installChunk
 	}
 	for _, t := range trees {
 		if room == 0 {
@@ -243,14 +92,13 @@ func installRecords(trees []wire.Subtree) []*walInstallRec {
 // a wire.Image. GL entries are not persisted — the join refresh restores the
 // replica — but the GL version is, so a restarted server rejoins with
 // staleness detection intact.
-func (s *Server) walPath() string          { return filepath.Join(s.cfg.WALDir, "mds.wal") }
-func (s *Server) imagePath() string        { return filepath.Join(s.cfg.WALDir, "snapshot.img") }
-func (s *Server) jsonSnapshotPath() string { return filepath.Join(s.cfg.WALDir, "snapshot.json") }
+func (s *Server) walPath() string   { return filepath.Join(s.cfg.WALDir, "mds.wal") }
+func (s *Server) imagePath() string { return filepath.Join(s.cfg.WALDir, "snapshot.img") }
 
 // machine is what the MDS gives its journal.
 func (s *Server) machine() wal.Machine[record] {
 	return wal.Machine[record]{
-		Kinds: recordKinds, Apply: s.applyLocked, Image: s.imageLocked, Load: s.loadImage, Lock: s.mu.RLocker(),
+		Kinds: recordKinds, Legacy: legacyRecords, Apply: s.applyLocked, Image: s.imageLocked, Load: s.loadImage, Lock: s.mu.RLocker(),
 		//d2vet:ignore statcheck the tail's address only: the journal writes it under s.mu and reads it under its read side
 		Tail: &s.tail, Degraded: &s.walDegraded, Rec: s.rec,
 	}
@@ -267,27 +115,10 @@ func (s *Server) openJournal() error {
 		return fmt.Errorf("server: wal dir: %w", err)
 	}
 	j, err := wal.OpenJournal(s.walPath(), s.imagePath(), s.machine())
-	if err != nil {
-		return err
+	if err == nil {
+		s.journal = j
 	}
-	s.journal = j
-	// A snapshot.json goes once the image holds its state: when recovery
-	// loaded it, for want of an image, that takes a compaction first. A crash
-	// before the removal is durable leaves both, and the image wins.
-	path := s.jsonSnapshotPath()
-	if _, err := os.Stat(path); err == nil {
-		if _, err = os.Stat(s.imagePath()); os.IsNotExist(err) {
-			err = j.Compact()
-		}
-		if err == nil {
-			err = os.Remove(path)
-		}
-		if err != nil {
-			_ = j.Close()
-			return fmt.Errorf("server: upgrade %s: %w", path, err)
-		}
-	}
-	return nil
+	return s.removeJSONSnapshot(err)
 }
 
 // closeJournal flushes and closes the journal.
@@ -302,65 +133,34 @@ func (s *Server) loadImage(body []byte) (int64, error) {
 	if body == nil {
 		return s.loadJSONLocked()
 	}
-	img, err := wire.DecodeImage(body)
-	if err != nil {
+	img := new(wire.Image)
+	if err := wire.DecodePayload(body, img); err != nil {
 		return 0, err
 	}
 	s.glVersion = img.GLVersion
 	s.store.reserve(len(img.Tree.Nodes))
-	s.applyLocked(&walInstallRec{Roots: img.Roots, Trees: []wire.Subtree{img.Tree}})
+	s.applyLocked(&wire.InstallRecord{Roots: img.Roots, Trees: []wire.Subtree{img.Tree}})
 	s.hot.Merge(img.OpCounts)
 	return img.Horizon, nil
 }
 
-// loadJSONLocked applies the snapshot.json an MDS wrote before the image, if any,
-// as the install record legacyInstallRec.install makes of its entries, and
-// returns its horizon. openJournal then writes the state back as an image.
-func (s *Server) loadJSONLocked() (int64, error) {
-	path := s.jsonSnapshotPath()
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return 0, nil
-	}
-	var old struct {
-		WALSeq           int64            `json:"walSeq"`
-		GLVersion        int64            `json:"glVersion"`
-		Subtrees         []string         `json:"subtrees"`
-		OpCounts         map[string]int64 `json:"opCounts,omitempty"`
-		legacyInstallRec                  // the entries
-	}
-	if err == nil {
-		err = json.Unmarshal(data, &old)
-	}
-	if err != nil {
-		return 0, fmt.Errorf("server: snapshot %s: %w", path, err)
-	}
-	rec := old.install()
-	rec.Roots = old.Subtrees
-	s.glVersion = old.GLVersion
-	s.applyLocked(rec)
-	s.hot.Merge(old.OpCounts)
-	return old.WALSeq, nil
-}
-
 // applyLocked makes one record's change. Callers hold s.mu.
 func (s *Server) applyLocked(rec record) {
-	if old, ok := rec.(*legacyInstallRec); ok {
-		rec = old.install()
-	}
 	switch r := rec.(type) {
-	case *walEntryRec:
+	case *wire.CreateRecord:
 		s.store.put(r.Entry, false)
-	case *walRenameRec:
+	case *wire.SetAttrRecord:
+		s.store.put(r.Entry, false)
+	case *wire.RenameRequest:
 		s.store.rename(r.Path, r.NewName)
-	case *walInstallRec:
+	case *wire.InstallRecord:
 		// An installed path belongs to the local layer from now on, even one
 		// the global-layer replica held before a re-evaluation demoted it.
 		for _, root := range r.Roots {
 			s.subtrees[root] = true
 		}
 		s.store.graft(r.Trees)
-	case *walRemoveRec:
+	case *wire.RemoveRecord:
 		delete(s.subtrees, r.Root)
 		s.store.dropSubtree(r.Root)
 	}
@@ -374,7 +174,7 @@ func (s *Server) applyLocked(rec record) {
 // is no log whose record size to keep under.
 func (s *Server) commitInstallLocked(trees []wire.Subtree) {
 	if s.journal.Log() == nil {
-		rec := &walInstallRec{Roots: make([]string, len(trees)), Trees: trees}
+		rec := &wire.InstallRecord{Roots: make([]string, len(trees)), Trees: trees}
 		for i, t := range trees {
 			rec.Roots[i] = t.Path
 		}
@@ -390,8 +190,8 @@ func (s *Server) commitInstallLocked(trees []wire.Subtree) {
 // the horizon and the access counters are added as the image is written.
 func (s *Server) imageLocked() wal.Image {
 	img := &wire.Image{GLVersion: s.glVersion, Roots: slices.Collect(maps.Keys(s.subtrees)), Tree: s.store.tree("/", true)}
-	return func(b []byte, horizon int64) []byte {
+	return func(horizon int64) any {
 		img.Horizon, img.OpCounts = horizon, s.hot.Counts()
-		return wire.AppendImage(b, img)
+		return img
 	}
 }

@@ -2,13 +2,11 @@ package server
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
-	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -139,42 +137,39 @@ func TestGLReplicasCatchUpAfterInterleavedUpdates(t *testing.T) {
 	}
 }
 
-// TestWalEntryRecAppendsWhatItMarshals holds the record's own encoder to the
-// bytes encoding/json wrote for it (the log's format did not change), and for
-// the strings encoding/json escapes for HTML's sake or repairs, to the same
-// value on replay.
-func TestWalEntryRecAppendsWhatItMarshals(t *testing.T) {
-	for _, e := range []wire.Entry{
-		{},
-		{Path: "/home/user0/project/src/main.go", Kind: wire.EntryFile, Size: 4096, Mode: 0o644, Version: 7},
-		{Path: "/d", Kind: wire.EntryDir, Version: 1},
-		{Path: "quotes \" and \\ and\nnewline\x01", Kind: wire.EntryFile, Size: -1, Mode: 1<<32 - 1, Version: -9},
-	} {
-		rec := &walEntryRec{Entry: e}
-		want, err := json.Marshal(rec)
+// TestSetAttrRecordSize: a setattr of a file at a 42-byte path takes at most
+// 64 bytes of log (152 in the JSON-era log), the record's length and CRC
+// included. It is the 300th, so its number, size and version take two bytes
+// each.
+func TestSetAttrRecordSize(t *testing.T) {
+	const path = "/r/project-src-internal-server-handlers.go"
+	if len(path) != 42 {
+		t.Fatalf("the path is %d bytes", len(path))
+	}
+	s := newDurableServer(t, t.TempDir())
+	env := &wire.Envelope{}
+	if _, err := s.handleInstall(env, &wire.InstallRequest{Tree: tree("/r", []wire.Entry{
+		{Path: "/r", Kind: wire.EntryDir, Version: 1},
+		{Path: path, Kind: wire.EntryFile, Version: 1},
+	})}); err != nil {
+		t.Fatal(err)
+	}
+	size := func() int64 {
+		fi, err := os.Stat(s.walPath())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := rec.AppendJSON(nil); string(got) != string(want) {
-			t.Errorf("AppendJSON wrote %s, encoding/json %s", got, want)
+		return fi.Size()
+	}
+	var before int64
+	for i := 1; i <= 300; i++ {
+		before = size()
+		if _, err := s.handleSetAttr(env, &wire.SetAttrRequest{Path: path, Size: int64(100 + i), Mode: 0o644}); err != nil {
+			t.Fatal(err)
 		}
 	}
-	for _, path := range []string{"/a/<b>&c", "line\u2028sep", "bad \xff utf8"} {
-		rec := &walEntryRec{Entry: wire.Entry{Path: path, Kind: wire.EntryFile, Version: 2}}
-		marshalled, err := json.Marshal(rec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got, want walEntryRec
-		if err := json.Unmarshal(rec.AppendJSON(nil), &got); err != nil {
-			t.Fatalf("AppendJSON of %q does not replay: %v", path, err)
-		}
-		if err := json.Unmarshal(marshalled, &want); err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%q replays as %+v, the marshalled record as %+v", path, got, want)
-		}
+	if got := size() - before; got > 64 {
+		t.Errorf("a setattr record takes %d bytes, want at most 64", got)
 	}
 }
 

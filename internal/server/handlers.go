@@ -291,7 +291,7 @@ func (s *Server) createLocked(e wire.Entry) (res wire.BatchResult, global bool, 
 		return res, false, nil
 	}
 	e.Version = 1
-	rec := &walEntryRec{op: "create", Entry: e}
+	rec := &wire.CreateRecord{Entry: e}
 	s.journal.Commit(rec)
 	s.newPaths = append(s.newPaths, e)
 	// The answer shares the record's copy of the entry: nothing writes
@@ -339,7 +339,7 @@ func (s *Server) setattrLocked(e wire.Entry) (res wire.BatchResult, global bool,
 	case held.GL():
 		return res, true, nil
 	}
-	rec := &walEntryRec{op: "setattr", Entry: held.Entry(e.Path)}
+	rec := &wire.SetAttrRecord{Entry: held.Entry(e.Path)}
 	rec.Entry.Size, rec.Entry.Mode = e.Size, e.Mode
 	rec.Entry.Version++
 	s.journal.Commit(rec)
@@ -489,7 +489,7 @@ func (s *Server) renameLocked(path, newName string) (res wire.BatchResult, err e
 		if s.store.get(newPath) != nil {
 			return res, fmt.Errorf("%w: %s", ErrExists, newPath)
 		}
-		s.journal.Commit(&walRenameRec{Path: path, NewName: newName})
+		s.journal.Commit(&wire.RenameRequest{Path: path, NewName: newName})
 	}
 	e := n.Entry(newPath)
 	return s.grantLocked(&e), nil
@@ -533,7 +533,7 @@ func (s *Server) handleUninstall(req *wire.UninstallRequest) (*wire.LockResponse
 	s.mu.Lock()
 	held := s.subtrees[req.RootPath]
 	if held {
-		s.journal.Commit(&walRemoveRec{Root: req.RootPath})
+		s.journal.Commit(&wire.RemoveRecord{Root: req.RootPath})
 	}
 	delete(s.overrides, req.RootPath)
 	tail := s.tail

@@ -252,8 +252,8 @@ func TestInstallFromPeerMatchesParent(t *testing.T) {
 // nodes, deep and wide, with placeholders in it (one linking entries, one
 // linking nothing), is journaled in records of
 // at most installChunk nodes, each under wal.MaxRecordSize, that replay to
-// what the server installed, alone and behind a legacy record for the same
-// root.
+// what the server installed, alone and behind a JSON-era log's install or
+// install_trees record for the same root.
 func TestInstallRecordsStayInTheLog(t *testing.T) {
 	const root = "/g/big"
 	entries := []wire.Entry{{Path: root, Kind: wire.EntryDir, Version: 1}}
@@ -285,8 +285,8 @@ func TestInstallRecordsStayInTheLog(t *testing.T) {
 		if n > installChunk {
 			t.Fatalf("record %d holds %d nodes", i, n)
 		}
-		if size := len(rec.AppendJSON(nil)); size > wal.MaxRecordSize {
-			t.Fatalf("record %d takes %d bytes", i, size)
+		if data, err := wire.AppendPayload(nil, "install_trees", rec); err != nil || len(data) > wal.MaxRecordSize {
+			t.Fatalf("record %d takes %d bytes (%v)", i, len(data), err)
 		}
 		nodes += n
 	}
@@ -294,17 +294,18 @@ func TestInstallRecordsStayInTheLog(t *testing.T) {
 		t.Fatalf("%d records, %d nodes of %d, first roots %v", len(recs), nodes, len(big.Nodes), recs[0].Roots)
 	}
 
-	for _, legacyFirst := range []bool{false, true} {
+	for _, legacy := range []string{"", "install", "install_trees"} {
 		dir := t.TempDir()
-		s := newDurableServer(t, dir)
-		if legacyFirst {
-			// As the parent logged an install, and as replay applies it.
-			old := &legacyInstallRec{Root: root, Entries: entries[:10]}
-			if _, err := s.journal.Log().Append("install", old); err != nil {
-				t.Fatal(err)
-			}
-			s.applyLocked(old.install())
+		switch legacy {
+		case "install":
+			// As the parent logged an install, in a JSON-era log the open
+			// upgrades.
+			writeJSONLog(t, filepath.Join(dir, "mds.wal"), wal.Item{Type: legacy, Payload: &legacyInstallRec{Root: root, Entries: entries[:10]}})
+		case "install_trees":
+			writeJSONLog(t, filepath.Join(dir, "mds.wal"), wal.Item{Type: legacy, Payload: map[string]interface{}{
+				"roots": []string{root}, "trees": wire.AppendSubtrees(nil, []wire.Subtree{tree(root, entries[:10])})}})
 		}
+		s := newDurableServer(t, dir)
 		s.mu.Lock()
 		s.commitInstallLocked([]wire.Subtree{{Path: "/g/empty"}, big})
 		tail := s.tail
@@ -315,7 +316,7 @@ func TestInstallRecordsStayInTheLog(t *testing.T) {
 		}
 		ref := newBareServer(t)
 		ref.mu.Lock()
-		if legacyFirst {
+		if legacy != "" {
 			parentInstallLocked(ref, root, entries[:10])
 		}
 		parentInstallLocked(ref, "/g/empty", nil)
@@ -326,7 +327,7 @@ func TestInstallRecordsStayInTheLog(t *testing.T) {
 		want := localDigest(ref)
 		ref.mu.RUnlock()
 		if got := recoveredDigest(t, dir); got != want {
-			t.Fatalf("legacy first %v: recovered\n%.2000s\nwant\n%.2000s", legacyFirst, got, want)
+			t.Fatalf("legacy %q first: recovered\n%.2000s\nwant\n%.2000s", legacy, got, want)
 		}
 	}
 }
@@ -452,7 +453,7 @@ func TestFailedImageWriteKeepsTheOldState(t *testing.T) {
 	commit := func(root string) {
 		t.Helper()
 		s.mu.Lock()
-		s.commitLocked(&walInstallRec{Roots: []string{root}, Trees: []wire.Subtree{tree(root, []wire.Entry{
+		s.commitLocked(&wire.InstallRecord{Roots: []string{root}, Trees: []wire.Subtree{tree(root, []wire.Entry{
 			{Path: root, Kind: wire.EntryDir, Version: 1},
 			{Path: root + "/f", Kind: wire.EntryFile, Size: 7, Version: 2},
 		})}})

@@ -1,8 +1,11 @@
 package server
 
 import (
+	"encoding/binary"
 	"encoding/json"
+	"hash/crc32"
 	"os"
+	"testing"
 
 	"d2tree/internal/wal"
 	"d2tree/internal/wire"
@@ -34,17 +37,41 @@ func readImage(path string) (*wire.Image, error) {
 	if err != nil {
 		return nil, err
 	}
-	return wire.DecodeImage(body)
+	img := new(wire.Image)
+	return img, wire.DecodePayload(body, img)
 }
 
 // applyWALRecord decodes one logged record as recovery does and applies it.
 func (s *Server) applyWALRecord(rec wal.Record) error {
 	r := recordKinds[rec.Type]()
-	if err := json.Unmarshal(rec.Data, r); err != nil {
+	if err := wire.DecodePayload(rec.Data, r); err != nil {
 		return err
 	}
 	s.mu.Lock()
 	s.applyLocked(r)
 	s.mu.Unlock()
 	return nil
+}
+
+// writeJSONLog writes a log as a JSON-era MDS did: each record
+// {"seq":N,"type":T,"data":…}, numbered from 1, after its length and CRC.
+func writeJSONLog(t testing.TB, path string, recs ...wal.Item) {
+	t.Helper()
+	var log []byte
+	for i, it := range recs {
+		body, err := json.Marshal(struct {
+			Seq  int         `json:"seq"`
+			Type string      `json:"type"`
+			Data interface{} `json:"data"`
+		}{i + 1, it.Type, it.Payload})
+		if err != nil {
+			t.Fatal(err)
+		}
+		log = binary.BigEndian.AppendUint32(log, uint32(len(body)))
+		log = binary.BigEndian.AppendUint32(log, crc32.ChecksumIEEE(body))
+		log = append(log, body...)
+	}
+	if err := os.WriteFile(path, log, 0o644); err != nil {
+		t.Fatal(err)
+	}
 }

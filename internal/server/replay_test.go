@@ -2,7 +2,6 @@ package server
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -551,16 +550,16 @@ func takeImage(t *testing.T, s *Server, applied int) crashImage {
 // offset just past it.
 func logRecords(log []byte) []logRecord {
 	var out []logRecord
-	for off := 0; off+8 <= len(log); {
+	for off := 9; off+8 <= len(log); { // past the log's version and base
 		end := off + 8 + int(binary.BigEndian.Uint32(log[off:]))
 		if end > len(log) {
 			break
 		}
-		var rec struct{ Seq int }
-		if err := json.Unmarshal(log[off+8:end], &rec); err != nil {
+		seq, n := binary.Uvarint(log[off+8 : end])
+		if n <= 0 {
 			break
 		}
-		out = append(out, logRecord{seq: rec.Seq, end: end})
+		out = append(out, logRecord{seq: int(seq), end: end})
 		off = end
 	}
 	return out

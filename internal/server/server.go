@@ -301,7 +301,7 @@ func (s *Server) applyJoinLocked(join *wire.JoinResponse) int {
 	}
 	for root := range s.subtrees {
 		if !adopted[root] {
-			s.journal.Commit(&walRemoveRec{Root: root})
+			s.journal.Commit(&wire.RemoveRecord{Root: root})
 		}
 	}
 	installed := len(join.GlobalLayer)
@@ -530,7 +530,7 @@ func (s *Server) applyHeartbeat(resp *wire.HeartbeatResponse) {
 		self := s.Addr()
 		for root := range s.subtrees {
 			if owner, ok := s.index.Get(root); ok && owner != self {
-				s.journal.Commit(&walRemoveRec{Root: root})
+				s.journal.Commit(&wire.RemoveRecord{Root: root})
 			}
 		}
 	}
@@ -581,7 +581,7 @@ func (s *Server) executeTransfer(cmd wire.TransferCommand) {
 	// this point (DESIGN.md §10); it is counted so the loss is visible.
 	s.mu.Lock()
 	raced := s.unshippedLocked(tree)
-	s.journal.Commit(&walRemoveRec{Root: cmd.RootPath})
+	s.journal.Commit(&wire.RemoveRecord{Root: cmd.RootPath})
 	s.index.Set(cmd.RootPath, cmd.DestAddr)
 	s.overrides[cmd.RootPath] = &indexOverride{addr: cmd.DestAddr, ttl: 50}
 	tail := s.tail

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -68,7 +67,7 @@ func (r *flatRef) listing(dir string) []wire.Entry {
 // installEntries applies the install of entries, at and under root, as the
 // one-pass graft of the subtree they form.
 func installEntries(s *Server, root string, entries []wire.Entry) {
-	s.applyLocked(&walInstallRec{Roots: []string{root}, Trees: []wire.Subtree{tree(root, entries)}})
+	s.applyLocked(&wire.InstallRecord{Roots: []string{root}, Trees: []wire.Subtree{tree(root, entries)}})
 }
 
 // entry returns a copy of the entry held at path, nil when none is held, and
@@ -298,7 +297,12 @@ func checkAgainstRef(t *testing.T, s *Server, ref *flatRef) {
 	// The snapshot image must read back: encoded and decoded as the image
 	// is, and loaded into a fresh store, it holds the reference's local
 	// layer.
-	img, err := wire.DecodeImage(wire.AppendImage(nil, &wire.Image{Tree: s.store.tree("/", true)}))
+	data, err := wire.AppendPayload(nil, "image", &wire.Image{Tree: s.store.tree("/", true)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	img := new(wire.Image)
+	err = wire.DecodePayload(data, img)
 	if err != nil {
 		t.Fatalf("the store's image does not decode: %v", err)
 	}
@@ -523,7 +527,7 @@ func TestStoreMatchesFlatReference(t *testing.T) {
 					if rng.Intn(6) == 0 {
 						root += "/absent"
 					}
-					s.applyLocked(&walRemoveRec{Root: root})
+					s.applyLocked(&wire.RemoveRecord{Root: root})
 					ref.dropSubtree(root)
 				default:
 					refreshGL()
@@ -562,7 +566,7 @@ func TestInstallDropChurn(t *testing.T) {
 		if got := s.store.len(); got != held+len(entries)+3 {
 			t.Fatalf("round %d: %d entries held, want %d", round, got, held+len(entries)+3)
 		}
-		s.applyLocked(&walRemoveRec{Root: root})
+		s.applyLocked(&wire.RemoveRecord{Root: root})
 	}
 	checkTree(t, s.store)
 	if len(s.store.nodes) != nodes || s.store.len() != held || len(s.store.gl) != gl {
@@ -841,7 +845,7 @@ func TestRenameDirTouchesOnlyDescendants(t *testing.T) {
 		t.Errorf("%d of %d entries outside the renamed directory kept their node, want all %d", untouched, len(entries), want)
 	}
 
-	data, err := json.Marshal(&walRenameRec{Path: victim, NewName: "renamed"})
+	data, err := wire.AppendPayload(nil, "rename", &wire.RenameRequest{Path: victim, NewName: "renamed"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,7 @@ func TestBatcherConcurrentAppendsAllDurable(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				seq, err := b.Append("op", &testPayload{Path: fmt.Sprintf("/w%d/%d", w, i)})
+				seq, err := b.Append("setattr", &testPayload{Path: fmt.Sprintf("/w%d/%d", w, i)})
 				if err != nil {
 					t.Errorf("append: %v", err)
 					return
@@ -86,13 +86,13 @@ func TestBatcherEnqueueAfterClose(t *testing.T) {
 	}
 	defer func() { _ = l.Close() }()
 	b := NewBatcher(l)
-	if _, err := b.Append("a", nil); err != nil {
+	if _, err := b.Append("create", nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := b.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.Append("b", nil); !errors.Is(err, ErrClosed) {
+	if _, err := b.Append("setattr", nil); !errors.Is(err, ErrClosed) {
 		t.Errorf("append after close: want ErrClosed, got %v", err)
 	}
 	if err := b.Close(); err != nil {
@@ -109,7 +109,7 @@ func TestBatcherCloseFlushesPending(t *testing.T) {
 	b := NewBatcher(l)
 	tickets := make([]*Ticket, 10)
 	for i := range tickets {
-		tickets[i] = b.Enqueue("x", &testPayload{N: i})
+		tickets[i] = b.Enqueue("setattr", &testPayload{Size: int64(i)})
 	}
 	if err := b.Close(); err != nil {
 		t.Fatal(err)
@@ -139,9 +139,9 @@ func TestBatcherOversizedItemFailsAlone(t *testing.T) {
 	}
 	b := NewBatcher(l)
 	big := make([]byte, MaxRecordSize+1)
-	tGood1 := b.Enqueue("good", &testPayload{N: 1})
-	tBig := b.Enqueue("big", &testPayload{Path: string(big)})
-	tGood2 := b.Enqueue("good", &testPayload{N: 2})
+	tGood1 := b.Enqueue("setattr", &testPayload{Size: 1})
+	tBig := b.Enqueue("setattr", &testPayload{Path: string(big)})
+	tGood2 := b.Enqueue("setattr", &testPayload{Size: 2})
 	if _, err := tBig.Wait(); !errors.Is(err, ErrRecordTooBig) {
 		t.Errorf("big record: want ErrRecordTooBig, got %v", err)
 	}

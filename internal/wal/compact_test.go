@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"math/rand"
@@ -9,13 +10,16 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"d2tree/internal/wire"
 )
 
-// parentTruncateBefore is TruncateBefore as it was before compaction copied
-// the kept bytes: every record decoded by replayFrom and the kept ones
-// framed again. Kept verbatim, with the Log as a parameter, as the reference
-// the compacted file is held to.
-func parentTruncateBefore(l *Log, minSeq int64) error {
+// reframeTruncateBefore is TruncateBefore as it was before compaction
+// copied the kept bytes: every record decoded by replayFrom and the kept ones
+// framed again, behind a header whose base is the last record dropped. Kept,
+// with the Log as a parameter, as the reference the compacted file is held
+// to.
+func reframeTruncateBefore(l *Log, minSeq int64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
@@ -24,24 +28,25 @@ func parentTruncateBefore(l *Log, minSeq int64) error {
 	if l.poisoned {
 		return ErrPoisoned
 	}
-	var buf []byte
-	err := replayFrom(l.f, func(rec Record, _ int64) error {
+	base := l.base
+	var frames []byte
+	err := replayFrom(l.f, logHead, decodeRecord, func(rec Record, _ int64) error {
 		if rec.Seq < minSeq {
+			base = rec.Seq
 			return nil
 		}
-		at := len(buf)
-		buf = beginRecord(buf, rec.Seq, rec.Type)
-		if len(rec.Data) > 0 {
-			buf = append(append(buf, `,"data":`...), rec.Data...)
-		}
+		at := len(frames)
+		frames = append(frames, make([]byte, recordHeader)...)
+		frames = append(binary.AppendUvarint(frames, uint64(rec.Seq)), opCode(rec.Type))
 		var err error
-		buf, err = endRecord(buf, at)
+		frames, err = endRecord(append(frames, rec.Data...), at)
 		return err
 	})
 	if err != nil {
 		l.restoreAppendPosLocked()
 		return err
 	}
+	buf := append(appendHead(nil, base), frames...)
 	tmpPath := l.path + ".tmp"
 	tmp, err := os.OpenFile(tmpPath, os.O_CREATE|os.O_TRUNC|os.O_RDWR, 0o644)
 	if err != nil {
@@ -69,7 +74,7 @@ func parentTruncateBefore(l *Log, minSeq int64) error {
 	// The open tmp handle followed the inode through the rename: it IS the
 	// new log file. Swap it in and retire the old handle.
 	_ = l.f.Close()
-	l.f = tmp
+	l.f, l.base = tmp, base
 	l.durable = int64(len(buf))
 	if _, err := tmp.Seek(l.durable, io.SeekStart); err != nil {
 		l.poisoned = true
@@ -78,17 +83,17 @@ func parentTruncateBefore(l *Log, minSeq int64) error {
 	return nil
 }
 
-// TestTruncateBeforeMatchesParent: over seeded histories of batches of every
-// payload kind, batches refused as too big, torn writes and failed syncs
-// rolled back, reopens, and cuts anywhere from before the first record to
-// past the last (repeatedly, with appends between), the copying compaction
-// leaves the very bytes the parent's re-encoding did, and the log goes on
-// numbering and appending as the parent's.
-func TestTruncateBeforeMatchesParent(t *testing.T) {
+// TestTruncateBeforeMatchesReframing: over seeded histories of batches of
+// every payload kind, batches refused as too big, torn writes and failed
+// syncs rolled back, reopens, and cuts anywhere from before the first record
+// to past the last (repeatedly, with appends between), the copying
+// compaction leaves the very bytes decoding and re-framing every record does,
+// and the log goes on numbering and appending as the reference's.
+func TestTruncateBeforeMatchesReframing(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		dir := t.TempDir()
-		paths := [2]string{filepath.Join(dir, "copy.wal"), filepath.Join(dir, "parent.wal")}
+		paths := [2]string{filepath.Join(dir, "copy.wal"), filepath.Join(dir, "reframe.wal")}
 		var logs [2]*Log
 		var faults [2]*faultFile
 		open := func() {
@@ -108,7 +113,7 @@ func TestTruncateBeforeMatchesParent(t *testing.T) {
 				items = append(items, goldenBatch()[rng.Intn(len(goldenBatch()))])
 			}
 			if rng.Intn(20) == 0 {
-				items = append(items, Item{Type: "big", Payload: strings.Repeat("x", MaxRecordSize)})
+				items = append(items, Item{Type: "remove", Payload: &wire.RemoveRecord{Root: strings.Repeat("x", MaxRecordSize)}})
 			}
 			return items
 		}
@@ -120,10 +125,10 @@ func TestTruncateBeforeMatchesParent(t *testing.T) {
 				t.Fatal(errA, errB)
 			}
 			if !bytes.Equal(a, b) {
-				t.Fatalf("seed %d, %s: the compacted log differs from the parent's\n got %q\nwant %q", seed, step, a, b)
+				t.Fatalf("seed %d, %s: the compacted log differs from the reframed one\n got %q\nwant %q", seed, step, a, b)
 			}
 			if logs[0].Seq() != logs[1].Seq() || logs[0].durable != logs[1].durable {
-				t.Fatalf("seed %d, %s: seq %d, durable %d; the parent's %d, %d", seed, step,
+				t.Fatalf("seed %d, %s: seq %d, durable %d; the reference's %d, %d", seed, step,
 					logs[0].Seq(), logs[0].durable, logs[1].Seq(), logs[1].durable)
 			}
 		}
@@ -147,7 +152,7 @@ func TestTruncateBeforeMatchesParent(t *testing.T) {
 				if err := logs[0].TruncateBefore(cut); err != nil {
 					t.Fatal(err)
 				}
-				if err := parentTruncateBefore(logs[1], cut); err != nil {
+				if err := reframeTruncateBefore(logs[1], cut); err != nil {
 					t.Fatal(err)
 				}
 				same(fmt.Sprintf("step %d, cut before %d", step, cut))

@@ -93,18 +93,18 @@ func replayAll(t *testing.T, path string) []Record {
 // region replay can never cross.
 func TestAppendTornWriteRollsBack(t *testing.T) {
 	l, ff, path := faultLog(t)
-	if _, err := l.Append("a", &testPayload{N: 1}); err != nil {
+	if _, err := l.Append("create", &testPayload{Size: 1}); err != nil {
 		t.Fatal(err)
 	}
 
 	ff.failWrite = true
 	ff.shortN = 5 // torn: a few header bytes land, then the write errors
-	if _, err := l.Append("b", &testPayload{N: 2}); !errors.Is(err, errInjected) {
+	if _, err := l.Append("setattr", &testPayload{Size: 2}); !errors.Is(err, errInjected) {
 		t.Fatalf("want injected error, got %v", err)
 	}
 
 	// seq must have rolled back: the next append reuses seq 2.
-	seq, err := l.Append("c", &testPayload{N: 3})
+	seq, err := l.Append("rename", &testPayload{Size: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,8 +123,8 @@ func TestAppendTornWriteRollsBack(t *testing.T) {
 	if recs[0].Seq != 1 || recs[1].Seq != 2 {
 		t.Errorf("seqs = %d,%d want 1,2", recs[0].Seq, recs[1].Seq)
 	}
-	if recs[1].Type != "c" {
-		t.Errorf("record 2 type = %q, want %q (the post-failure append)", recs[1].Type, "c")
+	if recs[1].Type != "rename" {
+		t.Errorf("record 2 type = %q, want %q (the post-failure append)", recs[1].Type, "rename")
 	}
 }
 
@@ -132,14 +132,14 @@ func TestAppendTornWriteRollsBack(t *testing.T) {
 // acknowledged durable; they must be truncated away and the seq reused.
 func TestAppendSyncFailureRollsBack(t *testing.T) {
 	l, ff, path := faultLog(t)
-	if _, err := l.Append("a", nil); err != nil {
+	if _, err := l.Append("create", nil); err != nil {
 		t.Fatal(err)
 	}
 	ff.failSync = true
-	if _, err := l.Append("b", nil); !errors.Is(err, errInjected) {
+	if _, err := l.Append("setattr", nil); !errors.Is(err, errInjected) {
 		t.Fatalf("want injected error, got %v", err)
 	}
-	seq, err := l.Append("c", nil)
+	seq, err := l.Append("rename", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestAppendSyncFailureRollsBack(t *testing.T) {
 	}
 	_ = l.Close()
 	recs := replayAll(t, path)
-	if len(recs) != 2 || recs[1].Type != "c" {
+	if len(recs) != 2 || recs[1].Type != "rename" {
 		t.Fatalf("replayed %+v, want [a c]", recs)
 	}
 }
@@ -158,17 +158,17 @@ func TestAppendSyncFailureRollsBack(t *testing.T) {
 // refused with ErrPoisoned instead of compounding the damage.
 func TestAppendPoisonsWhenRollbackFails(t *testing.T) {
 	l, ff, _ := faultLog(t)
-	if _, err := l.Append("a", nil); err != nil {
+	if _, err := l.Append("create", nil); err != nil {
 		t.Fatal(err)
 	}
 	ff.failWrite = true
 	ff.shortN = 3
 	ff.failTruncate = true
-	if _, err := l.Append("b", nil); !errors.Is(err, errInjected) {
+	if _, err := l.Append("setattr", nil); !errors.Is(err, errInjected) {
 		t.Fatalf("want injected error, got %v", err)
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := l.Append("c", nil); !errors.Is(err, ErrPoisoned) {
+		if _, err := l.Append("rename", nil); !errors.Is(err, ErrPoisoned) {
 			t.Fatalf("append %d after failed rollback: want ErrPoisoned, got %v", i, err)
 		}
 	}
@@ -181,12 +181,12 @@ func TestAppendPoisonsWhenRollbackFails(t *testing.T) {
 // write failure mid-batch must roll back every seq in the batch.
 func TestBatchFailureRollsBackWholeBatch(t *testing.T) {
 	l, ff, path := faultLog(t)
-	if _, err := l.Append("a", nil); err != nil {
+	if _, err := l.Append("create", nil); err != nil {
 		t.Fatal(err)
 	}
 	ff.failWrite = true
 	ff.shortN = 10
-	items := []Item{{Type: "b"}, {Type: "c"}, {Type: "d"}}
+	items := []Item{{Type: "setattr"}, {Type: "rename"}, {Type: "remove"}}
 	if _, err := l.AppendBatch(items); !errors.Is(err, errInjected) {
 		t.Fatalf("want injected error, got %v", err)
 	}
@@ -228,7 +228,7 @@ func TestOpenSyncsDirOnCreate(t *testing.T) {
 	if len(synced) != 1 || synced[0] != dir {
 		t.Fatalf("dir syncs on create = %v, want [%s]", synced, dir)
 	}
-	if _, err := l.Append("a", nil); err != nil {
+	if _, err := l.Append("create", nil); err != nil {
 		t.Fatal(err)
 	}
 	_ = l.Close()
@@ -244,7 +244,7 @@ func TestOpenSyncsDirOnCreate(t *testing.T) {
 	}
 
 	// Compaction renames a fresh file into place: the dir must be synced.
-	if _, err := l2.Append("b", nil); err != nil {
+	if _, err := l2.Append("setattr", nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := l2.TruncateBefore(2); err != nil {
@@ -264,7 +264,7 @@ func TestReplayReadsInBlocks(t *testing.T) {
 	l, ff, path := faultLog(t)
 	items := make([]Item, 1000)
 	for i := range items {
-		items[i] = Item{Type: "x", Payload: &testPayload{Path: "/a/b", N: i}}
+		items[i] = Item{Type: "setattr", Payload: &testPayload{Path: "/a/b", Size: int64(i)}}
 	}
 	if _, err := l.AppendBatch(items); err != nil {
 		t.Fatal(err)
@@ -275,7 +275,7 @@ func TestReplayReadsInBlocks(t *testing.T) {
 	}
 	ff.reads = 0
 	var ends []int64
-	if err := replayFrom(ff, func(_ Record, end int64) error {
+	if err := replayFrom(ff, logHead, decodeRecord, func(_ Record, end int64) error {
 		ends = append(ends, end)
 		return nil
 	}); err != nil {
@@ -284,7 +284,7 @@ func TestReplayReadsInBlocks(t *testing.T) {
 	if len(ends) != len(items) {
 		t.Fatalf("replayed %d records, want %d", len(ends), len(items))
 	}
-	off := int64(0)
+	off := int64(logHead)
 	for i, end := range ends {
 		off += 8 + int64(binary.BigEndian.Uint32(data[off:]))
 		if end != off {
@@ -303,7 +303,7 @@ func TestTruncateBeforeCompacts(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 1; i <= 6; i++ {
-		if _, err := l.Append("x", &testPayload{N: i}); err != nil {
+		if _, err := l.Append("setattr", &testPayload{Size: int64(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -311,7 +311,7 @@ func TestTruncateBeforeCompacts(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Appends continue with the original numbering.
-	seq, err := l.Append("y", nil)
+	seq, err := l.Append("rename", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,15 +7,14 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
-	"strconv"
 	"testing"
+
+	"d2tree/internal/wire"
 )
 
-// parentFrames is how AppendBatch encoded a batch before it framed records
-// by appending, kept verbatim as the reference the log's bytes are held to:
-// the payload marshalled on its own, then marshalled again (and re-validated)
-// as the Record's RawMessage. Old logs replay on new code and new logs on old
-// exactly as long as the two agree byte for byte.
+// parentFrames is how a JSON-era log framed a batch, kept verbatim as the
+// upgrade tests' input: the payload marshalled on its own, then marshalled
+// again (and re-validated) as the record's data.
 func parentFrames(seq int64, items []Item) ([]byte, error) {
 	datas := make([]json.RawMessage, len(items))
 	for i, it := range items {
@@ -32,7 +31,11 @@ func parentFrames(seq int64, items []Item) ([]byte, error) {
 	var hdr [8]byte
 	for i, it := range items {
 		seq++
-		rec := Record{Seq: seq, Type: it.Type, Data: datas[i]}
+		rec := struct {
+			Seq  int64           `json:"seq"`
+			Type string          `json:"type"`
+			Data json.RawMessage `json:"data,omitempty"`
+		}{seq, it.Type, datas[i]}
 		body, err := json.Marshal(&rec)
 		if err != nil {
 			return nil, fmt.Errorf("wal: marshal record: %w", err)
@@ -45,111 +48,109 @@ func parentFrames(seq int64, items []Item) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// selfAppending is a payload that encodes itself, the way the MDS's entry
-// records do; its struct tags describe the same bytes, so the reference can
-// marshal it by reflection.
-type selfAppending struct {
-	Path string `json:"path"`
-	N    int64  `json:"n"`
-}
-
-func (p *selfAppending) AppendJSON(b []byte) []byte {
-	b = append(b, `{"path":"`...)
-	b = append(b, p.Path...) // plain paths only: nothing to escape
-	b = append(b, `","n":`...)
-	b = strconv.AppendInt(b, p.N, 10)
-	return append(b, '}')
-}
-
-// goldenBatch is one batch with a payload of every kind AppendBatch tells
-// apart — none, self-appending, marshalled — and the strings encoding/json
-// treats specially in a type and in a payload.
+// goldenBatch is one batch with a record of every shape: no payload, an
+// entry with the strings a JSON encoder treats specially, trees, nested
+// owners, and the setattr request the benchmark's probe journals.
 func goldenBatch() []Item {
-	var nilPayload *testPayload
 	return []Item{
-		{Type: "setattr", Payload: &selfAppending{Path: "/home/user0/a.txt", N: 7}},
+		{Type: "setattr", Payload: &wire.SetAttrRecord{Entry: wire.Entry{Path: "/home/user0/a.txt", Kind: wire.EntryFile, Size: 7, Mode: 0o644, Version: 3}}},
 		{Type: "remove"},
-		{Type: "create", Payload: &testPayload{Path: "/a/<b>&c \xff\"\\\n", N: -1}},
-		{Type: "install", Payload: map[string]interface{}{"root": "/r", "entries": []int{1, 2, 3}}},
-		{Type: "raw", Payload: json.RawMessage(" { \"k\" : [ 1 , \"<\" ] } ")},
-		{Type: "nil-pointer", Payload: nilPayload},
-		{Type: "quoted \"type\" <é>\x01", Payload: &selfAppending{Path: "", N: 0}},
-		{Type: "", Payload: ""},
+		{Type: "create", Payload: &wire.CreateRecord{Entry: wire.Entry{Path: "/a/<b>&c \xff\"\\\n", Kind: wire.EntryDir, Size: -1, Version: 1}}},
+		{Type: "install_trees", Payload: &wire.InstallRecord{Roots: []string{"/r"}, Trees: []wire.Subtree{{Path: "/r", Nodes: []wire.SubtreeNode{{Kind: wire.EntryDir, Version: 1}}}}}},
+		{Type: "gl_layer", Payload: &wire.LayerRecord{Reset: true, GLVersion: 9, Owners: []wire.OwnerRecord{{Root: "/r", Server: 1}}}},
+		{Type: "setattr", Payload: &wire.SetAttrRequest{Path: "/bench/probe", Size: 1, Mode: 0o644}},
+		{Type: "owner", Payload: &wire.OwnerRecord{}},
 	}
 }
 
-func TestAppendBatchBytesMatchParentEncoding(t *testing.T) {
+// TestLogBytes pins the log's layout: the header (version 1, base 0), then
+// each record as its body's length and CRC-32, and the body: a uvarint seq,
+// the op byte, and the payload in wire's codec.
+func TestLogBytes(t *testing.T) {
 	path := tempLog(t)
 	l, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Two batches, so the second is framed in the buffer the first left and
-	// with sequence numbers that do not start at 1.
-	first := goldenBatch()[:3]
-	if _, err := l.AppendBatch(first); err != nil {
+	if _, err := l.AppendBatch([]Item{{Type: "rename", Payload: &wire.RenameRequest{Path: "/a", NewName: "b"}}, {Type: "remove"}}); err != nil {
 		t.Fatal(err)
-	}
-	seqs, err := l.AppendBatch(goldenBatch())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seqs[0] != 4 || seqs[len(seqs)-1] != int64(3+len(goldenBatch())) {
-		t.Fatalf("seqs = %v", seqs)
-	}
-	wantFirst, err := parentFrames(0, first)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantSecond, err := parentFrames(3, goldenBatch())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := append(wantFirst, wantSecond...)
-	got, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("log bytes differ from the parent's encoding\n got %q\nwant %q", got, want)
-	}
-
-	// Compaction frames the surviving records through the same code.
-	if err := l.TruncateBefore(6); err != nil {
-		t.Fatal(err)
-	}
-	wantTail, err := parentFrames(5, goldenBatch()[2:])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, err = os.ReadFile(path); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, wantTail) {
-		t.Fatalf("compacted log differs from the parent's encoding\n got %q\nwant %q", got, wantTail)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if recs := replayAll(t, path); len(recs) != len(goldenBatch())-2 || recs[0].Seq != 6 {
-		t.Fatalf("replayed %d records from seq %d", len(recs), recs[0].Seq)
+	want := []byte{1, 0, 0, 0, 0, 0, 0, 0, 0}
+	for _, body := range [][]byte{
+		{1, 3, 2, '/', 'a', 1, 'b'}, // seq 1, rename, "/a", "b"
+		{2, 5},                      // seq 2, remove, no payload
+	} {
+		want = binary.BigEndian.AppendUint32(want, uint32(len(body)))
+		want = binary.BigEndian.AppendUint32(want, crc32.ChecksumIEEE(body))
+		want = append(want, body...)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("log bytes\n got %v (%v)\nwant %v", got, err, want)
 	}
 }
 
-// TestAppendBatchRejectsLikeParent: a payload that cannot be marshalled and a
-// record past MaxRecordSize fail the whole batch with nothing written and the
-// sequence counter where it was.
-func TestAppendBatchRejectsLikeParent(t *testing.T) {
+// TestAppendBatchBytes: two batches, the second framed in the buffer the
+// first left and numbered on from it, replay as the items they were made of,
+// each payload as wire's codec encodes it.
+func TestAppendBatchBytes(t *testing.T) {
+	path := tempLog(t)
+	l, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	items := append(goldenBatch()[:3], goldenBatch()...)
+	if _, err := l.AppendBatch(items[:3]); err != nil {
+		t.Fatal(err)
+	}
+	seqs, err := l.AppendBatch(items[3:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seqs[0] != 4 || seqs[len(seqs)-1] != int64(len(items)) {
+		t.Fatalf("seqs = %v", seqs)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recs := replayAll(t, path)
+	if len(recs) != len(items) {
+		t.Fatalf("replayed %d records, want %d", len(recs), len(items))
+	}
+	for i, rec := range recs {
+		var want []byte
+		if items[i].Payload != nil {
+			if want, err = wire.AppendPayload(nil, items[i].Type, items[i].Payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if rec.Seq != int64(i+1) || rec.Type != items[i].Type || !bytes.Equal(rec.Data, want) {
+			t.Fatalf("record %d replayed as %d %s %x, want %s %x", i, rec.Seq, rec.Type, rec.Data, items[i].Type, want)
+		}
+	}
+}
+
+// TestAppendBatchRejects: a record of a type not in ops, a payload with no
+// codec and a record past MaxRecordSize fail the whole batch with nothing
+// written and the sequence counter where it was.
+func TestAppendBatchRejects(t *testing.T) {
 	path := tempLog(t)
 	l, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = l.Close() }()
-	ok := Item{Type: "ok", Payload: &selfAppending{Path: "/a", N: 1}}
+	empty, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ok := Item{Type: "remove", Payload: &wire.RemoveRecord{Root: "/a"}}
 	for name, bad := range map[string]Item{
-		"unmarshalable": {Type: "bad", Payload: func() {}},
-		"too big":       {Type: "big", Payload: &selfAppending{Path: string(make([]byte, MaxRecordSize)), N: 1}},
+		"unknown type": {Type: "bad", Payload: &wire.RemoveRecord{Root: "/a"}},
+		"no codec":     {Type: "remove", Payload: func() {}},
+		"too big":      {Type: "remove", Payload: &wire.RemoveRecord{Root: string(make([]byte, MaxRecordSize))}},
 	} {
 		if _, err := l.AppendBatch([]Item{ok, bad, ok}); err == nil {
 			t.Errorf("%s: batch accepted", name)
@@ -157,13 +158,12 @@ func TestAppendBatchRejectsLikeParent(t *testing.T) {
 		if l.Seq() != 0 {
 			t.Errorf("%s: seq = %d after a rejected batch, want 0", name, l.Seq())
 		}
+		if got, _ := os.ReadFile(path); !bytes.Equal(got, empty) {
+			t.Errorf("%s: the rejected batch left bytes behind", name)
+		}
 	}
-	if seq, err := l.Append("ok", ok.Payload); err != nil || seq != 1 {
+	if seq, err := l.Append(ok.Type, ok.Payload); err != nil || seq != 1 {
 		t.Fatalf("append after rejected batches: seq %d, err %v", seq, err)
-	}
-	want, _ := parentFrames(0, []Item{ok})
-	if got, _ := os.ReadFile(path); !bytes.Equal(got, want) {
-		t.Fatalf("rejected batches left bytes behind\n got %q\nwant %q", got, want)
 	}
 }
 
@@ -178,16 +178,16 @@ func (discardFile) Truncate(int64) error           { return nil }
 func (discardFile) Sync() error                    { return nil }
 func (discardFile) Close() error                   { return nil }
 
-// TestAppendBatchAllocs pins what framing a flush window costs. Records that
-// append themselves (what an MDS journals per create and setattr) go into the
-// buffer the log keeps: the batch allocates the sequence numbers it returns
-// and nothing else, whatever its size. A marshalled payload adds what
-// json.Marshal allocates for it, once.
+// TestAppendBatchAllocs pins what framing a flush window costs: records go
+// through wire's codec into the buffer the log keeps, so a batch of the
+// setattr records an MDS journals allocates the sequence numbers it returns
+// and nothing else.
 func TestAppendBatchAllocs(t *testing.T) {
 	l := &Log{f: discardFile{}}
 	entries := make([]Item, 8)
 	for i := range entries {
-		entries[i] = Item{Type: "setattr", Payload: &selfAppending{Path: "/home/user0/project/src/main.go", N: int64(i)}}
+		entries[i] = Item{Type: "setattr", Payload: &wire.SetAttrRecord{Entry: wire.Entry{
+			Path: "/home/user0/project/src/main.go", Kind: wire.EntryFile, Size: int64(i), Mode: 0o644, Version: int64(i)}}}
 	}
 	if _, err := l.AppendBatch(entries); err != nil { // sizes the kept buffer
 		t.Fatal(err)
@@ -197,20 +197,6 @@ func TestAppendBatchAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}); allocs > 1 {
-		t.Errorf("a batch of 8 self-appending records allocates %.1f objects, want 1 (the seqs)", allocs)
-	}
-
-	marshalled := []Item{{Type: "rename", Payload: &testPayload{Path: "/a", N: 1}}}
-	ref := testing.AllocsPerRun(200, func() {
-		if _, err := json.Marshal(marshalled[0].Payload); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs := testing.AllocsPerRun(200, func() {
-		if _, err := l.AppendBatch(marshalled); err != nil {
-			t.Fatal(err)
-		}
-	}); allocs > ref+1 {
-		t.Errorf("a marshalled record allocates %.1f objects, want <= %.0f (one json.Marshal) + 1 (the seqs)", allocs, ref)
+		t.Errorf("a batch of 8 setattr records allocates %.1f objects, want 1 (the seqs)", allocs)
 	}
 }

@@ -2,7 +2,6 @@ package wal
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -12,22 +11,28 @@ import (
 	"time"
 
 	"d2tree/internal/obs"
+	"d2tree/internal/wire"
 )
 
 // CompactEvery is the default cadence of compaction: the Monitor's, and the
 // MDS's unless -snapshot-interval says otherwise.
 const CompactEvery = 5 * time.Second
 
-// Entry is one record a daemon commits, logged under its RecType.
+// Entry is one record a daemon commits, logged under its RecType: a wire
+// type with a code method, of a type in ops.
 type Entry interface{ RecType() string }
 
-// Image is a daemon's state as taken under its lock. It appends its encoding
-// to b once its horizon, the number of the newest record it holds, is known.
-type Image func(b []byte, horizon int64) []byte
+// Image is a daemon's state as taken under its lock. Given its horizon, the
+// number of the newest record it holds, it returns the image's body: a wire
+// type with a code method (wire.Image, wire.MonitorImage).
+type Image func(horizon int64) any
 
 // Machine is what a daemon gives its journal.
 type Machine[R Entry] struct {
 	Kinds map[string]func() R // an empty record per logged type, to decode into
+	// Legacy decodes a JSON-era record of the types whose JSON is not
+	// their record's fields by name (upgradeJSON).
+	Legacy map[string]func(data []byte) (R, error)
 	// Apply makes one record's change: under the daemon's lock from Commit,
 	// from recovery before the daemon is shared.
 	Apply func(R)
@@ -67,7 +72,8 @@ const (
 
 // OpenJournal recovers a daemon's state: the image, read and checked whole,
 // then, in the one read of the log that builds its offset index, each record
-// past the image's horizon (a record of an unknown type is skipped).
+// past the image's horizon (a record of an unknown type is skipped). A
+// JSON-era log is upgraded first (upgradeJSON).
 func OpenJournal[R Entry](path, image string, m Machine[R]) (*Journal[R], error) {
 	j := &Journal[R]{m: m, image: image, stop: make(chan struct{})}
 	if path == "" {
@@ -81,14 +87,17 @@ func OpenJournal[R Entry](path, image string, m Machine[R]) (*Journal[R], error)
 	if err != nil {
 		return nil, fmt.Errorf("wal: image %s: %w", image, err)
 	}
-	applied := 0
-	j.log, err = open(path, func(rec Record) error {
+	applied, horizon, err := upgradeJSON(path, image, m, horizon)
+	if err != nil {
+		return nil, err
+	}
+	j.log, err = open(path, horizon, func(rec Record) error {
 		kind := m.Kinds[rec.Type]
 		if rec.Seq <= horizon || kind == nil {
 			return nil
 		}
 		r := kind()
-		if err := json.Unmarshal(rec.Data, r); err != nil {
+		if err := wire.DecodePayload(rec.Data, r); err != nil {
 			return fmt.Errorf("wal: %s record %d: %w", rec.Type, rec.Seq, err)
 		}
 		m.Apply(r)
@@ -129,12 +138,12 @@ func (j *Journal[R]) Wait(t *Ticket) {
 	}
 }
 
-// Compact writes the image and drops the log behind its horizon, the tail's
-// number once it is durable (a record committed but not flushed is in the
-// image before it has a number); without a tail, or when its flush failed,
-// the log's, read with the image under the same lock. The log keeps the
-// horizon record, so a reopened log numbers on past it. A failed image write
-// leaves the old image and the whole log in place.
+// Compact writes the image and drops the log through its horizon, the
+// tail's number once it is durable (a record committed but not flushed is in
+// the image before it has a number); without a tail, or when its flush
+// failed, the log's, read with the image under the same lock. The log's
+// header keeps the horizon as its base, so a reopened log numbers on past
+// it. A failed image write leaves the old image and the whole log in place.
 func (j *Journal[R]) Compact() error {
 	if j.log == nil {
 		return nil
@@ -148,10 +157,10 @@ func (j *Journal[R]) Compact() error {
 			seq = n
 		}
 	}
-	if err := writeImage(j.image, img(make([]byte, imageHead), seq)); err != nil {
+	if err := writeImage(j.image, img(seq)); err != nil {
 		return err
 	}
-	if err := j.log.TruncateBefore(seq); err != nil {
+	if err := j.log.TruncateBefore(seq + 1); err != nil {
 		return err
 	}
 	j.compactions.Add(1)
@@ -222,9 +231,13 @@ func ReadImage(path string) ([]byte, error) {
 	return data[imageHead:], nil
 }
 
-// writeImage fills in the head of data, a body after imageHead bytes of
-// room, and puts it at path (replaceFile).
-func writeImage(path string, data []byte) error {
+// writeImage puts body, in wire's codec after the image's head, at path
+// (replaceFile).
+func writeImage(path string, body any) error {
+	data, err := wire.AppendPayload(make([]byte, imageHead), "image", body)
+	if err != nil {
+		return err
+	}
 	data[0] = imageVersion
 	binary.BigEndian.PutUint32(data[1:], uint32(len(data)-imageHead))
 	binary.BigEndian.PutUint32(data[5:], crc32.ChecksumIEEE(data[imageHead:]))

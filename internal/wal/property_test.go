@@ -1,11 +1,12 @@
 package wal
 
 import (
-	"encoding/json"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"d2tree/internal/wire"
 )
 
 // TestCrashConsistencyProperty drives random Append / crash(truncate at
@@ -42,11 +43,11 @@ func TestCrashConsistencyProperty(t *testing.T) {
 		if err := Replay(path, func(rec Record) error {
 			var p testPayload
 			if rec.Data != nil {
-				if err := json.Unmarshal(rec.Data, &p); err != nil {
+				if err := wire.DecodePayload(rec.Data, &p); err != nil {
 					return err
 				}
 			}
-			replayed = append(replayed, logical{Seq: rec.Seq, N: p.N})
+			replayed = append(replayed, logical{Seq: rec.Seq, N: int(p.Size)})
 			return nil
 		}); err != nil {
 			t.Fatal(err)
@@ -103,7 +104,7 @@ func TestCrashConsistencyProperty(t *testing.T) {
 				continue
 			}
 			nextN++
-			if _, err := l.Append("op", &testPayload{N: nextN}); err != nil {
+			if _, err := l.Append("setattr", &testPayload{Size: int64(nextN)}); err != nil {
 				t.Fatal(err)
 			}
 			acked = append(acked, logical{Seq: l.Seq(), N: nextN})

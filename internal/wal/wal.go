@@ -1,9 +1,22 @@
 // Package wal is the journal both daemons keep their state in (Journal): a
-// write-ahead log of length-prefixed, CRC-protected JSON records in one file,
-// compacted behind an image of the state in another. The Monitor journals
-// the global layer, the subtree owners and its namespace tree; each MDS its
-// local layer. Replay stops cleanly at the first torn or corrupt record,
-// making crash-truncated tails harmless.
+// write-ahead log of length-prefixed, CRC-protected binary records in one
+// file, compacted behind an image of the state in another. The Monitor
+// journals the global layer, the subtree owners and its namespace tree; each
+// MDS its local layer. Replay stops cleanly at the first torn or corrupt
+// record, making crash-truncated tails harmless.
+//
+// A log file opens with a header: the format version (one byte) and the
+// base, 8 bytes big-endian, the number of the last record compaction
+// dropped, which the first record follows. Then each record:
+//
+//	length   4 bytes big-endian: the body's
+//	crc      4 bytes big-endian: CRC-32 (IEEE) of the body
+//	seq      uvarint: the record's number
+//	op       1 byte: the record type's index in ops
+//	payload  to the end of the body: the record in wire's codec
+//
+// A log of another version is refused, but for a JSON-era log (its first
+// byte is a record length's, 0), which a journal upgrades once at open.
 //
 // Durability contract: Append (and AppendBatch) return only after the
 // record bytes are fsynced. A failed write or sync rolls the log back to
@@ -18,7 +31,6 @@ import (
 	"bufio"
 	"cmp"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -26,18 +38,44 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"strconv"
 	"sync"
+
+	"d2tree/internal/wire"
 )
 
 // Record is one journal entry.
 type Record struct {
 	// Seq is the record's 1-based sequence number.
-	Seq int64 `json:"seq"`
+	Seq int64
 	// Type tags the payload schema.
-	Type string `json:"type"`
-	// Data is the type-specific payload.
-	Data json.RawMessage `json:"data,omitempty"`
+	Type string
+	// Data is the payload in wire's codec (wire.DecodePayload): in JSON
+	// for a record of a JSON-era log being upgraded.
+	Data []byte
+}
+
+// ops gives each record type the daemons log its op byte, its index here.
+// A type keeps its byte for as long as a log may hold it.
+var ops = [...]string{1: "create", "setattr", "rename", "install_trees", "remove", "gl_update", "owner", "ll_paths", "gl_layer"}
+
+// opCode is recType's op byte, 0 for a type not in ops.
+func opCode(recType string) byte {
+	for i := 1; i < len(ops); i++ {
+		if ops[i] == recType {
+			return byte(i)
+		}
+	}
+	return 0
+}
+
+// The log's header: the format version and the base.
+const (
+	logVersion = 1
+	logHead    = 9
+)
+
+func appendHead(b []byte, base int64) []byte {
+	return binary.BigEndian.AppendUint64(append(b, logVersion), uint64(base))
 }
 
 // Item is one record to append; AppendBatch journals a slice of them under
@@ -96,6 +134,7 @@ type Log struct {
 	mu       sync.Mutex
 	f        file
 	buf      []byte // the last batch's frames, kept for the next to reuse
+	base     int64  // the number the file's first record follows
 	seq      int64
 	durable  int64 // file offset just past the last synced record
 	closed   bool
@@ -111,54 +150,77 @@ type recordAt struct{ seq, off int64 }
 
 // Open opens (or creates) the log at path, replays it to find the last
 // sequence number, and positions for appending. Creating a new log fsyncs
-// the parent directory, so a crash immediately after creation cannot lose
-// the file while the caller believes records were synced.
-func Open(path string) (*Log, error) { return open(path, nil) }
+// its header and the parent directory, so a crash immediately after creation
+// cannot lose the file while the caller believes records were synced.
+func Open(path string) (*Log, error) { return open(path, 0, nil) }
 
 // open is Open, handing each record of the valid prefix to fn, when set, in
 // the same read that finds the append position; an error from fn fails the
-// open.
-func open(path string, fn func(Record) error) (*Log, error) {
-	_, serr := os.Stat(path)
-	created := errors.Is(serr, os.ErrNotExist)
+// open. A log it creates numbers its records on from base.
+func open(path string, base int64, fn func(Record) error) (*Log, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("wal: open %s: %w", path, err)
 	}
+	fail := func(err error) (*Log, error) {
+		_ = f.Close()
+		return nil, err
+	}
 	dir := filepath.Dir(path)
-	if created {
-		if err := syncDir(dir); err != nil {
-			_ = f.Close()
-			return nil, err
+	// Read the header, or, where there is none or a crash cut it short (the
+	// log was being created, so no record was acked), write it and sync it
+	// and the directory.
+	head, whole, err := readHead(f, path)
+	switch {
+	case whole:
+		base = head
+	case err == nil:
+		if _, err = f.Seek(0, io.SeekStart); err == nil {
+			_, err = f.Write(appendHead(nil, base))
+		}
+		if err == nil {
+			err = f.Sync()
+		}
+		if err == nil {
+			err = syncDir(dir)
 		}
 	}
+	if err != nil {
+		return fail(err)
+	}
 	// Scan to the end of the valid prefix.
-	var lastSeq int64
-	validEnd := int64(0)
+	seq, durable := base, int64(logHead)
 	var index []recordAt
-	err = replayFrom(f, func(rec Record, end int64) error {
-		index = append(index, recordAt{rec.Seq, validEnd})
-		lastSeq = rec.Seq
-		validEnd = end
+	err = replayFrom(f, logHead, decodeRecord, func(rec Record, end int64) error {
+		index = append(index, recordAt{rec.Seq, durable})
+		seq, durable = rec.Seq, end
 		if fn == nil {
 			return nil
 		}
 		return fn(rec)
 	})
 	if err != nil {
-		_ = f.Close()
-		return nil, err
+		return fail(err)
 	}
 	// Truncate any torn tail and seek to the append position.
-	if err := f.Truncate(validEnd); err != nil {
-		_ = f.Close()
-		return nil, fmt.Errorf("wal: truncate torn tail: %w", err)
+	if err := f.Truncate(durable); err != nil {
+		return fail(fmt.Errorf("wal: truncate torn tail: %w", err))
 	}
-	if _, err := f.Seek(validEnd, io.SeekStart); err != nil {
-		_ = f.Close()
-		return nil, fmt.Errorf("wal: seek: %w", err)
+	if _, err := f.Seek(durable, io.SeekStart); err != nil {
+		return fail(fmt.Errorf("wal: seek: %w", err))
 	}
-	return &Log{path: path, dir: dir, f: f, seq: lastSeq, durable: validEnd, index: index}, nil
+	return &Log{path: path, dir: dir, f: f, base: base, seq: seq, durable: durable, index: index}, nil
+}
+
+// readHead reads the header at the start of r and returns its base, and
+// whether the header is whole. A log of another format version is refused.
+func readHead(r io.Reader, path string) (base int64, whole bool, err error) {
+	var head [logHead]byte
+	n, _ := io.ReadFull(r, head[:])
+	if n > 0 && head[0] != logVersion {
+		return 0, false, fmt.Errorf("wal: log %s is format version %d; this build reads version %d", path, head[0], logVersion)
+	}
+	return int64(binary.BigEndian.Uint64(head[1:])), n == logHead, nil
 }
 
 // Append journals one record and returns its sequence number. The record is
@@ -171,14 +233,6 @@ func (l *Log) Append(recType string, payload interface{}) (int64, error) {
 	return seqs[0], nil
 }
 
-// Appender is a payload that appends its own JSON encoding, byte for byte
-// what json.Marshal would write for it up to the escapes encoding/json adds
-// for HTML's sake. AppendBatch encodes such a payload once, straight into the
-// record; any other goes through json.Marshal.
-type Appender interface {
-	AppendJSON(b []byte) []byte
-}
-
 // maxKeptBuf bounds the frame buffer a Log keeps between batches; a batch
 // that grew it past this (a chunked subtree install) gives it back.
 const maxKeptBuf = 1 << 20
@@ -186,8 +240,8 @@ const maxKeptBuf = 1 << 20
 // AppendBatch journals every item under one write and one fsync, returning
 // their sequence numbers in order. The batch is all-or-nothing: on any
 // failure no item is considered durable and the log rolls back as Append
-// does. A payload that cannot be marshalled or is too big fails the batch
-// before anything touches the file.
+// does. An item of a type not in ops, a payload with no codec or a record
+// too big fails the batch before anything touches the file.
 func (l *Log) AppendBatch(items []Item) ([]int64, error) {
 	if len(items) == 0 {
 		return nil, nil
@@ -232,22 +286,21 @@ func (l *Log) frameLocked(items []Item) ([]int64, error) {
 	buf := l.buf[:0]
 	seqs := make([]int64, len(items))
 	for i, it := range items {
+		op := opCode(it.Type)
+		if op == 0 {
+			return nil, fmt.Errorf("wal: record type %q is not in the op table", it.Type)
+		}
 		l.seq++
 		at := len(buf)
 		l.index = append(l.index, recordAt{l.seq, l.durable + int64(at)})
-		buf = beginRecord(buf, l.seq, it.Type)
-		switch p := it.Payload.(type) {
-		case nil:
-		case Appender:
-			buf = p.AppendJSON(append(buf, `,"data":`...))
-		default:
-			raw, err := json.Marshal(p)
-			if err != nil {
-				return nil, fmt.Errorf("wal: marshal %s: %w", it.Type, err)
-			}
-			buf = append(append(buf, `,"data":`...), raw...)
-		}
+		buf = append(buf, make([]byte, recordHeader)...)
+		buf = append(binary.AppendUvarint(buf, uint64(l.seq)), op)
 		var err error
+		if it.Payload != nil {
+			if buf, err = wire.AppendPayload(buf, it.Type, it.Payload); err != nil {
+				return nil, err
+			}
+		}
 		if buf, err = endRecord(buf, at); err != nil {
 			return nil, err
 		}
@@ -260,21 +313,8 @@ func (l *Log) frameLocked(items []Item) ([]int64, error) {
 // recordHeader is the length and CRC that precede a record's body.
 const recordHeader = 8
 
-// beginRecord appends room for a record's header and the body up to its
-// type: {"seq":N,"type":"T". The caller appends `,"data":` and the payload's
-// encoding when there is one — the bytes encoding/json writes for a Record —
-// and endRecord closes the body and fills the header in.
-func beginRecord(buf []byte, seq int64, recType string) []byte {
-	buf = append(buf, make([]byte, recordHeader)...)
-	buf = append(buf, `{"seq":`...)
-	buf = strconv.AppendInt(buf, seq, 10)
-	buf = append(buf, `,"type":`...)
-	return appendString(buf, recType)
-}
-
-// endRecord finishes the record that begins at buf[at:].
+// endRecord fills in the header of the record that begins at buf[at:].
 func endRecord(buf []byte, at int) ([]byte, error) {
-	buf = append(buf, '}')
 	body := buf[at+recordHeader:]
 	if len(body) > MaxRecordSize {
 		return buf, fmt.Errorf("%w: %d bytes", ErrRecordTooBig, len(body))
@@ -282,21 +322,6 @@ func endRecord(buf []byte, at int) ([]byte, error) {
 	binary.BigEndian.PutUint32(buf[at:], uint32(len(body)))
 	binary.BigEndian.PutUint32(buf[at+4:], crc32.ChecksumIEEE(body))
 	return buf, nil
-}
-
-// appendString appends s as encoding/json quotes it. Record types are plain
-// identifiers and copied between quotes; anything json.Marshal would escape
-// is left to json.Marshal.
-func appendString(buf []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			quoted, _ := json.Marshal(s) // a string always marshals
-			return append(buf, quoted...)
-		}
-	}
-	buf = append(buf, '"')
-	buf = append(buf, s...)
-	return append(buf, '"')
 }
 
 // rollbackLocked returns the sequence counter to seq and forgets where the
@@ -326,12 +351,12 @@ func (l *Log) recoverTailLocked(seq int64) {
 
 // TruncateBefore compacts the log, dropping every record with Seq < minSeq
 // — used after a snapshot has captured the state those records rebuilt. The
-// index gives the offset of the first record kept, and the bytes from there
-// to the durable end are copied, unread, into a temp file, which is synced,
-// renamed over the log, and the directory synced (replaceFile), so a crash
-// at any point leaves either the old or the new log fully intact. All of it
-// runs under l.mu, so no append can land in the old file after its records
-// were copied.
+// index gives the offset of the first record kept. A new header, its base
+// the last record dropped, and the bytes from there to the durable end,
+// copied unread, go into a temp file, which is synced, renamed over the log,
+// and the directory synced (replaceFile), so a crash at any point leaves
+// either the old or the new log fully intact. All of it runs under l.mu, so
+// no append can land in the old file after its records were copied.
 func (l *Log) TruncateBefore(minSeq int64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -342,12 +367,18 @@ func (l *Log) TruncateBefore(minSeq int64) error {
 		return ErrPoisoned
 	}
 	keep, _ := slices.BinarySearchFunc(l.index, minSeq, func(r recordAt, seq int64) int { return cmp.Compare(r.seq, seq) })
-	from := l.durable
+	from, base := l.durable, l.base
 	if keep < len(l.index) {
 		from = l.index[keep].off
 	}
+	if keep > 0 {
+		base = l.index[keep-1].seq
+	}
 	old, kept := l.f, l.durable-from
 	tmp, err := replaceFile(l.path, func(tmp *os.File) error {
+		if _, err := tmp.Write(appendHead(nil, base)); err != nil {
+			return err
+		}
 		if _, err := old.Seek(from, io.SeekStart); err != nil {
 			return err
 		}
@@ -362,11 +393,11 @@ func (l *Log) TruncateBefore(minSeq int64) error {
 	// the filesystem), and the open tmp handle followed the inode through it:
 	// it IS the new log file. Swap it in and retire the old handle.
 	_ = l.f.Close()
-	l.f = tmp
-	l.durable -= from
+	l.f, l.base = tmp, base
+	l.durable -= from - logHead
 	l.index = append(l.index[:0], l.index[keep:]...)
 	for i := range l.index {
-		l.index[i].off -= from
+		l.index[i].off -= from - logHead
 	}
 	if _, err := tmp.Seek(l.durable, io.SeekStart); err != nil {
 		l.poisoned = true
@@ -437,8 +468,8 @@ func (l *Log) Close() error {
 }
 
 // Replay reads the valid record prefix of the log at path, invoking fn per
-// record in order. A missing file is an empty log. Torn or corrupt tails
-// are ignored; an error from fn aborts the replay.
+// record in order. A missing file, or one cut inside its header, is an empty
+// log. Torn or corrupt tails are ignored; an error from fn aborts the replay.
 func Replay(path string, fn func(Record) error) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -448,23 +479,26 @@ func Replay(path string, fn func(Record) error) error {
 		return fmt.Errorf("wal: open %s: %w", path, err)
 	}
 	defer func() { _ = f.Close() }()
-	return replayFrom(f, func(rec Record, _ int64) error { return fn(rec) })
+	if _, whole, err := readHead(f, path); !whole {
+		return err
+	}
+	return replayFrom(f, logHead, decodeRecord, func(rec Record, _ int64) error { return fn(rec) })
 }
 
 // replayBuf is how much of the log replayFrom reads per call.
 const replayBuf = 64 << 10
 
-// replayFrom scans records from the reader, reporting each record plus the
-// stream offset just past it. It returns nil at a clean or torn end. It
-// reads ahead, so the reader's position afterwards is not the end of the
-// last record; callers seek before writing.
-func replayFrom(r io.ReadSeeker, fn func(rec Record, end int64) error) error {
-	if _, err := r.Seek(0, io.SeekStart); err != nil {
+// replayFrom scans the records from offset at, each body read by decode
+// (decodeRecord, or the upgrade's decodeJSON), reporting each record plus the
+// offset just past it. It returns nil at a clean or torn end, or at a body
+// decode reports false for. It reads ahead, so the reader's position
+// afterwards is not the end of the last record; callers seek before writing.
+func replayFrom(r io.ReadSeeker, at int64, decode func(body []byte) (Record, bool), fn func(rec Record, end int64) error) error {
+	if _, err := r.Seek(at, io.SeekStart); err != nil {
 		return fmt.Errorf("wal: seek: %w", err)
 	}
 	br := bufio.NewReaderSize(r, replayBuf)
-	offset := int64(0)
-	var hdr [8]byte
+	var hdr [recordHeader]byte
 	for {
 		if _, err := io.ReadFull(br, hdr[:]); err != nil {
 			return nil // clean EOF or torn header: stop at valid prefix
@@ -481,13 +515,23 @@ func replayFrom(r io.ReadSeeker, fn func(rec Record, end int64) error) error {
 		if crc32.ChecksumIEEE(body) != sum {
 			return nil // corrupt record: stop
 		}
-		var rec Record
-		if err := json.Unmarshal(body, &rec); err != nil {
-			return nil // corrupt JSON: stop
+		rec, ok := decode(body)
+		if !ok {
+			return nil // not a record: stop
 		}
-		offset += int64(8 + len(body))
-		if err := fn(rec, offset); err != nil {
+		at += int64(recordHeader + len(body))
+		if err := fn(rec, at); err != nil {
 			return err
 		}
 	}
+}
+
+// decodeRecord reads a record's body: its seq, a uvarint with no redundant
+// byte, and an op byte in ops. The payload is left to the journal.
+func decodeRecord(body []byte) (Record, bool) {
+	seq, n := binary.Uvarint(body)
+	if n <= 0 || n >= len(body) || (n > 1 && body[n-1] == 0) || body[n] == 0 || int(body[n]) >= len(ops) {
+		return Record{}, false
+	}
+	return Record{Seq: int64(seq), Type: ops[body[n]], Data: body[n+1:]}, true
 }

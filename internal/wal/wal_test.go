@@ -1,17 +1,17 @@
 package wal
 
 import (
-	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"d2tree/internal/wire"
 )
 
-type testPayload struct {
-	Path string `json:"path"`
-	N    int    `json:"n"`
-}
+// testPayload is the payload the log's tests journal, as the benchmark's
+// probe of the log does: any type with a code method in wire's codec will do.
+type testPayload = wire.SetAttrRequest
 
 func tempLog(t *testing.T) string {
 	t.Helper()
@@ -25,7 +25,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 1; i <= 5; i++ {
-		seq, err := l.Append("update", &testPayload{Path: "/a", N: i})
+		seq, err := l.Append("setattr", &testPayload{Path: "/a", Size: int64(i)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -39,11 +39,11 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 
 	var got []testPayload
 	err = Replay(path, func(rec Record) error {
-		if rec.Type != "update" {
+		if rec.Type != "setattr" {
 			t.Errorf("type = %q", rec.Type)
 		}
 		var p testPayload
-		if err := json.Unmarshal(rec.Data, &p); err != nil {
+		if err := wire.DecodePayload(rec.Data, &p); err != nil {
 			return err
 		}
 		got = append(got, p)
@@ -52,7 +52,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 5 || got[4].N != 5 {
+	if len(got) != 5 || got[4].Size != 5 {
 		t.Fatalf("replayed %d records: %+v", len(got), got)
 	}
 }
@@ -74,10 +74,10 @@ func TestReopenContinuesSequence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.Append("a", nil); err != nil {
+	if _, err := l.Append("create", nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.Append("b", nil); err != nil {
+	if _, err := l.Append("setattr", nil); err != nil {
 		t.Fatal(err)
 	}
 	_ = l.Close()
@@ -90,7 +90,7 @@ func TestReopenContinuesSequence(t *testing.T) {
 	if l2.Seq() != 2 {
 		t.Errorf("Seq = %d, want 2", l2.Seq())
 	}
-	seq, err := l2.Append("c", nil)
+	seq, err := l2.Append("rename", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestTornTailIsTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := l.Append("x", &testPayload{N: i}); err != nil {
+		if _, err := l.Append("setattr", &testPayload{Size: int64(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -138,7 +138,7 @@ func TestTornTailIsTruncated(t *testing.T) {
 	if l2.Seq() != 2 {
 		t.Errorf("Seq after torn tail = %d, want 2", l2.Seq())
 	}
-	if _, err := l2.Append("y", nil); err != nil {
+	if _, err := l2.Append("rename", nil); err != nil {
 		t.Fatal(err)
 	}
 	count = 0
@@ -157,10 +157,10 @@ func TestCorruptRecordStopsReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.Append("x", &testPayload{N: 1}); err != nil {
+	if _, err := l.Append("setattr", &testPayload{Size: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.Append("x", &testPayload{N: 2}); err != nil {
+	if _, err := l.Append("setattr", &testPayload{Size: 2}); err != nil {
 		t.Fatal(err)
 	}
 	_ = l.Close()
@@ -190,7 +190,7 @@ func TestAppendAfterClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = l.Close()
-	if _, err := l.Append("x", nil); !errors.Is(err, ErrClosed) {
+	if _, err := l.Append("setattr", nil); !errors.Is(err, ErrClosed) {
 		t.Errorf("want ErrClosed, got %v", err)
 	}
 	if err := l.Close(); err != nil {
@@ -205,7 +205,7 @@ func TestReplayCallbackErrorAborts(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := l.Append("x", nil); err != nil {
+		if _, err := l.Append("setattr", nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -141,14 +141,15 @@ func decodeResponse(body []byte, msgType string, out interface{}) error {
 	if out == nil || len(h.payload) == 0 {
 		return nil
 	}
-	if err := decodePayload(h.payload, out); err != nil {
+	if err := DecodePayload(h.payload, out); err != nil {
 		return fmt.Errorf("wire: decode %s payload: %w", h.typ, err)
 	}
 	return nil
 }
 
-// appendPayload appends payload's encoding to b.
-func appendPayload(b []byte, msgType string, payload interface{}) ([]byte, error) {
+// AppendPayload appends payload's encoding to b: a frame's payload, or a
+// journal record's (wal).
+func AppendPayload(b []byte, msgType string, payload interface{}) ([]byte, error) {
 	c := codec{b: b}
 	if !code(&c, payload) {
 		return b, fmt.Errorf("wire: %s payload: %w", msgType, errNoCodec)
@@ -156,11 +157,11 @@ func appendPayload(b []byte, msgType string, payload interface{}) ([]byte, error
 	return c.b, nil
 }
 
-// decodePayload decodes payload into out. The payload is copied into one
+// DecodePayload decodes payload into out. The payload is copied into one
 // string, and every string out is given is a substring of it: a listing of
 // any length costs that string and its entries' slice, and a string kept
 // keeps the whole payload in memory.
-func decodePayload(payload []byte, out interface{}) error {
+func DecodePayload(payload []byte, out interface{}) error {
 	c := codec{dec: true, s: string(payload)}
 	switch {
 	case !code(&c, out):
@@ -351,16 +352,17 @@ func (c *codec) count(n, min int) int {
 	return int(v)
 }
 
-// sized returns s when encoding, and when decoding a fresh slice of n
-// elements (nil for none) for the caller to decode them into.
-func sized[T any](c *codec, s []T, n int) []T {
-	if !c.dec {
-		return s
+// sized, decoding, sets *p to a fresh slice of n elements (nil for none) for
+// the caller to decode them into. Encoding writes nothing into the value: a
+// journal flush encodes a record that an apply reads at the same time.
+func sized[T any](c *codec, p *[]T, n int) {
+	switch {
+	case !c.dec:
+	case n == 0:
+		*p = nil
+	default:
+		*p = make([]T, n)
 	}
-	if n == 0 {
-		return nil
-	}
-	return make([]T, n)
 }
 
 // ascending reports, decoding, whether a map's key k follows prev, the key
@@ -385,7 +387,7 @@ func (c *codec) entryPtr(p **Entry) {
 }
 
 func (c *codec) entries(p *[]Entry) {
-	*p = sized(c, *p, c.count(len(*p), entryMin))
+	sized(c, p, c.count(len(*p), entryMin))
 	for i := range *p {
 		(*p)[i].code(c)
 	}
@@ -399,16 +401,14 @@ func (c *codec) subtrees(p *[]Subtree) {
 		}
 		c.b = slices.Grow(c.b, size)
 	}
-	if n := c.count(len(*p), subtreeMin); c.dec {
-		*p = sized(c, *p, n)
-	}
+	sized(c, p, c.count(len(*p), subtreeMin))
 	for i := range *p {
 		(*p)[i].code(c)
 	}
 }
 
 func (c *codec) strs(p *[]string) {
-	*p = sized(c, *p, c.count(len(*p), 1))
+	sized(c, p, c.count(len(*p), 1))
 	for i := range *p {
 		c.str(&(*p)[i])
 	}
@@ -493,7 +493,7 @@ func (c *codec) latencies(p *map[string]LatencySummary) {
 
 // The fewest bytes an element of each decoded slice or map can take: what its
 // zero value encodes to. count checks a count against them.
-var entryMin, batchOpMin, batchResultMin, transferMin, memberMin, eventMin, latencyMin, subtreeMin int
+var entryMin, batchOpMin, batchResultMin, transferMin, memberMin, eventMin, latencyMin, subtreeMin, ownerMin int
 
 // subtreeNodeMin is the fewest bytes a subtree node takes: a root's kind,
 // size, mode and version, a byte each. Every other node takes more.
@@ -508,6 +508,7 @@ func init() {
 	eventMin = minSize(&ObsEvent{})
 	latencyMin = minSize(&LatencySummary{})
 	subtreeMin = minSize(&Subtree{})
+	ownerMin = minSize(&OwnerRecord{})
 }
 
 func minSize(zero interface{}) int {
@@ -578,6 +579,22 @@ func code(c *codec, p interface{}) bool {
 	case *Image:
 		m.code(c)
 	case *MonitorImage:
+		m.code(c)
+	case *CreateRecord:
+		m.code(c)
+	case *SetAttrRecord:
+		m.code(c)
+	case *InstallRecord:
+		m.code(c)
+	case *RemoveRecord:
+		m.code(c)
+	case *GLUpdateRecord:
+		m.code(c)
+	case *OwnerRecord:
+		m.code(c)
+	case *LLPathsRecord:
+		m.code(c)
+	case *LayerRecord:
 		m.code(c)
 	case *UninstallRequest:
 		m.code(c)

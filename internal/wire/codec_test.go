@@ -33,7 +33,9 @@ var codecTypes = []interface{}{
 	&UninstallRequest{}, &TransferDoneRequest{}, &TransferFailedRequest{},
 	&ObsEvent{}, &ObsDumpRequest{}, &ObsDumpResponse{}, &LockResponse{},
 	&MetricsSnapshot{}, &IOSnapshot{}, &Subtree{}, &Image{},
-	&MonitorImage{},
+	&MonitorImage{}, &CreateRecord{}, &SetAttrRecord{},
+	&InstallRecord{}, &RemoveRecord{}, &GLUpdateRecord{}, &OwnerRecord{},
+	&LLPathsRecord{}, &LayerRecord{},
 }
 
 func typeName(p interface{}) string { return reflect.TypeOf(p).Elem().Name() }
@@ -135,7 +137,7 @@ func (f *filler) filled(p interface{}) interface{} {
 
 func encode(t testing.TB, p interface{}) []byte {
 	t.Helper()
-	raw, err := appendPayload(nil, TypeOK, p)
+	raw, err := AppendPayload(nil, TypeOK, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +182,7 @@ func TestMessageCodecs(t *testing.T) {
 				}
 				raw := encode(t, p)
 				back := reflect.New(reflect.TypeOf(proto).Elem()).Interface()
-				if err := decodePayload(raw, back); err != nil {
+				if err := DecodePayload(raw, back); err != nil {
 					t.Fatalf("decode of %+v: %v", p, err)
 				}
 				if !reflect.DeepEqual(back, p) {
@@ -305,7 +307,7 @@ func TestFastUnmarshalPayloadEdgeCases(t *testing.T) {
 		inputs, from := malformed(f, proto, 100, 3)
 		for i, in := range inputs {
 			t.Run(name, func(t *testing.T) {
-				decode := func(b []byte) error { return decodePayload(b, reflect.New(typ).Interface()) }
+				decode := func(b []byte) error { return DecodePayload(b, reflect.New(typ).Interface()) }
 				if err := decode(in); err == nil {
 					t.Fatalf("%s decoded %x, cut or changed from %x", typ.Name(), in, from[i])
 				}
@@ -347,11 +349,11 @@ func TestMapKeysMustAscend(t *testing.T) {
 			b = append(append(b, enc(first)...), enc(second)...)
 			return append(b, tc.after...)
 		}
-		if err := decodePayload(body(tc.a, tc.b), tc.out); err != nil {
+		if err := DecodePayload(body(tc.a, tc.b), tc.out); err != nil {
 			t.Errorf("%T with ascending keys: %v", tc.out, err)
 		}
 		for _, bad := range [][]byte{body(tc.b, tc.a), body(tc.a, tc.a)} {
-			if err := decodePayload(bad, reflect.New(reflect.TypeOf(tc.out).Elem()).Interface()); !errors.Is(err, errMalformed) {
+			if err := DecodePayload(bad, reflect.New(reflect.TypeOf(tc.out).Elem()).Interface()); !errors.Is(err, errMalformed) {
 				t.Errorf("%T with keys out of order or repeated (%x): err = %v", tc.out, bad, err)
 			}
 		}

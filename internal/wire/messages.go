@@ -255,7 +255,7 @@ type BatchRequest struct {
 }
 
 func (m *BatchRequest) code(c *codec) {
-	m.Ops = sized(c, m.Ops, c.count(len(m.Ops), batchOpMin))
+	sized(c, &m.Ops, c.count(len(m.Ops), batchOpMin))
 	for i := range m.Ops {
 		m.Ops[i].code(c)
 	}
@@ -291,7 +291,7 @@ type BatchResponse struct {
 }
 
 func (m *BatchResponse) code(c *codec) {
-	m.Results = sized(c, m.Results, c.count(len(m.Results), batchResultMin))
+	sized(c, &m.Results, c.count(len(m.Results), batchResultMin))
 	for i := range m.Results {
 		m.Results[i].code(c)
 	}
@@ -456,7 +456,7 @@ type MonitorStatsResponse struct {
 }
 
 func (m *MonitorStatsResponse) code(c *codec) {
-	m.Members = sized(c, m.Members, c.count(len(m.Members), memberMin))
+	sized(c, &m.Members, c.count(len(m.Members), memberMin))
 	for i := range m.Members {
 		m.Members[i].code(c)
 	}
@@ -604,7 +604,7 @@ func (m *HeartbeatResponse) code(c *codec) {
 	c.entries(&m.GlobalLayer)
 	c.i64(&m.IndexVer)
 	c.index(&m.Index)
-	m.Transfers = sized(c, m.Transfers, c.count(len(m.Transfers), transferMin))
+	sized(c, &m.Transfers, c.count(len(m.Transfers), transferMin))
 	for i := range m.Transfers {
 		m.Transfers[i].code(c)
 	}
@@ -776,7 +776,7 @@ func (m *ObsDumpResponse) code(c *codec) {
 	c.str(&m.Node)
 	c.u64(&m.Seq)
 	c.u64(&m.Dropped)
-	m.Events = sized(c, m.Events, c.count(len(m.Events), eventMin))
+	sized(c, &m.Events, c.count(len(m.Events), eventMin))
 	for i := range m.Events {
 		m.Events[i].code(c)
 	}

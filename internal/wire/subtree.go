@@ -52,13 +52,9 @@ func (m *Subtree) code(c *codec) {
 	}
 	c.str(&m.Path)
 	count := c.count(len(m.Nodes), subtreeNodeMin)
-	if c.dec {
-		// Encoding writes nothing: a journal flush encodes a subtree that
-		// the install applying it reads at the same time.
-		if m.Nodes = sized(c, m.Nodes, count); count > 0 && (m.Path == "" || m.Path[0] != '/') {
-			c.fail()
-			return
-		}
+	if sized(c, &m.Nodes, count); c.dec && count > 0 && (m.Path == "" || m.Path[0] != '/') {
+		c.fail()
+		return
 	}
 	shape := Shape{c: c}
 	for i := range m.Nodes {
@@ -246,20 +242,6 @@ func (m *Image) code(c *codec) {
 	m.Tree.code(c)
 }
 
-// AppendImage appends m's encoding to b.
-func AppendImage(b []byte, m *Image) []byte {
-	c := codec{b: b}
-	m.code(&c)
-	return c.b
-}
-
-// DecodeImage decodes what AppendImage wrote. Every path and name it returns
-// is a substring of one copy of b.
-func DecodeImage(b []byte) (*Image, error) {
-	m := new(Image)
-	return m, decodePayload(b, m)
-}
-
 // MonitorImage is the Monitor's journaled state at rest, the body of its
 // image: the global-layer version and the log horizon it was taken at, the
 // global layer, the owner of each subtree root (a server id), and the
@@ -280,15 +262,95 @@ func (m *MonitorImage) code(c *codec) {
 	m.Tree.code(c)
 }
 
-// AppendMonitorImage appends m's encoding to b.
-func AppendMonitorImage(b []byte, m *MonitorImage) []byte {
-	c := codec{b: b}
-	m.code(&c)
-	return c.b
+// The records the daemons journal (wal.Journal), each logged as the type its
+// RecType names; an MDS's rename is the RenameRequest it served. A record of
+// a JSON-era log decodes into the same struct by its fields' names, but for
+// an MDS's install (the server's upgrade).
+
+// CreateRecord and SetAttrRecord are an MDS's create and setattr: the
+// committed post-op entry, installed verbatim.
+type CreateRecord struct{ Entry Entry }
+
+// SetAttrRecord: see CreateRecord.
+type SetAttrRecord struct{ Entry Entry }
+
+func (m *CreateRecord) code(c *codec)  { m.Entry.code(c) }
+func (m *SetAttrRecord) code(c *codec) { m.Entry.code(c) }
+
+// InstallRecord is one chunk of an MDS's install: it takes ownership of the
+// subtree roots Roots and stores the nodes of Trees.
+type InstallRecord struct {
+	Roots []string
+	Trees []Subtree
 }
 
-// DecodeMonitorImage decodes what AppendMonitorImage wrote.
-func DecodeMonitorImage(b []byte) (*MonitorImage, error) {
-	m := new(MonitorImage)
-	return m, decodePayload(b, m)
+func (m *InstallRecord) code(c *codec) {
+	c.strs(&m.Roots)
+	c.subtrees(&m.Trees)
 }
+
+// RemoveRecord forgets an MDS's owned subtree and its local-layer entries.
+type RemoveRecord struct{ Root string }
+
+func (m *RemoveRecord) code(c *codec) { c.str(&m.Root) }
+
+// GLUpdateRecord is one global-layer write on the Monitor: the entry as
+// committed and the GL version it took. A create (Op) also mirrors the path
+// into the Monitor's tree.
+type GLUpdateRecord struct {
+	Op        string
+	Entry     Entry
+	GLVersion int64
+}
+
+func (m *GLUpdateRecord) code(c *codec) {
+	c.str(&m.Op)
+	m.Entry.code(c)
+	c.i64(&m.GLVersion)
+}
+
+// OwnerRecord gives one subtree root to a server.
+type OwnerRecord struct {
+	Root   string
+	Server int
+}
+
+func (m *OwnerRecord) code(c *codec) {
+	c.str(&m.Root)
+	c.integer(&m.Server)
+}
+
+// LLPathsRecord mirrors into the Monitor's tree the local-layer paths that
+// heartbeats reported created.
+type LLPathsRecord struct{ Entries []Entry }
+
+func (m *LLPathsRecord) code(c *codec) { c.entries(&m.Entries) }
+
+// LayerRecord is one chunk of a re-evaluated global layer and subtree owner
+// set; the first (Reset) replaces both, the rest extend them.
+type LayerRecord struct {
+	Reset     bool
+	GLVersion int64
+	Entries   []Entry
+	Owners    []OwnerRecord
+}
+
+func (m *LayerRecord) code(c *codec) {
+	c.flag(&m.Reset)
+	c.i64(&m.GLVersion)
+	c.entries(&m.Entries)
+	sized(c, &m.Owners, c.count(len(m.Owners), ownerMin))
+	for i := range m.Owners {
+		m.Owners[i].code(c)
+	}
+}
+
+func (*CreateRecord) RecType() string   { return "create" }
+func (*SetAttrRecord) RecType() string  { return "setattr" }
+func (*RenameRequest) RecType() string  { return "rename" }
+func (*InstallRecord) RecType() string  { return "install_trees" }
+func (*RemoveRecord) RecType() string   { return "remove" }
+func (*GLUpdateRecord) RecType() string { return "gl_update" }
+func (*OwnerRecord) RecType() string    { return "owner" }
+func (*LLPathsRecord) RecType() string  { return "ll_paths" }
+func (*LayerRecord) RecType() string    { return "gl_layer" }

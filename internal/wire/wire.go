@@ -146,7 +146,7 @@ type Envelope struct {
 func NewEnvelope(id uint64, msgType string, payload interface{}) (*Envelope, error) {
 	env := &Envelope{ID: id, Type: msgType}
 	if payload != nil {
-		raw, err := appendPayload(nil, msgType, payload)
+		raw, err := AppendPayload(nil, msgType, payload)
 		if err != nil {
 			return nil, err
 		}
@@ -168,7 +168,7 @@ func (e *Envelope) Decode(out interface{}) error {
 	if len(e.Payload) == 0 {
 		return nil
 	}
-	if err := decodePayload(e.Payload, out); err != nil {
+	if err := DecodePayload(e.Payload, out); err != nil {
 		return fmt.Errorf("wire: decode %s payload: %w", e.Type, err)
 	}
 	return nil
@@ -232,7 +232,7 @@ func appendMessage(buf []byte, id uint64, msgType, reqID, span string, payload i
 	if err != nil || payload == nil {
 		return buf, err
 	}
-	return appendPayload(buf, msgType, payload)
+	return AppendPayload(buf, msgType, payload)
 }
 
 // appendErrorMessage encodes the error response ErrorEnvelope builds.
