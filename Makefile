@@ -1,7 +1,6 @@
 GO ?= go
-BENCH_LABEL ?= dev
 
-.PHONY: build test race race-obs race-rpc vet lint repro check bench-test bench-index bench-wire bench bench-cluster bench-go
+.PHONY: build test race race-obs race-rpc vet lint repro check bench-test bench-index bench-wire bench bench-go
 
 build:
 	$(GO) build ./...
@@ -86,19 +85,15 @@ repro:
 	$(GO) run ./cmd/d2bench -exp all -full | cmp - results_full.txt
 
 # The gate's build, lint, test and benchmark steps, as ci.sh runs them; ci.sh
-# also runs the replay checks at 1,000 seeds, the fuzzers, the d2bench smoke
-# runs and the crash-recovery scenario.
+# also runs the replay checks at 1,000 seeds, the fuzzers, one iteration of
+# the replay-tier benchmarks and the crash-recovery scenario.
 check: build lint race-obs race-rpc race repro bench-test bench-index bench-wire
 
-# Run the replay-tier benchmark suite and append a labelled entry to the
-# tracked trajectory BENCH_replay.json (set BENCH_LABEL to tag the run).
+# The replay-tier benchmarks: the simulator's replay with one worker and
+# with all of them, route compilation, and a Fig. 5 regeneration. The live
+# cluster is measured by bench/run.sh (bench/README.md).
 bench:
-	$(GO) run ./cmd/d2bench -bench -benchout BENCH_replay.json -benchlabel "$(BENCH_LABEL)"
-
-# Run the live-cluster throughput benchmark (real Monitor + MDSs over
-# loopback, loadgen-driven) and append a labelled entry to BENCH_cluster.json.
-bench-cluster:
-	$(GO) run ./cmd/d2bench -clusterbench -benchout BENCH_cluster.json -benchlabel "$(BENCH_LABEL)"
+	$(GO) test -run '^$$' -bench 'ReplayWorkers|CompileRoutes|Fig5Throughput' -benchmem .
 
 # The full `go test` benchmark sweep (human-readable, not tracked).
 bench-go:

@@ -312,8 +312,7 @@ func BenchmarkReplay(b *testing.B) {
 }
 
 // BenchmarkReplayWorkers pins the sharded kernel at explicit worker counts
-// (w0 = GOMAXPROCS) so the serial/parallel split of the tracked baseline is
-// reproducible with plain `go test -bench`.
+// (w0 = GOMAXPROCS), so the serial and parallel replay are timed apart.
 func BenchmarkReplayWorkers(b *testing.B) {
 	w, err := trace.BuildWorkload(trace.DTR().Scale(5000), 50000, 5)
 	if err != nil {

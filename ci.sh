@@ -2,8 +2,8 @@
 # CI gate: build, go vet, the project analyzers (d2vet), and the full test
 # suite under the race detector. `make check` runs the same build, lint,
 # test, repro and benchmark steps; the replay checks at 1,000 seeds, the
-# fuzzers, the d2bench smoke runs and the crash-recovery scenario are ci.sh's
-# own.
+# fuzzers, the replay-tier benchmarks and the crash-recovery scenario are
+# ci.sh's own.
 set -eux
 
 cd "$(dirname "$0")"
@@ -110,14 +110,10 @@ go test -run '^$' -fuzz '^FuzzTreeShape$' -fuzztime 10s -fuzzminimizetime 1s ./i
 # scenario below never lists.
 bash bench/run.sh -smoke --workload lmbe_ls --trace 0 > /dev/null
 
-# Benchmark smoke runs: prove the tracked replay-tier and live-cluster
-# suites execute and emit well-formed JSON without paying for calibrated
-# timing or full-scale load. The clusterbench smoke covers the client
-# entry cache both off and on, the inflight×batch compound-frame sweep
-# (one batched row per depth×cache point), and the readdir-vs-readdirplus
-# listing pair, so the compound path is exercised in CI.
-go run ./cmd/d2bench -bench -benchsmoke -benchlabel ci-smoke > /dev/null
-go run ./cmd/d2bench -clusterbench -benchsmoke -benchlabel ci-smoke > /dev/null
+# One iteration of the replay-tier benchmarks (`make bench`), so they cannot
+# rot: the simulator's replay with one worker and with all of them, route
+# compilation, and a Fig. 5 regeneration.
+go test -run '^$' -bench 'ReplayWorkers|CompileRoutes|Fig5Throughput' -benchtime 1x .
 
 # --- Crash-recovery scenario -------------------------------------------
 # Boot a durable 2-MDS cluster, create entries on both servers, kill -9

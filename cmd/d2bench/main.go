@@ -2,22 +2,15 @@
 //
 // Usage:
 //
-//	d2bench -exp table1|table2|fig5|fig6|fig7|fig8|fig9|all [-full] [-seed N]
-//	        [-nodes N] [-events N] [-rounds N]
-//	d2bench -bench [-benchout BENCH_replay.json] [-benchlabel L] [-benchsmoke]
-//	d2bench -clusterbench [-benchout BENCH_cluster.json] [-benchlabel L] [-benchsmoke]
+//	d2bench -exp table1|table2|fig5|fig6|fig7|fig8|fig9|extras|all [-full]
+//	        [-format text|csv|json] [-seed N] [-nodes N] [-events N] [-rounds N]
 //
 // The default configuration is the fast Quick preset; -full switches to the
 // paper-scale preset (20k-node namespaces, 200k-op traces, 20 replay
 // rounds).
 //
-// -bench runs the replay-tier benchmark suite and appends a labelled entry
-// to the tracked JSON trajectory (see BENCH_replay.json). -clusterbench
-// boots a real Monitor + MDS cluster over loopback and measures loadgen
-// throughput at increasing pipeline depths, appending to BENCH_cluster.json.
-// -cpuprofile and -memprofile capture pprof profiles of whichever mode runs
-// — experiments or benchmarks — so perf work profiles the exact path users
-// execute.
+// -cpuprofile and -memprofile capture pprof profiles of the run, so perf
+// work profiles the exact path a figure regeneration executes.
 package main
 
 import (
@@ -49,11 +42,6 @@ func run(args []string, w io.Writer) error {
 		nodes      = fs.Int("nodes", 0, "override namespace size")
 		events     = fs.Int("events", 0, "override trace length")
 		rounds     = fs.Int("rounds", 0, "override replay rounds")
-		bench      = fs.Bool("bench", false, "run the replay-tier benchmark suite instead of experiments")
-		cluster    = fs.Bool("clusterbench", false, "run the live-cluster throughput benchmark instead of experiments")
-		benchOut   = fs.String("benchout", "", "append the benchmark entry to this JSON trajectory file (empty: stdout)")
-		benchLabel = fs.String("benchlabel", "dev", "label recorded with the benchmark entry")
-		benchSmoke = fs.Bool("benchsmoke", false, "single-pass benchmark timing (CI smoke run)")
 		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProfile = fs.String("memprofile", "", "write a heap profile at the end of the run to this file")
 	)
@@ -84,20 +72,6 @@ func run(args []string, w io.Writer) error {
 				fmt.Fprintln(os.Stderr, "d2bench: memprofile:", err)
 			}
 		}()
-	}
-	if *bench {
-		entry, err := runBenchSuite(*benchLabel, *benchSmoke)
-		if err != nil {
-			return err
-		}
-		return writeBenchEntry(*benchOut, w, entry)
-	}
-	if *cluster {
-		entry, err := runClusterBench(*benchLabel, *benchSmoke)
-		if err != nil {
-			return err
-		}
-		return writeClusterEntry(*benchOut, w, entry)
 	}
 	cfg := experiments.Quick()
 	if *full {

@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -80,60 +79,6 @@ func TestRunBadFlag(t *testing.T) {
 	var buf bytes.Buffer
 	if err := run([]string{"-definitely-not-a-flag"}, &buf); err == nil {
 		t.Error("bad flag accepted")
-	}
-}
-
-func TestRunBenchSmokeToStdout(t *testing.T) {
-	var buf bytes.Buffer
-	if err := run([]string{"-bench", "-benchsmoke", "-benchlabel", "t"}, &buf); err != nil {
-		t.Fatal(err)
-	}
-	var entries []BenchEntry
-	if err := json.Unmarshal(buf.Bytes(), &entries); err != nil {
-		t.Fatalf("output is not a bench trajectory: %v", err)
-	}
-	if len(entries) != 1 || entries[0].Label != "t" || !entries[0].Smoke {
-		t.Fatalf("entries = %+v", entries)
-	}
-	names := map[string]bool{}
-	for _, b := range entries[0].Benchmarks {
-		names[b.Name] = true
-		if b.NsPerOp <= 0 {
-			t.Errorf("%s: NsPerOp = %v", b.Name, b.NsPerOp)
-		}
-	}
-	for _, want := range []string{"Replay/serial", "Replay/parallel", "CompileRoutes", "Fig5Throughput"} {
-		if !names[want] {
-			t.Errorf("suite missing %q", want)
-		}
-	}
-}
-
-func TestWriteBenchEntryAppendsTrajectory(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bench.json")
-	if err := writeBenchEntry(path, nil, BenchEntry{Label: "first"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeBenchEntry(path, nil, BenchEntry{Label: "second"}); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var entries []BenchEntry
-	if err := json.Unmarshal(data, &entries); err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 2 || entries[0].Label != "first" || entries[1].Label != "second" {
-		t.Fatalf("trajectory = %+v", entries)
-	}
-	// A corrupt trajectory must be rejected, not clobbered.
-	if err := os.WriteFile(path, []byte("not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeBenchEntry(path, nil, BenchEntry{Label: "third"}); err == nil {
-		t.Error("corrupt trajectory silently overwritten")
 	}
 }
 

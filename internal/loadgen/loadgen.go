@@ -9,8 +9,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -19,7 +17,6 @@ import (
 	"d2tree/internal/cache"
 	"d2tree/internal/client"
 	"d2tree/internal/namespace"
-	"d2tree/internal/obs"
 	"d2tree/internal/stats"
 	"d2tree/internal/trace"
 	"d2tree/internal/wire"
@@ -50,10 +47,6 @@ type Config struct {
 	CacheEntries int
 	// CacheLease is the entry lease when the cache is enabled.
 	CacheLease time.Duration
-	// EventLog, when non-nil, receives every client-side trace event as
-	// JSONL after the run (workers are named "client-<n>"; each operation's
-	// ReqID matches the server-side events it produced).
-	EventLog io.Writer
 	// PrivateConns gives every client its own sockets instead of the
 	// default shared per-process transport. The default matches how a real
 	// client host multiplexes its tenants over one connection per MDS (and
@@ -157,7 +150,6 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	// counters; lane k of client w owns results[w*inFlight+k].
 	results := make([]workerResult, cfg.Clients*inFlight)
 	clientErrs := make([]error, cfg.Clients)
-	clientEvents := make([][]obs.Event, cfg.Clients)
 	clientCaches := make([]cache.Counters, cfg.Clients)
 	// All clients share one multiplexed connection per MDS unless the run
 	// models fully independent hosts.
@@ -187,9 +179,6 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 			}
 			defer func() { _ = cl.Close() }()
 			defer func() { clientCaches[w] = cl.CacheCounters() }()
-			if cfg.EventLog != nil {
-				defer func() { clientEvents[w] = cl.Obs().Snapshot() }()
-			}
 			// Each lane replays every inFlight-th event of this client's
 			// stripe, so the client keeps up to inFlight operations
 			// outstanding over its shared connections.
@@ -260,16 +249,6 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	}
 	if elapsed > 0 {
 		rep.ThroughputOps = float64(ops) / elapsed.Seconds()
-	}
-	if cfg.EventLog != nil {
-		var events []obs.Event
-		for i := range clientEvents {
-			events = append(events, clientEvents[i]...)
-		}
-		sort.SliceStable(events, func(i, j int) bool { return events[i].TS < events[j].TS })
-		if err := obs.WriteJSONL(cfg.EventLog, events); err != nil {
-			return rep, fmt.Errorf("loadgen: event log: %w", err)
-		}
 	}
 	return rep, nil
 }

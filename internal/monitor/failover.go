@@ -51,7 +51,8 @@ func (m *Monitor) checkFailuresLocked() {
 		if owner >= 0 && owner < len(m.members) && m.members[owner].alive {
 			continue
 		}
-		if owner >= len(m.members) && now.Sub(m.started) <= m.cfg.HeartbeatTimeout {
+		neverJoined := owner >= len(m.members) || owner >= 0 && m.members[owner].addr == ""
+		if neverJoined && now.Sub(m.started) <= m.cfg.HeartbeatTimeout {
 			continue // slot may still join and claim it
 		}
 		if _, moving := m.inFlight[root]; moving {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"maps"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -12,20 +13,28 @@ import (
 )
 
 func (m *Monitor) joinLocked(req *wire.JoinRequest) (*wire.JoinResponse, error) {
-	// Reuse a dead member slot first (replacement server), else append.
+	// After a Monitor restart, an MDS takes back the slot that owns what it
+	// recovered, so its claims are adopted there instead of shipped from the
+	// Monitor's tree, which lacks the creates no heartbeat reported yet. Any
+	// other joiner reuses a dead slot first (replacement server), else
+	// appends.
 	id := -1
-	for _, mem := range m.members {
-		if !mem.alive {
-			id = mem.id
-			break
-		}
+	if m.reopened {
+		id = m.claimedSlotLocked(req.RecoveredSubtrees)
+	}
+	if id == -1 {
+		id = slices.IndexFunc(m.members, func(mem *member) bool { return !mem.alive })
 	}
 	if id == -1 {
 		if len(m.members) >= m.cfg.Servers {
 			return nil, ErrClusterFull
 		}
 		id = len(m.members)
-		m.members = append(m.members, &member{id: id})
+	}
+	// Slots skipped below id stay empty and never joined: their roots keep
+	// the grace checkFailuresLocked gives such a slot.
+	for len(m.members) <= id {
+		m.members = append(m.members, &member{id: len(m.members)})
 	}
 	mem := m.members[id]
 	mem.addr = req.Addr
@@ -90,6 +99,26 @@ func (m *Monitor) joinLocked(req *wire.JoinRequest) (*wire.JoinResponse, error) 
 	return resp, nil
 }
 
+// claimedSlotLocked is the free slot owning the most of roots, the lowest
+// on a tie, or -1 when they name none. A slot is free when its member is
+// dead or never joined. Callers hold m.mu.
+func (m *Monitor) claimedSlotLocked(roots []string) int {
+	votes := make([]int, m.cfg.Servers)
+	for _, root := range roots {
+		id, ok := m.subtreeOwner[root]
+		if ok && id >= 0 && id < len(votes) && (id >= len(m.members) || !m.members[id].alive) {
+			votes[id]++
+		}
+	}
+	best := -1
+	for id, n := range votes {
+		if n > 0 && (best == -1 || n > votes[best]) {
+			best = id
+		}
+	}
+	return best
+}
+
 // glSnapshotLocked copies the global layer out, sorted by path.
 func (m *Monitor) glSnapshotLocked() []wire.Entry {
 	out := make([]wire.Entry, 0, len(m.glEntries))
@@ -106,11 +135,12 @@ func (m *Monitor) heartbeatLocked(req *wire.HeartbeatRequest) (*wire.HeartbeatRe
 		return nil, fmt.Errorf("monitor: heartbeat from unknown server %d", req.ServerID)
 	}
 	mem := m.members[req.ServerID]
-	// A stale ID from before a Monitor restart can collide with a slot that
-	// was since granted to a different server; adopting the beat would make
-	// two servers flap one slot's address. Reject it as unknown so the
-	// sender re-joins and is assigned its own slot.
-	if req.Addr != "" && mem.addr != "" && mem.addr != req.Addr {
+	// A stale ID from before a Monitor restart can name a slot that was
+	// since granted to a different server, or one no server has joined yet;
+	// adopting the beat would make two servers flap one slot's address, or
+	// seat a server that never claimed its roots. Reject it as unknown so
+	// the sender re-joins and is assigned its own slot.
+	if mem.addr == "" || req.Addr != "" && mem.addr != req.Addr {
 		return nil, fmt.Errorf("monitor: heartbeat from unknown server %d (%s; slot registered to %s)",
 			req.ServerID, req.Addr, mem.addr)
 	}

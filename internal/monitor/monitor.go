@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -86,7 +87,7 @@ const (
 
 type member struct {
 	id       int
-	addr     string
+	addr     string // "" while the slot has never joined
 	lastSeen time.Time
 	load     float64 // ops/s, decayed with time constant AdjustInterval
 	ops      int64
@@ -158,6 +159,11 @@ type Monitor struct {
 	// applied, when set, runs after every applied record (tests).
 	applied    func()
 	lastAdjust time.Time
+	// reopened is set when New opened a journal an earlier Monitor wrote:
+	// the slots in its owner map were held by servers that rejoin with
+	// recovery claims, and a joiner takes back the slot its claims name.
+	// A fresh Monitor's slots name nobody yet and go by join order.
+	reopened bool
 	// started stamps Start: subtrees whose planned owner slot never joined
 	// get one heartbeat-timeout of grace from this instant before the
 	// failover path recovers them (a restarted Monitor's owner map can
@@ -212,6 +218,8 @@ func New(t *namespace.Tree, cfg Config) (*Monitor, error) {
 	}
 	if cfg.WALPath == "" {
 		_, _ = m.loadImage(nil) // the boot layer; it cannot fail
+	} else if _, err := os.Stat(cfg.WALPath); err == nil {
+		m.reopened = true
 	}
 	if m.journal, err = wal.OpenJournal(cfg.WALPath, cfg.WALPath+".img", m.machine()); err != nil {
 		return nil, err
@@ -429,6 +437,9 @@ func (m *Monitor) Stats() *wire.MonitorStatsResponse {
 	}
 	resp.JournalAppends, resp.JournalFlushes, _ = m.journal.Stats()
 	for _, mem := range m.members {
+		if mem.addr == "" {
+			continue // a slot a later joiner skipped; it never joined
+		}
 		resp.Members = append(resp.Members, wire.MemberInfo{
 			ID: mem.id, Addr: mem.addr, Alive: mem.alive,
 			Load: mem.load, Ops: mem.ops,

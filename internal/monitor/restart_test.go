@@ -230,3 +230,128 @@ func TestParentMonitorLogRecovers(t *testing.T) {
 	copyIn("monitor.wal")
 	check("the upgraded image beside the JSON log")
 }
+
+// TestRestartedMDSsTakeBackTheirSlots: the Monitor's image keeps no members,
+// so after a restart the slots are handed out again. An MDS rejoining with
+// recovery claims takes back the slot that owns them, in whatever order the
+// MDSs rejoin: each adopts its own roots and none is shipped from the
+// Monitor's tree, which lacks the creates no heartbeat reported. The slot
+// left empty below the first joiner keeps its grace meanwhile, and refuses a
+// beat until its server rejoins.
+func TestRestartedMDSsTakeBackTheirSlots(t *testing.T) {
+	m2, claims := restartTwoSlots(t, Config{Servers: 2})
+	m2.mu.Lock()
+	m2.started = m2.now()
+	m2.mu.Unlock()
+	for _, id := range []int{1, 0} {
+		resp, err := m2.handleJoin(&wire.JoinRequest{Addr: addrOf(id), RecoveredSubtrees: claims[id]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.ServerID != id {
+			t.Fatalf("the MDS claiming slot %d's roots joined as slot %d", id, resp.ServerID)
+		}
+		if !slices.Equal(resp.AdoptedSubtrees, claims[id]) {
+			t.Errorf("slot %d adopted %v, claimed %v", id, resp.AdoptedSubtrees, claims[id])
+		}
+		if len(resp.Trees) != 0 {
+			t.Errorf("slot %d was shipped %d subtrees", id, len(resp.Trees))
+		}
+		m2.mu.Lock()
+		m2.checkFailuresLocked()
+		pushes := len(m2.inFlight)
+		m2.mu.Unlock()
+		if pushes != 0 {
+			t.Fatalf("after slot %d joined, failover re-homed %d roots", id, pushes)
+		}
+		if id == 1 {
+			// A beat under slot 0's old ID must not seat a server that has
+			// not rejoined and claimed its roots.
+			if _, err := m2.handleHeartbeat(&wire.HeartbeatRequest{ServerID: 0, Addr: addrOf(0)}); err == nil {
+				t.Fatal("a beat for slot 0, which has not rejoined, was accepted")
+			}
+		}
+	}
+}
+
+// TestRestartedMonitorRecoversSkippedSlot: a slot skipped by a restarted
+// Monitor's first joiner is held for one heartbeat timeout, listed nowhere in
+// Stats, and then recovered like a dead owner's. A later joiner with no
+// claims falls back to the first free slot.
+func TestRestartedMonitorRecoversSkippedSlot(t *testing.T) {
+	m2, claims := restartTwoSlots(t, Config{Servers: 2, HeartbeatTimeout: time.Second})
+	now := time.Unix(100, 0)
+	m2.SetClock(func() time.Time { return now })
+	m2.mu.Lock()
+	m2.started = now
+	m2.mu.Unlock()
+	resp, err := m2.handleJoin(&wire.JoinRequest{Addr: addrOf(1), RecoveredSubtrees: claims[1]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.ServerID != 1 {
+		t.Fatalf("the MDS claiming slot 1's roots joined as slot %d", resp.ServerID)
+	}
+	if mem := m2.Stats().Members; len(mem) != 1 || mem[0].ID != 1 {
+		t.Fatalf("Stats lists %+v; want slot 1 alone", mem)
+	}
+
+	// Past the grace, slot 0's roots are recovered toward the live slot.
+	now = now.Add(2 * time.Second)
+	if _, err := m2.handleHeartbeat(&wire.HeartbeatRequest{ServerID: 1, Addr: addrOf(1)}); err != nil {
+		t.Fatal(err)
+	}
+	m2.mu.Lock()
+	for _, root := range claims[0] {
+		if f, moving := m2.inFlight[root]; !moving || f.dest != 1 {
+			t.Errorf("root %s of the skipped slot not in recovery: dst=%d moving=%v", root, f.dest, moving)
+		}
+	}
+	m2.mu.Unlock()
+
+	resp, err = m2.handleJoin(&wire.JoinRequest{Addr: addrOf(2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.ServerID != 0 {
+		t.Fatalf("a joiner with no claims took slot %d; want the free slot 0", resp.ServerID)
+	}
+}
+
+// restartTwoSlots runs a journaled Monitor until two MDSs have joined, closes
+// it, and reopens its journal under cfg. It returns the reopened Monitor and
+// the roots each slot owned, sorted, for the MDSs' recovery claims.
+func restartTwoSlots(t *testing.T, cfg Config) (*Monitor, [][]string) {
+	t.Helper()
+	cfg.WALPath = filepath.Join(t.TempDir(), "mon.wal")
+	m1, err := New(testTree(t).Tree, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	claims := make([][]string, 2)
+	for id := range claims {
+		if _, err := m1.handleJoin(&wire.JoinRequest{Addr: addrOf(id)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m1.mu.Lock()
+	for root, owner := range m1.subtreeOwner {
+		claims[owner] = append(claims[owner], root)
+	}
+	m1.mu.Unlock()
+	if err := m1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if len(claims[0]) == 0 || len(claims[1]) == 0 {
+		t.Fatalf("slots own %d and %d roots; the test needs both to own some", len(claims[0]), len(claims[1]))
+	}
+	for _, c := range claims {
+		slices.Sort(c)
+	}
+	m2, err := New(testTree(t).Tree, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = m2.Close() })
+	return m2, claims
+}
