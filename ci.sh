@@ -36,8 +36,11 @@ go test -race -count=1 ./internal/obs/ ./internal/stats/ ./internal/cache/
 
 # Race pass over the concurrent RPC serving path: multiplexed client conn,
 # run-to-completion serving loop, pipelined loadgen clients, and the client
-# cache coherence protocol (TestConcurrentCacheCoherence).
-go test -race -count=1 ./internal/wire/ ./internal/server/ ./internal/client/ ./internal/loadgen/ ./internal/wal/
+# cache coherence protocol (TestConcurrentCacheCoherence); and over both
+# daemons' journals, whose compactions take their image and truncate the log
+# while handlers commit from other goroutines (TestCompactionBesideCommits in
+# server and monitor).
+go test -race -count=1 ./internal/wire/ ./internal/server/ ./internal/client/ ./internal/loadgen/ ./internal/wal/ ./internal/monitor/
 
 go test -race ./...
 

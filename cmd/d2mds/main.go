@@ -40,7 +40,7 @@ func run(args []string) error {
 		debugAddr = fs.String("debug-addr", "", "serve net/http/pprof + expvar + /debug/d2/* on this address (empty = off)")
 		eventLog  = fs.String("event-log", "", "append this node's trace events as JSONL to a file (empty = off)")
 		walDir    = fs.String("wal-dir", "", "journal namespace mutations to this directory and recover from it on restart (empty = memory-only)")
-		snapEvery = fs.Duration("snapshot-interval", wal.CompactEvery, "namespace snapshot + WAL truncation cadence (needs -wal-dir)")
+		snapEvery = fs.Duration("snapshot-interval", wal.CompactEvery, "namespace snapshot + WAL truncation cadence; an interval that logged nothing writes none (needs -wal-dir)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err

@@ -50,7 +50,7 @@ func run(args []string) error {
 		nodes      = fs.Int("nodes", 20000, "synthetic namespace size")
 		events     = fs.Int("events", 100000, "popularity-annotation events for synthesis")
 		seed       = fs.Int64("seed", 1, "synthesis seed")
-		walPath    = fs.String("wal", "", "write-ahead log path for crash recovery (optional); the log is compacted every 5s behind an image in <path>.img, and a restart recovers from the image and the log past it")
+		walPath    = fs.String("wal", "", "write-ahead log path for crash recovery (optional); the log is compacted every 5s in which a record was logged, behind an image in <path>.img, and a restart recovers from the image and the log past it")
 		hbTimeout  = fs.Duration("hb-timeout", 3*time.Second, "mark an MDS dead after this heartbeat silence")
 		statsEvery = fs.Duration("stats", 0, "print cluster stats at this interval (0 = off)")
 		// -events already means "synthesis event count", so the trace sink

@@ -178,7 +178,7 @@ func TestMonitorJournalMutation(t *testing.T) {
 		root := mutationRoot(t, files...)
 		requireClean(t, runOn(t, root, &LockHeld{}))
 		mutate(t, root, "internal/monitor/globallayer.go",
-			"m.journal.Commit(u)", "_, _ = m.wlog.Append(u.RecType(), u)")
+			"m.journal.Commit(u)", "_, _ = m.journal.Log().Append(u.RecType(), u)")
 		requireDiag(t, runOn(t, root, &LockHeld{}),
 			"blocking WAL append (fsync) via .Append while holding m.mu (held by the *Locked convention")
 	})

@@ -137,7 +137,7 @@ func chunk[T any](s []T, off int) []T {
 func durably[T any](m *Monitor, fn func() (T, error)) (T, error) {
 	m.mu.Lock()
 	resp, err := fn()
-	tail := m.tail
+	tail := m.journal.Tail()
 	m.mu.Unlock()
 	m.journal.Wait(tail)
 	return resp, err
@@ -146,9 +146,7 @@ func durably[T any](m *Monitor, fn func() (T, error)) (T, error) {
 // machine is what the Monitor gives its journal.
 func (m *Monitor) machine() wal.Machine[record] {
 	return wal.Machine[record]{
-		Kinds: recordKinds, Apply: m.applyLocked, Image: m.imageLocked, Load: m.loadImage, Lock: &m.mu,
-		//d2vet:ignore statcheck the tail's address only: the journal writes and reads it under m.mu
-		Tail: &m.tail, Degraded: &m.journalDegraded, Rec: m.rec,
+		Kinds: recordKinds, Apply: m.applyLocked, Image: m.imageLocked, Load: m.loadImage, Lock: &m.mu, Rec: m.rec,
 	}
 }
 

@@ -178,7 +178,7 @@ func (m *Monitor) heartbeatLocked(req *wire.HeartbeatRequest) (*wire.HeartbeatRe
 	resp := &wire.HeartbeatResponse{
 		GLVersion:       m.glVersion,
 		IndexVer:        m.indexVer,
-		JournalDegraded: m.journalDegraded.Load(),
+		JournalDegraded: m.journal.Degraded(),
 	}
 	if req.GLVersion < m.glVersion {
 		resp.GlobalLayer = m.glSnapshotLocked()

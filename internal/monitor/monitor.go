@@ -18,7 +18,6 @@ import (
 	"net"
 	"os"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"d2tree/internal/core"
@@ -47,10 +46,11 @@ type Config struct {
 	AdjustInterval time.Duration
 	// WALPath, when non-empty, journals global-layer updates, subtree
 	// ownership changes and new paths to a write-ahead log there, and
-	// compacts it every wal.CompactEvery behind an image of that state in
-	// WALPath+".img", beside the log. A Monitor restarted with the same WAL
-	// recovers the cluster's logical state from the image and the log past
-	// it, not by replaying every record over the boot layer.
+	// compacts it every wal.CompactEvery in which a record was logged behind
+	// an image of that state in WALPath+".img", beside the log. A Monitor
+	// restarted with the same WAL recovers the cluster's logical state from
+	// the image and the log past it, not by replaying every record over the
+	// boot layer.
 	WALPath string
 }
 
@@ -126,9 +126,9 @@ type Monitor struct {
 	// Accept), so it lives outside mu's guard.
 	ln net.Listener
 	// journal commits the records applyLocked applies, memory-only when
-	// WALPath is unset; wlog is its log (nil then). Both are set in New.
+	// WALPath is unset; set in New. After a failed flush the Monitor serves
+	// on from memory and MonitorStats and heartbeats report journal.Degraded.
 	journal *wal.Journal[record]
-	wlog    *wal.Log
 
 	mu           sync.Mutex
 	members      []*member
@@ -149,13 +149,6 @@ type Monitor struct {
 	// the whole history of one subtree's migration shares one ReqID; cleared
 	// when the move commits.
 	migIDs map[string]string
-	// tail is the newest journaled record's ticket.
-	tail *wal.Ticket
-	// journalDegraded latches on the journal's first failed flush: the
-	// Monitor keeps serving (availability over durability) but the stat is
-	// surfaced in MonitorStats and heartbeat responses so operators learn
-	// the recovery story has silently become memory-only.
-	journalDegraded atomic.Bool
 	// applied, when set, runs after every applied record (tests).
 	applied    func()
 	lastAdjust time.Time
@@ -224,7 +217,6 @@ func New(t *namespace.Tree, cfg Config) (*Monitor, error) {
 	if m.journal, err = wal.OpenJournal(cfg.WALPath, cfg.WALPath+".img", m.machine()); err != nil {
 		return nil, err
 	}
-	m.wlog = m.journal.Log()
 	return m, nil
 }
 
@@ -430,7 +422,7 @@ func (m *Monitor) Stats() *wire.MonitorStatsResponse {
 		TransfersReissued: m.nTransfersReissued,
 		GLVersion:         m.glVersion,
 		IndexVer:          m.indexVer,
-		JournalDegraded:   m.journalDegraded.Load(),
+		JournalDegraded:   m.journal.Degraded(),
 		ServeIO:           wire.ServeIO.Snapshot(),
 		ConnIO:            wire.ConnIO.Snapshot(),
 		BadFrames:         wire.BadFrames.Load(),

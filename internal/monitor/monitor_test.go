@@ -579,7 +579,7 @@ func TestWALRecovery(t *testing.T) {
 }
 
 // TestJournalDegradedLatch pins the availability-over-durability contract:
-// the first failed journal flush latches journalDegraded (surfaced in
+// the first failed journal flush latches journal.Degraded (surfaced in
 // MonitorStats and heartbeat responses) and records exactly one event, later
 // failures stay silent instead of re-logging, and the writes are answered.
 func TestJournalDegradedLatch(t *testing.T) {
@@ -592,7 +592,7 @@ func TestJournalDegradedLatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Sabotage the journal: a closed log fails every flush.
-	if err := m.wlog.Close(); err != nil {
+	if err := m.journal.Log().Close(); err != nil {
 		t.Fatal(err)
 	}
 	setattr := func(size int64) {
@@ -601,10 +601,10 @@ func TestJournalDegradedLatch(t *testing.T) {
 		}
 	}
 	setattr(1)
-	first := m.journalDegraded.Load()
+	first := m.journal.Degraded()
 	setattr(2)
 	if !first {
-		t.Fatal("journalDegraded not latched on first append failure")
+		t.Fatal("journal.Degraded not latched on first append failure")
 	}
 	st := m.Stats()
 	if !st.JournalDegraded {

@@ -36,7 +36,7 @@ func writeGL(m *Monitor, n int) {
 			e.Size, e.Version = int64(done), e.Version+1
 			m.journal.Commit(&wire.GLUpdateRecord{Op: "setattr", Entry: e, GLVersion: m.glVersion + 1})
 		}
-		tail := m.tail
+		tail := m.journal.Tail()
 		m.mu.Unlock()
 		m.journal.Wait(tail)
 	}

@@ -48,7 +48,7 @@ func (s *Server) handleBatch(env *wire.Envelope, req *wire.BatchRequest) (*wire.
 		for i < len(req.Ops) && !s.subOpLocked(&req.Ops[i], &results[i]) {
 			i++
 		}
-		tail = s.tail
+		tail = s.journal.Tail()
 		s.mu.Unlock()
 		if i < len(req.Ops) {
 			s.batchGlobal(env, &req.Ops[i], &results[i])

@@ -89,18 +89,15 @@ func installRecords(trees []wire.Subtree) []*wire.InstallRecord {
 }
 
 // The snapshot image (snapshot.img) is the journal's image file (wal) around
-// a wire.Image. GL entries are not persisted — the join refresh restores the
-// replica — but the GL version is, so a restarted server rejoins with
-// staleness detection intact.
+// a wire.Image. Neither the GL entries nor the GL version are persisted: the
+// join, which Start runs after recovery and before serving, restores both.
 func (s *Server) walPath() string   { return filepath.Join(s.cfg.WALDir, "mds.wal") }
 func (s *Server) imagePath() string { return filepath.Join(s.cfg.WALDir, "snapshot.img") }
 
 // machine is what the MDS gives its journal.
 func (s *Server) machine() wal.Machine[record] {
 	return wal.Machine[record]{
-		Kinds: recordKinds, Legacy: legacyRecords, Apply: s.applyLocked, Image: s.imageLocked, Load: s.loadImage, Lock: s.mu.RLocker(),
-		//d2vet:ignore statcheck the tail's address only: the journal writes it under s.mu and reads it under its read side
-		Tail: &s.tail, Degraded: &s.walDegraded, Rec: s.rec,
+		Kinds: recordKinds, Legacy: legacyRecords, Apply: s.applyLocked, Image: s.imageLocked, Load: s.loadImage, Lock: s.mu.RLocker(), Rec: s.rec,
 	}
 }
 
@@ -137,7 +134,6 @@ func (s *Server) loadImage(body []byte) (int64, error) {
 	if err := wire.DecodePayload(body, img); err != nil {
 		return 0, err
 	}
-	s.glVersion = img.GLVersion
 	s.store.reserve(len(img.Tree.Nodes))
 	s.applyLocked(&wire.InstallRecord{Roots: img.Roots, Trees: []wire.Subtree{img.Tree}})
 	s.hot.Merge(img.OpCounts)
@@ -186,10 +182,10 @@ func (s *Server) commitInstallLocked(trees []wire.Subtree) {
 	}
 }
 
-// imageLocked captures the GL version, the owned roots and the local layer;
-// the horizon and the access counters are added as the image is written.
+// imageLocked captures the owned roots and the local layer; the horizon and
+// the access counters are added as the image is written.
 func (s *Server) imageLocked() wal.Image {
-	img := &wire.Image{GLVersion: s.glVersion, Roots: slices.Collect(maps.Keys(s.subtrees)), Tree: s.store.tree("/", true)}
+	img := &wire.Image{Roots: slices.Collect(maps.Keys(s.subtrees)), Tree: s.store.tree("/", true)}
 	return func(horizon int64) any {
 		img.Horizon, img.OpCounts = horizon, s.hot.Counts()
 		return img

@@ -232,7 +232,7 @@ func (s *Server) mutate(env *wire.Envelope, op string, e wire.Entry) (wire.Batch
 	s.countAccess(e.Path)
 	s.mu.Lock()
 	res, global, err := s.writeLocked(op, e)
-	tail := s.tail
+	tail := s.journal.Tail()
 	s.mu.Unlock()
 	if global {
 		return s.glUpdate(env, op, e)
@@ -459,7 +459,7 @@ func (s *Server) handleRename(req *wire.RenameRequest) (*wire.RenameResponse, er
 	s.countAccess(req.Path)
 	s.mu.Lock()
 	res, err := s.renameLocked(req.Path, req.NewName)
-	tail := s.tail
+	tail := s.journal.Tail()
 	s.mu.Unlock()
 	s.journal.Wait(tail)
 	return entryResponse(res, err)
@@ -514,7 +514,7 @@ func (s *Server) handleInstall(env *wire.Envelope, req *wire.InstallRequest) (*w
 	// refresh between the install and its commit cannot make us drop the
 	// data we just received.
 	s.overrides[root] = &indexOverride{addr: s.Addr(), ttl: 50}
-	tail := s.tail
+	tail := s.journal.Tail()
 	s.mu.Unlock()
 	// Ack only once the install is durable: the source deletes its copy on
 	// this reply, so a receiver that crashes afterwards must be able to
@@ -536,7 +536,7 @@ func (s *Server) handleUninstall(req *wire.UninstallRequest) (*wire.LockResponse
 		s.journal.Commit(&wire.RemoveRecord{Root: req.RootPath})
 	}
 	delete(s.overrides, req.RootPath)
-	tail := s.tail
+	tail := s.journal.Tail()
 	s.mu.Unlock()
 	s.journal.Wait(tail)
 	if held {
@@ -592,7 +592,7 @@ func (s *Server) handleStats() (*wire.StatsResponse, error) {
 		WalAppends:       walAppends,
 		WalFlushes:       walFlushes,
 		Snapshots:        snapshots,
-		WalDegraded:      s.walDegraded.Load(),
+		WalDegraded:      s.journal.Degraded(),
 		Subtrees:         roots,
 		ServeIO:          wire.ServeIO.Snapshot(),
 		ConnIO:           wire.ConnIO.Snapshot(),

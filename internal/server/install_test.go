@@ -157,10 +157,10 @@ func TestJoinInstallMatchesParent(t *testing.T) {
 					got := newDurableServer(t, dir)
 					got.mu.Lock()
 					got.applyJoinLocked(&join)
-					tail := got.tail
+					tail := got.journal.Tail()
 					got.mu.Unlock()
 					got.waitDurable(tail)
-					if got.walDegraded.Load() {
+					if got.journal.Degraded() {
 						t.Fatal("the join's install records did not all reach the log")
 					}
 					want := newBareServer(t)
@@ -308,10 +308,10 @@ func TestInstallRecordsStayInTheLog(t *testing.T) {
 		s := newDurableServer(t, dir)
 		s.mu.Lock()
 		s.commitInstallLocked([]wire.Subtree{{Path: "/g/empty"}, big})
-		tail := s.tail
+		tail := s.journal.Tail()
 		s.mu.Unlock()
 		s.waitDurable(tail)
-		if s.walDegraded.Load() {
+		if s.journal.Degraded() {
 			t.Fatal("an install record did not reach the log")
 		}
 		ref := newBareServer(t)
@@ -457,7 +457,7 @@ func TestFailedImageWriteKeepsTheOldState(t *testing.T) {
 			{Path: root, Kind: wire.EntryDir, Version: 1},
 			{Path: root + "/f", Kind: wire.EntryFile, Size: 7, Version: 2},
 		})}})
-		tail := s.tail
+		tail := s.journal.Tail()
 		s.mu.Unlock()
 		if _, err := tail.Wait(); err != nil {
 			t.Fatal(err)

@@ -439,7 +439,7 @@ func replaySchedule(t *testing.T, peer string, mon *wire.RetryingConn, seed int6
 			}
 			join.Index[root] = s.Addr()
 			s.applyJoinLocked(join)
-			tail := s.tail
+			tail := s.journal.Tail()
 			s.mu.Unlock()
 			s.waitDurable(tail)
 			durable("join")
@@ -455,7 +455,7 @@ func replaySchedule(t *testing.T, peer string, mon *wire.RetryingConn, seed int6
 			s.mu.Lock()
 			_, _, _ = s.createLocked(wire.Entry{Path: d + "/" + name("w"), Kind: kind()})
 			_, _ = s.renameLocked(d, name("m"))
-			tail := s.tail
+			tail := s.journal.Tail()
 			s.mu.Unlock()
 			if err := s.writeSnapshot(); err != nil {
 				t.Fatal(err)
@@ -530,7 +530,7 @@ func replaySchedule(t *testing.T, peer string, mon *wire.RetryingConn, seed int6
 func takeImage(t *testing.T, s *Server, applied int) crashImage {
 	t.Helper()
 	s.mu.RLock()
-	tail := s.tail
+	tail := s.journal.Tail()
 	s.mu.RUnlock()
 	s.waitDurable(tail)
 	img := crashImage{applied: applied}

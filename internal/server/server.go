@@ -60,8 +60,8 @@ type Config struct {
 	// counts and GL version from snapshot+replay before rejoining. Empty =
 	// memory-only (the pre-durability behaviour).
 	WALDir string
-	// SnapshotInterval is the namespace snapshot + log truncation cadence
-	// when WALDir is set (default wal.CompactEvery, 5s).
+	// SnapshotInterval is the snapshot + log truncation cadence when WALDir
+	// is set (default wal.CompactEvery, 5s); an interval that logs nothing writes none.
 	SnapshotInterval time.Duration
 }
 
@@ -125,9 +125,6 @@ type Server struct {
 	// authoritative namespace copy converges (bounding what a failover
 	// push can miss to one heartbeat window).
 	newPaths []wire.Entry
-	// tail is the ticket of the newest journaled record (journal.Commit). A
-	// blocking handler notes it under mu and waits on it after unlocking.
-	tail *wal.Ticket
 	// applied, when set (tests), runs under mu after every applied record.
 	applied func()
 
@@ -147,7 +144,6 @@ type Server struct {
 	leases           atomic.Int64 // cache leases granted on responses
 	revalidateHits   atomic.Int64 // version matched: lease renewed bodiless
 	revalidateMisses atomic.Int64 // version stale: entry resent
-	walDegraded      atomic.Bool  // latched on first journal failure
 	batches          atomic.Int64 // compound frames served
 	batchSubOps      atomic.Int64 // sub-ops inside compound frames
 	readdirplus      atomic.Int64 // readdirplus listings served
@@ -249,7 +245,7 @@ func (s *Server) join(mon *wire.RetryingConn) error {
 	s.mu.Lock()
 	s.mon = mon
 	installed := s.applyJoinLocked(&join)
-	tail := s.tail
+	tail := s.journal.Tail()
 	s.mu.Unlock()
 	s.journal.Wait(tail)
 	end := time.Now()
@@ -536,7 +532,7 @@ func (s *Server) applyHeartbeat(resp *wire.HeartbeatResponse) {
 	}
 	s.indexVer = resp.IndexVer
 	transfers := resp.Transfers
-	tail := s.tail
+	tail := s.journal.Tail()
 	s.mu.Unlock()
 	s.journal.Wait(tail)
 
@@ -584,7 +580,7 @@ func (s *Server) executeTransfer(cmd wire.TransferCommand) {
 	s.journal.Commit(&wire.RemoveRecord{Root: cmd.RootPath})
 	s.index.Set(cmd.RootPath, cmd.DestAddr)
 	s.overrides[cmd.RootPath] = &indexOverride{addr: cmd.DestAddr, ttl: 50}
-	tail := s.tail
+	tail := s.journal.Tail()
 	mon := s.mon
 	id := s.id
 	s.mu.Unlock()

@@ -69,7 +69,6 @@ func (s *Server) loadJSONLocked() (int64, error) {
 	}
 	var old struct {
 		WALSeq           int64            `json:"walSeq"`
-		GLVersion        int64            `json:"glVersion"`
 		Subtrees         []string         `json:"subtrees"`
 		OpCounts         map[string]int64 `json:"opCounts,omitempty"`
 		legacyInstallRec                  // the entries
@@ -82,7 +81,6 @@ func (s *Server) loadJSONLocked() (int64, error) {
 	}
 	rec := old.install()
 	rec.Roots = old.Subtrees
-	s.glVersion = old.GLVersion
 	s.applyLocked(rec)
 	s.hot.Merge(old.OpCounts)
 	return old.WALSeq, nil

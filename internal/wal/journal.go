@@ -15,7 +15,8 @@ import (
 )
 
 // CompactEvery is the default cadence of compaction: the Monitor's, and the
-// MDS's unless -snapshot-interval says otherwise.
+// MDS's unless -snapshot-interval says otherwise. A compaction with no record
+// logged since the last image writes nothing.
 const CompactEvery = 5 * time.Second
 
 // Entry is one record a daemon commits, logged under its RecType: a wire
@@ -41,12 +42,7 @@ type Machine[R Entry] struct {
 	// Load applies an image body and returns its horizon; given nil, for
 	// want of an image, it sets up the state the log starts from.
 	Load func(body []byte) (horizon int64, err error)
-	// Tail is the daemon's field, guarded by its lock, where Commit notes
-	// the newest ticket; Degraded latches on the first failed flush; Rec
-	// takes the journal's events.
-	Tail     **Ticket
-	Degraded *atomic.Bool
-	Rec      *obs.Recorder
+	Rec  *obs.Recorder // takes the journal's events
 }
 
 // Journal keeps one daemon's state durable: it commits records through a
@@ -57,6 +53,11 @@ type Journal[R Entry] struct {
 	log         *Log
 	b           *Batcher
 	image       string
+	tail        *Ticket     // the newest commit's, under the daemon's lock
+	degraded    atomic.Bool // latched by the first failed flush
+	compacting  sync.Mutex  // held through Compact, so compactions never overlap
+	horizon     int64       // the newest record the image on disk holds, -1 while there is none; under compacting
+	imaged      *Ticket     // the tail the image was taken at, under compacting
 	compactions atomic.Int64
 	stop        chan struct{}
 	stopOnce    sync.Once
@@ -111,7 +112,10 @@ func OpenJournal[R Entry](path, image string, m Machine[R]) (*Journal[R], error)
 		m.Rec.Record(obs.Event{Kind: obs.KindCluster, Op: "journal_recovered",
 			Detail: strconv.Itoa(applied) + " records past image horizon " + strconv.FormatInt(horizon, 10)})
 	}
-	j.b = NewBatcher(j.log)
+	if _, err := os.Stat(image); err != nil {
+		horizon = -1
+	}
+	j.horizon, j.b = horizon, NewBatcher(j.log)
 	return j, nil
 }
 
@@ -121,10 +125,13 @@ func OpenJournal[R Entry](path, image string, m Machine[R]) (*Journal[R], error)
 // unlocking: windows flush in order, so that covers all the answer reflects.
 func (j *Journal[R]) Commit(rec R) {
 	if j.b != nil {
-		*j.m.Tail = j.b.Enqueue(rec.RecType(), rec)
+		j.tail = j.b.Enqueue(rec.RecType(), rec)
 	}
 	j.m.Apply(rec)
 }
+
+// Tail is the newest commit's ticket, nil when memory-only; read under Commit's lock.
+func (j *Journal[R]) Tail() *Ticket { return j.tail }
 
 // Wait parks until t's window is fsynced. The first failed one latches
 // Degraded and records one event; the daemon serves on from memory.
@@ -132,27 +139,39 @@ func (j *Journal[R]) Wait(t *Ticket) {
 	if t == nil {
 		return
 	}
-	if _, err := t.Wait(); err != nil && j.m.Degraded.CompareAndSwap(false, true) {
+	if _, err := t.Wait(); err != nil && j.degraded.CompareAndSwap(false, true) {
 		j.m.Rec.Record(obs.Event{Kind: obs.KindCluster, Op: "journal_degraded",
 			Detail: "WAL append failed; continuing memory-only", Err: err.Error()})
 	}
 }
+
+// Degraded reports whether a flush has failed.
+func (j *Journal[R]) Degraded() bool { return j.degraded.Load() }
 
 // Compact writes the image and drops the log through its horizon, the
 // tail's number once it is durable (a record committed but not flushed is in
 // the image before it has a number); without a tail, or when its flush
 // failed, the log's, read with the image under the same lock. The log's
 // header keeps the horizon as its base, so a reopened log numbers on past
-// it. A failed image write leaves the old image and the whole log in place.
+// it. When the image on disk holds every record, none committed since it and
+// none in the log past its horizon, it writes nothing. A failed image write
+// leaves the old image and the whole log in place.
 func (j *Journal[R]) Compact() error {
 	if j.log == nil {
 		return nil
 	}
+	j.compacting.Lock()
+	defer j.compacting.Unlock()
 	j.m.Lock.Lock()
-	tail, seq := *j.m.Tail, j.log.Seq()
+	tail, seq := j.tail, j.log.Seq()
+	if tail == j.imaged && seq <= j.horizon {
+		j.m.Lock.Unlock()
+		return nil
+	}
 	img := j.m.Image()
 	j.m.Lock.Unlock()
 	if tail != nil {
+		//d2vet:ignore lockheld compacting serialises compactions by design and nothing else takes it: the next one waits for this image
 		if n, err := tail.Wait(); err == nil {
 			seq = n
 		}
@@ -160,6 +179,7 @@ func (j *Journal[R]) Compact() error {
 	if err := writeImage(j.image, img(seq)); err != nil {
 		return err
 	}
+	j.horizon, j.imaged = seq, tail
 	if err := j.log.TruncateBefore(seq + 1); err != nil {
 		return err
 	}

@@ -8,8 +8,8 @@ import (
 	"slices"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
+	"time"
 
 	"d2tree/internal/obs"
 	"d2tree/internal/wire"
@@ -19,10 +19,8 @@ import (
 // version to applied, so a record applied twice, or skipped, shows. Its
 // image holds the versions applied as the versions of a global layer.
 type tally struct {
-	mu       sync.Mutex
-	applied  []int64
-	tail     *Ticket
-	degraded atomic.Bool
+	mu      sync.Mutex
+	applied []int64
 }
 
 func (c *tally) machine() Machine[Entry] {
@@ -53,7 +51,7 @@ func (c *tally) machine() Machine[Entry] {
 			}
 			return img.Horizon, nil
 		},
-		Tail: &c.tail, Degraded: &c.degraded, Rec: obs.NewRecorder("test", 0),
+		Rec: obs.NewRecorder("test", 0),
 	}
 }
 
@@ -68,11 +66,11 @@ func (c *tally) commit(t *testing.T, j *Journal[Entry], from, to int64) {
 	for v := from; v <= to; v++ {
 		c.mu.Lock()
 		j.Commit(setattr(v))
-		tail := c.tail
+		tail := j.Tail()
 		c.mu.Unlock()
 		j.Wait(tail)
 	}
-	if c.degraded.Load() {
+	if j.Degraded() {
 		t.Fatal("a commit failed")
 	}
 }
@@ -160,6 +158,82 @@ func TestRecoveryAppliesExactlyPastTheHorizon(t *testing.T) {
 		t.Errorf("the upgraded log numbered its first record %d (%v), want 9", seq, err)
 	}
 	_ = l.Close()
+}
+
+// TestIdleCompactionWritesNothing: a compaction with no record logged since
+// the last image returns at once, leaving the image's bytes and mtime and the
+// compactions stat as they were. One more commit makes the next compaction
+// write, and so does a reopened journal's first compaction when its log holds
+// a record past the image. A journal with no image on disk writes one at its
+// first compaction: the state it opened in is not on disk as an image.
+func TestIdleCompactionWritesNothing(t *testing.T) {
+	dir := t.TempDir()
+	path, image := filepath.Join(dir, "j.wal"), filepath.Join(dir, "j.img")
+	c := &tally{}
+	j, err := OpenJournal(path, image, c.machine())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(image); !os.IsNotExist(err) {
+		t.Fatalf("the open wrote an image (%v)", err)
+	}
+	if err := j.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(image); err != nil {
+		t.Fatalf("a journal with no image on disk wrote none at its first compaction (%v)", err)
+	}
+	state := func(j *Journal[Entry]) ([]byte, time.Time, int64) {
+		t.Helper()
+		data, err := os.ReadFile(image)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fi, err := os.Stat(image)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _, compactions := j.Stats()
+		return data, fi.ModTime(), compactions
+	}
+	c.commit(t, j, 1, 3)
+	if err := j.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	data, mtime, compactions := state(j)
+	time.Sleep(10 * time.Millisecond) // past the filesystem's mtime granularity
+	if err := j.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if got, gotMtime, gotCompactions := state(j); !bytes.Equal(got, data) || !gotMtime.Equal(mtime) || gotCompactions != compactions {
+		t.Fatalf("an idle compaction rewrote the image (mtime %v, was %v) or counted itself (%d, was %d)", gotMtime, mtime, gotCompactions, compactions)
+	}
+	c.commit(t, j, 4, 4)
+	if err := j.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if got, _, gotCompactions := state(j); bytes.Equal(got, data) || gotCompactions != compactions+1 {
+		t.Fatalf("the compaction after a commit wrote nothing (%d compactions, was %d)", gotCompactions, compactions)
+	}
+	c.commit(t, j, 5, 5)
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	c = &tally{}
+	if j, err = OpenJournal(path, image, c.machine()); err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = j.Close() }()
+	data, _, _ = state(j)
+	if err := j.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if got, _, gotCompactions := state(j); bytes.Equal(got, data) || gotCompactions != 1 {
+		t.Fatalf("a reopened journal with a record past its image did not compact (%d compactions)", gotCompactions)
+	}
+	if got, want := recovered(t, path, image), []int64{1, 2, 3, 4, 5}; !slices.Equal(got, want) {
+		t.Errorf("recovered %v, want %v", got, want)
+	}
 }
 
 // TestOtherVersionRefused: a log headed by an unknown or newer version byte

@@ -224,8 +224,10 @@ func DecodeSubtrees(b []byte) ([]Subtree, error) {
 }
 
 // Image is an MDS's local layer at rest, the body of its snapshot image: the
-// global-layer version and the log horizon it was taken at, the subtree roots
-// it owns, its access counters, and its local layer as one tree at "/".
+// log horizon it was taken at, the subtree roots it owns, its access
+// counters, and its local layer as one tree at "/". GLVersion is written as
+// 0 and read by nothing: a server takes its global-layer version from its
+// join, before it serves. An image an older MDS wrote may hold one there.
 type Image struct {
 	GLVersion int64
 	Horizon   int64
